@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt fmt-check vet build test bench serve-smoke obs-smoke dist-smoke bench-serve bench-parallel bench-stream bench-shard bench-load bench-kernel bench-dist lint coverage ci
+.PHONY: fmt fmt-check vet build test bench bench-selftest serve-smoke obs-smoke dist-smoke bench-serve bench-parallel bench-stream bench-shard bench-load bench-kernel bench-dist lint coverage ci
 
 fmt: ## Reformat all Go sources in place
 	gofmt -w .
@@ -27,6 +27,9 @@ test: ## Full test suite with the race detector, shuffled (CI's main job)
 
 bench: ## Run every benchmark once (CI's bench-smoke job)
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+bench-selftest: ## Compile and self-test the benchmark module (benchmark/, a module of its own the root ./... does not reach)
+	cd benchmark && $(GO) test ./...
 
 serve-smoke: ## Boot onex-server, drive the v1 API end to end (CI's serve-smoke job)
 	sh scripts/serve_smoke.sh
@@ -88,4 +91,4 @@ coverage: ## Enforce ≥ 70% statement coverage on query+grouping+parallel+shard
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t + 0 < min) ? 1 : 0 }' \
 		|| { echo "coverage $$total% is below $(COVER_MIN)%" >&2; exit 1; }
 
-ci: fmt-check vet lint build test bench coverage serve-smoke obs-smoke dist-smoke ## The full local gate, same checks as CI
+ci: fmt-check vet lint build test bench bench-selftest coverage serve-smoke obs-smoke dist-smoke ## The full local gate, same checks as CI

@@ -9,7 +9,7 @@
 //	            [-lengths 16] [-scale 0.25] [-seed 1]
 //	            [-snapshot-dir dir] [-cache-entries 1024] [-build-workers 2]
 //	            [-shard-workers http://w1:9102,http://w2:9102]
-//	            [-job-workers 2] [-max-jobs 1024] [-job-ttl 10m] [-legacy]
+//	            [-job-workers 2] [-max-jobs 1024] [-job-ttl 10m]
 //	            [-log-level info] [-log-format text] [-slow-query 0]
 //	            [-pprof]
 //	onex-server -role worker [-addr :9102] [-log-level info] [-log-format text]
@@ -113,12 +113,10 @@ func main() {
 		cacheEntries = flag.Int("cache-entries", 1024, "query-result cache capacity (negative disables)")
 		buildWorkers = flag.Int("build-workers", 2, "concurrent dataset builds")
 		parallelism  = flag.Int("parallelism", 0, "per-query/build worker fan-out (0 = GOMAXPROCS)")
-		shards       = flag.Int("shards", 0, "intra-dataset shard count of the default dataset (0/1 = unsharded)")
+		shards       = flag.Int("shards", 0, "intra-dataset shard count of the default dataset (0/1 = one shard)")
 		maxBody      = flag.Int64("max-body-bytes", api.DefaultMaxBody, "request body size cap")
 		allowFS      = flag.Bool("allow-fs", false,
 			"let /v1/datasets register from server filesystem paths (path/snapshot fields)")
-		legacy = flag.Bool("legacy", false,
-			"serve the deprecated pre-/v1 endpoints (/match, /range, /seasonal, /recommend, /stats)")
 		jobWorkers = flag.Int("job-workers", 2, "concurrent async query jobs")
 		maxJobs    = flag.Int("max-jobs", 1024, "job table bound (live + retained terminal jobs)")
 		jobTTL     = flag.Duration("job-ttl", 10*time.Minute, "how long finished job results stay pollable")
@@ -175,7 +173,7 @@ func main() {
 		ShardWorkers: workers,
 		SnapshotDir:  *snapshotDir, CacheEntries: *cacheEntries,
 		BuildWorkers: *buildWorkers, MaxBody: *maxBody, AllowFS: *allowFS,
-		Legacy: *legacy, JobWorkers: *jobWorkers, MaxJobs: *maxJobs, JobTTL: *jobTTL,
+		JobWorkers: *jobWorkers, MaxJobs: *maxJobs, JobTTL: *jobTTL,
 		Logger: logger, SlowQuery: *slowQuery, Pprof: *pprofFlag,
 		HealthProbe: *healthProbe,
 	})

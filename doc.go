@@ -92,10 +92,14 @@
 //
 // # Sharded serving
 //
-// Options.Shards hash-partitions one dataset's series across N engine
-// shards (internal/shard), each holding its own GTI/LSI index layers — the
-// O(g²) inter-representative matrix, envelopes and scan orders — over just
-// its series, derived concurrently on the worker pool and queried by
+// There is one engine (internal/shard) and one query coordinator
+// (query.Scatter); a base's layout is how many shards that engine holds.
+// Shards 0 and 1 both mean the one-shard layout: a single in-process shard
+// whose index is built over the global grouping itself. Options.Shards > 1
+// hash-partitions the dataset's series across N shards, each holding its
+// own GTI/LSI index layers — the inter-representative distance lists and
+// envelopes — over just its series, derived concurrently on the worker pool
+// and queried by
 // scatter-gather: the representative scan fans across shard-owned groups
 // with a shared atomic best-so-far bound (each global group is scanned by
 // exactly one shard), range search runs verbatim per shard and concatenates,
@@ -107,26 +111,29 @@
 //	base, _ := onex.Build("big", series, onex.Options{ST: 0.2, Shards: 8})
 //
 // answers BestMatch / BestKMatches / RangeSearch(Exact) / Seasonal
-// identically to Shards: 0 (the single-engine path, bit-compatible with
-// previous releases), enforced by the layout-equivalence property suite in
-// internal/shard (random datasets, query mixes and Append/Extend
+// identically to Shards: 0, enforced by the layout-equivalence property
+// suite in internal/shard (random datasets, query mixes and Append/Extend
 // interleavings at Parallelism 1 and 8, under -race). The SP-Space
 // guidance surface — RecommendThreshold, DegreeOf, Stats.STHalf/STFinal —
 // is likewise computed from the one global grouping (via an on-demand
 // inter-representative distance oracle, so no global O(g²) matrix is ever
-// materialized) and is bit-identical at every shard count. Caveats: two
-// representatives tying on bit-equal DTW resolve by scan order, which
-// differs between layouts (impossible on continuous data), and
-// WithThreshold requires an unsharded base. Appends and extends route
+// materialized) and is bit-identical at every shard count. The tie rule,
+// stated once: two representatives at bit-equal DTW from the query
+// (impossible on continuous data, possible with duplicated windows) resolve
+// to the smaller global group id at every layout and worker count.
+// WithThreshold adapts only the one-shard in-process layout — the merge
+// rule reads distances across the whole grouping, which only a shard
+// indexing all of it holds — and refuses when Shards > 1 or ShardWorkers
+// is set. Appends and extends route
 // deterministically — series → shard is a pure hash — and refresh only the
 // shards whose series or groups the step touched; snapshots persist the
 // global payload plus the layout in one stream (format v5 adds the DcTopK
-// retention setting; v3 snapshots load as one shard, v4 and earlier with
-// the default retention) and re-derive the shards on load. Stats().PerShard,
+// retention setting; v4 streams load with the default retention, older
+// ones are refused) and re-derive the shards on load. Stats().PerShard,
 // the hub Info and /v1/datasets/{name}/stats report the per-shard series/
 // group/byte populations; `make bench-shard` (CI: bench-shard) emits
 // BENCH_shard.json sweeping shard counts 1/2/4/8 over a homogeneous and a
-// heterogeneous population with the unsharded-equivalence check baked in.
+// heterogeneous population with the one-shard-equivalence check baked in.
 //
 // # Index memory
 //
@@ -134,15 +141,14 @@
 // per-length inter-representative distance matrix Dc (Def. 10), O(g²)
 // per indexed length — is stored sparsely: each representative retains
 // only its Options.DcTopK nearest entries (default 32; negative retains
-// all) plus its exact row sum. This is safe because the dense matrix is
-// consumed ONLY at build time — the row sums, scan orders and merge
-// thresholds it feeds are stored exactly, and every query path that needs
-// an inter-representative distance recomputes it on demand from the
-// representatives — so retention is purely a memory knob: every query
+// all). This is safe because the dense matrix is consumed ONLY at build
+// time — the merge thresholds it feeds are stored exactly, and every query
+// path that needs an inter-representative distance recomputes it on demand
+// from the representatives — so retention is purely a memory knob: every query
 // answer, recommendation and maintenance result is bit-identical at every
 // DcTopK setting, enforced by the package-level sparse-vs-dense
 // equivalence property suite across sequential/parallel execution and
-// unsharded/sharded layouts. Stats().IndexBytes reflects the sparse
+// one-shard/sharded layouts. Stats().IndexBytes reflects the sparse
 // layout, so the memory saving is observable per dataset and per shard.
 //
 // # Serving
@@ -168,7 +174,7 @@
 //
 // # Distributed serving
 //
-// Every shard interaction inside the scatter-gather engine goes through
+// Every shard interaction inside the engine goes through
 // one seam, query.ShardTransport (Info / ScanBest / ScanFixed /
 // EvalMembers / Range / Stats / Close). The in-process engine is the
 // `local` transport (query.LocalShard); internal/shardrpc supplies the
@@ -178,7 +184,7 @@
 // ships each shard's series and owned groups to a worker keyed by
 // (dataset, generation, shard), and fans queries out with the same
 // bounds-as-hints protocol the local path uses. Because the coordinator
-// replays the monolithic decision procedure over transport answers, and
+// runs one decision procedure over transport answers, and
 // ±Inf-capable floats travel as math.Float64bits, a worker-served base
 // answers the full query mix bit-identically to the in-process engine —
 // including through mid-query worker restarts: shipping is idempotent on
@@ -191,7 +197,7 @@
 // kill/restart included. See docs/api.md for the worker wire protocol
 // and cmd/onex-server/README.md for running a worker fleet;
 // `make dist-smoke` boots two workers plus a coordinator and
-// cross-checks answers against an unsharded server end to end.
+// cross-checks answers against a one-shard server end to end.
 package onex
 
 // Paper-to-code glossary. The implementation follows the paper's notation
@@ -214,7 +220,9 @@ package onex
 //	Dc (Def. 10)                  rspace.LengthEntry.TopK (sparse top-k
 //	                              rows; dense Dc is build-time scratch)
 //	GTI (Sec. 4.3)                rspace.LengthEntry (group vector, TopK,
-//	                              Sums/SumOrder/MedianOrder, STHalf/STFinal)
+//	                              STHalf/STFinal; the sum-sorted array and
+//	                              its median visit order are not kept — the
+//	                              scan visits groups in id order)
 //	LSI (Sec. 4.3)                grouping.Group.Members (ED-sorted) +
 //	                              rspace.LengthEntry.Envelopes
 //	SP-Space, SThalf/STfinal      rspace SThalf/STFinal per length;

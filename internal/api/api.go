@@ -14,11 +14,6 @@
 //     canceled, …).
 //   - Per-endpoint latency histograms and job/cache counters are exposed
 //     on GET /v1/stats.
-//
-// The legacy pre-/v1 single-dataset endpoints (/match, /range, /seasonal,
-// /recommend, /stats) are deprecated: they are served only when
-// Config.Legacy is set (the -legacy flag) and always answer with a
-// "Deprecation: true" header; without the flag they return 410 Gone.
 package api
 
 import (
@@ -60,7 +55,7 @@ type Config struct {
 	// (0 = GOMAXPROCS).
 	Parallelism int
 	// Shards is the default dataset's intra-dataset shard count
-	// (0/1 = unsharded; answers are identical at every count).
+	// (0/1 = one shard; answers are identical at every count).
 	Shards int
 	// ShardWorkers lists remote worker base URLs serving the default
 	// dataset's shards over the worker protocol (internal/shardrpc); shard s
@@ -77,9 +72,6 @@ type Config struct {
 	// read arbitrary host files. The startup DataPath is unaffected
 	// (operator-controlled).
 	AllowFS bool
-	// Legacy serves the deprecated pre-/v1 endpoints (with a Deprecation
-	// header). Off by default; without it they return 410 Gone.
-	Legacy bool
 	// JobWorkers, MaxJobs and JobTTL tune the async job subsystem
 	// (defaults: 2 workers, 1024 jobs, 10 minute result retention).
 	JobWorkers int
@@ -109,7 +101,6 @@ type Server struct {
 	defaultName string
 	maxBody     int64
 	allowFS     bool
-	legacy      bool
 	started     time.Time
 
 	logger    *slog.Logger
@@ -148,7 +139,6 @@ func New(cfg Config) (*Server, error) {
 		metrics:   &metrics.Registry{},
 		maxBody:   cfg.MaxBody,
 		allowFS:   cfg.AllowFS,
-		legacy:    cfg.Legacy,
 		started:   time.Now(),
 		logger:    logger,
 		slowQuery: cfg.SlowQuery,
@@ -243,11 +233,7 @@ func isAlnum(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
-// dataset resolves the {name} path value, falling back to the default
-// dataset for the legacy unversioned routes.
+// dataset resolves the {name} path value.
 func (s *Server) dataset(name string) (*hub.Dataset, error) {
-	if name == "" {
-		name = s.defaultName
-	}
 	return s.hub.Get(name)
 }

@@ -2,7 +2,6 @@ package api
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"onex"
@@ -168,27 +167,12 @@ func runSeasonalBatch(ds *hub.Dataset, items []seasonalItem, jc *jobs.Context) (
 
 // ---- HTTP handlers ----------------------------------------------------
 
-// matchBatchRequest is the uniform match batch body. Queries stays raw so
-// the handler can also accept the deprecated array-of-arrays shape
-// ({"queries": [[…], …], "mode": "…"}) that predates per-item options.
 type matchBatchRequest struct {
-	Queries json.RawMessage `json:"queries"`
-	// Mode is only meaningful for the deprecated shape (items carry their
-	// own mode in the uniform shape).
-	Mode string `json:"mode"`
+	Queries []matchItem `json:"queries"`
 }
 
-// legacyBatchEntry preserves the deprecated match/batch per-entry response
-// shape: a flattened match with an optional error string.
-type legacyBatchEntry struct {
-	*matchResponse
-	Error string `json:"error,omitempty"`
-}
-
-// handleMatchBatch serves POST /v1/datasets/{name}/match/batch. The
-// uniform shape is {"queries":[{"query":…,"mode":…,"k":…}, …]}; the
-// deprecated {"queries":[[…],…],"mode":…} shape is still accepted (answered
-// with a Deprecation header and the old flattened response).
+// handleMatchBatch serves POST /v1/datasets/{name}/match/batch with the
+// uniform envelope: {"queries":[{"query":…,"mode":…,"k":…}, …]}.
 func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 	ds, err := s.dataset(r.PathValue("name"))
 	if err != nil {
@@ -200,67 +184,16 @@ func (s *Server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	withValues := r.URL.Query().Get("values") == "true"
-
-	var items []matchItem
-	if err := json.Unmarshal(req.Queries, &items); err != nil {
-		// Not the uniform shape — try the deprecated array-of-arrays one.
-		var legacy [][]float64
-		if err := json.Unmarshal(req.Queries, &legacy); err != nil {
-			writeErr(w, badRequest("queries must be an array of query objects"))
-			return
-		}
-		s.legacyMatchBatch(w, r, ds, legacy, req.Mode, withValues)
-		return
-	}
-	if req.Mode != "" {
-		writeErr(w, badRequest("top-level mode belongs to the deprecated shape; set mode per item"))
-		return
-	}
-	if len(items) == 0 {
+	if len(req.Queries) == 0 {
 		writeErr(w, badRequest("queries must be non-empty"))
 		return
 	}
-	out, err := runMatchBatch(r.Context(), ds, items, withValues, nil)
+	out, err := runMatchBatch(r.Context(), ds, req.Queries, r.URL.Query().Get("values") == "true", nil)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// legacyMatchBatch answers the deprecated match/batch shape exactly as
-// before the uniform envelope existed.
-func (s *Server) legacyMatchBatch(w http.ResponseWriter, r *http.Request, ds *hub.Dataset, queries [][]float64, modeStr string, withValues bool) {
-	mode, err := parseMode(modeStr)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if len(queries) == 0 {
-		writeErr(w, badRequest("queries must be non-empty"))
-		return
-	}
-	rs, err := ds.MatchBatch(r.Context(), queries, mode)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	out := make([]legacyBatchEntry, 0, len(rs))
-	errors := 0
-	for _, br := range rs {
-		if br.Err != nil {
-			errors++
-			out = append(out, legacyBatchEntry{Error: br.Err.Error()})
-			continue
-		}
-		m := toMatchResponse(br.Match, withValues)
-		out = append(out, legacyBatchEntry{matchResponse: &m})
-	}
-	w.Header().Set("Deprecation", "true")
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count": len(out), "errors": errors, "results": out,
-	})
 }
 
 type rangeBatchRequest struct {

@@ -9,12 +9,13 @@ import (
 	"testing"
 )
 
-// legacyBatchRequest is the deprecated match/batch request shape
-// (array-of-arrays queries with one top-level mode), kept as a test type to
-// pin backward compatibility.
-type legacyBatchRequest struct {
-	Queries [][]float64 `json:"queries"`
-	Mode    string      `json:"mode,omitempty"`
+// exactBatch is a match/batch body asking each query in exact mode.
+func exactBatch(qs ...[]float64) matchBatchRequest {
+	var req matchBatchRequest
+	for _, q := range qs {
+		req.Queries = append(req.Queries, matchItem{Query: q, Mode: "exact"})
+	}
+	return req
 }
 
 // postJSONRaw posts a body and returns only the status code, verifying the
@@ -45,7 +46,7 @@ func TestV1MatchBatch(t *testing.T) {
 	// by FuzzBestMatchBatch at the API layer).
 	bad := []float64{1, 2, 3}
 	out := postJSON(t, hs.URL+"/v1/datasets/ItalyPower/match/batch",
-		legacyBatchRequest{Queries: [][]float64{q, q, bad, {}}, Mode: "exact"}, http.StatusOK)
+		exactBatch(q, q, bad, []float64{}), http.StatusOK)
 	if out["count"].(float64) != 4 {
 		t.Fatalf("count = %v", out["count"])
 	}
@@ -56,16 +57,16 @@ func TestV1MatchBatch(t *testing.T) {
 	if len(results) != 4 {
 		t.Fatalf("results len = %d", len(results))
 	}
-	first := results[0].(map[string]any)
+	if e := results[0].(map[string]any)["error"]; e != nil {
+		t.Fatalf("result 0 unexpectedly errored: %v", e)
+	}
+	first := results[0].(map[string]any)["result"].(map[string]any)
 	if first["length"].(float64) != float64(len(q)) {
 		t.Errorf("result 0 length = %v, want %d", first["length"], len(q))
 	}
-	if _, hasErr := first["error"]; hasErr {
-		t.Errorf("result 0 unexpectedly errored: %v", first["error"])
-	}
 	// The two results must be identical (same query) and the bad ones carry
 	// per-entry errors without failing the request.
-	second := results[1].(map[string]any)
+	second := results[1].(map[string]any)["result"].(map[string]any)
 	if first["seriesId"] != second["seriesId"] || first["start"] != second["start"] ||
 		first["distance"] != second["distance"] {
 		t.Errorf("identical queries got different answers: %v vs %v", first, second)
@@ -81,11 +82,11 @@ func TestV1MatchBatch(t *testing.T) {
 func TestV1MatchBatchValidation(t *testing.T) {
 	_, hs := testServer(t, testConfig())
 	url := hs.URL + "/v1/datasets/ItalyPower/match/batch"
-	postJSON(t, url, legacyBatchRequest{Queries: nil}, http.StatusBadRequest)
-	postJSON(t, url, legacyBatchRequest{Queries: [][]float64{{1, 2}}, Mode: "fuzzy"}, http.StatusBadRequest)
-	postJSON(t, hs.URL+"/v1/datasets/nope/match/batch",
-		legacyBatchRequest{Queries: [][]float64{{1, 2}}}, http.StatusNotFound)
-	postJSON(t, url, map[string]any{"queries": [][]float64{{1, 2}}, "bogus": 1}, http.StatusBadRequest)
+	postJSON(t, url, exactBatch(), http.StatusBadRequest)
+	postJSON(t, hs.URL+"/v1/datasets/nope/match/batch", exactBatch([]float64{1, 2}), http.StatusNotFound)
+	postJSON(t, url, map[string]any{"queries": exactBatch([]float64{1, 2}).Queries, "bogus": 1}, http.StatusBadRequest)
+	// The retired array-of-arrays shape is a decode error like any other.
+	postJSON(t, url, map[string]any{"queries": [][]float64{{1, 2}}}, http.StatusBadRequest)
 }
 
 // TestV1MatchBatchRacingDrop drives the batch endpoint from several
@@ -111,8 +112,7 @@ func TestV1MatchBatchRacingDrop(t *testing.T) {
 					return
 				default:
 				}
-				req := legacyBatchRequest{Queries: [][]float64{q, q}, Mode: "exact"}
-				resp, err := postJSONRaw(client, url, req)
+				resp, err := postJSONRaw(client, url, exactBatch(q, q))
 				if err != nil {
 					t.Errorf("batch request failed: %v", err)
 					return

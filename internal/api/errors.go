@@ -22,7 +22,6 @@ const (
 	CodeAlreadyExists   = "already_exists"   // 409: dataset name taken
 	CodeNotReady        = "not_ready"        // 409: dataset still building
 	CodeConflict        = "conflict"         // 409: concurrent maintenance collision
-	CodeDeprecated      = "deprecated"       // 410: legacy endpoint without -legacy
 	CodeTooLarge        = "too_large"        // 413: body over the size cap
 	CodeBuildFailed     = "build_failed"     // 500: dataset build failed
 	CodeInternal        = "internal"         // 500: unexpected server-side failure

@@ -144,7 +144,7 @@ func TestJobValidationAndNotFound(t *testing.T) {
 	}
 	postJSON(t, base+"/match/jobs", map[string]any{"queries": []matchItem{}}, http.StatusBadRequest)
 	postJSON(t, hs.URL+"/v1/datasets/nosuch/match/jobs", matchItem{Query: q}, http.StatusNotFound)
-	// The deprecated array-of-arrays shape has no jobs form.
+	// Batch items are query objects; bare arrays do not decode.
 	postJSON(t, base+"/match/jobs", map[string]any{"queries": [][]float64{q}}, http.StatusBadRequest)
 
 	list := getJSON(t, hs.URL+"/v1/jobs", http.StatusOK)

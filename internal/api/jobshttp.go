@@ -107,22 +107,13 @@ func (s *Server) handleMatchJob(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		var items []matchItem
-		if err := json.Unmarshal(req.Queries, &items); err != nil {
-			writeErr(w, badRequest("queries must be an array of query objects (the deprecated array-of-arrays shape has no jobs form)"))
-			return
-		}
-		if req.Mode != "" {
-			writeErr(w, badRequest("top-level mode belongs to the deprecated shape; set mode per item"))
-			return
-		}
-		if len(items) == 0 {
+		if len(req.Queries) == 0 {
 			writeErr(w, badRequest("queries must be non-empty"))
 			return
 		}
 		ctx := jobContext(requestIDFrom(r.Context()))
 		s.submitJob(w, "match", ds.Name(), func(jc *jobs.Context) (any, error) {
-			return runMatchBatch(ctx, ds, items, withValues, jc)
+			return runMatchBatch(ctx, ds, req.Queries, withValues, jc)
 		})
 		return
 	}

@@ -49,7 +49,7 @@ type registerRequest struct {
 	// (0 = GOMAXPROCS; answers are identical for every value).
 	Parallelism int `json:"parallelism"`
 	// Shards hash-partitions the dataset's series across engine shards
-	// built concurrently and queried by scatter-gather (0/1 = unsharded;
+	// built concurrently and queried by scatter-gather (0/1 = one shard;
 	// answers are identical at every count — see /v1/datasets/{name}/stats
 	// for the per-shard breakdown).
 	Shards int `json:"shards"`

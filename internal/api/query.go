@@ -291,26 +291,3 @@ func (s *Server) handleHubStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, body)
 }
-
-// handleLegacyStats preserves the pre-hub /stats response shape for the
-// default dataset.
-func (s *Server) handleLegacyStats(w http.ResponseWriter, r *http.Request) {
-	ds, err := s.dataset(r.PathValue("name"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	info := ds.Info()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset":         info.Name,
-		"st":              info.ST,
-		"representatives": info.Representatives,
-		"subsequences":    info.Subsequences,
-		"indexBytes":      info.IndexBytes,
-		"buildSeconds":    info.BuildSeconds,
-		"stHalf":          info.STHalf,
-		"stFinal":         info.STFinal,
-		"lengths":         info.Lengths,
-		"uptimeSeconds":   time.Since(s.started).Seconds(),
-	})
-}

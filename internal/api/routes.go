@@ -47,28 +47,5 @@ func (s *Server) Routes() http.Handler {
 	handle("GET /v1/jobs", s.handleJobList)
 	handle("GET /v1/jobs/{id}", s.handleJobGet)
 	handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
-
-	// Deprecated pre-/v1 single-dataset endpoints, served by the default
-	// dataset behind Config.Legacy; 410 Gone otherwise.
-	handle("POST /match", s.deprecated(s.handleMatch))
-	handle("POST /range", s.deprecated(s.handleRange))
-	handle("GET /seasonal", s.deprecated(s.handleSeasonal))
-	handle("GET /recommend", s.deprecated(s.handleRecommend))
-	handle("GET /stats", s.deprecated(s.handleLegacyStats))
 	return mux
-}
-
-// deprecated gates a legacy handler: with Config.Legacy it answers normally
-// plus a "Deprecation: true" header (RFC 8594 style); without it the route
-// is 410 Gone, pointing clients at the /v1 surface.
-func (s *Server) deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.legacy {
-			writeErr(w, apiError{http.StatusGone, CodeDeprecated,
-				"legacy endpoint disabled; use the /v1 API (or start the server with -legacy)"})
-			return
-		}
-		w.Header().Set("Deprecation", "true")
-		h(w, r)
-	}
 }

@@ -15,12 +15,7 @@ import (
 )
 
 func testConfig() Config {
-	// Legacy is on so the deprecated-endpoint tests can exercise the old
-	// surface; the gating itself is covered by TestLegacyGating.
-	return Config{
-		Generator: "ItalyPower", ST: 0.25, Lengths: 6, Scale: 0.2, Seed: 1,
-		Legacy: true,
-	}
+	return Config{Generator: "ItalyPower", ST: 0.25, Lengths: 6, Scale: 0.2, Seed: 1}
 }
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -108,66 +103,70 @@ func queryFor(t *testing.T, srv *Server) []float64 {
 	return q
 }
 
-// ---- legacy surface ----------------------------------------------------
+// ---- query families ----------------------------------------------------
 
-func TestServerHealthAndLegacyStats(t *testing.T) {
+func TestServerHealth(t *testing.T) {
 	_, hs := testServer(t, testConfig())
 	health := getJSON(t, hs.URL+"/healthz", http.StatusOK)
 	if health["status"] != "ok" {
 		t.Errorf("healthz = %v", health)
 	}
-	stats := getJSON(t, hs.URL+"/stats", http.StatusOK)
-	if stats["dataset"] != "ItalyPower" {
-		t.Errorf("stats dataset = %v", stats["dataset"])
+	// The pre-/v1 routes are gone, not gated.
+	resp, err := http.Get(hs.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if reps, ok := stats["representatives"].(float64); !ok || reps <= 0 {
-		t.Errorf("stats representatives = %v", stats["representatives"])
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unversioned /stats: code %d, want 404", resp.StatusCode)
 	}
 }
 
-func TestServerLegacyMatch(t *testing.T) {
+func TestV1Match(t *testing.T) {
 	srv, hs := testServer(t, testConfig())
 	q := queryFor(t, srv)
-	out := postJSON(t, hs.URL+"/match", matchItem{Query: q, Mode: "exact"}, http.StatusOK)
+	base := hs.URL + "/v1/datasets/" + srv.DefaultName()
+	out := postJSON(t, base+"/match", matchItem{Query: q, Mode: "exact"}, http.StatusOK)
 	if out["length"].(float64) != float64(len(q)) {
 		t.Errorf("match length = %v, want %d", out["length"], len(q))
 	}
-	out = postJSON(t, hs.URL+"/match", matchItem{Query: q, Mode: "any", K: 3}, http.StatusOK)
+	out = postJSON(t, base+"/match", matchItem{Query: q, Mode: "any", K: 3}, http.StatusOK)
 	if ms, ok := out["matches"].([]any); !ok || len(ms) != 3 {
 		t.Errorf("k-NN returned %v", out)
 	}
 }
 
-func TestServerLegacyRangeSeasonalRecommend(t *testing.T) {
+func TestV1RangeSeasonalRecommend(t *testing.T) {
 	srv, hs := testServer(t, testConfig())
 	q := queryFor(t, srv)
 	l := len(q)
-	out := postJSON(t, hs.URL+"/range", rangeItem{Query: q, Length: l, Radius: 0.5}, http.StatusOK)
+	base := hs.URL + "/v1/datasets/" + srv.DefaultName()
+	out := postJSON(t, base+"/range", rangeItem{Query: q, Length: l, Radius: 0.5}, http.StatusOK)
 	if _, ok := out["count"].(float64); !ok {
 		t.Errorf("range response: %v", out)
 	}
-	postJSON(t, hs.URL+"/range", rangeItem{Query: q, Length: l, Radius: -1}, http.StatusBadRequest)
+	postJSON(t, base+"/range", rangeItem{Query: q, Length: l, Radius: -1}, http.StatusBadRequest)
 
-	out = getJSON(t, fmt.Sprintf("%s/seasonal?length=%d", hs.URL, l), http.StatusOK)
+	out = getJSON(t, fmt.Sprintf("%s/seasonal?length=%d", base, l), http.StatusOK)
 	if _, ok := out["count"].(float64); !ok {
 		t.Errorf("seasonal response: %v", out)
 	}
-	getJSON(t, fmt.Sprintf("%s/seasonal?series=0&length=%d", hs.URL, l), http.StatusOK)
-	getJSON(t, hs.URL+"/seasonal?length=abc", http.StatusBadRequest)
-	getJSON(t, fmt.Sprintf("%s/seasonal?series=xyz&length=%d", hs.URL, l), http.StatusBadRequest)
+	getJSON(t, fmt.Sprintf("%s/seasonal?series=0&length=%d", base, l), http.StatusOK)
+	getJSON(t, base+"/seasonal?length=abc", http.StatusBadRequest)
+	getJSON(t, fmt.Sprintf("%s/seasonal?series=xyz&length=%d", base, l), http.StatusBadRequest)
 
-	out = getJSON(t, hs.URL+"/recommend?degree=S", http.StatusOK)
+	out = getJSON(t, base+"/recommend?degree=S", http.StatusOK)
 	if out["degree"] != "S" || out["low"].(float64) != 0 {
 		t.Errorf("recommend = %v", out)
 	}
 	// Loose's +Inf upper bound must arrive as null, not as an encoding
 	// failure behind an already-sent 200 (regression: empty body).
-	out = getJSON(t, hs.URL+"/recommend?degree=L", http.StatusOK)
+	out = getJSON(t, base+"/recommend?degree=L", http.StatusOK)
 	if out["degree"] != "L" || out["low"].(float64) <= 0 || out["high"] != nil {
 		t.Errorf("recommend L = %v, want positive low and null high", out)
 	}
-	getJSON(t, hs.URL+"/recommend?degree=Q", http.StatusBadRequest)
-	getJSON(t, hs.URL+"/recommend?degree=M&length=abc", http.StatusBadRequest)
+	getJSON(t, base+"/recommend?degree=Q", http.StatusBadRequest)
+	getJSON(t, base+"/recommend?degree=M&length=abc", http.StatusBadRequest)
 }
 
 // ---- v1 lifecycle ------------------------------------------------------
@@ -285,15 +284,14 @@ func TestRequestValidation(t *testing.T) {
 	}
 
 	// Unknown fields are rejected on every JSON endpoint.
-	for _, url := range []string{hs.URL + "/match", hs.URL + "/v1/datasets/ItalyPower/match"} {
-		resp, err := http.Post(url, "application/json",
-			strings.NewReader(`{"query":[1,2],"bogus":true}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertErrorShape(t, resp, http.StatusBadRequest)
+	match := hs.URL + "/v1/datasets/ItalyPower/match"
+	resp, err := http.Post(match, "application/json",
+		strings.NewReader(`{"query":[1,2],"bogus":true}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp, err := http.Post(hs.URL+"/v1/datasets", "application/json",
+	assertErrorShape(t, resp, http.StatusBadRequest)
+	resp, err = http.Post(hs.URL+"/v1/datasets", "application/json",
 		strings.NewReader(`{"name":"x","generator":"ECG","surprise":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +299,7 @@ func TestRequestValidation(t *testing.T) {
 	assertErrorShape(t, resp, http.StatusBadRequest)
 
 	// Trailing garbage after the JSON object.
-	resp, err = http.Post(hs.URL+"/match", "application/json",
+	resp, err = http.Post(match, "application/json",
 		strings.NewReader(`{"query":[1,2]} extra`))
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +307,7 @@ func TestRequestValidation(t *testing.T) {
 	assertErrorShape(t, resp, http.StatusBadRequest)
 
 	// Truncated body.
-	resp, err = http.Post(hs.URL+"/match", "application/json", strings.NewReader("{"))
+	resp, err = http.Post(match, "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,25 +322,25 @@ func TestRequestValidation(t *testing.T) {
 	_ = srvSmall
 	big := make([]float64, 64)
 	data, _ := json.Marshal(matchItem{Query: big})
-	resp, err = http.Post(hsSmall.URL+"/match", "application/json", bytes.NewReader(data))
+	resp, err = http.Post(hsSmall.URL+"/v1/datasets/ItalyPower/match", "application/json", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertErrorShape(t, resp, http.StatusRequestEntityTooLarge)
 
 	// Bad mode / negative k.
-	postJSON(t, hs.URL+"/match", matchItem{Query: q, Mode: "bogus"}, http.StatusBadRequest)
-	postJSON(t, hs.URL+"/match", matchItem{Query: q, K: -1}, http.StatusBadRequest)
+	postJSON(t, match, matchItem{Query: q, Mode: "bogus"}, http.StatusBadRequest)
+	postJSON(t, match, matchItem{Query: q, K: -1}, http.StatusBadRequest)
 	// Empty query.
-	postJSON(t, hs.URL+"/match", matchItem{}, http.StatusBadRequest)
+	postJSON(t, match, matchItem{}, http.StatusBadRequest)
 	// Wrong method.
-	resp, err = http.Get(hs.URL + "/match")
+	resp, err = http.Get(match)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /match: code %d, want 405", resp.StatusCode)
+		t.Errorf("GET …/match: code %d, want 405", resp.StatusCode)
 	}
 	// Bad purge value.
 	doJSON(t, http.MethodDelete, hs.URL+"/v1/datasets/ItalyPower?purge=maybe", nil, http.StatusBadRequest)

@@ -5,46 +5,6 @@ import (
 	"testing"
 )
 
-// TestLegacyGating pins the deprecation story: without Config.Legacy the
-// pre-/v1 endpoints answer 410 Gone with code "deprecated"; with it they
-// work but always carry a Deprecation header.
-func TestLegacyGating(t *testing.T) {
-	cfg := testConfig()
-	cfg.Legacy = false
-	srv, hs := testServer(t, cfg)
-	q := queryFor(t, srv)
-
-	resp, err := http.Get(hs.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("legacy /stats without -legacy: code %d, want 410", resp.StatusCode)
-	}
-	out := postJSON(t, hs.URL+"/match", matchItem{Query: q}, http.StatusGone)
-	if out["code"] != CodeDeprecated {
-		t.Errorf("gated legacy endpoint code = %v", out["code"])
-	}
-	// The /v1 surface is unaffected.
-	postJSON(t, hs.URL+"/v1/datasets/"+srv.DefaultName()+"/match", matchItem{Query: q}, http.StatusOK)
-
-	// With the flag, legacy answers carry the Deprecation header.
-	srv2, hs2 := testServer(t, testConfig())
-	_ = srv2
-	resp, err = http.Get(hs2.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /stats with -legacy: code %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy endpoint missing Deprecation header")
-	}
-}
-
 // TestErrorCodes pins the machine-readable code on each error class.
 func TestErrorCodes(t *testing.T) {
 	srv, hs := testServer(t, testConfig())
@@ -85,8 +45,7 @@ func TestErrorCodes(t *testing.T) {
 }
 
 // TestUniformBatchEnvelopes drives the range and seasonal batch endpoints
-// plus the uniform match shape (the legacy match shape is covered in
-// batch_http_test.go) and checks the shared envelope.
+// plus the match batch's per-item options and checks the shared envelope.
 func TestUniformBatchEnvelopes(t *testing.T) {
 	srv, hs := testServer(t, testConfig())
 	q := queryFor(t, srv)
@@ -134,7 +93,7 @@ func TestUniformBatchEnvelopes(t *testing.T) {
 		t.Errorf("bad-mode item: %v", bad)
 	}
 
-	// Mixing the top-level legacy mode with uniform items is rejected.
+	// Options live on the items; a top-level mode is an unknown field.
 	postJSON(t, base+"/match/batch", map[string]any{
 		"queries": []matchItem{{Query: q}}, "mode": "exact",
 	}, http.StatusBadRequest)

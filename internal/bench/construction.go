@@ -6,6 +6,7 @@ import (
 
 	"onex/internal/core"
 	"onex/internal/dataset"
+	"onex/internal/shard"
 )
 
 // stSweep is the similarity-threshold sweep of Figs. 5 and 6.
@@ -28,20 +29,20 @@ func (s *Session) buildPoint(name string, st float64) (constructionPoint, error)
 	if err != nil {
 		return constructionPoint{}, err
 	}
-	eng, err := core.Build(w.Data, core.BuildConfig{
+	eng, err := shard.Build(w.Data, core.BuildConfig{
 		ST:        st,
 		Lengths:   w.Lengths,
 		Seed:      s.cfg.Seed,
 		Normalize: core.NormalizeNone,
-	})
+	}, 0, nil)
 	if err != nil {
 		return constructionPoint{}, err
 	}
 	return constructionPoint{
-		buildTime: eng.BuildTime,
-		reps:      eng.Base.TotalGroups(),
-		subseq:    eng.Base.TotalSubseq,
-		sizeBytes: eng.Base.SizeBytes(),
+		buildTime: eng.BuildTime(),
+		reps:      eng.TotalGroups(),
+		subseq:    eng.TotalSubseq(),
+		sizeBytes: eng.SizeBytes(),
 	}, nil
 }
 

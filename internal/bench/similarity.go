@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"onex/internal/dataset"
 	"onex/internal/dist"
 	"onex/internal/query"
+	"onex/internal/shard"
 	"onex/internal/stats"
 )
 
@@ -82,12 +84,12 @@ func (s *Session) similarity(name string) (*SimilarityResult, error) {
 func runSimilaritySuite(w *Workload, cfg Config) (*SimilarityResult, error) {
 	// The workload data is already normalized; ONEX must index it as-is so
 	// every system searches the identical value space.
-	eng, err := core.Build(w.Data, core.BuildConfig{
+	eng, err := shard.Build(w.Data, core.BuildConfig{
 		ST:        cfg.ST,
 		Lengths:   w.Lengths,
 		Seed:      cfg.Seed,
 		Normalize: core.NormalizeNone,
-	})
+	}, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +106,7 @@ func runSimilaritySuite(w *Workload, cfg Config) (*SimilarityResult, error) {
 		return nil, err
 	}
 
-	res := &SimilarityResult{Dataset: w.Name, OnexBuild: eng.BuildTime}
+	res := &SimilarityResult{Dataset: w.Name, OnexBuild: eng.BuildTime()}
 	var (
 		exactAny, exactSame               []float64
 		onexAny, onexSame, trill, paaD    []float64
@@ -135,7 +137,7 @@ func runSimilaritySuite(w *Workload, cfg Config) (*SimilarityResult, error) {
 		var m query.Match
 		sec, err = timeIt(cfg.Repeats, func() error {
 			var e error
-			m, e = eng.Proc.BestMatch(q.Values, query.MatchAny)
+			m, e = eng.BestMatch(context.Background(), q.Values, query.MatchAny)
 			return e
 		})
 		if err != nil {
@@ -147,7 +149,7 @@ func runSimilaritySuite(w *Workload, cfg Config) (*SimilarityResult, error) {
 		// ONEX-S, same length (Table 1/2's restricted mode).
 		sec, err = timeIt(cfg.Repeats, func() error {
 			var e error
-			m, e = eng.Proc.BestMatch(q.Values, query.MatchExact)
+			m, e = eng.BestMatch(context.Background(), q.Values, query.MatchExact)
 			return e
 		})
 		if err != nil {

@@ -1,19 +1,16 @@
-// Package core composes the ONEX subsystems — grouping (Algorithm 1),
-// rspace (the GTI/LSI/SP-Space indexes) and query (Algorithm 2) — into one
-// engine with a single build entry point. The public onex package wraps this
-// engine with the stable exported API; the benchmark harness drives it
-// directly.
+// Package core holds what every engine layout shares below the shard layer:
+// the build configuration, input normalization (at build and for
+// incrementally added data), the amortized-rebuild decision rule and the
+// snapshot codec. The engine itself is internal/shard.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"onex/internal/grouping"
 	"onex/internal/query"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
@@ -72,76 +69,10 @@ type BuildConfig struct {
 // construction completes.
 var ErrCanceled = grouping.ErrCanceled
 
-// Engine is a built ONEX base plus its query processor.
-type Engine struct {
-	// Base is the immutable R-Space with its indexes.
-	Base *rspace.Base
-	// Proc answers online queries.
-	Proc *query.Processor
-	// BuildTime records the offline construction cost (Fig. 5).
-	BuildTime time.Duration
-
-	cfg BuildConfig
-	// normMin/normMax record the dataset-level scaling applied at build so
-	// incrementally added series land in the same value space.
-	normMin, normMax float64
-	grouped          *grouping.Result
-	// savedAt is the Save timestamp restored by Load (zero for engines that
-	// were built in-process or loaded from a version-1 stream).
-	savedAt time.Time
-	// rebuilds counts drift-triggered full rebuilds along this engine's
-	// maintenance lineage and lastRebuild records the most recent one's
-	// wall-clock cost — the observability counters of the amortized rebuild
-	// policy. Process-local: snapshots do not persist them.
-	rebuilds    int64
-	lastRebuild time.Duration
-}
-
-// Rebuilds returns how many drift-triggered full rebuilds this engine's
-// maintenance lineage (Append/Extend chains) has absorbed.
-func (e *Engine) Rebuilds() int64 { return e.rebuilds }
-
-// LastRebuild returns the wall-clock cost of the most recent drift-triggered
-// rebuild (zero if none happened).
-func (e *Engine) LastRebuild() time.Duration { return e.lastRebuild }
-
-// Meta summarizes an engine for catalogs and snapshot inspection.
-type Meta struct {
-	// Name is the dataset name.
-	Name string
-	// Series is the number of indexed series.
-	Series int
-	// Lengths lists the indexed subsequence lengths, increasing.
-	Lengths []int
-	// ST is the similarity threshold the base was built with.
-	ST float64
-	// BuildTime is the offline construction cost (restored across a
-	// Save/Load round trip on version ≥ 2 streams).
-	BuildTime time.Duration
-	// SavedAt is when the engine was serialized; zero if never saved or
-	// loaded from a version-1 stream.
-	SavedAt time.Time
-}
-
-// Meta reports the engine's identifying metadata.
-func (e *Engine) Meta() Meta {
-	return Meta{
-		Name:      e.Base.Dataset.Name,
-		Series:    e.Base.Dataset.N(),
-		Lengths:   append([]int(nil), e.Base.Lengths...),
-		ST:        e.Base.ST,
-		BuildTime: e.BuildTime,
-		SavedAt:   e.savedAt,
-	}
-}
-
 // PrepareDataset validates the input and applies the configured input
 // normalization, returning the working dataset (a copy unless mode is
 // NormalizeNone) plus the dataset-wide min/max recorded for later
-// incremental scaling (zero unless mode is NormalizeDataset). It is the
-// shared front half of Build, factored out so the sharded engine
-// (internal/shard) prepares its data identically — bit-identical inputs to
-// grouping are what make Shards=1 and Shards=N answer alike.
+// incremental scaling (zero unless mode is NormalizeDataset).
 func PrepareDataset(d *ts.Dataset, mode NormalizeMode) (work *ts.Dataset, normMin, normMax float64, err error) {
 	if d == nil {
 		return nil, 0, 0, errors.New("core: nil dataset")
@@ -170,175 +101,9 @@ func PrepareDataset(d *ts.Dataset, mode NormalizeMode) (work *ts.Dataset, normMi
 	return work, normMin, normMax, nil
 }
 
-// Build normalizes (a copy of) the dataset per cfg, constructs the
-// similarity groups, wraps them in the R-Space indexes and returns a ready
-// engine. The input dataset is never modified.
-func Build(d *ts.Dataset, cfg BuildConfig) (*Engine, error) {
-	work, normMin, normMax, err := PrepareDataset(d, cfg.Normalize)
-	if err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	gr, err := grouping.Build(work, grouping.Config{
-		ST:       cfg.ST,
-		Lengths:  cfg.Lengths,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-		Progress: cfg.Progress,
-		Cancel:   cfg.Cancel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	base, err := rspace.New(work, gr, rspace.Options{TopK: cfg.DcTopK})
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	proc, err := query.New(base, cfg.Query)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{
-		Base: base, Proc: proc, BuildTime: elapsed,
-		cfg: cfg, normMin: normMin, normMax: normMax, grouped: gr,
-	}, nil
-}
-
-// Extend performs incremental base maintenance: the new series join the
-// existing similarity groups via the Algorithm 1 assignment rule (only the
-// new subsequences are clustered), then the GTI/LSI/SP-Space indexes are
-// re-derived incrementally. Like Append, Extend participates in the
-// amortized rebuild policy: when the extension would push the incremental-
-// member fraction past BuildConfig.RebuildDrift, the full offline build
-// re-runs over the final data instead. The receiver stays valid and
-// unchanged; a new engine over the extended base is returned.
-//
-// Normalization: with NormalizeDataset the new series are scaled with the
-// *original* dataset's min/max so all values stay commensurate (values
-// outside the original range map outside [0,1], which is harmless);
-// NormalizePerSeries scales each new series by itself; NormalizeNone
-// appends raw values.
-func (e *Engine) Extend(newSeries []*ts.Series) (*Engine, error) {
-	if len(newSeries) == 0 {
-		return nil, errors.New("core: no series to add")
-	}
-	if e.grouped == nil {
-		return nil, errors.New("core: threshold-adapted engines cannot be extended; extend the original base first")
-	}
-	// Copy-on-write: existing series are immutable and shared; only the new
-	// series allocate (see Append).
-	work := e.Base.Dataset.CloneShared()
-	from := work.N()
-	for _, s := range newSeries {
-		if s == nil || s.Len() == 0 {
-			return nil, errors.New("core: empty new series")
-		}
-		// Reject non-finite values at the boundary, as Build (Validate) and
-		// Append (Dataset.AppendPoints) do — a NaN window would found a
-		// group with a NaN representative and poison every later query.
-		if i := ts.CheckFinite(s.Values); i >= 0 {
-			return nil, fmt.Errorf("core: new series has non-finite value %v at index %d", s.Values[i], i)
-		}
-		values, err := ScaleNewSeries(e.cfg.Normalize, e.normMin, e.normMax, s.Values)
-		if err != nil {
-			return nil, err
-		}
-		work.Append(s.Label, values)
-	}
-
-	var newCount int64
-	for _, s := range work.Series[from:] {
-		for _, l := range e.grouped.Lengths {
-			if n := s.Len() - l + 1; n > 0 {
-				newCount += int64(n)
-			}
-		}
-	}
-	return e.maintainOrRebuild(work, newCount, func() (*grouping.Result, *grouping.Delta, error) {
-		return grouping.Extend(work, e.grouped, from, e.maintenanceConfig())
-	})
-}
-
 // DefaultRebuildDrift is the incremental-member fraction at which Append
 // amortizes a full rebuild when BuildConfig.RebuildDrift is 0.
 const DefaultRebuildDrift = 0.25
-
-// Drift reports the fraction of indexed subsequences that joined the base
-// incrementally (Extend/Append) since the last full Algorithm 1 run — the
-// staleness signal of the amortized rebuild policy. Threshold-adapted
-// engines report 0.
-func (e *Engine) Drift() float64 {
-	if e.grouped == nil {
-		return 0
-	}
-	return e.grouped.Drift()
-}
-
-// Append grows one existing series in time: the points are appended to the
-// series and only the suffix subsequences — windows overlapping the new
-// points — are pushed through the Algorithm 1 assignment rule
-// (grouping.AppendPoints), after which the index layers refresh
-// incrementally (rspace.Refresh). Maintenance therefore costs
-// O(new-subsequences × g × L) distance work instead of a rebuild. When the
-// accumulated drift (fraction of incrementally assigned members) would
-// cross BuildConfig.RebuildDrift, the engine instead re-runs the full
-// offline build over the final data — identical to what a from-scratch
-// Build over the same (normalized) dataset produces for the base's indexed
-// length set, which stays pinned — resetting drift to zero.
-//
-// The receiver stays valid and unchanged; a new engine is returned.
-// Normalization: with NormalizeDataset the points are scaled with the
-// original dataset's min/max (values outside the original range map outside
-// [0,1], which is harmless); NormalizeNone appends raw values;
-// NormalizePerSeries bases cannot Append (the original per-series scale is
-// not retained) and return an error.
-func (e *Engine) Append(seriesID int, points []float64) (*Engine, error) {
-	if len(points) == 0 {
-		return nil, errors.New("core: no points to append")
-	}
-	if e.grouped == nil {
-		return nil, errors.New("core: threshold-adapted engines cannot be appended to; append to the original base first")
-	}
-	scaled, err := ScaleAppendPoints(e.cfg.Normalize, e.normMin, e.normMax, points)
-	if err != nil {
-		return nil, err
-	}
-
-	// Copy-on-write clone: indexed observations are immutable, so the grown
-	// base shares every series' backing array; Dataset.AppendPoints moves
-	// the grown series onto a freshly-owned array (never writing through a
-	// shared one) and rejects non-finite values — NaN and ±Inf survive the
-	// affine scaling, so validating scaled covers raw. An append therefore
-	// costs O(series + grown-series length) in copying, not O(total points).
-	work := e.Base.Dataset.CloneShared()
-	oldLens := make([]int, work.N())
-	for i, s := range work.Series {
-		oldLens[i] = s.Len()
-	}
-	if err := work.AppendPoints(seriesID, scaled); err != nil {
-		return nil, err
-	}
-
-	// Count the windows this append creates to decide incrementally-vs-
-	// rebuild before paying for either.
-	var newCount int64
-	for _, l := range e.grouped.Lengths {
-		lo, hi := work.Series[seriesID].NewWindowStarts(oldLens[seriesID], l)
-		newCount += int64(hi - lo)
-	}
-	return e.maintainOrRebuild(work, newCount, func() (*grouping.Result, *grouping.Delta, error) {
-		return grouping.AppendPoints(work, e.grouped, oldLens, e.maintenanceConfig())
-	})
-}
-
-// scaleToDataset maps raw values into the engine's indexed value space under
-// the dataset-wide min-max scaling recorded at build time.
-func (e *Engine) scaleToDataset(values []float64) []float64 {
-	return scaleToRange(e.normMin, e.normMax, values)
-}
 
 func scaleToRange(normMin, normMax float64, values []float64) []float64 {
 	scale := 1 / (normMax - normMin)
@@ -350,10 +115,11 @@ func scaleToRange(normMin, normMax float64, values []float64) []float64 {
 }
 
 // ScaleAppendPoints maps a streamed point batch into the value space an
-// engine built with the given normalization indexes — the exact scaling
-// Engine.Append applies, exported so the sharded engine routes appends
-// through identical arithmetic. NormalizePerSeries bases cannot grow series
-// in time (the original per-series scale is not retained) and error.
+// engine built with the given normalization indexes: with NormalizeDataset
+// the points are scaled with the original dataset's min/max (values outside
+// the original range map outside [0,1], which is harmless); NormalizeNone
+// copies raw values; NormalizePerSeries bases cannot grow series in time
+// (the original per-series scale is not retained) and error.
 func ScaleAppendPoints(mode NormalizeMode, normMin, normMax float64, points []float64) ([]float64, error) {
 	switch mode {
 	case NormalizeDataset:
@@ -389,85 +155,11 @@ func ScaleNewSeries(mode NormalizeMode, normMin, normMax float64, values []float
 	}
 }
 
-// maintenanceConfig is the grouping configuration incremental maintenance
-// steps run with.
-func (e *Engine) maintenanceConfig() grouping.Config {
-	return grouping.Config{
-		ST:      e.cfg.ST,
-		Seed:    e.cfg.Seed,
-		Workers: e.cfg.Workers,
-	}
-}
-
-// maintainOrRebuild finishes an Extend/Append over the grown dataset work:
-// when absorbing newCount more incremental members would push drift past
-// BuildConfig.RebuildDrift, the full Algorithm 1 build re-runs over the
-// final data; otherwise the incremental step runs and the index layers
-// refresh from the returned delta. The rebuild's length set is pinned to
-// the base's currently-indexed lengths — never re-resolved from the grown
-// data — so crossing the drift threshold can never change which query
-// lengths the base answers; within that set the result is exactly what a
-// from-scratch Build over this dataset would produce. Progress/Cancel flow
-// like the original build's, so a serving layer can abort a maintenance-
-// triggered rebuild on shutdown.
-func (e *Engine) maintainOrRebuild(work *ts.Dataset, newCount int64,
-	incremental func() (*grouping.Result, *grouping.Delta, error)) (*Engine, error) {
-
-	rebuild := RebuildDue(e.cfg.RebuildDrift, e.grouped.TotalSubseq, e.grouped.IncrementalMembers, newCount)
-
-	start := time.Now()
-	var (
-		gr   *grouping.Result
-		base *rspace.Base
-		err  error
-	)
-	if rebuild {
-		gr, err = grouping.Build(work, grouping.Config{
-			ST:       e.cfg.ST,
-			Lengths:  e.grouped.Lengths,
-			Seed:     e.cfg.Seed,
-			Workers:  e.cfg.Workers,
-			Progress: e.cfg.Progress,
-			Cancel:   e.cfg.Cancel,
-		})
-		if err != nil {
-			return nil, err
-		}
-		base, err = rspace.New(work, gr, rspace.Options{TopK: e.cfg.DcTopK})
-	} else {
-		var delta *grouping.Delta
-		gr, delta, err = incremental()
-		if err != nil {
-			return nil, err
-		}
-		base, err = rspace.Refresh(work, gr, rspace.Options{TopK: e.cfg.DcTopK}, e.Base, delta)
-	}
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	proc, err := query.New(base, e.cfg.Query)
-	if err != nil {
-		return nil, err
-	}
-	next := &Engine{
-		Base: base, Proc: proc, BuildTime: elapsed,
-		cfg: e.cfg, normMin: e.normMin, normMax: e.normMax, grouped: gr,
-		rebuilds: e.rebuilds, lastRebuild: e.lastRebuild,
-	}
-	if rebuild {
-		next.rebuilds++
-		next.lastRebuild = elapsed
-	}
-	return next, nil
-}
-
 // RebuildDue applies the amortized-rebuild policy's decision rule: whether
 // absorbing newCount more incremental members into a base of total members
 // (incremental of them already assigned incrementally) would push the drift
 // fraction past the configured threshold (0 selects DefaultRebuildDrift,
-// negative disables). Exported so the sharded engine reaches the exact same
-// rebuild decisions as the single-engine path.
+// negative disables).
 func RebuildDue(threshold float64, total, incremental, newCount int64) bool {
 	if threshold == 0 {
 		threshold = DefaultRebuildDrift
@@ -475,20 +167,4 @@ func RebuildDue(threshold float64, total, incremental, newCount int64) bool {
 	grown := total + newCount
 	return threshold > 0 && grown > 0 &&
 		float64(incremental+newCount)/float64(grown) > threshold
-}
-
-// WithThreshold adapts the engine to a new similarity threshold via the
-// Sec. 5.2 split/merge rules, returning a new engine over the adapted view.
-// The receiver is unchanged. Adapted engines answer every query class but
-// cannot be Extended (extend the original base, then re-adapt).
-func (e *Engine) WithThreshold(stPrime float64) (*Engine, error) {
-	start := time.Now()
-	proc, err := e.Proc.AdaptThreshold(stPrime)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{
-		Base: proc.Base(), Proc: proc, BuildTime: time.Since(start),
-		cfg: e.cfg, normMin: e.normMin, normMax: e.normMax,
-	}, nil
 }

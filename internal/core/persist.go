@@ -12,40 +12,35 @@ import (
 
 	"onex/internal/grouping"
 	"onex/internal/query"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
 // The on-disk format is a little-endian stream:
 //
-//	magic "ONEXBASE" | version u32 | header | dataset | groups | crc32
+//	magic "ONEXBASE" | version u32 | header | metadata | dataset | groups | crc32
 //
-// Groups store representatives and member lists verbatim (preserving the
-// exact drift state of Algorithm 1's running averages); the derived index
-// layers (sparse Dc neighbor lists, envelopes, SP-Space, sum orders) are
-// recomputed on load — they are pure functions of the groups and the
-// retention knob, and recomputing is cheaper than storing them for every
-// length.
+// The header carries the build parameters (ST, seed, normalization and its
+// min/max, query options, the rebuild-drift threshold, the shard count and —
+// version 5 — the DcTopK retention knob); the metadata carries the Save
+// wall-clock timestamp, the original offline build time and the configured
+// length restriction, so catalogs (internal/hub) can report a reloaded base
+// exactly as the built one. Groups store representatives and member lists
+// verbatim (preserving the exact drift state of Algorithm 1's running
+// averages) after the subsequence and incremental-member counters, so the
+// streaming-append drift and its amortized-rebuild policy survive a round
+// trip. Everything else — the per-shard restrictions and the index layers
+// (sparse Dc neighbor lists, envelopes, SP-Space) — is derived state,
+// recomputed on load: pure functions of the groups, the shard count and the
+// retention knob, cheaper to recompute than to store for every length.
 //
-// Version 2 adds round-trip metadata between the header and the dataset:
-// the Save wall-clock timestamp, the original offline build time, and the
-// configured length restriction — so catalogs (internal/hub) can report a
-// reloaded base exactly as the built one. Version 3 adds the incremental-
-// member counter after TotalSubseq, so the streaming-append drift (and its
-// amortized-rebuild policy) survives a snapshot round trip. Version 4 adds
-// the shard count to the header: the intra-dataset sharded engine
-// (internal/shard) persists the same global dataset+groups payload — the
-// per-shard restrictions and index layers are derived state, recomputed on
-// load exactly like the Dc layers — plus the layout needed to re-shard it.
-// Version 5 adds the DcTopK retention knob after the shard count: the sparse
-// top-k Dc layout is derived state too, but the knob is configuration and
-// must survive a round trip so maintenance after reload retains the same
-// widths. Version-1/2/3/4 streams still load, with zero metadata / zero
-// drift / one shard / the default retention (harmless: query answers are
-// retention-invariant, see the rspace package doc).
+// The current version and the one before it load: a version-4 stream lacks
+// only DcTopK and gets the default retention (harmless: query answers are
+// retention-invariant, see the rspace package doc). Older versions answer
+// ErrBadVersion.
 const (
-	persistMagic   = "ONEXBASE"
-	persistVersion = 5
+	persistMagic      = "ONEXBASE"
+	persistVersion    = 5
+	persistMinVersion = 4
 )
 
 var (
@@ -79,19 +74,16 @@ func (c *crcReader) Read(p []byte) (int, error) {
 }
 
 // Snapshot is the decoded persistent state of an engine: everything a
-// Save stream carries. The sharded engine persists the same payload plus a
-// Shards count > 1; the per-shard restrictions, like every index layer, are
-// derived state recomputed on load.
+// Save stream carries.
 type Snapshot struct {
-	// Shards is the serving layout: 1 for a monolithic engine, else the
-	// shard count of an internal/shard engine.
+	// Shards is the serving layout's shard count (≥ 1).
 	Shards int
 	// Cfg is the build configuration (ST, seed, lengths, query options…).
 	Cfg BuildConfig
 	// NormMin/NormMax record the dataset-wide scaling applied at build.
 	NormMin, NormMax float64
-	// SavedAt is the Save wall-clock timestamp (zero for version-1 streams;
-	// ignored by EncodeSnapshot, which stamps the current time).
+	// SavedAt is the Save wall-clock timestamp (ignored by EncodeSnapshot,
+	// which stamps the current time).
 	SavedAt time.Time
 	// BuildTime is the original offline construction cost.
 	BuildTime time.Duration
@@ -99,25 +91,6 @@ type Snapshot struct {
 	Dataset *ts.Dataset
 	// Grouped is the (global) grouping result, drift counters included.
 	Grouped *grouping.Result
-}
-
-// Save serializes the engine's base (normalized dataset + similarity
-// groups + build configuration) so it can be reloaded without re-running
-// Algorithm 1. Threshold-adapted engines cannot be saved (persist the
-// original base and re-adapt after load).
-func (e *Engine) Save(w io.Writer) error {
-	if e.grouped == nil {
-		return errors.New("core: threshold-adapted engines cannot be saved; save the original base")
-	}
-	return EncodeSnapshot(w, &Snapshot{
-		Shards:    1,
-		Cfg:       e.cfg,
-		NormMin:   e.normMin,
-		NormMax:   e.normMax,
-		BuildTime: e.BuildTime,
-		Dataset:   e.Base.Dataset,
-		Grouped:   e.grouped,
-	})
 }
 
 // EncodeSnapshot writes one snapshot as a version-5 ONEX base stream.
@@ -148,14 +121,14 @@ func EncodeSnapshot(w io.Writer, snap *Snapshot) error {
 		le(uint8(boolByte(snap.Cfg.Query.DisableLowerBounds))),
 		le(int64(snap.Cfg.Query.CandidateLimit)),
 		le(int64(snap.Cfg.Query.Patience)),
-		le(snap.Cfg.RebuildDrift),  // version ≥ 3
-		le(uint32(shards)),         // version ≥ 4
+		le(snap.Cfg.RebuildDrift),
+		le(uint32(shards)),
 		le(int64(snap.Cfg.DcTopK)), // version ≥ 5
 	); err != nil {
 		return err
 	}
-	// Metadata (version ≥ 2): save timestamp, original build cost, and the
-	// configured length restriction.
+	// Metadata: save timestamp, original build cost, and the configured
+	// length restriction.
 	if err := errJoin(
 		le(time.Now().Unix()),
 		le(int64(snap.BuildTime)),
@@ -222,22 +195,6 @@ func EncodeSnapshot(w io.Writer, snap *Snapshot) error {
 	return bw.Flush()
 }
 
-// Load reconstructs a monolithic engine from a Save stream: the dataset and
-// groups are decoded, and the GTI/LSI/SP-Space index layers are rebuilt.
-// Streams written by the sharded engine (shard count > 1) are refused here —
-// load them through the onex package (or internal/shard), which re-derives
-// the shard layout.
-func Load(r io.Reader) (*Engine, error) {
-	snap, err := DecodeSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Shards > 1 {
-		return nil, fmt.Errorf("core: stream is a %d-shard base; load it through the onex package", snap.Shards)
-	}
-	return FromSnapshot(snap)
-}
-
 // DecodeSnapshot reads and checksums one ONEX base stream without building
 // any index state on top.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
@@ -254,7 +211,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := le(&version); err != nil {
 		return nil, err
 	}
-	if version < 1 || version > persistVersion {
+	if version < persistMinVersion || version > persistVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 
@@ -265,22 +222,16 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := errJoin(
 		le(&cfg.ST), le(&seed), le(&normMode), le(&normMin), le(&normMax),
 		le(&earlyStop), le(&noLB), le(&candLimit), le(&patience),
+		le(&cfg.RebuildDrift),
 	); err != nil {
 		return nil, err
 	}
-	if version >= 3 {
-		if err := le(&cfg.RebuildDrift); err != nil {
-			return nil, err
-		}
+	var shards uint32
+	if err := le(&shards); err != nil {
+		return nil, err
 	}
-	shards := uint32(1)
-	if version >= 4 {
-		if err := le(&shards); err != nil {
-			return nil, err
-		}
-		if shards < 1 || shards > 1<<20 {
-			return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadFormat, shards)
-		}
+	if shards < 1 || shards > 1<<20 {
+		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadFormat, shards)
 	}
 	if version >= 5 {
 		var dcTopK int64
@@ -291,28 +242,26 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	var savedAt time.Time
 	var origBuild time.Duration
-	if version >= 2 {
-		var savedUnix, buildNanos int64
-		var nCfgLengths uint32
-		if err := errJoin(le(&savedUnix), le(&buildNanos), le(&nCfgLengths)); err != nil {
+	var savedUnix, buildNanos int64
+	var nCfgLengths uint32
+	if err := errJoin(le(&savedUnix), le(&buildNanos), le(&nCfgLengths)); err != nil {
+		return nil, err
+	}
+	if nCfgLengths > 1<<20 {
+		return nil, fmt.Errorf("%w: implausible length-config count %d", ErrBadFormat, nCfgLengths)
+	}
+	for i := uint32(0); i < nCfgLengths; i++ {
+		var l uint32
+		if err := le(&l); err != nil {
 			return nil, err
 		}
-		if nCfgLengths > 1<<20 {
-			return nil, fmt.Errorf("%w: implausible length-config count %d", ErrBadFormat, nCfgLengths)
-		}
-		for i := uint32(0); i < nCfgLengths; i++ {
-			var l uint32
-			if err := le(&l); err != nil {
-				return nil, err
-			}
-			cfg.Lengths = append(cfg.Lengths, int(l))
-		}
-		if savedUnix > 0 {
-			savedAt = time.Unix(savedUnix, 0)
-		}
-		if buildNanos > 0 {
-			origBuild = time.Duration(buildNanos)
-		}
+		cfg.Lengths = append(cfg.Lengths, int(l))
+	}
+	if savedUnix > 0 {
+		savedAt = time.Unix(savedUnix, 0)
+	}
+	if buildNanos > 0 {
+		origBuild = time.Duration(buildNanos)
 	}
 	if cfg.ST <= 0 || math.IsNaN(cfg.ST) {
 		return nil, fmt.Errorf("%w: invalid ST %v", ErrBadFormat, cfg.ST)
@@ -360,13 +309,8 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 
 	// Groups.
 	gr := &grouping.Result{ST: cfg.ST, ByLength: map[int]*grouping.LengthGroups{}}
-	if err := le(&gr.TotalSubseq); err != nil {
+	if err := errJoin(le(&gr.TotalSubseq), le(&gr.IncrementalMembers)); err != nil {
 		return nil, err
-	}
-	if version >= 3 {
-		if err := le(&gr.IncrementalMembers); err != nil {
-			return nil, err
-		}
 	}
 	var nLengths uint32
 	if err := le(&nLengths); err != nil {
@@ -432,33 +376,6 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		BuildTime: origBuild,
 		Dataset:   d,
 		Grouped:   gr,
-	}, nil
-}
-
-// FromSnapshot materializes a monolithic engine from a decoded snapshot:
-// the GTI/LSI/SP-Space index layers are rebuilt over the stored dataset and
-// groups. The snapshot's Shards field is ignored here — internal/shard uses
-// it to re-derive a sharded layout from the same payload.
-func FromSnapshot(snap *Snapshot) (*Engine, error) {
-	start := time.Now()
-	base, err := rspace.New(snap.Dataset, snap.Grouped, rspace.Options{TopK: snap.Cfg.DcTopK})
-	if err != nil {
-		return nil, err
-	}
-	proc, err := query.New(base, snap.Cfg.Query)
-	if err != nil {
-		return nil, err
-	}
-	buildTime := time.Since(start)
-	if snap.BuildTime > 0 {
-		// Report the original offline construction cost, not the (much
-		// cheaper) index rebuild — the point of snapshots is skipping it.
-		buildTime = snap.BuildTime
-	}
-	return &Engine{
-		Base: base, Proc: proc, BuildTime: buildTime,
-		cfg: snap.Cfg, normMin: snap.NormMin, normMax: snap.NormMax, grouped: snap.Grouped,
-		savedAt: snap.SavedAt,
 	}, nil
 }
 

@@ -433,7 +433,7 @@ type MaintenanceStats struct {
 	Rebuilds int64 `json:"rebuilds"`
 	// LastRebuildSeconds is the most recent rebuild's wall-clock cost.
 	LastRebuildSeconds float64 `json:"lastRebuildSeconds"`
-	// Shards is the dataset's serving layout (1 = unsharded).
+	// Shards is the dataset's serving layout (1 = one shard).
 	Shards int `json:"shards"`
 }
 
@@ -608,7 +608,7 @@ type Info struct {
 	Rebuilds           int64   `json:"rebuilds"`
 	LastRebuildSeconds float64 `json:"lastRebuildSeconds,omitempty"`
 
-	// Shards is the serving layout (1 = unsharded); ShardStats breaks a
+	// Shards is the serving layout (1 = one shard); ShardStats breaks a
 	// sharded base down per shard (see onex.Options.Shards).
 	Shards     int         `json:"shards,omitempty"`
 	ShardStats []ShardInfo `json:"shardStats,omitempty"`

@@ -12,11 +12,11 @@ import (
 )
 
 // AdaptThreshold implements Algorithm 2.C / Sec. 5.2: given a new similarity
-// threshold ST′ it derives an adapted base from the precomputed groups
+// threshold ST′ it derives an adapted grouping from the precomputed groups
 // without reclustering the raw data.
 //
-//   - ST′ == ST: the precomputed groups are returned as-is (a new Base view
-//     sharing the group objects).
+//   - ST′ == ST: the precomputed groups are returned as-is (sharing the
+//     group objects).
 //   - ST′ <  ST: each group is split by re-running the Algorithm 1 loop over
 //     its own members at radius ST′/2 — similarity at ST implies the members
 //     are candidates at ST′, so no answer outside the group is possible.
@@ -27,9 +27,10 @@ import (
 //     pair to make adaptation deterministic, which is one of the paper's
 //     admissible choices).
 //
-// The returned Processor owns a fresh rspace.Base (new GTI/LSI/SP-Space over
-// the adapted groups) and leaves the original base untouched.
-func (p *Processor) AdaptThreshold(stPrime float64) (*Processor, error) {
+// The processor's base must hold the complete grouping (the one-shard
+// layout): merging reads inter-representative distances across all groups.
+// The base is left untouched; the caller indexes the returned grouping.
+func (p *Processor) AdaptThreshold(stPrime float64) (*grouping.Result, error) {
 	if stPrime <= 0 || math.IsNaN(stPrime) || math.IsInf(stPrime, 0) {
 		return nil, fmt.Errorf("query: adapted threshold must be positive, got %v", stPrime)
 	}
@@ -55,11 +56,7 @@ func (p *Processor) AdaptThreshold(stPrime float64) (*Processor, error) {
 		adapted.ByLength[l] = lg
 	}
 
-	nb, err := rspace.New(p.base.Dataset, adapted, rspace.Options{TopK: p.base.TopK})
-	if err != nil {
-		return nil, err
-	}
-	return New(nb, p.opts)
+	return adapted, nil
 }
 
 // splitLength re-clusters each group's members at the smaller radius

@@ -8,7 +8,7 @@ import (
 	"onex/internal/grouping"
 )
 
-func adaptFixture(t *testing.T) *Processor {
+func adaptFixture(t *testing.T) *engine {
 	t.Helper()
 	d := dataset.ItalyPower.Scaled(0.4).Generate(6)
 	if err := d.NormalizeMinMax(); err != nil {
@@ -18,7 +18,7 @@ func adaptFixture(t *testing.T) *Processor {
 }
 
 // memberCount sums members across all groups of a length.
-func memberCount(p *Processor, length int) int {
+func memberCount(p *engine, length int) int {
 	total := 0
 	for _, g := range p.Base().Entry(length).Groups {
 		total += g.Count()

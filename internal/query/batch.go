@@ -10,7 +10,6 @@ import (
 // (with Err == nil) or Err is meaningful.
 type BatchResult struct {
 	Match Match
-	Trace Trace
 	Err   error
 }
 
@@ -57,16 +56,17 @@ type SeasonalBatchResult struct {
 	Err    error
 }
 
-// runBatch is the one batch scaffold every query family shares, at both the
-// monolithic and scattered layers. The worker budget splits between the two
-// parallelism axes: with at least budget queries each item runs its standard
-// single-query pipeline on one worker (cross-query parallelism has the least
-// synchronization), while smaller batches hand each item the leftover budget
-// as intra-query fan-out — so a 1-item batch is exactly as fast as the
-// single call. The split is answer-invariant: every per-item pipeline
-// returns identical results at every worker count, so it is purely a
-// scheduling decision. Results are positional — out[i] answers qs[i] — with
-// per-item errors, and a nil or empty batch returns an empty slice.
+// runBatch is the one batch scaffold every query family shares. The worker
+// budget splits between the two parallelism axes: with at least budget
+// queries each item runs its standard single-query pipeline on one worker
+// (cross-query parallelism has the least synchronization), while smaller
+// batches hand each item the leftover budget as intra-query fan-out — so a
+// 1-item batch is exactly as fast as the single call. The split is
+// answer-invariant: every per-item pipeline returns identical results at
+// every worker count, so it is purely a scheduling decision. Results are
+// positional — out[i] answers qs[i] — with per-item errors (a ragged, empty
+// or non-finite query fails alone, never panics), and a nil or empty batch
+// returns an empty slice.
 func runBatch[Q, R any](budget int, qs []Q, run func(inner int, q Q) R) []R {
 	out := make([]R, len(qs))
 	if len(qs) == 0 {
@@ -82,87 +82,10 @@ func runBatch[Q, R any](budget int, qs []Q, run func(inner int, q Q) R) []R {
 	return out
 }
 
-// innerExec returns the processor view answering one batch item with the
-// given intra-query worker budget.
-func (p *Processor) innerExec(inner int) *Processor {
-	if inner <= 1 {
-		return p.sequential()
-	}
-	if inner == p.workers {
-		return p
-	}
-	cp := *p
-	cp.workers = inner
-	return &cp
-}
-
-// BestMatchBatch answers many Q1 queries in one call, fanning them across
-// the processor's worker pool through the shared batch scaffold (see
-// runBatch for the worker split and the positional-errors contract).
-// Queries are validated independently — a ragged, empty or non-finite query
-// yields a per-query Err without affecting its neighbours. BestMatchBatch
-// never panics on malformed input and is safe for concurrent use.
-func (p *Processor) BestMatchBatch(qs [][]float64, mode MatchMode) []BatchResult {
-	return runBatch(p.workers, qs, func(inner int, q []float64) BatchResult {
-		m, tr, err := p.innerExec(inner).BestMatchTraced(q, mode)
-		return BatchResult{Match: m, Trace: tr, Err: err}
-	})
-}
-
-// BestKMatchesBatch answers many k-NN queries positionally (runBatch
-// contract); each item equals the corresponding BestKMatches call.
-func (p *Processor) BestKMatchesBatch(qs []KNNQuery) []KNNBatchResult {
-	return runBatch(p.workers, qs, func(inner int, q KNNQuery) KNNBatchResult {
-		k := q.K
-		if k < 1 {
-			k = 1
-		}
-		ms, err := p.innerExec(inner).BestKMatches(q.Query, q.Mode, k)
-		return KNNBatchResult{Matches: ms, Err: err}
-	})
-}
-
-// RangeSearchBatch answers many range queries positionally (runBatch
-// contract); each item equals the corresponding RangeSearch or
-// RangeSearchExact call.
-func (p *Processor) RangeSearchBatch(qs []RangeQuery) []RangeBatchResult {
-	return runBatch(p.workers, qs, func(inner int, q RangeQuery) RangeBatchResult {
-		exec := p.innerExec(inner)
-		var (
-			rs  []RangeResult
-			err error
-		)
-		if q.Exact {
-			rs, err = exec.RangeSearchExact(q.Query, q.Length, q.Radius)
-		} else {
-			rs, err = exec.RangeSearch(q.Query, q.Length, q.Radius)
-		}
-		return RangeBatchResult{Results: rs, Err: err}
-	})
-}
-
-// SeasonalBatch answers many seasonal queries positionally (runBatch
-// contract); SeriesID < 0 selects SeasonalAll.
-func (p *Processor) SeasonalBatch(qs []SeasonalQuery) []SeasonalBatchResult {
-	return runBatch(p.workers, qs, func(inner int, q SeasonalQuery) SeasonalBatchResult {
-		exec := p.innerExec(inner)
-		var (
-			gs  []SeasonalGroup
-			err error
-		)
-		if q.SeriesID < 0 {
-			gs, err = exec.SeasonalAll(q.Length)
-		} else {
-			gs, err = exec.SeasonalSample(q.SeriesID, q.Length)
-		}
-		return SeasonalBatchResult{Groups: gs, Err: err}
-	})
-}
-
-// BestMatchBatch answers many Q1 queries across the shards, mirroring
-// Processor.BestMatchBatch through the shared runBatch scaffold. ctx stops
-// the remaining per-query fan-outs when canceled (items already answered
-// keep their results; canceled items carry ctx's error).
+// BestMatchBatch answers many Q1 queries in one call through the shared
+// runBatch scaffold; each item equals the corresponding BestMatch call. ctx
+// stops the remaining per-query fan-outs when canceled (items already
+// answered keep their results; canceled items carry ctx's error).
 func (s *Scatter) BestMatchBatch(ctx context.Context, qs [][]float64, mode MatchMode) []BatchResult {
 	return runBatch(s.global.workers, qs, func(inner int, q []float64) BatchResult {
 		m, err := s.withWorkers(inner).BestMatch(ctx, q, mode)
@@ -170,8 +93,8 @@ func (s *Scatter) BestMatchBatch(ctx context.Context, qs [][]float64, mode Match
 	})
 }
 
-// BestKMatchesBatch answers many k-NN queries across the shards,
-// positionally (runBatch contract).
+// BestKMatchesBatch answers many k-NN queries positionally (runBatch
+// contract); each item equals the corresponding BestKMatches call.
 func (s *Scatter) BestKMatchesBatch(ctx context.Context, qs []KNNQuery) []KNNBatchResult {
 	return runBatch(s.global.workers, qs, func(inner int, q KNNQuery) KNNBatchResult {
 		k := q.K
@@ -183,8 +106,9 @@ func (s *Scatter) BestKMatchesBatch(ctx context.Context, qs []KNNQuery) []KNNBat
 	})
 }
 
-// RangeSearchBatch answers many range queries across the shards,
-// positionally (runBatch contract).
+// RangeSearchBatch answers many range queries positionally (runBatch
+// contract); each item equals the corresponding RangeSearch or
+// RangeSearchExact call.
 func (s *Scatter) RangeSearchBatch(ctx context.Context, qs []RangeQuery) []RangeBatchResult {
 	return runBatch(s.global.workers, qs, func(inner int, q RangeQuery) RangeBatchResult {
 		exec := s.withWorkers(inner)
@@ -201,8 +125,19 @@ func (s *Scatter) RangeSearchBatch(ctx context.Context, qs []RangeQuery) []Range
 	})
 }
 
-// SeasonalBatch answers many seasonal queries positionally; seasonal
-// answers read the global grouping, so this equals the monolithic form.
+// SeasonalBatch answers many seasonal queries positionally (runBatch
+// contract); SeriesID < 0 selects SeasonalAll.
 func (s *Scatter) SeasonalBatch(qs []SeasonalQuery) []SeasonalBatchResult {
-	return s.global.SeasonalBatch(qs)
+	return runBatch(s.global.workers, qs, func(_ int, q SeasonalQuery) SeasonalBatchResult {
+		var (
+			gs  []SeasonalGroup
+			err error
+		)
+		if q.SeriesID < 0 {
+			gs, err = s.global.SeasonalAll(q.Length)
+		} else {
+			gs, err = s.global.SeasonalSample(q.SeriesID, q.Length)
+		}
+		return SeasonalBatchResult{Groups: gs, Err: err}
+	})
 }

@@ -2,11 +2,11 @@ package query
 
 import "sync/atomic"
 
-// Counters accumulates lifetime work counters across every query a
-// processor answers. One Counters instance is shared by a processor and all
-// the views derived from it (sequential(), batch executors, a Scatter's
-// global processor), so the serving layer reads one coherent tally per
-// dataset engine. All methods are safe for concurrent use.
+// Counters accumulates lifetime work counters across every query an engine
+// answers. The coordinator's processor holds the one instance and shares it
+// with every worker-budget view derived from it, so the serving layer reads
+// one coherent tally per dataset engine. All methods are safe for
+// concurrent use.
 //
 // Queries counts every answered call of every family. The bound-pruning
 // counters (RepsExamined .. MembersTested) fold in the per-query traces of
@@ -83,9 +83,5 @@ func (c *Counters) Snapshot() CountersSnapshot {
 	}
 }
 
-// Counters returns the processor's shared tally.
-func (p *Processor) Counters() *Counters { return p.counters }
-
-// Counters returns the scatter executor's shared tally (held by its global
-// processor, so mono and scattered paths account identically).
+// Counters returns the coordinator's tally.
 func (s *Scatter) Counters() *Counters { return s.global.counters }

@@ -10,7 +10,7 @@ import (
 
 // bruteKNN is the exhaustive reference: all subsequences of the given
 // lengths ranked by normalized DTW.
-func bruteKNN(p *Processor, q []float64, lengths []int, k int) []Match {
+func bruteKNN(p *engine, q []float64, lengths []int, k int) []Match {
 	var all []Match
 	var w dist.Workspace
 	d := p.Base().Dataset

@@ -13,13 +13,14 @@ import (
 	"onex/internal/ts"
 )
 
-// LocalShard is the in-process ShardTransport: one shard's restricted
-// index (a Processor over the restricted base) plus the local↔global
-// translation tables. The sharded engine (internal/shard) wraps each of
-// its parts in one; a worker process builds one from a shipped ShardSpec.
-// Both construction paths run the same index derivation on the same
-// inputs, so every transport response is bit-identical across them — the
-// property the remote-equivalence suite enforces.
+// LocalShard is the in-process ShardTransport: one shard's index (a
+// Processor over the shard's base) plus the local↔global translation
+// tables. The engine (internal/shard) wraps each of its in-process parts
+// in one — the whole base under identity tables when the layout is one
+// shard (NewWholeShard) — and a worker process builds one from a shipped
+// ShardSpec. The construction paths run the same index derivation on the
+// same inputs, so every transport response is bit-identical across them —
+// the property the remote-equivalence suite enforces.
 type LocalShard struct {
 	proc  *Processor
 	shard int
@@ -82,6 +83,30 @@ func NewLocalShard(proc *Processor, shard int, series []int,
 		ls.units[l] = units
 	}
 	return ls, nil
+}
+
+// NewWholeShard wraps a processor over the complete base as the only shard
+// of a one-shard layout: local ids are the global ids and every group is
+// scanned here.
+func NewWholeShard(proc *Processor) (*LocalShard, error) {
+	if proc == nil {
+		return nil, fmt.Errorf("query: nil shard processor")
+	}
+	series := make([]int, proc.base.Dataset.N())
+	for i := range series {
+		series[i] = i
+	}
+	globalIDs := make(map[int][]int, len(proc.base.Lengths))
+	owned := make(map[int][]bool, len(proc.base.Lengths))
+	for _, l := range proc.base.Lengths {
+		g := len(proc.base.Entry(l).Groups)
+		gids, own := make([]int, g), make([]bool, g)
+		for k := range gids {
+			gids[k], own[k] = k, true
+		}
+		globalIDs[l], owned[l] = gids, own
+	}
+	return NewLocalShard(proc, 0, series, globalIDs, owned)
 }
 
 // BuildLocalShard derives a shard's index from its shipped spec: the
@@ -156,10 +181,6 @@ func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 	return NewLocalShard(proc, spec.Shard, series, globalIDs, owned)
 }
 
-// Processor exposes the underlying shard processor (the sharded engine's
-// maintenance path refreshes indexes through it).
-func (ls *LocalShard) Processor() *Processor { return ls.proc }
-
 // Info implements ShardTransport.
 func (ls *LocalShard) Info() ShardInfo {
 	info := ShardInfo{
@@ -198,12 +219,28 @@ func reqWorkers(w int) int {
 	return w
 }
 
+// innerExec returns the view of p that answers one request with the given
+// worker budget (sharing p's pool and counters).
+func (p *Processor) innerExec(workers int) *Processor {
+	if workers == p.workers {
+		return p
+	}
+	cp := *p
+	cp.workers = workers
+	return &cp
+}
+
 // ScanBest implements ShardTransport: the tightening-bound argmin scan
-// over the shard's owned units of one length, in ascending global-group
-// order. Pruning is strict (> cutoff) and the reduce breaks distance ties
-// toward the smaller global id, so the response is deterministic at every
-// worker count — the same guarantees Processor.scanReps' parallel branch
-// makes (see the comment there for the argument).
+// (LB_Kim → LB_Keogh → early-abandoning DTW) over the shard's owned units
+// of one length, in ascending global-group order; past one worker the
+// units stride across the pool under a shared atomic bound. The scan
+// computes the exact minimum either way, and ties on it resolve to the
+// smallest global id at every worker count. That is why pruning is strict
+// (> cutoff): a representative whose lower bound merely equals the bound
+// could still tie the minimum from a smaller id, and DTWEarlyAbandon
+// abandons only strictly above its cutoff, so every minimum-achieving
+// representative is computed exactly and the (distance, position) reduce
+// picks the same winner whatever the timing.
 func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBestResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return ScanBestResponse{}, err
@@ -413,7 +450,7 @@ func (ls *LocalShard) EvalMembers(ctx context.Context, req EvalMembersRequest) (
 	lbs := make([]float64, n)
 	ds := make([]float64, n)
 	exec := ls.proc.innerExec(reqWorkers(req.Workers))
-	dtws := exec.evalRound(req.Query, n, bound, func(i int) []float64 { return windows[i] }, lbs, ds)
+	dtws := exec.evalRound(req.Query, windows, bound, lbs, ds)
 	resp := EvalMembersResponse{
 		LbBits:      make([]uint64, n),
 		DsBits:      make([]uint64, n),
@@ -426,9 +463,9 @@ func (ls *LocalShard) EvalMembers(ctx context.Context, req EvalMembersRequest) (
 	return resp, nil
 }
 
-// Range implements ShardTransport: the monolithic range search over the
-// shard's restriction, results remapped to global series/group ids in the
-// shard's group order.
+// Range implements ShardTransport: Processor.rangeSearch over the shard's
+// base, results remapped to global series/group ids in the shard's group
+// order.
 func (ls *LocalShard) Range(ctx context.Context, req RangeRequest) (RangeResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return RangeResponse{}, err

@@ -1,16 +1,17 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"onex/internal/grouping"
 	"onex/internal/rspace"
 )
 
-// allocProbe builds a small single-length processor and a valid query for
+// allocProbe builds a small single-length engine and a valid query for
 // the allocation guards (Parallelism 1 keeps goroutine machinery out of
 // the counted path).
-func allocProbe(tb testing.TB) (*Processor, []float64) {
+func allocProbe(tb testing.TB) (*engine, []float64) {
 	d := equivDataset(11, 8, 32)
 	gr, err := grouping.Build(d, grouping.Config{ST: 0.25, Lengths: []int{8}, Seed: 5})
 	if err != nil {
@@ -20,7 +21,7 @@ func allocProbe(tb testing.TB) (*Processor, []float64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p, err := New(b, Options{Parallelism: 1})
+	p, err := newEngine(b, Options{Parallelism: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestBestMatchObservedNilAllocs(t *testing.T) {
 		}
 	})
 	traced := testing.AllocsPerRun(100, func() {
-		if _, _, err := p.BestMatchObserved(q, MatchAny, nil); err != nil {
+		if _, err := p.BestMatchObserved(context.Background(), q, MatchAny, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -57,13 +58,13 @@ func TestBestMatchObservedNilAllocs(t *testing.T) {
 // allocation count (compare against BestMatch in CI diffs).
 func BenchmarkBestMatchObservedNilAllocs(b *testing.B) {
 	p, q := allocProbe(b)
-	if _, _, err := p.BestMatchObserved(q, MatchAny, nil); err != nil {
+	if _, err := p.BestMatchObserved(context.Background(), q, MatchAny, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.BestMatchObserved(q, MatchAny, nil); err != nil {
+		if _, err := p.BestMatchObserved(context.Background(), q, MatchAny, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ func equivDataset(seed int64, n, length int) *ts.Dataset {
 
 // equivProcessors builds two processors over the same base differing only
 // in Parallelism.
-func equivProcessors(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts Options) (seq, par *Processor) {
+func equivProcessors(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts Options) (seq, par *engine) {
 	t.Helper()
 	gr, err := grouping.Build(d, grouping.Config{ST: st, Lengths: lengths, Seed: 13})
 	if err != nil {
@@ -46,10 +46,10 @@ func equivProcessors(t *testing.T, d *ts.Dataset, st float64, lengths []int, opt
 	}
 	sOpts, pOpts := opts, opts
 	sOpts.Parallelism, pOpts.Parallelism = 1, 8
-	if seq, err = New(b, sOpts); err != nil {
+	if seq, err = newEngine(b, sOpts); err != nil {
 		t.Fatal(err)
 	}
-	if par, err = New(b, pOpts); err != nil {
+	if par, err = newEngine(b, pOpts); err != nil {
 		t.Fatal(err)
 	}
 	return seq, par

@@ -13,7 +13,7 @@ import (
 )
 
 // quickProcessor builds a processor over random data for property tests.
-func quickProcessor(seed int64, st float64, lengths []int) (*Processor, *ts.Dataset, error) {
+func quickProcessor(seed int64, st float64, lengths []int) (*engine, *ts.Dataset, error) {
 	r := rand.New(rand.NewSource(seed))
 	d := &ts.Dataset{Name: "prop"}
 	for i := 0; i < 5; i++ {
@@ -31,7 +31,7 @@ func quickProcessor(seed int64, st float64, lengths []int) (*Processor, *ts.Data
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := New(b, Options{})
+	p, err := newEngine(b, Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,7 +126,7 @@ func TestPropertyAdaptMemberConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		count := func(pp *Processor) int {
+		count := func(pp *engine) int {
 			total := 0
 			for _, g := range pp.Base().Entry(5).Groups {
 				total += g.Count()

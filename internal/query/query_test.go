@@ -11,7 +11,7 @@ import (
 	"onex/internal/ts"
 )
 
-func buildProcessor(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts Options) *Processor {
+func buildProcessor(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts Options) *engine {
 	t.Helper()
 	gr, err := grouping.Build(d, grouping.Config{ST: st, Lengths: lengths, Seed: 5})
 	if err != nil {
@@ -21,14 +21,14 @@ func buildProcessor(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(b, opts)
+	p, err := newEngine(b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-func italyProcessor(t *testing.T, lengths []int) *Processor {
+func italyProcessor(t *testing.T, lengths []int) *engine {
 	t.Helper()
 	d := dataset.ItalyPower.Scaled(0.5).Generate(8)
 	if err := d.NormalizeMinMax(); err != nil {
@@ -61,7 +61,7 @@ func TestNewValidation(t *testing.T) {
 	d := ts.NewDataset("t", [][]float64{{1, 2, 3, 4}})
 	gr, _ := grouping.Build(d, grouping.Config{ST: 0.5, Lengths: []int{2}, Seed: 1})
 	b, _ := rspace.New(d, gr, rspace.Options{})
-	if _, err := New(b, Options{CandidateLimit: -1}); err == nil {
+	if _, err := newEngine(b, Options{CandidateLimit: -1}); err == nil {
 		t.Error("negative candidate limit: want error")
 	}
 }

@@ -16,15 +16,16 @@ type RangeResult struct {
 	// guarantee (its group representative was within ST/2 of the query)
 	// without needing an individual verification. Under RangeSearch,
 	// guaranteed results report the ST upper bound in Dist — NOT an exact
-	// distance (sorting or re-thresholding on Dist is wrong for them);
-	// RangeSearchExact computes their true DTW instead.
+	// distance (sorting or re-thresholding on Dist is wrong for them); the
+	// exact form computes their true DTW instead.
 	Guaranteed bool
 }
 
-// RangeSearch answers range queries (a target class the paper's related
-// work highlights, Sec. 7): every subsequence of the given length whose
-// normalized DTW (Def. 6) to q is within radius. This is where the paper's
-// ED↔DTW triangle inequality pays off directly, in both directions:
+// rangeSearch answers a range query over the processor's base (a target
+// class the paper's related work highlights, Sec. 7): every subsequence of
+// the given length whose normalized DTW (Def. 6) to q is within radius.
+// This is where the paper's ED↔DTW triangle inequality pays off directly,
+// in both directions:
 //
 //   - Admission (Lemma 2): when radius ≥ ST and DTW̄(q, R) ≤ ST/2, every
 //     member of R's group is within ST ≤ radius — the whole group is
@@ -41,39 +42,15 @@ type RangeResult struct {
 //
 // Members of the remaining groups are verified individually with
 // early-abandoning DTW and carry exact distances; wholesale-admitted members
-// carry the ST upper bound in Dist (see RangeResult.Guaranteed). Results are
-// unordered.
-func (p *Processor) RangeSearch(q []float64, length int, radius float64) ([]RangeResult, error) {
-	return p.RangeSearchObserved(q, length, radius, false, nil)
-}
-
-// RangeSearchExact is RangeSearch with exact reported distances: members
-// admitted wholesale through the Lemma 2 guarantee get their true DTW
-// computed (the guarantee still saves the early-abandon cutoff work and the
-// admission decision) and are filtered against the radius like every other
-// member. The result set is therefore exactly the subsequences whose
-// normalized DTW is within radius — independent of how the base happens to
-// be grouped — at the cost of one DTW per guaranteed member.
-func (p *Processor) RangeSearchExact(q []float64, length int, radius float64) ([]RangeResult, error) {
-	return p.RangeSearchObserved(q, length, radius, true, nil)
-}
-
-// RangeSearchObserved is the range search with work accounting: the
-// cascade's trace folds into the lifetime Counters and, with a non-nil
-// rec, a "range-scan" span and the query's work totals are recorded.
-// Range work is per-group against a fixed radius, so the counters are
-// identical at every Parallelism setting.
-func (p *Processor) RangeSearchObserved(q []float64, length int, radius float64,
-	exact bool, rec *obs.Trace) ([]RangeResult, error) {
-
-	var tr Trace
-	defer func() { p.counters.tick(); p.counters.fold(tr); observe(rec, tr) }()
-	return p.rangeSearch(q, length, radius, exact, &tr, rec)
-}
-
-// rangeSearch answers one range query, accumulating work into the
-// caller-owned tr (the scatter executor passes one tr across every shard
-// so the whole query folds into the global tally exactly once).
+// carry the ST upper bound in Dist (see RangeResult.Guaranteed) unless exact
+// is set, which computes their true DTW (the guarantee still saves the
+// admission decision) and filters them against the radius like every other
+// member — the result set is then exactly the subsequences within radius,
+// independent of how the base happens to be grouped, at the cost of one DTW
+// per guaranteed member. Results are unordered. Range work is per-group
+// against a fixed radius, so the counters accumulated into the caller-owned
+// tr are identical at every worker count; with a non-nil rec a "range-scan"
+// span is recorded.
 func (p *Processor) rangeSearch(q []float64, length int, radius float64,
 	exact bool, tr *Trace, rec *obs.Trace) ([]RangeResult, error) {
 

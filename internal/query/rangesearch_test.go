@@ -9,7 +9,7 @@ import (
 )
 
 // bruteRange is the exhaustive reference range search.
-func bruteRange(p *Processor, q []float64, length int, radius float64) map[[2]int]float64 {
+func bruteRange(p *engine, q []float64, length int, radius float64) map[[2]int]float64 {
 	out := map[[2]int]float64{}
 	var w dist.Workspace
 	div := dist.NormalizedDTWDivisor(len(q), length)

@@ -13,12 +13,13 @@ import (
 	"onex/internal/rspace"
 )
 
-// Scatter is the scatter-gather query executor of the intra-dataset sharded
-// engine (internal/shard): the dataset's series are hash-partitioned across
-// shards, each shard holds the restriction of ONE deterministic global
-// grouping to its series (same representatives, same member ED order) with
-// its own GTI/LSI index layers, and Scatter re-enacts the monolithic
-// Algorithm 2 decision procedure across them.
+// Scatter is the query coordinator of the engine (internal/shard): the
+// dataset's series are hash-partitioned across shards, each shard holds the
+// restriction of ONE deterministic global grouping to its series (same
+// representatives, same member ED order) with its own GTI/LSI index layers,
+// and Scatter runs the Algorithm 2 decision procedure over them. An
+// unsharded base is the one-shard layout: a single in-process shard whose
+// base IS the global one.
 //
 // Every shard interaction crosses the ShardTransport seam, so the same
 // coordinator drives in-process shards (LocalShard) and remote worker
@@ -26,39 +27,40 @@ import (
 //
 //   - the representative scan of a length fans one ScanBest/ScanFixed call
 //     per shard (each global group is scanned by exactly one shard — the
-//     one holding its nearest member) and merges the per-shard results with
-//     the monolithic tie rule (smallest distance, then smallest global
-//     group id);
+//     one holding its nearest member) and merges the per-shard results by
+//     smallest distance, then smallest global group id;
 //   - group mining and k-NN member verification replay the global pivot
-//     walk / heap bookkeeping at the coordinator, shipping each fixed-size
-//     round's DTW work to the members' home shards (EvalMembers) with the
-//     current best-so-far bound threaded in the request — the bound hint
-//     that keeps early abandoning effective across the wire;
+//     walk / heap bookkeeping here, once, in rounds: 32 members shipped to
+//     their home shards (EvalMembers) with the current best-so-far bound
+//     threaded in the request — the bound hint that keeps early abandoning
+//     effective across the wire — or, when every shard is in-process and
+//     there is no concurrency to buy, one member at a time against the
+//     tightening bound (see roundFor);
 //   - range search runs verbatim on every shard — its admission (Lemma 2
 //     premise per member) and per-member verification decisions depend only
 //     on the shared global representatives, so the union of shard result
-//     sets IS the monolithic result set — and concatenates in shard order;
+//     sets is layout-invariant — and concatenates in shard order;
 //   - seasonal queries read the global grouping directly (the coordinator
 //     holds it in full).
 //
-// Answers are therefore identical to the single-engine path over the same
-// data, with one caveat: when two representatives tie on the exact DTW to
-// the query (bit-equal distances — impossible on continuous data, possible
-// with duplicated windows), the monolith breaks the tie by median-scan
-// position while Scatter breaks it by global group id, and the mined group
-// may differ. Everything downstream of the scan — pivot walks, patience
-// cuts, heap states, range admissions — replays decision-for-decision.
+// Answers are therefore identical at every shard count, transport and
+// worker count. When two representatives tie on the exact DTW to the query
+// (bit-equal distances — impossible on continuous data, possible with
+// duplicated windows) the smaller global group id wins, everywhere.
 type Scatter struct {
 	// global answers mining/seasonal bookkeeping against the global
 	// grouping; its base carries the global dataset and per-length global
-	// group vectors but no scan index (no Dc, envelopes or median order —
-	// the per-shard indexes hold those).
+	// group vectors. Only the one-shard layout, whose shard shares it, gives
+	// it scan indexes.
 	global     *Processor
 	transports []ShardTransport
 	// infos caches each transport's layout slice (validated at assembly).
 	infos []ShardInfo
 	// route maps global series id → transports index (the member's home).
 	route map[int]int
+	// local reports that every shard is in-process, so the coordinator's
+	// dataset addresses every member window directly.
+	local bool
 }
 
 // NewScatter assembles the executor over the shard transports. global must
@@ -75,8 +77,12 @@ func NewScatter(global *rspace.Base, opts Options, transports []ShardTransport) 
 		transports: transports,
 		infos:      make([]ShardInfo, len(transports)),
 		route:      make(map[int]int, global.Dataset.N()),
+		local:      true,
 	}
 	for i, t := range transports {
+		if _, ok := t.(*LocalShard); !ok {
+			s.local = false
+		}
 		s.infos[i] = t.Info()
 		for _, sid := range s.infos[i].Series {
 			if prev, dup := s.route[sid]; dup {
@@ -120,10 +126,8 @@ func (s *Scatter) withWorkers(w int) *Scatter {
 	if s.global.workers == w {
 		return s
 	}
-	gp := *s.global
-	gp.workers = w
 	cp := *s
-	cp.global = &gp
+	cp.global = s.global.innerExec(w)
 	return &cp
 }
 
@@ -172,9 +176,47 @@ func fanShards[R any](ctx context.Context, s *Scatter, rec *obs.Trace, span stri
 	return out, nil
 }
 
-// BestMatch answers Q1 across the shards — the same search the monolithic
-// Processor.BestMatch runs, with the per-length representative scan
-// scattered over the shard transports.
+// refine is one query's member-evaluation state: the round buffers of the
+// replay and, when every shard is in-process, the DTW scratch of the
+// one-member-at-a-time walk (nil otherwise).
+type refine struct {
+	ws      *dist.Workspace
+	batch   []grouping.Member
+	lbs, ds []float64
+}
+
+func (s *Scatter) newRefine() *refine {
+	rf := &refine{
+		batch: make([]grouping.Member, 0, mineBatchSize),
+		lbs:   make([]float64, mineBatchSize),
+		ds:    make([]float64, mineBatchSize),
+	}
+	if s.local {
+		rf.ws = s.global.pool.Get()
+	}
+	return rf
+}
+
+// roundFor picks the replay's round for a group of n members. When the
+// members are addressable in-process and a round has no concurrency to buy
+// — one worker, or a group too small for two rounds — it is one member,
+// evaluated here on the returned workspace: the bound then tightens with
+// every improvement, which saves the DTWs a round's snapshot bound lets run
+// to completion. Otherwise it is mineBatchSize members against a snapshot
+// bound, shipped to their home shards (nil workspace). The replay reaches
+// the same decisions for any round size (see mineGroup), so the choice
+// changes how many DTWs run, never an answer.
+func (s *Scatter) roundFor(rf *refine, n int) (int, *dist.Workspace) {
+	if rf.ws != nil && (s.global.workers <= 1 || n < 2*mineBatchSize) {
+		return 1, rf.ws
+	}
+	return mineBatchSize, nil
+}
+
+// BestMatch answers query class I (Q1): the subsequence most similar to q
+// under DTW. With MatchExact only subsequences of len(q) are considered and
+// an error is returned if that length is not indexed; with MatchAny every
+// indexed length is searched in the Sec. 5.3 order.
 func (s *Scatter) BestMatch(ctx context.Context, q []float64, mode MatchMode) (Match, error) {
 	return s.BestMatchObserved(ctx, q, mode, nil)
 }
@@ -196,6 +238,8 @@ func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode Match
 	if err := validateQuery(q); err != nil {
 		return Match{}, err
 	}
+	rf := s.newRefine()
+	defer s.global.pool.Put(rf.ws)
 
 	switch mode {
 	case MatchExact:
@@ -204,7 +248,7 @@ func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode Match
 			return Match{}, fmt.Errorf("query: length %d not indexed", len(q))
 		}
 		best := Match{Dist: math.Inf(1)}
-		if _, err := s.searchLength(ctx, q, e, &best, &tr, rec); err != nil {
+		if _, err := s.searchLength(ctx, q, e, rf, &best, &tr, rec); err != nil {
 			return Match{}, err
 		}
 		if !best.Found() {
@@ -222,11 +266,13 @@ func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode Match
 				return Match{}, err
 			}
 			tr.LengthsVisited++
-			repNorm, err := s.searchLength(ctx, q, s.global.base.Entry(l), &best, &tr, rec)
+			repNorm, err := s.searchLength(ctx, q, s.global.base.Entry(l), rf, &best, &tr, rec)
 			if err != nil {
 				return Match{}, err
 			}
-			// Sec. 5.3 stop rule, on the globally best representative.
+			// Sec. 5.3 stop rule, on the globally best representative: one
+			// within ST/2 guarantees (Lemma 2) its group's members are
+			// within ST of the query.
 			if !s.global.opts.DisableEarlyStop && repNorm <= s.global.base.ST/2 {
 				break
 			}
@@ -240,20 +286,20 @@ func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode Match
 	}
 }
 
-// searchLength scatters one length's representative scan across the shards,
-// then mines the winning global group's full (global) member list through
-// per-round EvalMembers calls — the same compareRep + getKSim sequence as
-// the monolithic searchLength. Work accumulates into the caller-owned tr
-// (folded once per query).
+// searchLength finds the best-matching representative of one length (the
+// compareRep step of Algorithm 2.A) by scattering the scan across the
+// shards, then mines the winning global group's member list (getKSim),
+// updating best in place. It returns the normalized DTW of the chosen
+// representative (+Inf if the entry is empty) for the early-stop rule. Work
+// accumulates into the caller-owned tr (folded once per query).
 //
 // The scan request pins its bound hint to +Inf: Q1 needs the exact argmin
 // representative (it seeds the pivot walk and the Sec. 5.3 early-stop
 // rule), so an external bound could prune the very representative the
 // search is after. Each shard still early-abandons against its own
-// tightening bound, and the (distance, global id) merge reproduces the
-// monolithic tie rule.
+// tightening bound, and the (distance, global id) merge is the tie rule.
 func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.LengthEntry,
-	best *Match, tr *Trace, rec *obs.Trace) (float64, error) {
+	rf *refine, best *Match, tr *Trace, rec *obs.Trace) (float64, error) {
 
 	if e == nil || len(e.Groups) == 0 {
 		return math.Inf(1), nil
@@ -295,7 +341,7 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.Lengt
 		pre = *tr
 		sc = rec.StartSpan("refine")
 	}
-	err = s.mineGroupScattered(ctx, q, e, bestID, bestRaw/divisor, best, tr)
+	err = s.mineGroup(ctx, q, e, bestID, bestRaw/divisor, rf, best, tr)
 	if rec != nil {
 		spanWork(sc.Attr("length", int64(e.Length)).Attr("group", int64(bestID)), pre, *tr).End()
 	}
@@ -305,15 +351,28 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.Lengt
 	return bestRaw / divisor, nil
 }
 
-// evalRoundScattered is Processor.evalRound over the transport seam: the
-// round's members partition by home shard, each shard evaluates its slice
-// against the same bound snapshot (LB_Kim plus early-abandoning DTW depend
-// only on (query, member, bound), so the partition cannot change a single
-// bit), and the results scatter back positionally. Returns how many DTWs
-// actually ran shard-side (Trace accounting).
-func (s *Scatter) evalRoundScattered(ctx context.Context, q []float64, length int,
-	batch []grouping.Member, bound float64, lbs, ds []float64) (int, error) {
+// evalRound evaluates one round of members against a bound snapshot into
+// lbs and ds (Processor.evalMember per member), returning how many DTWs
+// ran. With a workspace the members are read from the coordinator's dataset
+// and evaluated here; without one the round partitions by home shard and
+// crosses the transport seam, each shard evaluating its slice against the
+// same snapshot (LB_Kim plus early-abandoning DTW depend only on (query,
+// member, bound), so neither the partition nor the transport can change a
+// bit) and the results scatter back positionally.
+func (s *Scatter) evalRound(ctx context.Context, q []float64, length int,
+	batch []grouping.Member, bound float64, ws *dist.Workspace, lbs, ds []float64) (int, error) {
 
+	if ws != nil {
+		dtws := 0
+		for i, m := range batch {
+			v := s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+length]
+			var ran bool
+			if lbs[i], ds[i], ran = s.global.evalMember(ws, q, v, bound); ran {
+				dtws++
+			}
+		}
+		return dtws, nil
+	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -377,19 +436,28 @@ func (s *Scatter) evalRoundScattered(ctx context.Context, q []float64, length in
 	return dtws, nil
 }
 
-// mineGroupScattered is Processor.mineGroup with every DTW shipped to the
-// members' home shards: the pivot walk, patience bookkeeping and best
-// updates replay at the coordinator in fixed-size rounds, each round's
-// members evaluated shard-side against the best-so-far snapshot taken at
-// the round boundary. The round replay reaches exactly the sequential
-// walk's decisions for ANY batch partition (a member abandoned at the round
-// bound is provably non-improving at its replay position — the running best
-// only tightens within a round), so the scattered miner always runs the
-// round path; worker count and shard layout change only which DTWs run to
-// completion, never the match.
-func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace.LengthEntry,
-	k int, repNormDTW float64, best *Match, tr *Trace) error {
+// mineGroup verifies members of global group k against the query in pivot
+// order: the LSI array is sorted by ED-to-rep, and the paper starts from the
+// member whose ED is closest to DTW(query, rep), expanding alternately to
+// smaller and larger EDs, until Patience consecutive members fail to
+// improve. LB_Kim (O(1), admissible for any warping path) skips the bulk of
+// hopeless members once a good best-so-far exists; the rest run
+// early-abandoning DTW.
+//
+// The walk runs in rounds (roundFor): a round's members are evaluated
+// against the best-so-far snapshot taken at the round boundary, then the
+// improvement/patience bookkeeping is replayed in walk order. A member
+// whose DTW was abandoned at the round bound is provably non-improving at
+// its replay position (the running best only tightens within a round), so
+// the replay reaches exactly the decisions of the one-member round — same
+// match, same patience cut — for ANY round size and batch partition; worker
+// count and shard layout change only which DTWs run to completion.
+func (s *Scatter) mineGroup(ctx context.Context, q []float64, e *rspace.LengthEntry,
+	k int, repNormDTW float64, rf *refine, best *Match, tr *Trace) error {
 
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	g := e.Groups[k]
 	n := g.Count()
 	if n == 0 {
@@ -406,22 +474,8 @@ func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace
 	}
 	walk := newPivotWalk(g.Members, repNormDTW)
 	bestRaw := best.Dist * divisor // +Inf-safe: Inf*x = Inf
+	round, ws := s.roundFor(rf, n)
 
-	record := func(m grouping.Member, d float64) {
-		bestRaw = d
-		*best = Match{
-			SeriesID: m.SeriesIdx,
-			Start:    m.Start,
-			Length:   e.Length,
-			Dist:     d / divisor,
-			RawDTW:   d,
-			GroupID:  k,
-		}
-	}
-
-	batch := make([]grouping.Member, 0, mineBatchSize)
-	lbs := make([]float64, mineBatchSize)
-	ds := make([]float64, mineBatchSize)
 	sinceImprove := 0
 	tested := 0
 	for tested < limit {
@@ -429,8 +483,8 @@ func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace
 			return nil
 		}
 		// Collect the next round of members in walk order.
-		batch = batch[:0]
-		for len(batch) < mineBatchSize && tested+len(batch) < limit {
+		batch := rf.batch[:0]
+		for len(batch) < round && tested+len(batch) < limit {
 			idx := walk.next()
 			if idx < 0 {
 				break
@@ -440,7 +494,7 @@ func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace
 		if len(batch) == 0 {
 			return nil
 		}
-		dtws, err := s.evalRoundScattered(ctx, q, e.Length, batch, bestRaw, lbs, ds)
+		dtws, err := s.evalRound(ctx, q, e.Length, batch, bestRaw, ws, rf.lbs, rf.ds)
 		if err != nil {
 			return err
 		}
@@ -452,13 +506,21 @@ func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace
 			}
 			tr.MembersTested++
 			tested++
-			if !s.global.opts.DisableLowerBounds && lbs[i] >= bestRaw {
+			if !s.global.opts.DisableLowerBounds && rf.lbs[i] >= bestRaw {
 				sinceImprove++
 				continue
 			}
-			if d := ds[i]; d < bestRaw {
+			if d := rf.ds[i]; d < bestRaw {
 				sinceImprove = 0
-				record(m, d)
+				bestRaw = d
+				*best = Match{
+					SeriesID: m.SeriesIdx,
+					Start:    m.Start,
+					Length:   e.Length,
+					Dist:     d / divisor,
+					RawDTW:   d,
+					GroupID:  k,
+				}
 			} else {
 				sinceImprove++
 			}
@@ -467,11 +529,13 @@ func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace
 	return nil
 }
 
-// BestKMatches answers k-NN across the shards: per length, the fixed-cutoff
-// representative scan scatters over the shard transports, then the groups
-// are verified in increasing rep-DTW order against the global member lists —
-// the same procedure as the monolithic searchLengthK, heap bookkeeping
-// included.
+// BestKMatches answers the k-nearest-neighbour extension of query class I:
+// the k subsequences most similar to q under normalized DTW, ordered best
+// first. The paper's processor returns the single best match (k=1); k-NN is
+// the natural generalization its range/NN-search related work discusses
+// (Sec. 7) and falls out of the same group exploration, with the k-th best
+// distance replacing the best-so-far as the pruning/early-abandon cutoff.
+// Results can span multiple groups.
 func (s *Scatter) BestKMatches(ctx context.Context, q []float64, mode MatchMode, k int) ([]Match, error) {
 	return s.BestKMatchesObserved(ctx, q, mode, k, nil)
 }
@@ -493,6 +557,8 @@ func (s *Scatter) BestKMatchesObserved(ctx context.Context, q []float64, mode Ma
 		return nil, err
 	}
 	heap := newTopK(k)
+	rf := s.newRefine()
+	defer s.global.pool.Put(rf.ws)
 
 	var lengths []int
 	switch mode {
@@ -517,7 +583,7 @@ func (s *Scatter) BestKMatchesObserved(ctx context.Context, q []float64, mode Ma
 		if mode == MatchAny {
 			tr.LengthsVisited++
 		}
-		if err := s.searchLengthK(ctx, q, s.global.base.Entry(l), heap, &tr, rec); err != nil {
+		if err := s.searchLengthK(ctx, q, s.global.base.Entry(l), heap, rf, &tr, rec); err != nil {
 			return nil, err
 		}
 	}
@@ -528,22 +594,23 @@ func (s *Scatter) BestKMatchesObserved(ctx context.Context, q []float64, mode Ma
 	return out, nil
 }
 
-// searchLengthK is the scattered form of Processor.searchLengthK: the rep
-// scan's cutoff is fixed for the whole length (no heap pushes can happen
-// during it), so fanning it across the shards is answer-preserving; member
-// verification then replays at the coordinator with per-round EvalMembers
-// calls.
+// searchLengthK mines every group of one length whose representative
+// survives the fixed-cutoff cascade. Unlike the 1-NN path it cannot stop at
+// the single best representative: a group whose rep is slightly farther can
+// still hold top-k members, so groups are visited in increasing rep-DTW
+// order (ties by global id) until the rep's own DTW exceeds the k-th
+// distance plus the group radius (in raw units) — a heuristic cut mirroring
+// the paper's ST/2-based guarantee. No heap pushes happen during the rep
+// scan, so its cutoff is fixed for the whole length and fanning it across
+// shards and workers changes neither answers nor counters.
 func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.LengthEntry,
-	heap *topK, tr *Trace, rec *obs.Trace) error {
+	heap *topK, rf *refine, tr *Trace, rec *obs.Trace) error {
 
 	if e == nil || len(e.Groups) == 0 {
 		return nil
 	}
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
-	radiusRaw := s.global.base.ST / 2 * math.Sqrt(float64(e.Length))
-
-	// No heap pushes happen during the rep scan, so the cutoff is fixed for
-	// the whole length and the fan-out cannot change answers — or counters.
+	radiusRaw := s.global.base.ST / 2 * math.Sqrt(float64(e.Length)) // group radius in raw-ED units
 	req := ScanFixedRequest{
 		Length:     e.Length,
 		Query:      q,
@@ -571,8 +638,8 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 			reps = append(reps, repDist{global: h.GroupID, d: h.Dist})
 		}
 	}
-	// Monolithic tie order: ascending global id (each shard's hits already
-	// are; the shards partition the ids), then stable by distance.
+	// Tie order: ascending global id (each shard's hits already are; the
+	// shards partition the ids), then stable by distance.
 	sort.Slice(reps, func(a, b int) bool { return reps[a].global < reps[b].global })
 	sort.SliceStable(reps, func(a, b int) bool { return reps[a].d < reps[b].d })
 
@@ -583,7 +650,6 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 		sc = rec.StartSpan("refine")
 	}
 	groups := 0
-	var bufs knnBufs
 	var verr error
 	for _, rd := range reps {
 		// Re-check against the (possibly tightened) k-th distance.
@@ -591,7 +657,7 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 			break
 		}
 		groups++
-		if verr = s.verifyGroupKScattered(ctx, q, e.Groups[rd.global], rd.global, e.Length, divisor, heap, &bufs, tr); verr != nil {
+		if verr = s.verifyGroupK(ctx, q, e.Groups[rd.global], rd.global, e.Length, divisor, heap, rf, tr); verr != nil {
 			break
 		}
 	}
@@ -601,27 +667,25 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 	return verr
 }
 
-// verifyGroupKScattered is Processor.verifyGroupK with each round's DTWs
-// shipped to the members' home shards. The heap replay is verbatim (same
-// inequalities, same push order), so the scattered heap passes through
-// exactly the monolithic states; like the scattered miner it always runs
-// the round path, which is answer-equal to the sequential branch for any
-// round size.
-func (s *Scatter) verifyGroupKScattered(ctx context.Context, q []float64, g *grouping.Group,
-	gid, length int, divisor float64, heap *topK, bufs *knnBufs, tr *Trace) error {
+// verifyGroupK verifies every member of one group against the running top-k
+// heap: lower-bound prune against the evolving k-th distance, then
+// early-abandoning DTW, pushing exact distances that beat the cutoff. Like
+// mineGroup it runs in rounds (roundFor) evaluated against the k-th
+// distance at the round boundary and replays the pushes in member order, so
+// the heap passes through the same states at every round size; the split
+// between Kim prunes and DTWs depends on the round while MembersTested is
+// invariant. gid is the group id recorded on pushed matches.
+func (s *Scatter) verifyGroupK(ctx context.Context, q []float64, g *grouping.Group,
+	gid, length int, divisor float64, heap *topK, rf *refine, tr *Trace) error {
 
-	if bufs.ds == nil {
-		bufs.ds = make([]float64, mineBatchSize)
-		bufs.lbs = make([]float64, mineBatchSize)
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	for off := 0; off < g.Count(); off += mineBatchSize {
-		end := off + mineBatchSize
-		if end > g.Count() {
-			end = g.Count()
-		}
-		batch := g.Members[off:end]
+	round, ws := s.roundFor(rf, g.Count())
+	for off := 0; off < g.Count(); off += round {
+		batch := g.Members[off:min(off+round, g.Count())]
 		roundCutoff := heap.kth() * divisor
-		dtws, err := s.evalRoundScattered(ctx, q, length, batch, roundCutoff, bufs.lbs, bufs.ds)
+		dtws, err := s.evalRound(ctx, q, length, batch, roundCutoff, ws, rf.lbs, rf.ds)
 		if err != nil {
 			return err
 		}
@@ -632,14 +696,11 @@ func (s *Scatter) verifyGroupKScattered(ctx context.Context, q []float64, g *gro
 		for i, m := range batch {
 			cutoff := heap.kth() * divisor
 			tr.MembersTested++
-			if !s.global.opts.DisableLowerBounds && bufs.lbs[i] >= cutoff {
+			if !s.global.opts.DisableLowerBounds && rf.lbs[i] >= cutoff {
 				tr.PrunedByKim++
 				continue
 			}
-			if d := bufs.ds[i]; !math.IsInf(d, 1) && d < roundCutoff {
-				if d >= cutoff {
-					continue
-				}
+			if d := rf.ds[i]; d < cutoff {
 				heap.push(Match{
 					SeriesID: m.SeriesIdx,
 					Start:    m.Start,
@@ -654,28 +715,32 @@ func (s *Scatter) verifyGroupKScattered(ctx context.Context, q []float64, g *gro
 	return nil
 }
 
-// RangeSearch scatters a range query: each shard answers it over its
-// restriction with the monolithic code path and the per-shard result slices
-// concatenate in shard order, remapped to global series/group ids. The
-// result SET equals the monolithic one exactly (admission and verification
-// decide per member against the shared global representative); only the
-// slice order differs, and range results are documented as unordered.
+// RangeSearch answers a range query — every subsequence of the given length
+// within radius of q under normalized DTW (see Processor.rangeSearch for
+// the Lemma 2 admission and pruning rules): each shard answers it over its
+// restriction and the per-shard result slices concatenate in shard order,
+// remapped to global series/group ids. The result SET is layout-invariant
+// (admission and verification decide per member against the shared global
+// representative); only the slice order differs, and range results are
+// unordered. Guaranteed results carry the ST upper bound, not an exact
+// distance.
 func (s *Scatter) RangeSearch(ctx context.Context, q []float64, length int, radius float64) ([]RangeResult, error) {
 	return s.RangeSearchObserved(ctx, q, length, radius, false, nil)
 }
 
-// RangeSearchExact is RangeSearch with exact distances on the Lemma 2
-// guaranteed path, scattered the same way.
+// RangeSearchExact is RangeSearch with exact reported distances: members
+// admitted through the Lemma 2 guarantee get their true DTW computed and are
+// filtered against the radius like every other member.
 func (s *Scatter) RangeSearchExact(ctx context.Context, q []float64, length int, radius float64) ([]RangeResult, error) {
 	return s.RangeSearchObserved(ctx, q, length, radius, true, nil)
 }
 
-// RangeSearchObserved is the scattered range search with work accounting:
-// the per-shard traces fold into one query trace and into the GLOBAL
-// counters exactly once (the shard indexes' own counters are not touched —
-// the scatter executor owns the tally). With a non-nil rec each shard call
-// gets a "shard-range" span. Shards run concurrently: unlike the in-process
-// engine, remote shards spend their worker budgets on separate hosts.
+// RangeSearchObserved is the range search with work accounting: the
+// per-shard traces fold into one query trace and into the coordinator's
+// counters exactly once (the shard processors' own counters are not touched
+// — the coordinator owns the tally). With a non-nil rec each shard call gets
+// a "shard-range" span. Shards run concurrently: remote shards spend their
+// worker budgets on separate hosts.
 func (s *Scatter) RangeSearchObserved(ctx context.Context, q []float64, length int, radius float64,
 	exact bool, rec *obs.Trace) ([]RangeResult, error) {
 
@@ -731,7 +796,7 @@ func (s *Scatter) RangeSearchObserved(ctx context.Context, q []float64, length i
 }
 
 // SeasonalSample answers the user-driven class II query from the global
-// grouping — identical to the monolithic answer, group ids included.
+// grouping.
 func (s *Scatter) SeasonalSample(seriesID, length int) ([]SeasonalGroup, error) {
 	return s.global.SeasonalSample(seriesID, length)
 }

@@ -7,17 +7,17 @@ import (
 )
 
 // ShardTransport is the seam between the scatter-gather coordinator
-// (Scatter) and one shard's index. Every shard interaction of a sharded
-// engine — the per-length representative scans, group-member DTW
+// (Scatter) and one shard's index. Every shard interaction of the engine
+// — the per-length representative scans, group-member DTW
 // evaluation, range search, stats — crosses this interface, so the same
 // coordinator code drives an in-process shard (LocalShard) and a remote
 // worker process (internal/shardrpc.Client) interchangeably.
 //
 // The contract is bit-exactness: for a fixed shard restriction, every
 // implementation must return the same float64 bit patterns the in-process
-// engine computes, because the coordinator replays the monolithic decision
-// procedure (pivot walks, patience cuts, heap pushes, tie rules) against
-// these values. Distances that can be ±Inf travel as math.Float64bits
+// engine computes, because the coordinator replays one decision procedure
+// (pivot walks, patience cuts, heap pushes, tie rules) against these
+// values, whatever the layout. Distances that can be ±Inf travel as math.Float64bits
 // (JSON cannot carry Inf); finite distances travel as plain float64, which
 // Go's encoding/json round-trips exactly (shortest-round-trip encoding).
 //
@@ -39,7 +39,7 @@ type ShardTransport interface {
 	ScanFixed(ctx context.Context, req ScanFixedRequest) (ScanFixedResponse, error)
 	// EvalMembers evaluates one round of group members against a bound
 	// snapshot: per item, LB_Kim and the early-abandoning DTW — the remote
-	// half of the coordinator's round-replay mining (see Processor.evalRound).
+	// half of the coordinator's round-replay mining (see Scatter.evalRound).
 	EvalMembers(ctx context.Context, req EvalMembersRequest) (EvalMembersResponse, error)
 	// Range answers a range query over the shard's restriction with
 	// results remapped to global series/group ids.
@@ -121,13 +121,13 @@ type ScanBestRequest struct {
 	// but the protocol carries it for bound-aware scans.
 	HintBits uint64 `json:"hintBits"`
 	// Workers bounds the shard-side fan-out of the scan (answer-invariant;
-	// see Processor.scanReps).
+	// see LocalShard.ScanBest).
 	Workers int `json:"workers"`
 }
 
 // ScanBestResponse is the shard-local argmin. BestBits is the raw
 // (unnormalized) DTW as Float64bits; ties on bit-equal distances resolve
-// to the smallest global group id, matching the monolithic scan order.
+// to the smallest global group id.
 type ScanBestResponse struct {
 	Found    bool       `json:"found"`
 	GroupID  int        `json:"groupId"`

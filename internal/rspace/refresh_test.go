@@ -64,10 +64,6 @@ func TestRefreshMatchesNewBitForBit(t *testing.T) {
 		if !reflect.DeepEqual(fe.TopK, re.TopK) {
 			t.Errorf("length %d: TopK neighbor lists differ", l)
 		}
-		if !reflect.DeepEqual(fe.Sums, re.Sums) || !reflect.DeepEqual(fe.SumOrder, re.SumOrder) ||
-			!reflect.DeepEqual(fe.MedianOrder, re.MedianOrder) {
-			t.Errorf("length %d: sum orders differ", l)
-		}
 		if !reflect.DeepEqual(fe.Envelopes, re.Envelopes) {
 			t.Errorf("length %d: envelopes differ", l)
 		}

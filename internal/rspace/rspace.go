@@ -3,10 +3,12 @@
 //
 //   - the Global Time Index (GTI): per length, the group vector, a sparse
 //     top-k view of the pairwise Inter-Representative Distance matrix Dc
-//     (Def. 10) — each representative's k nearest peers plus its full Dc
-//     row sum — the representatives sorted by those row sums (the Sec. 5.3
-//     median-sum search order), and the SThalf/STfinal merge thresholds of
-//     the Similarity Parameter Space (Sec. 4.2);
+//     (Def. 10) — each representative's k nearest peers — and the
+//     SThalf/STfinal merge thresholds of the Similarity Parameter Space
+//     (Sec. 4.2). The paper's sum-sorted array and its median-outward visit
+//     order (Sec. 5.3) are not kept: the representative scan visits groups
+//     in id order, which measured fewer DTWs on the benchmark's scan
+//     workload than the median order did;
 //   - the Local Sequence Index (LSI): per group, members sorted by ED to the
 //     representative (built by grouping.finalize), the representative
 //     vector, and its LB_Keogh envelope for pruning (Sec. 4.3).
@@ -18,22 +20,21 @@
 // groups). This package no longer keeps the dense matrix resident. Instead
 // each LengthEntry stores, per representative, the TopK nearest other
 // representatives (Neighbor lists, ascending by distance, deterministic
-// index tie-break) and the exact full row sum — O(g·k) instead of O(g²).
+// index tie-break) — O(g·k) instead of O(g²).
 //
 // This is NOT an approximation, because no query-time consumer reads
 // arbitrary Dc cells:
 //
-//   - the representative scan (query.scanReps / scanRepFixed) walks
-//     MedianOrder, which is derived from the row sums alone;
-//   - group mining and k-NN verification (mineGroup / verifyGroupK) walk
-//     the per-group ED-sorted member lists and envelopes, never Dc;
+//   - the representative scan (query.LocalShard) walks the group vector
+//     with the representatives' envelopes, never Dc;
+//   - group mining and k-NN verification (query.Scatter) walk the per-group
+//     ED-sorted member lists, never Dc;
 //   - the SP-Space guidance surface reads the precomputed STHalf/STFinal.
 //
 // The dense matrix is therefore only a build-time intermediate. New and
 // Refresh materialize it transiently (one O(g²) scratch buffer, released
-// before the entry is published), derive the exact sums, visit orders and
-// merge thresholds from it, keep the k smallest entries per row, and drop
-// the rest. Every derived quantity is bit-identical for every TopK setting
+// before the entry is published), derive the exact merge thresholds from
+// it, keep the k smallest entries per row, and drop the rest. Every derived quantity is bit-identical for every TopK setting
 // — the knob (Options.TopK, default DefaultTopK) only trades resident
 // memory against how much ED reuse a later incremental Refresh gets: a pair
 // absent from both representatives' retained lists must be recomputed. The
@@ -68,9 +69,6 @@ type Base struct {
 	GlobalSTHalf, GlobalSTFinal float64
 	// TotalSubseq counts all indexed subsequences (Table 4).
 	TotalSubseq int64
-	// TopK records the Options.TopK the base was built with, so derived
-	// bases (threshold adaptation) inherit the same retention policy.
-	TopK int
 }
 
 // Neighbor is one retained cell of a representative's Dc row: the peer
@@ -92,15 +90,6 @@ type LengthEntry struct {
 	// resident view of the Dc matrix (min(TopK option, g−1) entries per
 	// row; see the package docs for the exactness argument).
 	TopK [][]Neighbor
-	// Sums[k] is the exact ΣₗDc[k][l] over the FULL row (not just the
-	// retained neighbors); SumOrder lists group indices sorted ascending by
-	// Sums — the array S_i(k, sum_k) of Sec. 4.3.
-	Sums     []float64
-	SumOrder []int
-	// MedianOrder is SumOrder re-traversed from the median outward
-	// (median, median−1, median+1, …) — the Sec. 5.3 representative visit
-	// order, precomputed since it is static per entry.
-	MedianOrder []int
 	// STHalf and STFinal are this length's local critical thresholds: the
 	// smallest ST′ at which half of (respectively all) groups have merged.
 	STHalf, STFinal float64
@@ -162,7 +151,6 @@ func New(d *ts.Dataset, gr *grouping.Result, opts Options) (*Base, error) {
 		Lengths:     append([]int(nil), gr.Lengths...),
 		Entries:     make(map[int]*LengthEntry, len(gr.Lengths)),
 		TotalSubseq: gr.TotalSubseq,
-		TopK:        opts.TopK,
 	}
 	for _, l := range gr.Lengths {
 		entry := newLengthEntry(gr.ByLength[l], gr.ST, radius(l), opts.TopK)
@@ -206,7 +194,6 @@ func Refresh(d *ts.Dataset, gr *grouping.Result, opts Options, prev *Base, delta
 		Lengths:     append([]int(nil), gr.Lengths...),
 		Entries:     make(map[int]*LengthEntry, len(gr.Lengths)),
 		TotalSubseq: gr.TotalSubseq,
-		TopK:        opts.TopK,
 	}
 	for _, l := range gr.Lengths {
 		var entry *LengthEntry
@@ -255,8 +242,6 @@ func newLengthEntry(lg *grouping.LengthGroups, st float64, envRadius, topK int) 
 	e := &LengthEntry{
 		Length:    lg.Length,
 		Groups:    lg.Groups,
-		Sums:      make([]float64, g),
-		SumOrder:  make([]int, g),
 		Envelopes: make([]Envelope, g),
 	}
 	invSqrtL := 1 / math.Sqrt(float64(lg.Length))
@@ -314,8 +299,6 @@ func refreshLengthEntry(lg *grouping.LengthGroups, st float64, envRadius, topK i
 	e := &LengthEntry{
 		Length:    lg.Length,
 		Groups:    lg.Groups,
-		Sums:      make([]float64, g),
-		SumOrder:  make([]int, g),
 		Envelopes: make([]Envelope, g),
 	}
 	invSqrtL := 1 / math.Sqrt(float64(lg.Length))
@@ -348,24 +331,11 @@ func refreshLengthEntry(lg *grouping.LengthGroups, st float64, envRadius, topK i
 }
 
 // finishEntry derives the Dc-dependent state shared by the full and
-// incremental builders from the transient dense matrix: exact row sums, the
-// sum-sorted and median-expanded visit orders, the SP-Space merge
-// thresholds, and the retained top-k neighbor lists. After it returns the
+// incremental builders from the transient dense matrix: the SP-Space merge
+// thresholds and the retained top-k neighbor lists. After it returns the
 // dense buffer is unreferenced.
 func finishEntry(e *LengthEntry, st float64, dc denseDc, topK int) {
 	g := len(e.Groups)
-	for k := 0; k < g; k++ {
-		var sum float64
-		for l := 0; l < g; l++ {
-			sum += dc.at(k, l)
-		}
-		e.Sums[k] = sum
-		e.SumOrder[k] = k
-	}
-	sort.Slice(e.SumOrder, func(a, b int) bool {
-		return e.Sums[e.SumOrder[a]] < e.Sums[e.SumOrder[b]]
-	})
-	e.MedianOrder = medianExpand(e.SumOrder)
 	e.STHalf, e.STFinal = mergeThresholds(g, dc.at, st)
 
 	keep := retain(topK, g)
@@ -395,27 +365,6 @@ func finishEntry(e *LengthEntry, st float64, dc denseDc, topK int) {
 		}
 		e.TopK[k] = list
 	}
-}
-
-// medianExpand reorders sum-sorted indices to start at the median and
-// alternate left/right (Sec. 5.3's median-representative strategy).
-func medianExpand(sumOrder []int) []int {
-	n := len(sumOrder)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	mid := n / 2
-	out = append(out, sumOrder[mid])
-	for step := 1; len(out) < n; step++ {
-		if l := mid - step; l >= 0 {
-			out = append(out, sumOrder[l])
-		}
-		if r := mid + step; r < n {
-			out = append(out, sumOrder[r])
-		}
-	}
-	return out
 }
 
 // mergeThresholds simulates the Sec. 4.2 merge process: groups k and l merge
@@ -508,8 +457,7 @@ func (b *Base) TotalGroups() int {
 
 // SizeBytes estimates the resident size of the index structures, mirroring
 // the paper's Table 4 accounting with the sparse Dc layout: GTI (group
-// identifier vector, retained neighbor lists, row sums, visit orders,
-// thresholds) plus LSI (member identifiers with their EDs, representative
+// identifier vector, retained neighbor lists, thresholds) plus LSI (member identifiers with their EDs, representative
 // vectors, envelopes). The neighbor lists are counted at their actual
 // lengths — O(g·k), no longer the dense g² term.
 func (b *Base) SizeBytes() int64 {
@@ -524,9 +472,7 @@ func (b *Base) SizeBytes() int64 {
 		for _, nbs := range e.TopK {
 			total += int64(len(nbs)) * (intSize + floatSize) // sparse Dc rows
 		}
-		total += g * floatSize   // row sums
-		total += 2 * g * intSize // sum-sorted + median-expanded visit orders
-		total += 2 * floatSize   // STHalf, STFinal
+		total += 2 * floatSize // STHalf, STFinal
 		for k, grp := range e.Groups {
 			total += int64(grp.Count()) * (2*intSize + floatSize) // member ids + ED
 			total += int64(len(grp.Rep)) * floatSize              // representative

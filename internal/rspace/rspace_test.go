@@ -175,65 +175,6 @@ func TestDistinctRepsAreFartherThanST(t *testing.T) {
 	}
 }
 
-func TestSumOrderSorted(t *testing.T) {
-	b := buildBase(t, 0.2, []int{7})
-	e := b.Entry(7)
-	if len(e.SumOrder) != len(e.Groups) {
-		t.Fatalf("SumOrder length %d != groups %d", len(e.SumOrder), len(e.Groups))
-	}
-	seen := map[int]bool{}
-	for i, k := range e.SumOrder {
-		if seen[k] {
-			t.Fatalf("SumOrder repeats %d", k)
-		}
-		seen[k] = true
-		if i > 0 && e.Sums[e.SumOrder[i-1]] > e.Sums[k] {
-			t.Fatalf("SumOrder not ascending at %d", i)
-		}
-	}
-}
-
-func TestMedianExpand(t *testing.T) {
-	cases := []struct {
-		in, want []int
-	}{
-		{nil, nil},
-		{[]int{7}, []int{7}},
-		{[]int{1, 2}, []int{2, 1}},
-		{[]int{1, 2, 3}, []int{2, 1, 3}},
-		{[]int{1, 2, 3, 4, 5}, []int{3, 2, 4, 1, 5}},
-	}
-	for _, c := range cases {
-		got := medianExpand(c.in)
-		if len(got) != len(c.want) {
-			t.Fatalf("medianExpand(%v) = %v, want %v", c.in, got, c.want)
-		}
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Fatalf("medianExpand(%v) = %v, want %v", c.in, got, c.want)
-			}
-		}
-	}
-}
-
-func TestMedianOrderPrecomputed(t *testing.T) {
-	b := buildBase(t, 0.2, []int{7})
-	e := b.Entry(7)
-	if len(e.MedianOrder) != len(e.Groups) {
-		t.Fatalf("MedianOrder length %d != groups %d", len(e.MedianOrder), len(e.Groups))
-	}
-	seen := map[int]bool{}
-	for _, k := range e.MedianOrder {
-		if seen[k] {
-			t.Fatalf("MedianOrder repeats %d", k)
-		}
-		seen[k] = true
-	}
-	if len(e.Groups) > 0 && e.MedianOrder[0] != e.SumOrder[len(e.SumOrder)/2] {
-		t.Error("MedianOrder does not start at the median-sum representative")
-	}
-}
-
 func TestEnvelopesContainRep(t *testing.T) {
 	b := buildBase(t, 0.2, []int{6})
 	e := b.Entry(6)
@@ -480,10 +421,8 @@ func TestSizeBytesTracksRepresentation(t *testing.T) {
 	var want int64
 	for _, e := range b.Entries {
 		g := int64(len(e.Groups))
-		want += g * word     // group id vector
-		want += g * word     // sums
-		want += 2 * g * word // sum + median orders
-		want += 2 * word     // thresholds
+		want += g * word // group id vector
+		want += 2 * word // thresholds
 		for _, nbs := range e.TopK {
 			want += int64(len(nbs)) * 2 * word
 		}

@@ -43,11 +43,6 @@ func TestTopKInvariantDerivedState(t *testing.T) {
 		}
 		for _, l := range lengths {
 			be, re := b.Entry(l), ref.Entry(l)
-			if !reflect.DeepEqual(be.Sums, re.Sums) ||
-				!reflect.DeepEqual(be.SumOrder, re.SumOrder) ||
-				!reflect.DeepEqual(be.MedianOrder, re.MedianOrder) {
-				t.Errorf("TopK=%d length %d: scan-order state differs", k, l)
-			}
 			if be.STHalf != re.STHalf || be.STFinal != re.STFinal {
 				t.Errorf("TopK=%d length %d: thresholds differ", k, l)
 			}
@@ -105,9 +100,6 @@ func TestTopKSingleGroup(t *testing.T) {
 	}
 	if e.STHalf != b.ST || e.STFinal != b.ST {
 		t.Errorf("degenerate thresholds (%v,%v), want (%v,%v)", e.STHalf, e.STFinal, b.ST, b.ST)
-	}
-	if len(e.MedianOrder) != 1 || e.MedianOrder[0] != 0 {
-		t.Errorf("median order %v", e.MedianOrder)
 	}
 }
 
@@ -187,9 +179,6 @@ func TestRefreshSparseMatchesNew(t *testing.T) {
 			re := refreshed.Entries[l]
 			if !reflect.DeepEqual(fe.TopK, re.TopK) {
 				t.Errorf("TopK=%d length %d: neighbor lists differ", topK, l)
-			}
-			if !reflect.DeepEqual(fe.Sums, re.Sums) || !reflect.DeepEqual(fe.MedianOrder, re.MedianOrder) {
-				t.Errorf("TopK=%d length %d: scan-order state differs", topK, l)
 			}
 			if fe.STHalf != re.STHalf || fe.STFinal != re.STFinal {
 				t.Errorf("TopK=%d length %d: thresholds differ", topK, l)
@@ -271,14 +260,10 @@ func FuzzSparseRefresh(f *testing.F) {
 			for _, l := range lengths {
 				fe, re, de := fresh.Entry(l), refreshed.Entry(l), dense.Entry(l)
 				if !reflect.DeepEqual(fe.TopK, re.TopK) ||
-					!reflect.DeepEqual(fe.Sums, re.Sums) ||
-					!reflect.DeepEqual(fe.MedianOrder, re.MedianOrder) ||
 					fe.STHalf != re.STHalf || fe.STFinal != re.STFinal {
 					t.Fatalf("op %d length %d: refresh diverges from fresh derivation", i, l)
 				}
-				if !reflect.DeepEqual(fe.Sums, de.Sums) ||
-					!reflect.DeepEqual(fe.MedianOrder, de.MedianOrder) ||
-					fe.STHalf != de.STHalf || fe.STFinal != de.STFinal {
+				if fe.STHalf != de.STHalf || fe.STFinal != de.STFinal {
 					t.Fatalf("op %d length %d: sparse derived state diverges from dense", i, l)
 				}
 				for k, nbs := range fe.TopK {

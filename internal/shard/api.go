@@ -15,162 +15,107 @@ import (
 
 // ---- queries -----------------------------------------------------------
 //
-// Query methods take a context: a sharded engine fans per-shard work out
-// through its ShardTransports (goroutines in-process, HTTP calls when the
-// layout is remote), and a canceled or timed-out ctx stops the remaining
-// fan-out between rounds. Cancellation only ever abandons work — an answer
-// returned despite a racing cancel is still exact. The unsharded backend
-// answers synchronously in-process and ignores ctx. Seasonal queries read
-// the global grouping at the coordinator and take no ctx.
+// Query methods take a context: the engine fans per-shard work out through
+// its ShardTransports (inline for one in-process shard, goroutines past
+// one, HTTP calls when the layout is remote), and a canceled or timed-out
+// ctx stops the query between lengths and member rounds. Cancellation only
+// ever abandons work — an answer returned despite a racing cancel is still
+// exact. Seasonal queries read the global grouping at the coordinator and
+// take no ctx.
 
-// BestMatch answers Q1 — scattered across shards when the layout is sharded,
-// on the embedded single engine otherwise. Answers are identical either way.
+// BestMatch answers Q1; the answer is identical at every layout.
 func (e *Engine) BestMatch(ctx context.Context, q []float64, mode query.MatchMode) (query.Match, error) {
-	if e.mono != nil {
-		return e.mono.Proc.BestMatch(q, mode)
-	}
 	return e.scatter.BestMatch(ctx, q, mode)
 }
 
 // BestMatchObserved is BestMatch with optional span/work recording on a
 // non-nil rec (nil rec adds no overhead; answers are identical either way).
 func (e *Engine) BestMatchObserved(ctx context.Context, q []float64, mode query.MatchMode, rec *obs.Trace) (query.Match, error) {
-	if e.mono != nil {
-		m, _, err := e.mono.Proc.BestMatchObserved(q, mode, rec)
-		return m, err
-	}
 	return e.scatter.BestMatchObserved(ctx, q, mode, rec)
 }
 
 // BestMatchBatch answers many Q1 queries positionally with per-query errors.
 func (e *Engine) BestMatchBatch(ctx context.Context, qs [][]float64, mode query.MatchMode) []query.BatchResult {
-	if e.mono != nil {
-		return e.mono.Proc.BestMatchBatch(qs, mode)
-	}
 	return e.scatter.BestMatchBatch(ctx, qs, mode)
 }
 
 // BestKMatches answers the k-NN generalization of Q1.
 func (e *Engine) BestKMatches(ctx context.Context, q []float64, mode query.MatchMode, k int) ([]query.Match, error) {
-	if e.mono != nil {
-		return e.mono.Proc.BestKMatches(q, mode, k)
-	}
 	return e.scatter.BestKMatches(ctx, q, mode, k)
 }
 
 // BestKMatchesObserved is BestKMatches with optional span/work recording.
 func (e *Engine) BestKMatchesObserved(ctx context.Context, q []float64, mode query.MatchMode, k int, rec *obs.Trace) ([]query.Match, error) {
-	if e.mono != nil {
-		return e.mono.Proc.BestKMatchesObserved(q, mode, k, rec)
-	}
 	return e.scatter.BestKMatchesObserved(ctx, q, mode, k, rec)
 }
 
 // BestKMatchesBatch answers many k-NN queries positionally with per-query
 // errors; each item equals the corresponding BestKMatches call.
 func (e *Engine) BestKMatchesBatch(ctx context.Context, qs []query.KNNQuery) []query.KNNBatchResult {
-	if e.mono != nil {
-		return e.mono.Proc.BestKMatchesBatch(qs)
-	}
 	return e.scatter.BestKMatchesBatch(ctx, qs)
 }
 
 // RangeSearchBatch answers many range queries positionally with per-query
 // errors; each item equals the corresponding RangeSearch(Exact) call.
 func (e *Engine) RangeSearchBatch(ctx context.Context, qs []query.RangeQuery) []query.RangeBatchResult {
-	if e.mono != nil {
-		return e.mono.Proc.RangeSearchBatch(qs)
-	}
 	return e.scatter.RangeSearchBatch(ctx, qs)
 }
 
 // SeasonalBatch answers many seasonal queries positionally with per-query
 // errors; SeriesID < 0 selects the data-driven form.
 func (e *Engine) SeasonalBatch(qs []query.SeasonalQuery) []query.SeasonalBatchResult {
-	if e.mono != nil {
-		return e.mono.Proc.SeasonalBatch(qs)
-	}
 	return e.scatter.SeasonalBatch(qs)
 }
 
 // QueryCounters snapshots the engine's lifetime query work tally (queries
 // answered across every family plus the Q1 bound-pruning counters).
 func (e *Engine) QueryCounters() query.CountersSnapshot {
-	if e.mono != nil {
-		return e.mono.Proc.Counters().Snapshot()
-	}
 	return e.scatter.Counters().Snapshot()
 }
 
 // RangeSearch answers a range query (ST-upper-bound distances on the
 // guaranteed path).
 func (e *Engine) RangeSearch(ctx context.Context, q []float64, length int, radius float64) ([]query.RangeResult, error) {
-	if e.mono != nil {
-		return e.mono.Proc.RangeSearch(q, length, radius)
-	}
 	return e.scatter.RangeSearch(ctx, q, length, radius)
 }
 
 // RangeSearchExact answers a range query with exact distances everywhere.
 func (e *Engine) RangeSearchExact(ctx context.Context, q []float64, length int, radius float64) ([]query.RangeResult, error) {
-	if e.mono != nil {
-		return e.mono.Proc.RangeSearchExact(q, length, radius)
-	}
 	return e.scatter.RangeSearchExact(ctx, q, length, radius)
 }
 
 // RangeSearchObserved answers a range query with optional span/work
 // recording; exact selects the RangeSearchExact distance semantics.
 func (e *Engine) RangeSearchObserved(ctx context.Context, q []float64, length int, radius float64, exact bool, rec *obs.Trace) ([]query.RangeResult, error) {
-	if e.mono != nil {
-		return e.mono.Proc.RangeSearchObserved(q, length, radius, exact, rec)
-	}
 	return e.scatter.RangeSearchObserved(ctx, q, length, radius, exact, rec)
 }
 
 // SeasonalSample answers the user-driven class II query.
 func (e *Engine) SeasonalSample(seriesID, length int) ([]query.SeasonalGroup, error) {
-	if e.mono != nil {
-		return e.mono.Proc.SeasonalSample(seriesID, length)
-	}
 	return e.scatter.SeasonalSample(seriesID, length)
 }
 
 // SeasonalSampleObserved is SeasonalSample with optional span recording.
 func (e *Engine) SeasonalSampleObserved(seriesID, length int, rec *obs.Trace) ([]query.SeasonalGroup, error) {
-	if e.mono != nil {
-		return e.mono.Proc.SeasonalSampleObserved(seriesID, length, rec)
-	}
 	return e.scatter.SeasonalSampleObserved(seriesID, length, rec)
 }
 
 // SeasonalAll answers the data-driven class II query.
 func (e *Engine) SeasonalAll(length int) ([]query.SeasonalGroup, error) {
-	if e.mono != nil {
-		return e.mono.Proc.SeasonalAll(length)
-	}
 	return e.scatter.SeasonalAll(length)
 }
 
 // SeasonalAllObserved is SeasonalAll with optional span recording.
 func (e *Engine) SeasonalAllObserved(length int, rec *obs.Trace) ([]query.SeasonalGroup, error) {
-	if e.mono != nil {
-		return e.mono.Proc.SeasonalAllObserved(length, rec)
-	}
 	return e.scatter.SeasonalAllObserved(length, rec)
 }
 
 // Recommend answers the class III threshold recommendation. The critical
-// values come from the ONE global grouping every layout shares — computed
-// at assemble time with on-demand inter-representative distances
-// (rspace.MergeThresholdsFor), never aggregated from per-shard structures —
-// so the recommendation is bit-identical to the unsharded engine's at every
-// shard count. length < 0 selects the dataset-global values, mirroring
-// rspace.Base.Recommend.
+// values come from the ONE global grouping every layout shares (see
+// assemble), never aggregated from per-shard structures, so the
+// recommendation is bit-identical at every shard count. length < 0 selects
+// the dataset-global values, mirroring rspace.Base.Recommend.
 func (e *Engine) Recommend(d rspace.Degree, length int) (lo, hi float64, err error) {
-	if e.mono != nil {
-		return e.mono.Base.Recommend(d, length)
-	}
 	half, final, err := e.globalCriticalValues(length)
 	if err != nil {
 		return 0, 0, err
@@ -187,15 +132,9 @@ func (e *Engine) Recommend(d rspace.Degree, length int) (lo, hi float64, err err
 	}
 }
 
-// DegreeOf classifies a threshold on the engine's S/M/L scale. The
-// classification reads the precomputed dataset-global critical values
-// (which exist for every assembled engine, so no error path remains —
-// the previous implementation silently discarded a lookup error and
-// classified against zero thresholds).
+// DegreeOf classifies a threshold on the engine's S/M/L scale against the
+// precomputed dataset-global critical values.
 func (e *Engine) DegreeOf(st float64) rspace.Degree {
-	if e.mono != nil {
-		return e.mono.Base.DegreeOf(st)
-	}
 	switch {
 	case st < e.globalSTHalf:
 		return rspace.Strict
@@ -219,113 +158,95 @@ func (e *Engine) globalCriticalValues(length int) (half, final float64, err erro
 	return half, e.spFinal[length], nil
 }
 
-// WithThreshold adapts the engine to a new similarity threshold (Sec. 5.2).
-// Sharded layouts refuse: the split/merge adaptation operates on the global
-// inter-representative structure the sharded layout partitions away —
-// rebuild at the new threshold (or adapt an unsharded base) instead.
+// WithThreshold adapts the engine to a new similarity threshold via the
+// Sec. 5.2 split/merge rules, returning a new engine over the adapted
+// grouping; the receiver is unchanged. Adapted engines answer every query
+// class (and adapt again) but cannot be extended, appended to or saved —
+// grow or persist the original base, then re-adapt.
+//
+// Only the one-shard in-process layout adapts: the merge rule reads
+// inter-representative distances across the whole grouping, which the
+// other layouts partition away. Those refuse — rebuild at the new
+// threshold (or adapt a one-shard base) instead.
 func (e *Engine) WithThreshold(stPrime float64) (*Engine, error) {
-	if e.mono != nil {
-		mono, err := e.mono.WithThreshold(stPrime)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{mono: mono}, nil
+	if !e.whole() {
+		return nil, errors.New("shard: sharded bases cannot adapt thresholds in place; rebuild with the new ST (or adapt an unsharded base)")
 	}
-	return nil, errors.New("shard: sharded bases cannot adapt thresholds in place; rebuild with the new ST (or adapt an unsharded base)")
+	start := time.Now()
+	adapted, err := e.parts[0].proc.AdaptThreshold(stPrime)
+	if err != nil {
+		return nil, err
+	}
+	next := &Engine{
+		shards: 1, cfg: e.cfg, normMin: e.normMin, normMax: e.normMax,
+		data: e.data, grouped: adapted, adapted: true,
+	}
+	if err := next.assemble(nil, nil, nil); err != nil {
+		return nil, err
+	}
+	next.buildTime = time.Since(start)
+	return next, nil
 }
 
 // ---- accessors ---------------------------------------------------------
 
 // ST returns the build similarity threshold.
 func (e *Engine) ST() float64 {
-	if e.mono != nil {
-		return e.mono.Base.ST
-	}
 	return e.grouped.ST
 }
 
 // Name returns the dataset name.
 func (e *Engine) Name() string {
-	if e.mono != nil {
-		return e.mono.Base.Dataset.Name
-	}
 	return e.data.Name
 }
 
 // NumSeries returns the number of indexed series.
 func (e *Engine) NumSeries() int {
-	if e.mono != nil {
-		return e.mono.Base.Dataset.N()
-	}
 	return e.data.N()
 }
 
 // Lengths returns the indexed subsequence lengths, ascending (a fresh
 // slice).
 func (e *Engine) Lengths() []int {
-	if e.mono != nil {
-		return append([]int(nil), e.mono.Base.Lengths...)
-	}
 	return append([]int(nil), e.grouped.Lengths...)
 }
 
 // Window returns the normalized values of one indexed subsequence. The
 // slice aliases the engine's (immutable) data; callers must not mutate it.
 func (e *Engine) Window(seriesID, start, length int) []float64 {
-	if e.mono != nil {
-		return e.mono.Base.Dataset.Series[seriesID].Values[start : start+length]
-	}
 	return e.data.Series[seriesID].Values[start : start+length]
 }
 
 // Drift reports the incremental-member fraction since the last full build.
 func (e *Engine) Drift() float64 {
-	if e.mono != nil {
-		return e.mono.Drift()
-	}
 	return e.grouped.Drift()
 }
 
 // BuildTime reports the offline construction cost (or, after a snapshot
 // reload, the original build's).
 func (e *Engine) BuildTime() time.Duration {
-	if e.mono != nil {
-		return e.mono.BuildTime
-	}
 	return e.buildTime
 }
 
 // Rebuilds counts drift-triggered full rebuilds along the maintenance
 // lineage.
 func (e *Engine) Rebuilds() int64 {
-	if e.mono != nil {
-		return e.mono.Rebuilds()
-	}
 	return e.rebuilds
 }
 
 // LastRebuild is the wall-clock cost of the most recent drift-triggered
 // rebuild (zero if none).
 func (e *Engine) LastRebuild() time.Duration {
-	if e.mono != nil {
-		return e.mono.LastRebuild()
-	}
 	return e.lastRebuild
 }
 
 // TotalGroups counts representatives across all lengths.
 func (e *Engine) TotalGroups() int {
-	if e.mono != nil {
-		return e.mono.Base.TotalGroups()
-	}
 	return e.grouped.TotalGroups()
 }
 
 // TotalSubseq counts indexed subsequences.
 func (e *Engine) TotalSubseq() int64 {
-	if e.mono != nil {
-		return e.mono.Base.TotalSubseq
-	}
 	return e.grouped.TotalSubseq
 }
 
@@ -333,9 +254,6 @@ func (e *Engine) TotalSubseq() int64 {
 // sum of the per-shard GTI+LSI structures (sparse top-k Dc neighbor lists,
 // envelopes and scan orders over each shard's restricted group sets).
 func (e *Engine) SizeBytes() int64 {
-	if e.mono != nil {
-		return e.mono.Base.SizeBytes()
-	}
 	var total int64
 	for _, p := range e.parts {
 		total += p.transport.Stats().IndexBytes
@@ -347,17 +265,11 @@ func (e *Engine) SizeBytes() int64 {
 // from the global grouping (bit-identical at every shard count; see
 // Recommend).
 func (e *Engine) STHalf() float64 {
-	if e.mono != nil {
-		return e.mono.Base.GlobalSTHalf
-	}
 	return e.globalSTHalf
 }
 
 // STFinal returns the dataset-global all-merge critical threshold.
 func (e *Engine) STFinal() float64 {
-	if e.mono != nil {
-		return e.mono.Base.GlobalSTFinal
-	}
 	return e.globalSTFinal
 }
 
@@ -378,26 +290,13 @@ type Stat struct {
 	IndexBytes int64
 }
 
-// ShardCount reports the serving layout (1 for unsharded engines).
+// ShardCount reports the serving layout's shard count (≥ 1).
 func (e *Engine) ShardCount() int {
-	if e.mono != nil {
-		return 1
-	}
 	return e.shards
 }
 
-// ShardStats describes each shard of the layout; unsharded engines report
-// one shard covering everything.
+// ShardStats describes each shard of the layout.
 func (e *Engine) ShardStats() []Stat {
-	if e.mono != nil {
-		return []Stat{{
-			Shard:        0,
-			Series:       e.mono.Base.Dataset.N(),
-			Groups:       e.mono.Base.TotalGroups(),
-			Subsequences: e.mono.Base.TotalSubseq,
-			IndexBytes:   e.mono.Base.SizeBytes(),
-		}}
-	}
 	out := make([]Stat, len(e.parts))
 	for s, p := range e.parts {
 		st := p.transport.Stats()
@@ -415,9 +314,6 @@ func (e *Engine) ShardStats() []Stat {
 // WorkerURLs reports the remote worker processes serving the layout (a
 // fresh slice; empty for in-process layouts).
 func (e *Engine) WorkerURLs() []string {
-	if e.mono != nil {
-		return nil
-	}
 	return append([]string(nil), e.workerURLs...)
 }
 
@@ -426,9 +322,6 @@ func (e *Engine) WorkerURLs() []string {
 // transports — between engine incarnations, so close only the final engine
 // of a lineage, at shutdown.
 func (e *Engine) Close() error {
-	if e.mono != nil {
-		return nil
-	}
 	var first error
 	for _, p := range e.parts {
 		if p.transport == nil {
@@ -452,12 +345,6 @@ func (e *Engine) LayoutSignature() uint64 {
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
-	}
-	if e.mono != nil {
-		put(uint64(e.mono.Base.Dataset.N()))
-		put(uint64(e.mono.Base.TotalSubseq))
-		put(1)
-		return h.Sum64()
 	}
 	for _, p := range e.parts {
 		put(uint64(len(p.series)))

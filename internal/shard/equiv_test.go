@@ -14,17 +14,16 @@ import (
 	"onex/internal/ts"
 )
 
-// The acceptance property of the sharded engine: over the same data, a
-// Shards=N engine answers BestMatch, BestKMatches, RangeSearch(Exact) and
-// both seasonal queries identically (within 1e-12 on distances, exactly on
-// identities) to the Shards=1 / plain-core path, at every parallelism, and
-// across Append/Extend maintenance interleavings.
+// The acceptance property of the engine: over the same data, a Shards=N
+// layout answers BestMatch, BestKMatches, RangeSearch(Exact) and both
+// seasonal queries identically (within 1e-12 on distances, exactly on
+// identities and group ids) to the one-shard layout, at every parallelism,
+// and across Append/Extend maintenance interleavings.
 
 const equivTol = 1e-12
 
-// randomDataset builds a ragged random-walk dataset: continuous values, so
-// no two distinct windows tie on exact DTW (the only case where scan-order
-// tie-breaking could differ between layouts).
+// randomDataset builds a ragged random-walk dataset of continuous values
+// (no two distinct windows tie on exact DTW; tie_test.go covers ties).
 func randomDataset(r *rand.Rand, n, baseLen int) *ts.Dataset {
 	d := &ts.Dataset{Name: "equiv"}
 	for i := 0; i < n; i++ {
@@ -67,9 +66,9 @@ func randomQueries(r *rand.Rand, d *ts.Dataset, lengths []int, count int) [][]fl
 
 func matchesEqual(t *testing.T, ctx string, a, b query.Match) {
 	t.Helper()
-	if a.SeriesID != b.SeriesID || a.Start != b.Start || a.Length != b.Length {
-		t.Fatalf("%s: match identity diverged: (%d,%d,%d) vs (%d,%d,%d)",
-			ctx, a.SeriesID, a.Start, a.Length, b.SeriesID, b.Start, b.Length)
+	if a.SeriesID != b.SeriesID || a.Start != b.Start || a.Length != b.Length || a.GroupID != b.GroupID {
+		t.Fatalf("%s: match identity diverged: (%d,%d,%d) group %d vs (%d,%d,%d) group %d",
+			ctx, a.SeriesID, a.Start, a.Length, a.GroupID, b.SeriesID, b.Start, b.Length, b.GroupID)
 	}
 	if math.Abs(a.Dist-b.Dist) > equivTol {
 		t.Fatalf("%s: distance diverged: %v vs %v", ctx, a.Dist, b.Dist)
@@ -88,12 +87,12 @@ func sortRange(rs []query.RangeResult) {
 
 // compareEngines drives the full query mix against both engines and demands
 // identical answers.
-func compareEngines(t *testing.T, ctx string, mono, sharded *Engine, queries [][]float64, lengths []int, st float64) {
+func compareEngines(t *testing.T, ctx string, one, sharded *Engine, queries [][]float64, lengths []int, st float64) {
 	t.Helper()
 	for qi, q := range queries {
 		for _, mode := range []query.MatchMode{query.MatchAny, query.MatchExact} {
 			mctx := fmt.Sprintf("%s q%d mode%d", ctx, qi, mode)
-			am, aerr := mono.BestMatch(context.Background(), q, mode)
+			am, aerr := one.BestMatch(context.Background(), q, mode)
 			bm, berr := sharded.BestMatch(context.Background(), q, mode)
 			if (aerr == nil) != (berr == nil) {
 				t.Fatalf("%s: BestMatch error diverged: %v vs %v", mctx, aerr, berr)
@@ -102,7 +101,7 @@ func compareEngines(t *testing.T, ctx string, mono, sharded *Engine, queries [][
 				matchesEqual(t, mctx+" best", am, bm)
 			}
 
-			ak, aerr := mono.BestKMatches(context.Background(), q, mode, 4)
+			ak, aerr := one.BestKMatches(context.Background(), q, mode, 4)
 			bk, berr := sharded.BestKMatches(context.Background(), q, mode, 4)
 			if (aerr == nil) != (berr == nil) {
 				t.Fatalf("%s: BestKMatches error diverged: %v vs %v", mctx, aerr, berr)
@@ -133,10 +132,10 @@ func compareEngines(t *testing.T, ctx string, mono, sharded *Engine, queries [][
 				var ar, br []query.RangeResult
 				var aerr, berr error
 				if exact {
-					ar, aerr = mono.RangeSearchExact(context.Background(), rq, length, radius)
+					ar, aerr = one.RangeSearchExact(context.Background(), rq, length, radius)
 					br, berr = sharded.RangeSearchExact(context.Background(), rq, length, radius)
 				} else {
-					ar, aerr = mono.RangeSearch(context.Background(), rq, length, radius)
+					ar, aerr = one.RangeSearch(context.Background(), rq, length, radius)
 					br, berr = sharded.RangeSearch(context.Background(), rq, length, radius)
 				}
 				if (aerr == nil) != (berr == nil) {
@@ -165,14 +164,14 @@ func compareEngines(t *testing.T, ctx string, mono, sharded *Engine, queries [][
 
 	// Seasonal queries: identical groups, ids, members, order.
 	for _, length := range lengths {
-		for sid := -1; sid < mono.NumSeries(); sid += 3 {
+		for sid := -1; sid < one.NumSeries(); sid += 3 {
 			var ag, bg []query.SeasonalGroup
 			var aerr, berr error
 			if sid < 0 {
-				ag, aerr = mono.SeasonalAll(length)
+				ag, aerr = one.SeasonalAll(length)
 				bg, berr = sharded.SeasonalAll(length)
 			} else {
-				ag, aerr = mono.SeasonalSample(sid, length)
+				ag, aerr = one.SeasonalSample(sid, length)
 				bg, berr = sharded.SeasonalSample(sid, length)
 			}
 			sctx := fmt.Sprintf("%s seasonal l=%d sid=%d", ctx, length, sid)
@@ -203,7 +202,7 @@ func compareEngines(t *testing.T, ctx string, mono, sharded *Engine, queries [][
 
 	// Batch answers must equal their single-query counterparts across both
 	// engines.
-	amb := mono.BestMatchBatch(context.Background(), queries, query.MatchAny)
+	amb := one.BestMatchBatch(context.Background(), queries, query.MatchAny)
 	bmb := sharded.BestMatchBatch(context.Background(), queries, query.MatchAny)
 	for i := range amb {
 		if (amb[i].Err == nil) != (bmb[i].Err == nil) {
@@ -217,13 +216,13 @@ func compareEngines(t *testing.T, ctx string, mono, sharded *Engine, queries [][
 	// SP-Space guidance surface: bit-identical (==, no tolerance) at every
 	// layout — the sharded engine computes the critical values from the one
 	// global grouping, not from per-shard aggregates.
-	if mono.STHalf() != sharded.STHalf() || mono.STFinal() != sharded.STFinal() {
+	if one.STHalf() != sharded.STHalf() || one.STFinal() != sharded.STFinal() {
 		t.Fatalf("%s: critical values diverged: (%v,%v) vs (%v,%v)",
-			ctx, mono.STHalf(), mono.STFinal(), sharded.STHalf(), sharded.STFinal())
+			ctx, one.STHalf(), one.STFinal(), sharded.STHalf(), sharded.STFinal())
 	}
 	for _, length := range append([]int{-1, lengths[0] + 1}, lengths...) {
 		for _, deg := range []rspace.Degree{rspace.Strict, rspace.Medium, rspace.Loose} {
-			alo, ahi, aerr := mono.Recommend(deg, length)
+			alo, ahi, aerr := one.Recommend(deg, length)
 			blo, bhi, berr := sharded.Recommend(deg, length)
 			if (aerr == nil) != (berr == nil) {
 				t.Fatalf("%s: Recommend(%v,%d) error diverged: %v vs %v", ctx, deg, length, aerr, berr)
@@ -234,8 +233,8 @@ func compareEngines(t *testing.T, ctx string, mono, sharded *Engine, queries [][
 			}
 		}
 	}
-	for _, probe := range []float64{0, st * 0.5, mono.STHalf(), mono.STFinal(), st * 3} {
-		if a, b := mono.DegreeOf(probe), sharded.DegreeOf(probe); a != b {
+	for _, probe := range []float64{0, st * 0.5, one.STHalf(), one.STFinal(), st * 3} {
+		if a, b := one.DegreeOf(probe), sharded.DegreeOf(probe); a != b {
 			t.Fatalf("%s: DegreeOf(%v) diverged: %v vs %v", ctx, probe, a, b)
 		}
 	}
@@ -257,7 +256,7 @@ func TestShardEquivalence(t *testing.T) {
 						Workers: parallelism,
 						Query:   query.Options{Parallelism: parallelism},
 					}
-					mono, err := Build(d, cfg, 1, nil)
+					one, err := Build(d, cfg, 1, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -269,7 +268,7 @@ func TestShardEquivalence(t *testing.T) {
 						t.Fatalf("ShardCount = %d, want %d", got, shards)
 					}
 					queries := randomQueries(r, d, lengths, 10)
-					compareEngines(t, "built", mono, sharded, queries, lengths, st)
+					compareEngines(t, "built", one, sharded, queries, lengths, st)
 				})
 			}
 		}
@@ -293,7 +292,7 @@ func TestShardEquivalenceMaintenance(t *testing.T) {
 					RebuildDrift: 0.2, // make some steps rebuild
 					Query:        query.Options{Parallelism: parallelism},
 				}
-				mono, err := Build(d, cfg, 1, nil)
+				one, err := Build(d, cfg, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -303,22 +302,22 @@ func TestShardEquivalenceMaintenance(t *testing.T) {
 				}
 				for step := 0; step < 6; step++ {
 					if step%2 == 0 {
-						sid := r.Intn(mono.NumSeries())
+						sid := r.Intn(one.NumSeries())
 						pts := make([]float64, 4+r.Intn(8))
-						x := mono.Window(sid, mono.monoOrData().Series[sid].Len()-1, 1)[0]
+						x := one.Window(sid, one.data.Series[sid].Len()-1, 1)[0]
 						for j := range pts {
 							x += r.NormFloat64() * 0.05
 							pts[j] = x
 						}
-						m2, err := mono.Append(sid, pts)
+						m2, err := one.Append(sid, pts)
 						if err != nil {
-							t.Fatalf("step %d mono append: %v", step, err)
+							t.Fatalf("step %d one append: %v", step, err)
 						}
 						s2, err := sharded.Append(sid, pts)
 						if err != nil {
 							t.Fatalf("step %d sharded append: %v", step, err)
 						}
-						mono, sharded = m2, s2
+						one, sharded = m2, s2
 					} else {
 						extra := make([]*ts.Series, 1+r.Intn(2))
 						for i := range extra {
@@ -330,38 +329,29 @@ func TestShardEquivalenceMaintenance(t *testing.T) {
 							}
 							extra[i] = &ts.Series{Label: "new", Values: v}
 						}
-						m2, err := mono.Extend(extra)
+						m2, err := one.Extend(extra)
 						if err != nil {
-							t.Fatalf("step %d mono extend: %v", step, err)
+							t.Fatalf("step %d one extend: %v", step, err)
 						}
 						s2, err := sharded.Extend(extra)
 						if err != nil {
 							t.Fatalf("step %d sharded extend: %v", step, err)
 						}
-						mono, sharded = m2, s2
+						one, sharded = m2, s2
 					}
-					if md, sd := mono.Drift(), sharded.Drift(); math.Abs(md-sd) > equivTol {
+					if md, sd := one.Drift(), sharded.Drift(); math.Abs(md-sd) > equivTol {
 						t.Fatalf("step %d: drift diverged: %v vs %v", step, md, sd)
 					}
-					queries := randomQueries(r, mono.monoOrData(), lengths, 6)
-					compareEngines(t, fmt.Sprintf("step%d", step), mono, sharded, queries, lengths, st)
+					queries := randomQueries(r, one.data, lengths, 6)
+					compareEngines(t, fmt.Sprintf("step%d", step), one, sharded, queries, lengths, st)
 				}
-				if mono.Rebuilds() == 0 {
+				if one.Rebuilds() == 0 {
 					t.Error("maintenance interleaving never crossed the rebuild threshold; weaken RebuildDrift")
 				}
-				if mono.Rebuilds() != sharded.Rebuilds() {
-					t.Errorf("rebuild counters diverged: mono %d, sharded %d", mono.Rebuilds(), sharded.Rebuilds())
+				if one.Rebuilds() != sharded.Rebuilds() {
+					t.Errorf("rebuild counters diverged: one %d, sharded %d", one.Rebuilds(), sharded.Rebuilds())
 				}
 			})
 		}
 	}
-}
-
-// monoOrData exposes the engine's normalized dataset to the test harness
-// (query generation needs series lengths after maintenance).
-func (e *Engine) monoOrData() *ts.Dataset {
-	if e.mono != nil {
-		return e.mono.Base.Dataset
-	}
-	return e.data
 }

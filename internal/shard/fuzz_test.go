@@ -89,22 +89,20 @@ func FuzzShardRouting(f *testing.F) {
 
 			// Routing is stable: the grown series' shard is a pure function
 			// of (sid, shards).
-			if e.mono == nil {
-				home := ShardOf(sid, e.shards)
-				found := false
-				for _, gid := range e.parts[home].series {
-					if gid == sid {
-						found = true
-					}
+			home := ShardOf(sid, e.shards)
+			found := false
+			for _, gid := range e.parts[home].series {
+				if gid == sid {
+					found = true
 				}
-				if !found {
-					t.Fatalf("op %d: series %d not resident in its home shard %d", i, sid, home)
-				}
+			}
+			if !found {
+				t.Fatalf("op %d: series %d not resident in its home shard %d", i, sid, home)
 			}
 		}
 
 		// The engine must account for every window of the final data.
-		if got, wantN := e.TotalSubseq(), e.monoOrData().SubseqCount(lengths); got != wantN {
+		if got, wantN := e.TotalSubseq(), e.data.SubseqCount(lengths); got != wantN {
 			t.Fatalf("subsequence accounting broken: %d indexed, %d in data", got, wantN)
 		}
 
@@ -122,7 +120,7 @@ func FuzzShardRouting(f *testing.F) {
 		if m.SeriesID < 0 || m.SeriesID >= e.NumSeries() || math.IsNaN(m.Dist) || math.IsInf(m.Dist, 0) {
 			t.Fatalf("malformed match %+v over %d series", m, e.NumSeries())
 		}
-		if w := e.monoOrData().Series[m.SeriesID]; !w.CheckRange(m.Start, m.Length) {
+		if w := e.data.Series[m.SeriesID]; !w.CheckRange(m.Start, m.Length) {
 			t.Fatalf("match %+v outside its series (len %d)", m, w.Len())
 		}
 	})

@@ -10,29 +10,36 @@ import (
 	"onex/internal/ts"
 )
 
-// Append grows one series in time, routing the maintenance work through the
-// series' home shard: the global assignment rule runs once (identical to
-// the unsharded path, so answers stay layout-invariant), then only the
-// shards holding a touched or new group — plus the home shard, whose data
-// grew — re-derive their index layers; every other shard is reused
-// wholesale. The amortized rebuild policy applies exactly as in
-// core.Engine.Append: crossing Options.RebuildDrift re-runs the full global
-// build (pinned to the indexed length set) and re-derives every shard.
+// Append grows one existing series in time: the points are appended to the
+// series and only the suffix subsequences — windows overlapping the new
+// points — are pushed through the Algorithm 1 assignment rule
+// (grouping.AppendPoints), once and globally, so answers stay
+// layout-invariant. Then only the shards holding a touched or new group —
+// plus the home shard, whose data grew — refresh their index layers; every
+// other shard is reused wholesale. Maintenance therefore costs
+// O(new-subsequences × g × L) distance work instead of a rebuild. When the
+// accumulated drift would cross BuildConfig.RebuildDrift the full global
+// build re-runs over the final data instead (see maintainOrRebuild).
+//
+// The receiver stays valid and unchanged; a new engine is returned. Points
+// are scaled into the indexed value space by core.ScaleAppendPoints.
 func (e *Engine) Append(seriesID int, points []float64) (*Engine, error) {
-	if e.mono != nil {
-		mono, err := e.mono.Append(seriesID, points)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{mono: mono}, nil
-	}
 	if len(points) == 0 {
 		return nil, errors.New("core: no points to append")
+	}
+	if e.adapted {
+		return nil, errors.New("shard: threshold-adapted engines cannot be appended to; append to the original base first")
 	}
 	scaled, err := core.ScaleAppendPoints(e.cfg.Normalize, e.normMin, e.normMax, points)
 	if err != nil {
 		return nil, err
 	}
+	// Copy-on-write clone: indexed observations are immutable, so the grown
+	// base shares every series' backing array; Dataset.AppendPoints moves
+	// the grown series onto a freshly-owned array (never writing through a
+	// shared one) and rejects non-finite values — NaN and ±Inf survive the
+	// affine scaling, so validating scaled covers raw. An append therefore
+	// costs O(series + grown-series length) in copying, not O(total points).
 	work := e.data.CloneShared()
 	oldLens := make([]int, work.N())
 	for i, s := range work.Series {
@@ -41,6 +48,8 @@ func (e *Engine) Append(seriesID int, points []float64) (*Engine, error) {
 	if err := work.AppendPoints(seriesID, scaled); err != nil {
 		return nil, err
 	}
+	// Count the windows this append creates to decide incrementally-vs-
+	// rebuild before paying for either.
 	var newCount int64
 	for _, l := range e.grouped.Lengths {
 		lo, hi := work.Series[seriesID].NewWindowStarts(oldLens[seriesID], l)
@@ -52,20 +61,20 @@ func (e *Engine) Append(seriesID int, points []float64) (*Engine, error) {
 		})
 }
 
-// Extend adds series to the base incrementally. New series ids continue
-// after the existing ones and hash to their shards without disturbing the
-// placement of old series; the global assignment rule runs once and only
-// the affected shards re-derive.
+// Extend adds series to the base incrementally: the new series join the
+// existing similarity groups via the Algorithm 1 assignment rule (only the
+// new subsequences are clustered, once and globally), then only the affected
+// shards refresh. New series ids continue after the existing ones and hash
+// to their shards without disturbing the placement of old series. Like
+// Append, Extend participates in the amortized rebuild policy, and the
+// receiver stays valid and unchanged. New series are scaled into the
+// indexed value space by core.ScaleNewSeries.
 func (e *Engine) Extend(newSeries []*ts.Series) (*Engine, error) {
-	if e.mono != nil {
-		mono, err := e.mono.Extend(newSeries)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{mono: mono}, nil
-	}
 	if len(newSeries) == 0 {
 		return nil, errors.New("core: no series to add")
+	}
+	if e.adapted {
+		return nil, errors.New("shard: threshold-adapted engines cannot be extended; extend the original base first")
 	}
 	work := e.data.CloneShared()
 	from := work.N()
@@ -74,6 +83,9 @@ func (e *Engine) Extend(newSeries []*ts.Series) (*Engine, error) {
 		if s == nil || s.Len() == 0 {
 			return nil, errors.New("core: empty new series")
 		}
+		// Reject non-finite values at the boundary, as Build (Validate) and
+		// Append (Dataset.AppendPoints) do — a NaN window would found a
+		// group with a NaN representative and poison every later query.
 		if i := ts.CheckFinite(s.Values); i >= 0 {
 			return nil, fmt.Errorf("core: new series has non-finite value %v at index %d", s.Values[i], i)
 		}
@@ -106,12 +118,20 @@ func (e *Engine) maintenanceConfig() grouping.Config {
 	}
 }
 
-// maintainOrRebuild finishes a maintenance step over the grown dataset,
-// applying the exact rebuild decision rule of the unsharded engine
-// (core.RebuildDue over the global drift counters) so a sharded base
-// rebuilds at precisely the same appends a Shards=1 base would. homes lists
-// the shards whose data grew; shards holding a touched group join them in
-// re-deriving their index layers, everything else is reused.
+// maintainOrRebuild finishes a maintenance step over the grown dataset work:
+// when absorbing newCount more incremental members would push drift past
+// BuildConfig.RebuildDrift (core.RebuildDue over the global drift counters,
+// so every layout rebuilds at precisely the same appends), the full
+// Algorithm 1 build re-runs over the final data and every shard re-derives;
+// otherwise the incremental step runs and the affected shards refresh from
+// the returned delta. homes lists the shards whose data grew; shards holding
+// a touched group join them, everything else is reused. The rebuild's
+// length set is pinned to the currently-indexed lengths — never re-resolved
+// from the grown data — so crossing the drift threshold can never change
+// which query lengths the base answers; within that set the result is
+// exactly what a from-scratch Build over this dataset would produce.
+// Progress/Cancel flow like the original build's, so a serving layer can
+// abort a maintenance-triggered rebuild on shutdown.
 func (e *Engine) maintainOrRebuild(work *ts.Dataset, newCount int64, homes []int,
 	incremental func() (*grouping.Result, *grouping.Delta, error)) (*Engine, error) {
 
@@ -125,7 +145,7 @@ func (e *Engine) maintainOrRebuild(work *ts.Dataset, newCount int64, homes []int
 	if rebuild {
 		gr, err := grouping.Build(work, grouping.Config{
 			ST:       e.cfg.ST,
-			Lengths:  e.grouped.Lengths, // pinned: the query surface never changes
+			Lengths:  e.grouped.Lengths,
 			Seed:     e.cfg.Seed,
 			Workers:  e.cfg.Workers,
 			Progress: e.cfg.Progress,

@@ -21,7 +21,7 @@ import (
 
 // The distributed acceptance property: an engine whose shards live in
 // remote worker processes must answer the full query mix bit-identically
-// to both the in-process sharded engine and the monolith — including while
+// to both the in-process sharded engine and the one-shard layout — including while
 // workers are killed and restarted mid-query (the client re-ships the
 // shard state and retries).
 
@@ -76,7 +76,7 @@ func startWorkers(t *testing.T, n int) ([]string, []*swapWorker) {
 // TestRemoteEquivalence: across parallelism {1,8} and shard counts {1,3},
 // a worker-served engine answers the full query mix (best match, k-NN,
 // range plain/exact, seasonal, batch, SP-Space guidance) identically to
-// the monolith AND to the in-process sharded engine.
+// the one-shard layout AND to the in-process sharded engine.
 func TestRemoteEquivalence(t *testing.T) {
 	lengths := []int{8, 12, 16}
 	const st = 0.35
@@ -91,7 +91,7 @@ func TestRemoteEquivalence(t *testing.T) {
 					Query:   query.Options{Parallelism: parallelism},
 				}
 				urls, _ := startWorkers(t, 2)
-				mono, err := Build(d, cfg, 1, nil)
+				one, err := Build(d, cfg, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +111,7 @@ func TestRemoteEquivalence(t *testing.T) {
 					t.Fatalf("WorkerURLs = %v, want the 2 configured workers", ws)
 				}
 				queries := randomQueries(r, d, lengths, 8)
-				compareEngines(t, "mono-vs-remote", mono, remote, queries, lengths, st)
+				compareEngines(t, "one-vs-remote", one, remote, queries, lengths, st)
 				compareEngines(t, "local-vs-remote", local, remote, queries, lengths, st)
 			})
 		}
@@ -120,7 +120,7 @@ func TestRemoteEquivalence(t *testing.T) {
 
 // TestRemoteMaintenanceEquivalence: Append/Extend on a worker-served engine
 // ship fresh generations for the affected shards and keep answering
-// identically to the maintained monolith.
+// identically to the maintained one-shard engine.
 func TestRemoteMaintenanceEquivalence(t *testing.T) {
 	lengths := []int{8, 12}
 	const st = 0.35
@@ -131,7 +131,7 @@ func TestRemoteMaintenanceEquivalence(t *testing.T) {
 		Query: query.Options{Parallelism: 2},
 	}
 	urls, _ := startWorkers(t, 2)
-	mono, err := Build(d, cfg, 1, nil)
+	one, err := Build(d, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,22 +141,22 @@ func TestRemoteMaintenanceEquivalence(t *testing.T) {
 	}
 	for step := 0; step < 4; step++ {
 		if step%2 == 0 {
-			sid := r.Intn(mono.NumSeries())
+			sid := r.Intn(one.NumSeries())
 			pts := make([]float64, 4+r.Intn(6))
-			x := mono.Window(sid, mono.monoOrData().Series[sid].Len()-1, 1)[0]
+			x := one.Window(sid, one.data.Series[sid].Len()-1, 1)[0]
 			for j := range pts {
 				x += r.NormFloat64() * 0.05
 				pts[j] = x
 			}
-			m2, err := mono.Append(sid, pts)
+			m2, err := one.Append(sid, pts)
 			if err != nil {
-				t.Fatalf("step %d mono append: %v", step, err)
+				t.Fatalf("step %d one append: %v", step, err)
 			}
 			r2, err := remote.Append(sid, pts)
 			if err != nil {
 				t.Fatalf("step %d remote append: %v", step, err)
 			}
-			mono, remote = m2, r2
+			one, remote = m2, r2
 		} else {
 			v := make([]float64, 24+r.Intn(8))
 			x := r.Float64() * 4
@@ -165,18 +165,18 @@ func TestRemoteMaintenanceEquivalence(t *testing.T) {
 				v[j] = x
 			}
 			extra := []*ts.Series{{Label: "new", Values: v}}
-			m2, err := mono.Extend(extra)
+			m2, err := one.Extend(extra)
 			if err != nil {
-				t.Fatalf("step %d mono extend: %v", step, err)
+				t.Fatalf("step %d one extend: %v", step, err)
 			}
 			r2, err := remote.Extend(extra)
 			if err != nil {
 				t.Fatalf("step %d remote extend: %v", step, err)
 			}
-			mono, remote = m2, r2
+			one, remote = m2, r2
 		}
-		queries := randomQueries(r, mono.monoOrData(), lengths, 4)
-		compareEngines(t, fmt.Sprintf("step%d", step), mono, remote, queries, lengths, st)
+		queries := randomQueries(r, one.data, lengths, 4)
+		compareEngines(t, fmt.Sprintf("step%d", step), one, remote, queries, lengths, st)
 	}
 	remote.Close()
 }
@@ -184,7 +184,7 @@ func TestRemoteMaintenanceEquivalence(t *testing.T) {
 // TestRemoteWorkerRestart kills and restarts workers while queries are in
 // flight: every resident generation is lost, the clients observe
 // unknown_generation, re-ship the shard state and retry — and every answer
-// still matches the monolith exactly. Run under -race this also exercises
+// still matches the one-shard layout exactly. Run under -race this also exercises
 // the client's re-ship serialization.
 func TestRemoteWorkerRestart(t *testing.T) {
 	lengths := []int{8, 12}
@@ -196,7 +196,7 @@ func TestRemoteWorkerRestart(t *testing.T) {
 		Query: query.Options{Parallelism: 4},
 	}
 	urls, swaps := startWorkers(t, 2)
-	mono, err := Build(d, cfg, 1, nil)
+	one, err := Build(d, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestRemoteWorkerRestart(t *testing.T) {
 	}
 	refs := make([]ref, len(queries))
 	for i, q := range queries {
-		m, err := mono.BestMatch(context.Background(), q, query.MatchAny)
+		m, err := one.BestMatch(context.Background(), q, query.MatchAny)
 		refs[i] = ref{m: m, err: err != nil}
 	}
 
@@ -263,7 +263,7 @@ func TestRemoteWorkerRestart(t *testing.T) {
 		}
 	}
 	// After the dust settles the whole mix still matches.
-	compareEngines(t, "post-restart", mono, remote, queries, lengths, st)
+	compareEngines(t, "post-restart", one, remote, queries, lengths, st)
 }
 
 // TestRemoteWorkerUnavailable: a worker that stays down past the retry

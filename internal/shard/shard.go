@@ -1,8 +1,11 @@
-// Package shard implements the intra-dataset sharded ONEX engine: one
-// dataset's series are hash-partitioned across N shards, each holding its
-// own GTI/LSI index layers (inter-representative distance matrix, envelopes,
-// scan orders) over just its series, built concurrently on the shared worker
-// pool and queried by scatter-gather (query.Scatter).
+// Package shard implements the ONEX serving engine: one dataset's global
+// grouping plus a fixed layout of shards — each holding the GTI/LSI index
+// layers (inter-representative distance lists, envelopes) over its series —
+// queried by scatter-gather (query.Scatter). There is one engine: an
+// unsharded base (Shards 0 or 1, no workers) is the one-shard layout, whose
+// single in-process shard indexes the global grouping itself; more shards
+// hash-partition the series; a worker list places the shards in other
+// processes.
 //
 // # Why the grouping stays global
 //
@@ -12,41 +15,43 @@
 // per-shard groupings would therefore change answers — Algorithm 1 over a
 // subset of the series produces different groups than over the whole
 // dataset, and a scatter-gather min-merge over different groupings is a
-// different (uncomparable) approximation. This engine instead runs the ONE
-// deterministic global grouping every layout shares (the same
-// grouping.Build the single-engine path runs — bit-identical for a fixed
-// dataset/ST/lengths/seed at every worker count) and partitions everything
-// downstream of it by series:
+// different (uncomparable) approximation. The engine instead runs the ONE
+// deterministic global grouping every layout shares (grouping.Build —
+// bit-identical for a fixed dataset/ST/lengths/seed at every worker count)
+// and partitions everything downstream of it by series:
 //
 //   - each shard gets the sub-dataset of its series (value arrays shared,
 //     zero copy) and the restriction of every global group to those series
-//     (shared representative, preserved member order and EDs);
+//     (shared representative, preserved member order and EDs) — with one
+//     shard that restriction is the grouping itself, so the shard's base is
+//     built over the global group objects and nothing is copied;
 //   - the expensive per-length index layers — the sparse top-k Dc neighbor
-//     lists, the LB_Keogh envelopes, the scan orders — are built per shard
-//     over the restricted group sets, concurrently on the internal/parallel
-//     pool;
-//   - queries scatter across shards and gather exactly the monolithic
-//     decisions (see query.Scatter for the per-query argument), so
-//     Shards=1 and Shards=N answer identically;
+//     lists and the LB_Keogh envelopes — are built per shard over its group
+//     set, concurrently on the internal/parallel pool;
+//   - queries scatter across shards and gather one decision procedure (see
+//     query.Scatter for the per-query argument), so every shard count,
+//     transport and worker count answers identically; exact ties between
+//     representatives go to the smallest global group id;
 //   - the SP-Space guidance surface (Recommend, DegreeOf, STHalf/STFinal)
-//     is computed from the global grouping at assemble time via
-//     rspace.MergeThresholdsFor — Prim's algorithm with on-demand
-//     inter-representative distances, O(g) working memory — so it too is
+//     comes from the global grouping — read off the shard's base in the
+//     one-shard layout, otherwise computed at assemble time via
+//     rspace.MergeThresholdsFor (Prim's algorithm with on-demand
+//     inter-representative distances, O(g) working memory) — so it too is
 //     bit-identical at every shard count, without materializing a global
 //     distance matrix;
 //   - incremental maintenance (Append/Extend) runs the global assignment
 //     rule once, then refreshes only the shards whose series or groups the
 //     step touched; untouched shards are reused wholesale.
 //
-// Shards(0|1) is the unsharded path: the engine embeds a plain core.Engine
-// and forwards, bit-compatible with previous releases.
+// WithThreshold (Sec. 5.2) merges groups by inter-representative distance
+// across the whole grouping, which only a shard indexing all of it holds: it
+// adapts the one-shard in-process layout and refuses every other.
 //
 // # Persistence
 //
-// A sharded engine snapshots as a single version-4 stream carrying the
-// global dataset + grouping payload (exactly the monolithic format) plus
-// the shard count: per-shard state is derived, like the Dc neighbor lists,
-// and is re-derived on load. Version ≤ 3 snapshots load as one shard.
+// An engine snapshots as a single stream carrying the global dataset +
+// grouping payload plus the shard count: per-shard state is derived, like
+// the Dc neighbor lists, and is re-derived on load.
 package shard
 
 import (
@@ -65,14 +70,10 @@ import (
 )
 
 // Engine is a serving engine over one dataset with a fixed shard layout.
-// Like core.Engine it is immutable after construction: Append/Extend/
-// WithThreshold return new engines and the receiver stays valid, so any
-// number of queries can run concurrently with maintenance swaps.
+// It is immutable after construction: Append/Extend/WithThreshold return
+// new engines and the receiver stays valid, so any number of queries can
+// run concurrently with maintenance swaps.
 type Engine struct {
-	// mono is the unsharded backend (Shards ≤ 1); when set, every method
-	// forwards to it and no sharded state exists.
-	mono *core.Engine
-
 	shards int
 	// workerURLs, when non-empty, places every shard on a remote worker
 	// process (shard s on workerURLs[s%len]); empty keeps shards in-process.
@@ -83,17 +84,18 @@ type Engine struct {
 	// data is the global normalized dataset; shard sub-datasets share its
 	// (immutable) value arrays.
 	data *ts.Dataset
-	// grouped is the global grouping — identical to what the single-engine
-	// path builds over the same data.
+	// grouped is the global grouping, the same at every layout.
 	grouped *grouping.Result
+	// adapted marks a WithThreshold view: its grouping was derived by
+	// split/merge, not by Algorithm 1, so it cannot grow or be saved.
+	adapted bool
 	parts   []*part
 	scatter *query.Scatter
 
 	// spHalf/spFinal are the per-length SP-Space critical thresholds of the
-	// ONE global grouping, computed at assemble time with on-demand
-	// inter-representative distances (rspace.MergeThresholdsFor) — never
-	// from per-shard aggregates, so Recommend/DegreeOf/STHalf/STFinal answer
-	// bit-identically to the unsharded engine over the same data.
+	// ONE global grouping (see assemble) — never per-shard aggregates, so
+	// Recommend/DegreeOf/STHalf/STFinal answer bit-identically at every
+	// shard count.
 	spHalf, spFinal map[int]float64
 	// globalSTHalf/globalSTFinal are the dataset-wide maxima over lengths,
 	// mirroring rspace.Base.GlobalSTHalf/GlobalSTFinal.
@@ -107,9 +109,10 @@ type Engine struct {
 
 // part is one shard: its series and local↔global translation tables, plus
 // the transport the coordinator drives it through. Local parts additionally
-// hold the restricted base and its processor (the state behind the
-// transport); remote parts hold only the tables — their index lives in the
-// worker process, reachable through the transport.
+// hold the shard's base and its processor (the state behind the transport);
+// remote parts hold only the tables — their index lives in the worker
+// process, reachable through the transport. The part of a one-shard layout
+// needs no tables: local ids are the global ids.
 type part struct {
 	// series maps local series index → global series id (ascending).
 	series []int
@@ -161,12 +164,11 @@ func ShardOf(seriesID, shards int) int {
 }
 
 // Build constructs an engine over the dataset with the requested shard
-// count. Shards ≤ 1 with no workers selects the unsharded path (a plain
-// core.Engine — bit-compatible with previous releases); counts above the
-// series count clamp to it (a shard needs at least a chance of holding a
-// series); negative counts error. The global grouping runs once on
-// cfg.Workers exactly as the unsharded build would, then the per-shard
-// index layers are derived concurrently on the same pool.
+// count: 0 and 1 both mean the one-shard layout; counts above the series
+// count clamp to it (a shard needs at least a chance of holding a series);
+// negative counts error. The input is normalized per cfg into a copy (never
+// modified), the global grouping runs once on cfg.Workers, then the
+// per-shard index layers are derived concurrently on the same pool.
 //
 // A non-empty workers list places every shard on a remote worker process
 // (shard s on workers[s%len(workers)]): the engine ships each shard's
@@ -177,13 +179,6 @@ func ShardOf(seriesID, shards int) int {
 func Build(d *ts.Dataset, cfg core.BuildConfig, shards int, workers []string) (*Engine, error) {
 	if shards < 0 {
 		return nil, fmt.Errorf("shard: shard count must be ≥ 0, got %d", shards)
-	}
-	if shards <= 1 && len(workers) == 0 {
-		mono, err := core.Build(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{mono: mono}, nil
 	}
 	if shards < 1 {
 		shards = 1
@@ -219,6 +214,10 @@ func Build(d *ts.Dataset, cfg core.BuildConfig, shards int, workers []string) (*
 	return e, nil
 }
 
+// whole reports the one-shard in-process layout, whose shard indexes the
+// global dataset and grouping themselves.
+func (e *Engine) whole() bool { return e.shards == 1 && len(e.workerURLs) == 0 }
+
 // assemble derives the per-shard state, the global SP-Space thresholds and
 // the scatter executor from the engine's global dataset + grouping. With
 // prevE/affected set, shards whose affected flag is false reuse their
@@ -226,7 +225,7 @@ func Build(d *ts.Dataset, cfg core.BuildConfig, shards int, workers []string) (*
 // values are unchanged and every group it holds is value-identical to its
 // previous incarnation (incremental maintenance copies untouched groups
 // verbatim) — and affected shards refresh incrementally from the
-// maintenance delta when one is given (refreshPart), paying index
+// maintenance delta when one is given (wholePart, refreshPart), paying index
 // recomputation only for touched and new groups instead of a from-scratch
 // derivation. The per-length critical thresholds reuse the previous
 // engine's values for lengths the delta left untouched (no touched groups,
@@ -240,30 +239,25 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 	parts := make([]*part, e.shards)
 	errs := make([]error, e.shards)
 	parallel.ForEach(e.cfg.Workers, e.shards, func(s int) {
-		if prev != nil && !affected[s] {
+		switch {
+		case e.whole():
+			var prevPart *part
+			if prev != nil {
+				prevPart = prev[0]
+			}
+			parts[s], errs[s] = e.wholePart(prevPart, delta)
+		case prev != nil && !affected[s]:
 			parts[s] = prev[s]
-			return
-		}
-		if len(e.workerURLs) > 0 {
+		case len(e.workerURLs) > 0:
 			// Remote shards ship a fresh generation whenever they change:
 			// the worker rebuilds the restricted index from the spec, so no
 			// incremental-refresh path exists (or is needed) across the wire.
 			parts[s], errs[s] = e.buildRemotePart(s)
-			return
+		case prev != nil && delta != nil:
+			parts[s], errs[s] = refreshPart(e.data, e.grouped, e.shards, s, e.cfg, prev[s], delta)
+		default:
+			parts[s], errs[s] = buildPart(e.data, e.grouped, e.shards, s, e.cfg)
 		}
-		var (
-			p   *part
-			err error
-		)
-		if prev != nil && delta != nil {
-			p, err = refreshPart(e.data, e.grouped, e.shards, s, e.cfg, prev[s], delta)
-		} else {
-			p, err = buildPart(e.data, e.grouped, e.shards, s, e.cfg)
-		}
-		if err == nil {
-			p.transport, err = query.NewLocalShard(p.proc, s, p.series, p.globalIDs, p.owned)
-		}
-		parts[s], errs[s] = p, err
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -271,22 +265,27 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 		}
 	}
 
-	// Exact SP-Space over the global grouping: one Prim pass per length with
-	// on-demand distances — O(g) extra memory, never a materialized global
-	// matrix. Answers are bit-identical to the unsharded engine because both
-	// evaluate the same float expression over the same global groups.
+	// Exact SP-Space over the global grouping. The one-shard base was built
+	// over it and already holds the values; otherwise one Prim pass per
+	// length with on-demand distances — O(g) extra memory, never a
+	// materialized global matrix. Both evaluate the same float expression
+	// over the same global groups, so the values are bit-identical.
 	lengths := e.grouped.Lengths
 	halves := make([]float64, len(lengths))
 	finals := make([]float64, len(lengths))
 	parallel.ForEach(e.cfg.Workers, len(lengths), func(i int) {
 		l := lengths[i]
 		groups := e.grouped.ByLength[l].Groups
-		if prevE != nil && delta != nil &&
-			len(delta.Touched[l]) == 0 && delta.PrevGroups[l] == len(groups) {
+		switch {
+		case e.whole():
+			entry := parts[0].base.Entry(l)
+			halves[i], finals[i] = entry.STHalf, entry.STFinal
+		case prevE != nil && delta != nil &&
+			len(delta.Touched[l]) == 0 && delta.PrevGroups[l] == len(groups):
 			halves[i], finals[i] = prevE.spHalf[l], prevE.spFinal[l]
-			return
+		default:
+			halves[i], finals[i] = rspace.MergeThresholdsFor(groups, l, e.grouped.ST)
 		}
-		halves[i], finals[i] = rspace.MergeThresholdsFor(groups, l, e.grouped.ST)
 	})
 	e.spHalf = make(map[int]float64, len(lengths))
 	e.spFinal = make(map[int]float64, len(lengths))
@@ -305,15 +304,20 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 	for s, p := range parts {
 		transports[s] = p.transport
 	}
-	globalBase := &rspace.Base{
-		Dataset:     e.data,
-		ST:          e.grouped.ST,
-		Lengths:     append([]int(nil), e.grouped.Lengths...),
-		Entries:     make(map[int]*rspace.LengthEntry, len(e.grouped.Lengths)),
-		TotalSubseq: e.grouped.TotalSubseq,
-	}
-	for _, l := range e.grouped.Lengths {
-		globalBase.Entries[l] = &rspace.LengthEntry{Length: l, Groups: e.grouped.ByLength[l].Groups}
+	var globalBase *rspace.Base
+	if e.whole() {
+		globalBase = parts[0].base
+	} else {
+		globalBase = &rspace.Base{
+			Dataset:     e.data,
+			ST:          e.grouped.ST,
+			Lengths:     append([]int(nil), e.grouped.Lengths...),
+			Entries:     make(map[int]*rspace.LengthEntry, len(e.grouped.Lengths)),
+			TotalSubseq: e.grouped.TotalSubseq,
+		}
+		for _, l := range e.grouped.Lengths {
+			globalBase.Entries[l] = &rspace.LengthEntry{Length: l, Groups: e.grouped.ByLength[l].Groups}
+		}
 	}
 	sc, err := query.NewScatter(globalBase, e.cfg.Query, transports)
 	if err != nil {
@@ -322,6 +326,34 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 	e.parts = parts
 	e.scatter = sc
 	return nil
+}
+
+// wholePart derives the part of the one-shard layout: the index layers over
+// the global dataset and grouping themselves — the same *grouping.Group
+// objects, no restricted copy — refreshed incrementally from the previous
+// part's base when a maintenance delta is given (rspace.Refresh falls back
+// to a full build without one).
+func (e *Engine) wholePart(prev *part, delta *grouping.Delta) (*part, error) {
+	var prevBase *rspace.Base
+	if prev != nil {
+		prevBase = prev.base
+	}
+	base, err := rspace.Refresh(e.data, e.grouped, rspace.Options{TopK: e.cfg.DcTopK}, prevBase, delta)
+	if err != nil {
+		return nil, err
+	}
+	p := &part{series: make([]int, e.data.N())}
+	for i := range p.series {
+		p.series[i] = i
+	}
+	if p.proc, err = query.New(base, e.cfg.Query); err != nil {
+		return nil, err
+	}
+	p.base = base
+	if p.transport, err = query.NewWholeShard(p.proc); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // buildPart derives one shard: the sub-dataset of its series (shared value
@@ -374,7 +406,7 @@ func buildPart(data *ts.Dataset, gr *grouping.Result, shards, s int, cfg core.Bu
 	if err != nil {
 		return nil, err
 	}
-	return p.finish(base, cfg.Query)
+	return p.finish(s, base, cfg.Query)
 }
 
 // buildRemotePart derives one remote shard: the same series routing and
@@ -394,7 +426,7 @@ func (e *Engine) buildRemotePart(s int) (*part, error) {
 	}
 	p.collectSeries(e.data, e.shards, s)
 	if len(p.series) == 0 {
-		return e.buildLocalPart(s)
+		return buildPart(e.data, e.grouped, e.shards, s, e.cfg)
 	}
 	name := e.data.Name
 	if name == "" {
@@ -452,20 +484,6 @@ func (e *Engine) buildRemotePart(s int) (*part, error) {
 	return p, nil
 }
 
-// buildLocalPart is buildPart plus the transport wrap (the fallback for
-// hash-empty shards of a remote layout).
-func (e *Engine) buildLocalPart(s int) (*part, error) {
-	p, err := buildPart(e.data, e.grouped, e.shards, s, e.cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.transport, err = query.NewLocalShard(p.proc, s, p.series, p.globalIDs, p.owned)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // restrictMembersGlobal is restrictMembers on the wire: the restriction of
 // one global group's member list to the shard's series, keeping global
 // series ids (the worker remaps to its local order, which equals the
@@ -510,14 +528,18 @@ func (p *part) sub(data *ts.Dataset, s int) *ts.Dataset {
 	return sub
 }
 
-// finish wraps the restricted base with its query processor.
-func (p *part) finish(base *rspace.Base, qopts query.Options) (*part, error) {
+// finish wraps the restricted base with its query processor and the
+// in-process transport over the part's translation tables.
+func (p *part) finish(s int, base *rspace.Base, qopts query.Options) (*part, error) {
 	proc, err := query.New(base, qopts)
 	if err != nil {
 		return nil, err
 	}
 	p.base = base
 	p.proc = proc
+	if p.transport, err = query.NewLocalShard(proc, s, p.series, p.globalIDs, p.owned); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -647,5 +669,5 @@ func refreshPart(data *ts.Dataset, gr *grouping.Result, shards, s int, cfg core.
 	if err != nil {
 		return nil, err
 	}
-	return p.finish(base, cfg.Query)
+	return p.finish(s, base, cfg.Query)
 }

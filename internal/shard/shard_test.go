@@ -50,7 +50,7 @@ func TestBuildValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if e.ShardCount() != 1 {
-			t.Errorf("Shards=%d: ShardCount = %d, want 1 (single-engine path)", shards, e.ShardCount())
+			t.Errorf("Shards=%d: ShardCount = %d, want 1 (the one-shard layout)", shards, e.ShardCount())
 		}
 	}
 	// Counts above the series count clamp to it.
@@ -164,24 +164,24 @@ search:
 	if err != nil {
 		t.Fatalf("build with empty shard: %v", err)
 	}
-	mono, err := Build(d, cfg, 1, nil)
+	one, err := Build(d, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := randomQueries(r, d, cfg.Lengths, 6)
-	compareEngines(t, "empty-shard", mono, e, queries, cfg.Lengths, cfg.ST)
+	compareEngines(t, "empty-shard", one, e, queries, cfg.Lengths, cfg.ST)
 }
 
 func TestWithThresholdSharded(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	d := randomDataset(r, 8, 24)
 	cfg := core.BuildConfig{ST: 0.3, Lengths: []int{6, 10}, Seed: 1}
-	mono, err := Build(d, cfg, 1, nil)
+	one, err := Build(d, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mono.WithThreshold(0.5); err != nil {
-		t.Errorf("unsharded WithThreshold: %v", err)
+	if _, err := one.WithThreshold(0.5); err != nil {
+		t.Errorf("one-shard WithThreshold: %v", err)
 	}
 	sharded, err := Build(d, cfg, 3, nil)
 	if err != nil {
@@ -221,9 +221,8 @@ func TestLayoutSignature(t *testing.T) {
 	}
 }
 
-// TestPersistRoundTrip saves a sharded engine and checks the reload answers
-// identically and preserves the layout; a mono engine's stream must load
-// with one shard.
+// TestPersistRoundTrip saves an engine and checks the reload answers
+// identically and preserves the layout, at one shard and at several.
 func TestPersistRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	d := randomDataset(r, 14, 28)
@@ -255,27 +254,9 @@ func TestPersistRoundTrip(t *testing.T) {
 			if loaded.Drift() != e.Drift() {
 				t.Errorf("reloaded drift %v, want %v", loaded.Drift(), e.Drift())
 			}
-			queries := randomQueries(r, loaded.monoOrData(), lengths, 8)
+			queries := randomQueries(r, loaded.data, lengths, 8)
 			compareEngines(t, "reload", e, loaded, queries, lengths, cfg.ST)
 		})
-	}
-}
-
-// TestCoreLoadRefusesSharded pins the dispatch: core.Load must not silently
-// materialize a sharded stream as a monolith.
-func TestCoreLoadRefusesSharded(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	d := randomDataset(r, 8, 24)
-	e, err := Build(d, core.BuildConfig{ST: 0.3, Lengths: []int{6, 10}, Seed: 1}, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Load(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("core.Load accepted a sharded stream")
 	}
 }
 

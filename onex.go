@@ -76,10 +76,9 @@ func buildDataset(d *ts.Dataset, opts Options) (*Base, error) {
 // Base is a built ONEX knowledge base: the similarity groups of every
 // indexed subsequence length, their representatives, the GTI/LSI index
 // layers, and the Similarity Parameter Space. A Base is immutable and safe
-// for concurrent queries. With Options.Shards > 1 the base serves through
-// the intra-dataset sharded engine (series hash-partitioned across shards,
-// queries scattered and gathered) — answers are identical to the unsharded
-// path over the same data.
+// for concurrent queries. With Options.Shards > 1 the series are
+// hash-partitioned across shards and queries scatter and gather — answers
+// are identical at every shard count over the same data.
 type Base struct {
 	eng  *shard.Engine
 	opts Options
@@ -98,7 +97,7 @@ func (b *Base) Name() string { return b.eng.Name() }
 // NumSeries returns the number of indexed series.
 func (b *Base) NumSeries() int { return b.eng.NumSeries() }
 
-// Shards returns the serving layout's shard count (1 for unsharded bases).
+// Shards returns the serving layout's shard count (≥ 1).
 func (b *Base) Shards() int { return b.eng.ShardCount() }
 
 // LayoutSignature fingerprints the serving layout (shard count plus each
@@ -121,10 +120,9 @@ func (b *Base) BestMatch(q []float64, mode MatchMode) (Match, error) {
 }
 
 // BestMatchContext is BestMatch under a context: a canceled or expired ctx
-// stops the per-shard fan-out of a sharded (or distributed) base between
-// rounds and returns ctx's error. Cancellation only abandons work — any
-// answer returned is still exact. Unsharded bases answer synchronously and
-// ignore ctx.
+// stops the query between lengths and member rounds and returns ctx's
+// error. Cancellation only abandons work — any answer returned is still
+// exact.
 func (b *Base) BestMatchContext(ctx context.Context, q []float64, mode MatchMode) (Match, error) {
 	m, err := b.eng.BestMatch(ctx, q, query.MatchMode(mode))
 	if err != nil {
@@ -516,7 +514,11 @@ func (b *Base) DegreeOf(st float64) Degree {
 
 // WithThreshold derives a base for a different similarity threshold using
 // the Sec. 5.2 split/merge adaptation — no reclustering of the raw data.
-// The receiver is unchanged.
+// The receiver is unchanged. Merging reads distances between
+// representatives across the whole grouping, so only a one-shard in-process
+// base adapts; bases with Shards > 1 or ShardWorkers refuse (rebuild at the
+// new threshold instead). Adapted bases answer every query class but cannot
+// be extended, appended to or saved.
 func (b *Base) WithThreshold(stPrime float64) (*Base, error) {
 	eng, err := b.eng.WithThreshold(stPrime)
 	if err != nil {

@@ -36,19 +36,20 @@ type Options struct {
 	Parallelism int
 	// Shards hash-partitions the dataset's series across this many engine
 	// shards, each with its own index layers built concurrently and queried
-	// by scatter-gather. 0 or 1 keeps the single-engine path (bit-compatible
-	// with previous releases); counts above the series count clamp to it;
-	// negative counts error. Query answers — BestMatch, BestKMatches,
-	// RangeSearch(Exact), Seasonal, batches — are identical at every shard
-	// count: the similarity grouping is computed globally and the
-	// scatter-gather replays the single-engine decision procedure, so like
+	// by scatter-gather. 0 and 1 both mean the one-shard layout of the same
+	// engine; counts above the series count clamp to it; negative counts
+	// error. Query answers — BestMatch, BestKMatches, RangeSearch(Exact),
+	// Seasonal, batches — are identical at every shard count: the similarity
+	// grouping is computed globally and one coordinator runs the decision
+	// procedure over whatever shards exist (exact ties between
+	// representatives go to the smaller group id everywhere), so like
 	// Parallelism this is a scale/latency knob, not a semantics knob. The
 	// SP-Space guidance surface — RecommendThreshold, DegreeOf,
 	// Stats.STHalf/STFinal — is likewise computed from the one global
 	// grouping (with on-demand inter-representative distances, so no global
 	// O(g²) matrix is ever materialized) and is bit-identical at every shard
 	// count. The one exception, outside the query classes: threshold
-	// adaptation (WithThreshold) requires an unsharded base.
+	// adaptation (WithThreshold) requires the one-shard in-process layout.
 	Shards int
 	// ShardWorkers lists remote worker base URLs (e.g. "http://host:9102")
 	// serving the shards instead of this process: shard s is shipped to and
@@ -64,9 +65,8 @@ type Options struct {
 	ShardWorkers []string
 	// DcTopK bounds how many nearest-neighbor inter-representative distance
 	// (Dc) entries each representative retains per indexed length: the index
-	// keeps, per representative, only the k smallest entries of its Dc row
-	// (plus the exact row sum), so Dc memory is O(groups·k) instead of
-	// O(groups²). 0 selects the default retention (currently 32); negative
+	// keeps, per representative, only the k smallest entries of its Dc row,
+	// so Dc memory is O(groups·k) instead of O(groups²). 0 selects the default retention (currently 32); negative
 	// retains every entry — the dense-equivalent layout. Purely a memory
 	// knob: every query answer, recommendation and maintenance result is
 	// bit-identical at every setting, because the query paths never read the

@@ -73,7 +73,7 @@ type Stats struct {
 	// observability counters. Process-local: snapshots do not persist them.
 	Rebuilds    int64
 	LastRebuild time.Duration
-	// Shards is the serving layout's shard count (1 for unsharded bases)
+	// Shards is the serving layout's shard count (≥ 1)
 	// and PerShard describes each shard — see Options.Shards.
 	Shards   int
 	PerShard []ShardStat

@@ -21,10 +21,8 @@ echo "== build"
 go build -o "$BIN" ./cmd/onex-server
 
 echo "== start ($ADDR)"
-# -legacy keeps the deprecated pre-/v1 endpoints answering (with a
-# Deprecation header) so the smoke can cover both surfaces.
 "$BIN" -addr "$ADDR" -generate ItalyPower -scale 0.2 -st 0.25 -lengths 6 \
-    -snapshot-dir "$SNAPDIR" -legacy &
+    -snapshot-dir "$SNAPDIR" &
 SERVER_PID=$!
 
 echo "== wait for /healthz"
@@ -55,25 +53,20 @@ check_code POST "$BASE/v1/datasets" 201 \
 
 echo "== query both datasets"
 Q8='[0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5]'
-LEGACY_LEN=$(curl -sf "$BASE/stats" | sed 's/.*"lengths":\[\([0-9]*\).*/\1/')
-LEGACY_Q=$(awk -v n="$LEGACY_LEN" 'BEGIN{printf "["; for(i=0;i<n;i++){printf "%s0.5", (i?",":"")}; printf "]"}')
-check_code POST "$BASE/v1/datasets/ItalyPower/match" 200 "{\"query\":$LEGACY_Q}"
-check_code POST "$BASE/v1/datasets/ItalyPower/match" 200 "{\"query\":$LEGACY_Q}"
+IP_LEN=$(curl -sf "$BASE/v1/datasets/ItalyPower/stats" | sed 's/.*"lengths":\[\([0-9]*\).*/\1/')
+IP_Q=$(awk -v n="$IP_LEN" 'BEGIN{printf "["; for(i=0;i<n;i++){printf "%s0.5", (i?",":"")}; printf "]"}')
+check_code POST "$BASE/v1/datasets/ItalyPower/match" 200 "{\"query\":$IP_Q}"
+check_code POST "$BASE/v1/datasets/ItalyPower/match" 200 "{\"query\":$IP_Q}"
 check_code POST "$BASE/v1/datasets/ecg/match" 200 "{\"query\":$Q8}"
 check_code GET "$BASE/v1/datasets" 200
 check_code GET "$BASE/v1/stats" 200
-check_code POST "$BASE/match" 200 "{\"query\":$LEGACY_Q}"
-
-echo "== legacy endpoints carry the Deprecation header"
-curl -sf -D - -o /dev/null "$BASE/stats" | grep -qi '^deprecation: true' \
-    || { echo "FAIL: legacy /stats missing Deprecation header" >&2; exit 1; }
 
 echo "== uniform batch endpoint"
 check_code POST "$BASE/v1/datasets/ItalyPower/match/batch" 200 \
-    "{\"queries\":[{\"query\":$LEGACY_Q},{\"query\":$LEGACY_Q,\"k\":3}]}"
+    "{\"queries\":[{\"query\":$IP_Q},{\"query\":$IP_Q,\"k\":3}]}"
 
 echo "== async job: submit, poll to done"
-JOB_ID=$(curl -sf -X POST -d "{\"query\":$LEGACY_Q}" \
+JOB_ID=$(curl -sf -X POST -d "{\"query\":$IP_Q}" \
     "$BASE/v1/datasets/ItalyPower/match/jobs" | sed 's/.*"id":"\([^"]*\)".*/\1/')
 [ -n "$JOB_ID" ] || { echo "FAIL: job submission returned no id" >&2; exit 1; }
 for i in $(seq 1 50); do
