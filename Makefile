@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt fmt-check vet build test bench bench-selftest serve-smoke obs-smoke dist-smoke bench-serve bench-parallel bench-stream bench-shard bench-load bench-kernel bench-dist lint coverage ci
+.PHONY: fmt fmt-check vet build test bench bench-selftest serve-smoke obs-smoke dist-smoke bench-serve bench-parallel bench-stream bench-shard bench-load bench-kernel lint coverage ci
 
 fmt: ## Reformat all Go sources in place
 	gofmt -w .
@@ -63,10 +63,6 @@ bench-shard: ## Emit BENCH_shard.json: intra-dataset sharding sweep at shards 1/
 bench-kernel: ## Emit BENCH_kernel.json: fused vs reference DTW kernel, 1 goroutine
 	$(GO) run ./cmd/onex-bench -exp kernel -repeats 5 \
 		-kernel-out $(CURDIR)/BENCH_kernel.json
-
-bench-dist: ## Emit BENCH_dist.json: local vs worker-served shard transport latency sweep
-	$(GO) run ./cmd/onex-bench -exp dist \
-		-dist-out $(CURDIR)/BENCH_dist.json
 
 # Static analysis beyond go vet (CI's lint job runs this target, so the
 # tool versions are pinned here alone). Tools are fetched on demand.

@@ -5,7 +5,7 @@
 //
 //	onex-bench [flags]
 //
-//	-exp string      experiment id: fig2..fig8, table1..table4, "parallel", "stream", "shard", "load", "kernel", "dist", or "all" (default "all")
+//	-exp string      experiment id: fig2..fig8, table1..table4, "parallel", "stream", "shard", "load", "kernel", or "all" (default "all")
 //	-datasets string comma-separated subset of the six paper datasets
 //	-st float        similarity threshold (default 0.2, the paper's sweet spot)
 //	-scale float     multiplier on bench-scale dataset cardinalities (default 1)
@@ -37,10 +37,8 @@
 // "kernel" experiment is the single-goroutine DTW microbench: the fused
 // cache-blocked kernel against the verbatim pre-optimization two-row
 // kernel, with a built-in bitwise equivalence check, writing to
-// -kernel-out. The "dist" experiment serves one dataset through the local
-// and worker-backed (shardrpc over loopback HTTP) shard transports at each
-// shard count, timing build/ship and the query paths with a built-in
-// bit-identical-answers check, writing to -dist-out.
+// -kernel-out. (The worker-served shard transport is measured by the
+// repository's benchmark, `bash benchmark/run.sh -workload remote`.)
 package main
 
 import (
@@ -109,8 +107,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			"output path of the -exp load JSON report")
 		kernelOut = fs.String("kernel-out", "BENCH_kernel.json",
 			"output path of the -exp kernel JSON report")
-		distOut = fs.String("dist-out", "BENCH_dist.json",
-			"output path of the -exp dist JSON report")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -167,16 +163,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			func(w io.Writer) error { return bench.WriteKernelReport(rep, w) },
 			fmt.Sprintf("bit-identical=%v, min speedup %.2fx, geomean %.2fx",
 				rep.Equivalent, rep.MinSpeedup, rep.GeoMeanSpeedup))
-	}
-	if *exp == "dist" {
-		rep, tables, err := bench.RunDistSweep(cfg)
-		if err != nil {
-			return err
-		}
-		return emitReport(stdout, tables, *distOut,
-			func(w io.Writer) error { return bench.WriteDistReport(rep, w) },
-			fmt.Sprintf("answers bit-identical=%v, worst remote query overhead %.2fx",
-				rep.Equivalent, rep.WorstQueryOverhead))
 	}
 	if *exp == "shard" {
 		rep, tables, err := bench.RunShardSweep(cfg)

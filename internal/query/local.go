@@ -34,6 +34,11 @@ type LocalShard struct {
 	// group id (refreshed parts hold local orders that aren't sorted, so
 	// the sort here is what fixes the scan's deterministic tie order).
 	units map[int][]localUnit
+	// byGlobal lists, per length, the local group indices in ascending
+	// global-id order — the global→local lookup of VerifyK. A length whose
+	// globalIDs already ascend (every freshly derived part) has no entry and
+	// is searched directly.
+	byGlobal map[int][]int32
 }
 
 // localUnit is one owned representative to scan.
@@ -62,6 +67,7 @@ func NewLocalShard(proc *Processor, shard int, series []int,
 		localSeries: make(map[int]int, len(series)),
 		globalIDs:   globalIDs,
 		units:       make(map[int][]localUnit, len(proc.base.Lengths)),
+		byGlobal:    make(map[int][]int32),
 	}
 	for li, gid := range series {
 		ls.localSeries[gid] = li
@@ -81,8 +87,33 @@ func NewLocalShard(proc *Processor, shard int, series []int,
 		}
 		sort.Slice(units, func(a, b int) bool { return units[a].global < units[b].global })
 		ls.units[l] = units
+		if !sort.IntsAreSorted(gids) {
+			order := make([]int32, len(gids))
+			for local := range order {
+				order[local] = int32(local)
+			}
+			sort.Slice(order, func(a, b int) bool { return gids[order[a]] < gids[order[b]] })
+			ls.byGlobal[l] = order
+		}
 	}
 	return ls, nil
+}
+
+// localGroup resolves a global group id of one length to the shard's local
+// index; ok is false when the shard holds no member of that group.
+func (ls *LocalShard) localGroup(length, global int) (local int, ok bool) {
+	gids, order := ls.globalIDs[length], ls.byGlobal[length]
+	at := func(i int) int {
+		if order != nil {
+			return int(order[i])
+		}
+		return i
+	}
+	i := sort.Search(len(gids), func(i int) bool { return gids[at(i)] >= global })
+	if i == len(gids) || gids[at(i)] != global {
+		return 0, false
+	}
+	return at(i), true
 }
 
 // NewWholeShard wraps a processor over the complete base as the only shard
@@ -259,7 +290,6 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 		return ScanBestResponse{BestBits: math.Float64bits(math.Inf(1))}, nil
 	}
 	q := req.Query
-	hint := math.Float64frombits(req.HintBits)
 	order := dist.QueryOrder(q)
 	sameLen := req.Length == len(q)
 
@@ -272,9 +302,6 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 			u := units[pos]
 			ltr.RepsExamined++
 			cutoff := local.raw
-			if hint < cutoff {
-				cutoff = hint
-			}
 			if shared != nil {
 				if sb := shared.Load(); sb < cutoff {
 					cutoff = sb

@@ -23,16 +23,17 @@
 // representative scans of its shards, and replays the pivot walk and the
 // k-NN heap against member distances. A Processor holds the kernels one
 // shard runs behind LocalShard (the fixed-cutoff cascade, round evaluation,
-// range search) plus the grouping-only families (seasonal, threshold
-// adaptation). An unsharded base is the one-shard layout of the same engine.
+// the k-NN verification phase, range search) plus the grouping-only
+// families (seasonal, threshold adaptation). An unsharded base is the
+// one-shard layout of the same engine.
 //
 // # Parallel execution
 //
 // Options.Parallelism shards a single query across a bounded worker pool:
 // the representative scan of each length fans out with a shared atomic
 // best-so-far bound (early abandoning keeps pruning across workers), group
-// mining evaluates pivot-walk rounds concurrently, and range search shards
-// across groups. The parallel paths are constructed to be *answer-invariant*:
+// mining and k-NN verification evaluate rounds of members concurrently, and
+// range search shards across groups. The parallel paths are constructed to be *answer-invariant*:
 // every pruning or patience decision is replayed against deterministic
 // bounds, concurrency only decides which DTWs are computed exactly versus
 // proven irrelevant, so BestMatch/BestKMatches/RangeSearch return identical
@@ -213,8 +214,8 @@ func (p *Processor) lengthOrder(queryLen int) []int {
 
 // Parallel-path thresholds. scanParallelMin is the fewest representatives
 // worth fanning a scan out for; mineBatchSize is the round size of the
-// member replay (pivot walk and k-NN heap) whenever a round's DTWs run
-// concurrently or on a remote shard. mineBatchSize is a fixed constant —
+// member walks (pivot walk and k-NN verification) whenever a round's DTWs
+// run concurrently or on a remote shard. mineBatchSize is a fixed constant —
 // never derived from the worker count — because the round boundaries define
 // which best-so-far snapshot each DTW cutoff uses, and those snapshots are
 // part of the (worker-count-invariant) decision replay.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -29,13 +30,17 @@ import (
 //     per shard (each global group is scanned by exactly one shard — the
 //     one holding its nearest member) and merges the per-shard results by
 //     smallest distance, then smallest global group id;
-//   - group mining and k-NN member verification replay the global pivot
-//     walk / heap bookkeeping here, once, in rounds: 32 members shipped to
-//     their home shards (EvalMembers) with the current best-so-far bound
-//     threaded in the request — the bound hint that keeps early abandoning
-//     effective across the wire — or, when every shard is in-process and
-//     there is no concurrency to buy, one member at a time against the
-//     tightening bound (see roundFor);
+//   - best-match group mining replays the global pivot walk here, once, in
+//     rounds: 32 members shipped to their home shards (EvalMembers) with
+//     the current best-so-far bound threaded in the request — the bound
+//     hint that keeps early abandoning effective across the wire — or, when
+//     every shard is in-process and there is no concurrency to buy, one
+//     member at a time against the tightening bound (see roundFor);
+//   - k-NN member verification is one phase per shard and length: each
+//     shard walks its own members of the candidate groups (VerifyK) and the
+//     heap bookkeeping is replayed here over the distances they report —
+//     or, when every shard is in-process and there is one worker, the walk
+//     itself runs here, one member at a time (see searchLengthK);
 //   - range search runs verbatim on every shard — its admission (Lemma 2
 //     premise per member) and per-member verification decisions depend only
 //     on the shared global representatives, so the union of shard result
@@ -177,8 +182,8 @@ func fanShards[R any](ctx context.Context, s *Scatter, rec *obs.Trace, span stri
 }
 
 // refine is one query's member-evaluation state: the round buffers of the
-// replay and, when every shard is in-process, the DTW scratch of the
-// one-member-at-a-time walk (nil otherwise).
+// pivot-walk replay and, when every shard is in-process, the DTW scratch of
+// the one-member-at-a-time walks (nil otherwise).
 type refine struct {
 	ws      *dist.Workspace
 	batch   []grouping.Member
@@ -197,7 +202,8 @@ func (s *Scatter) newRefine() *refine {
 	return rf
 }
 
-// roundFor picks the replay's round for a group of n members. When the
+// roundFor picks the pivot-walk replay's round for a group of n members
+// (LocalShard.VerifyK applies the same rule to its own walk). When the
 // members are addressable in-process and a round has no concurrency to buy
 // — one worker, or a group too small for two rounds — it is one member,
 // evaluated here on the returned workspace: the bound then tightens with
@@ -228,7 +234,7 @@ func (s *Scatter) BestMatch(ctx context.Context, q []float64, mode MatchMode) (M
 func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode MatchMode, rec *obs.Trace) (Match, error) {
 	// Remote transports discover the recorder through the context (the rec
 	// parameter stops at the coordinator; rpc spans are recorded below the
-	// fan-out, including EvalMembers rounds that never see rec). Untraced
+	// fan-out, including member-evaluation calls that never see rec). Untraced
 	// queries skip the WithValue so the hot path stays allocation-free.
 	if rec != nil {
 		ctx = obs.ContextWithTrace(ctx, rec)
@@ -306,10 +312,9 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.Lengt
 	}
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
 	req := ScanBestRequest{
-		Length:   e.Length,
-		Query:    q,
-		HintBits: math.Float64bits(math.Inf(1)),
-		Workers:  s.global.workers,
+		Length:  e.Length,
+		Query:   q,
+		Workers: s.global.workers,
 	}
 	resps, err := fanShards(ctx, s, rec, "shard-scan",
 		func(ctx context.Context, t ShardTransport) (ScanBestResponse, error) {
@@ -603,6 +608,12 @@ func (s *Scatter) BestKMatchesObserved(ctx context.Context, q []float64, mode Ma
 // the paper's ST/2-based guarantee. No heap pushes happen during the rep
 // scan, so its cutoff is fixed for the whole length and fanning it across
 // shards and workers changes neither answers nor counters.
+//
+// Who walks the members is read off the layout: with every shard in-process
+// and one worker there is nothing to overlap, so the reference walk runs
+// here against the ever-tightening bound (verifyGroupK); otherwise — remote
+// shards, or workers to spend — it crosses the seam as one phase per shard
+// (verifyPhaseK). Both produce the same heap states.
 func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.LengthEntry,
 	heap *topK, rf *refine, tr *Trace, rec *obs.Trace) error {
 
@@ -627,21 +638,15 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 	if err != nil {
 		return err
 	}
-	type repDist struct {
-		global int
-		d      float64
-	}
-	var reps []repDist
+	var reps []FixedHit
 	for _, resp := range resps {
 		tr.add(resp.Trace)
-		for _, h := range resp.Hits {
-			reps = append(reps, repDist{global: h.GroupID, d: h.Dist})
-		}
+		reps = append(reps, resp.Hits...)
 	}
 	// Tie order: ascending global id (each shard's hits already are; the
 	// shards partition the ids), then stable by distance.
-	sort.Slice(reps, func(a, b int) bool { return reps[a].global < reps[b].global })
-	sort.SliceStable(reps, func(a, b int) bool { return reps[a].d < reps[b].d })
+	sort.Slice(reps, func(a, b int) bool { return reps[a].GroupID < reps[b].GroupID })
+	sort.SliceStable(reps, func(a, b int) bool { return reps[a].Dist < reps[b].Dist })
 
 	var sc obs.SpanScope
 	var pre Trace
@@ -651,15 +656,19 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 	}
 	groups := 0
 	var verr error
-	for _, rd := range reps {
-		// Re-check against the (possibly tightened) k-th distance.
-		if rd.d > heap.kth()*divisor+radiusRaw {
-			break
+	if s.local && s.global.workers <= 1 {
+		for _, rd := range reps {
+			// Re-check against the (possibly tightened) k-th distance.
+			if rd.Dist > heap.kth()*divisor+radiusRaw {
+				break
+			}
+			groups++
+			if verr = s.verifyGroupK(ctx, q, e.Groups[rd.GroupID], rd.GroupID, e.Length, divisor, heap, rf.ws, tr); verr != nil {
+				break
+			}
 		}
-		groups++
-		if verr = s.verifyGroupK(ctx, q, e.Groups[rd.global], rd.global, e.Length, divisor, heap, rf, tr); verr != nil {
-			break
-		}
+	} else if len(reps) > 0 {
+		groups, verr = s.verifyPhaseK(ctx, q, e, reps, divisor, radiusRaw, heap, tr, rec)
 	}
 	if rec != nil {
 		spanWork(sc.Attr("length", int64(e.Length)).Attr("groups", int64(groups)), pre, *tr).End()
@@ -667,52 +676,136 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 	return verr
 }
 
-// verifyGroupK verifies every member of one group against the running top-k
-// heap: lower-bound prune against the evolving k-th distance, then
-// early-abandoning DTW, pushing exact distances that beat the cutoff. Like
-// mineGroup it runs in rounds (roundFor) evaluated against the k-th
-// distance at the round boundary and replays the pushes in member order, so
-// the heap passes through the same states at every round size; the split
-// between Kim prunes and DTWs depends on the round while MembersTested is
-// invariant. gid is the group id recorded on pushed matches.
+// verifyGroupK is the reference k-NN member walk, run when every shard is
+// in-process and there is one worker: every member of one group, in ED
+// order, on the coordinator's dataset — lower-bound prune against the
+// evolving k-th distance, then early-abandoning DTW, pushing exact distances
+// that beat the cutoff. The bound tightens with every push. gid is the group
+// id recorded on pushed matches.
 func (s *Scatter) verifyGroupK(ctx context.Context, q []float64, g *grouping.Group,
-	gid, length int, divisor float64, heap *topK, rf *refine, tr *Trace) error {
+	gid, length int, divisor float64, heap *topK, ws *dist.Workspace, tr *Trace) error {
 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	round, ws := s.roundFor(rf, g.Count())
-	for off := 0; off < g.Count(); off += round {
-		batch := g.Members[off:min(off+round, g.Count())]
-		roundCutoff := heap.kth() * divisor
-		dtws, err := s.evalRound(ctx, q, length, batch, roundCutoff, ws, rf.lbs, rf.ds)
-		if err != nil {
-			return err
+	for _, m := range g.Members {
+		cutoff := heap.kth() * divisor
+		tr.MembersTested++
+		v := s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+length]
+		lb, d, ran := s.global.evalMember(ws, q, v, cutoff)
+		if ran {
+			tr.DTWComputed++
 		}
-		tr.DTWComputed += dtws
-		// Replay pushes in member order: a distance abandoned at the
-		// round cutoff is ≥ the (only-tightening) running k-th and could
-		// never enter the heap.
-		for i, m := range batch {
-			cutoff := heap.kth() * divisor
-			tr.MembersTested++
-			if !s.global.opts.DisableLowerBounds && rf.lbs[i] >= cutoff {
-				tr.PrunedByKim++
+		if !s.global.opts.DisableLowerBounds && lb >= cutoff {
+			tr.PrunedByKim++
+			continue
+		}
+		if d < cutoff {
+			heap.push(Match{
+				SeriesID: m.SeriesIdx,
+				Start:    m.Start,
+				Length:   length,
+				Dist:     d / divisor,
+				RawDTW:   d,
+				GroupID:  gid,
+			})
+		}
+	}
+	return nil
+}
+
+// verifyPhaseK is k-NN member verification across the seam — remote shards,
+// or in-process shards with workers to spend: one VerifyK call per shard,
+// each walking its own members of the candidate groups, then the reference
+// walk of verifyGroupK replayed over the distances they report. The replay
+// visits the groups in candidate order, re-checks the real cut before each,
+// and pushes a group's reported members in the global ED order (each shard
+// reports its members of a group in that order, so walking the global member
+// list and consuming each home shard's next hit interleaves them exactly);
+// what the shards reported past the real cut is dropped. A member no shard
+// reported is one the reference would not push (see LocalShard.VerifyK), so
+// the heap passes through the reference's states: answers, ties included,
+// are those of the one-shard walk. It returns how many groups the real cut
+// admitted; MembersTested counts their sizes.
+func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.LengthEntry,
+	reps []FixedHit, divisor, radiusRaw float64, heap *topK, tr *Trace, rec *obs.Trace) (int, error) {
+
+	req := VerifyKRequest{
+		Length:     e.Length,
+		Query:      q,
+		K:          heap.k,
+		CutoffBits: math.Float64bits(heap.kth() * divisor),
+		RadiusRaw:  radiusRaw,
+		Workers:    s.global.workers,
+		Candidates: reps,
+	}
+	resps, err := fanShards(ctx, s, rec, "shard-verify",
+		func(ctx context.Context, t ShardTransport) (VerifyKResponse, error) {
+			return t.VerifyK(ctx, req)
+		},
+		func(sc obs.SpanScope, r VerifyKResponse) obs.SpanScope {
+			return spanWork(sc.Attr("length", int64(e.Length)).Attr("hits", int64(len(r.Hits))),
+				Trace{}, Trace{PrunedByKim: r.PrunedByKim, DTWComputed: r.DTWComputed})
+		})
+	if err != nil {
+		return 0, err
+	}
+	for _, resp := range resps {
+		tr.PrunedByKim += resp.PrunedByKim
+		tr.DTWComputed += resp.DTWComputed
+	}
+	next := make([]int, len(resps)) // per shard: its first unconsumed hit
+	groups := 0
+	for _, rd := range reps {
+		if rd.Dist > heap.kth()*divisor+radiusRaw {
+			break
+		}
+		groups++
+		g := e.Groups[rd.GroupID]
+		tr.MembersTested += g.Count()
+		for _, m := range g.Members {
+			ti := s.route[m.SeriesIdx]
+			hits := resps[ti].Hits
+			if next[ti] == len(hits) {
 				continue
 			}
-			if d := rf.ds[i]; d < cutoff {
+			h := hits[next[ti]]
+			if h.GroupID != rd.GroupID || h.Series != m.SeriesIdx || h.Start != m.Start {
+				continue
+			}
+			next[ti]++
+			// The reference's two tests, verbatim (LB_Kim is O(1); the
+			// coordinator holds every series).
+			cutoff := heap.kth() * divisor
+			if !s.global.opts.DisableLowerBounds &&
+				dist.LBKim(q, s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start:m.Start+e.Length]) >= cutoff {
+				continue
+			}
+			if d := math.Float64frombits(h.DistBits); d < cutoff {
 				heap.push(Match{
 					SeriesID: m.SeriesIdx,
 					Start:    m.Start,
-					Length:   length,
+					Length:   e.Length,
 					Dist:     d / divisor,
 					RawDTW:   d,
-					GroupID:  gid,
+					GroupID:  rd.GroupID,
 				})
 			}
 		}
 	}
-	return nil
+	// Past the real cut a shard may have walked on: its leftover hits start
+	// in a candidate the replay did not visit. A leftover anywhere else was
+	// never a member of a visited group in ED order — not a walk's answer.
+	for ti, resp := range resps {
+		if next[ti] == len(resp.Hits) {
+			continue
+		}
+		h := resp.Hits[next[ti]]
+		if !slices.ContainsFunc(reps[groups:], func(c FixedHit) bool { return c.GroupID == h.GroupID }) {
+			return 0, fmt.Errorf("query: shard %d reported k-NN hit %+v outside its candidate walk", s.infos[ti].Shard, h)
+		}
+	}
+	return groups, nil
 }
 
 // RangeSearch answers a range query — every subsequence of the given length

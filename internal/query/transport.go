@@ -8,8 +8,8 @@ import (
 
 // ShardTransport is the seam between the scatter-gather coordinator
 // (Scatter) and one shard's index. Every shard interaction of the engine
-// — the per-length representative scans, group-member DTW
-// evaluation, range search, stats — crosses this interface, so the same
+// — the per-length representative scans, k-NN verification, group-member
+// DTW evaluation, range search, stats — crosses this interface, so the same
 // coordinator code drives an in-process shard (LocalShard) and a remote
 // worker process (internal/shardrpc.Client) interchangeably.
 //
@@ -37,9 +37,14 @@ type ShardTransport interface {
 	// scan over the shard's owned groups of one length, returning the
 	// survivors in ascending global-group order.
 	ScanFixed(ctx context.Context, req ScanFixedRequest) (ScanFixedResponse, error)
+	// VerifyK runs the k-NN member verification of one length as a single
+	// phase: the shard walks its own members of the candidate groups, in
+	// the given order, and returns every finite distance it found (see
+	// LocalShard.VerifyK for the bound it early-abandons against).
+	VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKResponse, error)
 	// EvalMembers evaluates one round of group members against a bound
 	// snapshot: per item, LB_Kim and the early-abandoning DTW — the remote
-	// half of the coordinator's round-replay mining (see Scatter.evalRound).
+	// half of the best-match pivot walk (see Scatter.evalRound).
 	EvalMembers(ctx context.Context, req EvalMembersRequest) (EvalMembersResponse, error)
 	// Range answers a range query over the shard's restriction with
 	// results remapped to global series/group ids.
@@ -98,6 +103,7 @@ type WorkerObs struct {
 // clients can extract the payload generically.
 func (r *ScanBestResponse) ObsPayload() *WorkerObs    { return r.Obs }
 func (r *ScanFixedResponse) ObsPayload() *WorkerObs   { return r.Obs }
+func (r *VerifyKResponse) ObsPayload() *WorkerObs     { return r.Obs }
 func (r *EvalMembersResponse) ObsPayload() *WorkerObs { return r.Obs }
 func (r *RangeResponse) ObsPayload() *WorkerObs       { return r.Obs }
 
@@ -114,12 +120,6 @@ type MemberRef struct {
 type ScanBestRequest struct {
 	Length int       `json:"length"`
 	Query  []float64 `json:"query"`
-	// HintBits is the coordinator's best-so-far bound as Float64bits — an
-	// upper cutoff hint for early abandoning. The Scatter coordinator pins
-	// it to +Inf for Q1 (the per-length argmin feeds the pivot walk and
-	// the Sec. 5.3 early-stop rule, so external pruning would corrupt it),
-	// but the protocol carries it for bound-aware scans.
-	HintBits uint64 `json:"hintBits"`
 	// Workers bounds the shard-side fan-out of the scan (answer-invariant;
 	// see LocalShard.ScanBest).
 	Workers int `json:"workers"`
@@ -161,6 +161,44 @@ type ScanFixedResponse struct {
 	Hits  []FixedHit `json:"hits"`
 	Trace Trace      `json:"trace"`
 	Obs   *WorkerObs `json:"obs,omitempty"`
+}
+
+// VerifyKRequest asks a shard to verify its members of one length's k-NN
+// candidate groups in a single call. Candidates are the merged ScanFixed
+// survivors — global group id and representative DTW — in the coordinator's
+// visit order (ascending distance, ties by id); a shard skips the ids it
+// holds no member of. CutoffBits is the heap's k-th distance × divisor when
+// the phase starts, as Float64bits (+Inf until the heap fills); RadiusRaw is
+// the group-radius term of the group cut (finite, raw-ED units).
+type VerifyKRequest struct {
+	Length     int        `json:"length"`
+	Query      []float64  `json:"query"`
+	K          int        `json:"k"`
+	CutoffBits uint64     `json:"cutoffBits"`
+	RadiusRaw  float64    `json:"radiusRaw"`
+	Workers    int        `json:"workers"`
+	Candidates []FixedHit `json:"candidates"`
+}
+
+// VerifiedHit is one member whose DTW the shard computed to completion:
+// global group id, global series id, window start and the raw distance as
+// Float64bits.
+type VerifiedHit struct {
+	GroupID  int    `json:"groupId"`
+	Series   int    `json:"series"`
+	Start    int    `json:"start"`
+	DistBits uint64 `json:"distBits"`
+}
+
+// VerifyKResponse lists the finite distances in the shard's walk order
+// (candidate order, then the group's ED order) plus the work behind them.
+// Members the shard pruned or abandoned are absent: they are provably ones
+// the coordinator's replay would not push.
+type VerifyKResponse struct {
+	Hits        []VerifiedHit `json:"hits"`
+	PrunedByKim int           `json:"prunedByKim"`
+	DTWComputed int           `json:"dtwComputed"`
+	Obs         *WorkerObs    `json:"obs,omitempty"`
 }
 
 // EvalMembersRequest asks for one round of member evaluations against a

@@ -16,9 +16,9 @@ import (
 
 // The acceptance property of the engine: over the same data, a Shards=N
 // layout answers BestMatch, BestKMatches, RangeSearch(Exact) and both
-// seasonal queries identically (within 1e-12 on distances, exactly on
-// identities and group ids) to the one-shard layout, at every parallelism,
-// and across Append/Extend maintenance interleavings.
+// seasonal queries identically (matches to the bit — identity, group id,
+// distance; range distances and drift within 1e-12) to the one-shard layout,
+// at every parallelism, and across Append/Extend maintenance interleavings.
 
 const equivTol = 1e-12
 
@@ -66,12 +66,8 @@ func randomQueries(r *rand.Rand, d *ts.Dataset, lengths []int, count int) [][]fl
 
 func matchesEqual(t *testing.T, ctx string, a, b query.Match) {
 	t.Helper()
-	if a.SeriesID != b.SeriesID || a.Start != b.Start || a.Length != b.Length || a.GroupID != b.GroupID {
-		t.Fatalf("%s: match identity diverged: (%d,%d,%d) group %d vs (%d,%d,%d) group %d",
-			ctx, a.SeriesID, a.Start, a.Length, a.GroupID, b.SeriesID, b.Start, b.Length, b.GroupID)
-	}
-	if math.Abs(a.Dist-b.Dist) > equivTol {
-		t.Fatalf("%s: distance diverged: %v vs %v", ctx, a.Dist, b.Dist)
+	if a != b {
+		t.Fatalf("%s: match diverged (identity, group id or distance bits): %+v vs %+v", ctx, a, b)
 	}
 }
 
@@ -101,17 +97,19 @@ func compareEngines(t *testing.T, ctx string, one, sharded *Engine, queries [][]
 				matchesEqual(t, mctx+" best", am, bm)
 			}
 
-			ak, aerr := one.BestKMatches(context.Background(), q, mode, 4)
-			bk, berr := sharded.BestKMatches(context.Background(), q, mode, 4)
-			if (aerr == nil) != (berr == nil) {
-				t.Fatalf("%s: BestKMatches error diverged: %v vs %v", mctx, aerr, berr)
-			}
-			if aerr == nil {
-				if len(ak) != len(bk) {
-					t.Fatalf("%s: k-NN count diverged: %d vs %d", mctx, len(ak), len(bk))
+			for _, k := range []int{1, 5, 10} {
+				ak, aerr := one.BestKMatches(context.Background(), q, mode, k)
+				bk, berr := sharded.BestKMatches(context.Background(), q, mode, k)
+				if (aerr == nil) != (berr == nil) {
+					t.Fatalf("%s k%d: BestKMatches error diverged: %v vs %v", mctx, k, aerr, berr)
 				}
-				for i := range ak {
-					matchesEqual(t, fmt.Sprintf("%s knn[%d]", mctx, i), ak[i], bk[i])
+				if aerr == nil {
+					if len(ak) != len(bk) {
+						t.Fatalf("%s k%d: k-NN count diverged: %d vs %d", mctx, k, len(ak), len(bk))
+					}
+					for i := range ak {
+						matchesEqual(t, fmt.Sprintf("%s k%d knn[%d]", mctx, k, i), ak[i], bk[i])
+					}
 				}
 			}
 		}

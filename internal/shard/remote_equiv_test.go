@@ -73,15 +73,15 @@ func startWorkers(t *testing.T, n int) ([]string, []*swapWorker) {
 	return urls, swaps
 }
 
-// TestRemoteEquivalence: across parallelism {1,8} and shard counts {1,3},
+// TestRemoteEquivalence: across parallelism {1,2,8} and shard counts {1,3,4},
 // a worker-served engine answers the full query mix (best match, k-NN,
 // range plain/exact, seasonal, batch, SP-Space guidance) identically to
 // the one-shard layout AND to the in-process sharded engine.
 func TestRemoteEquivalence(t *testing.T) {
 	lengths := []int{8, 12, 16}
 	const st = 0.35
-	for _, parallelism := range []int{1, 8} {
-		for _, shards := range []int{1, 3} {
+	for _, parallelism := range []int{1, 2, 8} {
+		for _, shards := range []int{1, 3, 4} {
 			t.Run(fmt.Sprintf("p%d_s%d", parallelism, shards), func(t *testing.T) {
 				r := rand.New(rand.NewSource(4451))
 				d := randomDataset(r, 16, 32)

@@ -59,21 +59,33 @@ func tiedDataset(r *rand.Rand) *ts.Dataset {
 	return d
 }
 
-// tieLayouts builds the same data at shards {1, 3} × parallelism {1, 8};
-// the first engine (one shard, one worker) is the reference.
-func tieLayouts(t *testing.T, d *ts.Dataset, st float64) (names []string, engs []*Engine) {
+// tieLayouts builds the same data at every shards × parallelism pair, in
+// process and — given worker URLs — once more on the workers; the first
+// engine (one shard, one worker, in-process) is the reference.
+func tieLayouts(t *testing.T, d *ts.Dataset, st float64, lengths, shardCounts, workerCounts []int, urls []string) (names []string, engs []*Engine) {
 	t.Helper()
-	for _, shards := range []int{1, 3} {
-		for _, p := range []int{1, 8} {
-			e, err := Build(d, core.BuildConfig{
-				ST: st, Lengths: []int{tieLen}, Seed: 13, Normalize: core.NormalizeNone,
-				Workers: p, Query: query.Options{Parallelism: p},
-			}, shards, nil)
-			if err != nil {
-				t.Fatal(err)
+	wheres := [][]string{nil}
+	if urls != nil {
+		wheres = append(wheres, urls)
+	}
+	for _, shards := range shardCounts {
+		for _, p := range workerCounts {
+			for _, where := range wheres {
+				e, err := Build(d, core.BuildConfig{
+					ST: st, Lengths: lengths, Seed: 13, Normalize: core.NormalizeNone,
+					Workers: p, Query: query.Options{Parallelism: p},
+				}, shards, where)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("shards%d_p%d", shards, p)
+				if where != nil {
+					name += "_remote"
+					t.Cleanup(func() { e.Close() })
+				}
+				names = append(names, name)
+				engs = append(engs, e)
 			}
-			names = append(names, fmt.Sprintf("shards%d_p%d", shards, p))
-			engs = append(engs, e)
 		}
 	}
 	return names, engs
@@ -84,7 +96,7 @@ func tieLayouts(t *testing.T, d *ts.Dataset, st float64) (names []string, engs [
 // whatever the layout, and repeatably under the racing parallel scan.
 func TestTieRuleSmallestGroupID(t *testing.T) {
 	d := tiedDataset(rand.New(rand.NewSource(1)))
-	names, engs := tieLayouts(t, d, 0.05)
+	names, engs := tieLayouts(t, d, 0.05, []int{tieLen}, []int{1, 3}, []int{1, 8}, nil)
 	groups := engs[0].grouped.ByLength[tieLen].Groups
 	if len(groups) < 16 {
 		t.Fatalf("only %d groups; the parallel scan threshold is not reached", len(groups))
@@ -117,13 +129,24 @@ func TestTieRuleSmallestGroupID(t *testing.T) {
 
 // TestTieEquivalenceAcrossLayouts is the P1-vs-P8 and 1-vs-N suite over
 // duplicated-window data: every family answers identically — identities,
-// group ids and distance bits — at every layout and worker count.
+// group ids and distance bits — at every layout and worker count, in process
+// and on workers. The k-NN part of compareEngines (k ∈ {1, 5, 10}, exact and
+// any length) is the test of the phase's bound argument
+// (query.LocalShard.VerifyK): ties sit exactly on the k-th distance, and
+// with two indexed lengths a MatchAny search starts its second phase from
+// the finite cutoff the first left.
 func TestTieEquivalenceAcrossLayouts(t *testing.T) {
+	lengths := []int{tieLen, tieLen + 2}
+	urls, _ := startWorkers(t, 2)
 	for seed := int64(1); seed <= 3; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		d := tiedDataset(r)
 		for _, st := range []float64{0.05, 0.4} {
-			names, engs := tieLayouts(t, d, st)
+			where := urls
+			if seed > 1 {
+				where = nil // the worker-served layouts run on the first seed only
+			}
+			names, engs := tieLayouts(t, d, st, lengths, []int{1, 3, 4}, []int{1, 2, 8}, where)
 			queries := [][]float64{constant(0.5, tieLen), constant(0.625, tieLen), constant(1.75, tieLen)}
 			for i := 0; i < 6; i++ {
 				s := d.Series[r.Intn(d.N())]
@@ -133,25 +156,7 @@ func TestTieEquivalenceAcrossLayouts(t *testing.T) {
 			ref := engs[0]
 			for i, e := range engs[1:] {
 				ctx := fmt.Sprintf("seed%d st%v %s", seed, st, names[i+1])
-				compareEngines(t, ctx, ref, e, queries, []int{tieLen}, st)
-				for qi, q := range queries {
-					ak, err := ref.BestKMatches(context.Background(), q, query.MatchExact, 12)
-					if err != nil {
-						t.Fatal(err)
-					}
-					bk, err := e.BestKMatches(context.Background(), q, query.MatchExact, 12)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(ak) != len(bk) {
-						t.Fatalf("%s q%d: k-NN count diverged: %d vs %d", ctx, qi, len(ak), len(bk))
-					}
-					for j := range ak {
-						if ak[j] != bk[j] {
-							t.Fatalf("%s q%d knn[%d]: %+v vs %+v", ctx, qi, j, ak[j], bk[j])
-						}
-					}
-				}
+				compareEngines(t, ctx, ref, e, queries, lengths, st)
 			}
 		}
 	}

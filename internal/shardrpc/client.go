@@ -23,6 +23,12 @@ import (
 // 503/unavailable.
 var ErrUnavailable = errors.New("shardrpc: worker unavailable")
 
+// ErrResponseTooLarge marks a worker answer over the response size limit
+// (maxRequestBytes — a range result too wide for one response). The
+// condition is a property of the request, not of the worker's health, so the
+// call fails at once: retrying would move the same bytes again.
+var ErrResponseTooLarge = errors.New("shardrpc: worker response exceeds size limit")
+
 // DefaultTimeout bounds one worker call attempt.
 const DefaultTimeout = 30 * time.Second
 
@@ -65,11 +71,13 @@ type Client struct {
 	http    *http.Client
 	timeout time.Duration
 	retries int
+	// respLimit bounds a response body (maxRequestBytes; tests lower it).
+	respLimit int64
 
 	spec  query.ShardSpec
 	info  query.ShardInfo
 	paths struct {
-		ship, scan, scanFixed, members, rng string
+		ship, scan, scanFixed, verifyK, members, rng string
 	}
 
 	shipMu sync.Mutex // serializes re-ship after a worker restart
@@ -90,12 +98,13 @@ func NewClient(baseURL string, spec query.ShardSpec, opts ClientOptions) (*Clien
 		return nil, fmt.Errorf("shardrpc: shard spec needs a dataset name and generation")
 	}
 	c := &Client{
-		base:    base,
-		http:    opts.HTTPClient,
-		timeout: opts.Timeout,
-		retries: opts.Retries,
-		spec:    spec,
-		info:    specInfo(spec),
+		base:      base,
+		http:      opts.HTTPClient,
+		timeout:   opts.Timeout,
+		retries:   opts.Retries,
+		respLimit: maxRequestBytes,
+		spec:      spec,
+		info:      specInfo(spec),
 	}
 	if c.http == nil {
 		c.http = &http.Client{}
@@ -113,6 +122,7 @@ func NewClient(baseURL string, spec query.ShardSpec, opts ClientOptions) (*Clien
 	c.paths.ship = root
 	c.paths.scan = root + "/scan"
 	c.paths.scanFixed = root + "/scanfixed"
+	c.paths.verifyK = root + "/verifyk"
 	c.paths.members = root + "/members"
 	c.paths.rng = root + "/range"
 
@@ -184,6 +194,17 @@ func unknownGeneration(err error) bool {
 	return errors.As(err, &he) && he.code == "unknown_generation"
 }
 
+// terminal reports whether err is one no retry can change: the worker
+// rejected the request itself (4xx other than a timeout), or its answer is
+// over the size limit.
+func terminal(err error) bool {
+	var he *httpError
+	if errors.As(err, &he) {
+		return he.status >= 400 && he.status < 500 && he.status != http.StatusRequestTimeout
+	}
+	return errors.Is(err, ErrResponseTooLarge)
+}
+
 // callStats accumulates one call's attempt roll-up for the rpc span and
 // the fleet-health counters.
 type callStats struct {
@@ -231,10 +252,15 @@ func (c *Client) once(ctx context.Context, method, path string, in, out any, cs 
 		return fmt.Errorf("shardrpc: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, c.respLimit+1))
 	if err != nil {
 		Fleet().observeAttempt(c.base, time.Since(start), true, timedOut())
 		return fmt.Errorf("shardrpc: read response: %w", err)
+	}
+	if int64(len(raw)) > c.respLimit {
+		// The worker answered in full; it is alive, the answer is too big.
+		Fleet().observeAttempt(c.base, time.Since(start), false, false)
+		return fmt.Errorf("%w: %s %s: over %d bytes", ErrResponseTooLarge, method, path, c.respLimit)
 	}
 	if cs != nil {
 		cs.respBytes += int64(len(raw))
@@ -287,8 +313,7 @@ func (c *Client) shipWithRetry(ctx context.Context) error {
 			return nil
 		}
 		lastErr = err
-		var he *httpError
-		if errors.As(err, &he) && he.status >= 400 && he.status < 500 && he.status != http.StatusRequestTimeout {
+		if terminal(err) {
 			// The worker rejected the spec itself; retrying won't help.
 			return err
 		}
@@ -332,8 +357,8 @@ type obsCarrier interface{ ObsPayload() *query.WorkerObs }
 // idempotent: scans and member evaluations are pure functions of
 // (generation state, request), so a duplicate attempt after an ambiguous
 // failure returns the same bits. Non-retryable answers (4xx protocol
-// errors) and context cancellation surface immediately; exhausted retries
-// wrap ErrUnavailable.
+// errors, a response over the size limit) and context cancellation surface
+// immediately; exhausted retries wrap ErrUnavailable.
 //
 // When the context carries a live obs.Trace, the whole call runs under an
 // "rpc-<op>" span whose attrs decompose it (attempts, retries, re-ships,
@@ -381,8 +406,7 @@ func (c *Client) call(ctx context.Context, op, path string, in, out any) error {
 			lastErr = err
 			continue
 		}
-		var he *httpError
-		if errors.As(err, &he) && he.status >= 400 && he.status < 500 && he.status != http.StatusRequestTimeout {
+		if terminal(err) {
 			c.abortCall(sc, &cs)
 			return err
 		}
@@ -467,6 +491,13 @@ func (c *Client) ScanBest(ctx context.Context, req query.ScanBestRequest) (query
 func (c *Client) ScanFixed(ctx context.Context, req query.ScanFixedRequest) (query.ScanFixedResponse, error) {
 	var resp query.ScanFixedResponse
 	err := c.call(ctx, "scanfixed", c.paths.scanFixed, req, &resp)
+	return resp, err
+}
+
+// VerifyK implements query.ShardTransport.
+func (c *Client) VerifyK(ctx context.Context, req query.VerifyKRequest) (query.VerifyKResponse, error) {
+	var resp query.VerifyKResponse
+	err := c.call(ctx, "verifyk", c.paths.verifyK, req, &resp)
 	return resp, err
 }
 

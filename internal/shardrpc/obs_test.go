@@ -20,7 +20,7 @@ import (
 
 func scanReq() query.ScanBestRequest {
 	return query.ScanBestRequest{
-		Length: 4, Query: []float64{1, 2, 3, 4}, HintBits: math.Float64bits(math.Inf(1)),
+		Length: 4, Query: []float64{1, 2, 3, 4},
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -135,7 +134,7 @@ func TestWorkerUnknownGeneration(t *testing.T) {
 	srv := httptest.NewServer(NewWorker(testLogger()).Handler())
 	defer srv.Close()
 	resp, raw := doJSON(t, http.MethodPost, shipURL(srv.URL, "d", "nope")+"/scan",
-		query.ScanBestRequest{Length: 4, Query: []float64{1, 2, 3, 4}, HintBits: math.Float64bits(math.Inf(1))})
+		query.ScanBestRequest{Length: 4, Query: []float64{1, 2, 3, 4}})
 	if resp.StatusCode != http.StatusNotFound || errCode(t, raw) != "unknown_generation" {
 		t.Fatalf("scan of unshipped generation = %d %s", resp.StatusCode, raw)
 	}
@@ -184,7 +183,7 @@ func TestWorkerGenerationRetention(t *testing.T) {
 			t.Fatalf("ship %s = %d %s", gen, resp.StatusCode, raw)
 		}
 	}
-	scanReq := query.ScanBestRequest{Length: 4, Query: []float64{1, 2, 3, 4}, HintBits: math.Float64bits(math.Inf(1))}
+	scanReq := query.ScanBestRequest{Length: 4, Query: []float64{1, 2, 3, 4}}
 	resp, raw := doJSON(t, http.MethodPost, shipURL(srv.URL, "d", "g1")+"/scan", scanReq)
 	if resp.StatusCode != http.StatusNotFound || errCode(t, raw) != "unknown_generation" {
 		t.Fatalf("evicted generation g1 = %d %s", resp.StatusCode, raw)
@@ -253,7 +252,7 @@ func TestClientRequestIDPropagation(t *testing.T) {
 	defer c.Close()
 	ctx := obs.ContextWithRequestID(t.Context(), "req-test-42")
 	if _, err := c.ScanBest(ctx, query.ScanBestRequest{
-		Length: 4, Query: []float64{1, 2, 3, 4}, HintBits: math.Float64bits(math.Inf(1)),
+		Length: 4, Query: []float64{1, 2, 3, 4},
 	}); err != nil {
 		t.Fatal(err)
 	}
