@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt fmt-check vet build test bench bench-selftest serve-smoke obs-smoke dist-smoke bench-serve bench-parallel bench-stream bench-shard bench-load bench-kernel lint coverage ci
+.PHONY: fmt fmt-check vet build test bench bench-selftest serve-smoke obs-smoke dist-smoke lint coverage ci
 
 fmt: ## Reformat all Go sources in place
 	gofmt -w .
@@ -39,30 +39,6 @@ obs-smoke: ## Boot onex-server with tracing/logging/pprof on and verify the obse
 
 dist-smoke: ## Boot 2 shard workers + coordinator, cross-check answers vs local references (incl. worker restart)
 	sh scripts/dist_smoke.sh
-
-bench-serve: ## Emit BENCH_serve.json: cold vs cached /match latency over HTTP
-	ONEX_BENCH_OUT=$(CURDIR)/BENCH_serve.json \
-		$(GO) test ./internal/api -run '^TestEmitServeBench$$' -v -count=1
-
-bench-load: ## Emit BENCH_load.json: closed-loop mixed-traffic latency vs offered load
-	$(GO) run ./cmd/onex-bench -exp load \
-		-load-out $(CURDIR)/BENCH_load.json
-
-bench-parallel: ## Emit BENCH_parallel.json: sequential vs parallel build/query/batch sweep
-	$(GO) run ./cmd/onex-bench -exp parallel -scale 2 \
-		-parallel-out $(CURDIR)/BENCH_parallel.json
-
-bench-stream: ## Emit BENCH_stream.json: incremental point-append vs full rebuild sweep
-	$(GO) run ./cmd/onex-bench -exp stream \
-		-stream-out $(CURDIR)/BENCH_stream.json
-
-bench-shard: ## Emit BENCH_shard.json: intra-dataset sharding sweep at shards 1/2/4/8
-	$(GO) run ./cmd/onex-bench -exp shard -scale 2 \
-		-shard-out $(CURDIR)/BENCH_shard.json
-
-bench-kernel: ## Emit BENCH_kernel.json: fused vs reference DTW kernel, 1 goroutine
-	$(GO) run ./cmd/onex-bench -exp kernel -repeats 5 \
-		-kernel-out $(CURDIR)/BENCH_kernel.json
 
 # Static analysis beyond go vet (CI's lint job runs this target, so the
 # tool versions are pinned here alone). Tools are fetched on demand.

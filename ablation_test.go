@@ -64,7 +64,7 @@ func (f *ablationFixture) run(b *testing.B, eng *shard.Engine, mode query.MatchM
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.BestMatch(context.Background(), f.queries[i%len(f.queries)], mode); err != nil {
+		if _, err := engBestMatch(eng, f.queries[i%len(f.queries)], mode); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,4 +274,13 @@ func BenchmarkAblationExtendVsRebuild(b *testing.B) {
 			}
 		}
 	})
+}
+
+// engBestMatch asks the engine one Q1 query.
+func engBestMatch(e *shard.Engine, q []float64, mode query.MatchMode) (query.Match, error) {
+	r := e.Exec(context.Background(), query.Request{Family: query.FamilyMatch, Query: q, Mode: mode})
+	if r.Err != nil {
+		return query.Match{}, r.Err
+	}
+	return r.Matches[0], nil
 }

@@ -5,9 +5,7 @@
 // records paper-vs-measured values.
 //
 // This file lives in the external test package: it only touches internal
-// packages directly, and internal/bench now imports internal/api (for the
-// serve-load sweep), which imports onex — an in-package test here would be
-// an import cycle.
+// packages directly.
 package onex_test
 
 import (
@@ -97,7 +95,7 @@ func BenchmarkFig2SimilarityTime(b *testing.B) {
 	f := newBenchFixture(b, "ItalyPower", 1, 8, 8)
 	b.Run("ONEX", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.eng.BestMatch(context.Background(), f.queries[i%len(f.queries)], query.MatchAny); err != nil {
+			if _, err := engBestMatch(f.eng, f.queries[i%len(f.queries)], query.MatchAny); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -146,7 +144,7 @@ func BenchmarkFig3Scalability(b *testing.B) {
 		q := append([]float64(nil), d.Series[0].Values[10:60]...)
 		b.Run(fmt.Sprintf("ONEX/N=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.BestMatch(context.Background(), q, query.MatchAny); err != nil {
+				if _, err := engBestMatch(eng, q, query.MatchAny); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -168,14 +166,14 @@ func BenchmarkFig4Seasonal(b *testing.B) {
 	l := f.lengths[len(f.lengths)/2]
 	b.Run("SampleTS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.eng.SeasonalSample(i%f.data.N(), l); err != nil {
+			if err := f.eng.Exec(context.Background(), query.Request{Family: query.FamilySeasonal, SeriesID: i % f.data.N(), Length: l}).Err; err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("AllTS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.eng.SeasonalAll(l); err != nil {
+			if err := f.eng.Exec(context.Background(), query.Request{Family: query.FamilySeasonal, SeriesID: -1, Length: l}).Err; err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -243,7 +241,7 @@ func tradeoffBench(b *testing.B, name string, scale float64) {
 		}
 		var dists []float64
 		for _, q := range f.queries {
-			m, err := eng.BestMatch(context.Background(), q, query.MatchAny)
+			m, err := engBestMatch(eng, q, query.MatchAny)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -255,7 +253,7 @@ func tradeoffBench(b *testing.B, name string, scale float64) {
 		}
 		b.Run(fmt.Sprintf("ST=%.1f", st), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.BestMatch(context.Background(), f.queries[i%len(f.queries)], query.MatchAny); err != nil {
+				if _, err := engBestMatch(eng, f.queries[i%len(f.queries)], query.MatchAny); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -276,7 +274,7 @@ func BenchmarkTable1SameLengthTime(b *testing.B) {
 	f := newBenchFixture(b, "ECG", 0.15, 6, 6)
 	b.Run("ONEX-S", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.eng.BestMatch(context.Background(), f.queries[i%len(f.queries)], query.MatchExact); err != nil {
+			if _, err := engBestMatch(f.eng, f.queries[i%len(f.queries)], query.MatchExact); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -311,7 +309,7 @@ func accuracyBench(b *testing.B, sameLength bool) {
 			b.Fatal(err)
 		}
 		exact = append(exact, em.Dist)
-		om, err := f.eng.BestMatch(context.Background(), q, mode)
+		om, err := engBestMatch(f.eng, q, mode)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,7 +330,7 @@ func accuracyBench(b *testing.B, sameLength bool) {
 	}
 	b.Run("ONEX", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.eng.BestMatch(context.Background(), f.queries[i%len(f.queries)], mode); err != nil {
+			if _, err := engBestMatch(f.eng, f.queries[i%len(f.queries)], mode); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -391,4 +389,13 @@ func BenchmarkExperimentHarness(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// engBestMatch asks the engine one Q1 query.
+func engBestMatch(e *shard.Engine, q []float64, mode query.MatchMode) (query.Match, error) {
+	r := e.Exec(context.Background(), query.Request{Family: query.FamilyMatch, Query: q, Mode: mode})
+	if r.Err != nil {
+		return query.Match{}, r.Err
+	}
+	return r.Matches[0], nil
 }

@@ -26,11 +26,43 @@
 // early abandoning, warping envelopes, and an allocation-reusing DTW
 // workspace whose unconstrained path is a cache-blocked fused-row-pair
 // kernel — bit-identical to the plain two-row recurrence (locked by a
-// 2000-trial exact-equality test) and measured at a ~1.3× geomean
-// single-core speedup by the committed BENCH_kernel.json (`make
-// bench-kernel`, CI: bench-kernel). Run the package benchmarks with:
+// 2000-trial exact-equality test). Run the package benchmarks with:
 //
 //	go test -bench . -run '^$' ./internal/dist
+//
+// Performance is measured by the repository's benchmark — BENCHMARK.json,
+// `bash benchmark/run.sh -workload scan|refine|serve|ingest|remote` — end
+// to end and per layer; no other number in this repository is a claim.
+//
+// # One request, two entry points
+//
+// The paper writes all of its query classes in one OUTPUT … FROM … WHERE …
+// MATCH template; the code has one value for it. A Request names its family
+// (FamilyMatch, FamilyRange, FamilySeasonal) and fills the clauses that
+// family reads; Exec answers one, ExecBatch many of any mix, and a Result
+// carries the family's slice or the request's own error:
+//
+//	r := base.Exec(ctx, onex.Request{Family: onex.FamilyMatch, Query: q, Mode: onex.MatchAny, K: 5})
+//	rs := base.ExecBatch(ctx, []onex.Request{
+//		{Family: onex.FamilyMatch, Query: q, Mode: onex.MatchAny},
+//		{Family: onex.FamilyRange, Query: q, Length: 24, Radius: 0.1, Exact: true},
+//		{Family: onex.FamilySeasonal, SeriesID: -1, Length: 24},
+//	})
+//	for _, r := range rs {
+//		// r.Matches, r.Ranges or r.Patterns answers its request; r.Err is
+//		// per request (ragged/NaN inputs fail alone, exactly as they do
+//		// through Exec).
+//	}
+//
+// The same value travels every layer — the HTTP decoders build it,
+// internal/hub keys its result cache off it, internal/shard and the
+// query.Scatter coordinator execute it — so a request answers the same bits
+// whichever entry point or batch position carries it. ctx bounds the query
+// (a canceled or expired one stops between lengths, member rounds and
+// groups and yields ctx's error, never a partial answer) and carries its
+// trace, when it has one: obs.ContextWithTrace. BestMatch, BestKMatches,
+// RangeSearch, RangeSearchExact, Seasonal and SeasonalAll spell the paper's
+// classes as plain calls over Exec.
 //
 // # Parallel execution
 //
@@ -48,17 +80,12 @@
 //		ST:          0.2,
 //		Parallelism: 0, // 0 = GOMAXPROCS; 1 forces sequential
 //	})
-//	m, _ := base.BestMatch(q, onex.MatchAny)     // one query, many workers
-//	rs := base.BestMatchBatch(qs, onex.MatchAny) // many queries at once
-//	for _, r := range rs {
-//		// r.Match answers its query; r.Err is per-query (ragged/NaN
-//		// inputs fail alone, identical to the single-call behaviour).
-//	}
+//	m, _ := base.BestMatch(q, onex.MatchAny) // one query, many workers
+//	rs := base.ExecBatch(ctx, reqs)          // many requests at once
 //
-// `make bench-parallel` (CI: the bench-parallel job) emits
-// BENCH_parallel.json, the sequential-vs-parallel sweep of build, single
-// queries and batches at worker counts 1..GOMAXPROCS with an equivalence
-// check baked in.
+// A batch splits the worker budget between its requests and within them: at
+// least Parallelism requests run one worker each, fewer share the rest as
+// intra-query fan-out, so a batch of one costs what the single call does.
 //
 // # Streaming ingestion
 //
@@ -69,8 +96,8 @@
 // appended points are pushed through Algorithm 1's nearest-representative
 // assignment, and the index layers (Dc rows, envelopes, visit orders)
 // refresh incrementally for the touched groups, so absorbing a point batch
-// costs O(new-windows × groups × length) — the committed BENCH_stream.json
-// measures it at 5–13× cheaper than a rebuild, widening with base size.
+// costs O(new-windows × groups × length), not a rebuild (the benchmark's
+// `ingest` workload times both).
 //
 //	grown, err := base.Append(seriesID, 0.41, 0.43, 0.40) // new points
 //	grown.Drift()                                         // incremental fraction
@@ -88,7 +115,6 @@
 // after any Append/Extend interleaving, RangeSearchExact answers match a
 // from-scratch Build over the final data within 1e-12, and the rebuild
 // branch reproduces the from-scratch base exactly.
-// `make bench-stream` (CI: bench-stream) regenerates the sweep.
 //
 // # Sharded serving
 //
@@ -131,9 +157,7 @@
 // retention setting; v4 streams load with the default retention, older
 // ones are refused) and re-derive the shards on load. Stats().PerShard,
 // the hub Info and /v1/datasets/{name}/stats report the per-shard series/
-// group/byte populations; `make bench-shard` (CI: bench-shard) emits
-// BENCH_shard.json sweeping shard counts 1/2/4/8 over a homogeneous and a
-// heterogeneous population with the one-shard-equivalence check baked in.
+// group/byte populations.
 //
 // # Index memory
 //
@@ -169,8 +193,7 @@
 //	go run ./examples/hub
 //
 // for the hub driven directly from Go. The serve-smoke CI job (also
-// `make serve-smoke`) boots the server end to end, and `make bench-serve`
-// emits BENCH_serve.json comparing cold vs cached /match latency.
+// `make serve-smoke`) boots the server end to end.
 //
 // # Distributed serving
 //
@@ -233,8 +256,10 @@ package onex
 //	Algorithm 1                   grouping.Build (+ grouping.Extend /
 //	                              grouping.AppendPoints for incremental
 //	                              maintenance)
-//	Algorithm 2.A (Q1)            Base.BestMatch / BestKMatches
-//	Algorithm 2.B (Q2)            Base.Seasonal / SeasonalAll
+//	OUTPUT…FROM…WHERE…MATCH       onex.Request, answered by Base.Exec /
+//	(the query-class template)    ExecBatch
+//	Algorithm 2.A (Q1)            FamilyMatch: Base.BestMatch / BestKMatches
+//	Algorithm 2.B (Q2)            FamilySeasonal: Base.Seasonal / SeasonalAll
 //	Algorithm 2.C (vary ST′)      Base.WithThreshold
 //	Lemma 1                       tested in grouping (pairwise ≤ ST)
 //	Lemma 2 (ED↔DTW triangle)     the MatchAny early-stop rule and

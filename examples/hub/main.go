@@ -64,11 +64,11 @@ func main() {
 		q[i] = math.Sin(2 * math.Pi * float64(i) / 16)
 	}
 	for i := 0; i < 2; i++ {
-		ms, err := sensors.Match(context.Background(), q, onex.MatchAny, 1)
-		if err != nil {
-			log.Fatal(err)
+		r := sensors.Exec(context.Background(), onex.Request{Family: onex.FamilyMatch, Query: q, Mode: onex.MatchAny})
+		if r.Err != nil {
+			log.Fatal(r.Err)
 		}
-		fmt.Printf("sensors best match: %v\n", ms[0])
+		fmt.Printf("sensors best match: %v\n", r.Matches[0])
 	}
 	info := sensors.Info()
 	fmt.Printf("sensors cache: %d hit(s), %d miss(es)\n", info.CacheHits, info.CacheMisses)

@@ -30,8 +30,12 @@ func TestBestKMatchesPublic(t *testing.T) {
 	if ms[0].Distance > best.Distance+1e-9 {
 		t.Errorf("k-NN top (%v) worse than BestMatch (%v)", ms[0].Distance, best.Distance)
 	}
-	if _, err := b.BestKMatches(q, MatchExact, 0); err == nil {
-		t.Error("k=0: want error")
+	if _, err := b.BestKMatches(q, MatchExact, -1); err == nil {
+		t.Error("k=-1: want error")
+	}
+	// k ≤ 1 is BestMatch itself.
+	if one, err := b.BestKMatches(q, MatchExact, 0); err != nil || len(one) != 1 || !sameMatch(one[0], best) {
+		t.Errorf("k=0: %+v, err %v; want exactly the best match %+v", one, err, best)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // exactBatch is a match/batch body asking each query in exact mode.
-func exactBatch(qs ...[]float64) matchBatchRequest {
-	var req matchBatchRequest
+func exactBatch(qs ...[]float64) batchRequest[matchItem] {
+	var req batchRequest[matchItem]
 	for _, q := range qs {
 		req.Queries = append(req.Queries, matchItem{Query: q, Mode: "exact"})
 	}

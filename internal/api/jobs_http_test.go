@@ -1,11 +1,18 @@
 package api
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+
+	"onex"
+	"onex/internal/hub"
 )
 
 // waitJob polls GET /v1/jobs/{id} until the job reaches a terminal state.
@@ -205,6 +212,70 @@ func TestJobCancelOverHTTP(t *testing.T) {
 		t.Fatalf("busy job state = %v after cancel", done["state"])
 	}
 
+	// A running single-form job stops computing when canceled, freeing the
+	// one worker for the job queued behind it. "heavy" makes one exact range
+	// query long (every window admitted, each paying a 96×96 DTW); what a
+	// whole run of it costs is read off the dataset's work tally.
+	series := make([]onex.Series, 48)
+	for i := range series {
+		v := make([]float64, 400)
+		for j := range v {
+			v[j] = math.Sin(float64(j)/9+float64(i)) + 0.3*math.Sin(float64(j*(i+2))/5)
+		}
+		series[i] = onex.Series{Values: v}
+	}
+	heavy, err := srv.Hub().Register("heavy", hub.Spec{Series: series,
+		Opts: onex.Options{ST: 0.3, Lengths: []int{96}, Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := heavy.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	long := rangeItem{Query: make([]float64, 96), Length: 96, Radius: 2.0, Exact: true}
+	whole := postJSON(t, hs.URL+"/v1/datasets/heavy/range/jobs", long, http.StatusAccepted)
+	if out := waitJob(t, hs.URL, whole["id"].(string)); out["state"] != "done" {
+		t.Fatalf("uncanceled heavy job: %v", out)
+	}
+	wholeDTW := heavy.Info().Query.DTWComputed
+	if wholeDTW < 10_000 {
+		t.Fatalf("a whole heavy query ran only %d DTWs; the fixture is too light to cancel mid-query", wholeDTW)
+	}
+	for round := 0; round < 3; round++ {
+		busy := postJSON(t, hs.URL+"/v1/datasets/heavy/range/jobs", long, http.StatusAccepted)
+		behind := postJSON(t, base+"/match/jobs", matchItem{Query: q}, http.StatusAccepted)
+		for state := busy["state"]; state != "running"; {
+			if state != "queued" {
+				t.Fatalf("round %d: heavy job is %v before it could be canceled", round, state)
+			}
+			state = getJSON(t, hs.URL+"/v1/jobs/"+busy["id"].(string), http.StatusOK)["state"]
+		}
+		out := doJSON(t, http.MethodDelete, hs.URL+"/v1/jobs/"+busy["id"].(string), nil, http.StatusOK)
+		if out["state"] != "canceled" {
+			t.Fatalf("round %d: canceled running job is %v", round, out["state"])
+		}
+		if out := waitJob(t, hs.URL, behind["id"].(string)); out["state"] != "done" {
+			t.Fatalf("round %d: job behind the canceled one: %v", round, out)
+		}
+		// The worker took the next job, so the canceled body has returned —
+		// and it did so without running its query out: had it, the tally
+		// would have grown by a whole query's DTWs.
+		if grown := heavy.Info().Query.DTWComputed - wholeDTW; grown != 0 {
+			t.Fatalf("round %d: the canceled job kept computing: %d more DTWs (a whole query is %d)", round, grown, wholeDTW)
+		}
+	}
+	// Every job is terminal: no job context (or its cancel watcher) lives on.
+	stacks := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		n := bytes.Count(stacks[:runtime.Stack(stacks, true)], []byte("api.(*Server).submitJob"))
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines of finished jobs are still alive", n)
+		}
+	}
+
 	// Canceling a terminal job is a no-op.
 	fin := postJSON(t, base+"/match/jobs", matchItem{Query: q}, http.StatusAccepted)
 	waitJob(t, hs.URL, fin["id"].(string))
@@ -215,7 +286,7 @@ func TestJobCancelOverHTTP(t *testing.T) {
 
 	stats := getJSON(t, hs.URL+"/v1/stats", http.StatusOK)
 	jm := stats["jobs"].(map[string]any)
-	if jm["submitted"].(float64) < 3 || jm["canceled"].(float64) < 1 {
+	if jm["submitted"].(float64) < 10 || jm["canceled"].(float64) < 4 {
 		t.Errorf("job counters missing from /v1/stats: %v", jm)
 	}
 }

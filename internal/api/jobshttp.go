@@ -4,19 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"onex/internal/jobs"
 	"onex/internal/obs"
 )
-
-// jobContext builds the context a job body runs under: detached from the
-// originating request (which ends at the 202-accepted response) but still
-// carrying its request id, so outbound shard-worker calls stay correlated
-// with the submission in worker logs.
-func jobContext(reqID string) context.Context {
-	return obs.ContextWithRequestID(context.Background(), reqID)
-}
 
 // jobView is a job snapshot plus the uniform error fields for terminal
 // failures — the body of every /v1/jobs response.
@@ -40,10 +33,34 @@ func viewJob(j *jobs.Job) jobView {
 	return v
 }
 
-// submitJob queues run and answers 202 with the job snapshot and a
-// Location header for polling.
-func (s *Server) submitJob(w http.ResponseWriter, family, dataset string, run func(*jobs.Context) (any, error)) {
-	j, err := s.jobs.Submit(family, dataset, run)
+// submitJob queues run and answers 202 with the job snapshot and a Location
+// header for polling. The body runs under one context built here: detached
+// from the originating request (which ends at the 202) but carrying its
+// request id, so outbound shard-worker calls stay correlated with the
+// submission in worker logs, and canceled the moment the job is (DELETE, or
+// shutdown) — so the engine stops computing and the worker slot frees,
+// instead of the query running to completion behind a job already reported
+// canceled. A body that returns that cancellation ends the job as canceled.
+func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, family, dataset string,
+	run func(context.Context, *jobs.Context) (any, error)) {
+
+	reqID := requestIDFrom(r.Context())
+	j, err := s.jobs.Submit(family, dataset, func(jc *jobs.Context) (any, error) {
+		ctx, cancel := context.WithCancel(obs.ContextWithRequestID(context.Background(), reqID))
+		defer cancel()
+		go func() {
+			select {
+			case <-jc.Cancel:
+				cancel()
+			case <-ctx.Done():
+			}
+		}()
+		out, err := run(ctx, jc)
+		if errors.Is(err, context.Canceled) {
+			err = jobs.ErrCanceled
+		}
+		return out, err
+	})
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -84,189 +101,61 @@ func decodeInto(raw json.RawMessage, v any) error {
 	return nil
 }
 
-// handleMatchJob serves POST /v1/datasets/{name}/match/jobs: the body is
-// either a single match query or the uniform batch envelope; the job's
-// result is bit-identical to what the corresponding synchronous endpoint
-// would have returned. Progress advances per batch chunk; DELETE cancels
-// between chunks.
-func (s *Server) handleMatchJob(w http.ResponseWriter, r *http.Request) {
-	ds, err := s.dataset(r.PathValue("name"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	raw, isBatch, err := s.jobBody(w, r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	withValues := r.URL.Query().Get("values") == "true"
-	if isBatch {
-		var req matchBatchRequest
-		if err := decodeInto(raw, &req); err != nil {
+// handleJob serves a family's POST /v1/datasets/{name}/…/jobs: the body is
+// either a single item or the uniform batch envelope; the job's result is
+// bit-identical to what the corresponding synchronous endpoint would have
+// returned. Progress is 0/1 → 1/1 for a single item and advances per chunk
+// for a batch; DELETE stops either mid-query.
+func handleJob[I item](s *Server, family string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ds, err := s.dataset(r.PathValue("name"))
+		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		if len(req.Queries) == 0 {
-			writeErr(w, badRequest("queries must be non-empty"))
-			return
-		}
-		ctx := jobContext(requestIDFrom(r.Context()))
-		s.submitJob(w, "match", ds.Name(), func(jc *jobs.Context) (any, error) {
-			return runMatchBatch(ctx, ds, req.Queries, withValues, jc)
-		})
-		return
-	}
-	var req matchItem
-	if err := decodeInto(raw, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	kq, err := req.toKNN()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	reqID := requestIDFrom(r.Context())
-	route := r.URL.Path
-	explain := req.Explain || explainRequested(r)
-	s.submitJob(w, "match", ds.Name(), func(jc *jobs.Context) (any, error) {
-		return runSingle(jc, func() (any, error) {
-			tr := obs.NewTrace(reqID)
-			ms, err := ds.MatchObserved(jobContext(reqID), kq.Query, kq.Mode, kq.K, tr)
-			if err != nil {
-				return nil, err
-			}
-			s.recordSlow(route, ds, "match", jc.JobID(), tr)
-			out := matchResult(kq.K, ms, withValues)
-			if explain {
-				out = explained(out, tr, ds)
-			}
-			return out, nil
-		})
-	})
-}
-
-// handleRangeJob serves POST /v1/datasets/{name}/range/jobs (single or
-// batch body, same contract as handleMatchJob).
-func (s *Server) handleRangeJob(w http.ResponseWriter, r *http.Request) {
-	ds, err := s.dataset(r.PathValue("name"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	raw, isBatch, err := s.jobBody(w, r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if isBatch {
-		var req rangeBatchRequest
-		if err := decodeInto(raw, &req); err != nil {
+		raw, isBatch, err := s.jobBody(w, r)
+		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		if len(req.Queries) == 0 {
-			writeErr(w, badRequest("queries must be non-empty"))
+		withValues := valuesRequested(r)
+		if isBatch {
+			var req batchRequest[I]
+			if err := decodeInto(raw, &req); err != nil {
+				writeErr(w, err)
+				return
+			}
+			if len(req.Queries) == 0 {
+				writeErr(w, errEmptyBatch)
+				return
+			}
+			s.submitJob(w, r, family, ds.Name(), func(ctx context.Context, jc *jobs.Context) (any, error) {
+				return runBatch(ctx, ds, req.Queries, withValues, jc)
+			})
 			return
 		}
-		ctx := jobContext(requestIDFrom(r.Context()))
-		s.submitJob(w, "range", ds.Name(), func(jc *jobs.Context) (any, error) {
-			return runRangeBatch(ctx, ds, req.Queries, jc)
-		})
-		return
-	}
-	var req rangeItem
-	if err := decodeInto(raw, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	reqID := requestIDFrom(r.Context())
-	route := r.URL.Path
-	explain := req.Explain || explainRequested(r)
-	s.submitJob(w, "range", ds.Name(), func(jc *jobs.Context) (any, error) {
-		return runSingle(jc, func() (any, error) {
-			tr := obs.NewTrace(reqID)
-			ms, err := ds.RangeObserved(jobContext(reqID), req.Query, req.Length, req.Radius, req.Exact, tr)
-			if err != nil {
-				return nil, err
-			}
-			s.recordSlow(route, ds, "range", jc.JobID(), tr)
-			out := rangeResult(ms)
-			if explain {
-				out = explained(out, tr, ds)
-			}
-			return out, nil
-		})
-	})
-}
-
-// handleSeasonalJob serves POST /v1/datasets/{name}/seasonal/jobs (single
-// {"series","length"} or batch body).
-func (s *Server) handleSeasonalJob(w http.ResponseWriter, r *http.Request) {
-	ds, err := s.dataset(r.PathValue("name"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	raw, isBatch, err := s.jobBody(w, r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if isBatch {
-		var req seasonalBatchRequest
-		if err := decodeInto(raw, &req); err != nil {
+		var it I
+		if err := decodeInto(raw, &it); err != nil {
 			writeErr(w, err)
 			return
 		}
-		if len(req.Queries) == 0 {
-			writeErr(w, badRequest("queries must be non-empty"))
+		req, err := it.request()
+		if err != nil {
+			writeErr(w, err)
 			return
 		}
-		s.submitJob(w, "seasonal", ds.Name(), func(jc *jobs.Context) (any, error) {
-			return runSeasonalBatch(ds, req.Queries, jc)
-		})
-		return
-	}
-	var req seasonalItem
-	if err := decodeInto(raw, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	reqID := requestIDFrom(r.Context())
-	route := r.URL.Path
-	explain := req.Explain || explainRequested(r)
-	s.submitJob(w, "seasonal", ds.Name(), func(jc *jobs.Context) (any, error) {
-		return runSingle(jc, func() (any, error) {
-			tr := obs.NewTrace(reqID)
-			patterns, err := ds.SeasonalObserved(req.seriesID(), req.Length, tr)
+		route := r.URL.Path
+		explain := it.explain() || explainRequested(r)
+		s.submitJob(w, r, family, ds.Name(), func(ctx context.Context, jc *jobs.Context) (any, error) {
+			jc.Progress(0, 1)
+			out, err := s.answer(ctx, route, ds, family, req, jc.JobID(), explain, withValues)
 			if err != nil {
 				return nil, err
 			}
-			s.recordSlow(route, ds, "seasonal", jc.JobID(), tr)
-			out := seasonalResult(patterns)
-			if explain {
-				out = explained(out, tr, ds)
-			}
+			jc.Progress(1, 1)
 			return out, nil
 		})
-	})
-}
-
-// runSingle wraps a one-shot query as a job body: progress 0/1 → 1/1, with
-// a cancel check before the (uninterruptible) query starts.
-func runSingle(jc *jobs.Context, f func() (any, error)) (any, error) {
-	jc.Progress(0, 1)
-	if jc.Canceled() {
-		return nil, jobs.ErrCanceled
 	}
-	out, err := f()
-	if err != nil {
-		return nil, err
-	}
-	jc.Progress(1, 1)
-	return out, nil
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {

@@ -1,50 +1,92 @@
 package api
 
 import (
+	"context"
 	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"onex"
+	"onex/internal/hub"
 	"onex/internal/obs"
 	"onex/internal/shardrpc"
 )
 
-// matchItem is one match/k-NN query — the body of the single endpoint and
-// the per-item shape of the batch and jobs envelopes.
+// item is one query of a family as its JSON shape — the body of the
+// family's single endpoint and the per-item shape of its batch and jobs
+// envelopes. It is all a family contributes to the HTTP layer: how the JSON
+// becomes an onex.Request, and whether it asked for its trace. The way back
+// (Result → JSON) reads the family off the request (resultJSON).
+type item interface {
+	// request validates the item into the request the hub answers.
+	request() (onex.Request, error)
+	// explain reports the body's "explain" opt-in: return the query's trace
+	// alongside the result (single and single-form job endpoints; accepted
+	// but ignored on batch items — a batch answers many queries through one
+	// engine call and has no per-item trace).
+	explain() bool
+}
+
+// matchItem is one match/k-NN query.
 type matchItem struct {
-	Query []float64 `json:"query"`
-	Mode  string    `json:"mode"` // "any" (default) or "exact"
-	K     int       `json:"k"`    // 0/1 = best match; >1 = k-NN
-	// Explain returns the query's trace alongside the result (single and
-	// single-form job endpoints; accepted but ignored on batch items —
-	// batches answer many queries through one engine call and have no
-	// per-item trace).
+	Query   []float64 `json:"query"`
+	Mode    string    `json:"mode"` // "any" (default) or "exact"
+	K       int       `json:"k"`    // 0/1 = best match; >1 = k-NN
+	Explain bool      `json:"explain"`
+}
+
+func (it matchItem) explain() bool { return it.Explain }
+
+func (it matchItem) request() (onex.Request, error) {
+	req := onex.Request{Family: onex.FamilyMatch, Query: it.Query, Mode: onex.MatchAny, K: it.K}
+	switch it.Mode {
+	case "", "any":
+	case "exact":
+		req.Mode = onex.MatchExact
+	default:
+		return req, badRequest(`mode must be "any" or "exact"`)
+	}
+	if it.K < 0 {
+		return req, badRequest("k must be ≥ 0")
+	}
+	return req, nil
+}
+
+// rangeItem is one range query.
+type rangeItem struct {
+	Query  []float64 `json:"query"`
+	Length int       `json:"length"`
+	Radius float64   `json:"radius"`
+	// Exact computes true DTW distances for matches admitted through the
+	// Lemma 2 guarantee instead of reporting the ST upper bound.
+	Exact   bool `json:"exact"`
 	Explain bool `json:"explain"`
 }
 
-func parseMode(s string) (onex.MatchMode, error) {
-	switch s {
-	case "", "any":
-		return onex.MatchAny, nil
-	case "exact":
-		return onex.MatchExact, nil
-	default:
-		return 0, badRequest(`mode must be "any" or "exact"`)
-	}
+func (it rangeItem) explain() bool { return it.Explain }
+
+func (it rangeItem) request() (onex.Request, error) {
+	return onex.Request{Family: onex.FamilyRange, Query: it.Query, Length: it.Length, Radius: it.Radius, Exact: it.Exact}, nil
 }
 
-// toKNN validates the item and converts it to the hub's batch query shape.
-func (it matchItem) toKNN() (onex.KNNQuery, error) {
-	mode, err := parseMode(it.Mode)
-	if err != nil {
-		return onex.KNNQuery{}, err
+// seasonalItem is one seasonal query: the batch/jobs item shape (the single
+// endpoint takes the same parameters as GET query strings). A nil Series
+// (or any negative id) means dataset-wide.
+type seasonalItem struct {
+	Series  *int `json:"series"`
+	Length  int  `json:"length"`
+	Explain bool `json:"explain"`
+}
+
+func (it seasonalItem) explain() bool { return it.Explain }
+
+func (it seasonalItem) request() (onex.Request, error) {
+	req := onex.Request{Family: onex.FamilySeasonal, SeriesID: -1, Length: it.Length}
+	if it.Series != nil {
+		req.SeriesID = *it.Series
 	}
-	if it.K < 0 {
-		return onex.KNNQuery{}, badRequest("k must be ≥ 0")
-	}
-	return onex.KNNQuery{Query: it.Query, Mode: mode, K: it.K}, nil
+	return req, nil
 }
 
 type matchResponse struct {
@@ -65,126 +107,92 @@ func toMatchResponse(m onex.Match, withValues bool) matchResponse {
 	return r
 }
 
-// matchResult shapes a match answer exactly like the single endpoint: a
-// bare match object for k ≤ 1, {"matches": [...]} for k-NN. Batch items
-// and job results reuse it so the async answer is bit-identical to sync.
-func matchResult(k int, ms []onex.Match, withValues bool) any {
-	if k > 1 {
-		out := make([]matchResponse, 0, len(ms))
-		for _, m := range ms {
-			out = append(out, toMatchResponse(m, withValues))
-		}
-		return map[string]any{"matches": out}
-	}
-	return toMatchResponse(ms[0], withValues)
-}
-
-func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	ds, err := s.dataset(r.PathValue("name"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req matchItem
-	if err := s.decodeStrict(w, r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	kq, err := req.toKNN()
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	withValues := r.URL.Query().Get("values") == "true"
-	tr := obs.NewTrace(requestIDFrom(r.Context()))
-	ms, err := ds.MatchObserved(r.Context(), kq.Query, kq.Mode, kq.K, tr)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.recordSlow(r.URL.Path, ds, "match", "", tr)
-	body := matchResult(kq.K, ms, withValues)
-	if req.Explain || explainRequested(r) {
-		body = explained(body, tr, ds)
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// rangeItem is one range query — single body and batch/jobs item shape.
-type rangeItem struct {
-	Query  []float64 `json:"query"`
-	Length int       `json:"length"`
-	Radius float64   `json:"radius"`
-	// Exact computes true DTW distances for matches admitted through the
-	// Lemma 2 guarantee instead of reporting the ST upper bound.
-	Exact bool `json:"exact"`
-	// Explain returns the query's trace alongside the result (single and
-	// single-form job endpoints; accepted but ignored on batch items).
-	Explain bool `json:"explain"`
-}
-
 type rangeMatchResponse struct {
 	matchResponse
 	Guaranteed bool `json:"guaranteed"`
 }
 
-// rangeResult shapes a range answer exactly like the single endpoint.
-func rangeResult(ms []onex.RangeMatch) any {
-	out := make([]rangeMatchResponse, 0, len(ms))
-	for _, m := range ms {
-		out = append(out, rangeMatchResponse{toMatchResponse(m.Match, false), m.Guaranteed})
+// resultJSON shapes an answer exactly like its family's single endpoint —
+// match: a bare match object for k ≤ 1, {"matches": [...]} for k-NN; range:
+// {"count","results"}; seasonal: {"count","patterns"}. Batch items and job
+// results reuse it so every form's answer is bit-identical to the sync one.
+// withValues (?values=true) adds the matched windows to match answers.
+func resultJSON(req onex.Request, r onex.Result, withValues bool) any {
+	switch req.Family {
+	case onex.FamilyMatch:
+		if req.K <= 1 {
+			return toMatchResponse(r.Matches[0], withValues)
+		}
+		out := make([]matchResponse, 0, len(r.Matches))
+		for _, m := range r.Matches {
+			out = append(out, toMatchResponse(m, withValues))
+		}
+		return map[string]any{"matches": out}
+	case onex.FamilyRange:
+		out := make([]rangeMatchResponse, 0, len(r.Ranges))
+		for _, m := range r.Ranges {
+			out = append(out, rangeMatchResponse{toMatchResponse(m.Match, false), m.Guaranteed})
+		}
+		return map[string]any{"count": len(out), "results": out}
+	default:
+		return map[string]any{"count": len(r.Patterns), "patterns": r.Patterns}
 	}
-	return map[string]any{"count": len(out), "results": out}
 }
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	ds, err := s.dataset(r.PathValue("name"))
-	if err != nil {
-		writeErr(w, err)
-		return
+// valuesRequested reports the ?values=true opt-in.
+func valuesRequested(r *http.Request) bool { return r.URL.Query().Get("values") == "true" }
+
+// answer runs one request traced — under ctx, which bounds it and carries
+// the request id to remote shard workers — feeds the slow-query buffer and
+// shapes the family's response body, wrapped with the trace when explain is
+// set. Sync handlers and single-form job bodies (jobID non-empty) share it;
+// family is the slow-log label.
+func (s *Server) answer(ctx context.Context, route string, ds *hub.Dataset, family string, req onex.Request,
+	jobID string, explain, withValues bool) (any, error) {
+
+	tr := obs.NewTrace(requestIDFrom(ctx))
+	r := ds.Exec(obs.ContextWithTrace(ctx, tr), req)
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	var req rangeItem
-	if err := s.decodeStrict(w, r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	tr := obs.NewTrace(requestIDFrom(r.Context()))
-	ms, err := ds.RangeObserved(r.Context(), req.Query, req.Length, req.Radius, req.Exact, tr)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.recordSlow(r.URL.Path, ds, "range", "", tr)
-	body := rangeResult(ms)
-	if req.Explain || explainRequested(r) {
+	s.recordSlow(route, ds, family, jobID, tr)
+	body := resultJSON(req, r, withValues)
+	if explain {
 		body = explained(body, tr, ds)
 	}
-	writeJSON(w, http.StatusOK, body)
+	return body, nil
 }
 
-// seasonalItem is one seasonal query: the batch/jobs item shape (the single
-// endpoint takes the same parameters as GET query strings). A nil Series
-// (or any negative id) means dataset-wide.
-type seasonalItem struct {
-	Series *int `json:"series"`
-	Length int  `json:"length"`
-	// Explain returns the query's trace alongside the result (single-form
-	// job endpoint; accepted but ignored on batch items).
-	Explain bool `json:"explain"`
-}
-
-func (it seasonalItem) seriesID() int {
-	if it.Series == nil {
-		return -1
+// handleQuery serves a family's synchronous POST endpoint
+// (/v1/datasets/{name}/match and …/range): the body is one item.
+func handleQuery[I item](s *Server, family string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ds, err := s.dataset(r.PathValue("name"))
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		var it I
+		if err := s.decodeStrict(w, r, &it); err != nil {
+			writeErr(w, err)
+			return
+		}
+		req, err := it.request()
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		body, err := s.answer(r.Context(), r.URL.Path, ds, family, req, "", it.explain() || explainRequested(r), valuesRequested(r))
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, body)
 	}
-	return *it.Series
 }
 
-// seasonalResult shapes a seasonal answer exactly like the single endpoint.
-func seasonalResult(patterns []onex.Pattern) any {
-	return map[string]any{"count": len(patterns), "patterns": patterns}
-}
-
+// handleSeasonal serves GET /v1/datasets/{name}/seasonal: the item arrives
+// as query-string parameters.
 func (s *Server) handleSeasonal(w http.ResponseWriter, r *http.Request) {
 	ds, err := s.dataset(r.PathValue("name"))
 	if err != nil {
@@ -192,28 +200,21 @@ func (s *Server) handleSeasonal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	length, err := strconv.Atoi(q.Get("length"))
-	if err != nil {
+	req := onex.Request{Family: onex.FamilySeasonal, SeriesID: -1} // dataset-wide
+	if req.Length, err = strconv.Atoi(q.Get("length")); err != nil {
 		writeErr(w, badRequest("length must be an integer"))
 		return
 	}
-	seriesID := -1 // dataset-wide
 	if sid := q.Get("series"); sid != "" {
-		if seriesID, err = strconv.Atoi(sid); err != nil || seriesID < 0 {
+		if req.SeriesID, err = strconv.Atoi(sid); err != nil || req.SeriesID < 0 {
 			writeErr(w, badRequest("series must be a non-negative integer"))
 			return
 		}
 	}
-	tr := obs.NewTrace(requestIDFrom(r.Context()))
-	patterns, err := ds.SeasonalObserved(seriesID, length, tr)
+	body, err := s.answer(r.Context(), r.URL.Path, ds, "seasonal", req, "", explainRequested(r), false)
 	if err != nil {
 		writeErr(w, err)
 		return
-	}
-	s.recordSlow(r.URL.Path, ds, "seasonal", "", tr)
-	body := seasonalResult(patterns)
-	if explainRequested(r) {
-		body = explained(body, tr, ds)
 	}
 	writeJSON(w, http.StatusOK, body)
 }

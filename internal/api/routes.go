@@ -21,11 +21,11 @@ func (s *Server) Routes() http.Handler {
 	handle("GET /v1/datasets", s.handleList)
 	handle("GET /v1/datasets/{name}", s.handleDatasetInfo)
 	handle("DELETE /v1/datasets/{name}", s.handleDrop)
-	handle("POST /v1/datasets/{name}/match", s.handleMatch)
-	handle("POST /v1/datasets/{name}/match/batch", s.handleMatchBatch)
-	handle("POST /v1/datasets/{name}/range", s.handleRange)
-	handle("POST /v1/datasets/{name}/range/batch", s.handleRangeBatch)
-	handle("POST /v1/datasets/{name}/seasonal/batch", s.handleSeasonalBatch)
+	handle("POST /v1/datasets/{name}/match", handleQuery[matchItem](s, "match"))
+	handle("POST /v1/datasets/{name}/match/batch", handleBatch[matchItem](s))
+	handle("POST /v1/datasets/{name}/range", handleQuery[rangeItem](s, "range"))
+	handle("POST /v1/datasets/{name}/range/batch", handleBatch[rangeItem](s))
+	handle("POST /v1/datasets/{name}/seasonal/batch", handleBatch[seasonalItem](s))
 	handle("POST /v1/datasets/{name}/extend", s.handleExtend)
 	handle("POST /v1/datasets/{name}/append", s.handleAppend)
 	handle("GET /v1/datasets/{name}/seasonal", s.handleSeasonal)
@@ -41,9 +41,9 @@ func (s *Server) Routes() http.Handler {
 	}
 
 	// Async jobs: any query family as a pollable, cancelable job.
-	handle("POST /v1/datasets/{name}/match/jobs", s.handleMatchJob)
-	handle("POST /v1/datasets/{name}/range/jobs", s.handleRangeJob)
-	handle("POST /v1/datasets/{name}/seasonal/jobs", s.handleSeasonalJob)
+	handle("POST /v1/datasets/{name}/match/jobs", handleJob[matchItem](s, "match"))
+	handle("POST /v1/datasets/{name}/range/jobs", handleJob[rangeItem](s, "range"))
+	handle("POST /v1/datasets/{name}/seasonal/jobs", handleJob[seasonalItem](s, "seasonal"))
 	handle("GET /v1/jobs", s.handleJobList)
 	handle("GET /v1/jobs/{id}", s.handleJobGet)
 	handle("DELETE /v1/jobs/{id}", s.handleJobCancel)

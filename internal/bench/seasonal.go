@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 
 	"onex/internal/core"
 	"onex/internal/dataset"
+	"onex/internal/query"
 	"onex/internal/shard"
 )
 
@@ -48,8 +50,7 @@ func runFig4(s *Session) ([]Table, error) {
 			for j := 0; j < nLengths; j++ {
 				l := pickLen()
 				sec, err := timeIt(s.cfg.Repeats, func() error {
-					_, e := eng.SeasonalSample(sid, l)
-					return e
+					return eng.Exec(context.Background(), query.Request{Family: query.FamilySeasonal, SeriesID: sid, Length: l}).Err
 				})
 				if err != nil {
 					return nil, err
@@ -64,8 +65,7 @@ func runFig4(s *Session) ([]Table, error) {
 		for j := 0; j < nLengths; j++ {
 			l := pickLen()
 			sec, err := timeIt(s.cfg.Repeats, func() error {
-				_, e := eng.SeasonalAll(l)
-				return e
+				return eng.Exec(context.Background(), query.Request{Family: query.FamilySeasonal, SeriesID: -1, Length: l}).Err
 			})
 			if err != nil {
 				return nil, err

@@ -14,6 +14,15 @@ import (
 	"onex/internal/stats"
 )
 
+// bestMatch asks eng the Q1 query the experiments time.
+func bestMatch(eng *shard.Engine, q []float64, mode query.MatchMode) (query.Match, error) {
+	r := eng.Exec(context.Background(), query.Request{Family: query.FamilyMatch, Query: q, Mode: mode})
+	if r.Err != nil {
+		return query.Match{}, r.Err
+	}
+	return r.Matches[0], nil
+}
+
 // SimilarityResult aggregates one dataset's similarity-query experiment —
 // the shared measurement behind Fig. 2, Fig. 7/8 ground truths and
 // Tables 1–3.
@@ -137,7 +146,7 @@ func runSimilaritySuite(w *Workload, cfg Config) (*SimilarityResult, error) {
 		var m query.Match
 		sec, err = timeIt(cfg.Repeats, func() error {
 			var e error
-			m, e = eng.BestMatch(context.Background(), q.Values, query.MatchAny)
+			m, e = bestMatch(eng, q.Values, query.MatchAny)
 			return e
 		})
 		if err != nil {
@@ -149,7 +158,7 @@ func runSimilaritySuite(w *Workload, cfg Config) (*SimilarityResult, error) {
 		// ONEX-S, same length (Table 1/2's restricted mode).
 		sec, err = timeIt(cfg.Repeats, func() error {
 			var e error
-			m, e = eng.BestMatch(context.Background(), q.Values, query.MatchExact)
+			m, e = bestMatch(eng, q.Values, query.MatchExact)
 			return e
 		})
 		if err != nil {

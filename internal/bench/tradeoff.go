@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"onex/internal/core"
@@ -79,7 +78,7 @@ func (s *Session) tradeoffOne(title, name string) (Table, error) {
 			var m query.Match
 			sec, err := timeIt(s.cfg.Repeats, func() error {
 				var e error
-				m, e = eng.BestMatch(context.Background(), q.Values, query.MatchAny)
+				m, e = bestMatch(eng, q.Values, query.MatchAny)
 				return e
 			})
 			if err != nil {

@@ -10,81 +10,34 @@ import (
 	"onex"
 )
 
-// batchQueries builds a mix of valid, perturbed and malformed queries.
-func batchQueries(n int) [][]float64 {
-	out := make([][]float64, 0, n+3)
+// batchRequests builds a mixed-family batch: n valid match requests, a
+// range, a seasonal and a k-NN one, then malformed stragglers that must
+// fail per item, not whole-batch.
+func batchRequests(n int) []onex.Request {
+	out := make([]onex.Request, 0, n+6)
 	for i := 0; i < n; i++ {
 		q := make([]float64, 8)
 		for j := range q {
 			q[j] = math.Sin(float64(j+i) / 3)
 		}
-		out = append(out, q)
+		out = append(out, onex.Request{Family: onex.FamilyMatch, Query: q, Mode: onex.MatchAny})
 	}
-	// Malformed stragglers: must fail per-query, not whole-batch.
-	out = append(out, nil, []float64{}, []float64{1, math.NaN()})
-	return out
+	q := out[0].Query
+	return append(out,
+		onex.Request{Family: onex.FamilyRange, Query: q, Length: 8, Radius: 0.5},
+		onex.Request{Family: onex.FamilySeasonal, SeriesID: -1, Length: 8},
+		onex.Request{Family: onex.FamilyMatch, Query: q, Mode: onex.MatchExact, K: 3},
+		onex.Request{Family: onex.FamilyMatch, Mode: onex.MatchAny},
+		onex.Request{Family: onex.FamilyRange, Query: []float64{1, math.NaN()}, Length: 8, Radius: 0.5},
+		onex.Request{Family: onex.Family(9)},
+	)
 }
 
-func TestMatchBatchPositionalAndCacheShared(t *testing.T) {
-	h := New(Config{})
-	defer h.Close()
-	ds, err := h.Register("demo", testSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitReady(t, ds)
-
-	qs := batchQueries(6)
-	rs, err := ds.MatchBatch(context.Background(), qs, onex.MatchAny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != len(qs) {
-		t.Fatalf("batch returned %d results for %d queries", len(rs), len(qs))
-	}
-	for i := 0; i < 6; i++ {
-		if rs[i].Err != nil {
-			t.Fatalf("query %d failed: %v", i, rs[i].Err)
-		}
-		if rs[i].Match.Length == 0 {
-			t.Fatalf("query %d: zero match", i)
-		}
-	}
-	for i := 6; i < len(qs); i++ {
-		if rs[i].Err == nil {
-			t.Fatalf("malformed query %d did not error", i)
-		}
-	}
-
-	// A single Match for one of the batch queries must hit the cache the
-	// batch populated, and a repeated batch must be all hits.
-	hits0 := ds.Info().CacheHits
-	if _, err := ds.Match(context.Background(), qs[0], onex.MatchAny, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := ds.Info().CacheHits; got != hits0+1 {
-		t.Fatalf("single Match after batch: hits %d, want %d", got, hits0+1)
-	}
-	rs2, err := ds.MatchBatch(context.Background(), qs[:6], onex.MatchAny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs2 {
-		a, b := rs2[i].Match, rs[i].Match
-		if a.SeriesID != b.SeriesID || a.Start != b.Start || a.Length != b.Length || a.Distance != b.Distance {
-			t.Fatalf("cached batch result %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-	if got := ds.Info().CacheHits; got != hits0+7 {
-		t.Fatalf("repeat batch: hits %d, want %d", got, hits0+7)
-	}
-}
-
-// TestMatchBatchRacesDropAndExtend hammers one dataset with concurrent
+// TestExecBatchRacesDropAndExtend hammers one dataset with concurrent
 // batches while other goroutines Extend it and finally Drop it. Run under
 // -race (the CI default): the invariants are no panic, no deadlock, and
 // every batch either answers completely or fails with a lifecycle error.
-func TestMatchBatchRacesDropAndExtend(t *testing.T) {
+func TestExecBatchRacesDropAndExtend(t *testing.T) {
 	h := New(Config{})
 	defer h.Close()
 	ds, err := h.Register("demo", testSpec(2))
@@ -93,7 +46,7 @@ func TestMatchBatchRacesDropAndExtend(t *testing.T) {
 	}
 	waitReady(t, ds)
 
-	qs := batchQueries(4)
+	qs := batchRequests(4)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -106,7 +59,7 @@ func TestMatchBatchRacesDropAndExtend(t *testing.T) {
 					return
 				default:
 				}
-				rs, err := ds.MatchBatch(context.Background(), qs, onex.MatchAny)
+				rs, err := ds.ExecBatch(context.Background(), qs)
 				if err != nil {
 					if !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrNotReady) && !errors.Is(err, ErrFailed) {
 						t.Errorf("unexpected batch error: %v", err)
@@ -138,7 +91,7 @@ func TestMatchBatchRacesDropAndExtend(t *testing.T) {
 	// Post-drop batches fail cleanly with the dataset's terminal error —
 	// the retained handle still answers (immutable base) per Dataset.Base
 	// semantics, so just ensure no panic and a well-formed result.
-	if _, err := ds.MatchBatch(context.Background(), qs, onex.MatchAny); err != nil &&
+	if _, err := ds.ExecBatch(context.Background(), qs); err != nil &&
 		!errors.Is(err, ErrNotFound) && !errors.Is(err, ErrNotReady) && !errors.Is(err, ErrFailed) {
 		t.Fatalf("post-drop batch error: %v", err)
 	}

@@ -8,6 +8,8 @@ import (
 	"math"
 	"strings"
 	"sync"
+
+	"onex"
 )
 
 // CacheStats reports the result cache's effectiveness counters.
@@ -154,35 +156,35 @@ type keyScope struct {
 	layout     uint64
 }
 
-// The typed key builders below are the single source of truth for how each
-// query family keys the result cache. Singles and batches MUST build keys
-// through them — never through raw queryKey calls — so a batch item always
-// shares hits with the equivalent single query, and so every option that
-// changes the answer (k, radius, the exact flag, the seasonal scope) is
-// provably part of the key. The per-family kind strings keep families from
+// requestKey is the single source of truth for how a query keys the result
+// cache: Exec and ExecBatch both build keys through it, so a batch item
+// always shares hits with the same request asked alone, and every option
+// that changes the answer is provably part of the key — mode and k for
+// matches (k = 0 folded to 1: both are the best match), length, the exact
+// flag and the radius (folded in with the query values) for ranges, the
+// series scope for seasonal queries (every negative id is the one
+// dataset-wide form). The per-family kind strings keep families from
 // aliasing each other even at identical parameter hashes.
-
-// matchKey keys best-match and k-NN results: mode and k are answer-changing
-// options (a k=1 and a k=5 answer for the same q must never alias).
-func matchKey(s keyScope, mode int, k int, q []float64) string {
-	return queryKey(s.name, s.epoch, s.gen, s.layout, "match", []int{mode, k}, q)
-}
-
-// rangeKey keys range results on the full option set: length, the exact
-// flag (exact and guaranteed-bound answers differ for the same q/radius),
-// and the radius folded in with the query values.
-func rangeKey(s keyScope, length int, radius float64, exact bool, q []float64) string {
-	e := 0
-	if exact {
-		e = 1
+func requestKey(s keyScope, r onex.Request) string {
+	switch r.Family {
+	case onex.FamilyMatch:
+		k := r.K
+		if k == 0 {
+			k = 1
+		}
+		return queryKey(s.name, s.epoch, s.gen, s.layout, "match", []int{int(r.Mode), k}, r.Query)
+	case onex.FamilyRange:
+		e := 0
+		if r.Exact {
+			e = 1
+		}
+		return queryKey(s.name, s.epoch, s.gen, s.layout, "range", []int{r.Length, e}, append(append([]float64(nil), r.Query...), r.Radius))
+	case onex.FamilySeasonal:
+		return queryKey(s.name, s.epoch, s.gen, s.layout, "seasonal", []int{max(r.SeriesID, -1), r.Length}, nil)
+	default:
+		// Never answered (the engine refuses the family), so never stored.
+		return queryKey(s.name, s.epoch, s.gen, s.layout, "unknown", []int{int(r.Family)}, nil)
 	}
-	return queryKey(s.name, s.epoch, s.gen, s.layout, "range", []int{length, e}, append(append([]float64(nil), q...), radius))
-}
-
-// seasonalKey keys seasonal results; seriesID < 0 (the data-driven form) is
-// part of the key, so a per-series and a dataset-wide answer never alias.
-func seasonalKey(s keyScope, seriesID, length int) string {
-	return queryKey(s.name, s.epoch, s.gen, s.layout, "seasonal", []int{seriesID, length}, nil)
 }
 
 // recommendKey keys threshold recommendations on degree and length scope.

@@ -5,13 +5,17 @@
 // failed) on a bounded worker pool, so heavy offline constructions never
 // block registration or queries against other datasets. Built bases are
 // optionally snapshotted to disk (onex.Base.SaveFile) and re-registration
-// of a dropped dataset reloads the snapshot instead of rebuilding. Queries
-// against a ready dataset go through a hub-wide bounded LRU result cache
+// of a dropped dataset reloads the snapshot instead of rebuilding.
+//
+// One request, two entry points: queries against a ready dataset are
+// onex.Request values answered by Dataset.Exec (one) and Dataset.ExecBatch
+// (many, of any mix of families) through a hub-wide bounded LRU result cache
 // keyed on the dataset's registration epoch and generation counter, the
-// query kind and a hash of the parameters; Extend swaps in the extended
-// base, bumps the generation and invalidates the dataset's cached results,
-// so readers never see stale answers while in-flight queries keep using
-// the (immutable) old base.
+// request's family and a hash of its parameters (requestKey — one builder,
+// so a batch item and the same request alone share an entry); Extend swaps
+// in the extended base, bumps the generation and invalidates the dataset's
+// cached results, so readers never see stale answers while in-flight queries
+// keep using the (immutable) old base.
 package hub
 
 import (
@@ -946,37 +950,27 @@ func (d *Dataset) resnapshot() {
 	d.mu.Unlock()
 }
 
-// cached runs compute through the hub's result cache. Results are shared —
-// callers must treat them as immutable.
-func (d *Dataset) cached(key string, compute func() (any, error)) (any, error) {
-	return d.cachedT(key, nil, compute)
-}
-
-// cachedT is cached with tracing: a non-nil rec gets a "cache" span whose
-// hit attribute is 1 on a cache hit (in which case no engine spans follow —
-// a hit does zero cascade work) and 0 on the computing path.
-func (d *Dataset) cachedT(key string, rec *obs.Trace, compute func() (any, error)) (any, error) {
+// lookup reads one key from the hub's result cache, counting the outcome on
+// the dataset; a non-nil rec gets a "cache" span whose hit attribute is 1 on
+// a hit (no engine spans follow — a hit does zero cascade work) and 0 on the
+// computing path.
+func (d *Dataset) lookup(rec *obs.Trace, key string) (any, bool) {
 	var sc obs.SpanScope
 	if rec != nil {
 		sc = rec.StartSpan("cache")
 	}
-	if v, ok := d.hub.cache.get(key); ok {
+	v, ok := d.hub.cache.get(key)
+	var hit int64
+	if ok {
+		hit = 1
 		d.hits.Add(1)
-		if rec != nil {
-			sc.Attr("hit", 1).End()
-		}
-		return v, nil
+	} else {
+		d.misses.Add(1)
 	}
-	d.misses.Add(1)
 	if rec != nil {
-		sc.Attr("hit", 0).End()
+		sc.Attr("hit", hit).End()
 	}
-	v, err := compute()
-	if err != nil {
-		return nil, err
-	}
-	d.hub.cache.put(key, v)
-	return v, nil
+	return v, ok
 }
 
 // scope builds the cache-key identity for queries against one (base, gen)
@@ -985,297 +979,74 @@ func (d *Dataset) scope(base *onex.Base, gen uint64) keyScope {
 	return keyScope{name: d.name, epoch: d.epoch, gen: gen, layout: base.LayoutSignature()}
 }
 
-// Match answers a similarity query (k ≤ 1 = best match, else k-NN) through
-// the result cache. The returned slice is shared; do not mutate it. ctx
-// carries cancellation and the request id into the engine's per-shard
-// fan-out (a canceled ctx stops distributed work between rounds).
+// Exec answers one request — a batch of one; a dataset that is not ready is
+// the result's Err. With a trace on ctx the cache lookup and — on a miss —
+// the engine's spans and work counters are recorded; answers are identical
+// either way.
+func (d *Dataset) Exec(ctx context.Context, req onex.Request) onex.Result {
+	rs, err := d.ExecBatch(ctx, []onex.Request{req})
+	if err != nil {
+		return onex.Result{Err: err}
+	}
+	return rs[0]
+}
+
+// ExecBatch answers many requests, of any mix of families, positionally with
+// per-item errors (a malformed item fails alone). Each item goes through the
+// result cache under requestKey — the key it has alone, so batches and
+// singles share hits — and the misses are answered together by
+// onex.Base.ExecBatch, which fans them across the base's worker pool; only
+// successes are cached. Returned slices are shared with the cache — treat
+// them as immutable. ctx carries cancellation, the request id and the trace
+// into the engine's per-shard fan-out. The error is the dataset's (not
+// ready, failed).
+func (d *Dataset) ExecBatch(ctx context.Context, reqs []onex.Request) ([]onex.Result, error) {
+	base, gen, err := d.Base()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]onex.Result, len(reqs))
+	keys := make([]string, len(reqs))
+	miss := make([]onex.Request, 0, len(reqs))
+	missIdx := make([]int, 0, len(reqs))
+	scope, rec := d.scope(base, gen), obs.TraceFromContext(ctx)
+	for i, req := range reqs {
+		keys[i] = requestKey(scope, req)
+		if v, ok := d.lookup(rec, keys[i]); ok {
+			out[i] = v.(onex.Result)
+			continue
+		}
+		miss = append(miss, req)
+		missIdx = append(missIdx, i)
+	}
+	for j, r := range base.ExecBatch(ctx, miss) {
+		i := missIdx[j]
+		out[i] = r
+		if r.Err == nil {
+			d.hub.cache.put(keys[i], r)
+		}
+	}
+	return out, nil
+}
+
+// The three methods below are the call shapes benchmark/ compiles against,
+// kept until it moves to Exec: each packs its arguments into one Exec call.
+
+// Match answers a similarity query (k ≤ 1 = best match, else k-NN).
 func (d *Dataset) Match(ctx context.Context, q []float64, mode onex.MatchMode, k int) ([]onex.Match, error) {
-	return d.MatchObserved(ctx, q, mode, k, nil)
+	r := d.Exec(ctx, onex.Request{Family: onex.FamilyMatch, Query: q, Mode: mode, K: k})
+	return r.Matches, r.Err
 }
 
-// MatchObserved is Match with optional tracing: a non-nil rec records the
-// cache lookup and — on a miss — the engine's scan/refine spans and work
-// counters. Answers are identical to Match, and cache hits still populate
-// the trace (with zero engine work).
+// MatchObserved is Match with an optional trace.
 func (d *Dataset) MatchObserved(ctx context.Context, q []float64, mode onex.MatchMode, k int, rec *obs.Trace) ([]onex.Match, error) {
-	base, gen, err := d.Base()
-	if err != nil {
-		return nil, err
-	}
-	if k < 1 {
-		k = 1
-	}
-	key := matchKey(d.scope(base, gen), int(mode), k, q)
-	v, err := d.cachedT(key, rec, func() (any, error) {
-		if k == 1 {
-			m, err := base.BestMatchObserved(ctx, q, mode, rec)
-			if err != nil {
-				return nil, err
-			}
-			return []onex.Match{m}, nil
-		}
-		return base.BestKMatchesObserved(ctx, q, mode, k, rec)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]onex.Match), nil
+	return d.Match(obs.ContextWithTrace(ctx, rec), q, mode, k)
 }
 
-// MatchBatch answers many best-match queries in one call. Each query goes
-// through the result cache under the same key a single k=1 Match uses, so
-// batches and singles share hits; the misses are answered together by
-// onex.Base.BestMatchBatch, which fans them across the base's worker pool.
-// Results are positional and carry per-query errors (a malformed query
-// fails alone); only successful answers are cached. The returned matches
-// are shared — callers must treat them as immutable.
-func (d *Dataset) MatchBatch(ctx context.Context, qs [][]float64, mode onex.MatchMode) ([]onex.BatchResult, error) {
-	base, gen, err := d.Base()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]onex.BatchResult, len(qs))
-	keys := make([]string, len(qs))
-	missIdx := make([]int, 0, len(qs))
-	scope := d.scope(base, gen)
-	for i, q := range qs {
-		keys[i] = matchKey(scope, int(mode), 1, q)
-		if v, ok := d.hub.cache.get(keys[i]); ok {
-			d.hits.Add(1)
-			out[i] = onex.BatchResult{Match: v.([]onex.Match)[0]}
-			continue
-		}
-		d.misses.Add(1)
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	sub := make([][]float64, len(missIdx))
-	for j, i := range missIdx {
-		sub[j] = qs[i]
-	}
-	for j, r := range base.BestMatchBatch(ctx, sub, mode) {
-		i := missIdx[j]
-		out[i] = r
-		if r.Err == nil {
-			d.hub.cache.put(keys[i], []onex.Match{r.Match})
-		}
-	}
-	return out, nil
-}
-
-// KNNBatch answers many match/k-NN queries in one call. Each item goes
-// through the result cache under the same key the equivalent single Match
-// uses (mode and k included), so batches and singles share hits. K ≤ 1
-// items compute through the BestMatch path — exactly the single k=1 Match
-// computation — and K > 1 items through BestKMatchesBatch; both miss sets
-// fan across the base's worker pool. Results are positional with per-item
-// errors; only successes are cached. Returned matches are shared — treat
-// them as immutable.
-func (d *Dataset) KNNBatch(ctx context.Context, qs []onex.KNNQuery) ([]onex.KNNBatchResult, error) {
-	base, gen, err := d.Base()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]onex.KNNBatchResult, len(qs))
-	keys := make([]string, len(qs))
-	scope := d.scope(base, gen)
-	var missOne, missK []int
-	for i, q := range qs {
-		k := q.K
-		if k < 1 {
-			k = 1
-		}
-		keys[i] = matchKey(scope, int(q.Mode), k, q.Query)
-		if v, ok := d.hub.cache.get(keys[i]); ok {
-			d.hits.Add(1)
-			out[i] = onex.KNNBatchResult{Matches: v.([]onex.Match)}
-			continue
-		}
-		d.misses.Add(1)
-		if k == 1 {
-			missOne = append(missOne, i)
-		} else {
-			missK = append(missK, i)
-		}
-	}
-	if len(missOne) > 0 {
-		// BestMatch path, per mode, so a batch K=1 answer is bit-identical
-		// to the single Match answer cached under the same key.
-		byMode := map[onex.MatchMode][]int{}
-		for _, i := range missOne {
-			byMode[qs[i].Mode] = append(byMode[qs[i].Mode], i)
-		}
-		for mode, idxs := range byMode {
-			sub := make([][]float64, len(idxs))
-			for j, i := range idxs {
-				sub[j] = qs[i].Query
-			}
-			for j, r := range base.BestMatchBatch(ctx, sub, mode) {
-				i := idxs[j]
-				if r.Err != nil {
-					out[i] = onex.KNNBatchResult{Err: r.Err}
-					continue
-				}
-				ms := []onex.Match{r.Match}
-				out[i] = onex.KNNBatchResult{Matches: ms}
-				d.hub.cache.put(keys[i], ms)
-			}
-		}
-	}
-	if len(missK) > 0 {
-		sub := make([]onex.KNNQuery, len(missK))
-		for j, i := range missK {
-			sub[j] = qs[i]
-		}
-		for j, r := range base.BestKMatchesBatch(ctx, sub) {
-			i := missK[j]
-			out[i] = r
-			if r.Err == nil {
-				d.hub.cache.put(keys[i], r.Matches)
-			}
-		}
-	}
-	return out, nil
-}
-
-// RangeBatch answers many range queries in one call, each item cached under
-// the same key the equivalent single Range uses (length, radius and the
-// exact flag included). Results are positional with per-item errors; only
-// successes are cached. Returned matches are shared — treat them as
-// immutable.
-func (d *Dataset) RangeBatch(ctx context.Context, qs []onex.RangeQuery) ([]onex.RangeBatchResult, error) {
-	base, gen, err := d.Base()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]onex.RangeBatchResult, len(qs))
-	keys := make([]string, len(qs))
-	missIdx := make([]int, 0, len(qs))
-	scope := d.scope(base, gen)
-	for i, q := range qs {
-		keys[i] = rangeKey(scope, q.Length, q.Radius, q.Exact, q.Query)
-		if v, ok := d.hub.cache.get(keys[i]); ok {
-			d.hits.Add(1)
-			out[i] = onex.RangeBatchResult{Matches: v.([]onex.RangeMatch)}
-			continue
-		}
-		d.misses.Add(1)
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	sub := make([]onex.RangeQuery, len(missIdx))
-	for j, i := range missIdx {
-		sub[j] = qs[i]
-	}
-	for j, r := range base.RangeSearchBatch(ctx, sub) {
-		i := missIdx[j]
-		out[i] = r
-		if r.Err == nil {
-			d.hub.cache.put(keys[i], r.Matches)
-		}
-	}
-	return out, nil
-}
-
-// SeasonalBatch answers many seasonal queries in one call, each item cached
-// under the same key the equivalent single Seasonal uses (SeriesID < 0 =
-// dataset-wide). Results are positional with per-item errors; only
-// successes are cached. Returned patterns are shared — treat them as
-// immutable.
-func (d *Dataset) SeasonalBatch(qs []onex.SeasonalQuery) ([]onex.SeasonalBatchResult, error) {
-	base, gen, err := d.Base()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]onex.SeasonalBatchResult, len(qs))
-	keys := make([]string, len(qs))
-	missIdx := make([]int, 0, len(qs))
-	scope := d.scope(base, gen)
-	for i, q := range qs {
-		sid := q.SeriesID
-		if sid < 0 {
-			sid = -1 // every dataset-wide form keys identically
-		}
-		keys[i] = seasonalKey(scope, sid, q.Length)
-		if v, ok := d.hub.cache.get(keys[i]); ok {
-			d.hits.Add(1)
-			out[i] = onex.SeasonalBatchResult{Patterns: v.([]onex.Pattern)}
-			continue
-		}
-		d.misses.Add(1)
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	sub := make([]onex.SeasonalQuery, len(missIdx))
-	for j, i := range missIdx {
-		sub[j] = qs[i]
-	}
-	for j, r := range base.SeasonalBatch(sub) {
-		i := missIdx[j]
-		out[i] = r
-		if r.Err == nil {
-			d.hub.cache.put(keys[i], r.Patterns)
-		}
-	}
-	return out, nil
-}
-
-// Range answers a range query through the result cache. With exact set,
-// matches admitted through the Lemma 2 guarantee carry their true DTW
-// instead of the ST upper bound (onex.Base.RangeSearchExact); the two modes
-// cache under distinct keys.
-func (d *Dataset) Range(ctx context.Context, q []float64, length int, radius float64, exact bool) ([]onex.RangeMatch, error) {
-	return d.RangeObserved(ctx, q, length, radius, exact, nil)
-}
-
-// RangeObserved is Range with optional tracing (see MatchObserved).
+// RangeObserved answers a range query with an optional trace.
 func (d *Dataset) RangeObserved(ctx context.Context, q []float64, length int, radius float64, exact bool, rec *obs.Trace) ([]onex.RangeMatch, error) {
-	base, gen, err := d.Base()
-	if err != nil {
-		return nil, err
-	}
-	key := rangeKey(d.scope(base, gen), length, radius, exact, q)
-	v, err := d.cachedT(key, rec, func() (any, error) {
-		return base.RangeSearchObserved(ctx, q, length, radius, exact, rec)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]onex.RangeMatch), nil
-}
-
-// Seasonal answers a seasonal-pattern query through the result cache;
-// seriesID < 0 means dataset-wide (SeasonalAll).
-func (d *Dataset) Seasonal(seriesID, length int) ([]onex.Pattern, error) {
-	return d.SeasonalObserved(seriesID, length, nil)
-}
-
-// SeasonalObserved is Seasonal with optional tracing (see MatchObserved).
-func (d *Dataset) SeasonalObserved(seriesID, length int, rec *obs.Trace) ([]onex.Pattern, error) {
-	base, gen, err := d.Base()
-	if err != nil {
-		return nil, err
-	}
-	if seriesID < 0 {
-		seriesID = -1
-	}
-	key := seasonalKey(d.scope(base, gen), seriesID, length)
-	v, err := d.cachedT(key, rec, func() (any, error) {
-		if seriesID < 0 {
-			return base.SeasonalAllObserved(length, rec)
-		}
-		return base.SeasonalObserved(seriesID, length, rec)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]onex.Pattern), nil
+	r := d.Exec(obs.ContextWithTrace(ctx, rec), onex.Request{Family: onex.FamilyRange, Query: q, Length: length, Radius: radius, Exact: exact})
+	return r.Ranges, r.Err
 }
 
 // Recommend answers a threshold-recommendation query (length < 0 =
@@ -1286,9 +1057,12 @@ func (d *Dataset) Recommend(degree onex.Degree, length int) (onex.Range, error) 
 		return onex.Range{}, err
 	}
 	key := recommendKey(d.scope(base, gen), int(degree), length)
-	v, err := d.cached(key, func() (any, error) { return base.RecommendThreshold(degree, length) })
-	if err != nil {
-		return onex.Range{}, err
+	if v, ok := d.lookup(nil, key); ok {
+		return v.(onex.Range), nil
 	}
-	return v.(onex.Range), nil
+	rng, err := base.RecommendThreshold(degree, length)
+	if err == nil {
+		d.hub.cache.put(key, rng)
+	}
+	return rng, err
 }

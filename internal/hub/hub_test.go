@@ -71,10 +71,10 @@ func TestHubLifecycle(t *testing.T) {
 	if err != nil || len(ms) != 1 {
 		t.Fatalf("Match = %v, %v", ms, err)
 	}
-	if _, err := ds.Range(context.Background(), q, 8, 0.5, false); err != nil {
+	if _, err := ds.RangeObserved(context.Background(), q, 8, 0.5, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.Seasonal(-1, 8); err != nil {
+	if err := ds.Exec(context.Background(), onex.Request{Family: onex.FamilySeasonal, SeriesID: -1, Length: 8}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ds.Recommend(onex.Strict, -1); err != nil {
@@ -393,7 +393,7 @@ func TestCacheNotResurrectedAcrossReRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The late put lands after Drop's purge.
-	h.cache.put(staleKey, []onex.Match{{SeriesID: -999}})
+	h.cache.put(staleKey, onex.Result{Matches: []onex.Match{{SeriesID: -999}}})
 
 	ds2, err := h.Register("name", testSpec(21))
 	if err != nil {

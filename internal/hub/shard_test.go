@@ -67,7 +67,7 @@ func TestShardLayoutInCacheKeys(t *testing.T) {
 	}
 	poisoned := queryKey("name", ds2.epoch, gen2, base1.LayoutSignature(),
 		"match", []int{int(onex.MatchExact), 1}, q)
-	h.cache.put(poisoned, []onex.Match{{SeriesID: -999}})
+	h.cache.put(poisoned, onex.Result{Matches: []onex.Match{{SeriesID: -999}}})
 
 	ms, err := ds2.Match(context.Background(), q, onex.MatchExact, 1)
 	if err != nil {

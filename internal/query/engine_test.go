@@ -36,15 +36,28 @@ func (e *engine) Base() *rspace.Base { return e.proc.base }
 
 func (e *engine) lengthOrder(queryLen int) []int { return e.global.lengthOrder(queryLen) }
 
+// best unpacks a best-match Result.
+func best(r Result) (Match, error) {
+	if r.Err != nil {
+		return Match{}, r.Err
+	}
+	return r.Matches[0], nil
+}
+
 func (e *engine) BestMatch(q []float64, mode MatchMode) (Match, error) {
-	return e.Scatter.BestMatch(context.Background(), q, mode)
+	return e.BestMatchObserved(context.Background(), q, mode, nil)
+}
+
+// BestMatchObserved is BestMatch under ctx with rec (possibly nil) riding it.
+func (e *engine) BestMatchObserved(ctx context.Context, q []float64, mode MatchMode, rec *obs.Trace) (Match, error) {
+	return best(e.Exec(obs.ContextWithTrace(ctx, rec), Request{Family: FamilyMatch, Query: q, Mode: mode}))
 }
 
 // BestMatchTraced is BestMatch plus the query's work counters, read back
 // from the trace recorder's totals.
 func (e *engine) BestMatchTraced(q []float64, mode MatchMode) (Match, Trace, error) {
 	rec := obs.NewTrace("")
-	m, err := e.Scatter.BestMatchObserved(context.Background(), q, mode, rec)
+	m, err := e.BestMatchObserved(context.Background(), q, mode, rec)
 	w := rec.Snapshot().Work
 	return m, Trace{
 		RepsExamined:   int(w["repsExamined"]),
@@ -56,20 +69,41 @@ func (e *engine) BestMatchTraced(q []float64, mode MatchMode) (Match, Trace, err
 	}, err
 }
 
-func (e *engine) BestMatchBatch(qs [][]float64, mode MatchMode) []BatchResult {
-	return e.Scatter.BestMatchBatch(context.Background(), qs, mode)
+// BestMatchBatch is ExecBatch over best-match requests of one mode.
+func (e *engine) BestMatchBatch(qs [][]float64, mode MatchMode) []Result {
+	reqs := make([]Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = Request{Family: FamilyMatch, Query: q, Mode: mode}
+	}
+	return e.ExecBatch(context.Background(), reqs)
 }
 
 func (e *engine) BestKMatches(q []float64, mode MatchMode, k int) ([]Match, error) {
-	return e.Scatter.BestKMatches(context.Background(), q, mode, k)
+	return e.BestKMatchesContext(context.Background(), q, mode, k)
+}
+
+func (e *engine) BestKMatchesContext(ctx context.Context, q []float64, mode MatchMode, k int) ([]Match, error) {
+	r := e.Exec(ctx, Request{Family: FamilyMatch, Query: q, Mode: mode, K: k})
+	return r.Matches, r.Err
 }
 
 func (e *engine) RangeSearch(q []float64, length int, radius float64) ([]RangeResult, error) {
-	return e.Scatter.RangeSearch(context.Background(), q, length, radius)
+	r := e.Exec(context.Background(), Request{Family: FamilyRange, Query: q, Length: length, Radius: radius})
+	return r.Ranges, r.Err
 }
 
 func (e *engine) RangeSearchExact(q []float64, length int, radius float64) ([]RangeResult, error) {
-	return e.Scatter.RangeSearchExact(context.Background(), q, length, radius)
+	r := e.Exec(context.Background(), Request{Family: FamilyRange, Query: q, Length: length, Radius: radius, Exact: true})
+	return r.Ranges, r.Err
+}
+
+func (e *engine) SeasonalSample(seriesID, length int) ([]SeasonalGroup, error) {
+	r := e.Exec(context.Background(), Request{Family: FamilySeasonal, SeriesID: seriesID, Length: length})
+	return r.Groups, r.Err
+}
+
+func (e *engine) SeasonalAll(length int) ([]SeasonalGroup, error) {
+	return e.SeasonalSample(-1, length)
 }
 
 // AdaptThreshold adapts the shard's grouping and indexes the result as a

@@ -32,8 +32,8 @@ func bruteKNN(p *engine, q []float64, lengths []int, k int) []Match {
 
 func TestBestKMatchesValidation(t *testing.T) {
 	p := italyProcessor(t, []int{6})
-	if _, err := p.BestKMatches(make([]float64, 6), MatchExact, 0); err == nil {
-		t.Error("k=0: want error")
+	if _, err := p.BestKMatches(make([]float64, 6), MatchExact, -1); err == nil {
+		t.Error("k=-1: want error")
 	}
 	if _, err := p.BestKMatches(nil, MatchExact, 3); err == nil {
 		t.Error("empty query: want error")
@@ -75,7 +75,11 @@ func TestBestKMatchesOrderingAndUniqueness(t *testing.T) {
 	}
 }
 
-func TestBestKMatchesK1AtLeastAsGoodAsBestMatch(t *testing.T) {
+// TestBestKMatchesSmallK: k ≤ 1 is the best-match search itself (the same
+// bits, so a request answers alike whichever form carries it); from k = 2
+// the heap explores at least the 1-NN group, so its top can only be equal
+// or better.
+func TestBestKMatchesSmallK(t *testing.T) {
 	p := italyProcessor(t, []int{8})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[2].Values[3:11]...)
@@ -84,14 +88,18 @@ func TestBestKMatchesK1AtLeastAsGoodAsBestMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks, err := p.BestKMatches(q, MatchExact, 1)
+	for _, k := range []int{0, 1} {
+		ks, err := p.BestKMatches(q, MatchExact, k)
+		if err != nil || len(ks) != 1 || ks[0] != single {
+			t.Errorf("k=%d: %+v, err %v; want exactly the best match %+v", k, ks, err, single)
+		}
+	}
+	ks, err := p.BestKMatches(q, MatchExact, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// k-NN explores at least the 1-NN group (and possibly more), so its
-	// top answer can only be equal or better.
 	if ks[0].Dist > single.Dist+1e-9 {
-		t.Errorf("k=1 result %v worse than BestMatch %v", ks[0].Dist, single.Dist)
+		t.Errorf("k=2 top %v worse than BestMatch %v", ks[0].Dist, single.Dist)
 	}
 }
 

@@ -494,12 +494,9 @@ func (ls *LocalShard) EvalMembers(ctx context.Context, req EvalMembersRequest) (
 // base, results remapped to global series/group ids in the shard's group
 // order.
 func (ls *LocalShard) Range(ctx context.Context, req RangeRequest) (RangeResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return RangeResponse{}, err
-	}
 	var tr Trace
 	exec := ls.proc.innerExec(reqWorkers(req.Workers))
-	rs, err := exec.rangeSearch(req.Query, req.Length, req.Radius, req.Exact, &tr, nil)
+	rs, err := exec.rangeSearch(ctx, req.Query, req.Length, req.Radius, req.Exact, &tr)
 	if err != nil {
 		return RangeResponse{}, err
 	}

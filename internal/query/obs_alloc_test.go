@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"onex/internal/grouping"
+	"onex/internal/obs"
 	"onex/internal/rspace"
 )
 
@@ -29,28 +30,31 @@ func allocProbe(tb testing.TB) (*engine, []float64) {
 	return p, q
 }
 
-// TestBestMatchObservedNilAllocs pins the tracing contract: with rec == nil
-// the observed entry point must allocate exactly as much as the untraced
-// BestMatch — a nil *obs.Trace threads through every stage without boxing
-// attrs or growing span slices.
+// TestBestMatchObservedNilAllocs pins the tracing contract: a request whose
+// context carries no trace — here a served request's context, request id
+// and all, with a nil recorder attached — must allocate exactly as much as
+// Exec under a bare context: looking the recorder up and threading its
+// absence through every stage boxes no attrs and grows no span slices.
 func TestBestMatchObservedNilAllocs(t *testing.T) {
 	p, q := allocProbe(t)
+	req := Request{Family: FamilyMatch, Query: q, Mode: MatchAny}
 	// Warm the workspace pool so steady-state allocations are measured.
-	if _, err := p.BestMatch(q, MatchAny); err != nil {
-		t.Fatal(err)
+	if r := p.Exec(context.Background(), req); r.Err != nil {
+		t.Fatal(r.Err)
 	}
 	base := testing.AllocsPerRun(100, func() {
-		if _, err := p.BestMatch(q, MatchAny); err != nil {
-			t.Fatal(err)
+		if r := p.Exec(context.Background(), req); r.Err != nil {
+			t.Fatal(r.Err)
 		}
 	})
+	served := obs.ContextWithRequestID(context.Background(), "alloc-probe")
 	traced := testing.AllocsPerRun(100, func() {
-		if _, err := p.BestMatchObserved(context.Background(), q, MatchAny, nil); err != nil {
+		if _, err := p.BestMatchObserved(served, q, MatchAny, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if traced > base {
-		t.Fatalf("BestMatchObserved(rec=nil) allocates %.1f/op vs %.1f/op untraced — disabled tracing must be free", traced, base)
+		t.Fatalf("Exec without a recorder allocates %.1f/op vs %.1f/op under a bare context — disabled tracing must be free", traced, base)
 	}
 }
 

@@ -3,9 +3,9 @@ package query
 import "onex/internal/obs"
 
 // This file is the only bridge between the query engine and the obs span
-// recorder. Tracing is strictly observational: every Observed entry point
-// accepts a *obs.Trace that may be nil, and a nil recorder must add zero
-// allocations to the hot path (BenchmarkBestMatchObservedNilAllocs). All
+// recorder. Tracing is strictly observational: Exec looks the recorder up on
+// its context, and finding none must add zero allocations to the hot path
+// (TestBestMatchObservedNilAllocs). All
 // span attributes are deltas between two Trace snapshots, so a span's work
 // attrs and the trace-level totals recorded by observe() sum to exactly
 // the Trace folded into the lifetime Counters — the invariant that makes

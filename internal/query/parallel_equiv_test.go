@@ -303,7 +303,7 @@ func TestBestMatchBatchMatchesSingles(t *testing.T) {
 			if wantErr != nil {
 				continue
 			}
-			sameMatch(t, fmt.Sprintf("mode=%d q=%d", mode, i), want, rs[i].Match)
+			sameMatch(t, fmt.Sprintf("mode=%d q=%d", mode, i), want, rs[i].Matches[0])
 		}
 	}
 	if got := par.BestMatchBatch(nil, MatchAny); len(got) != 0 {

@@ -27,6 +27,18 @@
 // families (seasonal, threshold adaptation). An unsharded base is the
 // one-shard layout of the same engine.
 //
+// # One request, two entry points
+//
+// A query is a Request — the family (match/k-NN, range, seasonal) and the
+// clauses it reads, as plain data — and Scatter answers it through Exec, or
+// many of any mix through ExecBatch; a Result carries the family's slice or
+// the request's own error. There is no other form: cancellation and the
+// deadline arrive on the context, and so does the trace
+// (obs.ContextWithTrace, which the remote transports read too), so every
+// family has all three. The decisions that used to be repeated per form
+// live here once: k ≤ 1 runs the best-match search (Exec), and a batch
+// splits the worker budget across and within its requests (ExecBatch).
+//
 // # Parallel execution
 //
 // Options.Parallelism shards a single query across a bounded worker pool:
@@ -36,8 +48,8 @@
 // range search shards across groups. The parallel paths are constructed to be *answer-invariant*:
 // every pruning or patience decision is replayed against deterministic
 // bounds, concurrency only decides which DTWs are computed exactly versus
-// proven irrelevant, so BestMatch/BestKMatches/RangeSearch return identical
-// results for every Parallelism value and every shard layout. Workers change
+// proven irrelevant, so every request returns identical results for every
+// Parallelism value and every shard layout. Workers change
 // only wall-clock and the work-accounting side of Trace: DTWComputed,
 // PrunedByKim and PrunedByKeogh depend on bound-tightening timing (a
 // candidate proven hopeless is counted under whichever check happened to

@@ -1,13 +1,17 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"onex/internal/dist"
-	"onex/internal/obs"
 	"onex/internal/parallel"
 )
+
+// rangePollEvery is how many member DTWs a range scan runs between polls of
+// its context.
+const rangePollEvery = 64
 
 // RangeResult is one subsequence returned by a range search.
 type RangeResult struct {
@@ -49,10 +53,11 @@ type RangeResult struct {
 // independent of how the base happens to be grouped, at the cost of one DTW
 // per guaranteed member. Results are unordered. Range work is per-group
 // against a fixed radius, so the counters accumulated into the caller-owned
-// tr are identical at every worker count; with a non-nil rec a "range-scan"
-// span is recorded.
-func (p *Processor) rangeSearch(q []float64, length int, radius float64,
-	exact bool, tr *Trace, rec *obs.Trace) ([]RangeResult, error) {
+// tr are identical at every worker count. ctx is polled per group and every
+// rangePollEvery members, so a canceled request (or job) stops paying DTWs;
+// it then gets ctx's error, never a partial result set.
+func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, radius float64,
+	exact bool, tr *Trace) ([]RangeResult, error) {
 
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -69,12 +74,6 @@ func (p *Processor) rangeSearch(q []float64, length int, radius float64,
 	sqrtL := math.Sqrt(float64(length))
 	wholesale := radius >= p.base.ST
 
-	var sc obs.SpanScope
-	var pre Trace
-	if rec != nil {
-		pre = *tr
-		sc = rec.StartSpan("range-scan")
-	}
 	// Each group's admission/verification depends only on the query and the
 	// fixed radius — never on other groups — so the group loop shards across
 	// the worker pool verbatim; per-group result slices are concatenated in
@@ -83,7 +82,7 @@ func (p *Processor) rangeSearch(q []float64, length int, radius float64,
 	searchGroup := func(ws *dist.Workspace, k int, tr *Trace) []RangeResult {
 		g := e.Groups[k]
 		n := g.Count()
-		if n == 0 {
+		if n == 0 || ctx.Err() != nil {
 			return nil
 		}
 		var out []RangeResult
@@ -113,6 +112,9 @@ func (p *Processor) rangeSearch(q []float64, length int, radius float64,
 				// matches a brute-force scan bit for bit.
 				nd, d := p.base.ST, p.base.ST*divisor
 				if exact {
+					if verifyFrom%rangePollEvery == 0 && ctx.Err() != nil {
+						return nil
+					}
 					v := p.base.MemberValues(g, m)
 					tr.MembersTested++
 					tr.DTWComputed++
@@ -136,7 +138,10 @@ func (p *Processor) rangeSearch(q []float64, length int, radius float64,
 			}
 		}
 
-		for _, m := range g.Members[verifyFrom:] {
+		for i, m := range g.Members[verifyFrom:] {
+			if i%rangePollEvery == 0 && ctx.Err() != nil {
+				return nil
+			}
 			v := p.base.MemberValues(g, m)
 			tr.MembersTested++
 			if dist.LBKim(q, v) > radius*divisor {
@@ -181,10 +186,8 @@ func (p *Processor) rangeSearch(q []float64, length int, radius float64,
 			out = append(out, rs...)
 		}
 	}
-	if rec != nil {
-		spanWork(sc.Attr("length", int64(length)).
-			Attr("groups", int64(len(e.Groups))).
-			Attr("results", int64(len(out))), pre, *tr).End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -126,7 +126,7 @@ func NewScatter(global *rspace.Base, opts Options, transports []ShardTransport) 
 }
 
 // withWorkers returns a view of s whose executor fan-out is bounded to w
-// (BestMatchBatch parallelizes across queries instead of within them).
+// (ExecBatch parallelizes across requests instead of within them).
 func (s *Scatter) withWorkers(w int) *Scatter {
 	if s.global.workers == w {
 		return s
@@ -219,76 +219,67 @@ func (s *Scatter) roundFor(rf *refine, n int) (int, *dist.Workspace) {
 	return mineBatchSize, nil
 }
 
-// BestMatch answers query class I (Q1): the subsequence most similar to q
+// bestMatch answers query class I (Q1): the subsequence most similar to q
 // under DTW. With MatchExact only subsequences of len(q) are considered and
 // an error is returned if that length is not indexed; with MatchAny every
-// indexed length is searched in the Sec. 5.3 order.
-func (s *Scatter) BestMatch(ctx context.Context, q []float64, mode MatchMode) (Match, error) {
-	return s.BestMatchObserved(ctx, q, mode, nil)
-}
-
-// BestMatchObserved is BestMatch with optional span recording (per-shard
-// scan spans, per-length refine spans, plus the query's work totals on a
-// non-nil rec). Tracing only observes — answers are bit-identical either
-// way. A canceled ctx stops the fan-out between lengths and rounds.
-func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode MatchMode, rec *obs.Trace) (Match, error) {
-	// Remote transports discover the recorder through the context (the rec
-	// parameter stops at the coordinator; rpc spans are recorded below the
-	// fan-out, including member-evaluation calls that never see rec). Untraced
-	// queries skip the WithValue so the hot path stays allocation-free.
-	if rec != nil {
-		ctx = obs.ContextWithTrace(ctx, rec)
-	}
+// indexed length is searched in the Sec. 5.3 order. A non-nil rec gets
+// per-shard scan spans, per-length refine spans and the query's work totals.
+func (s *Scatter) bestMatch(ctx context.Context, q []float64, mode MatchMode, rec *obs.Trace) (Match, error) {
 	var tr Trace
-	defer func() { s.global.counters.tick(); s.global.counters.fold(tr); observe(rec, tr) }()
+	defer func() { s.global.counters.fold(tr); observe(rec, tr) }()
 	if err := validateQuery(q); err != nil {
 		return Match{}, err
 	}
 	rf := s.newRefine()
 	defer s.global.pool.Put(rf.ws)
 
-	switch mode {
-	case MatchExact:
-		e := s.global.base.Entry(len(q))
-		if e == nil {
-			return Match{}, fmt.Errorf("query: length %d not indexed", len(q))
-		}
-		best := Match{Dist: math.Inf(1)}
-		if _, err := s.searchLength(ctx, q, e, rf, &best, &tr, rec); err != nil {
+	lengths, err := s.searchLengths(mode, len(q))
+	if err != nil {
+		return Match{}, err
+	}
+	best := Match{Dist: math.Inf(1)}
+	for _, l := range lengths {
+		if err := ctx.Err(); err != nil {
 			return Match{}, err
 		}
-		if !best.Found() {
-			return Match{}, fmt.Errorf("query: no candidate found (empty length entry)")
-		}
-		return best, nil
-	case MatchAny:
-		lengths := s.global.lengthOrder(len(q))
-		if len(lengths) == 0 {
-			return Match{}, fmt.Errorf("query: base has no indexed lengths")
-		}
-		best := Match{Dist: math.Inf(1)}
-		for _, l := range lengths {
-			if err := ctx.Err(); err != nil {
-				return Match{}, err
-			}
+		if mode == MatchAny {
 			tr.LengthsVisited++
-			repNorm, err := s.searchLength(ctx, q, s.global.base.Entry(l), rf, &best, &tr, rec)
-			if err != nil {
-				return Match{}, err
-			}
-			// Sec. 5.3 stop rule, on the globally best representative: one
-			// within ST/2 guarantees (Lemma 2) its group's members are
-			// within ST of the query.
-			if !s.global.opts.DisableEarlyStop && repNorm <= s.global.base.ST/2 {
-				break
-			}
 		}
-		if !best.Found() {
-			return Match{}, fmt.Errorf("query: no candidate found")
+		repNorm, err := s.searchLength(ctx, q, s.global.base.Entry(l), rf, &best, &tr, rec)
+		if err != nil {
+			return Match{}, err
 		}
-		return best, nil
+		// Sec. 5.3 stop rule, on the globally best representative: one
+		// within ST/2 guarantees (Lemma 2) its group's members are
+		// within ST of the query.
+		if !s.global.opts.DisableEarlyStop && repNorm <= s.global.base.ST/2 {
+			break
+		}
+	}
+	if !best.Found() {
+		return Match{}, fmt.Errorf("query: no candidate found")
+	}
+	return best, nil
+}
+
+// searchLengths resolves the MATCH clause for a query of n points into the
+// lengths to search, in order: n alone under MatchExact (an error when it is
+// not indexed), every indexed length in the Sec. 5.3 order under MatchAny.
+func (s *Scatter) searchLengths(mode MatchMode, n int) ([]int, error) {
+	switch mode {
+	case MatchExact:
+		if s.global.base.Entry(n) == nil {
+			return nil, fmt.Errorf("query: length %d not indexed", n)
+		}
+		return []int{n}, nil
+	case MatchAny:
+		lengths := s.global.lengthOrder(n)
+		if len(lengths) == 0 {
+			return nil, fmt.Errorf("query: base has no indexed lengths")
+		}
+		return lengths, nil
 	default:
-		return Match{}, fmt.Errorf("query: unknown match mode %d", mode)
+		return nil, fmt.Errorf("query: unknown match mode %d", mode)
 	}
 }
 
@@ -534,30 +525,18 @@ func (s *Scatter) mineGroup(ctx context.Context, q []float64, e *rspace.LengthEn
 	return nil
 }
 
-// BestKMatches answers the k-nearest-neighbour extension of query class I:
+// bestKMatches answers the k-nearest-neighbour extension of query class I:
 // the k subsequences most similar to q under normalized DTW, ordered best
 // first. The paper's processor returns the single best match (k=1); k-NN is
 // the natural generalization its range/NN-search related work discusses
 // (Sec. 7) and falls out of the same group exploration, with the k-th best
 // distance replacing the best-so-far as the pruning/early-abandon cutoff.
-// Results can span multiple groups.
-func (s *Scatter) BestKMatches(ctx context.Context, q []float64, mode MatchMode, k int) ([]Match, error) {
-	return s.BestKMatchesObserved(ctx, q, mode, k, nil)
-}
-
-// BestKMatchesObserved is BestKMatches with optional span recording. The
-// scan cutoff is fixed per length (and travels in the request as the bound
-// hint), so the candidate set is identical at every worker count and shard
-// layout.
-func (s *Scatter) BestKMatchesObserved(ctx context.Context, q []float64, mode MatchMode, k int, rec *obs.Trace) ([]Match, error) {
-	if rec != nil {
-		ctx = obs.ContextWithTrace(ctx, rec)
-	}
+// Results can span multiple groups. The scan cutoff is fixed per length (and
+// travels in the request as the bound hint), so the candidate set is
+// identical at every worker count and shard layout.
+func (s *Scatter) bestKMatches(ctx context.Context, q []float64, mode MatchMode, k int, rec *obs.Trace) ([]Match, error) {
 	var tr Trace
-	defer func() { s.global.counters.tick(); s.global.counters.fold(tr); observe(rec, tr) }()
-	if k < 1 {
-		return nil, fmt.Errorf("query: k must be ≥ 1, got %d", k)
-	}
+	defer func() { s.global.counters.fold(tr); observe(rec, tr) }()
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
@@ -565,22 +544,10 @@ func (s *Scatter) BestKMatchesObserved(ctx context.Context, q []float64, mode Ma
 	rf := s.newRefine()
 	defer s.global.pool.Put(rf.ws)
 
-	var lengths []int
-	switch mode {
-	case MatchExact:
-		if s.global.base.Entry(len(q)) == nil {
-			return nil, fmt.Errorf("query: length %d not indexed", len(q))
-		}
-		lengths = []int{len(q)}
-	case MatchAny:
-		lengths = s.global.lengthOrder(len(q))
-		if len(lengths) == 0 {
-			return nil, fmt.Errorf("query: base has no indexed lengths")
-		}
-	default:
-		return nil, fmt.Errorf("query: unknown match mode %d", mode)
+	lengths, err := s.searchLengths(mode, len(q))
+	if err != nil {
+		return nil, err
 	}
-
 	for _, l := range lengths {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -808,7 +775,7 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.Lengt
 	return groups, nil
 }
 
-// RangeSearch answers a range query — every subsequence of the given length
+// rangeSearch answers a range query — every subsequence of the given length
 // within radius of q under normalized DTW (see Processor.rangeSearch for
 // the Lemma 2 admission and pruning rules): each shard answers it over its
 // restriction and the per-shard result slices concatenate in shard order,
@@ -816,32 +783,20 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.Lengt
 // (admission and verification decide per member against the shared global
 // representative); only the slice order differs, and range results are
 // unordered. Guaranteed results carry the ST upper bound, not an exact
-// distance.
-func (s *Scatter) RangeSearch(ctx context.Context, q []float64, length int, radius float64) ([]RangeResult, error) {
-	return s.RangeSearchObserved(ctx, q, length, radius, false, nil)
-}
-
-// RangeSearchExact is RangeSearch with exact reported distances: members
-// admitted through the Lemma 2 guarantee get their true DTW computed and are
-// filtered against the radius like every other member.
-func (s *Scatter) RangeSearchExact(ctx context.Context, q []float64, length int, radius float64) ([]RangeResult, error) {
-	return s.RangeSearchObserved(ctx, q, length, radius, true, nil)
-}
-
-// RangeSearchObserved is the range search with work accounting: the
-// per-shard traces fold into one query trace and into the coordinator's
+// distance, unless exact is set: then members admitted through the Lemma 2
+// guarantee get their true DTW computed and are filtered against the radius
+// like every other member.
+//
+// The per-shard traces fold into one query trace and into the coordinator's
 // counters exactly once (the shard processors' own counters are not touched
 // — the coordinator owns the tally). With a non-nil rec each shard call gets
 // a "shard-range" span. Shards run concurrently: remote shards spend their
 // worker budgets on separate hosts.
-func (s *Scatter) RangeSearchObserved(ctx context.Context, q []float64, length int, radius float64,
+func (s *Scatter) rangeSearch(ctx context.Context, q []float64, length int, radius float64,
 	exact bool, rec *obs.Trace) ([]RangeResult, error) {
 
-	if rec != nil {
-		ctx = obs.ContextWithTrace(ctx, rec)
-	}
 	var tr Trace
-	defer func() { s.global.counters.tick(); s.global.counters.fold(tr); observe(rec, tr) }()
+	defer func() { s.global.counters.fold(tr); observe(rec, tr) }()
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
@@ -886,26 +841,4 @@ func (s *Scatter) RangeSearchObserved(ctx context.Context, q []float64, length i
 		}
 	}
 	return out, nil
-}
-
-// SeasonalSample answers the user-driven class II query from the global
-// grouping.
-func (s *Scatter) SeasonalSample(seriesID, length int) ([]SeasonalGroup, error) {
-	return s.global.SeasonalSample(seriesID, length)
-}
-
-// SeasonalSampleObserved is SeasonalSample with span recording.
-func (s *Scatter) SeasonalSampleObserved(seriesID, length int, rec *obs.Trace) ([]SeasonalGroup, error) {
-	return s.global.SeasonalSampleObserved(seriesID, length, rec)
-}
-
-// SeasonalAll answers the data-driven class II query from the global
-// grouping.
-func (s *Scatter) SeasonalAll(length int) ([]SeasonalGroup, error) {
-	return s.global.SeasonalAll(length)
-}
-
-// SeasonalAllObserved is SeasonalAll with span recording.
-func (s *Scatter) SeasonalAllObserved(length int, rec *obs.Trace) ([]SeasonalGroup, error) {
-	return s.global.SeasonalAllObserved(length, rec)
 }

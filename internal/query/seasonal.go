@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 
 	"onex/internal/grouping"
@@ -18,25 +19,28 @@ type SeasonalGroup struct {
 	Rep []float64
 }
 
-// SeasonalSample answers the user-driven class II query (Algorithm 2.B,
-// queryType=Single): all groups of the given length containing at least two
-// subsequences of the sample series — i.e. the sample's recurring intra-
-// series similarity patterns.
-func (p *Processor) SeasonalSample(seriesID, length int) ([]SeasonalGroup, error) {
-	return p.SeasonalSampleObserved(seriesID, length, nil)
-}
-
-// SeasonalSampleObserved is SeasonalSample with span recording. Seasonal
-// queries read the grouping directly — no lower-bound cascade runs — so
-// the span carries enumeration sizes and nothing folds into the work
-// counters beyond the Queries tick (its cascade trace is genuinely empty).
-func (p *Processor) SeasonalSampleObserved(seriesID, length int, rec *obs.Trace) ([]SeasonalGroup, error) {
-	p.counters.tick()
+// seasonal answers query class II over the groups of one length (Algorithm
+// 2.B). With seriesID ≥ 0 it is the user-driven form (queryType=Single):
+// every group holding at least two subsequences of that series — the
+// sample's recurring intra-series similarity patterns, listing only its own
+// members. With seriesID < 0 it is the data-driven form (queryType=NULL):
+// every group holding at least two subsequences — the dataset's recurring
+// patterns at that scale.
+//
+// Seasonal queries read the grouping directly — no lower-bound cascade runs
+// — so a non-nil rec gets one "seasonal" span carrying enumeration sizes and
+// nothing folds into the work counters (the cascade trace is genuinely
+// empty). ctx is polled on entry and per group: a canceled or expired
+// request gets ctx's error, never a partial pattern list.
+func (p *Processor) seasonal(ctx context.Context, seriesID, length int, rec *obs.Trace) ([]SeasonalGroup, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	e := p.base.Entry(length)
 	if e == nil {
 		return nil, fmt.Errorf("query: length %d not indexed", length)
 	}
-	if seriesID < 0 || seriesID >= p.base.Dataset.N() {
+	if seriesID >= p.base.Dataset.N() {
 		return nil, fmt.Errorf("query: series %d out of range [0,%d)", seriesID, p.base.Dataset.N())
 	}
 	var sc obs.SpanScope
@@ -45,45 +49,20 @@ func (p *Processor) SeasonalSampleObserved(seriesID, length int, rec *obs.Trace)
 	}
 	var out []SeasonalGroup
 	for k, g := range e.Groups {
-		var mine []grouping.Member
-		for _, m := range g.Members {
-			if m.SeriesIdx == seriesID {
-				mine = append(mine, m)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		members := g.Members
+		if seriesID >= 0 {
+			members = nil
+			for _, m := range g.Members {
+				if m.SeriesIdx == seriesID {
+					members = append(members, m)
+				}
 			}
 		}
-		if len(mine) >= 2 {
-			out = append(out, SeasonalGroup{Length: length, GroupID: k, Members: mine, Rep: g.Rep})
-		}
-	}
-	if rec != nil {
-		seasonalSpan(sc, length, len(e.Groups), out).End()
-	}
-	return out, nil
-}
-
-// SeasonalAll answers the data-driven class II query (Algorithm 2.B,
-// queryType=NULL): every group of the given length holding at least two
-// subsequences — the dataset's recurring similarity patterns at that scale.
-func (p *Processor) SeasonalAll(length int) ([]SeasonalGroup, error) {
-	return p.SeasonalAllObserved(length, nil)
-}
-
-// SeasonalAllObserved is SeasonalAll with span recording (see
-// SeasonalSampleObserved for what seasonal spans carry).
-func (p *Processor) SeasonalAllObserved(length int, rec *obs.Trace) ([]SeasonalGroup, error) {
-	p.counters.tick()
-	e := p.base.Entry(length)
-	if e == nil {
-		return nil, fmt.Errorf("query: length %d not indexed", length)
-	}
-	var sc obs.SpanScope
-	if rec != nil {
-		sc = rec.StartSpan("seasonal")
-	}
-	var out []SeasonalGroup
-	for k, g := range e.Groups {
-		if g.Count() >= 2 {
-			out = append(out, SeasonalGroup{Length: length, GroupID: k, Members: g.Members, Rep: g.Rep})
+		if len(members) >= 2 {
+			out = append(out, SeasonalGroup{Length: length, GroupID: k, Members: members, Rep: g.Rep})
 		}
 	}
 	if rec != nil {

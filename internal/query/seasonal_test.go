@@ -60,8 +60,13 @@ func TestSeasonalSampleErrors(t *testing.T) {
 	if _, err := p.SeasonalSample(0, 5); err == nil {
 		t.Error("unindexed length: want error")
 	}
-	if _, err := p.SeasonalSample(-1, 4); err == nil {
-		t.Error("negative series: want error")
+	// A negative series id is the data-driven form, not an error.
+	all, err := p.SeasonalAll(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := p.SeasonalSample(-7, 4); err != nil || len(got) != len(all) {
+		t.Errorf("negative series: %d groups, err %v; want the %d dataset-wide groups", len(got), err, len(all))
 	}
 	if _, err := p.SeasonalSample(99, 4); err == nil {
 		t.Error("out-of-range series: want error")

@@ -89,7 +89,7 @@ func TestVerifyKCancellation(t *testing.T) {
 
 	canceled, completed = 0, 0
 	for polls := int64(0); completed == 0; polls++ {
-		got, err := par.Scatter.BestKMatches(cancelAfter(polls), q, MatchExact, 5)
+		got, err := par.BestKMatchesContext(cancelAfter(polls), q, MatchExact, 5)
 		switch {
 		case errors.Is(err, context.Canceled):
 			if got != nil {
@@ -109,6 +109,62 @@ func TestVerifyKCancellation(t *testing.T) {
 	}
 	if canceled < 8 {
 		t.Fatalf("k-NN saw only %d cancellation points; the phase's are missing", canceled)
+	}
+
+	// A range scan polls per group and per rangePollEvery members.
+	wantRange, err := seq.RangeSearchExact(q, 16, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, completed = 0, 0
+	for polls := int64(0); completed == 0; polls++ {
+		r := par.Exec(cancelAfter(polls), Request{Family: FamilyRange, Query: q, Length: 16, Radius: 2.0, Exact: true})
+		switch {
+		case errors.Is(r.Err, context.Canceled):
+			if r.Ranges != nil {
+				t.Fatalf("polls=%d: canceled range search returned a partial set of %d", polls, len(r.Ranges))
+			}
+			canceled++
+		case r.Err != nil:
+			t.Fatalf("polls=%d: %v", polls, r.Err)
+		default:
+			completed++
+			if len(r.Ranges) != len(wantRange) {
+				t.Fatalf("range search: %d results, want %d", len(r.Ranges), len(wantRange))
+			}
+		}
+	}
+	if min := len(wantRange) / rangePollEvery; canceled < min {
+		t.Fatalf("range search over %d members saw only %d cancellation points, want ≥ %d", len(wantRange), canceled, min)
+	}
+
+	// Seasonal enumeration polls on entry and per group, in both forms.
+	for _, series := range []int{-1, 0} {
+		wantGroups, err := seq.SeasonalSample(series, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canceled, completed = 0, 0
+		for polls := int64(0); completed == 0; polls++ {
+			r := par.Exec(cancelAfter(polls), Request{Family: FamilySeasonal, SeriesID: series, Length: 16})
+			switch {
+			case errors.Is(r.Err, context.Canceled):
+				if r.Groups != nil {
+					t.Fatalf("series=%d polls=%d: canceled seasonal returned a partial list of %d", series, polls, len(r.Groups))
+				}
+				canceled++
+			case r.Err != nil:
+				t.Fatalf("series=%d polls=%d: %v", series, polls, r.Err)
+			default:
+				completed++
+				if len(r.Groups) != len(wantGroups) {
+					t.Fatalf("series=%d: %d patterns, want %d", series, len(r.Groups), len(wantGroups))
+				}
+			}
+		}
+		if groups := len(par.Base().Entry(16).Groups); canceled != groups+1 {
+			t.Fatalf("series=%d: seasonal saw %d cancellation points over %d groups, want one on entry and one per group", series, canceled, groups)
+		}
 	}
 }
 
@@ -196,7 +252,7 @@ func TestVerifyPhaseRejectsForeignHits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = sc.BestKMatches(context.Background(), q, MatchExact, 5)
+		err = sc.Exec(context.Background(), Request{Family: FamilyMatch, Query: q, Mode: MatchExact, K: 5}).Err
 		if err == nil || !strings.Contains(err.Error(), "outside its candidate walk") {
 			t.Errorf("%s: err = %v, want the candidate-walk protocol error", name, err)
 		}

@@ -8,106 +8,34 @@ import (
 	"math"
 	"time"
 
-	"onex/internal/obs"
 	"onex/internal/query"
 	"onex/internal/rspace"
 )
 
 // ---- queries -----------------------------------------------------------
-//
-// Query methods take a context: the engine fans per-shard work out through
-// its ShardTransports (inline for one in-process shard, goroutines past
-// one, HTTP calls when the layout is remote), and a canceled or timed-out
-// ctx stops the query between lengths and member rounds. Cancellation only
-// ever abandons work — an answer returned despite a racing cancel is still
-// exact. Seasonal queries read the global grouping at the coordinator and
-// take no ctx.
 
-// BestMatch answers Q1; the answer is identical at every layout.
-func (e *Engine) BestMatch(ctx context.Context, q []float64, mode query.MatchMode) (query.Match, error) {
-	return e.scatter.BestMatch(ctx, q, mode)
+// Exec answers one request of any family; the answer is identical at every
+// layout. The engine fans per-shard work out through its ShardTransports
+// (inline for one in-process shard, goroutines past one, HTTP calls when the
+// layout is remote), and a canceled or timed-out ctx stops the query between
+// lengths, member rounds and groups. Cancellation only ever abandons work —
+// an answer returned despite a racing cancel is still exact. A trace riding
+// ctx (obs.ContextWithTrace) records spans and work totals; none adds no
+// overhead, and answers are identical either way.
+func (e *Engine) Exec(ctx context.Context, req query.Request) query.Result {
+	return e.scatter.Exec(ctx, req)
 }
 
-// BestMatchObserved is BestMatch with optional span/work recording on a
-// non-nil rec (nil rec adds no overhead; answers are identical either way).
-func (e *Engine) BestMatchObserved(ctx context.Context, q []float64, mode query.MatchMode, rec *obs.Trace) (query.Match, error) {
-	return e.scatter.BestMatchObserved(ctx, q, mode, rec)
-}
-
-// BestMatchBatch answers many Q1 queries positionally with per-query errors.
-func (e *Engine) BestMatchBatch(ctx context.Context, qs [][]float64, mode query.MatchMode) []query.BatchResult {
-	return e.scatter.BestMatchBatch(ctx, qs, mode)
-}
-
-// BestKMatches answers the k-NN generalization of Q1.
-func (e *Engine) BestKMatches(ctx context.Context, q []float64, mode query.MatchMode, k int) ([]query.Match, error) {
-	return e.scatter.BestKMatches(ctx, q, mode, k)
-}
-
-// BestKMatchesObserved is BestKMatches with optional span/work recording.
-func (e *Engine) BestKMatchesObserved(ctx context.Context, q []float64, mode query.MatchMode, k int, rec *obs.Trace) ([]query.Match, error) {
-	return e.scatter.BestKMatchesObserved(ctx, q, mode, k, rec)
-}
-
-// BestKMatchesBatch answers many k-NN queries positionally with per-query
-// errors; each item equals the corresponding BestKMatches call.
-func (e *Engine) BestKMatchesBatch(ctx context.Context, qs []query.KNNQuery) []query.KNNBatchResult {
-	return e.scatter.BestKMatchesBatch(ctx, qs)
-}
-
-// RangeSearchBatch answers many range queries positionally with per-query
-// errors; each item equals the corresponding RangeSearch(Exact) call.
-func (e *Engine) RangeSearchBatch(ctx context.Context, qs []query.RangeQuery) []query.RangeBatchResult {
-	return e.scatter.RangeSearchBatch(ctx, qs)
-}
-
-// SeasonalBatch answers many seasonal queries positionally with per-query
-// errors; SeriesID < 0 selects the data-driven form.
-func (e *Engine) SeasonalBatch(qs []query.SeasonalQuery) []query.SeasonalBatchResult {
-	return e.scatter.SeasonalBatch(qs)
+// ExecBatch answers many requests positionally with per-item errors; each
+// item equals the corresponding Exec call.
+func (e *Engine) ExecBatch(ctx context.Context, reqs []query.Request) []query.Result {
+	return e.scatter.ExecBatch(ctx, reqs)
 }
 
 // QueryCounters snapshots the engine's lifetime query work tally (queries
 // answered across every family plus the Q1 bound-pruning counters).
 func (e *Engine) QueryCounters() query.CountersSnapshot {
 	return e.scatter.Counters().Snapshot()
-}
-
-// RangeSearch answers a range query (ST-upper-bound distances on the
-// guaranteed path).
-func (e *Engine) RangeSearch(ctx context.Context, q []float64, length int, radius float64) ([]query.RangeResult, error) {
-	return e.scatter.RangeSearch(ctx, q, length, radius)
-}
-
-// RangeSearchExact answers a range query with exact distances everywhere.
-func (e *Engine) RangeSearchExact(ctx context.Context, q []float64, length int, radius float64) ([]query.RangeResult, error) {
-	return e.scatter.RangeSearchExact(ctx, q, length, radius)
-}
-
-// RangeSearchObserved answers a range query with optional span/work
-// recording; exact selects the RangeSearchExact distance semantics.
-func (e *Engine) RangeSearchObserved(ctx context.Context, q []float64, length int, radius float64, exact bool, rec *obs.Trace) ([]query.RangeResult, error) {
-	return e.scatter.RangeSearchObserved(ctx, q, length, radius, exact, rec)
-}
-
-// SeasonalSample answers the user-driven class II query.
-func (e *Engine) SeasonalSample(seriesID, length int) ([]query.SeasonalGroup, error) {
-	return e.scatter.SeasonalSample(seriesID, length)
-}
-
-// SeasonalSampleObserved is SeasonalSample with optional span recording.
-func (e *Engine) SeasonalSampleObserved(seriesID, length int, rec *obs.Trace) ([]query.SeasonalGroup, error) {
-	return e.scatter.SeasonalSampleObserved(seriesID, length, rec)
-}
-
-// SeasonalAll answers the data-driven class II query.
-func (e *Engine) SeasonalAll(length int) ([]query.SeasonalGroup, error) {
-	return e.scatter.SeasonalAll(length)
-}
-
-// SeasonalAllObserved is SeasonalAll with optional span recording.
-func (e *Engine) SeasonalAllObserved(length int, rec *obs.Trace) ([]query.SeasonalGroup, error) {
-	return e.scatter.SeasonalAllObserved(length, rec)
 }
 
 // Recommend answers the class III threshold recommendation. The critical

@@ -25,10 +25,6 @@ func build(d *ts.Dataset, cfg core.BuildConfig) (*Engine, error) { return Build(
 // baseOf returns the index of a one-shard engine's only part.
 func baseOf(e *Engine) *rspace.Base { return e.parts[0].base }
 
-func bestMatch(e *Engine, q []float64, mode query.MatchMode) (query.Match, error) {
-	return e.BestMatch(context.Background(), q, mode)
-}
-
 func fixture(t *testing.T) *ts.Dataset {
 	t.Helper()
 	return dataset.ItalyPower.Scaled(0.3).Generate(1)
@@ -99,7 +95,7 @@ func TestBuildAndQueryRoundTrip(t *testing.T) {
 		t.Error("BuildTime not recorded")
 	}
 	q := append([]float64(nil), eng.data.Series[0].Values[2:14]...)
-	m, err := bestMatch(eng, q, 0 /* MatchExact */)
+	m, err := bestMatch(eng, context.Background(), q, 0 /* MatchExact */)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +295,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Queries agree bit-for-bit.
 	q := append([]float64(nil), eng.data.Series[1].Values[3:15]...)
-	m1, err := bestMatch(eng, q, query.MatchExact)
+	m1, err := bestMatch(eng, context.Background(), q, query.MatchExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := bestMatch(loaded, q, query.MatchExact)
+	m2, err := bestMatch(loaded, context.Background(), q, query.MatchExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,11 +459,11 @@ func TestEngineAppendDriftRebuildMatchesFromScratch(t *testing.T) {
 		}
 	}
 	q := append([]float64(nil), fresh.data.Series[0].Values[2:12]...)
-	mg, err := bestMatch(grown, q, 1)
+	mg, err := bestMatch(grown, context.Background(), q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf, err := bestMatch(fresh, q, 1)
+	mf, err := bestMatch(fresh, context.Background(), q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

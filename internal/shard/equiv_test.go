@@ -88,8 +88,8 @@ func compareEngines(t *testing.T, ctx string, one, sharded *Engine, queries [][]
 	for qi, q := range queries {
 		for _, mode := range []query.MatchMode{query.MatchAny, query.MatchExact} {
 			mctx := fmt.Sprintf("%s q%d mode%d", ctx, qi, mode)
-			am, aerr := one.BestMatch(context.Background(), q, mode)
-			bm, berr := sharded.BestMatch(context.Background(), q, mode)
+			am, aerr := bestMatch(one, context.Background(), q, mode)
+			bm, berr := bestMatch(sharded, context.Background(), q, mode)
 			if (aerr == nil) != (berr == nil) {
 				t.Fatalf("%s: BestMatch error diverged: %v vs %v", mctx, aerr, berr)
 			}
@@ -97,9 +97,9 @@ func compareEngines(t *testing.T, ctx string, one, sharded *Engine, queries [][]
 				matchesEqual(t, mctx+" best", am, bm)
 			}
 
-			for _, k := range []int{1, 5, 10} {
-				ak, aerr := one.BestKMatches(context.Background(), q, mode, k)
-				bk, berr := sharded.BestKMatches(context.Background(), q, mode, k)
+			for _, k := range []int{2, 5, 10} {
+				ak, aerr := bestK(one, context.Background(), q, mode, k)
+				bk, berr := bestK(sharded, context.Background(), q, mode, k)
 				if (aerr == nil) != (berr == nil) {
 					t.Fatalf("%s k%d: BestKMatches error diverged: %v vs %v", mctx, k, aerr, berr)
 				}
@@ -130,11 +130,11 @@ func compareEngines(t *testing.T, ctx string, one, sharded *Engine, queries [][]
 				var ar, br []query.RangeResult
 				var aerr, berr error
 				if exact {
-					ar, aerr = one.RangeSearchExact(context.Background(), rq, length, radius)
-					br, berr = sharded.RangeSearchExact(context.Background(), rq, length, radius)
+					ar, aerr = rangeSearch(one, context.Background(), rq, length, radius, true)
+					br, berr = rangeSearch(sharded, context.Background(), rq, length, radius, true)
 				} else {
-					ar, aerr = one.RangeSearch(context.Background(), rq, length, radius)
-					br, berr = sharded.RangeSearch(context.Background(), rq, length, radius)
+					ar, aerr = rangeSearch(one, context.Background(), rq, length, radius, false)
+					br, berr = rangeSearch(sharded, context.Background(), rq, length, radius, false)
 				}
 				if (aerr == nil) != (berr == nil) {
 					t.Fatalf("%s: error diverged: %v vs %v", rctx, aerr, berr)
@@ -166,11 +166,11 @@ func compareEngines(t *testing.T, ctx string, one, sharded *Engine, queries [][]
 			var ag, bg []query.SeasonalGroup
 			var aerr, berr error
 			if sid < 0 {
-				ag, aerr = one.SeasonalAll(length)
-				bg, berr = sharded.SeasonalAll(length)
+				ag, aerr = seasonal(one, context.Background(), -1, length)
+				bg, berr = seasonal(sharded, context.Background(), -1, length)
 			} else {
-				ag, aerr = one.SeasonalSample(sid, length)
-				bg, berr = sharded.SeasonalSample(sid, length)
+				ag, aerr = seasonal(one, context.Background(), sid, length)
+				bg, berr = seasonal(sharded, context.Background(), sid, length)
 			}
 			sctx := fmt.Sprintf("%s seasonal l=%d sid=%d", ctx, length, sid)
 			if (aerr == nil) != (berr == nil) {
@@ -200,14 +200,18 @@ func compareEngines(t *testing.T, ctx string, one, sharded *Engine, queries [][]
 
 	// Batch answers must equal their single-query counterparts across both
 	// engines.
-	amb := one.BestMatchBatch(context.Background(), queries, query.MatchAny)
-	bmb := sharded.BestMatchBatch(context.Background(), queries, query.MatchAny)
+	reqs := make([]query.Request, len(queries))
+	for i, q := range queries {
+		reqs[i] = query.Request{Family: query.FamilyMatch, Query: q, Mode: query.MatchAny}
+	}
+	amb := one.ExecBatch(context.Background(), reqs)
+	bmb := sharded.ExecBatch(context.Background(), reqs)
 	for i := range amb {
 		if (amb[i].Err == nil) != (bmb[i].Err == nil) {
 			t.Fatalf("%s: batch[%d] error diverged: %v vs %v", ctx, i, amb[i].Err, bmb[i].Err)
 		}
 		if amb[i].Err == nil {
-			matchesEqual(t, fmt.Sprintf("%s batch[%d]", ctx, i), amb[i].Match, bmb[i].Match)
+			matchesEqual(t, fmt.Sprintf("%s batch[%d]", ctx, i), amb[i].Matches[0], bmb[i].Matches[0])
 		}
 	}
 

@@ -113,7 +113,7 @@ func FuzzShardRouting(f *testing.F) {
 			x += r.NormFloat64() * 0.2
 			q[j] = x
 		}
-		m, err := e.BestMatch(context.Background(), q, query.MatchAny)
+		m, err := bestMatch(e, context.Background(), q, query.MatchAny)
 		if err != nil {
 			t.Fatalf("post-op BestMatch: %v", err)
 		}

@@ -91,13 +91,13 @@ func TestKNNCallsPerShard(t *testing.T) {
 	}
 	q := randomQueries(r, d, []int{12}, 1)[0]
 
-	for _, k := range []int{1, 5, 10} {
+	for _, k := range []int{2, 5, 10} {
 		reset()
-		got, err := sc.BestKMatches(context.Background(), q, query.MatchExact, k)
+		got, err := bestK(sc, context.Background(), q, query.MatchExact, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := e.BestKMatches(context.Background(), q, query.MatchExact, k)
+		want, err := bestK(e, context.Background(), q, query.MatchExact, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestKNNCallsPerShard(t *testing.T) {
 		}
 
 		reset()
-		if _, err := sc.BestKMatches(context.Background(), q, query.MatchAny, k); err != nil {
+		if _, err := bestK(sc, context.Background(), q, query.MatchAny, k); err != nil {
 			t.Fatal(err)
 		}
 		finite := false

@@ -213,7 +213,7 @@ func TestRemoteWorkerRestart(t *testing.T) {
 	}
 	refs := make([]ref, len(queries))
 	for i, q := range queries {
-		m, err := one.BestMatch(context.Background(), q, query.MatchAny)
+		m, err := bestMatch(one, context.Background(), q, query.MatchAny)
 		refs[i] = ref{m: m, err: err != nil}
 	}
 
@@ -227,7 +227,7 @@ func TestRemoteWorkerRestart(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				for i, q := range queries {
-					m, err := remote.BestMatch(context.Background(), q, query.MatchAny)
+					m, err := bestMatch(remote, context.Background(), q, query.MatchAny)
 					if (err != nil) != refs[i].err {
 						errCh <- fmt.Errorf("q%d: error diverged under restart: %v", i, err)
 						return
@@ -284,11 +284,11 @@ func TestRemoteWorkerUnavailable(t *testing.T) {
 	defer remote.Close()
 	q := make([]float64, 8)
 	copy(q, d.Series[0].Values[:8])
-	if _, err := remote.BestMatch(context.Background(), q, query.MatchExact); err != nil {
+	if _, err := bestMatch(remote, context.Background(), q, query.MatchExact); err != nil {
 		t.Fatalf("query with live worker: %v", err)
 	}
 	srv.Close()
-	if _, err := remote.BestMatch(context.Background(), q, query.MatchExact); !errors.Is(err, shardrpc.ErrUnavailable) {
+	if _, err := bestMatch(remote, context.Background(), q, query.MatchExact); !errors.Is(err, shardrpc.ErrUnavailable) {
 		t.Fatalf("query with dead worker: got %v, want ErrUnavailable", err)
 	}
 

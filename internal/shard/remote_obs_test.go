@@ -101,15 +101,15 @@ func TestRemoteObservationalPurity(t *testing.T) {
 				for qi, q := range queries {
 					for _, mode := range []query.MatchMode{query.MatchAny, query.MatchExact} {
 						// Reference: local, untraced.
-						refM, refErr := local.BestMatchObserved(ctx, q, mode, nil)
-						refK, refKErr := local.BestKMatchesObserved(ctx, q, mode, 3, nil)
+						refM, refErr := bestMatch(local, ctx, q, mode)
+						refK, refKErr := bestK(local, ctx, q, mode, 3)
 						for _, e := range engines {
 							for _, traced := range []bool{false, true} {
 								var rec *obs.Trace
 								if traced {
 									rec = obs.NewTrace(fmt.Sprintf("purity-%d", qi))
 								}
-								m, err := e.eng.BestMatchObserved(ctx, q, mode, rec)
+								m, err := bestMatch(e.eng, obs.ContextWithTrace(ctx, rec), q, mode)
 								if (err != nil) != (refErr != nil) {
 									t.Fatalf("%s traced=%v q%d mode%d: error diverged: %v vs %v",
 										e.name, traced, qi, mode, err, refErr)
@@ -118,7 +118,7 @@ func TestRemoteObservationalPurity(t *testing.T) {
 									t.Fatalf("%s traced=%v q%d mode%d: match diverged: %+v vs %+v",
 										e.name, traced, qi, mode, m, refM)
 								}
-								ms, err := e.eng.BestKMatchesObserved(ctx, q, mode, 3, rec)
+								ms, err := bestK(e.eng, obs.ContextWithTrace(ctx, rec), q, mode, 3)
 								if (err != nil) != (refKErr != nil) {
 									t.Fatalf("%s traced=%v q%d mode%d: knn error diverged: %v vs %v",
 										e.name, traced, qi, mode, err, refKErr)
@@ -133,14 +133,14 @@ func TestRemoteObservationalPurity(t *testing.T) {
 						}
 					}
 					for _, exact := range []bool{false, true} {
-						refR, refErr := local.RangeSearchObserved(ctx, q, len(q), st, exact, nil)
+						refR, refErr := rangeSearch(local, ctx, q, len(q), st, exact)
 						for _, e := range engines {
 							for _, traced := range []bool{false, true} {
 								var rec *obs.Trace
 								if traced {
 									rec = obs.NewTrace("purity-range")
 								}
-								rs, err := e.eng.RangeSearchObserved(ctx, q, len(q), st, exact, rec)
+								rs, err := rangeSearch(e.eng, obs.ContextWithTrace(ctx, rec), q, len(q), st, exact)
 								if (err != nil) != (refErr != nil) {
 									t.Fatalf("%s traced=%v q%d exact=%v: range error diverged: %v vs %v",
 										e.name, traced, qi, exact, err, refErr)
@@ -156,14 +156,14 @@ func TestRemoteObservationalPurity(t *testing.T) {
 					}
 				}
 
-				refS, refErr := local.SeasonalAllObserved(lengths[0], nil)
+				refS, refErr := seasonal(local, ctx, -1, lengths[0])
 				for _, e := range engines {
 					for _, traced := range []bool{false, true} {
 						var rec *obs.Trace
 						if traced {
 							rec = obs.NewTrace("purity-seasonal")
 						}
-						sg, err := e.eng.SeasonalAllObserved(lengths[0], rec)
+						sg, err := seasonal(e.eng, obs.ContextWithTrace(ctx, rec), -1, lengths[0])
 						if (err != nil) != (refErr != nil) {
 							t.Fatalf("%s traced=%v: seasonal error diverged: %v vs %v", e.name, traced, err, refErr)
 						}
@@ -214,7 +214,7 @@ func TestRemoteWorkerSpanWorkAgreement(t *testing.T) {
 	queries := randomQueries(r, d, lengths, 5)
 	for qi, q := range queries {
 		rec := obs.NewTrace(fmt.Sprintf("agree-%d", qi))
-		if _, err := remote.BestMatchObserved(context.Background(), q, query.MatchAny, rec); err != nil {
+		if _, err := bestMatch(remote, obs.ContextWithTrace(context.Background(), rec), q, query.MatchAny); err != nil {
 			continue
 		}
 		v := rec.Snapshot()

@@ -47,6 +47,12 @@
 // across the whole grouping, which only a shard indexing all of it holds: it
 // adapts the one-shard in-process layout and refuses every other.
 //
+// # One request, two entry points
+//
+// Queries enter as query.Request values through Exec (one) and ExecBatch
+// (many, of any mix of families); the engine hands them to the coordinator
+// unchanged. The request's context bounds it and carries its trace, if any.
+//
 // # Persistence
 //
 // An engine snapshots as a single stream carrying the global dataset +

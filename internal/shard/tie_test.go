@@ -116,7 +116,7 @@ func TestTieRuleSmallestGroupID(t *testing.T) {
 	}
 	for i, e := range engs {
 		for rep := 0; rep < 25; rep++ {
-			m, err := e.BestMatch(context.Background(), q, query.MatchExact)
+			m, err := bestMatch(e, context.Background(), q, query.MatchExact)
 			if err != nil {
 				t.Fatal(err)
 			}

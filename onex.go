@@ -111,38 +111,113 @@ func (b *Base) Lengths() []int {
 	return b.eng.Lengths()
 }
 
-// BestMatch answers similarity queries (class I, Q1): the subsequence most
-// similar to q under DTW. MatchExact restricts candidates to len(q);
-// MatchAny searches every indexed length with the paper's length-ordering
-// and early-stop optimizations.
-func (b *Base) BestMatch(q []float64, mode MatchMode) (Match, error) {
-	return b.BestMatchContext(context.Background(), q, mode)
+// Family selects the query class of a Request.
+type Family = query.Family
+
+const (
+	// FamilyMatch is query class I: the best match of Request.Query (K ≤ 1)
+	// or its K nearest subsequences, under Request.Mode.
+	FamilyMatch = query.FamilyMatch
+	// FamilyRange asks for every subsequence of Request.Length within
+	// Request.Radius of Request.Query.
+	FamilyRange = query.FamilyRange
+	// FamilySeasonal is query class II over groups of Request.Length: the
+	// recurring patterns of series Request.SeriesID, or of the whole dataset
+	// when it is negative.
+	FamilySeasonal = query.FamilySeasonal
+)
+
+// Request is one query as plain data — the paper's OUTPUT … FROM … WHERE …
+// MATCH template, the clauses a family does not read left zero:
+//
+//	Request{Family: FamilyMatch, Query: q, Mode: MatchAny, K: 5}
+//	Request{Family: FamilyRange, Query: q, Length: 24, Radius: 0.1, Exact: true}
+//	Request{Family: FamilySeasonal, SeriesID: -1, Length: 24}
+type Request = query.Request
+
+// Result is the outcome of one Request: Err, or the slice of its family.
+type Result struct {
+	// Matches answers FamilyMatch, best first (exactly one for K ≤ 1).
+	Matches []Match
+	// Ranges answers FamilyRange, unordered.
+	Ranges []RangeMatch
+	// Patterns answers FamilySeasonal.
+	Patterns []Pattern
+	// Err is the request's own failure (a malformed item of a batch fails
+	// alone); the slices are nil when it is set.
+	Err error
 }
 
-// BestMatchContext is BestMatch under a context: a canceled or expired ctx
-// stops the query between lengths and member rounds and returns ctx's
-// error. Cancellation only abandons work — any answer returned is still
-// exact.
-func (b *Base) BestMatchContext(ctx context.Context, q []float64, mode MatchMode) (Match, error) {
-	m, err := b.eng.BestMatch(ctx, q, query.MatchMode(mode))
-	if err != nil {
-		return Match{}, err
-	}
-	return b.toPublicMatch(m), nil
+// RangeMatch is one range-search result.
+type RangeMatch struct {
+	Match
+	// Guaranteed marks matches admitted wholesale by the paper's Lemma 2
+	// guarantee (group representative within ST/2 of the query). Unless the
+	// request set Exact their Distance is the ST upper bound, not an exact
+	// value — do not sort or re-threshold on it.
+	Guaranteed bool
 }
 
-// BestMatchObserved is BestMatch with optional tracing: a non-nil rec
-// records per-stage spans (scan, refine — per-shard spans when the layout
-// is sharded) and the query's work counters. Tracing only observes — the
-// answer is bit-identical to BestMatch, and a nil rec adds no overhead on
-// the search hot path. ctx carries cancellation and the request id that
-// tags distributed per-shard work (see BestMatchContext).
-func (b *Base) BestMatchObserved(ctx context.Context, q []float64, mode MatchMode, rec *obs.Trace) (Match, error) {
-	m, err := b.eng.BestMatchObserved(ctx, q, query.MatchMode(mode), rec)
-	if err != nil {
-		return Match{}, err
+// Exec answers one request of any family. A canceled or expired ctx stops
+// the query between lengths, member rounds and groups and yields ctx's
+// error; cancellation only abandons work — any answer returned is exact. A
+// trace attached to ctx with obs.ContextWithTrace records per-stage spans
+// (scan, refine — per shard when the layout is sharded) and the query's work
+// counters; tracing only observes, and without it the search hot path pays
+// nothing. ctx also carries the request id that tags distributed per-shard
+// work.
+func (b *Base) Exec(ctx context.Context, req Request) Result {
+	return b.toPublic(req.Family, b.eng.Exec(ctx, req))
+}
+
+// ExecBatch answers many requests, of any mix of families, in one call,
+// fanning them across the base's worker pool (Options.Parallelism workers).
+// Results are positional — out[i] is what Exec(ctx, reqs[i]) returns, errors
+// included. Malformed requests never panic; a nil or empty batch returns an
+// empty slice.
+func (b *Base) ExecBatch(ctx context.Context, reqs []Request) []Result {
+	rs := b.eng.ExecBatch(ctx, reqs)
+	out := make([]Result, len(rs))
+	for i, r := range rs {
+		out[i] = b.toPublic(reqs[i].Family, r)
 	}
-	return b.toPublicMatch(m), nil
+	return out
+}
+
+// toPublic is the one conversion from the engine's result to the public one:
+// matched windows are copied out of the base, groups become patterns. A
+// successful result's slice for its family f is non-nil even when empty.
+func (b *Base) toPublic(f Family, r query.Result) Result {
+	if r.Err != nil {
+		return Result{Err: r.Err}
+	}
+	var out Result
+	switch f {
+	case FamilyMatch:
+		out.Matches = make([]Match, len(r.Matches))
+		for i, m := range r.Matches {
+			out.Matches[i] = b.toPublicMatch(m)
+		}
+	case FamilyRange:
+		out.Ranges = make([]RangeMatch, len(r.Ranges))
+		for i, m := range r.Ranges {
+			out.Ranges[i] = RangeMatch{Match: b.toPublicMatch(m.Match), Guaranteed: m.Guaranteed}
+		}
+	case FamilySeasonal:
+		out.Patterns = make([]Pattern, len(r.Groups))
+		for i, g := range r.Groups {
+			p := Pattern{
+				Length:         g.Length,
+				Representative: append([]float64(nil), g.Rep...),
+				Occurrences:    make([]Occurrence, len(g.Members)),
+			}
+			for j, m := range g.Members {
+				p.Occurrences[j] = Occurrence{SeriesID: m.SeriesIdx, Start: m.Start}
+			}
+			out.Patterns[i] = p
+		}
+	}
+	return out
 }
 
 func (b *Base) toPublicMatch(m query.Match) Match {
@@ -156,112 +231,31 @@ func (b *Base) toPublicMatch(m query.Match) Match {
 	}
 }
 
-// BatchResult is one BestMatchBatch outcome: the match for its query, or a
-// per-query error (ragged, empty or non-finite queries fail individually
-// without affecting the rest of the batch).
-type BatchResult struct {
-	Match Match
-	Err   error
-}
-
-// BestMatchBatch answers many Q1 queries in one call, fanning them across
-// the base's worker pool (Options.Parallelism workers) and amortizing the
-// per-query setup over the batch. Results are positional — out[i] answers
-// qs[i] — and each equals what BestMatch(qs[i], mode) would return, errors
-// included. Malformed queries never panic; a nil or empty batch returns an
-// empty slice.
-func (b *Base) BestMatchBatch(ctx context.Context, qs [][]float64, mode MatchMode) []BatchResult {
-	rs := b.eng.BestMatchBatch(ctx, qs, query.MatchMode(mode))
-	out := make([]BatchResult, len(rs))
-	for i, r := range rs {
-		if r.Err != nil {
-			out[i] = BatchResult{Err: r.Err}
-			continue
-		}
-		out[i] = BatchResult{Match: b.toPublicMatch(r.Match)}
+// best unpacks a best-match result.
+func (r Result) best() (Match, error) {
+	if r.Err != nil {
+		return Match{}, r.Err
 	}
-	return out
+	return r.Matches[0], nil
 }
 
-// KNNQuery is one item of a BestKMatchesBatch: the query sequence, its
-// match mode, and how many neighbours to return (K ≤ 1 asks for the single
-// best match).
-type KNNQuery struct {
-	Query []float64
-	Mode  MatchMode
-	K     int
-}
+// The six methods below spell the paper's query classes as plain calls; each
+// is Exec under context.Background().
 
-// KNNBatchResult is one positional BestKMatchesBatch outcome: the ordered
-// neighbours for its query, or a per-query error.
-type KNNBatchResult struct {
-	Matches []Match
-	Err     error
-}
-
-// BestKMatchesBatch answers many k-NN queries in one call through the same
-// worker-split scaffold as BestMatchBatch. Results are positional — out[i]
-// answers qs[i] and equals what BestKMatches(qs[i].Query, qs[i].Mode,
-// qs[i].K) would return, errors included.
-func (b *Base) BestKMatchesBatch(ctx context.Context, qs []KNNQuery) []KNNBatchResult {
-	in := make([]query.KNNQuery, len(qs))
-	for i, q := range qs {
-		in[i] = query.KNNQuery{Query: q.Query, Mode: query.MatchMode(q.Mode), K: q.K}
-	}
-	rs := b.eng.BestKMatchesBatch(ctx, in)
-	out := make([]KNNBatchResult, len(rs))
-	for i, r := range rs {
-		if r.Err != nil {
-			out[i] = KNNBatchResult{Err: r.Err}
-			continue
-		}
-		ms := make([]Match, 0, len(r.Matches))
-		for _, m := range r.Matches {
-			ms = append(ms, b.toPublicMatch(m))
-		}
-		out[i] = KNNBatchResult{Matches: ms}
-	}
-	return out
+// BestMatch answers similarity queries (class I, Q1): the subsequence most
+// similar to q under DTW. MatchExact restricts candidates to len(q);
+// MatchAny searches every indexed length with the paper's length-ordering
+// and early-stop optimizations.
+func (b *Base) BestMatch(q []float64, mode MatchMode) (Match, error) {
+	return b.Exec(context.Background(), Request{Family: FamilyMatch, Query: q, Mode: mode}).best()
 }
 
 // BestKMatches generalizes BestMatch to the k nearest subsequences, ordered
-// best first. Fewer than k results are returned only when the base holds
-// fewer candidates.
+// best first (k ≤ 1 is BestMatch). Fewer than k results are returned only
+// when the base holds fewer candidates.
 func (b *Base) BestKMatches(q []float64, mode MatchMode, k int) ([]Match, error) {
-	ms, err := b.eng.BestKMatches(context.Background(), q, query.MatchMode(mode), k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Match, 0, len(ms))
-	for _, m := range ms {
-		out = append(out, b.toPublicMatch(m))
-	}
-	return out, nil
-}
-
-// BestKMatchesObserved is BestKMatches with optional tracing and context
-// (see BestMatchObserved).
-func (b *Base) BestKMatchesObserved(ctx context.Context, q []float64, mode MatchMode, k int, rec *obs.Trace) ([]Match, error) {
-	ms, err := b.eng.BestKMatchesObserved(ctx, q, query.MatchMode(mode), k, rec)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Match, 0, len(ms))
-	for _, m := range ms {
-		out = append(out, b.toPublicMatch(m))
-	}
-	return out, nil
-}
-
-// RangeMatch is one RangeSearch result.
-type RangeMatch struct {
-	Match
-	// Guaranteed marks matches admitted wholesale by the paper's Lemma 2
-	// guarantee (group representative within ST/2 of the query). Under
-	// RangeSearch their Distance is the ST upper bound, not an exact value —
-	// do not sort or re-threshold on it; use RangeSearchExact when exact
-	// distances matter.
-	Guaranteed bool
+	r := b.Exec(context.Background(), Request{Family: FamilyMatch, Query: q, Mode: mode, K: k})
+	return r.Matches, r.Err
 }
 
 // RangeSearch returns every subsequence of the given length whose
@@ -269,15 +263,8 @@ type RangeMatch struct {
 // whole groups are admitted through the Lemma 2 triangle inequality without
 // per-member DTW computations.
 func (b *Base) RangeSearch(q []float64, length int, radius float64) ([]RangeMatch, error) {
-	rs, err := b.eng.RangeSearch(context.Background(), q, length, radius)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RangeMatch, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, RangeMatch{Match: b.toPublicMatch(r.Match), Guaranteed: r.Guaranteed})
-	}
-	return out, nil
+	r := b.Exec(context.Background(), Request{Family: FamilyRange, Query: q, Length: length, Radius: radius})
+	return r.Ranges, r.Err
 }
 
 // RangeSearchExact is RangeSearch with exact distances on the guaranteed
@@ -287,68 +274,68 @@ func (b *Base) RangeSearch(q []float64, length int, radius float64) ([]RangeMatc
 // the subsequences within radius, independent of the base's grouping, so
 // Distance is always safe to sort or re-threshold on.
 func (b *Base) RangeSearchExact(q []float64, length int, radius float64) ([]RangeMatch, error) {
-	rs, err := b.eng.RangeSearchExact(context.Background(), q, length, radius)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RangeMatch, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, RangeMatch{Match: b.toPublicMatch(r.Match), Guaranteed: r.Guaranteed})
-	}
-	return out, nil
+	r := b.Exec(context.Background(), Request{Family: FamilyRange, Query: q, Length: length, Radius: radius, Exact: true})
+	return r.Ranges, r.Err
 }
 
-// RangeSearchObserved is RangeSearch/RangeSearchExact with optional tracing
-// and context (see BestMatchObserved); exact selects the RangeSearchExact
-// distance semantics.
+// Seasonal answers the user-driven class II query: the recurring similarity
+// patterns of one series — every group of the given length holding two or
+// more subsequences of that series.
+func (b *Base) Seasonal(seriesID, length int) ([]Pattern, error) {
+	r := b.Exec(context.Background(), Request{Family: FamilySeasonal, SeriesID: seriesID, Length: length})
+	return r.Patterns, r.Err
+}
+
+// SeasonalAll answers the data-driven class II query: every recurring
+// similarity pattern of the given length across the whole dataset.
+func (b *Base) SeasonalAll(length int) ([]Pattern, error) {
+	return b.Seasonal(-1, length)
+}
+
+// The five methods below are the call shapes benchmark/ compiles against,
+// kept until it moves to Exec: each packs its arguments into one Exec or
+// ExecBatch call (the trace rides the context) and has no logic of its own.
+
+// BestMatchObserved is BestMatch under ctx with an optional trace.
+func (b *Base) BestMatchObserved(ctx context.Context, q []float64, mode MatchMode, rec *obs.Trace) (Match, error) {
+	return b.Exec(obs.ContextWithTrace(ctx, rec), Request{Family: FamilyMatch, Query: q, Mode: mode}).best()
+}
+
+// BestKMatchesObserved is BestKMatches under ctx with an optional trace.
+func (b *Base) BestKMatchesObserved(ctx context.Context, q []float64, mode MatchMode, k int, rec *obs.Trace) ([]Match, error) {
+	r := b.Exec(obs.ContextWithTrace(ctx, rec), Request{Family: FamilyMatch, Query: q, Mode: mode, K: k})
+	return r.Matches, r.Err
+}
+
+// RangeSearchObserved is RangeSearch (RangeSearchExact when exact is set)
+// under ctx with an optional trace.
 func (b *Base) RangeSearchObserved(ctx context.Context, q []float64, length int, radius float64, exact bool, rec *obs.Trace) ([]RangeMatch, error) {
-	rs, err := b.eng.RangeSearchObserved(ctx, q, length, radius, exact, rec)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RangeMatch, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, RangeMatch{Match: b.toPublicMatch(r.Match), Guaranteed: r.Guaranteed})
-	}
-	return out, nil
+	r := b.Exec(obs.ContextWithTrace(ctx, rec), Request{Family: FamilyRange, Query: q, Length: length, Radius: radius, Exact: exact})
+	return r.Ranges, r.Err
 }
 
-// RangeQuery is one item of a RangeSearchBatch; Exact selects
-// RangeSearchExact semantics for that item.
-type RangeQuery struct {
-	Query  []float64
-	Length int
-	Radius float64
-	Exact  bool
+// SeasonalObserved is Seasonal with an optional trace.
+func (b *Base) SeasonalObserved(seriesID, length int, rec *obs.Trace) ([]Pattern, error) {
+	r := b.Exec(obs.ContextWithTrace(context.Background(), rec), Request{Family: FamilySeasonal, SeriesID: seriesID, Length: length})
+	return r.Patterns, r.Err
 }
 
-// RangeBatchResult is one positional RangeSearchBatch outcome.
-type RangeBatchResult struct {
-	Matches []RangeMatch
-	Err     error
+// BatchResult is one BestMatchBatch outcome: the match for its query, or a
+// per-query error.
+type BatchResult struct {
+	Match Match
+	Err   error
 }
 
-// RangeSearchBatch answers many range queries in one call through the same
-// worker-split scaffold as BestMatchBatch. Results are positional and each
-// equals the corresponding RangeSearch or RangeSearchExact call, errors
-// included.
-func (b *Base) RangeSearchBatch(ctx context.Context, qs []RangeQuery) []RangeBatchResult {
-	in := make([]query.RangeQuery, len(qs))
+// BestMatchBatch is ExecBatch over best-match requests of one mode.
+func (b *Base) BestMatchBatch(ctx context.Context, qs [][]float64, mode MatchMode) []BatchResult {
+	reqs := make([]Request, len(qs))
 	for i, q := range qs {
-		in[i] = query.RangeQuery{Query: q.Query, Length: q.Length, Radius: q.Radius, Exact: q.Exact}
+		reqs[i] = Request{Family: FamilyMatch, Query: q, Mode: mode}
 	}
-	rs := b.eng.RangeSearchBatch(ctx, in)
-	out := make([]RangeBatchResult, len(rs))
-	for i, r := range rs {
-		if r.Err != nil {
-			out[i] = RangeBatchResult{Err: r.Err}
-			continue
-		}
-		ms := make([]RangeMatch, 0, len(r.Results))
-		for _, m := range r.Results {
-			ms = append(ms, RangeMatch{Match: b.toPublicMatch(m.Match), Guaranteed: m.Guaranteed})
-		}
-		out[i] = RangeBatchResult{Matches: ms}
+	out := make([]BatchResult, len(qs))
+	for i, r := range b.ExecBatch(ctx, reqs) {
+		out[i].Match, out[i].Err = r.best()
 	}
 	return out
 }
@@ -401,98 +388,6 @@ func (b *Base) Extend(series []Series) (*Base, error) {
 		return nil, err
 	}
 	return &Base{eng: eng, opts: b.opts}, nil
-}
-
-// Seasonal answers the user-driven class II query: the recurring similarity
-// patterns of one series — every group of the given length holding two or
-// more subsequences of that series.
-func (b *Base) Seasonal(seriesID, length int) ([]Pattern, error) {
-	gs, err := b.eng.SeasonalSample(seriesID, length)
-	if err != nil {
-		return nil, err
-	}
-	return b.toPatterns(gs), nil
-}
-
-// SeasonalAll answers the data-driven class II query: every recurring
-// similarity pattern of the given length across the whole dataset.
-func (b *Base) SeasonalAll(length int) ([]Pattern, error) {
-	gs, err := b.eng.SeasonalAll(length)
-	if err != nil {
-		return nil, err
-	}
-	return b.toPatterns(gs), nil
-}
-
-// SeasonalObserved is Seasonal with optional tracing: the span carries the
-// enumeration sizes (seasonal queries run no distance cascade).
-func (b *Base) SeasonalObserved(seriesID, length int, rec *obs.Trace) ([]Pattern, error) {
-	gs, err := b.eng.SeasonalSampleObserved(seriesID, length, rec)
-	if err != nil {
-		return nil, err
-	}
-	return b.toPatterns(gs), nil
-}
-
-// SeasonalAllObserved is SeasonalAll with optional tracing.
-func (b *Base) SeasonalAllObserved(length int, rec *obs.Trace) ([]Pattern, error) {
-	gs, err := b.eng.SeasonalAllObserved(length, rec)
-	if err != nil {
-		return nil, err
-	}
-	return b.toPatterns(gs), nil
-}
-
-func (b *Base) toPatterns(gs []query.SeasonalGroup) []Pattern {
-	out := make([]Pattern, 0, len(gs))
-	for _, g := range gs {
-		p := Pattern{
-			Length:         g.Length,
-			Representative: append([]float64(nil), g.Rep...),
-		}
-		for _, m := range g.Members {
-			p.Occurrences = append(p.Occurrences, Occurrence{
-				SeriesID: m.SeriesIdx,
-				Start:    m.Start,
-			})
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// SeasonalQuery is one item of a SeasonalBatch. SeriesID < 0 asks the
-// data-driven form (SeasonalAll); otherwise the user-driven form over that
-// series.
-type SeasonalQuery struct {
-	SeriesID int
-	Length   int
-}
-
-// SeasonalBatchResult is one positional SeasonalBatch outcome.
-type SeasonalBatchResult struct {
-	Patterns []Pattern
-	Err      error
-}
-
-// SeasonalBatch answers many seasonal queries in one call. Results are
-// positional and each equals the corresponding Seasonal or SeasonalAll
-// call, errors included.
-func (b *Base) SeasonalBatch(qs []SeasonalQuery) []SeasonalBatchResult {
-	in := make([]query.SeasonalQuery, len(qs))
-	for i, q := range qs {
-		in[i] = query.SeasonalQuery{SeriesID: q.SeriesID, Length: q.Length}
-	}
-	rs := b.eng.SeasonalBatch(in)
-	out := make([]SeasonalBatchResult, len(rs))
-	for i, r := range rs {
-		if r.Err != nil {
-			out[i] = SeasonalBatchResult{Err: r.Err}
-			continue
-		}
-		out[i] = SeasonalBatchResult{Patterns: b.toPatterns(r.Groups)}
-	}
-	return out
 }
 
 // RecommendThreshold answers class III queries: the similarity-threshold

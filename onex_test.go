@@ -150,8 +150,12 @@ func TestSeasonal(t *testing.T) {
 	if _, err := b.Seasonal(0, 5); err == nil {
 		t.Error("unindexed length: want error")
 	}
-	if _, err := b.Seasonal(-2, 16); err == nil {
+	if _, err := b.Seasonal(b.NumSeries(), 16); err == nil {
 		t.Error("bad series: want error")
+	}
+	// A negative series id is the dataset-wide form.
+	if wide, err := b.Seasonal(-2, 16); err != nil || len(wide) != len(all) {
+		t.Errorf("Seasonal(-2): %d patterns, err %v; want SeasonalAll's %d", len(wide), err, len(all))
 	}
 }
 

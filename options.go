@@ -28,7 +28,7 @@ type Options struct {
 	Workers int
 	// Parallelism bounds the worker fan-out of the online stage: single
 	// queries (representative scans, group mining, range-search groups) and
-	// BestMatchBatch. ≤ 0 selects runtime.GOMAXPROCS(0); 1 forces the
+	// ExecBatch. ≤ 0 selects runtime.GOMAXPROCS(0); 1 forces the
 	// sequential path; values above NumCPU are accepted and merely
 	// oversubscribe the scheduler. Query answers are identical for every
 	// setting — parallel execution is answer-invariant by construction —
@@ -157,13 +157,13 @@ const (
 )
 
 // MatchMode selects the MATCH clause of similarity queries (Q1).
-type MatchMode int
+type MatchMode = query.MatchMode
 
 const (
 	// MatchExact considers only subsequences of the query's own length.
-	MatchExact MatchMode = MatchMode(query.MatchExact)
+	MatchExact = query.MatchExact
 	// MatchAny considers subsequences of every indexed length.
-	MatchAny MatchMode = MatchMode(query.MatchAny)
+	MatchAny = query.MatchAny
 )
 
 // Degree is the paper's similarity-strength scale (Sec. 4.2).

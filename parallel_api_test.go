@@ -46,14 +46,20 @@ func TestBestMatchBatchAPI(t *testing.T) {
 }
 
 // TestConcurrentBatchExtendSeasonal is the cross-API stress test: one Base
-// hammered by concurrent BestMatchBatch, Extend, Seasonal and RangeSearch
-// calls from many goroutines. Run under -race (the CI default); the
+// hammered by concurrent mixed-family ExecBatch, Extend, Seasonal and
+// RangeSearch calls from many goroutines. Run under -race (the CI default); the
 // assertions are freedom from panics/deadlocks and well-formed answers.
 func TestConcurrentBatchExtendSeasonal(t *testing.T) {
 	b := buildFixture(t, Options{Parallelism: 4})
 	q1 := sineSeries(1, 48)[0].Values[:16]
 	q2 := sineSeries(1, 48)[0].Values[16:32]
-	qs := [][]float64{q1, q2, nil} // include a malformed one on purpose
+	qs := []Request{
+		{Family: FamilyMatch, Query: q1, Mode: MatchAny},
+		{Family: FamilyRange, Query: q2, Length: 16, Radius: 0.1},
+		{Family: FamilyMatch, Mode: MatchAny}, // a malformed one on purpose
+		{Family: FamilySeasonal, SeriesID: -1, Length: 16},
+		{Family: FamilyMatch, Query: q2, Mode: MatchExact, K: 3},
+	}
 
 	iters := 30
 	if testing.Short() {
@@ -65,14 +71,16 @@ func TestConcurrentBatchExtendSeasonal(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				rs := b.BestMatchBatch(context.Background(), qs, MatchAny)
+				rs := b.ExecBatch(context.Background(), qs)
 				if len(rs) != len(qs) {
 					t.Errorf("short batch: %d", len(rs))
 					return
 				}
-				if rs[0].Err != nil || rs[1].Err != nil || rs[2].Err == nil {
-					t.Errorf("batch error pattern wrong: %v %v %v", rs[0].Err, rs[1].Err, rs[2].Err)
-					return
+				for j, r := range rs {
+					if (r.Err != nil) != (j == 2) {
+						t.Errorf("batch error pattern wrong at item %d: %v", j, r.Err)
+						return
+					}
 				}
 			}
 		}()
@@ -113,72 +121,105 @@ func TestConcurrentBatchExtendSeasonal(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzBestMatchBatch feeds arbitrary byte strings decoded into ragged,
-// NaN-riddled, empty and oversized query batches: the API must always
-// return one positional result per query, never panic or deadlock, and
-// flag every malformed query with a per-query error.
-func FuzzBestMatchBatch(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{0, 0, 0}, uint8(1))
-	f.Add([]byte{16, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(0))
-	f.Add([]byte{3, 255, 0, 1, 2, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(1))
-	f.Add([]byte{1, 128, 2, 64, 64, 0, 4, 1, 2, 3, 4}, uint8(0))
+// FuzzExecRequest builds one request out of arbitrary fields — any family
+// id, k, length, series and radius, a query decoded from bytes with NaN and
+// ±Inf among its values — and asks it alone and inside a batch, on a sharded
+// and an unsharded base: the API must never panic or deadlock, a batch must
+// return one positional result per request, the same request must answer the
+// same (error text, or answer sizes and best distance to the bit) every way
+// it is asked, and a malformed request must fail — alone.
+func FuzzExecRequest(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 2, 3, 4, 5, 6}, uint8(1), 0, 6, 0.2, false, 0)
+	f.Add(uint8(0), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(0), 4, 0, 0.0, false, 0)
+	f.Add(uint8(1), []byte{1, 2, 3, 4, 5, 6}, uint8(0), 0, 6, 0.3, true, 0)
+	f.Add(uint8(2), []byte{}, uint8(0), 0, 10, 0.0, false, -1)
+	f.Add(uint8(2), []byte{}, uint8(0), 0, 6, 0.0, false, 3)
+	// The hostile corpus: unknown family, K < 0, non-positive length,
+	// NaN/±Inf radius and query values, empty query, out-of-range series.
+	f.Add(uint8(7), []byte{1, 2, 3}, uint8(0), 0, 6, 0.1, false, 0)
+	f.Add(uint8(0), []byte{1, 2, 3, 4, 5, 6}, uint8(0), -1, 0, 0.0, false, 0)
+	f.Add(uint8(0), []byte{1, 2, 3, 4, 5, 6}, uint8(5), 2, 0, 0.0, false, 0)
+	f.Add(uint8(1), []byte{1, 2, 3, 4, 5, 6}, uint8(0), 0, 0, 0.1, false, 0)
+	f.Add(uint8(1), []byte{1, 2, 3, 4, 5, 6}, uint8(0), 0, -6, 0.1, false, 0)
+	f.Add(uint8(1), []byte{1, 2, 3, 4, 5, 6}, uint8(0), 0, 6, math.NaN(), false, 0)
+	f.Add(uint8(1), []byte{1, 2, 3, 4, 5, 6}, uint8(0), 0, 6, math.Inf(1), true, 0)
+	f.Add(uint8(1), []byte{1, 2, 3, 4, 5, 6}, uint8(0), 0, 6, math.Inf(-1), false, 0)
+	f.Add(uint8(0), []byte{1, 64, 3, 4, 5, 6}, uint8(0), 0, 0, 0.0, false, 0)
+	f.Add(uint8(1), []byte{128, 2, 3, 192, 5, 6}, uint8(0), 0, 6, 0.1, false, 0)
+	f.Add(uint8(0), []byte{}, uint8(0), 3, 0, 0.0, false, 0)
+	f.Add(uint8(2), []byte{}, uint8(0), 0, -10, 0.0, false, 2)
+	f.Add(uint8(2), []byte{}, uint8(0), 0, 6, 0.0, false, 99)
 
-	base, err := Build("fuzz", sineSeries(5, 40), Options{ST: 0.25, Lengths: []int{6, 10}, Parallelism: 3})
-	if err != nil {
-		f.Fatal(err)
+	var bases []*Base
+	for _, shards := range []int{1, 3} {
+		b, err := Build("fuzz", walkSeries(5, 40, 3), Options{ST: 0.25, Lengths: []int{6, 10}, Parallelism: 3, Shards: shards})
+		if err != nil {
+			f.Fatal(err)
+		}
+		bases = append(bases, b)
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, modeRaw uint8) {
-		mode := MatchMode(int(modeRaw) % 2)
-		// Decode raw into a batch: each query starts with a length byte
-		// (0 = empty, 255 = nil), followed by that many value bytes; byte
-		// values 64/128 decode to NaN/±Inf to exercise non-finite input.
-		var qs [][]float64
-		for i := 0; i < len(raw); {
-			n := int(raw[i])
-			i++
-			switch n {
-			case 255:
-				qs = append(qs, nil)
-				continue
-			case 0:
-				qs = append(qs, []float64{})
-				continue
-			}
-			if n > 32 {
-				n = n % 33
-			}
-			q := make([]float64, 0, n)
-			for j := 0; j < n && i < len(raw); j, i = j+1, i+1 {
-				switch raw[i] {
-				case 64:
-					q = append(q, math.NaN())
-				case 128:
-					q = append(q, math.Inf(1))
-				case 192:
-					q = append(q, math.Inf(-1))
-				default:
-					q = append(q, float64(raw[i])/51-2.5)
-				}
-			}
-			qs = append(qs, q)
+	good := Request{Family: FamilyMatch, Query: []float64{0.1, 0.3, 0.5, 0.4, 0.2, 0.1}, Mode: MatchAny}
+	f.Fuzz(func(t *testing.T, family uint8, raw []byte, mode uint8, k, length int, radius float64, exact bool, series int) {
+		// Byte values 64/128/192 decode to NaN/+Inf/−Inf.
+		if len(raw) > 32 {
+			raw = raw[:32]
 		}
-		rs := base.BestMatchBatch(context.Background(), qs, mode)
-		if len(rs) != len(qs) {
-			t.Fatalf("%d results for %d queries", len(rs), len(qs))
+		var q []float64
+		malformed := false
+		for _, c := range raw {
+			switch c {
+			case 64:
+				q = append(q, math.NaN())
+			case 128:
+				q = append(q, math.Inf(1))
+			case 192:
+				q = append(q, math.Inf(-1))
+			default:
+				q = append(q, float64(c)/51-2.5)
+				continue
+			}
+			malformed = true
 		}
-		for i, q := range qs {
-			malformed := len(q) == 0
-			for _, v := range q {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					malformed = true
+		req := Request{Family: Family(family), Query: q, Mode: MatchMode(mode), K: k,
+			Length: length, Radius: radius, Exact: exact, SeriesID: series}
+		switch req.Family {
+		case FamilyMatch:
+			malformed = malformed || len(q) == 0 || k < 0 || mode > 1
+			req.K = min(k, 64)
+		case FamilyRange:
+			malformed = malformed || len(q) == 0 || (length != 6 && length != 10) ||
+				math.IsNaN(radius) || math.IsInf(radius, 0) || radius < 0
+		case FamilySeasonal:
+			malformed = (length != 6 && length != 10) || series >= 5
+		default:
+			malformed = true
+		}
+		var first Result
+		for i, b := range bases {
+			single := b.Exec(context.Background(), req)
+			rs := b.ExecBatch(context.Background(), []Request{good, req, req})
+			if len(rs) != 3 {
+				t.Fatalf("%d results for 3 requests", len(rs))
+			}
+			if rs[0].Err != nil || len(rs[0].Matches) != 1 {
+				t.Fatalf("the well-formed neighbour of %+v failed: %+v", req, rs[0])
+			}
+			if malformed && single.Err == nil {
+				t.Fatalf("malformed request %+v not rejected", req)
+			}
+			if i == 0 {
+				first = single
+			}
+			for _, r := range []Result{rs[1], rs[2], first} {
+				if (r.Err == nil) != (single.Err == nil) || (r.Err != nil && r.Err.Error() != single.Err.Error()) {
+					t.Fatalf("request %+v: error %v one way, %v another", req, single.Err, r.Err)
 				}
-			}
-			if malformed && rs[i].Err == nil {
-				t.Fatalf("malformed query %d (%v) not rejected", i, q)
-			}
-			if rs[i].Err == nil && rs[i].Match.Length == 0 {
-				t.Fatalf("query %d: success with zero match", i)
+				if len(r.Matches) != len(single.Matches) || len(r.Ranges) != len(single.Ranges) || len(r.Patterns) != len(single.Patterns) {
+					t.Fatalf("request %+v: answer sizes differ: %+v vs %+v", req, r, single)
+				}
+				if len(r.Matches) > 0 && math.Float64bits(r.Matches[0].Distance) != math.Float64bits(single.Matches[0].Distance) {
+					t.Fatalf("request %+v: best distance %v one way, %v another", req, single.Matches[0].Distance, r.Matches[0].Distance)
+				}
 			}
 		}
 	})
@@ -224,7 +265,8 @@ func FuzzParallelismOption(f *testing.F) {
 			got.Length != want.Length || math.Abs(got.Distance-want.Distance) > 1e-12 {
 			t.Fatalf("Parallelism=%d Workers=%d: %+v, want %+v", p, w, got, want)
 		}
-		rs := b.BestMatchBatch(context.Background(), [][]float64{q, nil}, MatchAny)
+		rs := b.ExecBatch(context.Background(), []Request{
+			{Family: FamilyMatch, Query: q, Mode: MatchAny}, {Family: FamilyMatch, Mode: MatchAny}})
 		if len(rs) != 2 || rs[0].Err != nil || rs[1].Err == nil {
 			t.Fatalf("Parallelism=%d: batch shape wrong: %+v", p, rs)
 		}
