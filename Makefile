@@ -53,10 +53,11 @@ lint: ## staticcheck + govulncheck (downloads the tools on first use)
 # ≥ $(COVER_MIN)% covered. -coverpkg merges cross-package coverage (the
 # shard suite drives most of query's scatter executor and rspace's index
 # and threshold paths; rspace's own suite checks the thresholds against a
-# literal merge simulation).
+# literal merge simulation). dist is in the set because its DTW kernel is a
+# pruning path every scan runs; its own suite pins it to the full matrix.
 COVER_MIN = 70
-COVER_PKGS = ./internal/query/ ./internal/grouping/ ./internal/parallel/ ./internal/shard/ ./internal/rspace/
-coverage: ## Enforce ≥ 70% statement coverage on query+grouping+parallel+shard+rspace
+COVER_PKGS = ./internal/query/ ./internal/grouping/ ./internal/parallel/ ./internal/shard/ ./internal/rspace/ ./internal/dist/
+coverage: ## Enforce ≥ 70% statement coverage on query+grouping+parallel+shard+rspace+dist
 	$(GO) test -count=1 -coverprofile=cover.out \
 		-coverpkg=$(shell echo "$(COVER_PKGS)" | tr ' ' ',') $(COVER_PKGS)
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \

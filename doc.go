@@ -24,9 +24,10 @@
 // The distance kernel everything sits on lives in internal/dist: ED/DTW
 // with the paper's normalizations, LB_Kim/LB_Keogh lower bounds with
 // early abandoning, warping envelopes, and an allocation-reusing DTW
-// workspace whose unconstrained path is a cache-blocked fused-row-pair
-// kernel — bit-identical to the plain two-row recurrence (locked by a
-// 2000-trial exact-equality test). Run the package benchmarks with:
+// workspace whose one loop computes only the cells a cutoff leaves alive —
+// bit-identical to the full matrix whenever the distance is ≤ the cutoff
+// (locked by exact-equality tests and a fuzz target against the naive full
+// matrix). Run the package benchmarks with:
 //
 //	go test -bench . -run '^$' ./internal/dist
 //
@@ -262,10 +263,14 @@ package onex
 //	Lemma 1                       tested in grouping (pairwise ≤ ST)
 //	Lemma 2 (ED↔DTW triangle)     the MatchAny early-stop rule and
 //	                              RangeSearch wholesale admission
-//	LB_Kim, LB_Keogh (Sec. 5.3)   dist.LBKim, dist.LBKeogh(+Ordered,
-//	                              +MinMax)
-//	early abandoning (Sec. 5.3)   dist.Workspace.DTWEarlyAbandon,
-//	                              dist.SquaredEDEarlyAbandon
+//	LB_Kim, LB_Keogh (Sec. 5.3)   dist.LBKim, dist.LBKeoghMinMax (the
+//	                              scan), dist.LBKeoghOrdered over a
+//	                              dist.Envelope
+//	early abandoning (Sec. 5.3)   dist.Workspace.DTWEarlyAbandon (column-
+//	                              window pruned DTW, exact whenever
+//	                              ≤ cutoff), dist.SquaredEDEarlyAbandon
+//	ED ≥ DTW (the marriage)       LocalShard.ScanBest seeds its bound
+//	                              with the min ED over representatives
 //	Trillion [22]                 baseline.Trillion
 //	PAA / PDTW [19]               baseline.PAA
 //	Standard DTW                  baseline.BruteForce

@@ -137,8 +137,11 @@ func (bf *BruteForce) BestMatchScale(q []float64, lengths []int, scale Scale) (M
 		// Convert the global normalized best into this length's raw cutoff.
 		for _, s := range bf.d.Series {
 			for j := 0; j+l <= s.Len(); j++ {
+				// The kernel is exact whenever raw ≤ cutoff (and a little
+				// past it), so raw/div < best.Dist only ever reads an
+				// exact raw.
 				cutoff := best.Dist * div
-				raw := ws.DTWEarlyAbandon(q, s.Values[j:j+l], dist.Unconstrained, cutoff)
+				raw := ws.DTWEarlyAbandon(q, s.Values[j:j+l], cutoff)
 				if nd := raw / div; nd < best.Dist {
 					best = Match{SeriesID: s.ID, Start: j, Length: l, Dist: nd, RawDTW: raw}
 				}

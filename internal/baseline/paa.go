@@ -114,7 +114,9 @@ func (p *PAA) BestMatch(q []float64) (Match, error) {
 		div := dist.NormalizedDTWDivisor(len(rq), rd)
 		for e := 0; e*rd < len(flat); e++ {
 			cand := flat[e*rd : (e+1)*rd]
-			raw := ws.DTWEarlyAbandon(rq, cand, dist.Unconstrained, bestScore*div)
+			// Exact whenever raw ≤ bestScore·div, all that score < bestScore
+			// can accept (as in BruteForce).
+			raw := ws.DTWEarlyAbandon(rq, cand, bestScore*div)
 			if score := raw / div; score < bestScore {
 				bestScore = score
 				bestLoc = p.index[p.offsets[li]+e]

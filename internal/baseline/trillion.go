@@ -62,14 +62,11 @@ func (t *Trillion) BestMatch(q []float64) (Match, error) {
 		return Match{}, err
 	}
 	m := len(q)
-	window := dist.Unconstrained
+	window := m // a band as wide as the query is unconstrained DTW
 	if t.cfg.WindowFrac < 1 {
 		window = int(t.cfg.WindowFrac * float64(m))
 	}
-	envRadius := m
-	if window != dist.Unconstrained {
-		envRadius = window
-	}
+	envRadius := window
 
 	qn := q
 	if !t.cfg.RawSpace {
@@ -78,7 +75,7 @@ func (t *Trillion) BestMatch(q []float64) (Match, error) {
 	order := dist.QueryOrder(qn)
 	envU, envL := dist.Envelope(qn, envRadius, nil, nil)
 
-	var ws dist.Workspace
+	prev, curr := make([]float64, m+1), make([]float64, m+1) // banded DTW rows
 	buf := make([]float64, m)
 	bsf := math.Inf(1)
 	bestSID, bestStart := -1, 0
@@ -151,7 +148,7 @@ func (t *Trillion) BestMatch(q []float64) (Match, error) {
 				}
 				cand = buf
 			}
-			d := ws.DTWEarlyAbandon(qn, cand, window, bsf)
+			d := bandedDTW(qn, cand, window, bsf, prev, curr)
 			if d < bsf {
 				bsf = d
 				bestSID, bestStart = s.ID, j
@@ -170,6 +167,59 @@ func (t *Trillion) BestMatch(q []float64) (Match, error) {
 		Dist:     raw / dist.NormalizedDTWDivisor(m, m),
 		RawDTW:   raw,
 	}, nil
+}
+
+// bandedDTW is the Sakoe-Chiba-banded DTW (|i−j| ≤ window) of two
+// equal-length sequences with UCR-suite early abandoning: the dynamic
+// program runs over rows of squared costs, and as soon as every cell of a
+// row is above cutoff² no path can finish below cutoff and +Inf is returned.
+// A finite result is the exact banded distance. prev and curr are scratch
+// rows of length ≥ len(q)+1. The serving kernel, dist.DTWEarlyAbandon, is
+// unconstrained; only the UCR-suite baseline runs a band.
+func bandedDTW(q, c []float64, window int, cutoff float64, prev, curr []float64) float64 {
+	n := len(q)
+	cutoffSq := cutoff * cutoff // +Inf cutoff stays +Inf
+	inf := math.Inf(1)
+	for j := range prev[:n+1] {
+		prev[j] = inf
+	}
+	prev[0] = 0
+	for i := 1; i <= n; i++ {
+		jLo, jHi := max(1, i-window), min(n, i+window)
+		// Cells just outside the band must read as unreachable for the
+		// next row (which may look one column left or right).
+		curr[jLo-1] = inf
+		if jHi < n {
+			curr[jHi+1] = inf
+		}
+		rowMin := inf
+		qi := q[i-1]
+		diag := prev[jLo-1]
+		left := inf
+		for j := jLo; j <= jHi; j++ {
+			pj := prev[j]
+			best := pj       // q advances alone
+			if diag < best { // both advance
+				best = diag
+			}
+			if left < best { // c advances alone
+				best = left
+			}
+			d := qi - c[j-1]
+			acc := best + d*d
+			curr[j] = acc
+			if acc < rowMin {
+				rowMin = acc
+			}
+			diag = pj
+			left = acc
+		}
+		if rowMin > cutoffSq {
+			return inf
+		}
+		prev, curr = curr, prev
+	}
+	return math.Sqrt(prev[n])
 }
 
 // lbKeoghData is LB_Keogh with the envelope around the *candidate window*

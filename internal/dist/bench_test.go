@@ -33,16 +33,7 @@ func BenchmarkDTWEarlyAbandon128(b *testing.B) {
 	cutoff := w.DTW(q, c) * 0.5 // typical pruned verification
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.DTWEarlyAbandon(q, c, Unconstrained, cutoff)
-	}
-}
-
-func BenchmarkDTWBanded128(b *testing.B) {
-	q, c := benchPair(128)
-	var w Workspace
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.DTWEarlyAbandon(q, c, 8, math.Inf(1))
+		w.DTWEarlyAbandon(q, c, cutoff)
 	}
 }
 

@@ -14,11 +14,14 @@
 //     returned on the same scale and are directly comparable to DTW
 //     values.
 //   - Early-abandoning variants take a cutoff on that same scale (or in
-//     squared units where the name says so) and return +Inf as soon as
-//     the running total proves the result cannot beat the cutoff. A
-//     finite return value is always the exact distance.
-//   - The Sakoe-Chiba band is expressed as an integer half-width w
-//     (|i−j| ≤ w); the Unconstrained sentinel disables it.
+//     squared units where the name says so) and are exact whenever the
+//     result is ≤ the cutoff. Above it they return +Inf as soon as the
+//     running total proves the result cannot reach the cutoff, or the
+//     exact value; a finite return value is always the exact distance, so
+//     a caller's acceptance test against its cutoff reads exact values.
+//   - DTW is unconstrained (Def. 3). The Sakoe-Chiba band appears only as
+//     an envelope radius (Envelope); the banded DTW of the UCR-suite
+//     baseline lives beside it in internal/baseline.
 package dist
 
 import "math"

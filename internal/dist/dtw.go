@@ -2,11 +2,6 @@ package dist
 
 import "math"
 
-// Unconstrained disables the Sakoe-Chiba band: every warping path over the
-// full n×m alignment matrix is admitted (the paper's Def. 3 DTW). Pass a
-// non-negative half-width w instead to constrain paths to |i−j| ≤ w.
-const Unconstrained = -1
-
 // NormalizedDTWDivisor returns the Def. 6 normalization divisor 2·max(n,m)
 // for a length-n query and a length-m candidate. Normalized DTW is
 // DTW(x,y) divided by this value — the scale the ST/2 retrieval guarantee
@@ -60,34 +55,38 @@ func (w *Workspace) rows(n int) (prev, curr []float64) {
 
 // DTW is the unconstrained DTW distance using the workspace's scratch.
 func (w *Workspace) DTW(a, b []float64) float64 {
-	return w.DTWEarlyAbandon(a, b, Unconstrained, math.Inf(1))
+	return w.DTWEarlyAbandon(a, b, math.Inf(1))
 }
 
-// DTWEarlyAbandon computes the Sakoe-Chiba-banded DTW distance with
-// UCR-suite-style early abandoning: the O(n·m) dynamic program runs over
-// rows of squared costs, and as soon as every cell of a row — i.e. every
-// prefix any warping path could extend — is above cutoff², no path can
-// finish below cutoff and +Inf is returned. A finite return value is
-// always the exact banded DTW distance, even when it is ≥ cutoff.
+// DTWEarlyAbandon computes the unconstrained DTW distance of q and c, doing
+// only the work a cutoff leaves alive: the dynamic program runs over rows of
+// squared costs and, per row, only over the column window [lo, hi] of cells
+// at or below the threshold T (the PrunedDTW / EAPrunedDTW idea of Silva &
+// Batista and of Herrmann & Webb). A row starts at the previous row's lo,
+// since every cell left of it can only extend prefixes above T; past the
+// previous row's hi+1 its cells have a left neighbour alone, so the row
+// stops as soon as that neighbour is above T; cells outside the window read
+// as +Inf. A row with no cell at or below T abandons.
 //
-// window is the band half-width (|i−j| ≤ window); Unconstrained disables
-// it. When the sequences' lengths differ, the band is widened to at least
-// |len(q)−len(c)| so the corner-to-corner path stays feasible.
+// The contract is "exact whenever ≤ cutoff": every cell whose true value is
+// ≤ T reads its argmin neighbour exactly — the neighbour is ≤ T too, so it
+// was computed, and every other value read is at least its true value — and
+// adds the same d² in the same floating-point order as the full matrix, so a
+// result ≤ cutoff is bit-identical to the full O(n·m) program. Above the
+// cutoff the result is +Inf, or exact when the last cell is still ≤ T; a
+// finite result is always the exact distance. A +Inf cutoff computes every
+// cell.
 //
-// The unconstrained case — the one every query path issues — runs a cache-
-// blocked kernel: two query rows are fused into one pass over the
-// candidate. The first row of each pair lives entirely in registers (its
-// cells are consumed by the second row within the same iteration), so per
-// DP-cell the kernel does half the row stores and half the carried-row
-// loads of the plain two-row recurrence; the row slices are re-sliced to
-// the candidate's length so the inner loop is free of bounds checks, and
-// there are no band clamps or sentinel writes. The result is bit-identical
-// to the straightforward two-row recurrence: each cell is still
-// min(prev_j, prev_{j−1}, curr_{j−1}) + d² evaluated in the same
-// floating-point order, and the fused pass abandons exactly when a per-row
-// pass would (it checks the two row minima in row order; computing the
-// second row of an abandoned pair is wasted work, never a changed answer).
-func (w *Workspace) DTWEarlyAbandon(q, c []float64, window int, cutoff float64) float64 {
+// T = cutoff²·(1+1e-15) is at least every accumulator acc whose root rounds
+// to ≤ cutoff. T grows with the cutoff, so take cutoff = d = fl(√acc); with
+// u = 2⁻⁵³, acc ≤ d²(1+u)², and 1+1e-15 rounds to 1+10u. If d² is normal,
+// fl(d²)·(1+10u) ≥ d²(1−u)(1+10u) ≥ acc; if it is subnormal, fl(d²) loses
+// at most 2⁻¹⁰⁷⁵ and the product still exceeds acc − 2⁻¹⁰⁷⁵, less than half
+// a step below acc. Either way rounding the product cannot fall below acc,
+// which is representable. A strict cutoff² is not enough: √acc can round to
+// exactly the cutoff while acc > fl(cutoff²), and a result equal to the
+// cutoff — which callers' tie and range rules accept — would come back +Inf.
+func (w *Workspace) DTWEarlyAbandon(q, c []float64, cutoff float64) float64 {
 	n, m := len(q), len(c)
 	if n == 0 || m == 0 {
 		if n == m {
@@ -95,156 +94,70 @@ func (w *Workspace) DTWEarlyAbandon(q, c []float64, window int, cutoff float64) 
 		}
 		return math.Inf(1)
 	}
-	band := window
-	if band >= 0 {
-		if d := n - m; d > band || -d > band {
-			if d < 0 {
-				d = -d
-			}
-			band = d
-		}
-	}
-	cutoffSq := cutoff * cutoff // +Inf cutoff stays +Inf
+	thr := cutoff * cutoff * (1 + 1e-15) // +Inf cutoff stays +Inf
 
 	inf := math.Inf(1)
 	prev, curr := w.rows(m + 1)
-	for j := range prev {
-		prev[j] = inf
-	}
-	prev[0] = 0
-
-	if band < 0 || band >= n-1+m-1 {
-		// Unconstrained fast path: fused row pairs, no clamps, no
-		// sentinels. The pair's first row is never stored — its cells flow
-		// through registers (diagA/leftA) straight into the second row's
-		// recurrence — and the column-0 boundary lives in registers too
-		// (leftA/leftB start at +Inf each pass); curr[0] is pinned to +Inf
-		// before each swap so prev[0] stays correct for later rows.
-		i := 1
-		for ; i+1 <= n; i += 2 {
-			qa, qb := q[i-1], q[i]
-			aMin, bMin := inf, inf
-			diagA := prev[0]
-			leftA, leftB := inf, inf
-			ps := prev[1 : m+1 : m+1]
-			ns := curr[1 : m+1 : m+1]
-			for jj, cj := range c {
-				pj := ps[jj]
-				// Row i: min(prev_j, prev_{j−1}, curr_{j−1}) + d².
-				best := pj
-				if diagA < best {
-					best = diagA
-				}
-				if leftA < best {
-					best = leftA
-				}
-				d := qa - cj
-				accA := best + d*d
-				if accA < aMin {
-					aMin = accA
-				}
-				// Row i+1: its prev row is row i — the diagonal value
-				// curr_{j−1} is leftA (still pre-update), curr_j is accA.
-				bestB := accA
-				if leftA < bestB {
-					bestB = leftA
-				}
-				if leftB < bestB {
-					bestB = leftB
-				}
-				d = qb - cj
-				accB := bestB + d*d
-				ns[jj] = accB
-				if accB < bMin {
-					bMin = accB
-				}
-				diagA = pj
-				leftA = accA
-				leftB = accB
-			}
-			if aMin > cutoffSq || bMin > cutoffSq {
-				return inf
-			}
-			curr[0] = inf
-			prev, curr = curr, prev
-		}
-		if i == n {
-			// Odd trailing row: single-row pass, registers carried.
-			qa := q[n-1]
-			rowMin := inf
-			diag := prev[0]
-			left := inf
-			ps := prev[1 : m+1 : m+1]
-			cs := curr[1 : m+1 : m+1]
-			for jj, cj := range c {
-				pj := ps[jj]
-				best := pj
-				if diag < best {
-					best = diag
-				}
-				if left < best {
-					best = left
-				}
-				d := qa - cj
-				acc := best + d*d
-				cs[jj] = acc
-				if acc < rowMin {
-					rowMin = acc
-				}
-				diag = pj
-				left = acc
-			}
-			if rowMin > cutoffSq {
-				return inf
-			}
-			prev, curr = curr, prev
-		}
-		w.prev, w.curr = prev[:cap(prev)], curr[:cap(curr)]
-		return math.Sqrt(prev[m])
-	}
-
-	for i := 1; i <= n; i++ {
-		jLo, jHi := 1, m
-		if lo := i - band; lo > jLo {
-			jLo = lo
-		}
-		if hi := i + band; hi < jHi {
-			jHi = hi
-		}
-		// Cells just outside the band must read as unreachable for the
-		// next row (which may look one column left or right).
-		curr[jLo-1] = inf
-		if jHi < m {
-			curr[jHi+1] = inf
-		}
-		rowMin := inf
-		qi := q[i-1]
-		diag := prev[jLo-1]
-		left := inf
-		for j := jLo; j <= jHi; j++ {
-			pj := prev[j]
-			best := pj       // q advances alone
-			if diag < best { // both advance
-				best = diag
-			}
-			if left < best { // c advances alone
+	// Row 0: only the origin is reachable.
+	prev[0], prev[1] = 0, inf
+	lo, hi := 1, 0
+	for i := 0; i < n; i++ {
+		qi := q[i]
+		start := lo
+		// The cell left of the window reads as +Inf (column 0 included).
+		curr[start-1] = inf
+		nlo, nhi := 0, 0
+		diag, left := prev[start-1], inf
+		// Columns the previous row's window reaches. prev[hi+1] was computed
+		// (above T) by that row, or is row 0's +Inf: a row stops only after
+		// a cell above T, or at m.
+		end := min(hi+1, m)
+		ps := prev[start : end+1 : end+1]
+		cs := curr[start : end+1 : end+1]
+		for k, cj := range c[start-1 : end] {
+			pj := ps[k]
+			// The two neighbours of the previous row are off the carried
+			// dependency, so their min is branch-free; only the left
+			// neighbour is compared on the chain.
+			best := min(pj, diag) // q advances alone, or both advance
+			if left < best {      // c advances alone
 				best = left
 			}
-			d := qi - c[j-1]
+			d := qi - cj
 			acc := best + d*d
-			curr[j] = acc
-			if acc < rowMin {
-				rowMin = acc
+			cs[k] = acc
+			if acc <= thr {
+				if nlo == 0 {
+					nlo = start + k
+				}
+				nhi = start + k
 			}
 			diag = pj
 			left = acc
 		}
-		if rowMin > cutoffSq {
+		// Past the previous window only the left neighbour is alive.
+		j := end + 1
+		for ; j <= m && left <= thr; j++ {
+			d := qi - c[j-1]
+			left += d * d
+			curr[j] = left
+			if left <= thr {
+				if nlo == 0 {
+					nlo = j
+				}
+				nhi = j
+			}
+		}
+		if nlo == 0 {
 			return inf
 		}
+		lo, hi = nlo, nhi
 		prev, curr = curr, prev
 	}
 	w.prev, w.curr = prev[:cap(prev)], curr[:cap(curr)]
+	if hi < m {
+		return inf // the last cell is above T
+	}
 	return math.Sqrt(prev[m])
 }
 

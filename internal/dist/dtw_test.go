@@ -8,9 +8,15 @@ import (
 
 // naiveDTW is an independent full-matrix reference implementation: no row
 // reuse, no early abandoning, band applied directly — the golden oracle
-// for the optimized kernel. window < 0 means unconstrained; like the
-// kernel, the band is widened to |n−m| so the corner path stays feasible.
+// for the optimized kernel. window < 0 means unconstrained; otherwise the
+// band is widened to |n−m| so the corner path stays feasible.
 func naiveDTW(a, b []float64, window int) float64 {
+	return math.Sqrt(naiveDTWAcc(a, b, window))
+}
+
+// naiveDTWAcc is naiveDTW before the root: the squared-cost accumulator of
+// the last cell.
+func naiveDTWAcc(a, b []float64, window int) float64 {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		if n == m {
@@ -60,7 +66,7 @@ func naiveDTW(a, b []float64, window int) float64 {
 			}
 		}
 	}
-	return math.Sqrt(acc[n-1][m-1])
+	return acc[n-1][m-1]
 }
 
 func randSeries(r *rand.Rand, n int) []float64 {
@@ -97,28 +103,12 @@ func TestDTWMatchesNaiveReference(t *testing.T) {
 		n := 1 + r.Intn(40)
 		m := 1 + r.Intn(40)
 		a, b := randSeries(r, n), randSeries(r, m)
-		want := naiveDTW(a, b, Unconstrained)
+		want := naiveDTW(a, b, -1)
 		if got := w.DTW(a, b); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d (n=%d m=%d): DTW = %v, naive = %v", trial, n, m, got, want)
 		}
 		if got := DTW(a, b); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: package DTW = %v, naive = %v", trial, got, want)
-		}
-	}
-}
-
-func TestDTWBandedMatchesNaiveReference(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var w Workspace
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(30)
-		m := 1 + r.Intn(30)
-		window := r.Intn(12)
-		a, b := randSeries(r, n), randSeries(r, m)
-		want := naiveDTW(a, b, window)
-		if got := w.DTWEarlyAbandon(a, b, window, math.Inf(1)); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d (n=%d m=%d w=%d): banded DTW = %v, naive = %v",
-				trial, n, m, window, got, want)
 		}
 	}
 }
@@ -133,9 +123,9 @@ func TestDTWEarlyAbandonExactOrInf(t *testing.T) {
 		n := 2 + r.Intn(30)
 		m := 2 + r.Intn(30)
 		a, b := randSeries(r, n), randSeries(r, m)
-		want := naiveDTW(a, b, Unconstrained)
+		want := naiveDTW(a, b, -1)
 		cutoff := want * (0.25 + 1.5*r.Float64()) // straddle the true value
-		got := w.DTWEarlyAbandon(a, b, Unconstrained, cutoff)
+		got := w.DTWEarlyAbandon(a, b, cutoff)
 		if math.IsInf(got, 1) {
 			abandoned++
 			if want <= cutoff-1e-9 {
@@ -158,7 +148,7 @@ func TestDTWEarlyAbandonKeepsResultEqualToCutoff(t *testing.T) {
 	// surviving: cutoff 0 must still find an identical subsequence.
 	var w Workspace
 	a := []float64{0.3, 0.7, 0.1}
-	if got := w.DTWEarlyAbandon(a, a, Unconstrained, 0); got != 0 {
+	if got := w.DTWEarlyAbandon(a, a, 0); got != 0 {
 		t.Errorf("cutoff-0 self distance = %v, want 0", got)
 	}
 }
@@ -193,7 +183,7 @@ func TestWorkspaceReuseAcrossSizes(t *testing.T) {
 	for _, n := range []int{50, 5, 80, 1, 33} {
 		a := randSeries(r, n)
 		b := randSeries(r, n/2+1)
-		want := naiveDTW(a, b, Unconstrained)
+		want := naiveDTW(a, b, -1)
 		if got := w.DTW(a, b); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("size %d: reused workspace %v != naive %v", n, got, want)
 		}
@@ -255,7 +245,7 @@ func TestDTWPathProperties(t *testing.T) {
 		if math.Abs(math.Sqrt(cost)-d) > 1e-9 {
 			t.Fatalf("path cost %v != reported %v", math.Sqrt(cost), d)
 		}
-		if want := naiveDTW(a, b, Unconstrained); math.Abs(d-want) > 1e-9 {
+		if want := naiveDTW(a, b, -1); math.Abs(d-want) > 1e-9 {
 			t.Fatalf("path distance %v != DTW %v", d, want)
 		}
 	}

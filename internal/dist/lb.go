@@ -96,32 +96,6 @@ func LBKim(q, c []float64) float64 {
 	return math.Sqrt(head*head + tail*tail)
 }
 
-// LBKeogh is the Keogh lower bound of DTW between q and a candidate whose
-// envelope is (upper, lower): the root of the summed squared excursions of
-// q outside the envelope. It is admissible for DTW at band w whenever the
-// envelope radius is ≥ w (full radius ⇒ unconstrained DTW) and requires
-// len(q) == len(upper) == len(lower). The running sum abandons past
-// cutoff², returning +Inf; a finite result is the exact bound.
-func LBKeogh(q, upper, lower []float64, cutoff float64) float64 {
-	checkSameLength(len(q), len(upper))
-	checkSameLength(len(q), len(lower))
-	cutoffSq := cutoff * cutoff
-	var sum float64
-	for i, v := range q {
-		if v > upper[i] {
-			d := v - upper[i]
-			sum += d * d
-		} else if v < lower[i] {
-			d := lower[i] - v
-			sum += d * d
-		}
-		if sum > cutoffSq {
-			return math.Inf(1)
-		}
-	}
-	return math.Sqrt(sum)
-}
-
 // LBKeoghMinMax is LBKeoghOrdered against the full-radius envelope of a
 // candidate whose largest and smallest values are hi and lo. At radius
 // len−1 the envelope is flat (every upper entry is hi, every lower entry
@@ -147,9 +121,14 @@ func LBKeoghMinMax(q []float64, hi, lo float64, order []int, cutoff float64) flo
 	return math.Sqrt(sum)
 }
 
-// LBKeoghOrdered is LBKeogh visiting indices in the given order (use
-// QueryOrder(q)) so the largest excursions accumulate first and hopeless
-// candidates abandon after a handful of terms.
+// LBKeoghOrdered is the Keogh lower bound of DTW between q and a candidate
+// whose envelope is (upper, lower): the root of the summed squared
+// excursions of q outside the envelope. It is admissible for DTW at band w
+// whenever the envelope radius is ≥ w (full radius ⇒ unconstrained DTW) and
+// requires len(q) == len(upper) == len(lower). Indices are visited in the
+// given order (use QueryOrder(q)) so the largest excursions accumulate first;
+// the running sum abandons past cutoff², returning +Inf, and a finite result
+// is the exact bound.
 func LBKeoghOrdered(q, upper, lower []float64, order []int, cutoff float64) float64 {
 	checkSameLength(len(q), len(upper))
 	checkSameLength(len(q), len(lower))

@@ -116,6 +116,22 @@ func TestLBKimGolden(t *testing.T) {
 	}
 }
 
+// lbKeoghUnordered is the Keogh bound summed in index order with no
+// abandoning: the reference for the reordered, early-abandoning kernel.
+func lbKeoghUnordered(q, upper, lower []float64) float64 {
+	var sum float64
+	for i, v := range q {
+		if v > upper[i] {
+			d := v - upper[i]
+			sum += d * d
+		} else if v < lower[i] {
+			d := lower[i] - v
+			sum += d * d
+		}
+	}
+	return math.Sqrt(sum)
+}
+
 func TestLBKeoghOrderedMatchesUnordered(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 100; trial++ {
@@ -123,7 +139,7 @@ func TestLBKeoghOrderedMatchesUnordered(t *testing.T) {
 		q := randSeries(r, n)
 		c := randSeries(r, n)
 		u, l := Envelope(c, r.Intn(n), nil, nil)
-		want := LBKeogh(q, u, l, math.Inf(1))
+		want := lbKeoghUnordered(q, u, l)
 		got := LBKeoghOrdered(q, u, l, QueryOrder(q), math.Inf(1))
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("ordered %v != unordered %v", got, want)
@@ -182,11 +198,8 @@ func TestLBKeoghEarlyAbandon(t *testing.T) {
 	u := []float64{1, 1, 1}
 	l := []float64{0, 0, 0}
 	exact := math.Sqrt(3 * 81)
-	if got := LBKeogh(q, u, l, math.Inf(1)); math.Abs(got-exact) > 1e-12 {
-		t.Errorf("LBKeogh = %v, want %v", got, exact)
-	}
-	if got := LBKeogh(q, u, l, exact/2); !math.IsInf(got, 1) {
-		t.Errorf("cutoff below bound = %v, want +Inf", got)
+	if got := LBKeoghOrdered(q, u, l, []int{0, 1, 2}, math.Inf(1)); math.Abs(got-exact) > 1e-12 {
+		t.Errorf("LBKeoghOrdered = %v, want %v", got, exact)
 	}
 	if got := LBKeoghOrdered(q, u, l, []int{0, 1, 2}, exact/2); !math.IsInf(got, 1) {
 		t.Errorf("ordered cutoff below bound = %v, want +Inf", got)
@@ -222,7 +235,7 @@ func TestPropertyLowerBoundSandwich(t *testing.T) {
 		}
 		u, l := Envelope(c, n, nil, nil) // full radius: admissible for unconstrained DTW
 		lbKim := LBKim(q, c)
-		lbKeogh := LBKeogh(q, u, l, math.Inf(1))
+		lbKeogh := LBKeoghOrdered(q, u, l, QueryOrder(q), math.Inf(1))
 		dtw := w.DTW(q, c)
 		cascade := math.Max(lbKim, lbKeogh)
 		if lbKim > dtw+1e-9 {
@@ -256,7 +269,6 @@ func TestPropertyLBKimCrossLength(t *testing.T) {
 // DTW whenever the envelope radius covers the band.
 func TestPropertyLBKeoghBanded(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
-	var w Workspace
 	for trial := 0; trial < 150; trial++ {
 		n := 2 + r.Intn(30)
 		q := randSeries(r, n)
@@ -264,8 +276,8 @@ func TestPropertyLBKeoghBanded(t *testing.T) {
 		window := r.Intn(n)
 		radius := window + r.Intn(n-window)
 		u, l := Envelope(c, radius, nil, nil)
-		lb := LBKeogh(q, u, l, math.Inf(1))
-		dtw := w.DTWEarlyAbandon(q, c, window, math.Inf(1))
+		lb := LBKeoghOrdered(q, u, l, QueryOrder(q), math.Inf(1))
+		dtw := naiveDTW(q, c, window)
 		if lb > dtw+1e-9 {
 			t.Fatalf("trial %d (n=%d w=%d r=%d): LBKeogh %v > banded DTW %v",
 				trial, n, window, radius, lb, dtw)

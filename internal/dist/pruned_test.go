@@ -1,0 +1,186 @@
+package dist
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// checkPruned asserts the kernel's contract for one (a, b, cutoff) against
+// the full matrix: bit-identical whenever the true distance is ≤ cutoff,
+// +Inf or bit-identical otherwise. It reports whether the kernel abandoned.
+func checkPruned(t *testing.T, w *Workspace, a, b []float64, cutoff float64) bool {
+	t.Helper()
+	want := naiveDTW(a, b, -1)
+	got := w.DTWEarlyAbandon(a, b, cutoff)
+	if math.Float64bits(got) == math.Float64bits(want) {
+		return false
+	}
+	if want <= cutoff || !math.IsInf(got, 1) {
+		t.Fatalf("n=%d m=%d cutoff=%v: kernel %v, full matrix %v", len(a), len(b), cutoff, got, want)
+	}
+	return true
+}
+
+// shapedSeries draws a series of length n: random, zero-variance, or
+// drawn from a few values so that ties and signed zeros occur.
+func shapedSeries(r *rand.Rand, n, shape int) []float64 {
+	v := randSeries(r, n)
+	switch shape {
+	case 1:
+		for i := range v {
+			v[i] = v[0]
+		}
+	case 2:
+		for i := range v {
+			v[i] = [...]float64{0, math.Copysign(0, -1), 1, -1}[r.Intn(4)]
+		}
+	}
+	return v
+}
+
+// TestDTWPrunedBitIdentical locks the column-window kernel to the naive full
+// matrix with exact float equality, over equal and unequal lengths, length
+// 1, zero-variance and tied inputs, and cutoffs at +Inf, at the distance,
+// one ulp below it, at 0 and straddling it — reusing one workspace across
+// all shapes.
+func TestDTWPrunedBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(271))
+	var w Workspace
+	abandoned, kept := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		n, m := 1+r.Intn(48), 1+r.Intn(48)
+		if trial%7 == 0 {
+			m = n
+		}
+		a, b := shapedSeries(r, n, trial%3), shapedSeries(r, m, (trial/3)%3)
+		d := naiveDTW(a, b, -1)
+		for _, cutoff := range []float64{
+			math.Inf(1), d, math.Nextafter(d, 0), math.Nextafter(d, math.Inf(1)), 0,
+			d * (0.25 + 1.5*r.Float64()),
+		} {
+			if checkPruned(t, &w, a, b, cutoff) {
+				abandoned++
+			} else {
+				kept++
+			}
+		}
+	}
+	if abandoned == 0 || kept == 0 {
+		t.Fatalf("degenerate trial mix: %d abandoned, %d kept", abandoned, kept)
+	}
+}
+
+// TestDTWCutoffAtRoundedRoot pins the threshold's margin: where √acc rounds
+// to exactly the cutoff although acc > fl(cutoff²), the kernel must still
+// return the cutoff — a strict cutoff² would prune it to +Inf. Single points
+// sweep acc across every magnitude, subnormal squares included; random
+// pairs reach the case through whole warping paths.
+func TestDTWCutoffAtRoundedRoot(t *testing.T) {
+	r := rand.New(rand.NewSource(277))
+	var w Workspace
+	zero := []float64{0}
+	rounded := 0
+	for trial := 0; trial < 200000; trial++ {
+		x := []float64{(1 + r.Float64()) * math.Pow(10, float64(r.Intn(320)-170))}
+		d := naiveDTW(x, zero, -1)
+		if got := w.DTWEarlyAbandon(x, zero, d); math.Float64bits(got) != math.Float64bits(d) {
+			t.Fatalf("x=%v: cutoff at the root %v returned %v", x[0], d, got)
+		}
+		if naiveDTWAcc(x, zero, -1) > d*d {
+			rounded++
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a, b := randSeries(r, 1+r.Intn(24)), randSeries(r, 1+r.Intn(24))
+		d := naiveDTW(a, b, -1)
+		if got := w.DTWEarlyAbandon(a, b, d); math.Float64bits(got) != math.Float64bits(d) {
+			t.Fatalf("trial %d: cutoff at the root %v returned %v", trial, d, got)
+		}
+		if naiveDTWAcc(a, b, -1) > d*d {
+			rounded++
+		}
+	}
+	if rounded == 0 {
+		t.Fatal("no accumulator above fl(cutoff²) was met; the margin went untested")
+	}
+}
+
+// TestEDSeedBoundsDTWBitwise: the scan's seed is √ of a squared-ED sum, and
+// it must bound the kernel's DTW bit for bit, not within a tolerance. The
+// diagonal path adds the same terms in the same order as the ED sum and
+// floating-point addition is monotone, so the DTW accumulator is ≤ the sum,
+// and the kernel is exact at the seed as its cutoff.
+func TestEDSeedBoundsDTWBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(281))
+	var w Workspace
+	adversarial := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			switch r.Intn(6) {
+			case 0:
+				v[i] = math.Copysign(0, -1)
+			case 1:
+				v[i] = 1e300 * r.NormFloat64()
+			case 2:
+				v[i] = 1e-300 * r.NormFloat64()
+			case 3:
+				v[i] = float64(r.Intn(3))
+			default:
+				v[i] = r.NormFloat64() * math.Pow(2, float64(r.Intn(60)-30))
+			}
+		}
+		return v
+	}
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + r.Intn(40)
+		var a, b []float64
+		if trial%2 == 0 {
+			a, b = shapedSeries(r, n, trial%3), shapedSeries(r, n, (trial/2)%3)
+		} else {
+			a, b = adversarial(n), adversarial(n)
+		}
+		sq := SquaredEDEarlyAbandon(a, b, math.Inf(1))
+		w.DTW(a, b)
+		if acc := w.prev[n]; acc > sq {
+			t.Fatalf("trial %d: DTW accumulator %v > squared ED %v", trial, acc, sq)
+		}
+		seed := math.Sqrt(sq)
+		d := w.DTWEarlyAbandon(a, b, seed)
+		if want := naiveDTW(a, b, -1); math.Float64bits(d) != math.Float64bits(want) {
+			t.Fatalf("trial %d: kernel at the seed cutoff %v returned %v, want %v", trial, seed, d, want)
+		}
+	}
+}
+
+// FuzzDTWPruned checks the kernel's contract on fuzzed pairs: bytes map to
+// a few coarse levels (ties, zero variance and signed zeros come easily),
+// and mode picks the cutoff — +Inf, the distance, one ulp below it, 0, or
+// the fuzzed value.
+func FuzzDTWPruned(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{1, 3}, uint8(0), 0.0)
+	f.Add([]byte{1, 2, 3}, []byte{1, 3}, uint8(1), 0.0)
+	f.Add([]byte{9, 0, 4, 4}, []byte{1, 7, 2, 8, 3}, uint8(2), 0.0)
+	f.Add([]byte{5}, []byte{5}, uint8(3), 0.0)
+	f.Add([]byte{5}, []byte{200}, uint8(2), 0.0)
+	f.Add([]byte{7, 7, 7, 7}, []byte{7, 7, 7, 7}, uint8(3), 0.0)
+	f.Add([]byte{7, 7, 7, 7}, []byte{3, 3}, uint8(4), 2.5)
+	f.Add([]byte{128, 127, 129}, []byte{127, 128}, uint8(4), 1e-300)
+	f.Fuzz(func(t *testing.T, ab, bb []byte, mode uint8, cut float64) {
+		if len(ab) == 0 || len(bb) == 0 || len(ab) > 64 || len(bb) > 64 {
+			return
+		}
+		level := func(bs []byte) []float64 {
+			v := make([]float64, len(bs))
+			for i, x := range bs {
+				v[i] = float64(int(x)-128) / 16
+			}
+			return v
+		}
+		a, b := level(ab), level(bb)
+		d := naiveDTW(a, b, -1)
+		cutoff := [...]float64{math.Inf(1), d, math.Nextafter(d, 0), 0, cut}[mode%5]
+		var w Workspace
+		checkPruned(t, &w, a, b, cutoff)
+	})
+}

@@ -45,7 +45,7 @@ func TestZeroVarianceInputs(t *testing.T) {
 			t.Fatalf("envelope of a constant sequence must collapse onto it (got [%v,%v] at %d)", l[i], u[i], i)
 		}
 	}
-	checkFinite("LBKeogh(wave, flatEnv)", LBKeogh(wave, u, l, math.Inf(1)))
+	checkFinite("LBKeogh(wave, flatEnv)", LBKeoghOrdered(wave, u, l, QueryOrder(wave), math.Inf(1)))
 
 	// The DTW of two constants is √n·|a−b| (every path step pays the same).
 	want := math.Sqrt(6) * 4

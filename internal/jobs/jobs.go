@@ -290,11 +290,19 @@ func (m *Manager) worker() {
 	}
 }
 
-// execute runs one job to a terminal state on a worker goroutine.
+// execute runs one job to a terminal state on a worker goroutine. A job
+// still queued when the manager closes never starts: Close marks the
+// manager closed before it cancels anything, so a worker freed by a
+// cancellation cannot run a queued job to done before Close reaches it.
 func (m *Manager) execute(j *Job) {
 	j.mu.Lock()
 	if j.state != StateQueued { // canceled while queued
 		j.mu.Unlock()
+		return
+	}
+	if m.isClosed() {
+		j.mu.Unlock()
+		m.cancelJob(j)
 		return
 	}
 	j.state = StateRunning
@@ -504,6 +512,9 @@ func (m *Manager) Stats() Stats {
 // callers holding *Job pointers, but the manager should be considered gone.
 func (m *Manager) Close() {
 	m.closeOnce.Do(func() {
+		// Closed first: from here on no queued job starts (see execute),
+		// whichever job the loop below cancels first.
+		close(m.closed)
 		m.mu.Lock()
 		live := make([]*Job, 0, len(m.table))
 		for _, j := range m.table {
@@ -513,7 +524,6 @@ func (m *Manager) Close() {
 		for _, j := range live {
 			m.cancelJob(j)
 		}
-		close(m.closed)
 		m.wg.Wait()
 		// Drain whatever the workers never picked up (all already canceled
 		// above, or canceled here if Submit raced Close).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -260,6 +261,41 @@ func TestCloseAbortsInFlight(t *testing.T) {
 	}
 	if _, err := m.Submit("match", "demo", func(*Context) (any, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
+	}
+}
+
+// TestCloseNeverStartsQueuedJob replays, step by step, the one interleaving
+// in which Close's cancel loop could let a queued job finish: one worker,
+// the running job cancelled first, and the freed worker taking the queued
+// job before Close reaches it. Once the manager is closed the job must not
+// start.
+func TestCloseNeverStartsQueuedJob(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	running := make(chan struct{})
+	a, _ := m.Submit("match", "demo", func(ctx *Context) (any, error) {
+		close(running)
+		<-ctx.Cancel
+		return "a", nil
+	})
+	<-running
+	var startedB atomic.Bool
+	b, _ := m.Submit("match", "demo", func(*Context) (any, error) {
+		startedB.Store(true)
+		return "b", nil
+	})
+
+	close(m.closed) // Close's first step
+	m.cancelJob(a)  // the running job is cancelled first, freeing the worker
+	m.execute(b)    // the freed worker takes the queued job
+	m.wg.Wait()
+
+	if startedB.Load() {
+		t.Fatal("a queued job started after the manager closed")
+	}
+	for name, j := range map[string]*Job{"running": a, "queued": b} {
+		if st := j.State(); st != StateCanceled {
+			t.Errorf("%s job state after close: %s, want canceled", name, st)
+		}
 	}
 }
 

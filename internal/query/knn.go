@@ -14,7 +14,9 @@ import (
 // cannot tighten during the scan. It returns the representative's raw DTW
 // and whether it survived, ticking tr for the examined rep and for whichever
 // cascade stage resolved it — the fixed cutoff makes these counts identical
-// at every worker count and shard layout.
+// at every worker count and shard layout. A survivor is any finite DTW: the
+// kernel is exact at or below the cutoff, and a finite value above it lies
+// past every later group cut (kth only falls), so no walk reads it.
 func (p *Processor) scanRepFixed(ws *dist.Workspace, q []float64, order []int,
 	e *rspace.LengthEntry, k int, sameLen bool, cutoff float64, tr *Trace) (float64, bool) {
 
@@ -33,7 +35,7 @@ func (p *Processor) scanRepFixed(ws *dist.Workspace, q []float64, order []int,
 		}
 	}
 	tr.DTWComputed++
-	d := ws.DTWEarlyAbandon(q, rep, dist.Unconstrained, cutoff)
+	d := ws.DTWEarlyAbandon(q, rep, cutoff)
 	return d, !math.IsInf(d, 1)
 }
 

@@ -273,10 +273,22 @@ func (p *Processor) innerExec(workers int) *Processor {
 // computes the exact minimum either way, and ties on it resolve to the
 // smallest global id at every worker count. That is why pruning is strict
 // (> cutoff): a representative whose lower bound merely equals the bound
-// could still tie the minimum from a smaller id, and DTWEarlyAbandon
-// abandons only strictly above its cutoff, so every minimum-achieving
+// could still tie the minimum from a smaller id, and DTWEarlyAbandon is
+// exact whenever the distance is ≤ its cutoff, so every minimum-achieving
 // representative is computed exactly and the (distance, position) reduce
 // picks the same winner whatever the timing.
+//
+// A same-length scan first seeds its bound with the paper's marriage of the
+// two distances: one pass of early-abandoning squared ED over the owned
+// representatives gives seed = √min ED², and seed ≥ DTW(q, r) bit for bit
+// for the representative r achieving it (the diagonal warping path adds the
+// same terms in the same order, and floating-point addition is monotone).
+// The minimum DTW is therefore ≤ seed, so every minimum-achieving
+// representative still passes the strict prune and is computed exactly
+// (the kernel is exact at or below its cutoff), while the first DTW already
+// abandons against a finite cutoff. The hit itself starts empty: only a DTW
+// the scan computed can win. ctx is polled every rangePollEvery units per
+// worker; a canceled scan returns ctx's error, never a partial answer.
 func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBestResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return ScanBestResponse{}, err
@@ -297,20 +309,31 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 	q := req.Query
 	order := dist.QueryOrder(q)
 	sameLen := req.Length == len(q)
+	seed := math.Inf(1)
+	if sameLen {
+		minSq := math.Inf(1)
+		for _, u := range units {
+			if sq := dist.SquaredEDEarlyAbandon(q, e.Groups[u.local].Rep, minSq); sq < minSq {
+				minSq = sq
+			}
+		}
+		seed = math.Sqrt(minSq)
+	}
 
 	type hit struct {
 		raw float64
 		pos int
 	}
 	scan := func(lws *dist.Workspace, start, stride int, shared *parallel.MinBound, local *hit, ltr *Trace) {
-		for pos := start; pos < n; pos += stride {
+		for k, pos := 0, start; pos < n; k, pos = k+1, pos+stride {
+			if k%rangePollEvery == 0 && ctx.Err() != nil {
+				return
+			}
 			u := units[pos]
 			ltr.RepsExamined++
-			cutoff := local.raw
+			cutoff := min(local.raw, seed)
 			if shared != nil {
-				if sb := shared.Load(); sb < cutoff {
-					cutoff = sb
-				}
+				cutoff = min(cutoff, shared.Load())
 			}
 			rep := e.Groups[u.local].Rep
 			if !ls.proc.opts.DisableLowerBounds {
@@ -326,7 +349,7 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 				}
 			}
 			ltr.DTWComputed++
-			d := lws.DTWEarlyAbandon(q, rep, dist.Unconstrained, cutoff)
+			d := lws.DTWEarlyAbandon(q, rep, cutoff)
 			if d < local.raw {
 				local.raw, local.pos = d, pos
 				if shared != nil {
@@ -346,7 +369,7 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 		scan(lws, 0, 1, nil, &win, &tr)
 		ls.proc.pool.Put(lws)
 	} else {
-		shared := parallel.NewMinBound(math.Inf(1))
+		shared := parallel.NewMinBound(seed)
 		locals := make([]hit, workers)
 		traces := make([]Trace, workers)
 		parallel.ForEach(workers, workers, func(w int) {
@@ -367,6 +390,9 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 			}
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return ScanBestResponse{}, err
+	}
 	if win.pos < 0 {
 		return ScanBestResponse{BestBits: math.Float64bits(math.Inf(1)), Trace: tr}, nil
 	}
@@ -381,7 +407,9 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 // ScanFixed implements ShardTransport: the fixed-cutoff k-NN cascade over
 // the owned units, survivors returned in ascending global-group order.
 // The cutoff cannot tighten during the scan, so the per-unit decisions —
-// and the work counters — are identical at every worker count.
+// and the work counters — are identical at every worker count. ctx is
+// polled every rangePollEvery units per worker; a canceled scan returns
+// ctx's error, never a partial answer.
 func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (ScanFixedResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return ScanFixedResponse{}, err
@@ -415,7 +443,10 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 	if workers <= 1 || n < scanParallelMin {
 		lws := ls.proc.pool.Get()
 		hits = make([]FixedHit, 0, n)
-		for _, u := range units {
+		for i, u := range units {
+			if i%rangePollEvery == 0 && ctx.Err() != nil {
+				break
+			}
 			if d, ok := scanOne(lws, u, &tr); ok {
 				hits = append(hits, FixedHit{GroupID: u.global, Dist: d})
 			}
@@ -428,7 +459,10 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 		parallel.ForEach(workers, workers, func(w int) {
 			lws := ls.proc.pool.Get()
 			defer ls.proc.pool.Put(lws)
-			for i := w; i < n; i += workers {
+			for k, i := 0, w; i < n; k, i = k+1, i+workers {
+				if k%rangePollEvery == 0 && ctx.Err() != nil {
+					return
+				}
 				if d, ok := scanOne(lws, units[i], &traces[w]); ok {
 					found[i] = FixedHit{GroupID: units[i].global, Dist: d}
 					kept[i] = true
@@ -444,6 +478,9 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 				hits = append(hits, found[i])
 			}
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return ScanFixedResponse{}, err
 	}
 	return ScanFixedResponse{Hits: hits, Trace: tr}, nil
 }

@@ -14,6 +14,10 @@
 //     the best-so-far bound tightens early);
 //   - the cascading lower-bound chain LB_Kim → LB_Keogh (reordered, early
 //     abandoning) → early-abandoning DTW against the best-so-far;
+//   - the paper's marriage of the two distances at scan time: ED ≥ DTW for
+//     equal lengths, so a same-length scan seeds its best-so-far with one
+//     early-abandoning ED pass over the representatives, and the pruned DTW
+//     kernel computes only the cells that can still finish under it;
 //   - the in-group pivot search: members are visited in order of
 //     |ED(member, rep) − DTW(query, rep)| over the ED-sorted LSI array.
 //
@@ -240,7 +244,8 @@ const (
 // lower bounds are disabled), then the early-abandoning DTW — +Inf, without
 // running, when the lower bound already proves the candidate cannot beat
 // the bound (the replay never reads the distance in that case). ran reports
-// whether a DTW ran (Trace accounting).
+// whether a DTW ran (Trace accounting). Every caller accepts a distance only
+// strictly below the bound, where the kernel is exact.
 func (p *Processor) evalMember(ws *dist.Workspace, q, v []float64, bound float64) (lb, d float64, ran bool) {
 	if !p.opts.DisableLowerBounds {
 		lb = dist.LBKim(q, v)
@@ -248,7 +253,7 @@ func (p *Processor) evalMember(ws *dist.Workspace, q, v []float64, bound float64
 	if lb >= bound {
 		return lb, math.Inf(1), false
 	}
-	return lb, ws.DTWEarlyAbandon(q, v, dist.Unconstrained, bound), true
+	return lb, ws.DTWEarlyAbandon(q, v, bound), true
 }
 
 // evalRound concurrently evaluates one round of candidate windows against a

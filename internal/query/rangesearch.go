@@ -9,8 +9,9 @@ import (
 	"onex/internal/parallel"
 )
 
-// rangePollEvery is how many member DTWs a range scan runs between polls of
-// its context.
+// rangePollEvery is how many units — members of a range scan, or
+// representatives of a shard's scan — a loop processes between polls of its
+// context.
 const rangePollEvery = 64
 
 // RangeResult is one subsequence returned by a range search.
@@ -44,8 +45,15 @@ type RangeResult struct {
 //     is farther than rawRadius + √m·maxMemberED cannot contain a match and
 //     is skipped without touching its members.
 //
+// A group is skipped explicitly when its representative's DTW exceeds that
+// cutoff: the kernel may return such a distance finite, or +Inf.
+//
 // Members of the remaining groups are verified individually with
-// early-abandoning DTW and carry exact distances; wholesale-admitted members
+// early-abandoning DTW and carry exact distances: a member is accepted on
+// d/divisor ≤ radius, which admits a d up to fl(radius·divisor)·(1+u)²
+// (u = 2⁻⁵³), so the kernel's cutoff is radius·divisor times 1+1e-15, which
+// rounds to 1+10u and keeps the product ≥ fl(radius·divisor)·(1+u)²; every
+// d the test can accept is one the kernel computed exactly. Wholesale-admitted members
 // carry the ST upper bound in Dist (see RangeResult.Guaranteed) unless exact
 // is set, which computes their true DTW (the guarantee still saves the
 // admission decision) and filters them against the radius like every other
@@ -73,6 +81,7 @@ func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, ra
 	sqrtM := math.Sqrt(float64(len(q)))
 	sqrtL := math.Sqrt(float64(length))
 	wholesale := radius >= p.base.ST
+	acceptCutoff := radius * divisor * (1 + 1e-15)
 
 	// Each group's admission/verification depends only on the query and the
 	// fixed radius — never on other groups — so the group loop shards across
@@ -91,8 +100,8 @@ func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, ra
 		pruneCutoff := radius*divisor + sqrtM*maxRawED
 		tr.RepsExamined++
 		tr.DTWComputed++
-		repRaw := ws.DTWEarlyAbandon(q, g.Rep, dist.Unconstrained, pruneCutoff)
-		if math.IsInf(repRaw, 1) {
+		repRaw := ws.DTWEarlyAbandon(q, g.Rep, pruneCutoff)
+		if repRaw > pruneCutoff {
 			return nil // no member can reach the radius
 		}
 
@@ -118,7 +127,7 @@ func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, ra
 					v := p.base.MemberValues(g, m)
 					tr.MembersTested++
 					tr.DTWComputed++
-					d = ws.DTWEarlyAbandon(q, v, dist.Unconstrained, radius*divisor)
+					d = ws.DTWEarlyAbandon(q, v, acceptCutoff)
 					nd = d / divisor
 					if nd > radius {
 						continue
@@ -149,7 +158,7 @@ func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, ra
 				continue
 			}
 			tr.DTWComputed++
-			d := ws.DTWEarlyAbandon(q, v, dist.Unconstrained, radius*divisor)
+			d := ws.DTWEarlyAbandon(q, v, acceptCutoff)
 			if nd := d / divisor; nd <= radius {
 				out = append(out, RangeResult{
 					Match: Match{

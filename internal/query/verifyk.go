@@ -51,6 +51,11 @@ import (
 //     operations, so the comparison holds in floating point, not just over
 //     the reals.
 //
+// The DTW kernel is exact at or below B and may return +Inf above it. A
+// member whose distance comes back +Inf is not counted, and fewer counted
+// members can only make D, and with it B, larger, so the argument above
+// holds for whatever the kernel returns.
+//
 // The same inequality makes the shard's group cut (B + radius) no tighter
 // than the reference's, so the shard visits a superset prefix of the groups
 // the reference visits; the replay drops what lies beyond the real cut.

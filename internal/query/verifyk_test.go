@@ -3,8 +3,10 @@ package query
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -111,6 +113,49 @@ func TestVerifyKCancellation(t *testing.T) {
 		t.Fatalf("k-NN saw only %d cancellation points; the phase's are missing", canceled)
 	}
 
+	// Both representative scans poll per rangePollEvery units of each
+	// worker, at every layout: a canceled scan is an error with an empty
+	// answer, and a completed one is the answer of an uncanceled call.
+	_, tight := equivProcessors(t, equivDataset(4242, 24, 64), 0.05, []int{16}, Options{})
+	for _, shards := range []int{1, 3} {
+		for _, ls := range splitShards(t, tight.proc, shards) {
+			n := len(ls.units[16])
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("shards=%d shard=%d workers=%d", shards, ls.shard, workers)
+				best := ScanBestRequest{Length: 16, Query: q, Workers: workers}
+				fixed := ScanFixedRequest{Length: 16, Query: q, CutoffBits: math.Float64bits(math.Inf(1)), Workers: workers}
+				wantBest, err := ls.ScanBest(context.Background(), best)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantFixed, err := ls.ScanFixed(context.Background(), fixed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				countCancels(t, name+" ScanBest", 1+n/rangePollEvery, func(ctx context.Context) (bool, error) {
+					r, err := ls.ScanBest(ctx, best)
+					if err != nil {
+						return r.Found || r.BestBits != 0, err
+					}
+					if r.Found != wantBest.Found || r.GroupID != wantBest.GroupID || r.BestBits != wantBest.BestBits {
+						t.Fatalf("%s: completed ScanBest %+v, want %+v", name, r, wantBest)
+					}
+					return false, nil
+				})
+				countCancels(t, name+" ScanFixed", 1+n/rangePollEvery, func(ctx context.Context) (bool, error) {
+					r, err := ls.ScanFixed(ctx, fixed)
+					if err != nil {
+						return r.Hits != nil, err
+					}
+					if !reflect.DeepEqual(r, wantFixed) {
+						t.Fatalf("%s: completed ScanFixed differs from the uncanceled call", name)
+					}
+					return false, nil
+				})
+			}
+		}
+	}
+
 	// A range scan polls per group and per rangePollEvery members.
 	wantRange, err := seq.RangeSearchExact(q, 16, 2.0)
 	if err != nil {
@@ -165,6 +210,61 @@ func TestVerifyKCancellation(t *testing.T) {
 		if groups := len(par.Base().Entry(16).Groups); canceled != groups+1 {
 			t.Fatalf("series=%d: seasonal saw %d cancellation points over %d groups, want one on entry and one per group", series, canceled, groups)
 		}
+	}
+}
+
+// splitShards lays proc's base out as the given number of in-process shards
+// over the same processor, shard s scanning the groups whose id is s modulo
+// shards.
+func splitShards(t *testing.T, proc *Processor, shards int) []*LocalShard {
+	t.Helper()
+	series := make([]int, proc.base.Dataset.N())
+	for i := range series {
+		series[i] = i
+	}
+	out := make([]*LocalShard, shards)
+	for s := range out {
+		globalIDs := make(map[int][]int)
+		owned := make(map[int][]bool)
+		for _, l := range proc.base.Lengths {
+			g := len(proc.base.Entry(l).Groups)
+			gids, own := make([]int, g), make([]bool, g)
+			for k := range gids {
+				gids[k], own[k] = k, k%shards == s
+			}
+			globalIDs[l], owned[l] = gids, own
+		}
+		ls, err := NewLocalShard(proc, s, series, globalIDs, owned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[s] = ls
+	}
+	return out
+}
+
+// countCancels runs call under countdown contexts of 0, 1, 2, … polls until
+// one completes. A canceled call must answer context.Canceled and no partial
+// result (call reports whether it got one); at least minCancels polls must
+// have been seen before the call completed.
+func countCancels(t *testing.T, name string, minCancels int, call func(context.Context) (partial bool, err error)) {
+	t.Helper()
+	canceled := 0
+	for polls := int64(0); ; polls++ {
+		partial, err := call(cancelAfter(polls))
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s polls=%d: %v", name, polls, err)
+		}
+		if partial {
+			t.Fatalf("%s polls=%d: canceled call returned a partial answer", name, polls)
+		}
+		canceled++
+	}
+	if canceled < minCancels {
+		t.Fatalf("%s saw %d cancellation points, want ≥ %d", name, canceled, minCancels)
 	}
 }
 
