@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt fmt-check vet build test bench bench-selftest serve-smoke obs-smoke dist-smoke lint coverage ci
+.PHONY: fmt fmt-check vet build test bench bench-selftest serve-smoke obs-smoke dist-smoke fuzz-smoke lint coverage ci
 
 fmt: ## Reformat all Go sources in place
 	gofmt -w .
@@ -40,6 +40,9 @@ obs-smoke: ## Boot onex-server with tracing/logging/pprof on and verify the obse
 dist-smoke: ## Boot 2 shard workers + coordinator, cross-check answers vs local references (incl. worker restart)
 	sh scripts/dist_smoke.sh
 
+fuzz-smoke: ## Run every Fuzz* target for 10 s past its seed corpus (CI's fuzz-smoke job)
+	sh scripts/fuzz_smoke.sh
+
 # Static analysis beyond go vet (CI's lint job runs this target, so the
 # tool versions are pinned here alone). Tools are fetched on demand.
 STATICCHECK_VERSION = 2024.1.1
@@ -65,4 +68,4 @@ coverage: ## Enforce ≥ 70% statement coverage on query+grouping+parallel+shard
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t + 0 < min) ? 1 : 0 }' \
 		|| { echo "coverage $$total% is below $(COVER_MIN)%" >&2; exit 1; }
 
-ci: fmt-check vet lint build test bench bench-selftest coverage serve-smoke obs-smoke dist-smoke ## The full local gate, same checks as CI
+ci: fmt-check vet lint build test bench bench-selftest coverage serve-smoke obs-smoke dist-smoke fuzz-smoke ## The full local gate, same checks as CI

@@ -208,8 +208,7 @@ func BenchmarkAblationDBARepresentatives(b *testing.B) {
 }
 
 // BenchmarkExtensionElasticDistances compares the per-pair cost of the
-// elastic distances the paper's related work weighs (Sec. 7): DTW vs LCSS
-// vs ERP, plus plain ED as the floor.
+// paper's two distances: DTW, the elastic one, against plain ED, the floor.
 func BenchmarkExtensionElasticDistances(b *testing.B) {
 	d := dataset.ECG.Scaled(0.1).Generate(9)
 	if err := d.NormalizeMinMax(); err != nil {
@@ -226,16 +225,6 @@ func BenchmarkExtensionElasticDistances(b *testing.B) {
 	b.Run("DTW", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			w.DTW(x, y)
-		}
-	})
-	b.Run("LCSS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dist.LCSSDistance(x, y, 0.1, -1)
-		}
-	})
-	b.Run("ERP", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dist.ERP(x, y, 0)
 		}
 	})
 }

@@ -299,7 +299,10 @@ func printStats(base *onex.Base, w io.Writer) {
 	if s.Drift > 0 || s.Rebuilds > 0 {
 		fmt.Fprintf(w, "drift=%.3f  rebuilds=%d  lastRebuild=%v\n", s.Drift, s.Rebuilds, s.LastRebuild)
 	}
-	fmt.Fprintf(w, "SP-Space: ST_half=%.4f  ST_final=%.4f  build=%v\n", s.STHalf, s.STFinal, s.BuildTime)
+	// Medium's global range is [ST_half, ST_final].
+	if m, err := base.RecommendThreshold(onex.Medium, -1); err == nil {
+		fmt.Fprintf(w, "SP-Space: ST_half=%.4f  ST_final=%.4f  build=%v\n", m.Low, m.High, s.BuildTime)
+	}
 	ls := base.Lengths()
 	fmt.Fprintf(w, "indexed lengths (%d): %v\n", len(ls), ls)
 }
@@ -556,9 +559,12 @@ func doSPSpace(base *onex.Base, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%6d  %.4f   %.4f\n", l, m.Low, m.High)
 	}
-	s := base.Stats()
+	m, err := base.RecommendThreshold(onex.Medium, -1)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "global  ST_half=%.4f ST_final=%.4f  (S < %.4f ≤ M < %.4f ≤ L)\n",
-		s.STHalf, s.STFinal, s.STHalf, s.STFinal)
+		m.Low, m.High, m.Low, m.High)
 	return nil
 }
 

@@ -7,7 +7,8 @@
 //
 // CI (.github/workflows/ci.yml, "CI" badge once the repo has a canonical
 // remote): every push runs gofmt, go vet, the race-enabled test suite on
-// Go 1.22/1.23, and a one-iteration benchmark smoke pass.
+// Go 1.22/1.23, a one-iteration benchmark smoke pass, and a 10-second run of
+// every fuzz target (`make fuzz-smoke`).
 //
 // Build and test from a clean checkout (no dependencies beyond the Go
 // toolchain):
@@ -96,10 +97,10 @@
 // continuously. Only the suffix subsequences whose windows overlap the
 // appended points are pushed through Algorithm 1's nearest-representative
 // assignment; only the shards holding a touched group re-derive their
-// index, and only the touched lengths recompute their SP-Space thresholds,
-// so absorbing a point batch costs O(new-windows × groups × length) plus one
-// threshold pass per touched length, not a rebuild (the benchmark's
-// `ingest` workload times both).
+// index, and the touched lengths drop their SP-Space thresholds for the
+// next RecommendThreshold to recompute, so absorbing a point batch costs
+// O(new-windows × groups × length), not a rebuild (the benchmark's `ingest`
+// workload times both).
 //
 //	grown, err := base.Append(seriesID, 0.41, 0.43, 0.40) // new points
 //	grown.Drift()                                         // incremental fraction
@@ -141,11 +142,14 @@
 // identically to Shards: 0, enforced by the layout-equivalence property
 // suite in internal/shard (random datasets, query mixes and Append/Extend
 // interleavings at Parallelism 1 and 8, under -race). The SP-Space
-// guidance surface — RecommendThreshold, DegreeOf, Stats.STHalf/STFinal —
-// is likewise computed from the one global grouping, at every layout the
-// same way (one minimum spanning tree per length over on-demand
-// inter-representative distances, so no O(g²) matrix is ever
-// materialized), and is bit-identical at every shard count. The tie rule,
+// guidance surface — RecommendThreshold and DegreeOf — is likewise computed
+// from the one global grouping, at every layout the same way (one minimum
+// spanning tree per length over on-demand inter-representative distances,
+// so no O(g²) matrix is ever materialized), and is bit-identical at every
+// shard count. No query reads it, so it is computed on first read, per
+// length, and kept: Build, Load, Append and Extend never pay for it, and a
+// maintenance step keeps the values of the lengths it left untouched. The
+// tie rule,
 // stated once: two representatives at bit-equal DTW from the query
 // (impossible on continuous data, possible with duplicated windows) resolve
 // to the smaller global group id at every layout and worker count.
@@ -155,9 +159,9 @@
 // is set. Appends and extends route
 // deterministically — series → shard is a pure hash — and re-derive only
 // the shards whose series or groups the step touched; snapshots persist the
-// global payload plus the layout in one stream (format v6; v4 and v5
-// streams load, v5's retired DcTopK field read and discarded, older ones
-// are refused) and re-derive the shards on load. Stats().PerShard,
+// global payload plus the layout in one stream (format v6; v5 streams
+// load, their retired DcTopK field read and discarded, older ones are
+// refused) and re-derive the shards on load. Stats().PerShard,
 // the hub Info and /v1/datasets/{name}/stats report the per-shard series/
 // group/byte populations.
 //
@@ -249,8 +253,9 @@ package onex
 //	LB_Keogh envelope of a rep    rspace.LengthEntry.Max/Min (flat at full
 //	                              radius), dist.LBKeoghMinMax
 //	SP-Space, SThalf/STfinal      rspace.MergeThresholdsFor per length, run
-//	(Sec. 4.2, Fig. 1)            at engine assembly; Base.RecommendThreshold,
-//	                              Base.DegreeOf, Stats.STHalf/STFinal
+//	(Sec. 4.2, Fig. 1)            on first read; Base.RecommendThreshold
+//	                              (Medium's range is [SThalf, STfinal]),
+//	                              Base.DegreeOf
 //	S/M/L similarity degrees      onex.Strict / Medium / Loose
 //	Algorithm 1                   grouping.Build (+ grouping.Extend /
 //	                              grouping.AppendPoints for incremental

@@ -28,17 +28,22 @@ import (
 // verbatim (preserving the exact drift state of Algorithm 1's running
 // averages) after the subsequence and incremental-member counters, so the
 // streaming-append drift and its amortized-rebuild policy survive a round
-// trip. Everything else — the per-shard restrictions, the index layers and
-// the SP-Space thresholds — is derived state, recomputed on load: pure
-// functions of the groups and the shard count.
+// trip. Everything else is derived state, pure functions of the groups and
+// the shard count: the per-shard restrictions and the index layers are
+// recomputed on load, the SP-Space thresholds when first asked for.
 //
-// Versions 4 and 5 load too: they are this layout, version 5 with one more
-// header field (the retired DcTopK knob, an int64 after the shard count)
-// that is read and discarded. Older versions answer ErrBadVersion.
+// Versions 5 and 6 load. Version 5 is this layout with one more header
+// field (the retired DcTopK knob, an int64 after the shard count) that is
+// read and discarded. Older versions answer ErrBadVersion.
+//
+// Nothing read before the trailing checksum is trusted: every count is
+// bounded by what the stream or the dataset decoded so far can hold, series
+// values are read in chunks, and non-finite values or a repeated length are
+// ErrBadFormat.
 const (
 	persistMagic      = "ONEXBASE"
 	persistVersion    = 6
-	persistMinVersion = 4
+	persistMinVersion = 5
 )
 
 var (
@@ -259,8 +264,11 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if buildNanos > 0 {
 		origBuild = time.Duration(buildNanos)
 	}
-	if cfg.ST <= 0 || math.IsNaN(cfg.ST) {
+	if !(cfg.ST > 0) || math.IsInf(cfg.ST, 0) {
 		return nil, fmt.Errorf("%w: invalid ST %v", ErrBadFormat, cfg.ST)
+	}
+	if ts.CheckFinite([]float64{normMin, normMax}) >= 0 {
+		return nil, fmt.Errorf("%w: non-finite normalization bounds", ErrBadFormat)
 	}
 	cfg.Seed = seed
 	cfg.Normalize = NormalizeMode(normMode)
@@ -296,8 +304,8 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		if sl == 0 || sl > 1<<28 {
 			return nil, fmt.Errorf("%w: implausible series length %d", ErrBadFormat, sl)
 		}
-		values := make([]float64, sl)
-		if err := le(values); err != nil {
+		values, err := readFloats(cr, int(sl))
+		if err != nil {
 			return nil, err
 		}
 		d.Append(label, values)
@@ -321,11 +329,23 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		if l < 1 || int(l) > maxLen {
 			return nil, fmt.Errorf("%w: group length %d outside dataset", ErrBadFormat, l)
 		}
+		if _, dup := gr.ByLength[int(l)]; dup {
+			return nil, fmt.Errorf("%w: length %d repeated", ErrBadFormat, l)
+		}
+		// Every window of the dataset is a member of at most one group, and
+		// every group has a member: the window count bounds both counts.
+		windows := d.SubseqCount([]int{int(l)})
+		if int64(nGroups) > windows {
+			return nil, fmt.Errorf("%w: %d groups of length %d exceed its %d windows", ErrBadFormat, nGroups, l, windows)
+		}
 		lg := &grouping.LengthGroups{Length: int(l)}
 		for gi := uint32(0); gi < nGroups; gi++ {
 			rep := make([]float64, l)
 			if err := le(rep); err != nil {
 				return nil, err
+			}
+			if ts.CheckFinite(rep) >= 0 {
+				return nil, fmt.Errorf("%w: non-finite representative", ErrBadFormat)
 			}
 			var nMembers uint32
 			if err := le(&nMembers); err != nil {
@@ -334,6 +354,10 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 			if nMembers == 0 {
 				return nil, fmt.Errorf("%w: empty group", ErrBadFormat)
 			}
+			if int64(nMembers) > windows {
+				return nil, fmt.Errorf("%w: members of length %d exceed its windows", ErrBadFormat, l)
+			}
+			windows -= int64(nMembers)
 			g := &grouping.Group{Length: int(l), ID: int(gi), Rep: rep,
 				Members: make([]grouping.Member, nMembers)}
 			for mi := range g.Members {
@@ -344,6 +368,9 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 				}
 				if int(sIdx) >= d.N() || !d.Series[sIdx].CheckRange(int(start), int(l)) {
 					return nil, fmt.Errorf("%w: member (%d,%d) out of range", ErrBadFormat, sIdx, start)
+				}
+				if math.IsNaN(ed) || math.IsInf(ed, 0) {
+					return nil, fmt.Errorf("%w: non-finite member distance", ErrBadFormat)
 				}
 				g.Members[mi] = grouping.Member{SeriesIdx: int(sIdx), Start: int(start), EDToRep: ed}
 			}
@@ -373,6 +400,29 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		Dataset:   d,
 		Grouped:   gr,
 	}, nil
+}
+
+// readFloats reads n little-endian float64 values in chunks, growing the
+// slice as the stream delivers them (a hostile count costs what the stream
+// holds, not what it claims), and refuses non-finite values.
+func readFloats(r io.Reader, n int) ([]float64, error) {
+	const chunk = 1 << 13
+	buf := make([]byte, 8*min(n, chunk))
+	values := make([]float64, 0, min(n, chunk))
+	for len(values) < n {
+		b := buf[:8*min(n-len(values), chunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("%w: non-finite series value", ErrBadFormat)
+			}
+			values = append(values, v)
+		}
+	}
+	return values, nil
 }
 
 func boolByte(b bool) byte {

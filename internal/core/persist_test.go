@@ -5,18 +5,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"onex/internal/dataset"
 	"onex/internal/grouping"
 	"onex/internal/query"
+	"onex/internal/ts"
 )
 
 // snapshotFixture is a small complete snapshot: a normalized dataset, its
 // grouping and a configuration with every persisted knob off its zero
 // value.
-func snapshotFixture(t *testing.T) *Snapshot {
+func snapshotFixture(t testing.TB) *Snapshot {
 	t.Helper()
 	cfg := BuildConfig{
 		ST: 0.2, Lengths: []int{6, 12}, Seed: 3, RebuildDrift: -1,
@@ -34,13 +37,9 @@ func snapshotFixture(t *testing.T) *Snapshot {
 	return &Snapshot{Shards: 3, Cfg: cfg, NormMin: lo, NormMax: hi, BuildTime: 12345, Dataset: work, Grouped: gr}
 }
 
-func encodeFixture(t *testing.T) []byte {
+func encodeFixture(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, snapshotFixture(t)); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encode(t, snapshotFixture(t))
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -126,10 +125,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // TestLoadRejectsWrongVersion: only the current version and the one before
-// it decode; a future version and the retired version 3 both answer
+// it decode; a future version and the retired versions 4 and 3 answer
 // ErrBadVersion.
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	for _, version := range []uint32{99, 3, 0} {
+	for _, version := range []uint32{99, 4, 3, 0} {
 		data := encodeFixture(t)
 		binary.LittleEndian.PutUint32(data[len(persistMagic):], version)
 		if _, err := DecodeSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrBadVersion) {
@@ -138,29 +137,33 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-// TestDecodesPriorVersion: a version-4 stream is the current layout, and a
-// version-5 stream is the current layout plus the retired DcTopK int64 after
-// the shard count; both decode to the current snapshot, that field read and
-// discarded.
+// shardsEnd is the stream offset just past the shard count:
+// magic | version | ST seed norm min max earlyStop noLB limit patience drift | shards
+const shardsEnd = len(persistMagic) + 4 + (8 + 8 + 1 + 8 + 8 + 1 + 1 + 8 + 8 + 8) + 4
+
+// asVersion5 rewrites a version-6 stream as the version-5 layout: the
+// retired DcTopK int64 after the shard count, and a fresh checksum.
+func asVersion5(v6 []byte) []byte {
+	old := append([]byte(nil), v6[:shardsEnd]...)
+	old = binary.LittleEndian.AppendUint64(old, 7)
+	old = append(old, v6[shardsEnd:len(v6)-4]...)
+	binary.LittleEndian.PutUint32(old[len(persistMagic):], 5)
+	return binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+}
+
+// TestDecodesPriorVersion: a version-5 stream is the current layout plus
+// the retired DcTopK int64 after the shard count; it decodes to the current
+// snapshot, that field read and discarded.
 func TestDecodesPriorVersion(t *testing.T) {
-	data := encodeFixture(t)
-	// magic | version | ST seed norm min max earlyStop noLB limit patience drift | shards
-	shardsEnd := len(persistMagic) + 4 + (8 + 8 + 1 + 8 + 8 + 1 + 1 + 8 + 8 + 8) + 4
 	want := snapshotFixture(t)
-	for version, extra := range map[uint32][]byte{4: nil, 5: binary.LittleEndian.AppendUint64(nil, 7)} {
-		old := append(append([]byte(nil), data[:shardsEnd]...), extra...)
-		old = append(old, data[shardsEnd:len(data)-4]...)
-		binary.LittleEndian.PutUint32(old[len(persistMagic):], version)
-		old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
-		got, err := DecodeSnapshot(bytes.NewReader(old))
-		if err != nil {
-			t.Fatalf("version %d: %v", version, err)
-		}
-		if !reflect.DeepEqual(got.Cfg, want.Cfg) || got.Shards != want.Shards ||
-			got.NormMin != want.NormMin || got.NormMax != want.NormMax ||
-			!reflect.DeepEqual(got.Grouped, want.Grouped) {
-			t.Errorf("version-%d stream decoded to %+v", version, got)
-		}
+	got, err := DecodeSnapshot(bytes.NewReader(asVersion5(encodeFixture(t))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Cfg, want.Cfg) || got.Shards != want.Shards ||
+		got.NormMin != want.NormMin || got.NormMax != want.NormMax ||
+		!reflect.DeepEqual(got.Grouped, want.Grouped) {
+		t.Errorf("version-5 stream decoded to %+v", got)
 	}
 }
 
@@ -182,4 +185,169 @@ func TestLoadDetectsTruncation(t *testing.T) {
 			t.Errorf("truncation at %d loaded without error", cut)
 		}
 	}
+}
+
+// tinySnapshot is one series of four values and one length-2 group holding
+// all three of its windows — small enough that every field's stream offset
+// is a constant (see the tiny* offsets).
+func tinySnapshot() *Snapshot {
+	d := &ts.Dataset{Name: "t"}
+	d.Append("s", []float64{0.1, 0.2, 0.3, 0.4})
+	return &Snapshot{
+		Shards:  1,
+		Cfg:     BuildConfig{ST: 0.2},
+		Dataset: d,
+		Grouped: &grouping.Result{
+			ST: 0.2, Lengths: []int{2}, TotalSubseq: 3,
+			ByLength: map[int]*grouping.LengthGroups{2: {Length: 2, Groups: []*grouping.Group{{
+				Length: 2, Rep: []float64{0.15, 0.25},
+				Members: []grouping.Member{{Start: 1}, {Start: 0, EDToRep: 0.1}, {Start: 2, EDToRep: 0.2}},
+			}}}},
+		},
+	}
+}
+
+// Stream offsets of tinySnapshot's count fields: after the header come the
+// metadata (timestamp, build time, no configured lengths), the dataset name
+// "t", the series count and the label "s".
+const (
+	tinySeriesLen = shardsEnd + 8 + 8 + 4 + (4 + 1) + 4 + (4 + 1)
+	tinyGroups    = tinySeriesLen + 4 + 4*8 + 8 + 8 + 4 + 4
+	tinyMembers   = tinyGroups + 4 + 2*8
+)
+
+func encode(t testing.TB, snap *Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// withCount returns a copy of data with the u32 at off set to v and the
+// checksum recomputed.
+func withCount(data []byte, off int, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[off:], v)
+	return reseal(out)
+}
+
+// reseal recomputes the trailing checksum in place.
+func reseal(data []byte) []byte {
+	if n := len(data) - 4; n >= 0 {
+		binary.LittleEndian.PutUint32(data[n:], crc32.ChecksumIEEE(data[:n]))
+	}
+	return data
+}
+
+func TestTinySnapshotOffsets(t *testing.T) {
+	data := encode(t, tinySnapshot())
+	for _, c := range []struct {
+		name string
+		off  int
+		want uint32
+	}{{"series length", tinySeriesLen, 4}, {"groups", tinyGroups, 1}, {"members", tinyMembers, 3}} {
+		if got := binary.LittleEndian.Uint32(data[c.off:]); got != c.want {
+			t.Fatalf("%s count at offset %d = %d, want %d", c.name, c.off, got, c.want)
+		}
+	}
+	if _, err := DecodeSnapshot(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeBoundsHostileCounts: a count read before the checksum costs
+// what the stream holds, not what it claims. Each stream states a count
+// far beyond its bytes; decoding must fail and allocate well under a
+// megabyte doing it.
+func TestDecodeBoundsHostileCounts(t *testing.T) {
+	data := encode(t, tinySnapshot())
+	for _, c := range []struct {
+		name   string
+		stream []byte
+		format bool // the bound refuses it (ErrBadFormat), not the short read
+	}{
+		{"series length 2^28", withCount(data, tinySeriesLen, 1<<28), false},
+		{"group count 2^32-1", withCount(data, tinyGroups, math.MaxUint32), true},
+		{"member count 2^32-1", withCount(data, tinyMembers, math.MaxUint32), true},
+		{"members beyond windows", withCount(data, tinyMembers, 4), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecodeSnapshot(bytes.NewReader(c.stream))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("decoded")
+			}
+			if c.format && !errors.Is(err, ErrBadFormat) {
+				t.Errorf("err = %v, want ErrBadFormat", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("allocated %d bytes for a %d-byte stream", grew, len(c.stream))
+			}
+		})
+	}
+}
+
+// TestDecodeRefusesRepeatsAndNonFinite: a length stated twice, and a NaN or
+// infinite series value, representative or member distance, are ErrBadFormat
+// even under a valid checksum.
+func TestDecodeRefusesRepeatsAndNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spoil func(*Snapshot)
+	}{
+		{"repeated length", func(s *Snapshot) { s.Grouped.Lengths = []int{2, 2} }},
+		{"NaN value", func(s *Snapshot) { s.Dataset.Series[0].Values[2] = math.NaN() }},
+		{"infinite representative", func(s *Snapshot) { s.Grouped.ByLength[2].Groups[0].Rep[1] = math.Inf(1) }},
+		{"NaN member distance", func(s *Snapshot) { s.Grouped.ByLength[2].Groups[0].Members[1].EDToRep = math.NaN() }},
+		{"infinite ST", func(s *Snapshot) { s.Cfg.ST = math.Inf(1) }},
+		{"NaN normalization bound", func(s *Snapshot) { s.NormMax = math.NaN() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			snap := tinySnapshot()
+			c.spoil(snap)
+			if _, err := DecodeSnapshot(bytes.NewReader(encode(t, snap))); !errors.Is(err, ErrBadFormat) {
+				t.Errorf("err = %v, want ErrBadFormat", err)
+			}
+		})
+	}
+}
+
+// FuzzDecodeSnapshot: no stream panics the decoder or makes it allocate
+// beyond its size, and every stream it accepts re-encodes to one that
+// decodes to the same dataset and grouping. The checksum is recomputed
+// first, so mutations reach the checks behind it too.
+func FuzzDecodeSnapshot(f *testing.F) {
+	// Small seeds only: the fuzzer minimizes every new input it finds, and
+	// a full-size stream makes that take most of a short run.
+	tiny := encode(f, tinySnapshot())
+	for _, seed := range [][]byte{
+		tiny, asVersion5(tiny), tiny[:len(tiny)/2], tiny[:shardsEnd],
+		withCount(tiny, tinySeriesLen, 1<<28),
+		withCount(tiny, tinyGroups, math.MaxUint32),
+		withCount(tiny, tinyMembers, math.MaxUint32),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := DecodeSnapshot(bytes.NewReader(reseal(data)))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeSnapshot(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded stream rejected: %v", err)
+		}
+		if again.Shards != snap.Shards || !reflect.DeepEqual(again.Dataset, snap.Dataset) ||
+			!reflect.DeepEqual(again.Grouped, snap.Grouped) {
+			t.Fatal("re-encoded stream decoded to a different snapshot")
+		}
+	})
 }

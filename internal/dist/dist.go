@@ -1,9 +1,7 @@
 // Package dist implements the similarity-distance kernel of ONEX: the
 // Euclidean and Dynamic Time Warping distances of Defs. 2–3 with the
-// paper's length normalizations (Defs. 5–6), the Sec. 5.3 pruning
-// machinery (warping envelopes, LB_Kim, LB_Keogh, early abandoning), and
-// the elastic extras the related-work ablations compare against (LCSS,
-// ERP).
+// paper's length normalizations (Defs. 5–6) and the Sec. 5.3 pruning
+// machinery (warping envelopes, LB_Kim, LB_Keogh, early abandoning).
 //
 // Conventions shared by every function in the package:
 //

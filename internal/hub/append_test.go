@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"onex"
+	"onex/internal/shard"
 )
 
 func sineSeries(phase float64, n int) onex.Series {
@@ -172,5 +173,39 @@ func TestHubAppendValidationAndCache(t *testing.T) {
 	}
 	if _, err := ds.Match(context.Background(), q, onex.MatchExact, 1); err != nil {
 		t.Fatalf("dataset broken after invalid appends: %v", err)
+	}
+}
+
+// TestMaintenanceComputesNoThresholds: the write path — Append and Extend
+// swaps, their snapshot re-writes, and the Info and Stats the HTTP write
+// handlers reply with — never computes an SP-Space threshold. The first
+// Recommend after the writes does, once per length they touched.
+func TestMaintenanceComputesNoThresholds(t *testing.T) {
+	h := New(Config{SnapshotDir: t.TempDir()})
+	defer h.Close()
+	ds := readyDataset(t, h, "d", Spec{
+		Series: []onex.Series{sineSeries(0, 48), sineSeries(0.5, 48), sineSeries(1, 48)},
+		Opts:   onex.Options{ST: 0.3, Lengths: []int{8, 16}},
+	})
+	before := shard.ThresholdPasses()
+	if err := ds.Append(0, []float64{0.1, 0.2, 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Extend([]onex.Series{sineSeries(2, 48)}); err != nil {
+		t.Fatal(err)
+	}
+	if info := ds.Info(); info.Generation != 2 || info.SnapshotError != "" {
+		t.Fatalf("info after two writes: %+v", info)
+	}
+	h.Stats()
+	if got := shard.ThresholdPasses() - before; got != 0 {
+		t.Fatalf("writes computed %d threshold cells, want 0", got)
+	}
+	if _, err := ds.Recommend(onex.Medium, -1); err != nil {
+		t.Fatal(err)
+	}
+	// The extension touched both lengths, so both cells are fresh.
+	if got := shard.ThresholdPasses() - before; got != 2 {
+		t.Fatalf("first Recommend computed %d cells, want 2", got)
 	}
 }

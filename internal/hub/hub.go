@@ -600,8 +600,6 @@ type Info struct {
 	Subsequences    int64   `json:"subsequences,omitempty"`
 	IndexBytes      int64   `json:"indexBytes,omitempty"`
 	ST              float64 `json:"st,omitempty"`
-	STHalf          float64 `json:"stHalf,omitempty"`
-	STFinal         float64 `json:"stFinal,omitempty"`
 	Lengths         []int   `json:"lengths,omitempty"`
 	BuildSeconds    float64 `json:"buildSeconds,omitempty"`
 
@@ -663,8 +661,6 @@ func (d *Dataset) Info() Info {
 		info.Subsequences = st.Subsequences
 		info.IndexBytes = st.IndexBytes
 		info.ST = base.ST()
-		info.STHalf = st.STHalf
-		info.STFinal = st.STFinal
 		info.Lengths = base.Lengths()
 		info.BuildSeconds = st.BuildTime.Seconds()
 		info.Drift = st.Drift
@@ -894,7 +890,7 @@ func (d *Dataset) swap(event *atomic.Uint64, grow func(*onex.Base) (*onex.Base, 
 	if err != nil {
 		return err
 	}
-	preRebuilds := base.Stats().Rebuilds
+	preRebuilds := base.Rebuilds()
 	next, err := grow(base)
 	if err != nil {
 		return err
@@ -909,7 +905,7 @@ func (d *Dataset) swap(event *atomic.Uint64, grow func(*onex.Base) (*onex.Base, 
 	d.gen++
 	d.mu.Unlock()
 	event.Add(1)
-	if delta := next.Stats().Rebuilds - preRebuilds; delta > 0 {
+	if delta := next.Rebuilds() - preRebuilds; delta > 0 {
 		d.hub.events.rebuilds.Add(uint64(delta))
 	}
 	d.hub.cache.purgePrefix(d.name + "|")

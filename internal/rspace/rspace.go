@@ -20,7 +20,7 @@
 // Sec. 4.2, whose critical thresholds are edge weights of one minimum
 // spanning tree over Dc; MergeThresholdsFor computes them with distances
 // evaluated on demand, in O(g) memory, and internal/shard runs it once per
-// length when it assembles an engine.
+// length, on first read.
 //
 // Everything stored is a cheap pure function of the grouping, so New costs
 // one pass over the representatives and Refresh is New.

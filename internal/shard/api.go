@@ -8,6 +8,7 @@ import (
 	"math"
 	"time"
 
+	"onex/internal/parallel"
 	"onex/internal/query"
 	"onex/internal/rspace"
 )
@@ -39,12 +40,14 @@ func (e *Engine) QueryCounters() query.CountersSnapshot {
 }
 
 // Recommend answers the class III threshold recommendation. The critical
-// values come from the ONE global grouping every layout shares (see
-// assemble), never aggregated from per-shard structures, so the
-// recommendation is bit-identical at every shard count. length < 0 selects
-// the dataset-global values, mirroring rspace.Base.Recommend.
+// values come from the ONE global grouping every layout shares, never
+// aggregated from per-shard structures, so the recommendation is
+// bit-identical at every shard count. length < 0 selects the dataset-global
+// values, the maxima over lengths. The first read of a length pays its
+// minimum spanning tree; later reads, on this engine or on a maintenance
+// successor that left the length untouched, return the stored values.
 func (e *Engine) Recommend(d rspace.Degree, length int) (lo, hi float64, err error) {
-	half, final, err := e.globalCriticalValues(length)
+	half, final, err := e.criticalValues(length)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -61,29 +64,50 @@ func (e *Engine) Recommend(d rspace.Degree, length int) (lo, hi float64, err err
 }
 
 // DegreeOf classifies a threshold on the engine's S/M/L scale against the
-// precomputed dataset-global critical values.
+// dataset-global critical values.
 func (e *Engine) DegreeOf(st float64) rspace.Degree {
+	half, final, _ := e.criticalValues(-1)
 	switch {
-	case st < e.globalSTHalf:
+	case st < half:
 		return rspace.Strict
-	case st < e.globalSTFinal:
+	case st < final:
 		return rspace.Medium
 	default:
 		return rspace.Loose
 	}
 }
 
-// globalCriticalValues returns the global grouping's critical thresholds;
-// length < 0 selects the dataset-global maxima over lengths.
-func (e *Engine) globalCriticalValues(length int) (half, final float64, err error) {
-	if length < 0 {
-		return e.globalSTHalf, e.globalSTFinal, nil
+// criticalValues returns the global grouping's critical thresholds of one
+// length, computing its cell on first read; length < 0 selects the maxima
+// over lengths, filling every cell on cfg.Workers.
+func (e *Engine) criticalValues(length int) (half, final float64, err error) {
+	if length >= 0 {
+		if _, ok := e.sp[length]; !ok {
+			return 0, 0, errors.New("rspace: length not indexed")
+		}
+		half, final = e.cellValues(length)
+		return half, final, nil
 	}
-	half, ok := e.spHalf[length]
-	if !ok {
-		return 0, 0, errors.New("rspace: length not indexed")
+	lengths := e.grouped.Lengths
+	halves := make([]float64, len(lengths))
+	finals := make([]float64, len(lengths))
+	parallel.ForEach(e.cfg.Workers, len(lengths), func(i int) {
+		halves[i], finals[i] = e.cellValues(lengths[i])
+	})
+	for i := range lengths {
+		if halves[i] > half {
+			half = halves[i]
+		}
+		if finals[i] > final {
+			final = finals[i]
+		}
 	}
-	return half, e.spFinal[length], nil
+	return half, final, nil
+}
+
+// cellValues reads one indexed length's cell.
+func (e *Engine) cellValues(length int) (half, final float64) {
+	return e.sp[length].thresholds(e.grouped.ByLength[length].Groups, length, e.grouped.ST)
 }
 
 // WithThreshold adapts the engine to a new similarity threshold via the
@@ -188,18 +212,6 @@ func (e *Engine) SizeBytes() int64 {
 		total += p.transport.Stats().IndexBytes
 	}
 	return total
-}
-
-// STHalf returns the dataset-global half-merge critical threshold, computed
-// from the global grouping (bit-identical at every shard count; see
-// Recommend).
-func (e *Engine) STHalf() float64 {
-	return e.globalSTHalf
-}
-
-// STFinal returns the dataset-global all-merge critical threshold.
-func (e *Engine) STFinal() float64 {
-	return e.globalSTFinal
 }
 
 // ---- shard observability ----------------------------------------------

@@ -289,8 +289,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.TotalSubseq() != eng.TotalSubseq() {
 		t.Errorf("subseq %d != %d", loaded.TotalSubseq(), eng.TotalSubseq())
 	}
-	if loaded.STHalf() != eng.STHalf() ||
-		loaded.STFinal() != eng.STFinal() {
+	lh, lf := globalThresholds(t, loaded)
+	if eh, ef := globalThresholds(t, eng); lh != eh || lf != ef {
 		t.Error("SP-Space thresholds differ after round trip")
 	}
 	// Queries agree bit-for-bit.

@@ -218,9 +218,9 @@ func compareEngines(t *testing.T, ctx string, one, sharded *Engine, queries [][]
 	// SP-Space guidance surface: bit-identical (==, no tolerance) at every
 	// layout — the sharded engine computes the critical values from the one
 	// global grouping, not from per-shard aggregates.
-	if one.STHalf() != sharded.STHalf() || one.STFinal() != sharded.STFinal() {
-		t.Fatalf("%s: critical values diverged: (%v,%v) vs (%v,%v)",
-			ctx, one.STHalf(), one.STFinal(), sharded.STHalf(), sharded.STFinal())
+	oh, of := globalThresholds(t, one)
+	if sh, sf := globalThresholds(t, sharded); oh != sh || of != sf {
+		t.Fatalf("%s: critical values diverged: (%v,%v) vs (%v,%v)", ctx, oh, of, sh, sf)
 	}
 	for _, length := range append([]int{-1, lengths[0] + 1}, lengths...) {
 		for _, deg := range []rspace.Degree{rspace.Strict, rspace.Medium, rspace.Loose} {
@@ -235,7 +235,7 @@ func compareEngines(t *testing.T, ctx string, one, sharded *Engine, queries [][]
 			}
 		}
 	}
-	for _, probe := range []float64{0, st * 0.5, one.STHalf(), one.STFinal(), st * 3} {
+	for _, probe := range []float64{0, st * 0.5, oh, of, st * 3} {
 		if a, b := one.DegreeOf(probe), sharded.DegreeOf(probe); a != b {
 			t.Fatalf("%s: DegreeOf(%v) diverged: %v vs %v", ctx, probe, a, b)
 		}

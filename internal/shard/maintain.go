@@ -16,11 +16,12 @@ import (
 // points — are pushed through the Algorithm 1 assignment rule
 // (grouping.AppendPoints), once and globally, so answers stay
 // layout-invariant. Then only the shards holding a touched or new group —
-// plus the home shard, whose data grew — re-derive their index layers, and
-// only the lengths the step touched recompute their critical thresholds;
-// everything else is reused wholesale. Maintenance therefore costs
-// O(new-subsequences × g × L) distance work plus one O(g²·L) threshold pass
-// per touched length, instead of a rebuild. When the accumulated drift
+// plus the home shard, whose data grew — re-derive their index layers;
+// everything else is reused wholesale. The lengths the step touched get
+// fresh critical-threshold cells, which the next Recommend or DegreeOf
+// fills (one O(g²·L) pass each); the step itself computes none.
+// Maintenance therefore costs O(new-subsequences × g × L) distance work,
+// instead of a rebuild. When the accumulated drift
 // would cross BuildConfig.RebuildDrift the full global build re-runs over
 // the final data instead (see maintainOrRebuild).
 //

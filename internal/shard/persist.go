@@ -32,7 +32,8 @@ func (e *Engine) Save(w io.Writer) error {
 
 // Load reopens an engine written by Save under the stream's shard count,
 // re-deriving the per-shard index layers from the stored global payload; it
-// answers identically to the saved engine.
+// answers identically to the saved engine. The SP-Space thresholds are not
+// stored and not recomputed here: the first Recommend computes them.
 //
 // workers is serving-time configuration, never persisted: a non-empty list
 // re-ships the re-derived shard state to remote worker processes (fresh

@@ -14,12 +14,12 @@ import (
 )
 
 // TestRecommendExactAcrossShards is the regression test for the sharded
-// guidance surface. Before the fix, Recommend/DegreeOf/STHalf/STFinal on a
+// guidance surface. Before the fix, Recommend/DegreeOf on a
 // sharded layout aggregated the per-shard SP-Spaces (maximum over shards of
 // each shard's restricted merge structure) — a different quantity than the
 // global grouping's critical values, so the guidance ranges changed with
 // the shard count. The fix computes them from the ONE global grouping
-// (rspace.MergeThresholdsFor) at assemble time.
+// (rspace.MergeThresholdsFor).
 //
 // The test (a) recomputes the old per-shard aggregation and demands it
 // actually differs from the global values on this fixture — proving the
@@ -67,9 +67,10 @@ func TestRecommendExactAcrossShards(t *testing.T) {
 			}
 
 			// (b) The fixed surface is bit-identical to the unsharded engine.
-			if sharded.STHalf() != one.STHalf() || sharded.STFinal() != one.STFinal() {
-				t.Fatalf("critical values diverged: sharded (%v,%v) vs one (%v,%v)",
-					sharded.STHalf(), sharded.STFinal(), one.STHalf(), one.STFinal())
+			sh, sf := globalThresholds(t, sharded)
+			oh, of := globalThresholds(t, one)
+			if sh != oh || sf != of {
+				t.Fatalf("critical values diverged: sharded (%v,%v) vs one (%v,%v)", sh, sf, oh, of)
 			}
 			for _, length := range append([]int{-1}, lengths...) {
 				for _, deg := range []rspace.Degree{rspace.Strict, rspace.Medium, rspace.Loose} {
@@ -120,14 +121,14 @@ func TestDegreeOfPopulatedThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.STHalf() <= 0 || sharded.STFinal() < sharded.STHalf() {
-		t.Fatalf("critical values not populated: half=%v final=%v", sharded.STHalf(), sharded.STFinal())
+	half, final := globalThresholds(t, sharded)
+	if half <= 0 || final < half {
+		t.Fatalf("critical values not populated: half=%v final=%v", half, final)
 	}
 	if got := sharded.DegreeOf(1e-9); got != rspace.Strict {
 		t.Fatalf("DegreeOf(1e-9) = %v, want Strict — thresholds unpopulated?", got)
 	}
-	probes := []float64{0, 1e-9, st / 2, sharded.STHalf(), sharded.STHalf() * 1.000001,
-		sharded.STFinal(), sharded.STFinal() * 2}
+	probes := []float64{0, 1e-9, st / 2, half, half * 1.000001, final, final * 2}
 	for _, p := range probes {
 		if a, b := one.DegreeOf(p), sharded.DegreeOf(p); a != b {
 			t.Fatalf("DegreeOf(%v) diverged: one %v vs sharded %v", p, a, b)
@@ -217,8 +218,8 @@ func TestGlobalThresholdsAreMaxima(t *testing.T) {
 		wantHalf = math.Max(wantHalf, half)
 		wantFinal = math.Max(wantFinal, final)
 	}
-	if e.STHalf() != wantHalf || e.STFinal() != wantFinal {
-		t.Errorf("global = %v,%v want %v,%v", e.STHalf(), e.STFinal(), wantHalf, wantFinal)
+	if half, final := globalThresholds(t, e); half != wantHalf || final != wantFinal {
+		t.Errorf("global = %v,%v want %v,%v", half, final, wantHalf, wantFinal)
 	}
 }
 
@@ -230,20 +231,21 @@ func TestDegreeAndRecommend(t *testing.T) {
 	if d := e.DegreeOf(0); d != rspace.Strict {
 		t.Errorf("DegreeOf(0) = %v, want S", d)
 	}
-	if d := e.DegreeOf(e.STFinal() + 1); d != rspace.Loose {
+	half, final := globalThresholds(t, e)
+	if d := e.DegreeOf(final + 1); d != rspace.Loose {
 		t.Errorf("DegreeOf(huge) = %v, want L", d)
 	}
 	lo, hi, err := e.Recommend(rspace.Strict, -1)
-	if err != nil || lo != 0 || hi != e.STHalf() {
+	if err != nil || lo != 0 || hi != half {
 		t.Errorf("Recommend(S) = %v,%v,%v", lo, hi, err)
 	}
-	half, final := rspace.MergeThresholdsFor(e.grouped.ByLength[6].Groups, 6, e.ST())
+	h6, f6 := rspace.MergeThresholdsFor(e.grouped.ByLength[6].Groups, 6, e.ST())
 	lo, hi, err = e.Recommend(rspace.Medium, 6)
-	if err != nil || lo != half || hi != final {
+	if err != nil || lo != h6 || hi != f6 {
 		t.Errorf("Recommend(M,6) = %v,%v,%v", lo, hi, err)
 	}
 	lo, hi, err = e.Recommend(rspace.Loose, -1)
-	if err != nil || lo != e.STFinal() || !math.IsInf(hi, 1) {
+	if err != nil || lo != final || !math.IsInf(hi, 1) {
 		t.Errorf("Recommend(L) = %v,%v,%v", lo, hi, err)
 	}
 	if _, _, err := e.Recommend(rspace.Strict, 999); err == nil {
@@ -252,4 +254,15 @@ func TestDegreeAndRecommend(t *testing.T) {
 	if _, _, err := e.Recommend(rspace.Degree(42), -1); err == nil {
 		t.Error("Recommend with bogus degree should fail")
 	}
+}
+
+// globalThresholds reads the dataset-global critical values: Medium's range
+// is [half, final].
+func globalThresholds(t testing.TB, e *Engine) (half, final float64) {
+	t.Helper()
+	half, final, err := e.Recommend(rspace.Medium, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return half, final
 }

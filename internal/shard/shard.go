@@ -32,16 +32,17 @@
 //     query.Scatter for the per-query argument), so every shard count,
 //     transport and worker count answers identically; exact ties between
 //     representatives go to the smallest global group id;
-//   - the SP-Space guidance surface (Recommend, DegreeOf, STHalf/STFinal)
-//     comes from the global grouping, computed at assemble time by
-//     rspace.MergeThresholdsFor (Prim's algorithm with on-demand
-//     inter-representative distances, O(g) working memory, one length per
-//     pool task) at every layout, so it is bit-identical at every shard
-//     count without a distance matrix ever being stored;
+//   - the SP-Space guidance surface (Recommend, DegreeOf) comes from the
+//     global grouping, computed on first read by rspace.MergeThresholdsFor
+//     (Prim's algorithm with on-demand inter-representative distances, O(g)
+//     working memory, one length per pool task) at every layout, so it is
+//     bit-identical at every shard count without a distance matrix ever
+//     being stored. No query reads it, so no write path (Build, Load,
+//     Append, Extend, WithThreshold) computes it;
 //   - incremental maintenance (Append/Extend) runs the global assignment
 //     rule once, then re-derives only the shards whose series or groups the
-//     step touched; untouched shards, and the critical thresholds of
-//     untouched lengths, are reused wholesale.
+//     step touched; untouched shards are reused wholesale, and untouched
+//     lengths share their threshold cell with the previous engine.
 //
 // WithThreshold (Sec. 5.2) merges groups by inter-representative distance
 // across the whole grouping, which only a shard indexing all of it holds: it
@@ -56,12 +57,15 @@
 // # Persistence
 //
 // An engine snapshots as a single stream carrying the global dataset +
-// grouping payload plus the shard count: per-shard state and the critical
-// thresholds are derived, and are re-derived on load.
+// grouping payload plus the shard count: per-shard state is derived and
+// re-derived on load, and the critical thresholds are derived when first
+// asked for.
 package shard
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"onex/internal/core"
@@ -97,18 +101,46 @@ type Engine struct {
 	parts   []*part
 	scatter *query.Scatter
 
-	// spHalf/spFinal are the per-length SP-Space critical thresholds of the
-	// ONE global grouping (see assemble) — never per-shard aggregates, so
-	// Recommend/DegreeOf/STHalf/STFinal answer bit-identically at every
-	// shard count.
-	spHalf, spFinal map[int]float64
-	// globalSTHalf/globalSTFinal are the dataset-wide maxima over lengths.
-	globalSTHalf, globalSTFinal float64
+	// sp holds, per length, the SP-Space critical thresholds of the ONE
+	// global grouping — never per-shard aggregates, so Recommend/DegreeOf
+	// answer bit-identically at every shard count. A cell is computed on
+	// first read; maintenance shares the cells of untouched lengths with
+	// the previous engine (see assemble).
+	sp map[int]*spCell
 
 	buildTime   time.Duration
 	savedAt     time.Time
 	rebuilds    int64
 	lastRebuild time.Duration
+}
+
+// spCell is one length's SP-Space critical thresholds, computed once, on
+// first read, from the groups of the engine that reads it. Engines share a
+// cell only when their groups of that length are value-identical, so the
+// bits are the same whichever engine computes first. The cell holds no
+// groups and no engine: sharing it never keeps a previous generation alive.
+type spCell struct {
+	once        sync.Once
+	half, final float64
+}
+
+// thresholdPasses counts the cells computed in this process.
+var thresholdPasses atomic.Int64
+
+// ThresholdPasses reports how many per-length SP-Space threshold passes
+// (one minimum spanning tree each) this process has run. Write paths run
+// none; the first Recommend or DegreeOf after a write runs one per length
+// the write touched.
+func ThresholdPasses() int64 { return thresholdPasses.Load() }
+
+// thresholds returns the cell's values, computing them over groups on the
+// first call.
+func (c *spCell) thresholds(groups []*grouping.Group, length int, st float64) (half, final float64) {
+	c.once.Do(func() {
+		thresholdPasses.Add(1)
+		c.half, c.final = rspace.MergeThresholdsFor(groups, length, st)
+	})
+	return c.half, c.final
 }
 
 // part is one shard: its series and local↔global translation tables, plus
@@ -208,16 +240,16 @@ func Build(d *ts.Dataset, cfg core.BuildConfig, shards int, workers []string) (*
 // global dataset and grouping themselves.
 func (e *Engine) whole() bool { return e.shards == 1 && len(e.workerURLs) == 0 }
 
-// assemble derives the per-shard state, the global SP-Space thresholds and
-// the scatter executor from the engine's global dataset + grouping. With
-// prevE/affected set, shards whose affected flag is false reuse their
-// previous part wholesale — valid because an unaffected shard's series
-// values are unchanged and every group it holds is value-identical to its
-// previous incarnation (incremental maintenance copies untouched groups
-// verbatim) — and affected shards derive afresh. The per-length critical
-// thresholds reuse the previous engine's values for lengths the delta left
-// untouched (no touched groups, no new groups — the group set is then
-// value-identical, so the thresholds are too).
+// assemble derives the per-shard state and the scatter executor from the
+// engine's global dataset + grouping, and allocates one SP-Space cell per
+// length without computing any. With prevE/affected set, shards whose
+// affected flag is false reuse their previous part wholesale — valid because
+// an unaffected shard's series values are unchanged and every group it holds
+// is value-identical to its previous incarnation (incremental maintenance
+// copies untouched groups verbatim) — and affected shards derive afresh.
+// Lengths the delta left untouched (no touched groups, no new groups — the
+// group set is then value-identical, so the thresholds are too) share the
+// previous engine's cell; touched and new lengths get fresh ones.
 func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta) error {
 	parts := make([]*part, e.shards)
 	errs := make([]error, e.shards)
@@ -241,32 +273,13 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 		}
 	}
 
-	// Exact SP-Space over the global grouping: one Prim pass per length with
-	// on-demand distances — O(g) extra memory, never a materialized matrix.
-	lengths := e.grouped.Lengths
-	halves := make([]float64, len(lengths))
-	finals := make([]float64, len(lengths))
-	parallel.ForEach(e.cfg.Workers, len(lengths), func(i int) {
-		l := lengths[i]
-		groups := e.grouped.ByLength[l].Groups
-		if prevE != nil && delta != nil &&
-			len(delta.Touched[l]) == 0 && delta.PrevGroups[l] == len(groups) {
-			halves[i], finals[i] = prevE.spHalf[l], prevE.spFinal[l]
+	e.sp = make(map[int]*spCell, len(e.grouped.Lengths))
+	for _, l := range e.grouped.Lengths {
+		if prevE != nil && delta != nil && len(delta.Touched[l]) == 0 &&
+			delta.PrevGroups[l] == len(e.grouped.ByLength[l].Groups) {
+			e.sp[l] = prevE.sp[l]
 		} else {
-			halves[i], finals[i] = rspace.MergeThresholdsFor(groups, l, e.grouped.ST)
-		}
-	})
-	e.spHalf = make(map[int]float64, len(lengths))
-	e.spFinal = make(map[int]float64, len(lengths))
-	e.globalSTHalf, e.globalSTFinal = 0, 0
-	for i, l := range lengths {
-		e.spHalf[l] = halves[i]
-		e.spFinal[l] = finals[i]
-		if halves[i] > e.globalSTHalf {
-			e.globalSTHalf = halves[i]
-		}
-		if finals[i] > e.globalSTFinal {
-			e.globalSTFinal = finals[i]
+			e.sp[l] = new(spCell)
 		}
 	}
 	transports := make([]query.ShardTransport, e.shards)

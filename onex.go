@@ -370,6 +370,10 @@ func (b *Base) Append(seriesID int, points ...float64) (*Base, error) {
 // of the amortized rebuild policy (see Options.RebuildDrift).
 func (b *Base) Drift() float64 { return b.eng.Drift() }
 
+// Rebuilds counts the drift-triggered full rebuilds along the base's
+// Append/Extend lineage (Stats.Rebuilds, without the rest of Stats).
+func (b *Base) Rebuilds() int64 { return b.eng.Rebuilds() }
+
 // Extend incrementally adds series to the base: only the new subsequences
 // are clustered (joining existing groups or founding new ones per
 // Algorithm 1's assignment rule) and the indexes are re-derived
@@ -393,7 +397,10 @@ func (b *Base) Extend(series []Series) (*Base, error) {
 // RecommendThreshold answers class III queries: the similarity-threshold
 // range realizing a similarity degree (Strict/Medium/Loose, Sec. 4.2).
 // length < 0 uses the dataset-global critical values; otherwise the values
-// local to that subsequence length.
+// local to that subsequence length. The critical values of a length are
+// computed on its first read (one minimum spanning tree over the length's
+// representatives) and kept; Build, Load, Append and Extend compute none,
+// and a maintenance step keeps the values of the lengths it left untouched.
 func (b *Base) RecommendThreshold(d Degree, length int) (Range, error) {
 	lo, hi, err := b.eng.Recommend(rspace.Degree(d), length)
 	if err != nil {
@@ -402,7 +409,9 @@ func (b *Base) RecommendThreshold(d Degree, length int) (Range, error) {
 	return Range{Low: lo, High: hi}, nil
 }
 
-// DegreeOf classifies a threshold on the base's Strict/Medium/Loose scale.
+// DegreeOf classifies a threshold on the base's Strict/Medium/Loose scale,
+// against the dataset-global critical values (computed on first read, as
+// for RecommendThreshold).
 func (b *Base) DegreeOf(st float64) Degree {
 	return Degree(b.eng.DegreeOf(st))
 }
@@ -516,8 +525,6 @@ func (b *Base) Stats() Stats {
 		Subsequences:    b.eng.TotalSubseq(),
 		IndexBytes:      b.eng.SizeBytes(),
 		BuildTime:       b.eng.BuildTime(),
-		STHalf:          b.eng.STHalf(),
-		STFinal:         b.eng.STFinal(),
 		Drift:           b.eng.Drift(),
 		Rebuilds:        b.eng.Rebuilds(),
 		LastRebuild:     b.eng.LastRebuild(),

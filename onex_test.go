@@ -179,11 +179,10 @@ func TestRecommendThreshold(t *testing.T) {
 	if !s.Contains(s.High) || s.Contains(l.Low+1) {
 		t.Error("Range.Contains wrong")
 	}
-	st := b.Stats()
 	if b.DegreeOf(0) != Strict {
 		t.Error("DegreeOf(0) != Strict")
 	}
-	if b.DegreeOf(st.STFinal+1) != Loose {
+	if b.DegreeOf(m.High+1) != Loose {
 		t.Error("DegreeOf(very large) != Loose")
 	}
 	if _, err := b.RecommendThreshold(Degree(9), -1); err == nil {
@@ -235,9 +234,6 @@ func TestStats(t *testing.T) {
 	st := b.Stats()
 	if st.Representatives <= 0 || st.Subsequences <= 0 || st.IndexBytes <= 0 {
 		t.Errorf("degenerate stats: %+v", st)
-	}
-	if st.STHalf > st.STFinal {
-		t.Errorf("STHalf %v > STFinal %v", st.STHalf, st.STFinal)
 	}
 	if st.BuildTime <= 0 {
 		t.Errorf("BuildTime = %v", st.BuildTime)

@@ -44,11 +44,10 @@ type Options struct {
 	// procedure over whatever shards exist (exact ties between
 	// representatives go to the smaller group id everywhere), so like
 	// Parallelism this is a scale/latency knob, not a semantics knob. The
-	// SP-Space guidance surface — RecommendThreshold, DegreeOf,
-	// Stats.STHalf/STFinal — is likewise computed from the one global
-	// grouping (with on-demand inter-representative distances, so no O(g²)
-	// matrix is ever materialized) and is bit-identical at every shard
-	// count. The one exception, outside the query classes: threshold
+	// SP-Space guidance surface — RecommendThreshold, DegreeOf — is likewise
+	// computed from the one global grouping (on first read, with on-demand
+	// inter-representative distances, so no O(g²) matrix is ever
+	// materialized) and is bit-identical at every shard count. The one exception, outside the query classes: threshold
 	// adaptation (WithThreshold) requires the one-shard in-process layout.
 	Shards int
 	// ShardWorkers lists remote worker base URLs (e.g. "http://host:9102")

@@ -50,7 +50,9 @@ func (r Range) Contains(st float64) bool { return st >= r.Low && st <= r.High }
 func (r Range) String() string { return fmt.Sprintf("[%.4f, %.4f]", r.Low, r.High) }
 
 // Stats reports base size and construction cost (the quantities of the
-// paper's Table 4 and Figs. 5–6).
+// paper's Table 4 and Figs. 5–6). The SP-Space critical thresholds are not
+// statistics: they are computed on demand, through RecommendThreshold
+// (Medium's range is [ST_half, ST_final]).
 type Stats struct {
 	// Representatives counts the groups across all indexed lengths.
 	Representatives int
@@ -60,9 +62,6 @@ type Stats struct {
 	IndexBytes int64
 	// BuildTime is the offline construction time.
 	BuildTime time.Duration
-	// STHalf and STFinal are the global critical thresholds of the
-	// Similarity Parameter Space (Sec. 4.2).
-	STHalf, STFinal float64
 	// Drift is the fraction of subsequences assigned incrementally
 	// (Append/Extend) since the last full offline build — see
 	// Options.RebuildDrift.
