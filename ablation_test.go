@@ -1,134 +1,20 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: each
-// isolates one Sec. 5.3 optimization so its contribution to query latency is
-// measurable. Answers never change for admissible prunes (asserted in the
-// query package's tests); these benches quantify the speed side.
+// Ablation benchmarks for the design choices DESIGN.md calls out that stay
+// choices: construction parallelism, representative strategy, distance cost
+// and incremental maintenance. The Sec. 5.3 query optimizations always run,
+// so they have no ablation here.
 package onex
 
 import (
-	"context"
+	"fmt"
 	"testing"
 
 	"onex/internal/core"
 	"onex/internal/dataset"
 	"onex/internal/dist"
 	"onex/internal/grouping"
-	"onex/internal/query"
 	"onex/internal/shard"
 	"onex/internal/ts"
 )
-
-// ablationFixture builds one dataset once and engines with/without a knob.
-type ablationFixture struct {
-	data    *ts.Dataset
-	lengths []int
-	queries [][]float64
-}
-
-func newAblationFixture(b *testing.B) *ablationFixture {
-	b.Helper()
-	sp := dataset.ECG.Scaled(0.25)
-	d := sp.Generate(3)
-	if err := d.NormalizeMinMax(); err != nil {
-		b.Fatal(err)
-	}
-	lengths := []int{12, 24, 48, 72, 96}
-	var queries [][]float64
-	for i := 0; i < 8; i++ {
-		l := lengths[i%len(lengths)]
-		s := d.Series[(i*3)%d.N()]
-		start := (i * 5) % (s.Len() - l + 1)
-		q := append([]float64(nil), s.Values[start:start+l]...)
-		if i%2 == 1 {
-			for j := range q {
-				q[j] = q[j]*0.9 + 0.03
-			}
-		}
-		queries = append(queries, q)
-	}
-	return &ablationFixture{data: d, lengths: lengths, queries: queries}
-}
-
-func (f *ablationFixture) engine(b *testing.B, opts query.Options) *shard.Engine {
-	b.Helper()
-	eng, err := shard.Build(f.data, core.BuildConfig{
-		ST: 0.2, Lengths: f.lengths, Seed: 1,
-		Normalize: core.NormalizeNone, Query: opts,
-	}, 0, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return eng
-}
-
-func (f *ablationFixture) run(b *testing.B, eng *shard.Engine, mode query.MatchMode) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engBestMatch(eng, f.queries[i%len(f.queries)], mode); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationLowerBounds isolates the LB_Kim → LB_Keogh cascade.
-func BenchmarkAblationLowerBounds(b *testing.B) {
-	f := newAblationFixture(b)
-	b.Run("cascade-on", func(b *testing.B) {
-		f.run(b, f.engine(b, query.Options{}), query.MatchExact)
-	})
-	b.Run("cascade-off", func(b *testing.B) {
-		f.run(b, f.engine(b, query.Options{DisableLowerBounds: true}), query.MatchExact)
-	})
-}
-
-// BenchmarkAblationEarlyStop isolates the Sec. 5.3 any-length stop rule.
-func BenchmarkAblationEarlyStop(b *testing.B) {
-	f := newAblationFixture(b)
-	b.Run("early-stop", func(b *testing.B) {
-		f.run(b, f.engine(b, query.Options{}), query.MatchAny)
-	})
-	b.Run("all-lengths", func(b *testing.B) {
-		f.run(b, f.engine(b, query.Options{DisableEarlyStop: true}), query.MatchAny)
-	})
-}
-
-// BenchmarkAblationPatience isolates the bounded in-group pivot walk.
-func BenchmarkAblationPatience(b *testing.B) {
-	f := newAblationFixture(b)
-	b.Run("patience-32", func(b *testing.B) {
-		f.run(b, f.engine(b, query.Options{Patience: 32}), query.MatchExact)
-	})
-	b.Run("patience-8", func(b *testing.B) {
-		f.run(b, f.engine(b, query.Options{Patience: 8}), query.MatchExact)
-	})
-	b.Run("exhaustive", func(b *testing.B) {
-		f.run(b, f.engine(b, query.Options{Patience: -1}), query.MatchExact)
-	})
-}
-
-// BenchmarkAblationCandidateLimit isolates the fixed member-verification cap.
-func BenchmarkAblationCandidateLimit(b *testing.B) {
-	f := newAblationFixture(b)
-	for _, limit := range []int{1, 8, 64} {
-		limit := limit
-		b.Run(benchName("limit", limit), func(b *testing.B) {
-			f.run(b, f.engine(b, query.Options{CandidateLimit: limit}), query.MatchExact)
-		})
-	}
-}
-
-func benchName(prefix string, v int) string {
-	const digits = "0123456789"
-	if v == 0 {
-		return prefix + "-0"
-	}
-	var buf []byte
-	for v > 0 {
-		buf = append([]byte{digits[v%10]}, buf...)
-		v /= 10
-	}
-	return prefix + "-" + string(buf)
-}
 
 // BenchmarkAblationBuildWorkers isolates construction parallelism.
 func BenchmarkAblationBuildWorkers(b *testing.B) {
@@ -139,11 +25,11 @@ func BenchmarkAblationBuildWorkers(b *testing.B) {
 	}
 	for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS
 		workers := workers
-		b.Run(benchName("workers", workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := shard.Build(d, core.BuildConfig{
 					ST: 0.2, Lengths: []int{12, 24, 48, 72, 96},
-					Seed: 1, Workers: workers, Normalize: core.NormalizeNone,
+					Seed: 1, Parallelism: workers, Normalize: core.NormalizeNone,
 				}, 0, nil)
 				if err != nil {
 					b.Fatal(err)
@@ -263,13 +149,4 @@ func BenchmarkAblationExtendVsRebuild(b *testing.B) {
 			}
 		}
 	})
-}
-
-// engBestMatch asks the engine one Q1 query.
-func engBestMatch(e *shard.Engine, q []float64, mode query.MatchMode) (query.Match, error) {
-	r := e.Exec(context.Background(), query.Request{Family: query.FamilyMatch, Query: q, Mode: mode})
-	if r.Err != nil {
-		return query.Match{}, r.Err
-	}
-	return r.Matches[0], nil
 }

@@ -159,9 +159,11 @@
 // is set. Appends and extends route
 // deterministically — series → shard is a pure hash — and re-derive only
 // the shards whose series or groups the step touched; snapshots persist the
-// global payload plus the layout in one stream (format v6; v5 streams
-// load, their retired DcTopK field read and discarded, older ones are
-// refused) and re-derive the shards on load. Stats().PerShard,
+// global payload plus the layout in one stream (format v7; v6 streams load
+// when their four retired query-knob fields hold the defaults and are
+// refused otherwise, older ones are refused) and re-derive the shards on
+// load. Parallelism and the worker list are serving-time settings no
+// snapshot carries: LoadDistributed takes them. Stats().PerShard,
 // the hub Info and /v1/datasets/{name}/stats report the per-shard series/
 // group/byte populations.
 //
@@ -266,8 +268,10 @@ package onex
 //	Algorithm 2.B (Q2)            FamilySeasonal: Base.Seasonal / SeasonalAll
 //	Algorithm 2.C (vary ST′)      Base.WithThreshold
 //	Lemma 1                       tested in grouping (pairwise ≤ ST)
-//	Lemma 2 (ED↔DTW triangle)     the MatchAny early-stop rule and
-//	                              RangeSearch wholesale admission
+//	Lemma 2 (ED↔DTW triangle)     the MatchAny early-stop rule (always on)
+//	                              and RangeSearch wholesale admission
+//	pivot walk (Sec. 5.3)         Scatter.mineGroup: pivot order over the
+//	                              LSI, stops after 32 non-improving members
 //	LB_Kim, LB_Keogh (Sec. 5.3)   dist.LBKim, dist.LBKeoghMinMax (the
 //	                              scan), dist.LBKeoghOrdered over a
 //	                              dist.Envelope

@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"onex/internal/grouping"
-	"onex/internal/query"
 	"onex/internal/ts"
 )
 
@@ -37,8 +36,10 @@ type BuildConfig struct {
 	Lengths []int
 	// Seed makes builds reproducible.
 	Seed int64
-	// Workers bounds build parallelism (0 = GOMAXPROCS).
-	Workers int
+	// Parallelism bounds the worker fan-out of grouping, index assembly and
+	// queries (≤ 0 = GOMAXPROCS). It is a serving-time setting: snapshots do
+	// not persist it.
+	Parallelism int
 	// RebuildDrift is the amortized-rebuild threshold of the streaming
 	// Append path: when the fraction of members assigned incrementally
 	// (since the last full Algorithm 1 run) would exceed this value after an
@@ -49,8 +50,6 @@ type BuildConfig struct {
 	RebuildDrift float64
 	// Normalize selects the input normalization.
 	Normalize NormalizeMode
-	// Query carries the online-processor options.
-	Query query.Options
 	// Progress, when non-nil, is invoked after each indexed length finishes
 	// grouping with (completed, total) counts. Calls are serialized.
 	Progress func(done, total int)

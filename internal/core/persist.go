@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"onex/internal/grouping"
-	"onex/internal/query"
 	"onex/internal/ts"
 )
 
@@ -20,7 +19,7 @@ import (
 //	magic "ONEXBASE" | version u32 | header | metadata | dataset | groups | crc32
 //
 // The header carries the build parameters (ST, seed, normalization and its
-// min/max, query options, the rebuild-drift threshold and the shard count);
+// min/max, the rebuild-drift threshold and the shard count);
 // the metadata carries the Save
 // wall-clock timestamp, the original offline build time and the configured
 // length restriction, so catalogs (internal/hub) can report a reloaded base
@@ -32,9 +31,13 @@ import (
 // the shard count: the per-shard restrictions and the index layers are
 // recomputed on load, the SP-Space thresholds when first asked for.
 //
-// Versions 5 and 6 load. Version 5 is this layout with one more header
-// field (the retired DcTopK knob, an int64 after the shard count) that is
-// read and discarded. Older versions answer ErrBadVersion.
+// Versions 6 and 7 load. Version 6 is this layout with four more header
+// fields after the normalization min/max — the retired query knobs
+// earlyStop u8, noLB u8, candLimit i64 and patience i64. A version-6 stream
+// loads only when all four hold their defaults (0, 0, 0, 0), the one
+// configuration the engine runs; any other value would silently answer with
+// a different walk, so it is refused with ErrBadVersion naming the field.
+// Older versions answer ErrBadVersion.
 //
 // Nothing read before the trailing checksum is trusted: every count is
 // bounded by what the stream or the dataset decoded so far can hold, series
@@ -42,8 +45,8 @@ import (
 // ErrBadFormat.
 const (
 	persistMagic      = "ONEXBASE"
-	persistVersion    = 6
-	persistMinVersion = 5
+	persistVersion    = 7
+	persistMinVersion = 6
 )
 
 var (
@@ -81,7 +84,8 @@ func (c *crcReader) Read(p []byte) (int, error) {
 type Snapshot struct {
 	// Shards is the serving layout's shard count (≥ 1).
 	Shards int
-	// Cfg is the build configuration (ST, seed, lengths, query options…).
+	// Cfg is the build configuration (ST, seed, lengths, normalization…);
+	// Parallelism, Progress and Cancel are never persisted.
 	Cfg BuildConfig
 	// NormMin/NormMax record the dataset-wide scaling applied at build.
 	NormMin, NormMax float64
@@ -96,7 +100,7 @@ type Snapshot struct {
 	Grouped *grouping.Result
 }
 
-// EncodeSnapshot writes one snapshot as a version-6 ONEX base stream.
+// EncodeSnapshot writes one snapshot as a version-7 ONEX base stream.
 func EncodeSnapshot(w io.Writer, snap *Snapshot) error {
 	if snap == nil || snap.Dataset == nil || snap.Grouped == nil {
 		return errors.New("core: incomplete snapshot")
@@ -120,10 +124,6 @@ func EncodeSnapshot(w io.Writer, snap *Snapshot) error {
 		le(int64(snap.Cfg.Seed)),
 		le(uint8(snap.Cfg.Normalize)),
 		le(snap.NormMin), le(snap.NormMax),
-		le(uint8(boolByte(snap.Cfg.Query.DisableEarlyStop))),
-		le(uint8(boolByte(snap.Cfg.Query.DisableLowerBounds))),
-		le(int64(snap.Cfg.Query.CandidateLimit)),
-		le(int64(snap.Cfg.Query.Patience)),
 		le(snap.Cfg.RebuildDrift),
 		le(uint32(shards)),
 	); err != nil {
@@ -218,28 +218,23 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 
 	var cfg BuildConfig
-	var normMode, earlyStop, noLB uint8
-	var seed, candLimit, patience int64
+	var normMode uint8
+	var seed int64
 	var normMin, normMax float64
-	if err := errJoin(
-		le(&cfg.ST), le(&seed), le(&normMode), le(&normMin), le(&normMax),
-		le(&earlyStop), le(&noLB), le(&candLimit), le(&patience),
-		le(&cfg.RebuildDrift),
-	); err != nil {
+	if err := errJoin(le(&cfg.ST), le(&seed), le(&normMode), le(&normMin), le(&normMax)); err != nil {
 		return nil, err
 	}
+	if version == 6 {
+		if err := readRetiredKnobs(le); err != nil {
+			return nil, err
+		}
+	}
 	var shards uint32
-	if err := le(&shards); err != nil {
+	if err := errJoin(le(&cfg.RebuildDrift), le(&shards)); err != nil {
 		return nil, err
 	}
 	if shards < 1 || shards > 1<<20 {
 		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadFormat, shards)
-	}
-	if version == 5 {
-		var dcTopK int64
-		if err := le(&dcTopK); err != nil {
-			return nil, err
-		}
 	}
 	var savedAt time.Time
 	var origBuild time.Duration
@@ -272,12 +267,6 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	cfg.Seed = seed
 	cfg.Normalize = NormalizeMode(normMode)
-	cfg.Query = query.Options{
-		DisableEarlyStop:   earlyStop != 0,
-		DisableLowerBounds: noLB != 0,
-		CandidateLimit:     int(candLimit),
-		Patience:           int(patience),
-	}
 
 	// Dataset.
 	name, err := readString(cr)
@@ -425,11 +414,25 @@ func readFloats(r io.Reader, n int) ([]float64, error) {
 	return values, nil
 }
 
-func boolByte(b bool) byte {
-	if b {
-		return 1
+// readRetiredKnobs reads the four query knobs of a version-6 header and
+// refuses any that is not its default, the one configuration the engine
+// runs.
+func readRetiredKnobs(le func(any) error) error {
+	var earlyStop, noLB uint8
+	var candLimit, patience int64
+	if err := errJoin(le(&earlyStop), le(&noLB), le(&candLimit), le(&patience)); err != nil {
+		return err
 	}
-	return 0
+	for _, f := range []struct {
+		name  string
+		value int64
+	}{{"earlyStop", int64(earlyStop)}, {"noLB", int64(noLB)}, {"candLimit", candLimit}, {"patience", patience}} {
+		if f.value != 0 {
+			return fmt.Errorf("%w: version-6 stream sets the retired %s field to %d; only its default, 0, still loads",
+				ErrBadVersion, f.name, f.value)
+		}
+	}
+	return nil
 }
 
 func writeString(w io.Writer, s string) error {

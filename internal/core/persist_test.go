@@ -8,11 +8,11 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"onex/internal/dataset"
 	"onex/internal/grouping"
-	"onex/internal/query"
 	"onex/internal/ts"
 )
 
@@ -21,10 +21,7 @@ import (
 // value.
 func snapshotFixture(t testing.TB) *Snapshot {
 	t.Helper()
-	cfg := BuildConfig{
-		ST: 0.2, Lengths: []int{6, 12}, Seed: 3, RebuildDrift: -1,
-		Query: query.Options{CandidateLimit: 7, Patience: 16, DisableEarlyStop: true},
-	}
+	cfg := BuildConfig{ST: 0.2, Lengths: []int{6, 12}, Seed: 3, RebuildDrift: -1}
 	work, lo, hi, err := PrepareDataset(dataset.ItalyPower.Scaled(0.3).Generate(1), cfg.Normalize)
 	if err != nil {
 		t.Fatal(err)
@@ -125,10 +122,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // TestLoadRejectsWrongVersion: only the current version and the one before
-// it decode; a future version and the retired versions 4 and 3 answer
+// it decode; a future version and the retired versions 5, 4 and 3 answer
 // ErrBadVersion.
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	for _, version := range []uint32{99, 4, 3, 0} {
+	for _, version := range []uint32{99, 5, 4, 3, 0} {
 		data := encodeFixture(t)
 		binary.LittleEndian.PutUint32(data[len(persistMagic):], version)
 		if _, err := DecodeSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrBadVersion) {
@@ -137,33 +134,59 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-// shardsEnd is the stream offset just past the shard count:
-// magic | version | ST seed norm min max earlyStop noLB limit patience drift | shards
-const shardsEnd = len(persistMagic) + 4 + (8 + 8 + 1 + 8 + 8 + 1 + 1 + 8 + 8 + 8) + 4
+// normEnd is the stream offset just past the normalization bounds, where a
+// version-6 header carries its four retired query knobs.
+const normEnd = len(persistMagic) + 4 + (8 + 8 + 1 + 8 + 8)
 
-// asVersion5 rewrites a version-6 stream as the version-5 layout: the
-// retired DcTopK int64 after the shard count, and a fresh checksum.
-func asVersion5(v6 []byte) []byte {
-	old := append([]byte(nil), v6[:shardsEnd]...)
-	old = binary.LittleEndian.AppendUint64(old, 7)
-	old = append(old, v6[shardsEnd:len(v6)-4]...)
-	binary.LittleEndian.PutUint32(old[len(persistMagic):], 5)
+// shardsEnd is the stream offset just past the shard count:
+// magic | version | ST seed norm min max drift | shards
+const shardsEnd = normEnd + 8 + 4
+
+// asVersion6 rewrites a version-7 stream as the version-6 layout: the
+// retired knobs earlyStop u8, noLB u8, candLimit i64 and patience i64 after
+// the normalization bounds, and a fresh checksum.
+func asVersion6(v7 []byte, earlyStop, noLB uint8, candLimit, patience int64) []byte {
+	old := append([]byte(nil), v7[:normEnd]...)
+	old = append(old, earlyStop, noLB)
+	old = binary.LittleEndian.AppendUint64(old, uint64(candLimit))
+	old = binary.LittleEndian.AppendUint64(old, uint64(patience))
+	old = append(old, v7[normEnd:len(v7)-4]...)
+	binary.LittleEndian.PutUint32(old[len(persistMagic):], 6)
 	return binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
 }
 
-// TestDecodesPriorVersion: a version-5 stream is the current layout plus
-// the retired DcTopK int64 after the shard count; it decodes to the current
-// snapshot, that field read and discarded.
+// TestDecodesPriorVersion: a version-6 stream is the current layout plus
+// the four retired query knobs after the normalization bounds; at their
+// defaults it decodes to the current snapshot.
 func TestDecodesPriorVersion(t *testing.T) {
 	want := snapshotFixture(t)
-	got, err := DecodeSnapshot(bytes.NewReader(asVersion5(encodeFixture(t))))
+	got, err := DecodeSnapshot(bytes.NewReader(asVersion6(encodeFixture(t), 0, 0, 0, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Cfg, want.Cfg) || got.Shards != want.Shards ||
 		got.NormMin != want.NormMin || got.NormMax != want.NormMax ||
 		!reflect.DeepEqual(got.Grouped, want.Grouped) {
-		t.Errorf("version-5 stream decoded to %+v", got)
+		t.Errorf("version-6 stream decoded to %+v", got)
+	}
+}
+
+// TestPriorVersionRefusesRetiredKnobs: a version-6 stream that set a retired
+// knob asks for a walk other than the engine's one configuration; it is
+// refused with ErrBadVersion naming the field, not loaded to answer
+// differently.
+func TestPriorVersionRefusesRetiredKnobs(t *testing.T) {
+	v7 := encodeFixture(t)
+	for field, stream := range map[string][]byte{
+		"earlyStop": asVersion6(v7, 1, 0, 0, 0),
+		"noLB":      asVersion6(v7, 0, 1, 0, 0),
+		"candLimit": asVersion6(v7, 0, 0, 7, 0),
+		"patience":  asVersion6(v7, 0, 0, 0, -1),
+	} {
+		_, err := DecodeSnapshot(bytes.NewReader(stream))
+		if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s set: err = %v, want ErrBadVersion naming the field", field, err)
+		}
 	}
 }
 
@@ -325,7 +348,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	// a full-size stream makes that take most of a short run.
 	tiny := encode(f, tinySnapshot())
 	for _, seed := range [][]byte{
-		tiny, asVersion5(tiny), tiny[:len(tiny)/2], tiny[:shardsEnd],
+		tiny, asVersion6(tiny, 0, 0, 0, 0), tiny[:len(tiny)/2], tiny[:shardsEnd],
 		withCount(tiny, tinySeriesLen, 1<<28),
 		withCount(tiny, tinyGroups, math.MaxUint32),
 		withCount(tiny, tinyMembers, math.MaxUint32),

@@ -112,7 +112,9 @@ type Spec struct {
 	// Path names a UCR-format TSV file to load.
 	Path string
 	// Snapshot names a persisted base (onex.Base.SaveFile) to reopen; the
-	// build options travel inside the snapshot, so Opts is ignored. When
+	// build options travel inside the snapshot, so Opts is ignored but for
+	// the serving-time Parallelism and ShardWorkers, which no snapshot
+	// carries (they apply to a reload of the hub's own snapshot too). When
 	// the hub persists its own snapshots (Config.SnapshotDir) and one
 	// exists for this name, it wins over this file — it reflects
 	// Extend/Append growth this file predates; Drop(name, purge=true)
@@ -746,16 +748,18 @@ func (d *Dataset) build() {
 // the hub's own snapshot is re-written on every successful Extend/Append
 // swap, so it reflects incremental growth the spec's original file (or raw
 // series) predates; preferring the spec here would make Drop + re-register
-// silently resurrect the pre-extension base. An unreadable hub snapshot
-// falls back to the spec's source rather than failing the registration.
+// silently resurrect the pre-extension base. A loaded base serves with the
+// spec's Parallelism and ShardWorkers, as a built one does. An unreadable
+// hub snapshot falls back to the spec's source rather than failing the
+// registration.
 func (d *Dataset) materialize() (base *onex.Base, fromSnapshot bool, err error) {
 	if path := d.hub.snapshotPath(d.name); path != "" {
-		if base, err := onex.LoadFileDistributed(path, d.spec.Opts.ShardWorkers); err == nil {
+		if base, err := onex.LoadFileDistributed(path, d.spec.Opts.Parallelism, d.spec.Opts.ShardWorkers); err == nil {
 			return base, true, nil
 		}
 	}
 	if d.spec.Snapshot != "" {
-		base, err = onex.LoadFileDistributed(d.spec.Snapshot, d.spec.Opts.ShardWorkers)
+		base, err = onex.LoadFileDistributed(d.spec.Snapshot, d.spec.Opts.Parallelism, d.spec.Opts.ShardWorkers)
 		return base, err == nil, err
 	}
 	series, name, err := d.spec.series(d.name)

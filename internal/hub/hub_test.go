@@ -149,6 +149,34 @@ func TestHubRegisterFromExplicitSnapshot(t *testing.T) {
 	}
 }
 
+// TestHubSnapshotReloadKeepsParallelism: a snapshot carries no worker
+// count, so a hub reopened over its snapshot directory serves the dataset
+// at the spec's Parallelism, not at the GOMAXPROCS default.
+func TestHubSnapshotReloadKeepsParallelism(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(3)
+	spec.Opts.Parallelism = 1
+	for round := 0; round < 2; round++ {
+		h := New(Config{SnapshotDir: dir})
+		ds, err := h.Register("demo", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitReady(t, ds)
+		if got := ds.Info().FromSnapshot; got != (round == 1) {
+			t.Fatalf("round %d: FromSnapshot = %v", round, got)
+		}
+		base, _, err := ds.Base()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := base.Stats().Parallelism; got != 1 {
+			t.Errorf("round %d: serving at parallelism %d, want the spec's 1", round, got)
+		}
+		h.Close()
+	}
+}
+
 func TestHubCacheHitsAndExtendInvalidation(t *testing.T) {
 	h := New(Config{})
 	defer h.Close()

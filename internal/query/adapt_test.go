@@ -14,7 +14,7 @@ func adaptFixture(t *testing.T) *engine {
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	return buildProcessor(t, d, 0.2, []int{5, 9}, Options{})
+	return buildProcessor(t, d, 0.2, []int{5, 9})
 }
 
 // memberCount sums members across all groups of a length.

@@ -16,8 +16,8 @@ type engine struct {
 	proc *Processor
 }
 
-func newEngine(b *rspace.Base, opts Options) (*engine, error) {
-	proc, err := New(b, opts)
+func newEngine(b *rspace.Base, workers int) (*engine, error) {
+	proc, err := New(b, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -25,7 +25,7 @@ func newEngine(b *rspace.Base, opts Options) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := NewScatter(b, opts, []ShardTransport{ls})
+	sc, err := NewScatter(b, workers, []ShardTransport{ls})
 	if err != nil {
 		return nil, err
 	}
@@ -117,5 +117,5 @@ func (e *engine) AdaptThreshold(stPrime float64) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(b, e.proc.opts)
+	return newEngine(b, e.proc.workers)
 }

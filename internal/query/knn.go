@@ -17,21 +17,19 @@ import (
 // at every worker count and shard layout. A survivor is any finite DTW: the
 // kernel is exact at or below the cutoff, and a finite value above it lies
 // past every later group cut (kth only falls), so no walk reads it.
-func (p *Processor) scanRepFixed(ws *dist.Workspace, q []float64, order []int,
+func scanRepFixed(ws *dist.Workspace, q []float64, order []int,
 	e *rspace.LengthEntry, k int, sameLen bool, cutoff float64, tr *Trace) (float64, bool) {
 
 	tr.RepsExamined++
 	rep := e.Groups[k].Rep
-	if !p.opts.DisableLowerBounds {
-		if dist.LBKim(q, rep) >= cutoff {
-			tr.PrunedByKim++
+	if dist.LBKim(q, rep) >= cutoff {
+		tr.PrunedByKim++
+		return 0, false
+	}
+	if sameLen {
+		if lb := dist.LBKeoghMinMax(q, e.Max[k], e.Min[k], order, cutoff); lb >= cutoff {
+			tr.PrunedByKeogh++
 			return 0, false
-		}
-		if sameLen {
-			if lb := dist.LBKeoghMinMax(q, e.Max[k], e.Min[k], order, cutoff); lb >= cutoff {
-				tr.PrunedByKeogh++
-				return 0, false
-			}
 		}
 	}
 	tr.DTWComputed++

@@ -210,7 +210,9 @@ func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	proc, err := New(base, spec.Opts)
+	// Every shard request carries its own worker budget (reqWorkers), which
+	// overrides the processor's count.
+	proc, err := New(base, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -336,16 +338,14 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 				cutoff = min(cutoff, shared.Load())
 			}
 			rep := e.Groups[u.local].Rep
-			if !ls.proc.opts.DisableLowerBounds {
-				if dist.LBKim(q, rep) > cutoff {
-					ltr.PrunedByKim++
+			if dist.LBKim(q, rep) > cutoff {
+				ltr.PrunedByKim++
+				continue
+			}
+			if sameLen {
+				if lb := dist.LBKeoghMinMax(q, e.Max[u.local], e.Min[u.local], order, cutoff); lb > cutoff {
+					ltr.PrunedByKeogh++
 					continue
-				}
-				if sameLen {
-					if lb := dist.LBKeoghMinMax(q, e.Max[u.local], e.Min[u.local], order, cutoff); lb > cutoff {
-						ltr.PrunedByKeogh++
-						continue
-					}
 				}
 			}
 			ltr.DTWComputed++
@@ -432,7 +432,7 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 	order := dist.QueryOrder(q)
 	sameLen := req.Length == len(q)
 	scanOne := func(lws *dist.Workspace, u localUnit, ltr *Trace) (float64, bool) {
-		return ls.proc.scanRepFixed(lws, q, order, e, u.local, sameLen, cutoff, ltr)
+		return scanRepFixed(lws, q, order, e, u.local, sameLen, cutoff, ltr)
 	}
 
 	workers := reqWorkers(req.Workers)
@@ -489,13 +489,22 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 // against the request's bound snapshot, positionally — the remote half of
 // the coordinator's round-replay mining. LB_Kim and the early-abandoning
 // DTW depend only on (query, member values, bound), all bit-identical
-// across transports, so the response bits are too.
+// across transports, so the response bits are too. A request for an
+// unindexed length, a NaN bound or a window outside its series is refused
+// before any work runs.
 func (ls *LocalShard) EvalMembers(ctx context.Context, req EvalMembersRequest) (EvalMembersResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return EvalMembersResponse{}, err
 	}
 	if err := validateQuery(req.Query); err != nil {
 		return EvalMembersResponse{}, err
+	}
+	if ls.proc.base.Entry(req.Length) == nil {
+		return EvalMembersResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
+	}
+	bound := math.Float64frombits(req.BoundBits)
+	if math.IsNaN(bound) {
+		return EvalMembersResponse{}, fmt.Errorf("query: member bound is NaN")
 	}
 	n := len(req.Items)
 	if n == 0 {
@@ -507,13 +516,12 @@ func (ls *LocalShard) EvalMembers(ctx context.Context, req EvalMembersRequest) (
 		if !ok {
 			return EvalMembersResponse{}, fmt.Errorf("query: member series %d not on shard %d", it.Series, ls.shard)
 		}
-		values := ls.proc.base.Dataset.Series[li].Values
-		if it.Start < 0 || it.Start+req.Length > len(values) {
-			return EvalMembersResponse{}, fmt.Errorf("query: member window [%d,%d) outside series %d", it.Start, it.Start+req.Length, it.Series)
+		s := ls.proc.base.Dataset.Series[li]
+		if !s.CheckRange(it.Start, req.Length) {
+			return EvalMembersResponse{}, fmt.Errorf("query: member window [%d,+%d) outside series %d", it.Start, req.Length, it.Series)
 		}
-		windows[i] = values[it.Start : it.Start+req.Length]
+		windows[i] = s.Values[it.Start : it.Start+req.Length]
 	}
-	bound := math.Float64frombits(req.BoundBits)
 	lbs := make([]float64, n)
 	ds := make([]float64, n)
 	exec := ls.proc.innerExec(reqWorkers(req.Workers))

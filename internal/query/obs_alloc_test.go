@@ -22,7 +22,7 @@ func allocProbe(tb testing.TB) (*engine, []float64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p, err := newEngine(b, Options{Parallelism: 1})
+	p, err := newEngine(b, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

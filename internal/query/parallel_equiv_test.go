@@ -33,8 +33,8 @@ func equivDataset(seed int64, n, length int) *ts.Dataset {
 }
 
 // equivProcessors builds two processors over the same base differing only
-// in Parallelism.
-func equivProcessors(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts Options) (seq, par *engine) {
+// in their worker count: 1 and 8.
+func equivProcessors(t *testing.T, d *ts.Dataset, st float64, lengths []int) (seq, par *engine) {
 	t.Helper()
 	gr, err := grouping.Build(d, grouping.Config{ST: st, Lengths: lengths, Seed: 13})
 	if err != nil {
@@ -44,12 +44,10 @@ func equivProcessors(t *testing.T, d *ts.Dataset, st float64, lengths []int, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	sOpts, pOpts := opts, opts
-	sOpts.Parallelism, pOpts.Parallelism = 1, 8
-	if seq, err = newEngine(b, sOpts); err != nil {
+	if seq, err = newEngine(b, 1); err != nil {
 		t.Fatal(err)
 	}
-	if par, err = newEngine(b, pOpts); err != nil {
+	if par, err = newEngine(b, 8); err != nil {
 		t.Fatal(err)
 	}
 	return seq, par
@@ -99,7 +97,7 @@ func TestParallelEquivalenceBestMatch(t *testing.T) {
 	for ds := 0; ds < 10; ds++ {
 		d := equivDataset(int64(100+ds), 14, 48)
 		st := sts[ds%len(sts)]
-		seq, par := equivProcessors(t, d, st, []int{8, 12, 20}, Options{})
+		seq, par := equivProcessors(t, d, st, []int{8, 12, 20})
 		r := rand.New(rand.NewSource(int64(900 + ds)))
 		for qi := 0; qi < 10; qi++ {
 			qlen := []int{8, 12, 20, 15}[qi%4] // 15 is unindexed → MatchAny length walk
@@ -138,7 +136,7 @@ func TestParallelEquivalenceBestKMatches(t *testing.T) {
 	for ds := 0; ds < 6; ds++ {
 		d := equivDataset(int64(300+ds), 12, 40)
 		st := []float64{0.08, 0.25, 0.9}[ds%3]
-		seq, par := equivProcessors(t, d, st, []int{7, 11}, Options{})
+		seq, par := equivProcessors(t, d, st, []int{7, 11})
 		r := rand.New(rand.NewSource(int64(700 + ds)))
 		for qi := 0; qi < 8; qi++ {
 			q := randomQuery(r, d, []int{7, 11}[qi%2])
@@ -174,7 +172,7 @@ func TestParallelEquivalenceRangeSearch(t *testing.T) {
 	for ds := 0; ds < 6; ds++ {
 		d := equivDataset(int64(500+ds), 12, 40)
 		st := []float64{0.1, 0.3, 0.7}[ds%3]
-		seq, par := equivProcessors(t, d, st, []int{9}, Options{})
+		seq, par := equivProcessors(t, d, st, []int{9})
 		r := rand.New(rand.NewSource(int64(800 + ds)))
 		for qi := 0; qi < 8; qi++ {
 			q := randomQuery(r, d, 9)
@@ -206,29 +204,33 @@ func TestParallelEquivalenceRangeSearch(t *testing.T) {
 // TestParallelEquivalenceHugeGroup pins the batched group-mining path
 // specifically: a loose threshold collapses everything into one giant group
 // (hundreds of members ≥ 2·mineBatchSize), where patience decisions are the
-// part that must replay identically.
+// part that must replay identically — across round boundaries, so at least
+// one walk spans two rounds.
 func TestParallelEquivalenceHugeGroup(t *testing.T) {
 	d := equivDataset(4242, 24, 64)
-	for _, patience := range []int{0, 5, -1} {
-		seq, par := equivProcessors(t, d, 2.0, []int{16}, Options{Patience: patience})
-		if g := seq.Base().Entry(16).Groups; len(g) > 4 {
-			t.Fatalf("threshold not loose enough: %d groups", len(g))
+	seq, par := equivProcessors(t, d, 2.0, []int{16})
+	if g := seq.Base().Entry(16).Groups; len(g) > 4 {
+		t.Fatalf("threshold not loose enough: %d groups", len(g))
+	}
+	r := rand.New(rand.NewSource(99))
+	longest := 0
+	for qi := 0; qi < 20; qi++ {
+		q := randomQuery(r, d, 16)
+		ms, trs, errS := seq.BestMatchTraced(q, MatchExact)
+		mp, trp, errP := par.BestMatchTraced(q, MatchExact)
+		if errS != nil || errP != nil {
+			t.Fatalf("unexpected errors %v / %v", errS, errP)
 		}
-		r := rand.New(rand.NewSource(99))
-		for qi := 0; qi < 20; qi++ {
-			q := randomQuery(r, d, 16)
-			ms, trs, errS := seq.BestMatchTraced(q, MatchExact)
-			mp, trp, errP := par.BestMatchTraced(q, MatchExact)
-			if errS != nil || errP != nil {
-				t.Fatalf("patience=%d: unexpected errors %v / %v", patience, errS, errP)
-			}
-			ctx := fmt.Sprintf("patience=%d qi=%d", patience, qi)
-			sameMatch(t, ctx, ms, mp)
-			if trs.MembersTested != trp.MembersTested {
-				t.Fatalf("%s: patience replay diverged: seq tested %d, par tested %d",
-					ctx, trs.MembersTested, trp.MembersTested)
-			}
+		ctx := fmt.Sprintf("qi=%d", qi)
+		sameMatch(t, ctx, ms, mp)
+		if trs.MembersTested != trp.MembersTested {
+			t.Fatalf("%s: patience replay diverged: seq tested %d, par tested %d",
+				ctx, trs.MembersTested, trp.MembersTested)
 		}
+		longest = max(longest, trp.MembersTested)
+	}
+	if longest <= mineBatchSize {
+		t.Fatalf("longest walk tested %d members: no walk spans 2 rounds of %d", longest, mineBatchSize)
 	}
 }
 
@@ -257,7 +259,7 @@ func TestParallelEquivalenceExactTies(t *testing.T) {
 	for i := 0; i < 14; i++ {
 		d.Append("decoy", constant(1.5+0.2*float64(i)))
 	}
-	seq, par := equivProcessors(t, d, 0.05, []int{L}, Options{})
+	seq, par := equivProcessors(t, d, 0.05, []int{L})
 	if got := len(seq.Base().Entry(L).Groups); got < scanParallelMin {
 		t.Fatalf("only %d groups; parallel scan threshold not reached", got)
 	}
@@ -281,7 +283,7 @@ func TestParallelEquivalenceExactTies(t *testing.T) {
 // with individual BestMatch calls, including per-query validation errors.
 func TestBestMatchBatchMatchesSingles(t *testing.T) {
 	d := equivDataset(77, 12, 40)
-	_, par := equivProcessors(t, d, 0.2, []int{8, 12}, Options{})
+	_, par := equivProcessors(t, d, 0.2, []int{8, 12})
 	r := rand.New(rand.NewSource(5))
 	qs := make([][]float64, 0, 40)
 	for i := 0; i < 34; i++ {

@@ -31,7 +31,7 @@ func quickProcessor(seed int64, st float64, lengths []int) (*engine, *ts.Dataset
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := newEngine(b, Options{})
+	p, err := newEngine(b, 0)
 	if err != nil {
 		return nil, nil, err
 	}

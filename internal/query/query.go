@@ -3,10 +3,15 @@
 // matching, seasonal-similarity queries, similarity-threshold
 // recommendations, and the varying-threshold group adaptation of Sec. 5.2.
 //
-// The Sec. 5.3 optimizations are implemented, but for one:
+// The Sec. 5.3 optimizations are implemented, but for one, and they always
+// run — the engine answers with the paper's one configuration, whose only
+// setting is the worker count:
 //
 //   - length ordering for Match=Any: the query's own length first, then
 //     decreasing lengths, then increasing;
+//   - the early stop for Match=Any: once a length's best representative is
+//     within ST/2 of the query (Lemma 2 vouches for its whole group), no
+//     further length is searched;
 //   - representative ordering: the scan visits a length's groups in id
 //     order — the order Algorithm 1 founded them — not in the paper's
 //     median-sum order, which ran more DTWs on the benchmark's scan
@@ -19,7 +24,9 @@
 //     early-abandoning ED pass over the representatives, and the pruned DTW
 //     kernel computes only the cells that can still finish under it;
 //   - the in-group pivot search: members are visited in order of
-//     |ED(member, rep) − DTW(query, rep)| over the ED-sorted LSI array.
+//     |ED(member, rep) − DTW(query, rep)| over the ED-sorted LSI array, and
+//     the walk stops after 32 consecutive members fail to improve the
+//     match (see patience).
 //
 // # One engine
 //
@@ -45,15 +52,18 @@
 //
 // # Parallel execution
 //
-// Options.Parallelism shards a single query across a bounded worker pool:
-// the representative scan of each length fans out with a shared atomic
+// The worker count given to New or NewScatter — the processor's one
+// setting — shards a single query across a bounded worker pool: the
+// representative scan of each length fans out with a shared atomic
 // best-so-far bound (early abandoning keeps pruning across workers), group
 // mining and k-NN verification evaluate rounds of members concurrently, and
-// range search shards across groups. The parallel paths are constructed to be *answer-invariant*:
-// every pruning or patience decision is replayed against deterministic
-// bounds, concurrency only decides which DTWs are computed exactly versus
-// proven irrelevant, so every request returns identical results for every
-// Parallelism value and every shard layout. Workers change
+// range search shards across groups. Shard requests carry their own worker
+// budget (the Workers field), so a shard's fan-out follows its coordinator.
+// The parallel paths are constructed to be *answer-invariant*: every
+// pruning or patience decision is replayed against deterministic bounds,
+// concurrency only decides which DTWs are computed exactly versus proven
+// irrelevant, so every request returns identical results for every worker
+// count and every shard layout. Workers change
 // only wall-clock and the work-accounting side of Trace: DTWComputed,
 // PrunedByKim and PrunedByKeogh depend on bound-tightening timing (a
 // candidate proven hopeless is counted under whichever check happened to
@@ -87,39 +97,12 @@ const (
 	MatchAny
 )
 
-// Options tunes the processor. The zero value reproduces the paper's
-// behaviour.
-type Options struct {
-	// DisableEarlyStop turns off the Sec. 5.3 stop rule for Match=Any
-	// (stop once a representative within ST/2 has been explored) and scans
-	// every indexed length instead.
-	DisableEarlyStop bool `json:"disableEarlyStop"`
-	// CandidateLimit bounds how many members of the selected group are
-	// verified with DTW (pivot-ordered). 0 means no fixed limit; the walk
-	// is then bounded by Patience alone.
-	CandidateLimit int `json:"candidateLimit"`
-	// Patience reproduces the paper's bounded pivot walk (Sec. 5.3: expand
-	// from the pivot "until we find the best match"): mining stops after
-	// this many consecutive non-improving members. 0 selects
-	// DefaultPatience; negative values disable the cut (exhaustive group
-	// verification). Large groups at loose thresholds make the exhaustive
-	// walk degenerate toward a linear scan, inverting the paper's
-	// time-vs-ST trend, so the bounded walk is the default.
-	Patience int `json:"patience"`
-	// DisableLowerBounds turns off the LB_Kim/LB_Keogh cascade (for
-	// ablation benchmarks); DTW early abandoning remains.
-	DisableLowerBounds bool `json:"disableLowerBounds"`
-	// Parallelism bounds the worker fan-out of a single query and of a
-	// batch. ≤ 0 selects runtime.GOMAXPROCS(0); 1 forces the sequential
-	// path; values above NumCPU are accepted and merely oversubscribe.
-	// Answers are identical for every setting — see the
-	// package documentation.
-	Parallelism int `json:"parallelism"`
-}
-
-// DefaultPatience is the non-improving-member budget of the in-group pivot
-// walk when Options.Patience is 0.
-const DefaultPatience = 32
+// patience bounds the in-group pivot walk, the paper's "expand from the
+// pivot until we find the best match" (Sec. 5.3): mining stops after this
+// many consecutive non-improving members. An exhaustive walk over the large
+// groups of a loose threshold degenerates toward a linear scan, inverting
+// the paper's time-vs-ST trend.
+const patience = 32
 
 // Processor holds one base's query kernels: what a shard runs behind
 // LocalShard, and the grouping-only families Scatter answers from the
@@ -134,8 +117,7 @@ const DefaultPatience = 32
 // are never shared between two live goroutines).
 type Processor struct {
 	base *rspace.Base
-	opts Options
-	// workers is the resolved Options.Parallelism (always ≥ 1).
+	// workers is the resolved worker fan-out (always ≥ 1).
 	workers int
 	// pool recycles DTW scratch across queries and across the workers of
 	// one query. See the ownership rule above and on dist.Workspace.
@@ -145,18 +127,17 @@ type Processor struct {
 	counters *Counters
 }
 
-// New builds a processor over a base.
-func New(b *rspace.Base, opts Options) (*Processor, error) {
+// New builds a processor over a base. parallelism bounds the worker fan-out
+// of a single query and of a batch: ≤ 0 selects runtime.GOMAXPROCS(0), 1
+// forces the sequential path, and values above NumCPU merely oversubscribe.
+// Answers are identical for every setting — see the package documentation.
+func New(b *rspace.Base, parallelism int) (*Processor, error) {
 	if b == nil {
 		return nil, errors.New("query: nil base")
 	}
-	if opts.CandidateLimit < 0 {
-		return nil, fmt.Errorf("query: negative candidate limit %d", opts.CandidateLimit)
-	}
 	return &Processor{
 		base:     b,
-		opts:     opts,
-		workers:  parallel.Resolve(opts.Parallelism),
+		workers:  parallel.Resolve(parallelism),
 		pool:     &parallel.WorkspacePool{},
 		counters: &Counters{},
 	}, nil
@@ -240,17 +221,14 @@ const (
 	mineBatchSize   = 32
 )
 
-// evalMember evaluates one candidate window against a bound: LB_Kim (0 when
-// lower bounds are disabled), then the early-abandoning DTW — +Inf, without
-// running, when the lower bound already proves the candidate cannot beat
-// the bound (the replay never reads the distance in that case). ran reports
-// whether a DTW ran (Trace accounting). Every caller accepts a distance only
-// strictly below the bound, where the kernel is exact.
-func (p *Processor) evalMember(ws *dist.Workspace, q, v []float64, bound float64) (lb, d float64, ran bool) {
-	if !p.opts.DisableLowerBounds {
-		lb = dist.LBKim(q, v)
-	}
-	if lb >= bound {
+// evalMember evaluates one candidate window against a bound: LB_Kim, then
+// the early-abandoning DTW — +Inf, without running, when the lower bound
+// already proves the candidate cannot beat the bound (the replay never
+// reads the distance in that case). ran reports whether a DTW ran (Trace
+// accounting). Every caller accepts a distance only strictly below the
+// bound, where the kernel is exact.
+func evalMember(ws *dist.Workspace, q, v []float64, bound float64) (lb, d float64, ran bool) {
+	if lb = dist.LBKim(q, v); lb >= bound {
 		return lb, math.Inf(1), false
 	}
 	return lb, ws.DTWEarlyAbandon(q, v, bound), true
@@ -273,7 +251,7 @@ func (p *Processor) evalRound(q []float64, windows [][]float64, bound float64, l
 		ran := 0
 		for i := w; i < n; i += workers {
 			var ok bool
-			if lbs[i], ds[i], ok = p.evalMember(lws, q, windows[i], bound); ok {
+			if lbs[i], ds[i], ok = evalMember(lws, q, windows[i], bound); ok {
 				ran++
 			}
 		}

@@ -11,7 +11,7 @@ import (
 	"onex/internal/ts"
 )
 
-func buildProcessor(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts Options) *engine {
+func buildProcessor(t *testing.T, d *ts.Dataset, st float64, lengths []int) *engine {
 	t.Helper()
 	gr, err := grouping.Build(d, grouping.Config{ST: st, Lengths: lengths, Seed: 5})
 	if err != nil {
@@ -21,7 +21,7 @@ func buildProcessor(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := newEngine(b, opts)
+	p, err := newEngine(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func italyProcessor(t *testing.T, lengths []int) *engine {
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	return buildProcessor(t, d, 0.2, lengths, Options{})
+	return buildProcessor(t, d, 0.2, lengths)
 }
 
 // bruteBest scans every subsequence of the given length for the true best
@@ -55,14 +55,11 @@ func bruteBest(d *ts.Dataset, q []float64, length int) (best float64) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
+	if _, err := New(nil, 0); err == nil {
 		t.Error("nil base: want error")
 	}
-	d := ts.NewDataset("t", [][]float64{{1, 2, 3, 4}})
-	gr, _ := grouping.Build(d, grouping.Config{ST: 0.5, Lengths: []int{2}, Seed: 1})
-	b, _ := rspace.New(d, gr, rspace.Options{})
-	if _, err := newEngine(b, Options{CandidateLimit: -1}); err == nil {
-		t.Error("negative candidate limit: want error")
+	if _, err := NewScatter(nil, 0, nil); err == nil {
+		t.Error("nil global base: want error")
 	}
 }
 
@@ -178,29 +175,29 @@ func TestBestMatchAnyQueryLengthNotIndexed(t *testing.T) {
 	}
 }
 
-func TestDisableEarlyStopVisitsAllLengths(t *testing.T) {
+// TestEarlyStopFires: the query's own length is searched first, and a
+// representative of it within ST/2 ends the Match=Any search there.
+func TestEarlyStopFires(t *testing.T) {
 	d := dataset.ItalyPower.Scaled(0.3).Generate(8)
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
 	lengths := []int{5, 8, 11}
-	pStop := buildProcessor(t, d, 0.2, lengths, Options{})
-	pAll := buildProcessor(t, d, 0.2, lengths, Options{DisableEarlyStop: true})
+	p := buildProcessor(t, d, 0.2, lengths)
 	q := append([]float64(nil), d.Series[0].Values[0:8]...)
-	_, trStop, err := pStop.BestMatchTraced(q, MatchAny)
+	nearest := math.Inf(1)
+	for _, g := range p.Base().Entry(8).Groups {
+		nearest = math.Min(nearest, dist.NormalizedDTW(q, g.Rep))
+	}
+	if nearest > 0.2/2 {
+		t.Fatalf("fixture has no representative within ST/2 (nearest %v)", nearest)
+	}
+	_, tr, err := p.BestMatchTraced(q, MatchAny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, trAll, err := pAll.BestMatchTraced(q, MatchAny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trAll.LengthsVisited != len(lengths) {
-		t.Errorf("exhaustive visited %d lengths, want %d", trAll.LengthsVisited, len(lengths))
-	}
-	if trStop.LengthsVisited > trAll.LengthsVisited {
-		t.Errorf("early stop visited more lengths (%d) than exhaustive (%d)",
-			trStop.LengthsVisited, trAll.LengthsVisited)
+	if tr.LengthsVisited >= len(lengths) {
+		t.Errorf("visited %d of %d lengths despite a representative within ST/2", tr.LengthsVisited, len(lengths))
 	}
 }
 
@@ -226,59 +223,72 @@ func TestLengthOrder(t *testing.T) {
 	}
 }
 
-func TestCandidateLimit(t *testing.T) {
-	d := dataset.ItalyPower.Scaled(0.5).Generate(8)
-	if err := d.NormalizeMinMax(); err != nil {
-		t.Fatal(err)
+// plainWalk is the reference of one group's Sec. 5.3 pivot walk with no
+// pruning at all: every member in pivot order gets a full dist.DTW, until
+// patience consecutive members fail to improve. It returns the best member
+// and its raw distance.
+func plainWalk(d *ts.Dataset, q []float64, g *grouping.Group, repNorm float64) (grouping.Member, float64) {
+	var w dist.Workspace
+	walk := newPivotWalk(g.Members, repNorm)
+	var best grouping.Member
+	bestRaw := math.Inf(1)
+	for since := 0; since < patience; {
+		idx := walk.next()
+		if idx < 0 {
+			break
+		}
+		m := g.Members[idx]
+		if raw := w.DTW(q, d.Series[m.SeriesIdx].Values[m.Start:m.Start+g.Length]); raw < bestRaw {
+			best, bestRaw, since = m, raw, 0
+		} else {
+			since++
+		}
 	}
-	pAll := buildProcessor(t, d, 0.2, []int{8}, Options{})
-	pOne := buildProcessor(t, d, 0.2, []int{8}, Options{CandidateLimit: 1})
-	q := append([]float64(nil), d.Series[4].Values[3:11]...)
-	mAll, trAll, err := pAll.BestMatchTraced(q, MatchExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mOne, trOne, err := pOne.BestMatchTraced(q, MatchExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trOne.MembersTested != 1 {
-		t.Errorf("limit 1 tested %d members", trOne.MembersTested)
-	}
-	if trAll.MembersTested < trOne.MembersTested {
-		t.Errorf("unlimited tested fewer members (%d) than limited (%d)",
-			trAll.MembersTested, trOne.MembersTested)
-	}
-	if mAll.Dist > mOne.Dist+1e-12 {
-		t.Errorf("testing more members worsened the match: %v vs %v", mAll.Dist, mOne.Dist)
-	}
+	return best, bestRaw
 }
 
+// TestLowerBoundAblation: the LB_Kim → LB_Keogh cascade and the early
+// abandoning are admissible. The engine mines the representative that plain
+// DTW ranks first (ties to the smallest id) and returns the member an
+// unpruned walk from it finds.
 func TestLowerBoundAblation(t *testing.T) {
-	// Disabling the LB cascade must not change the answer, only the work.
 	d := dataset.ECG.Scaled(0.1).Generate(2)
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	pLB := buildProcessor(t, d, 0.2, []int{24}, Options{})
-	pNo := buildProcessor(t, d, 0.2, []int{24}, Options{DisableLowerBounds: true})
-	q := append([]float64(nil), d.Series[1].Values[10:34]...)
-	mLB, trLB, err := pLB.BestMatchTraced(q, MatchExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mNo, trNo, err := pNo.BestMatchTraced(q, MatchExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mLB.Dist-mNo.Dist) > 1e-9 {
-		t.Errorf("LB cascade changed the answer: %v vs %v", mLB.Dist, mNo.Dist)
-	}
-	if trNo.PrunedByKim != 0 || trNo.PrunedByKeogh != 0 {
-		t.Errorf("disabled cascade still pruned: %+v", trNo)
-	}
-	if trLB.PrunedByKim+trLB.PrunedByKeogh == 0 {
-		t.Log("note: cascade pruned nothing on this workload (allowed, but unusual)")
+	const L = 24
+	p := buildProcessor(t, d, 0.2, []int{L})
+	divisor := dist.NormalizedDTWDivisor(L, L)
+	var w dist.Workspace
+	for qi, src := range [][2]int{{1, 10}, {0, 40}, {2, 5}, {3, 70}} {
+		q := append([]float64(nil), d.Series[src[0]].Values[src[1]:src[1]+L]...)
+		if qi%2 == 1 {
+			for i := range q {
+				q[i] = q[i]*0.9 + 0.03
+			}
+		}
+		m, tr, err := p.BestMatchTraced(q, MatchExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := p.Base().Entry(L).Groups
+		argmin, minRaw := -1, math.Inf(1)
+		for k, g := range groups {
+			if raw := w.DTW(q, g.Rep); raw < minRaw {
+				argmin, minRaw = k, raw
+			}
+		}
+		if m.GroupID != argmin {
+			t.Fatalf("query %d: engine mined group %d, plain DTW ranks group %d first", qi, m.GroupID, argmin)
+		}
+		want, wantRaw := plainWalk(d, q, groups[argmin], minRaw/divisor)
+		if m.SeriesID != want.SeriesIdx || m.Start != want.Start || m.RawDTW != wantRaw {
+			t.Fatalf("query %d: engine matched (%d,%d) at %v, the unpruned walk (%d,%d) at %v",
+				qi, m.SeriesID, m.Start, m.RawDTW, want.SeriesIdx, want.Start, wantRaw)
+		}
+		if tr.PrunedByKim+tr.PrunedByKeogh == 0 {
+			t.Logf("query %d: the cascade pruned nothing (allowed, but unusual)", qi)
+		}
 	}
 }
 

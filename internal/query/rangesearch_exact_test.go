@@ -101,7 +101,7 @@ func TestConstantQuerySemantics(t *testing.T) {
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	p := buildProcessor(t, d, 0.2, []int{8}, Options{})
+	p := buildProcessor(t, d, 0.2, []int{8})
 	flat := make([]float64, 8)
 	for i := range flat {
 		flat[i] = 0.5

@@ -163,7 +163,7 @@ func TestRangeSearchPruningSavesWork(t *testing.T) {
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	p := buildProcessor(t, d, 0.2, []int{24}, Options{})
+	p := buildProcessor(t, d, 0.2, []int{24})
 	q := append([]float64(nil), d.Series[0].Values[10:34]...)
 	res, err := p.RangeSearch(q, 24, 0.002)
 	if err != nil {

@@ -71,9 +71,11 @@ type Scatter struct {
 // NewScatter assembles the executor over the shard transports. global must
 // hold the full dataset and, per indexed length, the complete global group
 // vector (Groups[k].ID == k); the transports must partition the series and
-// cover every global group's scan exactly once (Info().Owned).
-func NewScatter(global *rspace.Base, opts Options, transports []ShardTransport) (*Scatter, error) {
-	gp, err := New(global, opts)
+// cover every global group's scan exactly once (Info().Owned). parallelism
+// is the coordinator's worker count (see New); every shard request carries
+// it.
+func NewScatter(global *rspace.Base, parallelism int, transports []ShardTransport) (*Scatter, error) {
+	gp, err := New(global, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +254,7 @@ func (s *Scatter) bestMatch(ctx context.Context, q []float64, mode MatchMode, re
 		// Sec. 5.3 stop rule, on the globally best representative: one
 		// within ST/2 guarantees (Lemma 2) its group's members are
 		// within ST of the query.
-		if !s.global.opts.DisableEarlyStop && repNorm <= s.global.base.ST/2 {
+		if repNorm <= s.global.base.ST/2 {
 			break
 		}
 	}
@@ -363,7 +365,7 @@ func (s *Scatter) evalRound(ctx context.Context, q []float64, length int,
 		for i, m := range batch {
 			v := s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+length]
 			var ran bool
-			if lbs[i], ds[i], ran = s.global.evalMember(ws, q, v, bound); ran {
+			if lbs[i], ds[i], ran = evalMember(ws, q, v, bound); ran {
 				dtws++
 			}
 		}
@@ -435,7 +437,7 @@ func (s *Scatter) evalRound(ctx context.Context, q []float64, length int,
 // mineGroup verifies members of global group k against the query in pivot
 // order: the LSI array is sorted by ED-to-rep, and the paper starts from the
 // member whose ED is closest to DTW(query, rep), expanding alternately to
-// smaller and larger EDs, until Patience consecutive members fail to
+// smaller and larger EDs, until patience consecutive members fail to
 // improve. LB_Kim (O(1), admissible for any warping path) skips the bulk of
 // hopeless members once a good best-so-far exists; the rest run
 // early-abandoning DTW.
@@ -460,27 +462,15 @@ func (s *Scatter) mineGroup(ctx context.Context, q []float64, e *rspace.LengthEn
 		return nil
 	}
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
-	limit := s.global.opts.CandidateLimit
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	patience := s.global.opts.Patience
-	if patience == 0 {
-		patience = DefaultPatience
-	}
 	walk := newPivotWalk(g.Members, repNormDTW)
 	bestRaw := best.Dist * divisor // +Inf-safe: Inf*x = Inf
 	round, ws := s.roundFor(rf, n)
 
 	sinceImprove := 0
-	tested := 0
-	for tested < limit {
-		if patience > 0 && sinceImprove >= patience {
-			return nil
-		}
+	for sinceImprove < patience {
 		// Collect the next round of members in walk order.
 		batch := rf.batch[:0]
-		for len(batch) < round && tested+len(batch) < limit {
+		for len(batch) < round {
 			idx := walk.next()
 			if idx < 0 {
 				break
@@ -497,12 +487,11 @@ func (s *Scatter) mineGroup(ctx context.Context, q []float64, e *rspace.LengthEn
 		tr.DTWComputed += dtws
 		// Replay the bookkeeping sequentially in walk order.
 		for i, m := range batch {
-			if patience > 0 && sinceImprove >= patience {
+			if sinceImprove >= patience {
 				return nil
 			}
 			tr.MembersTested++
-			tested++
-			if !s.global.opts.DisableLowerBounds && rf.lbs[i] >= bestRaw {
+			if rf.lbs[i] >= bestRaw {
 				sinceImprove++
 				continue
 			}
@@ -659,11 +648,11 @@ func (s *Scatter) verifyGroupK(ctx context.Context, q []float64, g *grouping.Gro
 		cutoff := heap.kth() * divisor
 		tr.MembersTested++
 		v := s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+length]
-		lb, d, ran := s.global.evalMember(ws, q, v, cutoff)
+		lb, d, ran := evalMember(ws, q, v, cutoff)
 		if ran {
 			tr.DTWComputed++
 		}
-		if !s.global.opts.DisableLowerBounds && lb >= cutoff {
+		if lb >= cutoff {
 			tr.PrunedByKim++
 			continue
 		}
@@ -744,8 +733,7 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.Lengt
 			// The reference's two tests, verbatim (LB_Kim is O(1); the
 			// coordinator holds every series).
 			cutoff := heap.kth() * divisor
-			if !s.global.opts.DisableLowerBounds &&
-				dist.LBKim(q, s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start:m.Start+e.Length]) >= cutoff {
+			if dist.LBKim(q, s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start:m.Start+e.Length]) >= cutoff {
 				continue
 			}
 			if d := math.Float64frombits(h.DistBits); d < cutoff {

@@ -23,7 +23,7 @@ func repeatingDataset() *ts.Dataset {
 
 func TestSeasonalSampleFindsRecurringMotif(t *testing.T) {
 	d := repeatingDataset()
-	p := buildProcessor(t, d, 0.3, []int{4}, Options{})
+	p := buildProcessor(t, d, 0.3, []int{4})
 	groups, err := p.SeasonalSample(0, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestSeasonalSampleFindsRecurringMotif(t *testing.T) {
 }
 
 func TestSeasonalSampleErrors(t *testing.T) {
-	p := buildProcessor(t, repeatingDataset(), 0.3, []int{4}, Options{})
+	p := buildProcessor(t, repeatingDataset(), 0.3, []int{4})
 	if _, err := p.SeasonalSample(0, 5); err == nil {
 		t.Error("unindexed length: want error")
 	}
@@ -74,7 +74,7 @@ func TestSeasonalSampleErrors(t *testing.T) {
 }
 
 func TestSeasonalAll(t *testing.T) {
-	p := buildProcessor(t, repeatingDataset(), 0.3, []int{4}, Options{})
+	p := buildProcessor(t, repeatingDataset(), 0.3, []int{4})
 	groups, err := p.SeasonalAll(4)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestSeasonalSampleNonRecurringSeries(t *testing.T) {
 	// each window differs) — with a tight threshold it has no recurring
 	// groups.
 	d := repeatingDataset()
-	p := buildProcessor(t, d, 0.01, []int{4}, Options{})
+	p := buildProcessor(t, d, 0.01, []int{4})
 	groups, err := p.SeasonalSample(1, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -258,23 +258,22 @@ type RangeResponse struct {
 // to those series. A worker rebuilds the exact in-process index from it
 // (BuildLocalShard runs the same rspace/query constructors the coordinator
 // runs for a local shard, on the same inputs), so remote answers are
-// bit-identical to local ones.
+// bit-identical to local ones. It carries no query settings: the query
+// algorithm has one configuration, and each request brings its own worker
+// budget.
 //
 // Generation identifies one immutable incarnation of the shard's state:
 // every maintenance step that touches the shard ships a fresh generation,
 // and workers key their resident state by (Dataset, Generation, Shard) —
 // the idempotency key that makes shipping and re-shipping safe to retry.
 type ShardSpec struct {
-	Dataset    string  `json:"dataset"`
-	Generation string  `json:"generation"`
-	Shard      int     `json:"shard"`
-	Shards     int     `json:"shards"`
-	ST         float64 `json:"st"`
-	// Opts are the query-processor options (parallelism defaults are
-	// resolved worker-side).
-	Opts    Options      `json:"opts"`
-	Series  []SpecSeries `json:"series"`
-	Lengths []SpecLength `json:"lengths"`
+	Dataset    string       `json:"dataset"`
+	Generation string       `json:"generation"`
+	Shard      int          `json:"shard"`
+	Shards     int          `json:"shards"`
+	ST         float64      `json:"st"`
+	Series     []SpecSeries `json:"series"`
+	Lengths    []SpecLength `json:"lengths"`
 }
 
 // SpecSeries is one shipped series: its global id and normalized values.

@@ -152,7 +152,7 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 			if single {
 				for _, m := range round {
 					v := ls.proc.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+req.Length]
-					lb, d, ran := exec.evalMember(ws, q, v, bound())
+					lb, d, ran := evalMember(ws, q, v, bound())
 					if ran {
 						dtws++
 					}
@@ -169,9 +169,7 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 				}
 			}
 			resp.DTWComputed += dtws
-			if !exec.opts.DisableLowerBounds {
-				resp.PrunedByKim += len(round) - dtws
-			}
+			resp.PrunedByKim += len(round) - dtws
 		}
 	}
 	return resp, nil

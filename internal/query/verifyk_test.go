@@ -39,7 +39,7 @@ func (c countdownCtx) Err() error {
 func phaseFixture(t *testing.T) (seq, par *engine, q []float64) {
 	t.Helper()
 	d := equivDataset(4242, 24, 64)
-	seq, par = equivProcessors(t, d, 2.0, []int{16}, Options{})
+	seq, par = equivProcessors(t, d, 2.0, []int{16})
 	return seq, par, randomQuery(rand.New(rand.NewSource(5)), d, 16)
 }
 
@@ -116,7 +116,7 @@ func TestVerifyKCancellation(t *testing.T) {
 	// Both representative scans poll per rangePollEvery units of each
 	// worker, at every layout: a canceled scan is an error with an empty
 	// answer, and a completed one is the answer of an uncanceled call.
-	_, tight := equivProcessors(t, equivDataset(4242, 24, 64), 0.05, []int{16}, Options{})
+	_, tight := equivProcessors(t, equivDataset(4242, 24, 64), 0.05, []int{16})
 	for _, shards := range []int{1, 3} {
 		for _, ls := range splitShards(t, tight.proc, shards) {
 			n := len(ls.units[16])
@@ -348,7 +348,7 @@ func TestVerifyPhaseRejectsForeignHits(t *testing.T) {
 		},
 	}
 	for name, tamper := range tampers {
-		sc, err := NewScatter(par.Base(), par.proc.opts, []ShardTransport{tamperShard{wholeShard(par), tamper}})
+		sc, err := NewScatter(par.Base(), par.proc.workers, []ShardTransport{tamperShard{wholeShard(par), tamper}})
 		if err != nil {
 			t.Fatal(err)
 		}

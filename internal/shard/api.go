@@ -79,7 +79,7 @@ func (e *Engine) DegreeOf(st float64) rspace.Degree {
 
 // criticalValues returns the global grouping's critical thresholds of one
 // length, computing its cell on first read; length < 0 selects the maxima
-// over lengths, filling every cell on cfg.Workers.
+// over lengths, filling every cell on cfg.Parallelism.
 func (e *Engine) criticalValues(length int) (half, final float64, err error) {
 	if length >= 0 {
 		if _, ok := e.sp[length]; !ok {
@@ -91,7 +91,7 @@ func (e *Engine) criticalValues(length int) (half, final float64, err error) {
 	lengths := e.grouped.Lengths
 	halves := make([]float64, len(lengths))
 	finals := make([]float64, len(lengths))
-	parallel.ForEach(e.cfg.Workers, len(lengths), func(i int) {
+	parallel.ForEach(e.cfg.Parallelism, len(lengths), func(i int) {
 		halves[i], finals[i] = e.cellValues(lengths[i])
 	})
 	for i := range lengths {
@@ -229,6 +229,12 @@ type Stat struct {
 	Subsequences int64
 	// IndexBytes estimates the shard's GTI+LSI size.
 	IndexBytes int64
+}
+
+// Parallelism reports the resolved worker fan-out of the engine's queries,
+// assembly and maintenance (≥ 1).
+func (e *Engine) Parallelism() int {
+	return parallel.Resolve(e.cfg.Parallelism)
 }
 
 // ShardCount reports the serving layout's shard count (≥ 1).

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"onex/internal/core"
@@ -141,7 +142,7 @@ func TestMetadataRoundTrip(t *testing.T) {
 	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, nil)
+	loaded, err := Load(&buf, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +260,7 @@ func TestBuildTimeFormatsInErrors(t *testing.T) {
 func buildPersistFixture(t *testing.T) *Engine {
 	t.Helper()
 	d := fixture(t)
-	eng, err := build(d, core.BuildConfig{
-		ST: 0.2, Lengths: []int{6, 12}, Seed: 3,
-		Query: query.Options{CandidateLimit: 7, Patience: 16},
-	})
+	eng, err := build(d, core.BuildConfig{ST: 0.2, Lengths: []int{6, 12}, Seed: 3, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +273,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, nil)
+	loaded, err := Load(&buf, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +307,33 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// Loaded engines remain extendable (grouped state survived).
 	if _, err := loaded.Extend(fixture(t).Series[:1]); err != nil {
 		t.Errorf("loaded engine not extendable: %v", err)
+	}
+}
+
+// TestLoadTakesServingParallelism: a snapshot carries no worker count; the
+// reloaded engine serves, and its maintenance successors work, with the one
+// Load is given (≤ 0: GOMAXPROCS), whatever the saved engine ran at.
+func TestLoadTakesServingParallelism(t *testing.T) {
+	eng := buildPersistFixture(t)
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ given, want int }{{1, 1}, {3, 3}, {0, runtime.GOMAXPROCS(0)}} {
+		loaded, err := Load(bytes.NewReader(buf.Bytes()), c.given, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.Parallelism(); got != c.want {
+			t.Errorf("Load at %d serves at %d, want %d", c.given, got, c.want)
+		}
+		grown, err := loaded.Append(0, []float64{0.4, 0.6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := grown.Parallelism(); got != c.want {
+			t.Errorf("Load at %d: appended engine serves at %d, want %d", c.given, got, c.want)
+		}
 	}
 }
 
@@ -571,7 +596,7 @@ func TestAppendPersistRoundTripKeepsDrift(t *testing.T) {
 	if err := grown.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, nil)
+	loaded, err := Load(&buf, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,8 +255,7 @@ func TestShardEquivalence(t *testing.T) {
 					d := randomDataset(r, 18, 32)
 					cfg := core.BuildConfig{
 						ST: st, Lengths: lengths, Seed: seed,
-						Workers: parallelism,
-						Query:   query.Options{Parallelism: parallelism},
+						Parallelism: parallelism,
 					}
 					one, err := Build(d, cfg, 1, nil)
 					if err != nil {
@@ -290,9 +289,8 @@ func TestShardEquivalenceMaintenance(t *testing.T) {
 				d := randomDataset(r, 12, 28)
 				cfg := core.BuildConfig{
 					ST: st, Lengths: lengths, Seed: seed,
-					Workers:      parallelism,
+					Parallelism:  parallelism,
 					RebuildDrift: 0.2, // make some steps rebuild
-					Query:        query.Options{Parallelism: parallelism},
 				}
 				one, err := Build(d, cfg, 1, nil)
 				if err != nil {

@@ -57,7 +57,7 @@ func TestWritePathsComputeNoThresholds(t *testing.T) {
 			if err := e.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Load(&buf, nil); err != nil {
+			if _, err := Load(&buf, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			expectNoPasses(t, before, "Load")
@@ -179,7 +179,7 @@ func TestThresholdCellSharing(t *testing.T) {
 func TestConcurrentFirstReadsShareCells(t *testing.T) {
 	lengths := []int{8, 12, 16}
 	r := rand.New(rand.NewSource(9001))
-	cfg := core.BuildConfig{ST: 0.35, Lengths: lengths, Seed: 3, RebuildDrift: -1, Workers: 2}
+	cfg := core.BuildConfig{ST: 0.35, Lengths: lengths, Seed: 3, RebuildDrift: -1, Parallelism: 2}
 	e0, err := Build(randomDataset(r, 12, 28), cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestConcurrentFirstReadsShareCells(t *testing.T) {
 		if err := e.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Load(&buf, nil)
+		fresh, err := Load(&buf, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

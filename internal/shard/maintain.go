@@ -118,7 +118,7 @@ func (e *Engine) maintenanceConfig() grouping.Config {
 	return grouping.Config{
 		ST:      e.cfg.ST,
 		Seed:    e.cfg.Seed,
-		Workers: e.cfg.Workers,
+		Workers: e.cfg.Parallelism,
 	}
 }
 
@@ -151,7 +151,7 @@ func (e *Engine) maintainOrRebuild(work *ts.Dataset, newCount int64, homes []int
 			ST:       e.cfg.ST,
 			Lengths:  e.grouped.Lengths,
 			Seed:     e.cfg.Seed,
-			Workers:  e.cfg.Workers,
+			Workers:  e.cfg.Parallelism,
 			Progress: e.cfg.Progress,
 			Cancel:   e.cfg.Cancel,
 		})

@@ -35,11 +35,14 @@ func (e *Engine) Save(w io.Writer) error {
 // answers identically to the saved engine. The SP-Space thresholds are not
 // stored and not recomputed here: the first Recommend computes them.
 //
-// workers is serving-time configuration, never persisted: a non-empty list
-// re-ships the re-derived shard state to remote worker processes (fresh
-// generations — a coordinator restart is exactly the worker-restart path in
-// reverse), so the same snapshot serves in-process or distributed.
-func Load(r io.Reader, workers []string) (*Engine, error) {
+// parallelism and workers are serving-time configuration, never persisted:
+// parallelism is the worker fan-out of the reload's assembly, of queries and
+// of later maintenance (core.BuildConfig.Parallelism), and a non-empty
+// workers list re-ships the re-derived shard state to remote worker
+// processes (fresh generations — a coordinator restart is exactly the
+// worker-restart path in reverse), so the same snapshot serves in-process
+// or distributed.
+func Load(r io.Reader, parallelism int, workers []string) (*Engine, error) {
 	snap, err := core.DecodeSnapshot(r)
 	if err != nil {
 		return nil, err
@@ -48,6 +51,7 @@ func Load(r io.Reader, workers []string) (*Engine, error) {
 	if shards > snap.Dataset.N() {
 		shards = snap.Dataset.N() // defensive: Build clamps the same way
 	}
+	snap.Cfg.Parallelism = parallelism
 	e := &Engine{
 		shards:     shards,
 		workerURLs: append([]string(nil), workers...),

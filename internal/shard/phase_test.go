@@ -59,7 +59,7 @@ func TestKNNCallsPerShard(t *testing.T) {
 	d := randomDataset(r, 24, 48)
 	lengths := []int{8, 12, 16}
 	e, err := Build(d, core.BuildConfig{
-		ST: 0.35, Lengths: lengths, Seed: 1, Workers: 2, Query: query.Options{Parallelism: 2},
+		ST: 0.35, Lengths: lengths, Seed: 1, Parallelism: 2,
 	}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestKNNCallsPerShard(t *testing.T) {
 		counted[i] = &countingShard{ShardTransport: p.transport}
 		transports[i] = counted[i]
 	}
-	sc, err := query.NewScatter(global, e.cfg.Query, transports)
+	sc, err := query.NewScatter(global, e.cfg.Parallelism, transports)
 	if err != nil {
 		t.Fatal(err)
 	}

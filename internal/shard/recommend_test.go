@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"onex/internal/core"
-	"onex/internal/query"
 	"onex/internal/rspace"
 	"onex/internal/ts"
 )
@@ -30,7 +29,7 @@ func TestRecommendExactAcrossShards(t *testing.T) {
 	const st = 0.35
 	r := rand.New(rand.NewSource(9341))
 	d := randomDataset(r, 18, 32)
-	cfg := core.BuildConfig{ST: st, Lengths: lengths, Seed: 1, Query: query.Options{}}
+	cfg := core.BuildConfig{ST: st, Lengths: lengths, Seed: 1}
 
 	one, err := Build(d, cfg, 1, nil)
 	if err != nil {
@@ -111,7 +110,7 @@ func TestDegreeOfPopulatedThresholds(t *testing.T) {
 	const st = 0.35
 	r := rand.New(rand.NewSource(4519))
 	d := randomDataset(r, 14, 30)
-	cfg := core.BuildConfig{ST: st, Lengths: lengths, Seed: 2, Query: query.Options{}}
+	cfg := core.BuildConfig{ST: st, Lengths: lengths, Seed: 2}
 
 	one, err := Build(d, cfg, 1, nil)
 	if err != nil {
@@ -180,7 +179,7 @@ func TestRecommendExactAfterMaintenance(t *testing.T) {
 			if err := e.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := Load(&buf, nil)
+			fresh, err := Load(&buf, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -87,8 +87,7 @@ func TestRemoteEquivalence(t *testing.T) {
 				d := randomDataset(r, 16, 32)
 				cfg := core.BuildConfig{
 					ST: st, Lengths: lengths, Seed: 1,
-					Workers: parallelism,
-					Query:   query.Options{Parallelism: parallelism},
+					Parallelism: parallelism,
 				}
 				urls, _ := startWorkers(t, 2)
 				one, err := Build(d, cfg, 1, nil)
@@ -128,7 +127,7 @@ func TestRemoteMaintenanceEquivalence(t *testing.T) {
 	d := randomDataset(r, 10, 28)
 	cfg := core.BuildConfig{
 		ST: st, Lengths: lengths, Seed: 1,
-		Query: query.Options{Parallelism: 2},
+		Parallelism: 2,
 	}
 	urls, _ := startWorkers(t, 2)
 	one, err := Build(d, cfg, 1, nil)
@@ -193,7 +192,7 @@ func TestRemoteWorkerRestart(t *testing.T) {
 	d := randomDataset(r, 12, 28)
 	cfg := core.BuildConfig{
 		ST: st, Lengths: lengths, Seed: 1,
-		Query: query.Options{Parallelism: 4},
+		Parallelism: 4,
 	}
 	urls, swaps := startWorkers(t, 2)
 	one, err := Build(d, cfg, 1, nil)

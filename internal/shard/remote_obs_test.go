@@ -76,8 +76,7 @@ func TestRemoteObservationalPurity(t *testing.T) {
 				d := randomDataset(r, 14, 32)
 				cfg := core.BuildConfig{
 					ST: st, Lengths: lengths, Seed: 1,
-					Workers: parallelism,
-					Query:   query.Options{Parallelism: parallelism},
+					Parallelism: parallelism,
 				}
 				urls, _ := startWorkers(t, 2)
 				local, err := Build(d, cfg, shards, nil)
@@ -202,7 +201,7 @@ func TestRemoteWorkerSpanWorkAgreement(t *testing.T) {
 	d := randomDataset(r, 12, 30)
 	cfg := core.BuildConfig{
 		ST: st, Lengths: lengths, Seed: 1,
-		Query: query.Options{Parallelism: 2},
+		Parallelism: 2,
 	}
 	urls, _ := startWorkers(t, 2)
 	remote, err := Build(d, cfg, 3, urls)

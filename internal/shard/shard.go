@@ -189,7 +189,7 @@ func ShardOf(seriesID, shards int) int {
 // count: 0 and 1 both mean the one-shard layout; counts above the series
 // count clamp to it (a shard needs at least a chance of holding a series);
 // negative counts error. The input is normalized per cfg into a copy (never
-// modified), the global grouping runs once on cfg.Workers, then the
+// modified), the global grouping runs once on cfg.Parallelism, then the
 // per-shard index layers are derived concurrently on the same pool.
 //
 // A non-empty workers list places every shard on a remote worker process
@@ -217,7 +217,7 @@ func Build(d *ts.Dataset, cfg core.BuildConfig, shards int, workers []string) (*
 		ST:       cfg.ST,
 		Lengths:  cfg.Lengths,
 		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
+		Workers:  cfg.Parallelism,
 		Progress: cfg.Progress,
 		Cancel:   cfg.Cancel,
 	})
@@ -253,7 +253,7 @@ func (e *Engine) whole() bool { return e.shards == 1 && len(e.workerURLs) == 0 }
 func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta) error {
 	parts := make([]*part, e.shards)
 	errs := make([]error, e.shards)
-	parallel.ForEach(e.cfg.Workers, e.shards, func(s int) {
+	parallel.ForEach(e.cfg.Parallelism, e.shards, func(s int) {
 		switch {
 		case prevE != nil && !affected[s]:
 			parts[s] = prevE.parts[s]
@@ -301,7 +301,7 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 			globalBase.Entries[l] = &rspace.LengthEntry{Length: l, Groups: e.grouped.ByLength[l].Groups}
 		}
 	}
-	sc, err := query.NewScatter(globalBase, e.cfg.Query, transports)
+	sc, err := query.NewScatter(globalBase, e.cfg.Parallelism, transports)
 	if err != nil {
 		return err
 	}
@@ -322,7 +322,7 @@ func (e *Engine) wholePart() (*part, error) {
 	for i := range p.series {
 		p.series[i] = i
 	}
-	if p.proc, err = query.New(base, e.cfg.Query); err != nil {
+	if p.proc, err = query.New(base, e.cfg.Parallelism); err != nil {
 		return nil, err
 	}
 	p.base = base
@@ -380,7 +380,7 @@ func buildPart(data *ts.Dataset, gr *grouping.Result, shards, s int, cfg core.Bu
 	if err != nil {
 		return nil, err
 	}
-	return p.finish(s, base, cfg.Query)
+	return p.finish(s, base, cfg.Parallelism)
 }
 
 // buildRemotePart derives one remote shard: the same series routing and
@@ -411,7 +411,6 @@ func (e *Engine) buildRemotePart(s int) (*part, error) {
 		Shard:      s,
 		Shards:     e.shards,
 		ST:         e.grouped.ST,
-		Opts:       e.cfg.Query,
 		Series:     make([]query.SpecSeries, 0, len(p.series)),
 		Lengths:    make([]query.SpecLength, 0, len(e.grouped.Lengths)),
 	}
@@ -501,8 +500,8 @@ func (p *part) sub(data *ts.Dataset, s int) *ts.Dataset {
 
 // finish wraps the restricted base with its query processor and the
 // in-process transport over the part's translation tables.
-func (p *part) finish(s int, base *rspace.Base, qopts query.Options) (*part, error) {
-	proc, err := query.New(base, qopts)
+func (p *part) finish(s int, base *rspace.Base, parallelism int) (*part, error) {
+	proc, err := query.New(base, parallelism)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"onex/internal/core"
-	"onex/internal/query"
 	"onex/internal/ts"
 )
 
@@ -227,7 +226,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	d := randomDataset(r, 14, 28)
 	lengths := []int{6, 10, 14}
 	cfg := core.BuildConfig{ST: 0.3, Lengths: lengths, Seed: 4,
-		Query: query.Options{Parallelism: 2}}
+		Parallelism: 2}
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			e, err := Build(d, cfg, shards, nil)
@@ -243,7 +242,7 @@ func TestPersistRoundTrip(t *testing.T) {
 			if err := e.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := Load(bytes.NewReader(buf.Bytes()), nil)
+			loaded, err := Load(bytes.NewReader(buf.Bytes()), 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

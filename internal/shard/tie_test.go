@@ -73,7 +73,7 @@ func tieLayouts(t *testing.T, d *ts.Dataset, st float64, lengths, shardCounts, w
 			for _, where := range wheres {
 				e, err := Build(d, core.BuildConfig{
 					ST: st, Lengths: lengths, Seed: 13, Normalize: core.NormalizeNone,
-					Workers: p, Query: query.Options{Parallelism: p},
+					Parallelism: p,
 				}, shards, where)
 				if err != nil {
 					t.Fatal(err)

@@ -70,7 +70,7 @@ func buildDataset(d *ts.Dataset, opts Options) (*Base, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Base{eng: eng, opts: opts}, nil
+	return &Base{eng: eng}, nil
 }
 
 // Base is a built ONEX knowledge base: the similarity groups of every
@@ -80,8 +80,7 @@ func buildDataset(d *ts.Dataset, opts Options) (*Base, error) {
 // hash-partitioned across shards and queries scatter and gather — answers
 // are identical at every shard count over the same data.
 type Base struct {
-	eng  *shard.Engine
-	opts Options
+	eng *shard.Engine
 }
 
 // ErrBuildCanceled is returned by Build when Options.Cancel fires before
@@ -362,7 +361,7 @@ func (b *Base) Append(seriesID int, points ...float64) (*Base, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Base{eng: eng, opts: b.opts}, nil
+	return &Base{eng: eng}, nil
 }
 
 // Drift reports the fraction of indexed subsequences assigned incrementally
@@ -391,7 +390,7 @@ func (b *Base) Extend(series []Series) (*Base, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Base{eng: eng, opts: b.opts}, nil
+	return &Base{eng: eng}, nil
 }
 
 // RecommendThreshold answers class III queries: the similarity-threshold
@@ -428,7 +427,7 @@ func (b *Base) WithThreshold(stPrime float64) (*Base, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Base{eng: eng, opts: b.opts}, nil
+	return &Base{eng: eng}, nil
 }
 
 // Save serializes the base (normalized data, similarity groups, build
@@ -440,22 +439,26 @@ func (b *Base) Save(w io.Writer) error {
 }
 
 // Load reopens a base written by Save. The derived index layers are rebuilt
-// from the stored groups; queries answer identically to the saved base.
+// from the stored groups; queries answer identically to the saved base. The
+// base runs at the default parallelism (GOMAXPROCS); LoadDistributed takes
+// another.
 func Load(r io.Reader) (*Base, error) {
-	return LoadDistributed(r, nil)
+	return LoadDistributed(r, 0, nil)
 }
 
-// LoadDistributed is Load with a serving-time worker list: a non-empty
-// workers slice re-derives the snapshot's shards and ships them to the
-// given worker processes (shard s to workers[s%len(workers)]), so the same
-// snapshot serves in-process or distributed. Worker URLs are never
-// persisted — they are this process's deployment, not the base's state.
-func LoadDistributed(r io.Reader, workers []string) (*Base, error) {
-	eng, err := shard.Load(r, workers)
+// LoadDistributed is Load with the serving-time settings a snapshot does
+// not carry: parallelism is Options.Parallelism for the reloaded base (its
+// assembly, queries and maintenance), and a non-empty workers slice
+// re-derives the snapshot's shards and ships them to the given worker
+// processes (shard s to workers[s%len(workers)]), so the same snapshot
+// serves in-process or distributed. Neither is ever persisted — they are
+// this process's deployment, not the base's state.
+func LoadDistributed(r io.Reader, parallelism int, workers []string) (*Base, error) {
+	eng, err := shard.Load(r, parallelism, workers)
 	if err != nil {
 		return nil, err
 	}
-	return &Base{eng: eng, opts: Options{ShardWorkers: append([]string(nil), workers...)}}, nil
+	return &Base{eng: eng}, nil
 }
 
 // SaveFile snapshots the base to path atomically: the stream is written to
@@ -491,18 +494,18 @@ func (b *Base) SaveFile(path string) error {
 
 // LoadFile reopens a base snapshotted with SaveFile.
 func LoadFile(path string) (*Base, error) {
-	return LoadFileDistributed(path, nil)
+	return LoadFileDistributed(path, 0, nil)
 }
 
-// LoadFileDistributed is LoadFile with a serving-time worker list (see
-// LoadDistributed).
-func LoadFileDistributed(path string, workers []string) (*Base, error) {
+// LoadFileDistributed is LoadFile with a serving-time parallelism and
+// worker list (see LoadDistributed).
+func LoadFileDistributed(path string, parallelism int, workers []string) (*Base, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadDistributed(f, workers)
+	return LoadDistributed(f, parallelism, workers)
 }
 
 // ShardWorkers reports the remote worker processes serving the base's
@@ -529,6 +532,7 @@ func (b *Base) Stats() Stats {
 		Rebuilds:        b.eng.Rebuilds(),
 		LastRebuild:     b.eng.LastRebuild(),
 		Shards:          b.eng.ShardCount(),
+		Parallelism:     b.eng.Parallelism(),
 	}
 	qc := b.eng.QueryCounters()
 	st.Query = QueryStats{

@@ -50,9 +50,6 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build("x", sineSeries(2, 32), Options{ST: -0.5}); err == nil {
 		t.Error("negative ST: want error")
 	}
-	if _, err := Build("x", sineSeries(2, 32), Options{ST: 0.2, CandidateLimit: -1}); err == nil {
-		t.Error("negative candidate limit: want error")
-	}
 	if _, err := Build("x", []Series{{Values: []float64{math.NaN()}}}, Options{ST: 0.2}); err == nil {
 		t.Error("NaN data: want error")
 	}

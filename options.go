@@ -22,17 +22,16 @@ type Options struct {
 	// Seed drives the randomized insertion order of Algorithm 1. Builds
 	// are deterministic given the same data, options and seed.
 	Seed int64
-	// Workers bounds build parallelism (0 = GOMAXPROCS). When 0,
-	// Parallelism (if set) takes its place, so one knob can govern both the
-	// offline and online stages.
-	Workers int
-	// Parallelism bounds the worker fan-out of the online stage: single
-	// queries (representative scans, group mining, range-search groups) and
-	// ExecBatch. ≤ 0 selects runtime.GOMAXPROCS(0); 1 forces the
-	// sequential path; values above NumCPU are accepted and merely
-	// oversubscribe the scheduler. Query answers are identical for every
-	// setting — parallel execution is answer-invariant by construction —
-	// so this is purely a latency/throughput knob.
+	// Parallelism bounds the worker fan-out of both stages: the offline
+	// construction and incremental maintenance (grouping, index assembly),
+	// and the online stage — single queries (representative scans, group
+	// mining, range-search groups) and ExecBatch. ≤ 0 selects
+	// runtime.GOMAXPROCS(0); 1 forces the sequential path; values above
+	// NumCPU are accepted and merely oversubscribe the scheduler. Answers
+	// and groupings are identical for every setting — parallel execution is
+	// answer-invariant by construction — so this is purely a
+	// latency/throughput knob. It is serving-time configuration: Save does
+	// not persist it, and LoadDistributed takes it again.
 	Parallelism int
 	// Shards hash-partitions the dataset's series across this many engine
 	// shards, each with its own index layers built concurrently and queried
@@ -75,17 +74,6 @@ type Options struct {
 	// Normalize selects input normalization; default is the paper's
 	// dataset-wide min-max scaling.
 	Normalize NormalizeMode
-	// SearchAllLengths disables the Sec. 5.3 early-stop rule for MatchAny
-	// queries, scanning every indexed length.
-	SearchAllLengths bool
-	// CandidateLimit bounds how many members of the selected group a
-	// similarity query verifies with DTW (0 = no fixed limit; the pivot
-	// walk is then bounded by Patience).
-	CandidateLimit int
-	// Patience bounds the in-group pivot walk: mining stops after this
-	// many consecutive non-improving members (0 = a paper-faithful default
-	// of 32; negative = exhaustive verification of the chosen group).
-	Patience int
 	// Progress, when non-nil, reports offline-construction progress: it is
 	// called after each indexed subsequence length finishes grouping with
 	// the completed and total length counts. Calls are serialized and done
@@ -102,31 +90,18 @@ func (o Options) toCore() (core.BuildConfig, error) {
 	if o.ST <= 0 || math.IsNaN(o.ST) || math.IsInf(o.ST, 0) {
 		return core.BuildConfig{}, fmt.Errorf("onex: Options.ST must be positive, got %v", o.ST)
 	}
-	if o.CandidateLimit < 0 {
-		return core.BuildConfig{}, fmt.Errorf("onex: Options.CandidateLimit must be ≥ 0, got %d", o.CandidateLimit)
-	}
 	if o.Shards < 0 {
 		return core.BuildConfig{}, fmt.Errorf("onex: Options.Shards must be ≥ 0, got %d", o.Shards)
-	}
-	workers := o.Workers
-	if workers == 0 {
-		workers = o.Parallelism
 	}
 	return core.BuildConfig{
 		ST:           o.ST,
 		Lengths:      o.Lengths,
 		Seed:         o.Seed,
-		Workers:      workers,
+		Parallelism:  o.Parallelism,
 		RebuildDrift: o.RebuildDrift,
 		Normalize:    core.NormalizeMode(o.Normalize),
 		Progress:     o.Progress,
 		Cancel:       o.Cancel,
-		Query: query.Options{
-			DisableEarlyStop: o.SearchAllLengths,
-			CandidateLimit:   o.CandidateLimit,
-			Patience:         o.Patience,
-			Parallelism:      o.Parallelism,
-		},
 	}, nil
 }
 

@@ -76,6 +76,10 @@ type Stats struct {
 	// and PerShard describes each shard — see Options.Shards.
 	Shards   int
 	PerShard []ShardStat
+	// Parallelism is the resolved worker fan-out the base serves and
+	// maintains with (Options.Parallelism, GOMAXPROCS when that is ≤ 0; for
+	// a reloaded base, the parallelism given to LoadDistributed).
+	Parallelism int
 	// Query tallies the online work the base has answered since
 	// construction. Process-local: snapshots do not persist it, and
 	// Extend/Append/WithThreshold derivatives start a fresh tally.
