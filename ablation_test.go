@@ -1,7 +1,8 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out that stay
-// choices: construction parallelism, representative strategy, distance cost
-// and incremental maintenance. The Sec. 5.3 query optimizations always run,
-// so they have no ablation here.
+// choices: construction parallelism, distance cost and incremental
+// maintenance. The Sec. 5.3 query optimizations always run, and
+// representatives are always the paper's point-wise averages, so neither
+// has an ablation here.
 package onex
 
 import (
@@ -11,7 +12,6 @@ import (
 	"onex/internal/core"
 	"onex/internal/dataset"
 	"onex/internal/dist"
-	"onex/internal/grouping"
 	"onex/internal/shard"
 	"onex/internal/ts"
 )
@@ -37,60 +37,6 @@ func BenchmarkAblationBuildWorkers(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationDBARepresentatives contrasts ONEX's point-wise-average
-// representatives with DTW-barycenter (DBA) representatives — the design
-// debate of Sec. 7 vs Petitjean et al. [21]. Reported metrics: the mean
-// member-DTW of each representative strategy and the refinement cost.
-func BenchmarkAblationDBARepresentatives(b *testing.B) {
-	d := dataset.ECG.Scaled(0.15).Generate(3)
-	if err := d.NormalizeMinMax(); err != nil {
-		b.Fatal(err)
-	}
-	gr, err := grouping.Build(d, grouping.Config{ST: 0.25, Lengths: []int{24, 48}, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	meanDTW := func(res *grouping.Result) float64 {
-		var sum float64
-		var n int
-		for _, l := range res.Lengths {
-			for _, g := range res.ByLength[l].Groups {
-				if g.Count() < 2 {
-					continue
-				}
-				seqs := make([][]float64, g.Count())
-				for mi, m := range g.Members {
-					seqs[mi] = grouping.MemberValues(d, g, m)
-				}
-				sum += grouping.MeanDTWToCenter(g.Rep, seqs)
-				n++
-			}
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
-	}
-	b.Run("pointwise-average", func(b *testing.B) {
-		var v float64
-		for i := 0; i < b.N; i++ {
-			v = meanDTW(gr)
-		}
-		b.ReportMetric(v, "meanDTW")
-	})
-	b.Run("dba-refined", func(b *testing.B) {
-		var v float64
-		for i := 0; i < b.N; i++ {
-			refined, err := grouping.RefineRepresentativesDBA(d, gr, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			v = meanDTW(refined)
-		}
-		b.ReportMetric(v, "meanDTW")
-	})
 }
 
 // BenchmarkExtensionElasticDistances compares the per-pair cost of the

@@ -162,7 +162,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		bs.Representatives, bs.Subsequences, float64(bs.IndexBytes)/(1<<20), bs.BuildTime)
 	fmt.Fprintln(stdout, `type "help" for commands`)
 
-	return repl(base, series, stdin, stdout)
+	return repl(base, series, parallelism, stdin, stdout)
 }
 
 func loadSeries(dataPath, genName string, scale float64, seed int64) ([]onex.Series, string, error) {
@@ -208,7 +208,9 @@ func spread(max, count int) []int {
 	return out
 }
 
-func repl(base *onex.Base, series []onex.Series, stdin io.Reader, stdout io.Writer) error {
+// repl serves the interactive commands over base; parallelism is the
+// -parallelism flag, which a base loaded by the load command keeps.
+func repl(base *onex.Base, series []onex.Series, parallelism int, stdin io.Reader, stdout io.Writer) error {
 	sc := bufio.NewScanner(stdin)
 	for {
 		fmt.Fprint(stdout, "onex> ")
@@ -254,7 +256,7 @@ func repl(base *onex.Base, series []onex.Series, stdin io.Reader, stdout io.Writ
 			err = doSave(base, rest, stdout)
 		case "load":
 			var loaded *onex.Base
-			if loaded, err = doLoad(rest, stdout); err == nil {
+			if loaded, err = doLoad(rest, parallelism, stdout); err == nil {
 				base = loaded
 			}
 		default:
@@ -446,7 +448,7 @@ func doSave(base *onex.Base, args []string, w io.Writer) error {
 	return nil
 }
 
-func doLoad(args []string, w io.Writer) (*onex.Base, error) {
+func doLoad(args []string, parallelism int, w io.Writer) (*onex.Base, error) {
 	if len(args) != 1 {
 		return nil, errors.New("usage: load <file>")
 	}
@@ -455,12 +457,13 @@ func doLoad(args []string, w io.Writer) (*onex.Base, error) {
 		return nil, err
 	}
 	defer f.Close()
-	base, err := onex.Load(f)
+	base, err := onex.LoadDistributed(f, parallelism, nil)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "loaded base: %d representatives, ST=%.3f\n",
-		base.Stats().Representatives, base.ST())
+	st := base.Stats()
+	fmt.Fprintf(w, "loaded base: %d representatives, ST=%.3f, parallelism %d\n",
+		st.Representatives, base.ST(), st.Parallelism)
 	return base, nil
 }
 

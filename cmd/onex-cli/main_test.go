@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,6 +141,18 @@ func TestCLISaveLoad(t *testing.T) {
 	out = runScript(t, tinyArgs(), "load /no/such/file\nstats\nquit\n")
 	if !strings.Contains(out, "error:") || !strings.Contains(out, "representatives=") {
 		t.Errorf("failed load should keep session usable: %q", out)
+	}
+}
+
+// TestCLILoadKeepsParallelism: a base reloaded by the load command serves
+// at the session's -parallelism, not at GOMAXPROCS.
+func TestCLILoadKeepsParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	path := filepath.Join(t.TempDir(), "base.onex")
+	args := append(tinyArgs(), "-parallelism", "1")
+	out := runScript(t, args, "save "+path+"\nload "+path+"\nquit\n")
+	if !strings.Contains(out, "loaded base:") || !strings.Contains(out, ", parallelism 1\n") {
+		t.Errorf("reloaded base does not keep -parallelism 1: %q", out)
 	}
 }
 

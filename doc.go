@@ -126,12 +126,13 @@
 // Shards 0 and 1 both mean the one-shard layout: a single in-process shard
 // whose index is built over the global grouping itself. Options.Shards > 1
 // hash-partitions the dataset's series across N shards, each holding its
-// own GTI/LSI index layers over just its series, derived concurrently on
-// the worker pool and queried by scatter-gather: the representative scan
-// fans across shard-owned groups
-// with a shared atomic best-so-far bound (each global group is scanned by
-// exactly one shard), range search runs verbatim per shard and concatenates,
-// and group mining replays the global pivot walk. The similarity grouping
+// own GTI/LSI index layers over just its series — built, concurrently on the
+// worker pool, from the same query.ShardSpec a shard worker is shipped — and
+// queried by scatter-gather: the representative scan fans across
+// shard-owned groups with a shared atomic best-so-far bound (each global
+// group is scanned by exactly one shard), range search runs verbatim per
+// shard and concatenates, k-NN verification runs as one phase per shard at
+// every layout, and group mining replays the global pivot walk. The similarity grouping
 // itself stays global and deterministic — ONEX's query semantics are
 // grouping-dependent, so independent per-shard groupings would change
 // answers — which is what makes sharding a pure scale knob:
@@ -240,7 +241,6 @@ package onex
 //	                              grouping.Member inside groups
 //	ED, ED̄ (Defs. 2, 5)           dist.ED, dist.NormalizedED
 //	DTW, DTW̄ (Defs. 3, 6)         dist.DTW, dist.NormalizedDTW (÷2·max(n,m))
-//	warping path P, w(P)          dist.DTWPath, dist.PathPoint
 //	similarity threshold ST       Options.ST / Base.ST()
 //	similarity group G^i_k        grouping.Group (Def. 8: same length,
 //	                              ED̄ to rep ≤ ST/2, nearest rep)

@@ -56,10 +56,3 @@ func BenchmarkEnvelope1024(b *testing.B) {
 		u, l = Envelope(x, 16, u, l)
 	}
 }
-
-func BenchmarkDTWPath128(b *testing.B) {
-	q, c := benchPair(128)
-	for i := 0; i < b.N; i++ {
-		DTWPath(q, c)
-	}
-}

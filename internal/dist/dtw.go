@@ -160,76 +160,3 @@ func (w *Workspace) DTWEarlyAbandon(q, c []float64, cutoff float64) float64 {
 	}
 	return math.Sqrt(prev[m])
 }
-
-// PathPoint is one cell of a warping path: the first sequence's index I
-// aligned with the second sequence's index J.
-type PathPoint struct {
-	I, J int
-}
-
-// DTWPath returns an optimal unconstrained warping path between a and b —
-// from (0,0) to (len(a)−1, len(b)−1), each step advancing I, J, or both —
-// together with the DTW distance along it. Ties prefer the diagonal step,
-// keeping paths short. Used by DBA to warp member points onto the center.
-func DTWPath(a, b []float64) ([]PathPoint, float64) {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		return nil, 0
-	}
-	inf := math.Inf(1)
-	// Full cumulative matrix with a sentinel row/column of +Inf.
-	acc := make([]float64, (n+1)*(m+1))
-	for j := 0; j <= m; j++ {
-		acc[j] = inf
-	}
-	for i := 1; i <= n; i++ {
-		acc[i*(m+1)] = inf
-	}
-	acc[0] = 0
-	for i := 1; i <= n; i++ {
-		row := acc[i*(m+1):]
-		up := acc[(i-1)*(m+1):]
-		ai := a[i-1]
-		for j := 1; j <= m; j++ {
-			best := up[j-1] // diagonal
-			if up[j] < best {
-				best = up[j]
-			}
-			if row[j-1] < best {
-				best = row[j-1]
-			}
-			d := ai - b[j-1]
-			row[j] = best + d*d
-		}
-	}
-	// Backtrack, preferring the diagonal on ties.
-	path := make([]PathPoint, 0, n+m-1)
-	i, j := n, m
-	for i > 1 || j > 1 {
-		path = append(path, PathPoint{I: i - 1, J: j - 1})
-		diag, upv, left := inf, inf, inf
-		if i > 1 && j > 1 {
-			diag = acc[(i-1)*(m+1)+j-1]
-		}
-		if i > 1 {
-			upv = acc[(i-1)*(m+1)+j]
-		}
-		if j > 1 {
-			left = acc[i*(m+1)+j-1]
-		}
-		switch {
-		case diag <= upv && diag <= left:
-			i, j = i-1, j-1
-		case upv <= left:
-			i--
-		default:
-			j--
-		}
-	}
-	path = append(path, PathPoint{I: 0, J: 0})
-	// Reverse into forward order.
-	for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-		path[l], path[r] = path[r], path[l]
-	}
-	return path, math.Sqrt(acc[n*(m+1)+m])
-}

@@ -213,46 +213,3 @@ func TestDTWEmpty(t *testing.T) {
 		t.Errorf("DTW(x,nil) = %v, want +Inf", d)
 	}
 }
-
-func TestDTWPathProperties(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + r.Intn(20)
-		m := 1 + r.Intn(20)
-		a, b := randSeries(r, n), randSeries(r, m)
-		path, d := DTWPath(a, b)
-		if len(path) == 0 {
-			t.Fatal("empty path for non-empty inputs")
-		}
-		if path[0] != (PathPoint{0, 0}) {
-			t.Fatalf("path starts at %v, want (0,0)", path[0])
-		}
-		if last := path[len(path)-1]; last != (PathPoint{n - 1, m - 1}) {
-			t.Fatalf("path ends at %v, want (%d,%d)", last, n-1, m-1)
-		}
-		var cost float64
-		for i, p := range path {
-			diff := a[p.I] - b[p.J]
-			cost += diff * diff
-			if i == 0 {
-				continue
-			}
-			di, dj := p.I-path[i-1].I, p.J-path[i-1].J
-			if di < 0 || dj < 0 || di > 1 || dj > 1 || (di == 0 && dj == 0) {
-				t.Fatalf("illegal step %v -> %v", path[i-1], p)
-			}
-		}
-		if math.Abs(math.Sqrt(cost)-d) > 1e-9 {
-			t.Fatalf("path cost %v != reported %v", math.Sqrt(cost), d)
-		}
-		if want := naiveDTW(a, b, -1); math.Abs(d-want) > 1e-9 {
-			t.Fatalf("path distance %v != DTW %v", d, want)
-		}
-	}
-}
-
-func TestDTWPathEmpty(t *testing.T) {
-	if path, d := DTWPath(nil, []float64{1}); path != nil || d != 0 {
-		t.Errorf("DTWPath with empty input = %v, %v", path, d)
-	}
-}

@@ -392,7 +392,7 @@ type Stats struct {
 	Maintenance map[string]MaintenanceStats `json:"maintenance"`
 	// Query sums the online-query work tallies (queries answered,
 	// bound-pruning counters) over ready datasets.
-	Query QueryCounters `json:"query"`
+	Query onex.QueryStats `json:"query"`
 	// Events counts hub-lifetime lifecycle work; monotonic (they never
 	// decrease on Drop), so safe to expose as Prometheus counters.
 	Events EventStats `json:"events"`
@@ -411,26 +411,6 @@ type EventStats struct {
 	Rebuilds uint64 `json:"rebuilds"`
 }
 
-// QueryCounters is a dataset's lifetime online-query work tally, shaped for
-// the REST surface (see onex.QueryStats for field semantics).
-type QueryCounters struct {
-	Queries       uint64 `json:"queries"`
-	RepsExamined  uint64 `json:"repsExamined"`
-	PrunedByKim   uint64 `json:"prunedByKim"`
-	PrunedByKeogh uint64 `json:"prunedByKeogh"`
-	DTWComputed   uint64 `json:"dtwComputed"`
-	MembersTested uint64 `json:"membersTested"`
-}
-
-func (c *QueryCounters) add(o QueryCounters) {
-	c.Queries += o.Queries
-	c.RepsExamined += o.RepsExamined
-	c.PrunedByKim += o.PrunedByKim
-	c.PrunedByKeogh += o.PrunedByKeogh
-	c.DTWComputed += o.DTWComputed
-	c.MembersTested += o.MembersTested
-}
-
 // MaintenanceStats is one dataset's amortized-rebuild-policy counters.
 type MaintenanceStats struct {
 	// Drift is the incremental-member fraction since the last full build.
@@ -441,16 +421,6 @@ type MaintenanceStats struct {
 	LastRebuildSeconds float64 `json:"lastRebuildSeconds"`
 	// Shards is the dataset's serving layout (1 = one shard).
 	Shards int `json:"shards"`
-}
-
-// ShardInfo is one shard of a dataset's serving layout, shaped for the REST
-// surface.
-type ShardInfo struct {
-	Shard        int   `json:"shard"`
-	Series       int   `json:"series"`
-	Groups       int   `json:"groups"`
-	Subsequences int64 `json:"subsequences"`
-	IndexBytes   int64 `json:"indexBytes"`
 }
 
 // Stats snapshots the hub-wide counters.
@@ -470,7 +440,7 @@ func (h *Hub) Stats() Stats {
 				LastRebuildSeconds: info.LastRebuildSeconds,
 				Shards:             info.Shards,
 			}
-			st.Query.add(info.Query)
+			st.Query.Add(info.Query)
 		}
 	}
 	st.Cache = h.cache.stats()
@@ -614,8 +584,8 @@ type Info struct {
 
 	// Shards is the serving layout (1 = one shard); ShardStats breaks a
 	// sharded base down per shard (see onex.Options.Shards).
-	Shards     int         `json:"shards,omitempty"`
-	ShardStats []ShardInfo `json:"shardStats,omitempty"`
+	Shards     int              `json:"shards,omitempty"`
+	ShardStats []onex.ShardStat `json:"shardStats,omitempty"`
 	// ShardWorkers lists the remote worker processes serving the shards
 	// (absent for in-process layouts).
 	ShardWorkers []string `json:"shardWorkers,omitempty"`
@@ -629,7 +599,7 @@ type Info struct {
 
 	// Query tallies the online work the current base has answered (cache
 	// hits don't tick it; process-local, reset by rebuild-class swaps).
-	Query QueryCounters `json:"query"`
+	Query onex.QueryStats `json:"query"`
 }
 
 // Info snapshots the dataset's state, metadata and cache counters.
@@ -670,23 +640,8 @@ func (d *Dataset) Info() Info {
 		info.LastRebuildSeconds = st.LastRebuild.Seconds()
 		info.Shards = st.Shards
 		info.ShardWorkers = base.ShardWorkers()
-		info.Query = QueryCounters{
-			Queries:       st.Query.Queries,
-			RepsExamined:  st.Query.RepsExamined,
-			PrunedByKim:   st.Query.PrunedByKim,
-			PrunedByKeogh: st.Query.PrunedByKeogh,
-			DTWComputed:   st.Query.DTWComputed,
-			MembersTested: st.Query.MembersTested,
-		}
-		for _, sh := range st.PerShard {
-			info.ShardStats = append(info.ShardStats, ShardInfo{
-				Shard:        sh.Shard,
-				Series:       sh.Series,
-				Groups:       sh.Groups,
-				Subsequences: sh.Subsequences,
-				IndexBytes:   sh.IndexBytes,
-			})
-		}
+		info.Query = st.Query
+		info.ShardStats = st.PerShard
 	}
 	info.CacheHits = d.hits.Load()
 	info.CacheMisses = d.misses.Load()

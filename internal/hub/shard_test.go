@@ -1,7 +1,10 @@
 package hub
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"onex"
@@ -125,4 +128,81 @@ func TestShardStatsThroughInfo(t *testing.T) {
 	if m.Shards != 3 || m.Drift != 0 || m.Rebuilds != 0 {
 		t.Errorf("maintenance stats = %+v", m)
 	}
+}
+
+// jsonKeys returns the keys of the JSON object raw, in order, with each
+// key's raw value.
+func jsonKeys(t *testing.T, raw []byte) ([]string, map[string]json.RawMessage) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", raw)
+	}
+	var keys []string
+	vals := make(map[string]json.RawMessage)
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		vals[tok.(string)] = v
+	}
+	return keys, vals
+}
+
+// TestStatsJSONShape pins the key names and their order in the dataset info
+// and hub stats bodies — what /v1/datasets/{name}, …/stats, /v1/stats and
+// the append and extend replies encode — down to the query tally and the
+// per-shard entries.
+func TestStatsJSONShape(t *testing.T) {
+	h := New(Config{})
+	defer h.Close()
+	ds, err := h.Register("shape", shardedSpec(9, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, ds)
+	if _, err := ds.Match(context.Background(), make([]float64, 8), onex.MatchExact, 1); err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string, got, want []string) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s keys = %v, want %v", what, got, want)
+		}
+	}
+	queryKeys := []string{"queries", "repsExamined", "prunedByKim", "prunedByKeogh", "dtwComputed", "membersTested"}
+
+	raw, err := json.Marshal(ds.Info())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, vals := jsonKeys(t, raw)
+	same("info", keys, []string{"name", "state", "progress", "generation", "fromSnapshot",
+		"series", "representatives", "subsequences", "indexBytes", "st", "lengths", "buildSeconds",
+		"drift", "rebuilds", "shards", "shardStats", "createdAt", "readyAt",
+		"cacheHits", "cacheMisses", "query"})
+	keys, _ = jsonKeys(t, vals["query"])
+	same("info.query", keys, queryKeys)
+	var perShard []json.RawMessage
+	if err := json.Unmarshal(vals["shardStats"], &perShard); err != nil || len(perShard) != 2 {
+		t.Fatalf("shardStats = %s (%v)", vals["shardStats"], err)
+	}
+	keys, _ = jsonKeys(t, perShard[0])
+	same("info.shardStats[0]", keys, []string{"shard", "series", "groups", "subsequences", "indexBytes"})
+
+	raw, err = json.Marshal(h.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, vals = jsonKeys(t, raw)
+	same("stats", keys, []string{"datasets", "byState", "representatives", "series", "subsequences",
+		"cache", "maintenance", "query", "events"})
+	keys, _ = jsonKeys(t, vals["query"])
+	same("stats.query", keys, queryKeys)
 }

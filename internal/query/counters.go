@@ -44,13 +44,17 @@ func (c *Counters) tick() {
 	c.queries.Add(1)
 }
 
-// CountersSnapshot is a point-in-time copy of a Counters tally, shaped for
-// the REST surface.
+// CountersSnapshot is a point-in-time copy of a Counters tally: the query
+// work tally the engine, the library (onex.QueryStats) and the REST surface
+// report.
 type CountersSnapshot struct {
-	// Queries counts answered queries across every family.
+	// Queries counts answered queries across every family (match, k-NN,
+	// range, seasonal — batch items count individually).
 	Queries uint64 `json:"queries"`
-	// RepsExamined .. MembersTested are the cumulative Q1 work counters
-	// (see Trace for the per-field meaning).
+	// RepsExamined .. MembersTested are the cumulative cascade work counters
+	// of match, k-NN and range queries (see Trace for the per-field
+	// meaning). The split between PrunedByKim and PrunedByKeogh depends on
+	// bound-tightening timing in parallel scans; the totals are the signal.
 	RepsExamined  uint64 `json:"repsExamined"`
 	PrunedByKim   uint64 `json:"prunedByKim"`
 	PrunedByKeogh uint64 `json:"prunedByKeogh"`

@@ -16,12 +16,11 @@ import (
 
 // LocalShard is the in-process ShardTransport: one shard's index (a
 // Processor over the shard's base) plus the local↔global translation
-// tables. The engine (internal/shard) wraps each of its in-process parts
-// in one — the whole base under identity tables when the layout is one
-// shard (NewWholeShard) — and a worker process builds one from a shipped
-// ShardSpec. The construction paths run the same index derivation on the
-// same inputs, so every transport response is bit-identical across them —
-// the property the remote-equivalence suite enforces.
+// tables. A shard of a partitioned layout is built from its ShardSpec by
+// BuildLocalShard, in the engine (internal/shard) and in a worker process
+// alike, so every transport response is bit-identical across them — the
+// property the remote-equivalence suite enforces. The one-shard layout
+// wraps the whole base under identity tables instead (NewWholeShard).
 type LocalShard struct {
 	proc  *Processor
 	shard int
@@ -89,6 +88,9 @@ func NewLocalShard(proc *Processor, shard int, series []int,
 	return ls, nil
 }
 
+// Base returns the shard's base (read-only).
+func (ls *LocalShard) Base() *rspace.Base { return ls.proc.base }
+
 // localGroup resolves a global group id of one length to the shard's local
 // index; ok is false when the shard holds no member of that group.
 func (ls *LocalShard) localGroup(length, global int) (local int, ok bool) {
@@ -121,19 +123,17 @@ func NewWholeShard(proc *Processor) (*LocalShard, error) {
 	return NewLocalShard(proc, 0, series, globalIDs, owned)
 }
 
-// BuildLocalShard derives a shard's index from its shipped spec: the
-// sub-dataset, the restricted grouping (local ids assigned in spec order)
-// and the full GTI/LSI layers — the exact constructors the coordinator
-// runs for an in-process shard, on bit-identical inputs, so the resulting
-// transport answers bit-identically to a local one. A spec no query could
-// run against — a bad length, representative, member window or id order —
-// is refused with ErrBadSpec.
+// BuildLocalShard derives a shard's index from its spec: the sub-dataset,
+// the restricted grouping (local ids assigned in spec order) and the full
+// GTI/LSI layers. It is the one recipe for a shard of a partitioned layout:
+// the engine (internal/shard) builds every in-process shard of one with it,
+// and a worker runs it on the spec it is shipped, so a remote transport
+// answers bit-identically to an in-process one. A spec no query could run
+// against — a bad length, representative, member window or id order — is
+// refused with ErrBadSpec; a spec with no series builds an empty shard.
 func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 	bad := func(format string, args ...any) (*LocalShard, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadSpec, fmt.Sprintf(format, args...))
-	}
-	if len(spec.Series) == 0 {
-		return bad("no series")
 	}
 	data := &ts.Dataset{Name: fmt.Sprintf("%s#%d", spec.Dataset, spec.Shard)}
 	series := make([]int, 0, len(spec.Series))

@@ -32,11 +32,15 @@
 //
 // Scatter is the only coordinator: it walks the lengths, merges the
 // representative scans of its shards, and replays the pivot walk and the
-// k-NN heap against member distances. A Processor holds the kernels one
-// shard runs behind LocalShard (the fixed-cutoff cascade, round evaluation,
-// the k-NN verification phase, range search) plus the grouping-only
-// families (seasonal, threshold adaptation). An unsharded base is the
-// one-shard layout of the same engine.
+// k-NN heap against member distances. The shards walk the k-NN members at
+// every layout, the one-shard layout included (LocalShard.VerifyK); only the
+// best-match replay evaluates members here, one at a time, when every shard
+// is in-process and a round has no concurrency to buy (Scatter.roundFor). A
+// Processor holds the kernels one shard runs behind LocalShard (the
+// fixed-cutoff cascade, round evaluation, the k-NN verification phase,
+// range search) plus the grouping-only families (seasonal, threshold
+// adaptation). An unsharded base is the one-shard layout of the same
+// engine.
 //
 // # One request, two entry points
 //
@@ -56,9 +60,11 @@
 // setting — shards a single query across a bounded worker pool: the
 // representative scan of each length fans out with a shared atomic
 // best-so-far bound (early abandoning keeps pruning across workers), group
-// mining and k-NN verification evaluate rounds of members concurrently, and
-// range search shards across groups. Shard requests carry their own worker
-// budget (the Workers field), so a shard's fan-out follows its coordinator.
+// mining and k-NN verification evaluate rounds of members concurrently (one
+// member at a time against the tightening bound at one worker or in a group
+// under two rounds: roundSize), and range search shards across groups.
+// Shard requests carry their own worker budget (the Workers field), so a
+// shard's fan-out follows its coordinator.
 // The parallel paths are constructed to be *answer-invariant*: every
 // pruning or patience decision is replayed against deterministic bounds,
 // concurrency only decides which DTWs are computed exactly versus proven
@@ -220,6 +226,19 @@ const (
 	scanParallelMin = 16
 	mineBatchSize   = 32
 )
+
+// roundSize is the round rule of both member walks — the pivot-walk replay
+// (Scatter.roundFor) and k-NN verification (LocalShard.VerifyK) — over a
+// group of n members: one member at a time, against the bound as it
+// tightens, when a round has no concurrency to buy (one worker, or fewer
+// than two rounds of members), which saves the DTWs a snapshot bound lets
+// run to completion; rounds of mineBatchSize against a snapshot otherwise.
+func roundSize(workers, n int) int {
+	if workers <= 1 || n < 2*mineBatchSize {
+		return 1
+	}
+	return mineBatchSize
+}
 
 // evalMember evaluates one candidate window against a bound: LB_Kim, then
 // the early-abandoning DTW — +Inf, without running, when the lower bound

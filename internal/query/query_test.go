@@ -63,6 +63,34 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// infoShard reports a forged layout slice over a real shard.
+type infoShard struct {
+	*LocalShard
+	info ShardInfo
+}
+
+func (s infoShard) Info() ShardInfo { return s.info }
+
+// TestNewScatterChecksPartition: the shards' series must partition the
+// dataset's ids — each in range, held once, none missing.
+func TestNewScatterChecksPartition(t *testing.T) {
+	p := italyProcessor(t, []int{8})
+	whole := p.transports[0].(*LocalShard)
+	info := whole.Info()
+	n := len(info.Series)
+	for name, series := range map[string][]int{
+		"outside": append(info.Series[:n-1:n-1], n),
+		"twice":   append(info.Series[:n-1:n-1], 0),
+		"missing": info.Series[:n-1],
+	} {
+		forged := info
+		forged.Series = series
+		if _, err := NewScatter(p.Base(), 1, []ShardTransport{infoShard{whole, forged}}); err == nil {
+			t.Errorf("%s: NewScatter accepted series that do not partition the dataset", name)
+		}
+	}
+}
+
 func TestBestMatchValidatesQuery(t *testing.T) {
 	p := italyProcessor(t, []int{6})
 	if _, err := p.BestMatch(nil, MatchExact); err == nil {

@@ -36,11 +36,10 @@ import (
 //     hint that keeps early abandoning effective across the wire — or, when
 //     every shard is in-process and there is no concurrency to buy, one
 //     member at a time against the tightening bound (see roundFor);
-//   - k-NN member verification is one phase per shard and length: each
-//     shard walks its own members of the candidate groups (VerifyK) and the
-//     heap bookkeeping is replayed here over the distances they report —
-//     or, when every shard is in-process and there is one worker, the walk
-//     itself runs here, one member at a time (see searchLengthK);
+//   - k-NN member verification is one phase per shard and length at every
+//     layout: each shard walks its own members of the candidate groups
+//     (VerifyK) and the heap bookkeeping is replayed here over the
+//     distances they report (see verifyPhaseK);
 //   - range search runs verbatim on every shard — its admission (Lemma 2
 //     premise per member) and per-member verification decisions depend only
 //     on the shared global representatives, so the union of shard result
@@ -61,8 +60,9 @@ type Scatter struct {
 	transports []ShardTransport
 	// infos caches each transport's layout slice (validated at assembly).
 	infos []ShardInfo
-	// route maps global series id → transports index (the member's home).
-	route map[int]int
+	// route maps global series id → transports index (the member's home);
+	// the ids are dense, 0 … N−1.
+	route []int
 	// local reports that every shard is in-process, so the coordinator's
 	// dataset addresses every member window directly.
 	local bool
@@ -83,24 +83,33 @@ func NewScatter(global *rspace.Base, parallelism int, transports []ShardTranspor
 		global:     gp,
 		transports: transports,
 		infos:      make([]ShardInfo, len(transports)),
-		route:      make(map[int]int, global.Dataset.N()),
+		route:      make([]int, global.Dataset.N()),
 		local:      true,
 	}
+	for sid := range s.route {
+		s.route[sid] = -1
+	}
+	held := 0
 	for i, t := range transports {
 		if _, ok := t.(*LocalShard); !ok {
 			s.local = false
 		}
 		s.infos[i] = t.Info()
 		for _, sid := range s.infos[i].Series {
-			if prev, dup := s.route[sid]; dup {
+			if sid < 0 || sid >= len(s.route) {
+				return nil, fmt.Errorf("query: shard %d holds series %d outside %d series",
+					s.infos[i].Shard, sid, len(s.route))
+			}
+			if prev := s.route[sid]; prev >= 0 {
 				return nil, fmt.Errorf("query: series %d held by shards %d and %d",
 					sid, s.infos[prev].Shard, s.infos[i].Shard)
 			}
 			s.route[sid] = i
+			held++
 		}
 	}
-	if len(s.route) != global.Dataset.N() {
-		return nil, fmt.Errorf("query: shards hold %d of %d series", len(s.route), global.Dataset.N())
+	if held != len(s.route) {
+		return nil, fmt.Errorf("query: shards hold %d of %d series", held, len(s.route))
 	}
 	for _, l := range global.Lengths {
 		e := global.Entry(l)
@@ -183,9 +192,9 @@ func fanShards[R any](ctx context.Context, s *Scatter, rec *obs.Trace, span stri
 	return out, nil
 }
 
-// refine is one query's member-evaluation state: the round buffers of the
-// pivot-walk replay and, when every shard is in-process, the DTW scratch of
-// the one-member-at-a-time walks (nil otherwise).
+// refine is one best-match query's member-evaluation state: the round
+// buffers of the pivot-walk replay and, when every shard is in-process, the
+// DTW scratch of the one-member-at-a-time walk (nil otherwise).
 type refine struct {
 	ws      *dist.Workspace
 	batch   []grouping.Member
@@ -204,18 +213,15 @@ func (s *Scatter) newRefine() *refine {
 	return rf
 }
 
-// roundFor picks the pivot-walk replay's round for a group of n members
-// (LocalShard.VerifyK applies the same rule to its own walk). When the
-// members are addressable in-process and a round has no concurrency to buy
-// — one worker, or a group too small for two rounds — it is one member,
-// evaluated here on the returned workspace: the bound then tightens with
-// every improvement, which saves the DTWs a round's snapshot bound lets run
-// to completion. Otherwise it is mineBatchSize members against a snapshot
-// bound, shipped to their home shards (nil workspace). The replay reaches
-// the same decisions for any round size (see mineGroup), so the choice
-// changes how many DTWs run, never an answer.
+// roundFor picks the pivot-walk replay's round for a group of n members.
+// When the members are addressable in-process and roundSize picks one
+// member, it is evaluated here on the returned workspace. Otherwise the
+// round is mineBatchSize members against a snapshot bound, shipped to their
+// home shards (nil workspace). The replay reaches the same decisions for
+// any round size (see mineGroup), so the choice changes how many DTWs run,
+// never an answer.
 func (s *Scatter) roundFor(rf *refine, n int) (int, *dist.Workspace) {
-	if rf.ws != nil && (s.global.workers <= 1 || n < 2*mineBatchSize) {
+	if rf.ws != nil && roundSize(s.global.workers, n) == 1 {
 		return 1, rf.ws
 	}
 	return mineBatchSize, nil
@@ -384,10 +390,7 @@ func (s *Scatter) evalRound(ctx context.Context, q []float64, length int,
 	parts := make([]*part, 0, 2)
 	byTransport := make(map[int]*part, 2)
 	for i, m := range batch {
-		ti, ok := s.route[m.SeriesIdx]
-		if !ok {
-			return 0, fmt.Errorf("query: member series %d not routed to any shard", m.SeriesIdx)
-		}
+		ti := s.route[m.SeriesIdx]
 		p := byTransport[ti]
 		if p == nil {
 			p = &part{transport: ti}
@@ -530,9 +533,6 @@ func (s *Scatter) bestKMatches(ctx context.Context, q []float64, mode MatchMode,
 		return nil, err
 	}
 	heap := newTopK(k)
-	rf := s.newRefine()
-	defer s.global.pool.Put(rf.ws)
-
 	lengths, err := s.searchLengths(mode, len(q))
 	if err != nil {
 		return nil, err
@@ -544,7 +544,7 @@ func (s *Scatter) bestKMatches(ctx context.Context, q []float64, mode MatchMode,
 		if mode == MatchAny {
 			tr.LengthsVisited++
 		}
-		if err := s.searchLengthK(ctx, q, s.global.base.Entry(l), heap, rf, &tr, rec); err != nil {
+		if err := s.searchLengthK(ctx, q, s.global.base.Entry(l), heap, &tr, rec); err != nil {
 			return nil, err
 		}
 	}
@@ -563,15 +563,11 @@ func (s *Scatter) bestKMatches(ctx context.Context, q []float64, mode MatchMode,
 // distance plus the group radius (in raw units) — a heuristic cut mirroring
 // the paper's ST/2-based guarantee. No heap pushes happen during the rep
 // scan, so its cutoff is fixed for the whole length and fanning it across
-// shards and workers changes neither answers nor counters.
-//
-// Who walks the members is read off the layout: with every shard in-process
-// and one worker there is nothing to overlap, so the reference walk runs
-// here against the ever-tightening bound (verifyGroupK); otherwise — remote
-// shards, or workers to spend — it crosses the seam as one phase per shard
-// (verifyPhaseK). Both produce the same heap states.
+// shards and workers changes neither answers nor counters. The shards walk
+// the members of the surviving groups, at every layout, in one
+// verification phase (verifyPhaseK).
 func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.LengthEntry,
-	heap *topK, rf *refine, tr *Trace, rec *obs.Trace) error {
+	heap *topK, tr *Trace, rec *obs.Trace) error {
 
 	if e == nil || len(e.Groups) == 0 {
 		return nil
@@ -612,18 +608,7 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 	}
 	groups := 0
 	var verr error
-	if s.local && s.global.workers <= 1 {
-		for _, rd := range reps {
-			// Re-check against the (possibly tightened) k-th distance.
-			if rd.Dist > heap.kth()*divisor+radiusRaw {
-				break
-			}
-			groups++
-			if verr = s.verifyGroupK(ctx, q, e.Groups[rd.GroupID], rd.GroupID, e.Length, divisor, heap, rf.ws, tr); verr != nil {
-				break
-			}
-		}
-	} else if len(reps) > 0 {
+	if len(reps) > 0 {
 		groups, verr = s.verifyPhaseK(ctx, q, e, reps, divisor, radiusRaw, heap, tr, rec)
 	}
 	if rec != nil {
@@ -632,57 +617,23 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 	return verr
 }
 
-// verifyGroupK is the reference k-NN member walk, run when every shard is
-// in-process and there is one worker: every member of one group, in ED
-// order, on the coordinator's dataset — lower-bound prune against the
-// evolving k-th distance, then early-abandoning DTW, pushing exact distances
-// that beat the cutoff. The bound tightens with every push. gid is the group
-// id recorded on pushed matches.
-func (s *Scatter) verifyGroupK(ctx context.Context, q []float64, g *grouping.Group,
-	gid, length int, divisor float64, heap *topK, ws *dist.Workspace, tr *Trace) error {
-
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, m := range g.Members {
-		cutoff := heap.kth() * divisor
-		tr.MembersTested++
-		v := s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+length]
-		lb, d, ran := evalMember(ws, q, v, cutoff)
-		if ran {
-			tr.DTWComputed++
-		}
-		if lb >= cutoff {
-			tr.PrunedByKim++
-			continue
-		}
-		if d < cutoff {
-			heap.push(Match{
-				SeriesID: m.SeriesIdx,
-				Start:    m.Start,
-				Length:   length,
-				Dist:     d / divisor,
-				RawDTW:   d,
-				GroupID:  gid,
-			})
-		}
-	}
-	return nil
-}
-
-// verifyPhaseK is k-NN member verification across the seam — remote shards,
-// or in-process shards with workers to spend: one VerifyK call per shard,
-// each walking its own members of the candidate groups, then the reference
-// walk of verifyGroupK replayed over the distances they report. The replay
-// visits the groups in candidate order, re-checks the real cut before each,
-// and pushes a group's reported members in the global ED order (each shard
-// reports its members of a group in that order, so walking the global member
-// list and consuming each home shard's next hit interleaves them exactly);
-// what the shards reported past the real cut is dropped. A member no shard
-// reported is one the reference would not push (see LocalShard.VerifyK), so
-// the heap passes through the reference's states: answers, ties included,
-// are those of the one-shard walk. It returns how many groups the real cut
-// admitted; MembersTested counts their sizes.
+// verifyPhaseK is k-NN member verification across the seam: one VerifyK
+// call per shard — inline for one shard, concurrent past one — each walking
+// its own members of the candidate groups, then the plain k-NN walk
+// replayed over the distances they report. The plain walk visits the
+// candidate groups in order until a representative's distance exceeds the
+// real cut kth·divisor + radius, and walks each group's members in ED
+// order, pushing a member iff its LB_Kim and its DTW are both below
+// kth·divisor, kth being the heap's k-th distance at that moment. The
+// replay re-checks the real cut before each group and pushes a group's
+// reported members in the global ED order (each shard reports its members
+// of a group in that order, so walking the global member list and consuming
+// each home shard's next hit interleaves them exactly); what the shards
+// reported past the real cut is dropped. A member no shard reported is one
+// the plain walk would not push (see LocalShard.VerifyK), so the heap passes
+// through the plain walk's states: answers, ties included, are the same at
+// every layout. It returns how many groups the real cut admitted;
+// MembersTested counts their sizes.
 func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.LengthEntry,
 	reps []FixedHit, divisor, radiusRaw float64, heap *topK, tr *Trace, rec *obs.Trace) (int, error) {
 
@@ -730,7 +681,7 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.Lengt
 				continue
 			}
 			next[ti]++
-			// The reference's two tests, verbatim (LB_Kim is O(1); the
+			// The plain walk's two tests, verbatim (LB_Kim is O(1); the
 			// coordinator holds every series).
 			cutoff := heap.kth() * divisor
 			if dist.LBKim(q, s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start:m.Start+e.Length]) >= cutoff {

@@ -81,6 +81,14 @@ type ShardStats struct {
 	IndexBytes int64 `json:"indexBytes"`
 }
 
+// ShardStat is one shard's ShardStats under its index in the layout: the
+// per-shard entry the engine, the library and the REST surface report.
+type ShardStat struct {
+	// Shard is the shard index.
+	Shard int `json:"shard"`
+	ShardStats
+}
+
 // WorkerObs is the worker-side observability payload riding in each query
 // response. WallMicros is always populated by remote workers (one integer,
 // cheap enough to pay untraced) so the coordinator can passively attribute
@@ -255,10 +263,9 @@ type RangeResponse struct {
 
 // ShardSpec is the complete recipe for one shard's index: the shard's
 // series (normalized values) plus the restriction of the global grouping
-// to those series. A worker rebuilds the exact in-process index from it
-// (BuildLocalShard runs the same rspace/query constructors the coordinator
-// runs for a local shard, on the same inputs), so remote answers are
-// bit-identical to local ones. It carries no query settings: the query
+// to those series. BuildLocalShard builds the shard from it — in the engine
+// for an in-process shard, in a worker for a shipped one — so remote answers
+// are bit-identical to local ones. It carries no query settings: the query
 // algorithm has one configuration, and each request brings its own worker
 // budget.
 //

@@ -14,21 +14,19 @@ import (
 // order and, within a group, its own members in the group's ED order (the
 // restriction of the global order), running the per-member cascade — LB_Kim,
 // then early-abandoning DTW — and reports every distance that ran to
-// completion. Rounds follow the rule of Scatter.roundFor: one member at a
-// time against the tightening bound at one worker or in a group too small
-// for two rounds, mineBatchSize members against a snapshot of it otherwise.
+// completion, in the rounds roundSize picks.
 //
 // # Why the answer does not depend on the layout
 //
-// The reference is the one-shard walk at one worker
-// (Scatter.verifyGroupK): groups in candidate order until a representative's
-// distance exceeds cut = kth·divisor + radius, members in ED order, each
-// pushed iff its lower bound and its DTW are both below cutoff = kth·divisor,
-// kth being the k-th distance of the one real heap at that moment. The
-// coordinator replays exactly that over the reported distances
-// (Scatter.verifyPhaseK), so it is enough that no shard drops a member the
-// reference would push. A shard drops a member whose lower bound reaches, or
-// whose DTW exceeds, its own bound
+// The reference is the plain k-NN walk over the global grouping: groups in
+// candidate order until a representative's distance exceeds cut =
+// kth·divisor + radius, members in ED order, each pushed iff its lower bound
+// and its DTW are both below cutoff = kth·divisor, kth being the k-th
+// distance of the one real heap at that moment (TestKNNMatchesPlainWalk in
+// internal/shard holds every layout to it). The coordinator replays exactly
+// that over the reported distances (Scatter.verifyPhaseK), so it is enough
+// that no shard drops a member the reference would push. A shard drops a
+// member whose lower bound reaches, or whose DTW exceeds, its own bound
 //
 //	B = min(request cutoff, max(D, D/divisor·divisor))
 //
@@ -142,7 +140,7 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 			continue
 		}
 		members := e.Groups[local].Members
-		single := exec.workers <= 1 || len(members) < 2*mineBatchSize
+		single := roundSize(exec.workers, len(members)) == 1
 		for off := 0; off < len(members); off += mineBatchSize {
 			if err := ctx.Err(); err != nil {
 				return VerifyKResponse{}, err

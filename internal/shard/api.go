@@ -216,21 +216,6 @@ func (e *Engine) SizeBytes() int64 {
 
 // ---- shard observability ----------------------------------------------
 
-// Stat describes one shard of the layout.
-type Stat struct {
-	// Shard is the shard index.
-	Shard int
-	// Series counts the series routed to this shard.
-	Series int
-	// Groups counts the restricted groups across lengths (a group spanning
-	// k shards appears in k of these counts).
-	Groups int
-	// Subsequences counts the indexed subsequences resident in the shard.
-	Subsequences int64
-	// IndexBytes estimates the shard's GTI+LSI size.
-	IndexBytes int64
-}
-
 // Parallelism reports the resolved worker fan-out of the engine's queries,
 // assembly and maintenance (≥ 1).
 func (e *Engine) Parallelism() int {
@@ -243,17 +228,10 @@ func (e *Engine) ShardCount() int {
 }
 
 // ShardStats describes each shard of the layout.
-func (e *Engine) ShardStats() []Stat {
-	out := make([]Stat, len(e.parts))
+func (e *Engine) ShardStats() []query.ShardStat {
+	out := make([]query.ShardStat, len(e.parts))
 	for s, p := range e.parts {
-		st := p.transport.Stats()
-		out[s] = Stat{
-			Shard:        s,
-			Series:       st.Series,
-			Groups:       st.Groups,
-			Subsequences: st.Subsequences,
-			IndexBytes:   st.IndexBytes,
-		}
+		out[s] = query.ShardStat{Shard: s, ShardStats: p.transport.Stats()}
 	}
 	return out
 }

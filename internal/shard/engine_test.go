@@ -26,6 +26,15 @@ func build(d *ts.Dataset, cfg core.BuildConfig) (*Engine, error) { return Build(
 // baseOf returns the index of a one-shard engine's only part.
 func baseOf(e *Engine) *rspace.Base { return e.parts[0].base }
 
+// partBase returns the base behind an in-process part: the whole part's own,
+// or the one its spec-built LocalShard holds.
+func partBase(p *part) *rspace.Base {
+	if p.base != nil {
+		return p.base
+	}
+	return p.transport.(*query.LocalShard).Base()
+}
+
 func fixture(t *testing.T) *ts.Dataset {
 	t.Helper()
 	return dataset.ItalyPower.Scaled(0.3).Generate(1)

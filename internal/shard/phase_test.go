@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"onex/internal/core"
+	"onex/internal/obs"
 	"onex/internal/query"
 	"onex/internal/rspace"
 )
@@ -53,7 +54,9 @@ func (c *countingShard) EvalMembers(ctx context.Context, req query.EvalMembersRe
 // TestKNNCallsPerShard pins the round structure of a k-NN across the seam:
 // per searched length one ScanFixed and at most one VerifyK per shard, and
 // no EvalMembers at all — whatever the number of candidate groups and
-// members (the per-round protocol made hundreds of calls here).
+// members (the per-round protocol made hundreds of calls here). One
+// in-process shard at one worker walks the members too: its trace holds one
+// shard-verify call per searched length with candidates.
 func TestKNNCallsPerShard(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	d := randomDataset(r, 24, 48)
@@ -137,6 +140,32 @@ func TestKNNCallsPerShard(t *testing.T) {
 		}
 		if !finite {
 			t.Fatalf("k=%d any: no phase started from a finite cutoff; the later lengths must inherit the heap's", k)
+		}
+	}
+
+	one, err := Build(d, core.BuildConfig{ST: 0.35, Lengths: lengths, Seed: 1, Parallelism: 1}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 5, 10} {
+		for _, mode := range []query.MatchMode{query.MatchExact, query.MatchAny} {
+			rec := obs.NewTrace("")
+			if _, err := bestK(one, obs.ContextWithTrace(context.Background(), rec), q, mode, k); err != nil {
+				t.Fatal(err)
+			}
+			verifies, lengthsSearched := 0, 0
+			for _, sp := range rec.Snapshot().Spans {
+				switch sp.Name {
+				case "shard-verify":
+					verifies++
+				case "refine":
+					lengthsSearched++
+				}
+			}
+			if verifies == 0 || verifies > lengthsSearched || (mode == query.MatchExact && verifies != 1) {
+				t.Fatalf("k=%d mode%d, one shard at one worker: %d shard-verify calls over %d searched lengths; want one per length with candidates",
+					k, mode, verifies, lengthsSearched)
+			}
 		}
 	}
 }

@@ -51,7 +51,7 @@ func TestRecommendExactAcrossShards(t *testing.T) {
 			for _, l := range lengths {
 				var aggHalf float64
 				for _, p := range sharded.parts {
-					if entry := p.base.Entry(l); entry != nil {
+					if entry := partBase(p).Entry(l); entry != nil {
 						half, _ := rspace.MergeThresholdsFor(entry.Groups, l, st)
 						aggHalf = math.Max(aggHalf, half)
 					}

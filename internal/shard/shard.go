@@ -22,9 +22,12 @@
 //
 //   - each shard gets the sub-dataset of its series (value arrays shared,
 //     zero copy) and the restriction of every global group to those series
-//     (shared representative, preserved member order and EDs) — with one
-//     shard that restriction is the grouping itself, so the shard's base is
-//     built over the global group objects and nothing is copied;
+//     (shared representative, preserved member order and EDs), as the
+//     query.ShardSpec a worker is shipped: an in-process shard is built from
+//     that spec by query.BuildLocalShard, the function a worker runs on it,
+//     so there is one shard recipe. With one shard the restriction is the
+//     grouping itself, so that shard's base is built over the global group
+//     objects and nothing is copied;
 //   - the per-length index layers (rspace.New: each representative's
 //     extremes for the LB_Keogh stage) are built per shard over its group
 //     set, concurrently on the internal/parallel pool;
@@ -144,23 +147,20 @@ func (c *spCell) thresholds(groups []*grouping.Group, length int, st float64) (h
 }
 
 // part is one shard: its series and local↔global translation tables, plus
-// the transport the coordinator drives it through. Local parts additionally
-// hold the shard's base and its processor (the state behind the transport);
-// remote parts hold only the tables — their index lives in the worker
-// process, reachable through the transport. The part of a one-shard layout
-// needs no tables: local ids are the global ids.
+// the transport the coordinator drives it through. Every part but the
+// one-shard layout's is built from its ShardSpec, so the tables are the
+// spec's; only the whole part additionally holds the base and processor
+// behind its transport, and needs no group tables: local ids are the global
+// ids.
 type part struct {
 	// series maps local series index → global series id (ascending).
 	series []int
-	// base/proc back an in-process part; nil when the shard is remote.
+	// base/proc back the one-shard layout's part; nil for every other.
 	base *rspace.Base
 	proc *query.Processor
 	// transport is how the scatter coordinator reaches the shard
 	// (query.LocalShard in-process, shardrpc.Client remote).
 	transport query.ShardTransport
-	// gen is the generation nonce of the shipped state (remote parts only):
-	// the idempotency key component workers key resident state by.
-	gen string
 	// globalIDs maps, per length, local group index → global group id;
 	// locals are numbered in ascending global id.
 	globalIDs map[int][]int
@@ -196,8 +196,8 @@ func ShardOf(seriesID, shards int) int {
 // (shard s on workers[s%len(workers)]): the engine ships each shard's
 // series and grouping restriction to its worker at assembly and queries it
 // over the shardrpc transport. Answers are bit-identical to the in-process
-// layout (the workers rebuild the exact per-shard index from the shipped
-// spec); Build fails fast if a worker is unreachable.
+// layout (a worker builds its shard from the spec an in-process shard is
+// built from); Build fails fast if a worker is unreachable.
 func Build(d *ts.Dataset, cfg core.BuildConfig, shards int, workers []string) (*Engine, error) {
 	if shards < 0 {
 		return nil, fmt.Errorf("shard: shard count must be ≥ 0, got %d", shards)
@@ -259,12 +259,8 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 			parts[s] = prevE.parts[s]
 		case e.whole():
 			parts[s], errs[s] = e.wholePart()
-		case len(e.workerURLs) > 0:
-			// Remote shards ship a fresh generation whenever they change:
-			// the worker rebuilds the restricted index from the spec.
-			parts[s], errs[s] = e.buildRemotePart(s)
 		default:
-			parts[s], errs[s] = buildPart(e.data, e.grouped, e.shards, s, e.cfg)
+			parts[s], errs[s] = e.specPart(s)
 		}
 	})
 	for _, err := range errs {
@@ -332,118 +328,83 @@ func (e *Engine) wholePart() (*part, error) {
 	return p, nil
 }
 
-// buildPart derives one shard: the sub-dataset of its series (shared value
-// arrays), the restriction of every global group to those series (shared
-// representative, member order and EDs preserved — restriction of a sorted
-// list is sorted), and the full GTI/LSI index layers over the restricted
-// group set. Group ownership — which shard scans a representative — goes to
-// the shard holding the group's nearest member (Members[0] of the global
-// LSI order), a pure function of the global grouping.
-func buildPart(data *ts.Dataset, gr *grouping.Result, shards, s int, cfg core.BuildConfig) (*part, error) {
-	p := &part{
-		globalIDs: make(map[int][]int, len(gr.Lengths)),
-		owned:     make(map[int][]bool, len(gr.Lengths)),
-	}
-	localOf := p.collectSeries(data, shards, s)
-
-	res := &grouping.Result{
-		ST:       gr.ST,
-		Lengths:  append([]int(nil), gr.Lengths...),
-		ByLength: make(map[int]*grouping.LengthGroups, len(gr.Lengths)),
-	}
-	for _, l := range gr.Lengths {
-		src := gr.ByLength[l]
-		lg := &grouping.LengthGroups{Length: l}
-		gids := make([]int, 0, len(src.Groups))
-		owned := make([]bool, 0, len(src.Groups))
-		for k, g := range src.Groups {
-			members := restrictMembers(g, shards, s, localOf)
-			if len(members) == 0 {
-				continue
-			}
-			lg.Groups = append(lg.Groups, &grouping.Group{
-				Length:  l,
-				ID:      len(lg.Groups),
-				Rep:     g.Rep, // immutable, shared with the global group
-				Members: members,
-			})
-			gids = append(gids, k)
-			owned = append(owned, ShardOf(g.Members[0].SeriesIdx, shards) == s)
-			res.TotalSubseq += int64(len(members))
-		}
-		res.ByLength[l] = lg
-		p.globalIDs[l] = gids
-		p.owned[l] = owned
-	}
-
-	base, err := rspace.New(p.sub(data, s), res, rspace.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return p.finish(s, base, cfg.Parallelism)
-}
-
-// buildRemotePart derives one remote shard: the same series routing and
-// grouping restriction buildPart computes — but with global series ids, as
-// a wire ShardSpec — shipped to the shard's worker under a fresh generation
-// nonce. The worker rebuilds the exact restricted index from the spec
-// (query.BuildLocalShard runs the constructors buildPart runs, on
-// bit-identical inputs), so the remote transport answers bit-identically to
-// the in-process one. A shard the hash leaves empty stays in-process (there
-// is nothing to ship, and the empty local transport costs nothing).
-func (e *Engine) buildRemotePart(s int) (*part, error) {
-	p := &part{
-		gen:       obs.NewRequestID(),
-		globalIDs: make(map[int][]int, len(e.grouped.Lengths)),
-		owned:     make(map[int][]bool, len(e.grouped.Lengths)),
-	}
-	p.collectSeries(e.data, e.shards, s)
-	if len(p.series) == 0 {
-		return buildPart(e.data, e.grouped, e.shards, s, e.cfg)
-	}
+// specFor derives shard s's ShardSpec from the global dataset and grouping:
+// the shard's series (ascending global id, value arrays shared), and per
+// length the restriction of every global group to those series (shared
+// representative, member ED order preserved — restriction of a sorted list
+// is sorted), under a fresh generation nonce. Group ownership — which shard
+// scans a representative — goes to the shard holding the group's nearest
+// member (Members[0] of the global LSI order), a pure function of the
+// global grouping.
+func (e *Engine) specFor(s int) query.ShardSpec {
 	name := e.data.Name
 	if name == "" {
 		name = "dataset"
 	}
 	spec := query.ShardSpec{
 		Dataset:    name,
-		Generation: p.gen,
+		Generation: obs.NewRequestID(),
 		Shard:      s,
 		Shards:     e.shards,
 		ST:         e.grouped.ST,
-		Series:     make([]query.SpecSeries, 0, len(p.series)),
 		Lengths:    make([]query.SpecLength, 0, len(e.grouped.Lengths)),
 	}
-	for _, id := range p.series {
-		spec.Series = append(spec.Series, query.SpecSeries{
-			ID:     id,
-			Label:  e.data.Series[id].Label,
-			Values: e.data.Series[id].Values,
-		})
+	for id, sr := range e.data.Series {
+		if ShardOf(id, e.shards) == s {
+			spec.Series = append(spec.Series, query.SpecSeries{ID: id, Label: sr.Label, Values: sr.Values})
+		}
 	}
 	for _, l := range e.grouped.Lengths {
-		src := e.grouped.ByLength[l]
 		sl := query.SpecLength{Length: l}
-		gids := make([]int, 0, len(src.Groups))
-		owned := make([]bool, 0, len(src.Groups))
-		for k, g := range src.Groups {
+		for k, g := range e.grouped.ByLength[l].Groups {
 			members := restrictMembersGlobal(g, e.shards, s)
 			if len(members) == 0 {
 				continue
 			}
-			own := ShardOf(g.Members[0].SeriesIdx, e.shards) == s
 			sl.Groups = append(sl.Groups, query.SpecGroup{
 				GlobalID: k,
-				Owned:    own,
+				Owned:    ShardOf(g.Members[0].SeriesIdx, e.shards) == s,
 				Rep:      g.Rep,
 				Members:  members,
 			})
-			gids = append(gids, k)
-			owned = append(owned, own)
 		}
 		spec.Lengths = append(spec.Lengths, sl)
-		p.globalIDs[l] = gids
-		p.owned[l] = owned
+	}
+	return spec
+}
+
+// specPart builds shard s of a sharded or remote layout from its spec. An
+// in-process shard is the LocalShard query.BuildLocalShard derives from the
+// spec — the one function a worker runs on the spec it is shipped — so the
+// remote transport answers bit-identically to the in-process one by
+// construction. A remote shard ships the spec to its worker; a shard the
+// hash leaves empty stays in-process (there is nothing to ship, and the
+// empty local transport costs nothing).
+func (e *Engine) specPart(s int) (*part, error) {
+	spec := e.specFor(s)
+	p := &part{
+		series:    make([]int, len(spec.Series)),
+		globalIDs: make(map[int][]int, len(spec.Lengths)),
+		owned:     make(map[int][]bool, len(spec.Lengths)),
+	}
+	for i, sr := range spec.Series {
+		p.series[i] = sr.ID
+	}
+	for _, sl := range spec.Lengths {
+		gids := make([]int, len(sl.Groups))
+		owned := make([]bool, len(sl.Groups))
+		for i, g := range sl.Groups {
+			gids[i], owned[i] = g.GlobalID, g.Owned
+		}
+		p.globalIDs[sl.Length], p.owned[sl.Length] = gids, owned
+	}
+	if len(e.workerURLs) == 0 || len(spec.Series) == 0 {
+		ls, err := query.BuildLocalShard(spec)
+		if err != nil {
+			return nil, err
+		}
+		p.transport = ls
+		return p, nil
 	}
 	worker := e.workerURLs[s%len(e.workerURLs)]
 	client, err := shardrpc.NewClient(worker, spec, shardrpc.ClientOptions{})
@@ -454,10 +415,9 @@ func (e *Engine) buildRemotePart(s int) (*part, error) {
 	return p, nil
 }
 
-// restrictMembersGlobal is restrictMembers on the wire: the restriction of
-// one global group's member list to the shard's series, keeping global
-// series ids (the worker remaps to its local order, which equals the
-// coordinator's — both ascend the same id set).
+// restrictMembersGlobal restricts one global group's member list to the
+// shard's series, keeping global series ids (BuildLocalShard remaps them to
+// its local order, which ascends the same id set).
 func restrictMembersGlobal(g *grouping.Group, shards, s int) []query.SpecMember {
 	var members []query.SpecMember
 	for _, m := range g.Members {
@@ -468,64 +428,6 @@ func restrictMembersGlobal(g *grouping.Group, shards, s int) []query.SpecMember 
 			Series:  m.SeriesIdx,
 			Start:   m.Start,
 			EDToRep: m.EDToRep,
-		})
-	}
-	return members
-}
-
-// collectSeries fills p.series with the shard's series (ascending global
-// id) and returns the global→local index map. The sub-dataset itself is
-// derived separately (sub): a remote part ships the series instead.
-func (p *part) collectSeries(data *ts.Dataset, shards, s int) map[int]int {
-	localOf := make(map[int]int)
-	for id := range data.Series {
-		if ShardOf(id, shards) != s {
-			continue
-		}
-		localOf[id] = len(p.series)
-		p.series = append(p.series, id)
-	}
-	return localOf
-}
-
-// sub materializes the shard's sub-dataset: fresh series headers sharing
-// the (immutable) global value arrays, local ids in p.series order.
-func (p *part) sub(data *ts.Dataset, s int) *ts.Dataset {
-	sub := &ts.Dataset{Name: fmt.Sprintf("%s#%d", data.Name, s)}
-	for _, id := range p.series {
-		sub.Append(data.Series[id].Label, data.Series[id].Values)
-	}
-	return sub
-}
-
-// finish wraps the restricted base with its query processor and the
-// in-process transport over the part's translation tables.
-func (p *part) finish(s int, base *rspace.Base, parallelism int) (*part, error) {
-	proc, err := query.New(base, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	p.base = base
-	p.proc = proc
-	if p.transport, err = query.NewLocalShard(proc, s, p.series, p.globalIDs, p.owned); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// restrictMembers filters one global group's member list down to the
-// shard's series, remapping to local ids. Restriction of the (ED-sorted)
-// global LSI order preserves it.
-func restrictMembers(g *grouping.Group, shards, s int, localOf map[int]int) []grouping.Member {
-	var members []grouping.Member
-	for _, m := range g.Members {
-		if ShardOf(m.SeriesIdx, shards) != s {
-			continue
-		}
-		members = append(members, grouping.Member{
-			SeriesIdx: localOf[m.SeriesIdx],
-			Start:     m.Start,
-			EDToRep:   m.EDToRep,
 		})
 	}
 	return members

@@ -62,8 +62,9 @@ func TestBuildValidation(t *testing.T) {
 }
 
 // TestRestrictionIntegrity checks the derived per-shard state against the
-// global grouping: complete member coverage, preserved LSI order, and
-// exactly-once group ownership.
+// global grouping — complete member coverage, preserved LSI order, and
+// exactly-once group ownership — and each part against the shard
+// BuildLocalShard derives from its spec.
 func TestRestrictionIntegrity(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	d := randomDataset(r, 16, 30)
@@ -74,10 +75,12 @@ func TestRestrictionIntegrity(t *testing.T) {
 	}
 
 	var resident int64
-	for _, p := range e.parts {
-		resident += p.base.TotalSubseq
+	for s, p := range e.parts {
+		comparePartState(t, 0, s, p, specShard(t, e, s))
+		base := partBase(p)
+		resident += base.TotalSubseq
 		for _, l := range e.grouped.Lengths {
-			entry := p.base.Entry(l)
+			entry := base.Entry(l)
 			if entry == nil {
 				t.Fatalf("shard missing length %d", l)
 			}
@@ -261,7 +264,7 @@ func TestPersistRoundTrip(t *testing.T) {
 // TestRefreshPartBitIdentical proves maintenance reuses only what a fresh
 // derivation would rebuild identically: after maintenance steps, every part
 // of the engine — reused unaffected shards included — carries exactly the
-// tables and index state a from-scratch buildPart over the final data does.
+// tables and index state BuildLocalShard derives from the final data's spec.
 func TestRefreshPartBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	d := randomDataset(r, 14, 26)
@@ -298,16 +301,23 @@ func TestRefreshPartBitIdentical(t *testing.T) {
 			if got == prev.parts[s] {
 				reused++
 			}
-			want, err := buildPart(e.data, e.grouped, e.shards, s, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			comparePartState(t, step, s, got, want)
+			comparePartState(t, step, s, got, specShard(t, e, s))
 		}
 	}
 	if reused == 0 {
 		t.Fatal("no maintenance step reused an unaffected shard; the fixture guards nothing")
 	}
+}
+
+// specShard builds shard s of e afresh from its spec: the part specPart
+// derives, whose transport is BuildLocalShard over e.specFor(s).
+func specShard(t *testing.T, e *Engine, s int) *part {
+	t.Helper()
+	p, err := e.specPart(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // comparePartState checks two derivations of the same shard hold identical
@@ -318,11 +328,12 @@ func comparePartState(t *testing.T, step, s int, got, want *part) {
 		!reflect.DeepEqual(got.owned, want.owned) {
 		t.Fatalf("step %d shard %d: translation tables diverged", step, s)
 	}
-	if !reflect.DeepEqual(got.base.Entries, want.base.Entries) || got.base.TotalSubseq != want.base.TotalSubseq {
+	gb, wb := partBase(got), partBase(want)
+	if !reflect.DeepEqual(gb.Entries, wb.Entries) || gb.TotalSubseq != wb.TotalSubseq {
 		t.Fatalf("step %d shard %d: index state diverged", step, s)
 	}
-	for i, sr := range got.base.Dataset.Series {
-		if !reflect.DeepEqual(sr.Values, want.base.Dataset.Series[i].Values) {
+	for i, sr := range gb.Dataset.Series {
+		if !reflect.DeepEqual(sr.Values, wb.Dataset.Series[i].Values) {
 			t.Fatalf("step %d shard %d: series %d diverged", step, s, i)
 		}
 	}

@@ -396,7 +396,13 @@ func (w *Worker) handleShip(rw http.ResponseWriter, r *http.Request) {
 	w.shards[key] = e
 	w.mu.Unlock()
 
-	e.ls, e.err = query.BuildLocalShard(spec)
+	if len(spec.Series) == 0 {
+		// The engine keeps a shard the hash leaves empty in-process; a
+		// shipped one holds nothing to query.
+		e.err = fmt.Errorf("%w: no series", query.ErrBadSpec)
+	} else {
+		e.ls, e.err = query.BuildLocalShard(spec)
+	}
 	if e.err == nil {
 		e.stats = e.ls.Stats()
 	}

@@ -523,7 +523,7 @@ func (b *Base) Close() error { return b.eng.Close() }
 // Stats reports the size and construction cost of the base (Table 4), plus
 // the maintenance and shard-layout observability counters.
 func (b *Base) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Representatives: b.eng.TotalGroups(),
 		Subsequences:    b.eng.TotalSubseq(),
 		IndexBytes:      b.eng.SizeBytes(),
@@ -532,25 +532,8 @@ func (b *Base) Stats() Stats {
 		Rebuilds:        b.eng.Rebuilds(),
 		LastRebuild:     b.eng.LastRebuild(),
 		Shards:          b.eng.ShardCount(),
+		PerShard:        b.eng.ShardStats(),
 		Parallelism:     b.eng.Parallelism(),
+		Query:           b.eng.QueryCounters(),
 	}
-	qc := b.eng.QueryCounters()
-	st.Query = QueryStats{
-		Queries:       qc.Queries,
-		RepsExamined:  qc.RepsExamined,
-		PrunedByKim:   qc.PrunedByKim,
-		PrunedByKeogh: qc.PrunedByKeogh,
-		DTWComputed:   qc.DTWComputed,
-		MembersTested: qc.MembersTested,
-	}
-	for _, s := range b.eng.ShardStats() {
-		st.PerShard = append(st.PerShard, ShardStat{
-			Shard:        s.Shard,
-			Series:       s.Series,
-			Groups:       s.Groups,
-			Subsequences: s.Subsequences,
-			IndexBytes:   s.IndexBytes,
-		})
-	}
-	return st
 }

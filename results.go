@@ -3,6 +3,8 @@ package onex
 import (
 	"fmt"
 	"time"
+
+	"onex/internal/query"
 )
 
 // Match is a similarity-query answer.
@@ -86,35 +88,12 @@ type Stats struct {
 	Query QueryStats
 }
 
-// QueryStats is a base's lifetime online-query work tally.
-type QueryStats struct {
-	// Queries counts answered queries across every family (match, k-NN,
-	// range, seasonal — batch items count individually).
-	Queries uint64
-	// RepsExamined through MembersTested are the cumulative Q1 BestMatch
-	// work counters — the path where the LB_Kim/LB_Keogh pruning cascade
-	// operates. The split between PrunedByKim and PrunedByKeogh depends on
-	// bound-tightening timing in parallel scans (a hopeless representative
-	// is counted under whichever check happened to kill it); the totals are
-	// the signal.
-	RepsExamined  uint64
-	PrunedByKim   uint64
-	PrunedByKeogh uint64
-	DTWComputed   uint64
-	MembersTested uint64
-}
+// QueryStats is a base's lifetime online-query work tally (field by field
+// in query.CountersSnapshot).
+type QueryStats = query.CountersSnapshot
 
-// ShardStat describes one shard of a base's serving layout.
-type ShardStat struct {
-	// Shard is the shard index.
-	Shard int
-	// Series counts the series routed to the shard.
-	Series int
-	// Groups counts the shard's restricted similarity groups across lengths
-	// (a group whose members span k shards appears in k of these counts).
-	Groups int
-	// Subsequences counts the indexed subsequences resident in the shard.
-	Subsequences int64
-	// IndexBytes estimates the shard's GTI+LSI index size.
-	IndexBytes int64
-}
+// ShardStat describes one shard of a base's serving layout: its index, the
+// series routed to it, its restricted similarity groups across lengths (a
+// group whose members span k shards appears in k of these counts), its
+// resident subsequences and its GTI+LSI index size.
+type ShardStat = query.ShardStat

@@ -21,11 +21,12 @@ trap cleanup EXIT INT TERM
 echo "== build"
 go build -o "$BIN" ./cmd/onex-server
 
-echo "== start ($ADDR, json logs, -slow-query 1us, -pprof)"
+echo "== start ($ADDR, json logs, -slow-query 1us, -pprof, -parallelism 1)"
 # 1µs threshold marks effectively every request slow, so the slow-query
-# log path is exercised deterministically.
+# log path is exercised deterministically. One shard at one worker is the
+# layout whose k-NN must still verify members through the shard phase.
 "$BIN" -addr "$ADDR" -generate ItalyPower -scale 0.2 -st 0.25 -lengths 6 \
-    -log-format json -log-level info -slow-query 1us -pprof 2>"$LOG" &
+    -log-format json -log-level info -slow-query 1us -pprof -parallelism 1 2>"$LOG" &
 SERVER_PID=$!
 
 echo "== wait for /healthz"
@@ -46,6 +47,12 @@ echo "$EXPLAIN" | grep -q '"result"' || { echo "FAIL: explain lost the result" >
 echo "$EXPLAIN" | grep -q '"spans"' || { echo "FAIL: explain trace has no spans" >&2; exit 1; }
 echo "$EXPLAIN" | grep -q '"requestId":"obs-smoke-7"' \
     || { echo "FAIL: trace does not carry the inbound request id" >&2; exit 1; }
+
+echo "== explain: an unsharded k-NN verifies members in shard-verify spans"
+KNN=$(curl -sf -X POST -d "{\"query\":$Q,\"k\":3,\"explain\":true}" "$BASE/v1/datasets/ItalyPower/match")
+echo "$KNN" | grep -q '"result"' || { echo "FAIL: k-NN explain lost the result" >&2; exit 1; }
+echo "$KNN" | grep -q '"name":"shard-verify"' \
+    || { echo "FAIL: unsharded k-NN trace has no shard-verify span" >&2; exit 1; }
 
 echo "== explain: ?explain=1 works on seasonal (GET)"
 curl -sf "$BASE/v1/datasets/ItalyPower/seasonal?length=$LEN&explain=1" | grep -q '"trace"' \
