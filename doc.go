@@ -204,16 +204,17 @@
 //
 // Every shard interaction inside the engine goes through
 // one seam, query.ShardTransport (Info / ScanBest / ScanFixed / VerifyK /
-// EvalMembers / Range / Stats / Close). The in-process engine is the
+// Range / Stats / Close). The in-process engine is the
 // `local` transport (query.LocalShard); internal/shardrpc supplies the
 // `remote` one: `onex-server -role worker` serves per-shard REST
 // endpoints, and the coordinator — given Options.ShardWorkers (or the
 // server's -shard-workers flag) — computes the global grouping once,
 // ships each shard's series and owned groups to a worker keyed by
-// (dataset, generation, shard), and fans queries out in phases: a k-NN
-// costs each shard one scan and one member-verification call per searched
-// length, a range query one call; only the best-match group walk still
-// crosses in 32-member rounds (EvalMembers). Because the coordinator
+// (dataset, generation, shard), and fans queries out in phases: a
+// best-match costs each shard one scan call per searched length, a k-NN
+// one scan and one member-verification call, a range query one call. The
+// best-match group walk never crosses the seam: the coordinator holds
+// every series and mines the winning group itself. Because the coordinator
 // runs one decision procedure over transport answers, and
 // ±Inf-capable floats travel as math.Float64bits, a worker-served base
 // answers the full query mix bit-identically to the in-process engine —

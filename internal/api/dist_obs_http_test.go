@@ -34,8 +34,10 @@ func distTestServer(t *testing.T, n int) (*Server, *httptest.Server, []string) {
 
 // TestDistributedExplain: distributed explain responses are tagged with the
 // remote transport and worker set, the trace contains the rpc and folded
-// worker spans, and the worker spans' cascade attrs agree exactly with both
-// the trace work counters and the /v1/stats deltas.
+// worker spans, and the cascade attrs of the worker spans plus the
+// coordinator's refine spans (the best-match group walk runs on the
+// coordinator) agree exactly with both the trace work counters and the
+// /v1/stats deltas.
 func TestDistributedExplain(t *testing.T) {
 	srv, hs, urls := distTestServer(t, 2)
 	name := srv.DefaultName()
@@ -57,22 +59,28 @@ func TestDistributedExplain(t *testing.T) {
 	tr := traceFrom(t, body)
 	spans, _ := tr["spans"].([]any)
 	var rpcSpans, workerSpans int
-	spanSums := map[string]float64{}
+	spanSums, refined := map[string]float64{}, map[string]float64{}
 	for _, raw := range spans {
 		sp, _ := raw.(map[string]any)
 		nm, _ := sp["name"].(string)
+		sums := spanSums
 		switch {
 		case strings.HasPrefix(nm, "rpc-"):
 			rpcSpans++
+			continue
 		case strings.HasPrefix(nm, "worker-"):
 			workerSpans++
-			attrs, _ := sp["attrs"].([]any)
-			for _, ra := range attrs {
-				a, _ := ra.(map[string]any)
-				k, _ := a["key"].(string)
-				v, _ := a["value"].(float64)
-				spanSums[k] += v
-			}
+		case nm == "refine":
+			sums = refined
+		default:
+			continue
+		}
+		attrs, _ := sp["attrs"].([]any)
+		for _, ra := range attrs {
+			a, _ := ra.(map[string]any)
+			k, _ := a["key"].(string)
+			v, _ := a["value"].(float64)
+			sums[k] += v
 		}
 	}
 	if rpcSpans == 0 || workerSpans == 0 {
@@ -80,14 +88,17 @@ func TestDistributedExplain(t *testing.T) {
 	}
 
 	work := workOf(tr)
-	for _, k := range []string{"repsExamined", "dtwComputed"} {
+	for _, k := range []string{"repsExamined", "prunedByKim", "prunedByKeogh", "dtwComputed"} {
 		wv, _ := work[k].(float64)
 		if delta := after[k] - before[k]; wv != delta {
 			t.Errorf("work[%q] = %v, /v1/stats delta = %v", k, wv, delta)
 		}
-		if spanSums[k] != wv {
-			t.Errorf("worker span sum %q = %v, trace work = %v", k, spanSums[k], wv)
+		if sum := spanSums[k] + refined[k]; sum != wv {
+			t.Errorf("worker+refine span sum %q = %v, trace work = %v", k, sum, wv)
 		}
+	}
+	if wv, _ := work["membersTested"].(float64); wv != refined["membersTested"] {
+		t.Errorf("membersTested = %v, refine span sum = %v", wv, refined["membersTested"])
 	}
 
 	// The slow log tags distributed entries with the transport and workers.

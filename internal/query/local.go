@@ -26,8 +26,6 @@ type LocalShard struct {
 	shard int
 	// series maps local series index → global series id (ascending).
 	series []int
-	// localSeries inverts series: global series id → local index.
-	localSeries map[int]int
 	// globalIDs maps, per length, local group index → global group id,
 	// strictly ascending.
 	globalIDs map[int][]int
@@ -60,15 +58,11 @@ func NewLocalShard(proc *Processor, shard int, series []int,
 		return nil, fmt.Errorf("query: shard %d holds %d series but maps %d", shard, n, len(series))
 	}
 	ls := &LocalShard{
-		proc:        proc,
-		shard:       shard,
-		series:      series,
-		localSeries: make(map[int]int, len(series)),
-		globalIDs:   globalIDs,
-		units:       make(map[int][]localUnit, len(proc.base.Lengths)),
-	}
-	for li, gid := range series {
-		ls.localSeries[gid] = li
+		proc:      proc,
+		shard:     shard,
+		series:    series,
+		globalIDs: globalIDs,
+		units:     make(map[int][]localUnit, len(proc.base.Lengths)),
 	}
 	for _, l := range proc.base.Lengths {
 		e := proc.base.Entry(l)
@@ -483,59 +477,6 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 		return ScanFixedResponse{}, err
 	}
 	return ScanFixedResponse{Hits: hits, Trace: tr}, nil
-}
-
-// EvalMembers implements ShardTransport: one round of member evaluations
-// against the request's bound snapshot, positionally — the remote half of
-// the coordinator's round-replay mining. LB_Kim and the early-abandoning
-// DTW depend only on (query, member values, bound), all bit-identical
-// across transports, so the response bits are too. A request for an
-// unindexed length, a NaN bound or a window outside its series is refused
-// before any work runs.
-func (ls *LocalShard) EvalMembers(ctx context.Context, req EvalMembersRequest) (EvalMembersResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return EvalMembersResponse{}, err
-	}
-	if err := validateQuery(req.Query); err != nil {
-		return EvalMembersResponse{}, err
-	}
-	if ls.proc.base.Entry(req.Length) == nil {
-		return EvalMembersResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
-	}
-	bound := math.Float64frombits(req.BoundBits)
-	if math.IsNaN(bound) {
-		return EvalMembersResponse{}, fmt.Errorf("query: member bound is NaN")
-	}
-	n := len(req.Items)
-	if n == 0 {
-		return EvalMembersResponse{}, nil
-	}
-	windows := make([][]float64, n)
-	for i, it := range req.Items {
-		li, ok := ls.localSeries[it.Series]
-		if !ok {
-			return EvalMembersResponse{}, fmt.Errorf("query: member series %d not on shard %d", it.Series, ls.shard)
-		}
-		s := ls.proc.base.Dataset.Series[li]
-		if !s.CheckRange(it.Start, req.Length) {
-			return EvalMembersResponse{}, fmt.Errorf("query: member window [%d,+%d) outside series %d", it.Start, req.Length, it.Series)
-		}
-		windows[i] = s.Values[it.Start : it.Start+req.Length]
-	}
-	lbs := make([]float64, n)
-	ds := make([]float64, n)
-	exec := ls.proc.innerExec(reqWorkers(req.Workers))
-	dtws := exec.evalRound(req.Query, windows, bound, lbs, ds)
-	resp := EvalMembersResponse{
-		LbBits:      make([]uint64, n),
-		DsBits:      make([]uint64, n),
-		DTWComputed: dtws,
-	}
-	for i := range lbs {
-		resp.LbBits[i] = math.Float64bits(lbs[i])
-		resp.DsBits[i] = math.Float64bits(ds[i])
-	}
-	return resp, nil
 }
 
 // Range implements ShardTransport: Processor.rangeSearch over the shard's

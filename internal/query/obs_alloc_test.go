@@ -30,11 +30,17 @@ func allocProbe(tb testing.TB) (*engine, []float64) {
 	return p, q
 }
 
+// maxMatchAllocs caps an untraced best-match Exec's allocations per op: the
+// pivot walk's round buffers are fixed arrays in one value per query, so no
+// round and no searched length adds an allocation.
+const maxMatchAllocs = 15
+
 // TestBestMatchObservedNilAllocs pins the tracing contract: a request whose
 // context carries no trace — here a served request's context, request id
 // and all, with a nil recorder attached — must allocate exactly as much as
 // Exec under a bare context: looking the recorder up and threading its
-// absence through every stage boxes no attrs and grows no span slices.
+// absence through every stage boxes no attrs and grows no span slices. And
+// Exec itself stays within maxMatchAllocs.
 func TestBestMatchObservedNilAllocs(t *testing.T) {
 	p, q := allocProbe(t)
 	req := Request{Family: FamilyMatch, Query: q, Mode: MatchAny}
@@ -47,6 +53,9 @@ func TestBestMatchObservedNilAllocs(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	})
+	if base > maxMatchAllocs {
+		t.Fatalf("untraced best-match Exec allocates %.1f/op, want ≤ %d", base, maxMatchAllocs)
+	}
 	served := obs.ContextWithRequestID(context.Background(), "alloc-probe")
 	traced := testing.AllocsPerRun(100, func() {
 		if _, err := p.BestMatchObserved(served, q, MatchAny, nil); err != nil {

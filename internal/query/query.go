@@ -31,16 +31,16 @@
 // # One engine
 //
 // Scatter is the only coordinator: it walks the lengths, merges the
-// representative scans of its shards, and replays the pivot walk and the
-// k-NN heap against member distances. The shards walk the k-NN members at
-// every layout, the one-shard layout included (LocalShard.VerifyK); only the
-// best-match replay evaluates members here, one at a time, when every shard
-// is in-process and a round has no concurrency to buy (Scatter.roundFor). A
+// representative scans of its shards, mines each searched length's winning
+// group itself (the pivot walk, over member windows read from the global
+// dataset it holds, at every layout), and replays the k-NN heap against the
+// member distances its shards report: the shards walk the k-NN members at
+// every layout, the one-shard layout included (LocalShard.VerifyK). Both
+// member walks evaluate their rounds through Processor.evalRound. A
 // Processor holds the kernels one shard runs behind LocalShard (the
-// fixed-cutoff cascade, round evaluation, the k-NN verification phase,
-// range search) plus the grouping-only families (seasonal, threshold
-// adaptation). An unsharded base is the one-shard layout of the same
-// engine.
+// fixed-cutoff cascade, the k-NN verification phase, range search) plus the
+// grouping-only families (seasonal, threshold adaptation). An unsharded
+// base is the one-shard layout of the same engine.
 //
 // # One request, two entry points
 //
@@ -218,7 +218,7 @@ func (p *Processor) lengthOrder(queryLen int) []int {
 // Parallel-path thresholds. scanParallelMin is the fewest representatives
 // worth fanning a scan out for; mineBatchSize is the round size of the
 // member walks (pivot walk and k-NN verification) whenever a round's DTWs
-// run concurrently or on a remote shard. mineBatchSize is a fixed constant —
+// run concurrently. mineBatchSize is a fixed constant —
 // never derived from the worker count — because the round boundaries define
 // which best-so-far snapshot each DTW cutoff uses, and those snapshots are
 // part of the (worker-count-invariant) decision replay.
@@ -228,7 +228,7 @@ const (
 )
 
 // roundSize is the round rule of both member walks — the pivot-walk replay
-// (Scatter.roundFor) and k-NN verification (LocalShard.VerifyK) — over a
+// (Scatter.mineGroup) and k-NN verification (LocalShard.VerifyK) — over a
 // group of n members: one member at a time, against the bound as it
 // tightens, when a round has no concurrency to buy (one worker, or fewer
 // than two rounds of members), which saves the DTWs a snapshot bound lets
@@ -253,15 +253,23 @@ func evalMember(ws *dist.Workspace, q, v []float64, bound float64) (lb, d float6
 	return lb, ws.DTWEarlyAbandon(q, v, bound), true
 }
 
-// evalRound concurrently evaluates one round of candidate windows against a
-// bound snapshot into lbs and ds (evalMember per window). Items stride
-// across up to p.workers goroutines, each owning one pooled workspace for
-// the whole round. The return value is how many DTWs actually ran.
-func (p *Processor) evalRound(q []float64, windows [][]float64, bound float64, lbs, ds []float64) int {
+// evalRound evaluates one round of candidate windows against a bound
+// snapshot into lbs and ds (evalMember per window), returning how many DTWs
+// ran. A one-window or one-worker round runs inline on the caller's ws; a
+// larger one strides across up to p.workers goroutines, each owning one
+// pooled workspace for the whole round.
+func (p *Processor) evalRound(ws *dist.Workspace, q []float64, windows [][]float64, bound float64, lbs, ds []float64) int {
 	n := len(windows)
-	workers := p.workers
-	if workers > n {
-		workers = n
+	workers := min(p.workers, n)
+	if workers <= 1 {
+		dtws := 0
+		for i, v := range windows {
+			var ran bool
+			if lbs[i], ds[i], ran = evalMember(ws, q, v, bound); ran {
+				dtws++
+			}
+		}
+		return dtws
 	}
 	var dtws atomic.Int64
 	parallel.ForEach(workers, workers, func(w int) {

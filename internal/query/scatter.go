@@ -30,12 +30,11 @@ import (
 //     per shard (each global group is scanned by exactly one shard — the
 //     one holding its nearest member) and merges the per-shard results by
 //     smallest distance, then smallest global group id;
-//   - best-match group mining replays the global pivot walk here, once, in
-//     rounds: 32 members shipped to their home shards (EvalMembers) with
-//     the current best-so-far bound threaded in the request — the bound
-//     hint that keeps early abandoning effective across the wire — or, when
-//     every shard is in-process and there is no concurrency to buy, one
-//     member at a time against the tightening bound (see roundFor);
+//   - best-match group mining replays the global pivot walk here, once per
+//     searched length, reading the member windows from the coordinator's
+//     own dataset (it holds every series): one member at a time against
+//     the tightening bound, or rounds of 32 across the worker pool when a
+//     round has concurrency to buy (roundSize);
 //   - k-NN member verification is one phase per shard and length at every
 //     layout: each shard walks its own members of the candidate groups
 //     (VerifyK) and the heap bookkeeping is replayed here over the
@@ -63,9 +62,6 @@ type Scatter struct {
 	// route maps global series id → transports index (the member's home);
 	// the ids are dense, 0 … N−1.
 	route []int
-	// local reports that every shard is in-process, so the coordinator's
-	// dataset addresses every member window directly.
-	local bool
 }
 
 // NewScatter assembles the executor over the shard transports. global must
@@ -84,16 +80,12 @@ func NewScatter(global *rspace.Base, parallelism int, transports []ShardTranspor
 		transports: transports,
 		infos:      make([]ShardInfo, len(transports)),
 		route:      make([]int, global.Dataset.N()),
-		local:      true,
 	}
 	for sid := range s.route {
 		s.route[sid] = -1
 	}
 	held := 0
 	for i, t := range transports {
-		if _, ok := t.(*LocalShard); !ok {
-			s.local = false
-		}
 		s.infos[i] = t.Info()
 		for _, sid := range s.infos[i].Series {
 			if sid < 0 || sid >= len(s.route) {
@@ -192,39 +184,14 @@ func fanShards[R any](ctx context.Context, s *Scatter, rec *obs.Trace, span stri
 	return out, nil
 }
 
-// refine is one best-match query's member-evaluation state: the round
-// buffers of the pivot-walk replay and, when every shard is in-process, the
-// DTW scratch of the one-member-at-a-time walk (nil otherwise).
+// refine is one best-match query's member-evaluation state: the DTW
+// scratch and the round buffers of the pivot-walk replay, fixed arrays so a
+// round allocates nothing.
 type refine struct {
 	ws      *dist.Workspace
-	batch   []grouping.Member
-	lbs, ds []float64
-}
-
-func (s *Scatter) newRefine() *refine {
-	rf := &refine{
-		batch: make([]grouping.Member, 0, mineBatchSize),
-		lbs:   make([]float64, mineBatchSize),
-		ds:    make([]float64, mineBatchSize),
-	}
-	if s.local {
-		rf.ws = s.global.pool.Get()
-	}
-	return rf
-}
-
-// roundFor picks the pivot-walk replay's round for a group of n members.
-// When the members are addressable in-process and roundSize picks one
-// member, it is evaluated here on the returned workspace. Otherwise the
-// round is mineBatchSize members against a snapshot bound, shipped to their
-// home shards (nil workspace). The replay reaches the same decisions for
-// any round size (see mineGroup), so the choice changes how many DTWs run,
-// never an answer.
-func (s *Scatter) roundFor(rf *refine, n int) (int, *dist.Workspace) {
-	if rf.ws != nil && roundSize(s.global.workers, n) == 1 {
-		return 1, rf.ws
-	}
-	return mineBatchSize, nil
+	members [mineBatchSize]grouping.Member
+	windows [mineBatchSize][]float64
+	lbs, ds [mineBatchSize]float64
 }
 
 // bestMatch answers query class I (Q1): the subsequence most similar to q
@@ -238,7 +205,7 @@ func (s *Scatter) bestMatch(ctx context.Context, q []float64, mode MatchMode, re
 	if err := validateQuery(q); err != nil {
 		return Match{}, err
 	}
-	rf := s.newRefine()
+	rf := &refine{ws: s.global.pool.Get()}
 	defer s.global.pool.Put(rf.ws)
 
 	lengths, err := s.searchLengths(mode, len(q))
@@ -355,88 +322,6 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.Lengt
 	return bestRaw / divisor, nil
 }
 
-// evalRound evaluates one round of members against a bound snapshot into
-// lbs and ds (Processor.evalMember per member), returning how many DTWs
-// ran. With a workspace the members are read from the coordinator's dataset
-// and evaluated here; without one the round partitions by home shard and
-// crosses the transport seam, each shard evaluating its slice against the
-// same snapshot (LB_Kim plus early-abandoning DTW depend only on (query,
-// member, bound), so neither the partition nor the transport can change a
-// bit) and the results scatter back positionally.
-func (s *Scatter) evalRound(ctx context.Context, q []float64, length int,
-	batch []grouping.Member, bound float64, ws *dist.Workspace, lbs, ds []float64) (int, error) {
-
-	if ws != nil {
-		dtws := 0
-		for i, m := range batch {
-			v := s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+length]
-			var ran bool
-			if lbs[i], ds[i], ran = evalMember(ws, q, v, bound); ran {
-				dtws++
-			}
-		}
-		return dtws, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	type part struct {
-		transport int
-		items     []MemberRef
-		pos       []int
-		resp      EvalMembersResponse
-		err       error
-	}
-	parts := make([]*part, 0, 2)
-	byTransport := make(map[int]*part, 2)
-	for i, m := range batch {
-		ti := s.route[m.SeriesIdx]
-		p := byTransport[ti]
-		if p == nil {
-			p = &part{transport: ti}
-			byTransport[ti] = p
-			parts = append(parts, p)
-		}
-		p.items = append(p.items, MemberRef{Series: m.SeriesIdx, Start: m.Start})
-		p.pos = append(p.pos, i)
-	}
-	call := func(p *part) {
-		p.resp, p.err = s.transports[p.transport].EvalMembers(ctx, EvalMembersRequest{
-			Length:    length,
-			Query:     q,
-			BoundBits: math.Float64bits(bound),
-			Workers:   s.global.workers,
-			Items:     p.items,
-		})
-	}
-	if len(parts) == 1 {
-		call(parts[0])
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(parts))
-		for _, p := range parts {
-			go func(p *part) { defer wg.Done(); call(p) }(p)
-		}
-		wg.Wait()
-	}
-	dtws := 0
-	for _, p := range parts {
-		if p.err != nil {
-			return 0, p.err
-		}
-		if len(p.resp.LbBits) != len(p.items) || len(p.resp.DsBits) != len(p.items) {
-			return 0, fmt.Errorf("query: shard %d answered %d/%d of %d member evals",
-				s.infos[p.transport].Shard, len(p.resp.LbBits), len(p.resp.DsBits), len(p.items))
-		}
-		for j, pos := range p.pos {
-			lbs[pos] = math.Float64frombits(p.resp.LbBits[j])
-			ds[pos] = math.Float64frombits(p.resp.DsBits[j])
-		}
-		dtws += p.resp.DTWComputed
-	}
-	return dtws, nil
-}
-
 // mineGroup verifies members of global group k against the query in pivot
 // order: the LSI array is sorted by ED-to-rep, and the paper starts from the
 // member whose ED is closest to DTW(query, rep), expanding alternately to
@@ -445,51 +330,51 @@ func (s *Scatter) evalRound(ctx context.Context, q []float64, length int,
 // hopeless members once a good best-so-far exists; the rest run
 // early-abandoning DTW.
 //
-// The walk runs in rounds (roundFor): a round's members are evaluated
-// against the best-so-far snapshot taken at the round boundary, then the
-// improvement/patience bookkeeping is replayed in walk order. A member
-// whose DTW was abandoned at the round bound is provably non-improving at
-// its replay position (the running best only tightens within a round), so
-// the replay reaches exactly the decisions of the one-member round — same
-// match, same patience cut — for ANY round size and batch partition; worker
-// count and shard layout change only which DTWs run to completion.
+// The walk runs in rounds of roundSize members, read from the
+// coordinator's dataset on every layout: a round's members are evaluated
+// (Processor.evalRound) against the best-so-far snapshot taken at the round
+// boundary, then the improvement/patience bookkeeping is replayed in walk
+// order. A member whose DTW was abandoned at the round bound is provably
+// non-improving at its replay position (the running best only tightens
+// within a round), so the replay reaches exactly the decisions of the
+// one-member round — same match, same patience cut — for ANY round size
+// and batch partition; the worker count changes only which DTWs run to
+// completion. ctx is polled every mineBatchSize members.
 func (s *Scatter) mineGroup(ctx context.Context, q []float64, e *rspace.LengthEntry,
 	k int, repNormDTW float64, rf *refine, best *Match, tr *Trace) error {
 
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	g := e.Groups[k]
-	n := g.Count()
-	if n == 0 {
-		return nil
-	}
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
 	walk := newPivotWalk(g.Members, repNormDTW)
 	bestRaw := best.Dist * divisor // +Inf-safe: Inf*x = Inf
-	round, ws := s.roundFor(rf, n)
+	round := roundSize(s.global.workers, g.Count())
+	series := s.global.base.Dataset.Series
 
-	sinceImprove := 0
+	sinceImprove, walked := 0, 0
 	for sinceImprove < patience {
+		if walked%mineBatchSize == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		// Collect the next round of members in walk order.
-		batch := rf.batch[:0]
-		for len(batch) < round {
+		n := 0
+		for ; n < round; n++ {
 			idx := walk.next()
 			if idx < 0 {
 				break
 			}
-			batch = append(batch, g.Members[idx])
+			m := g.Members[idx]
+			rf.members[n] = m
+			rf.windows[n] = series[m.SeriesIdx].Values[m.Start : m.Start+e.Length]
 		}
-		if len(batch) == 0 {
+		if n == 0 {
 			return nil
 		}
-		dtws, err := s.evalRound(ctx, q, e.Length, batch, bestRaw, ws, rf.lbs, rf.ds)
-		if err != nil {
-			return err
-		}
-		tr.DTWComputed += dtws
+		walked += n
+		tr.DTWComputed += s.global.evalRound(rf.ws, q, rf.windows[:n], bestRaw, rf.lbs[:n], rf.ds[:n])
 		// Replay the bookkeeping sequentially in walk order.
-		for i, m := range batch {
+		for i, m := range rf.members[:n] {
 			if sinceImprove >= patience {
 				return nil
 			}

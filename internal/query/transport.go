@@ -8,18 +8,21 @@ import (
 
 // ShardTransport is the seam between the scatter-gather coordinator
 // (Scatter) and one shard's index. Every shard interaction of the engine
-// — the per-length representative scans, k-NN verification, group-member
-// DTW evaluation, range search, stats — crosses this interface, so the same
-// coordinator code drives an in-process shard (LocalShard) and a remote
-// worker process (internal/shardrpc.Client) interchangeably.
+// — the per-length representative scans, k-NN verification, range search,
+// stats — crosses this interface, so the same coordinator code drives an
+// in-process shard (LocalShard) and a remote worker process
+// (internal/shardrpc.Client) interchangeably. The best-match group walk
+// does not cross it: the coordinator holds every series and mines the
+// winning group itself (Scatter.mineGroup).
 //
 // The contract is bit-exactness: for a fixed shard restriction, every
 // implementation must return the same float64 bit patterns the in-process
 // engine computes, because the coordinator replays one decision procedure
-// (pivot walks, patience cuts, heap pushes, tie rules) against these
-// values, whatever the layout. Distances that can be ±Inf travel as math.Float64bits
-// (JSON cannot carry Inf); finite distances travel as plain float64, which
-// Go's encoding/json round-trips exactly (shortest-round-trip encoding).
+// (the argmin merge and its pivot, heap pushes, tie rules) against these
+// values, whatever the layout. Distances that can be ±Inf travel as
+// math.Float64bits (JSON cannot carry Inf); finite distances travel as
+// plain float64, which Go's encoding/json round-trips exactly
+// (shortest-round-trip encoding).
 //
 // Implementations must be safe for concurrent calls: the coordinator fans
 // one query's per-shard work out on goroutines, and many queries run at
@@ -42,10 +45,6 @@ type ShardTransport interface {
 	// the given order, and returns every finite distance it found (see
 	// LocalShard.VerifyK for the bound it early-abandons against).
 	VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKResponse, error)
-	// EvalMembers evaluates one round of group members against a bound
-	// snapshot: per item, LB_Kim and the early-abandoning DTW — the remote
-	// half of the best-match pivot walk (see Scatter.evalRound).
-	EvalMembers(ctx context.Context, req EvalMembersRequest) (EvalMembersResponse, error)
 	// Range answers a range query over the shard's restriction with
 	// results remapped to global series/group ids.
 	Range(ctx context.Context, req RangeRequest) (RangeResponse, error)
@@ -109,19 +108,10 @@ type WorkerObs struct {
 // ObsPayload returns the response's worker observability payload (nil for
 // local transports). Each query response implements it so transport
 // clients can extract the payload generically.
-func (r *ScanBestResponse) ObsPayload() *WorkerObs    { return r.Obs }
-func (r *ScanFixedResponse) ObsPayload() *WorkerObs   { return r.Obs }
-func (r *VerifyKResponse) ObsPayload() *WorkerObs     { return r.Obs }
-func (r *EvalMembersResponse) ObsPayload() *WorkerObs { return r.Obs }
-func (r *RangeResponse) ObsPayload() *WorkerObs       { return r.Obs }
-
-// MemberRef addresses one group member on the wire: the global series id
-// and window start (the window length is the request's Length). The member
-// values are reconstructed shard-side from the shipped series, bit-exact.
-type MemberRef struct {
-	Series int `json:"series"`
-	Start  int `json:"start"`
-}
+func (r *ScanBestResponse) ObsPayload() *WorkerObs  { return r.Obs }
+func (r *ScanFixedResponse) ObsPayload() *WorkerObs { return r.Obs }
+func (r *VerifyKResponse) ObsPayload() *WorkerObs   { return r.Obs }
+func (r *RangeResponse) ObsPayload() *WorkerObs     { return r.Obs }
 
 // ScanBestRequest asks for the argmin representative over the shard's
 // owned groups of one length.
@@ -207,29 +197,6 @@ type VerifyKResponse struct {
 	PrunedByKim int           `json:"prunedByKim"`
 	DTWComputed int           `json:"dtwComputed"`
 	Obs         *WorkerObs    `json:"obs,omitempty"`
-}
-
-// EvalMembersRequest asks for one round of member evaluations against a
-// bound snapshot: per item, LB_Kim and the early-abandoning DTW at
-// BoundBits (Float64bits; +Inf while no bound exists). Items reference
-// members of ONE global group, all resident on this shard.
-type EvalMembersRequest struct {
-	Length    int         `json:"length"`
-	Query     []float64   `json:"query"`
-	BoundBits uint64      `json:"boundBits"`
-	Workers   int         `json:"workers"`
-	Items     []MemberRef `json:"items"`
-}
-
-// EvalMembersResponse carries the round results positionally: LbBits[i]
-// and DsBits[i] answer Items[i] (both as Float64bits — ds is +Inf when
-// the lower bound already proves the member hopeless or the DTW abandons).
-// DTWComputed counts the DTWs that actually ran (Trace accounting).
-type EvalMembersResponse struct {
-	LbBits      []uint64   `json:"lbBits"`
-	DsBits      []uint64   `json:"dsBits"`
-	DTWComputed int        `json:"dtwComputed"`
-	Obs         *WorkerObs `json:"obs,omitempty"`
 }
 
 // RangeRequest asks for a range search over the shard's restriction.

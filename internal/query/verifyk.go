@@ -14,7 +14,7 @@ import (
 // order and, within a group, its own members in the group's ED order (the
 // restriction of the global order), running the per-member cascade — LB_Kim,
 // then early-abandoning DTW — and reports every distance that ran to
-// completion, in the rounds roundSize picks.
+// completion, in the rounds roundSize picks (Processor.evalRound).
 //
 // # Why the answer does not depend on the layout
 //
@@ -116,7 +116,7 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 	defer ls.proc.pool.Put(ws)
 	var (
 		resp    VerifyKResponse
-		windows [][]float64
+		windows [mineBatchSize][]float64
 		lbs, ds [mineBatchSize]float64
 	)
 	report := func(gid int, m grouping.Member, lb, d float64) {
@@ -140,34 +140,23 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 			continue
 		}
 		members := e.Groups[local].Members
-		single := roundSize(exec.workers, len(members)) == 1
-		for off := 0; off < len(members); off += mineBatchSize {
-			if err := ctx.Err(); err != nil {
-				return VerifyKResponse{}, err
+		round := roundSize(exec.workers, len(members))
+		for off := 0; off < len(members); off += round {
+			if off%mineBatchSize == 0 {
+				if err := ctx.Err(); err != nil {
+					return VerifyKResponse{}, err
+				}
 			}
-			round := members[off:min(off+mineBatchSize, len(members))]
-			dtws := 0
-			if single {
-				for _, m := range round {
-					v := ls.proc.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+req.Length]
-					lb, d, ran := evalMember(ws, q, v, bound())
-					if ran {
-						dtws++
-					}
-					report(gids[local], m, lb, d)
-				}
-			} else {
-				windows = windows[:0]
-				for _, m := range round {
-					windows = append(windows, ls.proc.base.Dataset.Series[m.SeriesIdx].Values[m.Start:m.Start+req.Length])
-				}
-				dtws = exec.evalRound(q, windows, bound(), lbs[:], ds[:])
-				for j, m := range round {
-					report(gids[local], m, lbs[j], ds[j])
-				}
+			batch := members[off:min(off+round, len(members))]
+			for j, m := range batch {
+				windows[j] = ls.proc.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+req.Length]
+			}
+			dtws := exec.evalRound(ws, q, windows[:len(batch)], bound(), lbs[:], ds[:])
+			for j, m := range batch {
+				report(gids[local], m, lbs[j], ds[j])
 			}
 			resp.DTWComputed += dtws
-			resp.PrunedByKim += len(round) - dtws
+			resp.PrunedByKim += len(batch) - dtws
 		}
 	}
 	return resp, nil

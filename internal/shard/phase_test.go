@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,9 +18,9 @@ import (
 // k-NN phase requests.
 type countingShard struct {
 	query.ShardTransport
-	mu                                     sync.Mutex
-	scanBest, scanFixed, verifyK, evalMems int
-	verifyReqs                             []query.VerifyKRequest
+	mu                           sync.Mutex
+	scanBest, scanFixed, verifyK int
+	verifyReqs                   []query.VerifyKRequest
 }
 
 func (c *countingShard) ScanBest(ctx context.Context, req query.ScanBestRequest) (query.ScanBestResponse, error) {
@@ -44,17 +45,114 @@ func (c *countingShard) VerifyK(ctx context.Context, req query.VerifyKRequest) (
 	return c.ShardTransport.VerifyK(ctx, req)
 }
 
-func (c *countingShard) EvalMembers(ctx context.Context, req query.EvalMembersRequest) (query.EvalMembersResponse, error) {
-	c.mu.Lock()
-	c.evalMems++
-	c.mu.Unlock()
-	return c.ShardTransport.EvalMembers(ctx, req)
+// countingScatter is a coordinator over e's shards whose every transport
+// counts its calls; reset zeroes the counts.
+func countingScatter(t *testing.T, e *Engine) (sc *query.Scatter, counted []*countingShard, reset func()) {
+	t.Helper()
+	global := &rspace.Base{
+		Dataset:     e.data,
+		ST:          e.grouped.ST,
+		Lengths:     e.grouped.Lengths,
+		Entries:     make(map[int]*rspace.LengthEntry),
+		TotalSubseq: e.grouped.TotalSubseq,
+	}
+	for _, l := range e.grouped.Lengths {
+		global.Entries[l] = &rspace.LengthEntry{Length: l, Groups: e.grouped.ByLength[l].Groups}
+	}
+	counted = make([]*countingShard, len(e.parts))
+	transports := make([]query.ShardTransport, len(e.parts))
+	for i, p := range e.parts {
+		counted[i] = &countingShard{ShardTransport: p.transport}
+		transports[i] = counted[i]
+	}
+	sc, err := query.NewScatter(global, e.cfg.Parallelism, transports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reset = func() {
+		for _, c := range counted {
+			*c = countingShard{ShardTransport: c.ShardTransport}
+		}
+	}
+	return sc, counted, reset
+}
+
+// TestMatchCallsPerShard pins the round structure of a best-match across
+// the seam: per searched length one ScanBest per shard and no other call —
+// the coordinator mines the winning group from the series it holds — at
+// every worker count and match mode, in process and over loopback workers,
+// where the trace holds exactly one rpc span per shard and searched length.
+func TestMatchCallsPerShard(t *testing.T) {
+	lengths := []int{8, 12, 16}
+	const shards = 4
+	urls, _ := startWorkers(t, 2)
+	for _, parallelism := range []int{1, 2} {
+		r := rand.New(rand.NewSource(78))
+		d := randomDataset(r, 24, 48)
+		cfg := core.BuildConfig{ST: 0.35, Lengths: lengths, Seed: 1, Parallelism: parallelism}
+		e, err := Build(d, cfg, shards, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := Build(d, cfg, shards, urls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer remote.Close()
+		sc, counted, reset := countingScatter(t, e)
+		for qi, q := range randomQueries(r, d, lengths, len(lengths)) {
+			for _, mode := range []query.MatchMode{query.MatchExact, query.MatchAny} {
+				reset()
+				rec := obs.NewTrace("")
+				got, err := bestMatch(sc, obs.ContextWithTrace(context.Background(), rec), q, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := bestMatch(e, context.Background(), q, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !matchBitsEqual(got, want) {
+					t.Fatalf("p%d q%d mode%d: match %+v through the counting transports, want %+v",
+						parallelism, qi, mode, got, want)
+				}
+				searched := 1
+				if mode == query.MatchAny {
+					searched = int(rec.Snapshot().Work["lengthsVisited"])
+				}
+				for i, c := range counted {
+					if c.scanBest != searched || c.scanFixed != 0 || c.verifyK != 0 {
+						t.Fatalf("p%d q%d mode%d, shard %d: %d ScanBest, %d ScanFixed, %d VerifyK over %d searched lengths; want one ScanBest per length and nothing else",
+							parallelism, qi, mode, i, c.scanBest, c.scanFixed, c.verifyK, searched)
+					}
+				}
+
+				rec = obs.NewTrace("")
+				if got, err = bestMatch(remote, obs.ContextWithTrace(context.Background(), rec), q, mode); err != nil {
+					t.Fatal(err)
+				}
+				if !matchBitsEqual(got, want) {
+					t.Fatalf("p%d q%d mode%d: remote match %+v, want %+v", parallelism, qi, mode, got, want)
+				}
+				rpcs := 0
+				for _, sp := range rec.Snapshot().Spans {
+					if strings.HasPrefix(sp.Name, "rpc-") {
+						rpcs++
+					}
+				}
+				if rpcs != shards*searched {
+					t.Fatalf("p%d q%d mode%d: remote best-match made %d rpc calls over %d searched lengths; want %d",
+						parallelism, qi, mode, rpcs, searched, shards*searched)
+				}
+			}
+		}
+	}
 }
 
 // TestKNNCallsPerShard pins the round structure of a k-NN across the seam:
-// per searched length one ScanFixed and at most one VerifyK per shard, and
-// no EvalMembers at all — whatever the number of candidate groups and
-// members (the per-round protocol made hundreds of calls here). One
+// per searched length one ScanFixed and at most one VerifyK per shard —
+// whatever the number of candidate groups and members (the per-round
+// protocol made hundreds of calls here). One
 // in-process shard at one worker walks the members too: its trace holds one
 // shard-verify call per searched length with candidates.
 func TestKNNCallsPerShard(t *testing.T) {
@@ -67,31 +165,7 @@ func TestKNNCallsPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	global := &rspace.Base{
-		Dataset:     e.data,
-		ST:          e.grouped.ST,
-		Lengths:     e.grouped.Lengths,
-		Entries:     make(map[int]*rspace.LengthEntry),
-		TotalSubseq: e.grouped.TotalSubseq,
-	}
-	for _, l := range e.grouped.Lengths {
-		global.Entries[l] = &rspace.LengthEntry{Length: l, Groups: e.grouped.ByLength[l].Groups}
-	}
-	counted := make([]*countingShard, len(e.parts))
-	transports := make([]query.ShardTransport, len(e.parts))
-	for i, p := range e.parts {
-		counted[i] = &countingShard{ShardTransport: p.transport}
-		transports[i] = counted[i]
-	}
-	sc, err := query.NewScatter(global, e.cfg.Parallelism, transports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reset := func() {
-		for _, c := range counted {
-			*c = countingShard{ShardTransport: c.ShardTransport}
-		}
-	}
+	sc, counted, reset := countingScatter(t, e)
 	q := randomQueries(r, d, []int{12}, 1)[0]
 
 	for _, k := range []int{2, 5, 10} {
@@ -111,9 +185,9 @@ func TestKNNCallsPerShard(t *testing.T) {
 		}
 		verified := 0
 		for i, c := range counted {
-			if c.scanFixed != 1 || c.verifyK > 1 || c.evalMems != 0 || c.scanBest != 0 {
-				t.Fatalf("k=%d exact, shard %d: %d ScanFixed, %d VerifyK, %d EvalMembers, %d ScanBest; want 1, ≤ 1, 0, 0",
-					k, i, c.scanFixed, c.verifyK, c.evalMems, c.scanBest)
+			if c.scanFixed != 1 || c.verifyK > 1 || c.scanBest != 0 {
+				t.Fatalf("k=%d exact, shard %d: %d ScanFixed, %d VerifyK, %d ScanBest; want 1, ≤ 1, 0",
+					k, i, c.scanFixed, c.verifyK, c.scanBest)
 			}
 			verified += c.verifyK
 		}
@@ -128,9 +202,9 @@ func TestKNNCallsPerShard(t *testing.T) {
 		finite := false
 		for i, c := range counted {
 			// k-NN visits every indexed length.
-			if c.scanFixed != len(lengths) || c.verifyK > len(lengths) || c.evalMems != 0 || c.scanBest != 0 {
-				t.Fatalf("k=%d any, shard %d: %d ScanFixed, %d VerifyK, %d EvalMembers, %d ScanBest over %d lengths; want one, ≤ one, 0, 0 per length",
-					k, i, c.scanFixed, c.verifyK, c.evalMems, c.scanBest, len(lengths))
+			if c.scanFixed != len(lengths) || c.verifyK > len(lengths) || c.scanBest != 0 {
+				t.Fatalf("k=%d any, shard %d: %d ScanFixed, %d VerifyK, %d ScanBest over %d lengths; want one, ≤ one, 0 per length",
+					k, i, c.scanFixed, c.verifyK, c.scanBest, len(lengths))
 			}
 			for _, req := range c.verifyReqs {
 				if !math.IsInf(math.Float64frombits(req.CutoffBits), 1) {

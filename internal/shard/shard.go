@@ -164,9 +164,6 @@ type part struct {
 	// globalIDs maps, per length, local group index → global group id;
 	// locals are numbered in ascending global id.
 	globalIDs map[int][]int
-	// owned marks, per length, the local groups this shard scans for the
-	// global representative phase.
-	owned map[int][]bool
 }
 
 // ShardOf is the stable series→shard routing function: a splitmix64-style
@@ -385,18 +382,16 @@ func (e *Engine) specPart(s int) (*part, error) {
 	p := &part{
 		series:    make([]int, len(spec.Series)),
 		globalIDs: make(map[int][]int, len(spec.Lengths)),
-		owned:     make(map[int][]bool, len(spec.Lengths)),
 	}
 	for i, sr := range spec.Series {
 		p.series[i] = sr.ID
 	}
 	for _, sl := range spec.Lengths {
 		gids := make([]int, len(sl.Groups))
-		owned := make([]bool, len(sl.Groups))
 		for i, g := range sl.Groups {
-			gids[i], owned[i] = g.GlobalID, g.Owned
+			gids[i] = g.GlobalID
 		}
-		p.globalIDs[sl.Length], p.owned[sl.Length] = gids, owned
+		p.globalIDs[sl.Length] = gids
 	}
 	if len(e.workerURLs) == 0 || len(spec.Series) == 0 {
 		ls, err := query.BuildLocalShard(spec)

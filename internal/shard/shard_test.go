@@ -108,14 +108,13 @@ func TestRestrictionIntegrity(t *testing.T) {
 		t.Errorf("resident subsequences %d != global %d", resident, e.grouped.TotalSubseq)
 	}
 
-	// Ownership: every global group owned exactly once.
+	// Ownership: every global group owned exactly once, as the transports
+	// report it to NewScatter.
 	for _, l := range e.grouped.Lengths {
 		owners := make([]int, len(e.grouped.ByLength[l].Groups))
 		for _, p := range e.parts {
-			for local, own := range p.owned[l] {
-				if own {
-					owners[p.globalIDs[l][local]]++
-				}
+			for _, gid := range p.transport.Info().Owned[l] {
+				owners[gid]++
 			}
 		}
 		for k, c := range owners {
@@ -325,7 +324,7 @@ func specShard(t *testing.T, e *Engine, s int) *part {
 func comparePartState(t *testing.T, step, s int, got, want *part) {
 	t.Helper()
 	if !reflect.DeepEqual(got.series, want.series) || !reflect.DeepEqual(got.globalIDs, want.globalIDs) ||
-		!reflect.DeepEqual(got.owned, want.owned) {
+		!reflect.DeepEqual(got.transport.Info().Owned, want.transport.Info().Owned) {
 		t.Fatalf("step %d shard %d: translation tables diverged", step, s)
 	}
 	gb, wb := partBase(got), partBase(want)

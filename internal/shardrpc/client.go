@@ -77,7 +77,7 @@ type Client struct {
 	spec  query.ShardSpec
 	info  query.ShardInfo
 	paths struct {
-		ship, scan, scanFixed, verifyK, members, rng string
+		ship, scan, scanFixed, verifyK, rng string
 	}
 
 	shipMu sync.Mutex // serializes re-ship after a worker restart
@@ -123,7 +123,6 @@ func NewClient(baseURL string, spec query.ShardSpec, opts ClientOptions) (*Clien
 	c.paths.scan = root + "/scan"
 	c.paths.scanFixed = root + "/scanfixed"
 	c.paths.verifyK = root + "/verifyk"
-	c.paths.members = root + "/members"
 	c.paths.rng = root + "/range"
 
 	if err := c.shipWithRetry(context.Background()); err != nil {
@@ -498,13 +497,6 @@ func (c *Client) ScanFixed(ctx context.Context, req query.ScanFixedRequest) (que
 func (c *Client) VerifyK(ctx context.Context, req query.VerifyKRequest) (query.VerifyKResponse, error) {
 	var resp query.VerifyKResponse
 	err := c.call(ctx, "verifyk", c.paths.verifyK, req, &resp)
-	return resp, err
-}
-
-// EvalMembers implements query.ShardTransport.
-func (c *Client) EvalMembers(ctx context.Context, req query.EvalMembersRequest) (query.EvalMembersResponse, error) {
-	var resp query.EvalMembersResponse
-	err := c.call(ctx, "members", c.paths.members, req, &resp)
 	return resp, err
 }
 

@@ -19,22 +19,21 @@
 //	POST /worker/v1/shards/{dataset}/{gen}/{shard}/scan       ScanBestRequest
 //	POST /worker/v1/shards/{dataset}/{gen}/{shard}/scanfixed  ScanFixedRequest
 //	POST /worker/v1/shards/{dataset}/{gen}/{shard}/verifyk    VerifyKRequest
-//	POST /worker/v1/shards/{dataset}/{gen}/{shard}/members    EvalMembersRequest
 //	POST /worker/v1/shards/{dataset}/{gen}/{shard}/range      RangeRequest
 //
 // Query calls against an unknown key answer 404 with code
 // "unknown_generation" — the signal that the worker restarted (or expired
 // the generation) and the client must re-ship the spec and retry.
 //
-// The calls are phases where they can be: scanfixed and verifyk are a
-// k-NN's two calls per shard and searched length (the shard walks its own
-// members of every surviving group inside the one verifyk call, early
-// abandoning against the request's cutoff and its own k-th best — see
-// query.LocalShard.VerifyK), range is a range query's one. Only the
-// best-match group walk crosses per round (members, the best-so-far
-// travelling as the round's bound). Cutoffs, bounds and distances that can
-// be ±Inf travel as math.Float64bits (see query.ShardTransport for the
-// bit-exactness contract).
+// Every call is a phase: scan is a best-match's one call per shard and
+// searched length, scanfixed and verifyk are a k-NN's two (the shard walks
+// its own members of every surviving group inside the one verifyk call,
+// early abandoning against the request's cutoff and its own k-th best —
+// see query.LocalShard.VerifyK), and range is a range query's one. The
+// best-match group walk stays on the coordinator, which holds every
+// series. Cutoffs and distances that can be ±Inf travel as
+// math.Float64bits (see query.ShardTransport for the bit-exactness
+// contract).
 //
 // The X-Request-Id header propagates from the coordinator and tags every
 // worker-side log line, so a distributed query is greppable end to end.
@@ -142,7 +141,6 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("POST /worker/v1/shards/{dataset}/{gen}/{shard}/scan", w.timed("scan", w.handleScan))
 	mux.HandleFunc("POST /worker/v1/shards/{dataset}/{gen}/{shard}/scanfixed", w.timed("scanfixed", w.handleScanFixed))
 	mux.HandleFunc("POST /worker/v1/shards/{dataset}/{gen}/{shard}/verifyk", w.timed("verifyk", w.handleVerifyK))
-	mux.HandleFunc("POST /worker/v1/shards/{dataset}/{gen}/{shard}/members", w.timed("members", w.handleMembers))
 	mux.HandleFunc("POST /worker/v1/shards/{dataset}/{gen}/{shard}/range", w.timed("range", w.handleRange))
 	return mux
 }
@@ -601,33 +599,6 @@ func (w *Worker) handleVerifyK(rw http.ResponseWriter, r *http.Request) {
 				{Key: "candidates", Value: int64(len(req.Candidates))},
 				{Key: "hits", Value: int64(len(resp.Hits))},
 				{Key: "prunedByKim", Value: int64(resp.PrunedByKim)},
-				{Key: "dtwComputed", Value: int64(resp.DTWComputed)},
-			}
-		})
-	}
-	answer(rw, r, resp, err)
-}
-
-func (w *Worker) handleMembers(rw http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ls := w.lookup(rw, r)
-	if ls == nil {
-		return
-	}
-	var req query.EvalMembersRequest
-	if !decodeReq(rw, r, &req) {
-		return
-	}
-	resp, err := ls.EvalMembers(r.Context(), req)
-	if err == nil {
-		resp.Obs = workerObs(r, start, "members", func() []obs.Attr {
-			return []obs.Attr{
-				{Key: "length", Value: int64(req.Length)},
-				// The worker evaluates the full shipped batch; the coordinator's
-				// membersTested counter can stop short of it at the patience
-				// cutoff during its sequential replay, so this is a distinct
-				// (≥) quantity under a distinct name.
-				{Key: "membersEvaluated", Value: int64(len(req.Items))},
 				{Key: "dtwComputed", Value: int64(resp.DTWComputed)},
 			}
 		})

@@ -10,7 +10,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
@@ -336,43 +335,9 @@ func TestWorkerRejectsUnqueryableSpec(t *testing.T) {
 	}
 }
 
-// TestWorkerMembersMalformed: a members round the coordinator would never
-// send is a typed 400 — before the length and window checks, the
-// negative-length and overflowing-start cases panicked slicing the series,
-// which the route's recovery turned into a 500.
-func TestWorkerMembersMalformed(t *testing.T) {
-	h := shippedWorker(t)
-	q := `"query":[0.2,0.3,0.1,0.4,0.5,0.3]`
-	inf := "9218868437227405312" // Float64bits(+Inf)
-	nan := "9221120237041090561" // Float64bits(NaN)
-	post := func(body string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/worker/v1/shards/d/g1/0/members", strings.NewReader(body)))
-		return rec
-	}
-	if rec := post(`{"length":6,` + q + `,"boundBits":` + inf + `,"items":[{"series":10,"start":84}]}`); rec.Code != http.StatusOK {
-		t.Fatalf("well-formed round = %d %s", rec.Code, rec.Body)
-	}
-	for name, body := range map[string]string{
-		"not json":         `{"length":6,`,
-		"empty query":      `{"length":6,"query":[],"boundBits":` + inf + `,"items":[{"series":10,"start":0}]}`,
-		"unindexed length": `{"length":7,` + q + `,"boundBits":` + inf + `,"items":[{"series":10,"start":0}]}`,
-		"negative length":  `{"length":-3,` + q + `,"boundBits":` + inf + `,"items":[{"series":10,"start":5}]}`,
-		"NaN bound":        `{"length":6,` + q + `,"boundBits":` + nan + `,"items":[{"series":10,"start":0}]}`,
-		"foreign series":   `{"length":6,` + q + `,"boundBits":` + inf + `,"items":[{"series":3,"start":0}]}`,
-		"start negative":   `{"length":6,` + q + `,"boundBits":` + inf + `,"items":[{"series":10,"start":-1}]}`,
-		"start past end":   `{"length":6,` + q + `,"boundBits":` + inf + `,"items":[{"series":10,"start":85}]}`,
-		"start overflows":  `{"length":6,` + q + `,"boundBits":` + inf + `,"items":[{"series":10,"start":9223372036854775803}]}`,
-	} {
-		if rec := post(body); rec.Code != http.StatusBadRequest || errCode(t, rec.Body.Bytes()) != "bad_request" {
-			t.Errorf("%s: %d %s, want 400 bad_request", name, rec.Code, rec.Body)
-		}
-	}
-}
-
 // FuzzWorkerShip throws arbitrary spec bytes at the ship route. The worker
 // refuses a spec with a 4xx, or keeps it resident and answers scan,
-// scanfixed, verifyk, members and range for each of its lengths with 200 or
+// scanfixed, verifyk and range for each of its lengths with 200 or
 // a typed 4xx — never a panic, which the route's recovery turns into a 500.
 func FuzzWorkerShip(f *testing.F) {
 	add := func(s query.ShardSpec) {
@@ -430,12 +395,8 @@ func FuzzWorkerShip(f *testing.F) {
 				q[j] = float64(j%5) * 0.2
 			}
 			var cands []query.FixedHit
-			var items []query.MemberRef
 			for _, g := range sl.Groups {
 				cands = append(cands, query.FixedHit{GroupID: g.GlobalID})
-				for _, m := range g.Members[:min(len(g.Members), 2)] {
-					items = append(items, query.MemberRef{Series: m.Series, Start: m.Start})
-				}
 			}
 			inf := math.Float64bits(math.Inf(1))
 			for path, req := range map[string]any{
@@ -443,8 +404,7 @@ func FuzzWorkerShip(f *testing.F) {
 				"/scanfixed": query.ScanFixedRequest{Length: sl.Length, Query: q, CutoffBits: inf, Workers: 2},
 				"/verifyk": query.VerifyKRequest{Length: sl.Length, Query: q, K: 3, CutoffBits: inf,
 					RadiusRaw: 1, Workers: 2, Candidates: cands},
-				"/members": query.EvalMembersRequest{Length: sl.Length, Query: q, BoundBits: inf, Workers: 2, Items: items},
-				"/range":   query.RangeRequest{Length: sl.Length, Query: q, Radius: 0.5, Exact: true, Workers: 2},
+				"/range": query.RangeRequest{Length: sl.Length, Query: q, Radius: 0.5, Exact: true, Workers: 2},
 			} {
 				reqBody, err := json.Marshal(req)
 				if err != nil {

@@ -53,6 +53,7 @@ wait_healthz() { # addr pid
 }
 
 DATASET_FLAGS="-generate ItalyPower -scale 0.2 -st 0.25 -lengths 6 -seed 1"
+SHARDS=3
 
 echo "== build"
 go build -o "$BIN" ./cmd/onex-server
@@ -69,10 +70,10 @@ wait_healthz "$W2_ADDR" "$W2_PID"
 "$BIN" -addr "$MONO_ADDR" $DATASET_FLAGS >"$LOGDIR/mono.log" 2>&1 &
 MONO_PID=$!
 # shellcheck disable=SC2086
-"$BIN" -addr "$LOCAL_ADDR" $DATASET_FLAGS -shards 3 >"$LOGDIR/local.log" 2>&1 &
+"$BIN" -addr "$LOCAL_ADDR" $DATASET_FLAGS -shards "$SHARDS" >"$LOGDIR/local.log" 2>&1 &
 LOCAL_PID=$!
 # shellcheck disable=SC2086
-"$BIN" -addr "$DIST_ADDR" $DATASET_FLAGS -shards 3 -health-probe 250ms \
+"$BIN" -addr "$DIST_ADDR" $DATASET_FLAGS -shards "$SHARDS" -health-probe 250ms \
     -shard-workers "http://$W1_ADDR,http://$W2_ADDR" >"$LOGDIR/dist.log" 2>&1 &
 DIST_PID=$!
 wait_healthz "$MONO_ADDR" "$MONO_PID"
@@ -83,7 +84,7 @@ echo "== workers hold the coordinator's shipped shards"
 SHARDS1=$(curl -sf "http://$W1_ADDR/worker/v1/healthz" | sed 's/.*"shards":\([0-9]*\).*/\1/')
 SHARDS2=$(curl -sf "http://$W2_ADDR/worker/v1/healthz" | sed 's/.*"shards":\([0-9]*\).*/\1/')
 TOTAL=$((SHARDS1 + SHARDS2))
-[ "$TOTAL" -eq 3 ] || { echo "FAIL: workers hold $TOTAL shards, want 3" >&2; exit 1; }
+[ "$TOTAL" -eq "$SHARDS" ] || { echo "FAIL: workers hold $TOTAL shards, want $SHARDS" >&2; exit 1; }
 echo "ok: $SHARDS1 + $SHARDS2 resident shards"
 
 compare() { # refaddr label method path [body]
@@ -137,7 +138,16 @@ echo "$EXPLAIN" | grep -q '"name":"rpc-scan"' \
     || { echo "FAIL: distributed explain has no rpc-scan span: $EXPLAIN" >&2; exit 1; }
 echo "$EXPLAIN" | grep -q '"name":"worker-scan"' \
     || { echo "FAIL: distributed explain has no folded worker-scan span: $EXPLAIN" >&2; exit 1; }
-echo "ok: distributed explain decomposes into rpc + worker spans"
+# A best-match is one scan call per shard and searched length: the
+# coordinator mines the winning group itself, so no members round crosses.
+if echo "$EXPLAIN" | grep -q '"name":"rpc-members"'; then
+    echo "FAIL: distributed best-match crossed the seam in members rounds: $EXPLAIN" >&2; exit 1
+fi
+RPCS=$(echo "$EXPLAIN" | grep -o '"name":"rpc-[a-z]*"' | wc -l)
+LENGTHS=$(echo "$EXPLAIN" | sed -n 's/.*"lengthsVisited":\([0-9]*\).*/\1/p')
+[ -n "$LENGTHS" ] && [ "$RPCS" -eq $((SHARDS * LENGTHS)) ] \
+    || { echo "FAIL: distributed best-match made $RPCS rpc calls over ${LENGTHS:-?} searched lengths, want $SHARDS per length: $EXPLAIN" >&2; exit 1; }
+echo "ok: distributed explain decomposes into rpc + worker spans, $RPCS rpc calls ($SHARDS shards × $LENGTHS lengths)"
 
 echo "== worker metrics exposition"
 WMETRICS=$(curl -sf "http://$W2_ADDR/worker/v1/metrics")
