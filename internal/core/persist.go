@@ -1,13 +1,13 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 	"time"
 
 	"onex/internal/grouping"
@@ -58,27 +58,6 @@ var (
 	ErrCorrupt = errors.New("core: ONEX base stream corrupted (checksum mismatch)")
 )
 
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	return c.w.Write(p)
-}
-
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
 // Snapshot is the decoded persistent state of an engine: everything a
 // Save stream carries.
 type Snapshot struct {
@@ -100,158 +79,277 @@ type Snapshot struct {
 	Grouped *grouping.Result
 }
 
+// blockSize is the encoder's block and the decoder's largest chunk: each is
+// checksummed once and moved with one Write or Read.
+const blockSize = 1 << 16
+
+// encoder appends fields to one reusable block and hands each full block,
+// checksummed once, to w. The first write error sticks: nothing more is
+// written and EncodeSnapshot returns it.
+type encoder struct {
+	w   io.Writer
+	buf []byte // under blockSize bytes between fields; cap has room for one more record
+	crc uint32
+	err error
+}
+
+func (e *encoder) emit(p []byte) {
+	if e.err == nil {
+		e.crc = crc32.Update(e.crc, crc32.IEEETable, p)
+		_, e.err = e.w.Write(p)
+	}
+}
+
+// spill hands a full block to w and keeps what overflowed it, so every
+// block is exactly blockSize bytes.
+func (e *encoder) spill() {
+	if len(e.buf) >= blockSize {
+		e.block()
+	}
+}
+
+// block is kept out of line so that spill, and with it every field writer,
+// inlines.
+//
+//go:noinline
+func (e *encoder) block() {
+	e.emit(e.buf[:blockSize])
+	e.buf = e.buf[:copy(e.buf, e.buf[blockSize:])]
+}
+
+func (e *encoder) u8(v uint8) {
+	e.buf = append(e.buf, v)
+	e.spill()
+}
+
+func (e *encoder) u32(v uint32) {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+	e.spill()
+}
+
+func (e *encoder) u64(v uint64) {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	e.spill()
+}
+
+func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+// member writes one 16-byte member record: series u32, start u32, ED f64.
+func (e *encoder) member(m grouping.Member) {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(m.SeriesIdx))
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(m.Start))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(m.EDToRep))
+	e.spill()
+}
+
+func (e *encoder) str(s string) {
+	e.u32(uint32(len(s)))
+	for len(s) > 0 {
+		n := min(len(s), blockSize-len(e.buf))
+		e.buf = append(e.buf, s[:n]...)
+		s = s[n:]
+		e.spill()
+	}
+}
+
 // EncodeSnapshot writes one snapshot as a version-7 ONEX base stream.
 func EncodeSnapshot(w io.Writer, snap *Snapshot) error {
 	if snap == nil || snap.Dataset == nil || snap.Grouped == nil {
 		return errors.New("core: incomplete snapshot")
 	}
-	shards := snap.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if _, err := io.WriteString(cw, persistMagic); err != nil {
-		return err
-	}
-	le := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
-	if err := le(uint32(persistVersion)); err != nil {
-		return err
-	}
+	enc := &encoder{w: w, buf: make([]byte, 0, blockSize+16)}
+	enc.buf = append(enc.buf, persistMagic...)
+	enc.u32(persistVersion)
 	// Header: build parameters needed to reconstruct behaviour.
-	if err := errJoin(
-		le(snap.Cfg.ST),
-		le(int64(snap.Cfg.Seed)),
-		le(uint8(snap.Cfg.Normalize)),
-		le(snap.NormMin), le(snap.NormMax),
-		le(snap.Cfg.RebuildDrift),
-		le(uint32(shards)),
-	); err != nil {
-		return err
-	}
+	enc.f64(snap.Cfg.ST)
+	enc.u64(uint64(snap.Cfg.Seed))
+	enc.u8(uint8(snap.Cfg.Normalize))
+	enc.f64(snap.NormMin)
+	enc.f64(snap.NormMax)
+	enc.f64(snap.Cfg.RebuildDrift)
+	enc.u32(uint32(max(snap.Shards, 1)))
 	// Metadata: save timestamp, original build cost, and the configured
 	// length restriction.
-	if err := errJoin(
-		le(time.Now().Unix()),
-		le(int64(snap.BuildTime)),
-		le(uint32(len(snap.Cfg.Lengths))),
-	); err != nil {
-		return err
-	}
+	enc.u64(uint64(time.Now().Unix()))
+	enc.u64(uint64(snap.BuildTime))
+	enc.u32(uint32(len(snap.Cfg.Lengths)))
 	for _, l := range snap.Cfg.Lengths {
-		if err := le(uint32(l)); err != nil {
-			return err
-		}
+		enc.u32(uint32(l))
 	}
 	// Dataset.
 	d := snap.Dataset
-	if err := writeString(cw, d.Name); err != nil {
-		return err
-	}
-	if err := le(uint32(d.N())); err != nil {
-		return err
-	}
+	enc.str(d.Name)
+	enc.u32(uint32(d.N()))
 	for _, s := range d.Series {
-		if err := writeString(cw, s.Label); err != nil {
-			return err
-		}
-		if err := le(uint32(s.Len())); err != nil {
-			return err
-		}
-		if err := le(s.Values); err != nil {
-			return err
+		enc.str(s.Label)
+		enc.u32(uint32(s.Len()))
+		for _, v := range s.Values {
+			enc.f64(v)
 		}
 	}
 	// Groups.
 	gr := snap.Grouped
-	if err := errJoin(le(gr.TotalSubseq), le(gr.IncrementalMembers)); err != nil {
-		return err
-	}
-	if err := le(uint32(len(gr.Lengths))); err != nil {
-		return err
-	}
+	enc.u64(uint64(gr.TotalSubseq))
+	enc.u64(uint64(gr.IncrementalMembers))
+	enc.u32(uint32(len(gr.Lengths)))
 	for _, l := range gr.Lengths {
 		lg := gr.ByLength[l]
-		if err := errJoin(le(uint32(l)), le(uint32(len(lg.Groups)))); err != nil {
-			return err
-		}
+		enc.u32(uint32(l))
+		enc.u32(uint32(len(lg.Groups)))
 		for _, g := range lg.Groups {
-			if err := le(g.Rep); err != nil {
-				return err
+			for _, v := range g.Rep {
+				enc.f64(v)
 			}
-			if err := le(uint32(g.Count())); err != nil {
-				return err
-			}
+			enc.u32(uint32(g.Count()))
 			for _, m := range g.Members {
-				if err := errJoin(le(uint32(m.SeriesIdx)), le(uint32(m.Start)), le(m.EDToRep)); err != nil {
-					return err
-				}
+				enc.member(m)
 			}
 		}
 	}
 	// Trailing checksum (of everything before it).
-	sum := cw.crc
-	if err := binary.Write(bw, binary.LittleEndian, sum); err != nil {
-		return err
+	enc.buf = binary.LittleEndian.AppendUint32(enc.buf, crc32.Update(enc.crc, crc32.IEEETable, enc.buf))
+	enc.emit(enc.buf)
+	return enc.err
+}
+
+// decoder reads the stream through one reusable chunk buffer and checksums
+// each chunk once, as it is taken. The first error sticks: every later take
+// returns nil and the fields read as zero.
+type decoder struct {
+	r   io.Reader
+	buf []byte // buf[off:] is read ahead and not yet taken; cap blockSize
+	off int
+	crc uint32
+	err error
+}
+
+// take returns the next n ≤ blockSize bytes of the stream, valid until the
+// next take, or nil once the stream has failed.
+func (d *decoder) take(n int) []byte {
+	if d.err != nil {
+		return nil
 	}
-	return bw.Flush()
+	if len(d.buf)-d.off < n {
+		rest := copy(d.buf[:cap(d.buf)], d.buf[d.off:])
+		m, err := io.ReadAtLeast(d.r, d.buf[rest:cap(d.buf)], n-rest)
+		d.buf, d.off = d.buf[:rest+m], 0
+		if err != nil {
+			d.err = err
+			return nil
+		}
+	}
+	b := d.buf[d.off : d.off+n]
+	d.off += n
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, b)
+	return b
+}
+
+func (d *decoder) u8() uint8 {
+	if b := d.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (d *decoder) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (d *decoder) u64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// str reads a length-prefixed string chunk by chunk, so it costs what the
+// stream holds, not what its length claims.
+func (d *decoder) str() string {
+	n := int(d.u32())
+	if n > 1<<20 {
+		d.err = fmt.Errorf("%w: implausible string length %d", ErrBadFormat, n)
+	}
+	var sb strings.Builder
+	for ; n > 0 && d.err == nil; n -= blockSize {
+		sb.Write(d.take(min(n, blockSize)))
+	}
+	return sb.String()
+}
+
+// floats appends n values to dst chunk by chunk, growing dst only as the
+// stream delivers them, and refuses non-finite ones as ErrBadFormat naming
+// what they are.
+func (d *decoder) floats(dst []float64, n int, what string) []float64 {
+	for ; n > 0 && d.err == nil; n -= blockSize / 8 {
+		b := d.take(8 * min(n, blockSize/8))
+		for i := 0; i < len(b); i += 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				d.err = fmt.Errorf("%w: non-finite %s", ErrBadFormat, what)
+				return nil
+			}
+			dst = append(dst, v)
+		}
+	}
+	return dst
 }
 
 // DecodeSnapshot reads and checksums one ONEX base stream without building
 // any index state on top.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-	magic := make([]byte, len(persistMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if string(magic) != persistMagic {
+	dec := &decoder{r: r, buf: make([]byte, 0, blockSize)}
+	if string(dec.take(len(persistMagic))) != persistMagic {
+		if dec.err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadFormat, dec.err)
+		}
 		return nil, ErrBadFormat
 	}
-	le := func(v any) error { return binary.Read(cr, binary.LittleEndian, v) }
-	var version uint32
-	if err := le(&version); err != nil {
-		return nil, err
+	version := dec.u32()
+	if dec.err != nil {
+		return nil, dec.err
 	}
 	if version < persistMinVersion || version > persistVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 
 	var cfg BuildConfig
-	var normMode uint8
-	var seed int64
-	var normMin, normMax float64
-	if err := errJoin(le(&cfg.ST), le(&seed), le(&normMode), le(&normMin), le(&normMax)); err != nil {
-		return nil, err
-	}
+	cfg.ST = dec.f64()
+	cfg.Seed = int64(dec.u64())
+	cfg.Normalize = NormalizeMode(dec.u8())
+	normMin, normMax := dec.f64(), dec.f64()
 	if version == 6 {
-		if err := readRetiredKnobs(le); err != nil {
+		if err := readRetiredKnobs(dec); err != nil {
 			return nil, err
 		}
 	}
-	var shards uint32
-	if err := errJoin(le(&cfg.RebuildDrift), le(&shards)); err != nil {
-		return nil, err
+	cfg.RebuildDrift = dec.f64()
+	shards := dec.u32()
+	if dec.err != nil {
+		return nil, dec.err
 	}
 	if shards < 1 || shards > 1<<20 {
 		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadFormat, shards)
 	}
 	var savedAt time.Time
 	var origBuild time.Duration
-	var savedUnix, buildNanos int64
-	var nCfgLengths uint32
-	if err := errJoin(le(&savedUnix), le(&buildNanos), le(&nCfgLengths)); err != nil {
-		return nil, err
+	savedUnix, buildNanos := int64(dec.u64()), int64(dec.u64())
+	nCfgLengths := dec.u32()
+	if dec.err != nil {
+		return nil, dec.err
 	}
 	if nCfgLengths > 1<<20 {
 		return nil, fmt.Errorf("%w: implausible length-config count %d", ErrBadFormat, nCfgLengths)
 	}
-	for i := uint32(0); i < nCfgLengths; i++ {
-		var l uint32
-		if err := le(&l); err != nil {
-			return nil, err
-		}
-		cfg.Lengths = append(cfg.Lengths, int(l))
+	for i := uint32(0); i < nCfgLengths && dec.err == nil; i++ {
+		cfg.Lengths = append(cfg.Lengths, int(dec.u32()))
+	}
+	if dec.err != nil {
+		return nil, dec.err
 	}
 	if savedUnix > 0 {
 		savedAt = time.Unix(savedUnix, 0)
@@ -265,55 +363,45 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if ts.CheckFinite([]float64{normMin, normMax}) >= 0 {
 		return nil, fmt.Errorf("%w: non-finite normalization bounds", ErrBadFormat)
 	}
-	cfg.Seed = seed
-	cfg.Normalize = NormalizeMode(normMode)
 
 	// Dataset.
-	name, err := readString(cr)
-	if err != nil {
-		return nil, err
-	}
-	var n uint32
-	if err := le(&n); err != nil {
-		return nil, err
+	name := dec.str()
+	n := dec.u32()
+	if dec.err != nil {
+		return nil, dec.err
 	}
 	if n == 0 || n > 1<<28 {
 		return nil, fmt.Errorf("%w: implausible series count %d", ErrBadFormat, n)
 	}
 	d := &ts.Dataset{Name: name}
 	for i := uint32(0); i < n; i++ {
-		label, err := readString(cr)
-		if err != nil {
-			return nil, err
-		}
-		var sl uint32
-		if err := le(&sl); err != nil {
-			return nil, err
+		label := dec.str()
+		sl := dec.u32()
+		if dec.err != nil {
+			return nil, dec.err
 		}
 		if sl == 0 || sl > 1<<28 {
 			return nil, fmt.Errorf("%w: implausible series length %d", ErrBadFormat, sl)
 		}
-		values, err := readFloats(cr, int(sl))
-		if err != nil {
-			return nil, err
+		values := dec.floats(make([]float64, 0, min(sl, blockSize/8)), int(sl), "series value")
+		if dec.err != nil {
+			return nil, dec.err
 		}
 		d.Append(label, values)
 	}
 
 	// Groups.
 	gr := &grouping.Result{ST: cfg.ST, ByLength: map[int]*grouping.LengthGroups{}}
-	if err := errJoin(le(&gr.TotalSubseq), le(&gr.IncrementalMembers)); err != nil {
-		return nil, err
-	}
-	var nLengths uint32
-	if err := le(&nLengths); err != nil {
-		return nil, err
+	gr.TotalSubseq, gr.IncrementalMembers = int64(dec.u64()), int64(dec.u64())
+	nLengths := dec.u32()
+	if dec.err != nil {
+		return nil, dec.err
 	}
 	maxLen := d.MaxLen()
 	for li := uint32(0); li < nLengths; li++ {
-		var l, nGroups uint32
-		if err := errJoin(le(&l), le(&nGroups)); err != nil {
-			return nil, err
+		l, nGroups := dec.u32(), dec.u32()
+		if dec.err != nil {
+			return nil, dec.err
 		}
 		if l < 1 || int(l) > maxLen {
 			return nil, fmt.Errorf("%w: group length %d outside dataset", ErrBadFormat, l)
@@ -329,16 +417,10 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		}
 		lg := &grouping.LengthGroups{Length: int(l)}
 		for gi := uint32(0); gi < nGroups; gi++ {
-			rep := make([]float64, l)
-			if err := le(rep); err != nil {
-				return nil, err
-			}
-			if ts.CheckFinite(rep) >= 0 {
-				return nil, fmt.Errorf("%w: non-finite representative", ErrBadFormat)
-			}
-			var nMembers uint32
-			if err := le(&nMembers); err != nil {
-				return nil, err
+			rep := dec.floats(make([]float64, 0, l), int(l), "representative")
+			nMembers := dec.u32()
+			if dec.err != nil {
+				return nil, dec.err
 			}
 			if nMembers == 0 {
 				return nil, fmt.Errorf("%w: empty group", ErrBadFormat)
@@ -349,19 +431,24 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 			windows -= int64(nMembers)
 			g := &grouping.Group{Length: int(l), ID: int(gi), Rep: rep,
 				Members: make([]grouping.Member, nMembers)}
-			for mi := range g.Members {
-				var sIdx, start uint32
-				var ed float64
-				if err := errJoin(le(&sIdx), le(&start), le(&ed)); err != nil {
-					return nil, err
+			// Member records are 16 bytes (series u32, start u32, ED f64),
+			// taken a chunk at a time.
+			for mi := 0; mi < len(g.Members); {
+				b := dec.take(16 * min(len(g.Members)-mi, blockSize/16))
+				if b == nil {
+					return nil, dec.err
 				}
-				if int(sIdx) >= d.N() || !d.Series[sIdx].CheckRange(int(start), int(l)) {
-					return nil, fmt.Errorf("%w: member (%d,%d) out of range", ErrBadFormat, sIdx, start)
+				for ; len(b) > 0; b, mi = b[16:], mi+1 {
+					sIdx, start := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
+					ed := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+					if int(sIdx) >= d.N() || !d.Series[sIdx].CheckRange(int(start), int(l)) {
+						return nil, fmt.Errorf("%w: member (%d,%d) out of range", ErrBadFormat, sIdx, start)
+					}
+					if math.IsNaN(ed) || math.IsInf(ed, 0) {
+						return nil, fmt.Errorf("%w: non-finite member distance", ErrBadFormat)
+					}
+					g.Members[mi] = grouping.Member{SeriesIdx: int(sIdx), Start: int(start), EDToRep: ed}
 				}
-				if math.IsNaN(ed) || math.IsInf(ed, 0) {
-					return nil, fmt.Errorf("%w: non-finite member distance", ErrBadFormat)
-				}
-				g.Members[mi] = grouping.Member{SeriesIdx: int(sIdx), Start: int(start), EDToRep: ed}
 			}
 			lg.Groups = append(lg.Groups, g)
 		}
@@ -370,10 +457,10 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 
 	// Verify the checksum before building anything on top.
-	want := cr.crc
-	var got uint32
-	if err := binary.Read(cr.r, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum: %v", ErrBadFormat, err)
+	want := dec.crc
+	got := dec.u32()
+	if dec.err != nil {
+		return nil, fmt.Errorf("%w: missing checksum: %v", ErrBadFormat, dec.err)
 	}
 	if got != want {
 		return nil, ErrCorrupt
@@ -391,37 +478,14 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	}, nil
 }
 
-// readFloats reads n little-endian float64 values in chunks, growing the
-// slice as the stream delivers them (a hostile count costs what the stream
-// holds, not what it claims), and refuses non-finite values.
-func readFloats(r io.Reader, n int) ([]float64, error) {
-	const chunk = 1 << 13
-	buf := make([]byte, 8*min(n, chunk))
-	values := make([]float64, 0, min(n, chunk))
-	for len(values) < n {
-		b := buf[:8*min(n-len(values), chunk)]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		for i := 0; i < len(b); i += 8 {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w: non-finite series value", ErrBadFormat)
-			}
-			values = append(values, v)
-		}
-	}
-	return values, nil
-}
-
 // readRetiredKnobs reads the four query knobs of a version-6 header and
 // refuses any that is not its default, the one configuration the engine
 // runs.
-func readRetiredKnobs(le func(any) error) error {
-	var earlyStop, noLB uint8
-	var candLimit, patience int64
-	if err := errJoin(le(&earlyStop), le(&noLB), le(&candLimit), le(&patience)); err != nil {
-		return err
+func readRetiredKnobs(dec *decoder) error {
+	earlyStop, noLB := dec.u8(), dec.u8()
+	candLimit, patience := int64(dec.u64()), int64(dec.u64())
+	if dec.err != nil {
+		return dec.err
 	}
 	for _, f := range []struct {
 		name  string
@@ -430,38 +494,6 @@ func readRetiredKnobs(le func(any) error) error {
 		if f.value != 0 {
 			return fmt.Errorf("%w: version-6 stream sets the retired %s field to %d; only its default, 0, still loads",
 				ErrBadVersion, f.name, f.value)
-		}
-	}
-	return nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("%w: implausible string length %d", ErrBadFormat, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func errJoin(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
 	}
 	return nil

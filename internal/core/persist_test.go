@@ -5,11 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"onex/internal/dataset"
 	"onex/internal/grouping"
@@ -68,21 +71,27 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // failWriter fails after limit bytes, exercising every write error path in
-// the encoder.
+// the encoder, and counts the writes attempted after its failure.
 type failWriter struct {
 	limit   int
 	written int
+	failed  bool
+	late    int
 }
 
 var errDiskFull = errors.New("disk full")
 
 func (f *failWriter) Write(p []byte) (int, error) {
+	if f.failed {
+		f.late++
+	}
 	if f.written+len(p) > f.limit {
 		n := f.limit - f.written
 		if n < 0 {
 			n = 0
 		}
 		f.written = f.limit
+		f.failed = true
 		return n, errDiskFull
 	}
 	f.written += len(p)
@@ -90,14 +99,32 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestEncodeFailsCleanlyOnWriteErrors(t *testing.T) {
+	check := func(snap *Snapshot, size, limit int) {
+		t.Helper()
+		fw := &failWriter{limit: limit}
+		if err := EncodeSnapshot(fw, snap); err == nil {
+			t.Errorf("encode with %d-byte budget succeeded (full size %d)", limit, size)
+		}
+		if fw.late > 0 {
+			t.Errorf("encode with %d-byte budget wrote %d more times after the failure", limit, fw.late)
+		}
+	}
 	snap := snapshotFixture(t)
 	size := len(encodeFixture(t))
 	// Fail at several byte offsets spanning header, dataset and groups.
 	for _, limit := range []int{0, 4, 64, size / 4, size / 2, size - 8} {
-		if err := EncodeSnapshot(&failWriter{limit: limit}, snap); err == nil {
-			t.Errorf("encode with %d-byte budget succeeded (full size %d)", limit, size)
+		check(snap, size, limit)
+	}
+	// Fail at each block boundary of a multi-block stream and one byte
+	// either side.
+	big := chunkSnapshot()
+	bigSize := len(encode(t, big))
+	for b := blockSize; b < bigSize; b += blockSize {
+		for _, limit := range []int{b - 1, b, b + 1} {
+			check(big, bigSize, limit)
 		}
 	}
+	check(big, bigSize, bigSize-1)
 	if err := EncodeSnapshot(&bytes.Buffer{}, &Snapshot{}); err == nil {
 		t.Error("incomplete snapshot: want error")
 	}
@@ -208,6 +235,153 @@ func TestLoadDetectsTruncation(t *testing.T) {
 			t.Errorf("truncation at %d loaded without error", cut)
 		}
 	}
+	// Cut a multi-block stream at each chunk boundary and one byte either
+	// side: every multiple of the chunk size, and the ends of the first
+	// value chunk and the first member-record chunk.
+	big := encode(t, chunkSnapshot())
+	bounds := []int{chunkValues + blockSize, chunkMembers + blockSize}
+	for b := blockSize; b < len(big); b += blockSize {
+		bounds = append(bounds, b)
+	}
+	for _, b := range bounds {
+		for _, cut := range []int{b - 1, b, b + 1} {
+			if _, err := DecodeSnapshot(bytes.NewReader(big[:cut])); err == nil {
+				t.Errorf("multi-block stream cut at %d of %d loaded without error", cut, len(big))
+			}
+		}
+	}
+}
+
+// chunkSnapshot spans five encoder blocks: one series of three chunks of
+// values, and one group with more members than a chunk of member records
+// carries.
+func chunkSnapshot() *Snapshot {
+	values := make([]float64, chunkSeriesLen)
+	for i := range values {
+		values[i] = math.Sin(float64(i) / 7)
+	}
+	d := &ts.Dataset{Name: "chunks"}
+	d.Append("long", values)
+	members := make([]grouping.Member, chunkGroupSize)
+	for i := range members {
+		members[i] = grouping.Member{Start: i, EDToRep: float64(i) / chunkGroupSize}
+	}
+	return &Snapshot{
+		Shards:  1,
+		Cfg:     BuildConfig{ST: 0.2, Lengths: []int{4}},
+		Dataset: d,
+		Grouped: &grouping.Result{
+			ST: 0.2, Lengths: []int{4}, TotalSubseq: chunkGroupSize,
+			ByLength: map[int]*grouping.LengthGroups{4: {Length: 4, Groups: []*grouping.Group{{
+				Length: 4, Rep: []float64{0.1, 0.2, 0.3, 0.4}, Members: members,
+			}}}},
+		},
+	}
+}
+
+// chunkSnapshot's sizes and the stream offsets where its series values and
+// its member records start: after the header come the metadata (timestamp,
+// build time, one configured length), the name "chunks", the series count,
+// the label "long" and the series length; after the values, the two
+// subsequence counters, the length count, the length and its group count,
+// the representative and the member count.
+const (
+	chunkSeriesLen = 3 * blockSize / 8
+	chunkGroupSize = blockSize/16 + 100
+	chunkValues    = shardsEnd + 8 + 8 + 4 + 4 + (4 + 6) + 4 + (4 + 4) + 4
+	chunkMembers   = chunkValues + 8*chunkSeriesLen + 8 + 8 + 4 + 4 + 4 + 4*8 + 4
+)
+
+// TestChunkBoundariesRoundTrip: a stream spanning several encoder blocks,
+// with a series and a group each longer than one decoder chunk, decodes to
+// exactly the snapshot encoded, also from a reader that returns short reads.
+func TestChunkBoundariesRoundTrip(t *testing.T) {
+	want := chunkSnapshot()
+	data := encode(t, want)
+	if len(data) < 3*blockSize {
+		t.Fatalf("stream is %d bytes, want at least 3 blocks", len(data))
+	}
+	for _, c := range []struct {
+		name string
+		off  int
+		want uint32
+	}{{"series length", chunkValues - 4, chunkSeriesLen}, {"members", chunkMembers - 4, chunkGroupSize}} {
+		if got := binary.LittleEndian.Uint32(data[c.off:]); got != c.want {
+			t.Fatalf("%s count at offset %d = %d, want %d", c.name, c.off, got, c.want)
+		}
+	}
+	for name, r := range map[string]io.Reader{
+		"whole":  bytes.NewReader(data),
+		"halves": iotest.HalfReader(bytes.NewReader(data)),
+	} {
+		got, err := DecodeSnapshot(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Cfg, want.Cfg) || !reflect.DeepEqual(got.Dataset, want.Dataset) ||
+			!reflect.DeepEqual(got.Grouped, want.Grouped) {
+			t.Errorf("%s: decoded a different snapshot", name)
+		}
+	}
+}
+
+// TestEncodeMatchesParentStream: the encoder writes snapshotFixture byte for
+// byte as testdata/fixture-v7.onex, which the per-field encoder it replaced
+// wrote, apart from the save timestamp (8 bytes at offset shardsEnd); and
+// that file decodes to the fixture.
+func TestEncodeMatchesParentStream(t *testing.T) {
+	golden, err := os.ReadFile("testdata/fixture-v7.onex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotFixture(t)
+	got := encode(t, want)
+	if len(got) != len(golden) {
+		t.Fatalf("stream is %d bytes, golden %d", len(got), len(golden))
+	}
+	copy(got[shardsEnd:shardsEnd+8], golden[shardsEnd:])
+	reseal(got)
+	for i := range got {
+		if got[i] != golden[i] {
+			t.Fatalf("stream differs from the golden file first at offset %d", i)
+		}
+	}
+	snap, err := DecodeSnapshot(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap.Dataset, want.Dataset) || !reflect.DeepEqual(snap.Grouped, want.Grouped) {
+		t.Error("golden file decoded to a different dataset or grouping")
+	}
+}
+
+// TestCodecAllocs: encoding allocates only its block, whatever the stream's
+// size; decoding allocates a bounded number of times per group and series.
+func TestCodecAllocs(t *testing.T) {
+	snap := snapshotFixture(t)
+	if a := testing.AllocsPerRun(20, func() {
+		if err := EncodeSnapshot(io.Discard, snap); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 2 {
+		t.Errorf("EncodeSnapshot: %v allocations per call, want at most 2", a)
+	}
+	groups := 0
+	for _, lg := range snap.Grouped.ByLength {
+		groups += len(lg.Groups)
+	}
+	limit := float64(4*(groups+snap.Dataset.N()) + 32)
+	data := encode(t, snap)
+	r := bytes.NewReader(data)
+	if a := testing.AllocsPerRun(20, func() {
+		r.Reset(data)
+		if _, err := DecodeSnapshot(r); err != nil {
+			t.Fatal(err)
+		}
+	}); a > limit {
+		t.Errorf("DecodeSnapshot: %v allocations per call, want at most %v (%d groups, %d series)",
+			a, limit, groups, snap.Dataset.N())
+	}
 }
 
 // tinySnapshot is one series of four values and one length-2 group holding
@@ -234,7 +408,8 @@ func tinySnapshot() *Snapshot {
 // metadata (timestamp, build time, no configured lengths), the dataset name
 // "t", the series count and the label "s".
 const (
-	tinySeriesLen = shardsEnd + 8 + 8 + 4 + (4 + 1) + 4 + (4 + 1)
+	tinyLabel     = shardsEnd + 8 + 8 + 4 + (4 + 1) + 4
+	tinySeriesLen = tinyLabel + (4 + 1)
 	tinyGroups    = tinySeriesLen + 4 + 4*8 + 8 + 8 + 4 + 4
 	tinyMembers   = tinyGroups + 4 + 2*8
 )
@@ -292,6 +467,7 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 		format bool // the bound refuses it (ErrBadFormat), not the short read
 	}{
 		{"series length 2^28", withCount(data, tinySeriesLen, 1<<28), false},
+		{"label length 2^20", withCount(data, tinyLabel, 1<<20), false},
 		{"group count 2^32-1", withCount(data, tinyGroups, math.MaxUint32), true},
 		{"member count 2^32-1", withCount(data, tinyMembers, math.MaxUint32), true},
 		{"members beyond windows", withCount(data, tinyMembers, 4), true},

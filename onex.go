@@ -463,8 +463,11 @@ func LoadDistributed(r io.Reader, parallelism int, workers []string) (*Base, err
 
 // SaveFile snapshots the base to path atomically: the stream is written to
 // a temporary file in the same directory and renamed into place, so readers
-// never observe a partial snapshot and a crashed save leaves any previous
-// snapshot intact.
+// never observe a partial snapshot and a save cut short by a process crash
+// leaves any previous snapshot intact. Nothing is fsynced, so that holds for
+// a process crash, not for power loss: after one, the rename may have reached
+// the disk before the data, leaving an empty or incomplete snapshot that
+// loading refuses (a short read or a checksum mismatch).
 func (b *Base) SaveFile(path string) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

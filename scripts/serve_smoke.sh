@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Serve smoke test: boot onex-server on a generated dataset, register a
 # second dataset over the v1 API, query both, verify the result cache hits,
-# and shut down gracefully. Mirrored by the CI serve-smoke job via
-# `make serve-smoke`.
+# append to the first and shut down gracefully, then restart on the same
+# snapshot directory and require the reload to serve what was written.
+# Mirrored by the CI serve-smoke job via `make serve-smoke`.
 set -eu
 
 ADDR="${ONEX_SMOKE_ADDR:-127.0.0.1:18080}"
@@ -20,18 +21,28 @@ trap cleanup EXIT INT TERM
 echo "== build"
 go build -o "$BIN" ./cmd/onex-server
 
-echo "== start ($ADDR)"
-"$BIN" -addr "$ADDR" -generate ItalyPower -scale 0.2 -st 0.25 -lengths 6 \
-    -snapshot-dir "$SNAPDIR" &
-SERVER_PID=$!
+start_server() {
+    echo "== start ($ADDR)"
+    "$BIN" -addr "$ADDR" -generate ItalyPower -scale 0.2 -st 0.25 -lengths 6 \
+        -snapshot-dir "$SNAPDIR" &
+    SERVER_PID=$!
 
-echo "== wait for /healthz"
-for i in $(seq 1 50); do
-    if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    kill -0 "$SERVER_PID" 2>/dev/null || { echo "server died" >&2; exit 1; }
-    sleep 0.2
-done
-curl -sf "$BASE/healthz" | grep -q '"ok"' || { echo "healthz failed" >&2; exit 1; }
+    echo "== wait for /healthz"
+    for i in $(seq 1 50); do
+        if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
+        kill -0 "$SERVER_PID" 2>/dev/null || { echo "server died" >&2; exit 1; }
+        sleep 0.2
+    done
+    curl -sf "$BASE/healthz" | grep -q '"ok"' || { echo "healthz failed" >&2; exit 1; }
+}
+
+stop_server() {
+    kill -TERM "$SERVER_PID"
+    wait "$SERVER_PID" 2>/dev/null || true
+    SERVER_PID=
+}
+
+start_server
 
 check_code() { # method url want [body]
     method=$1; url=$2; want=$3; body=${4:-}
@@ -131,8 +142,33 @@ check_code POST "$BASE/v1/datasets" 400 '{"name":"bad","generator":"ECG","bogus"
 curl -s "$BASE/v1/datasets/nope" | grep -q '"code":"not_found"' \
     || { echo "FAIL: 404 body missing code field" >&2; exit 1; }
 
+echo "== append, then record what ItalyPower serves"
+check_code POST "$BASE/v1/datasets/ItalyPower/append" 200 '{"seriesId":0,"points":[0.2,0.6,0.9,0.4,0.1]}'
+KNN_Q="{\"query\":$IP_Q,\"k\":3}"
+matches_of() {
+    curl -sf -X POST -d "$KNN_Q" "$BASE/v1/datasets/ItalyPower/match" | sed -n 's/.*\("matches":\[[^]]*\]\).*/\1/p'
+}
+subsequences_of() {
+    curl -sf "$BASE/v1/datasets/ItalyPower" | sed -n 's/.*"subsequences":\([0-9]*\).*/\1/p'
+}
+curl -sf "$BASE/v1/datasets/ItalyPower" | grep -q '"snapshotError"' \
+    && { echo "FAIL: the append's snapshot write failed" >&2; exit 1; }
+MATCHES=$(matches_of)
+SUBSEQ=$(subsequences_of)
+[ -n "$MATCHES" ] && [ -n "$SUBSEQ" ] || { echo "FAIL: no matches or subsequences to compare" >&2; exit 1; }
+echo "ok: $SUBSEQ subsequences after the append"
+
 echo "== graceful shutdown (SIGTERM)"
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=
+stop_server
+
+echo "== restart on the same snapshot directory: it serves what was written"
+start_server
+curl -sf "$BASE/v1/datasets/ItalyPower" | grep -q '"fromSnapshot":true' \
+    || { echo "FAIL: ItalyPower was not reloaded from its snapshot" >&2; exit 1; }
+[ "$(subsequences_of)" = "$SUBSEQ" ] \
+    || { echo "FAIL: reloaded subsequences $(subsequences_of), want $SUBSEQ" >&2; exit 1; }
+[ "$(matches_of)" = "$MATCHES" ] \
+    || { echo "FAIL: reloaded k-NN answer differs: $(matches_of), want $MATCHES" >&2; exit 1; }
+echo "ok: reload serves the appended snapshot"
+stop_server
 echo "serve smoke: PASS"
