@@ -64,7 +64,10 @@
 // groups and yields ctx's error, never a partial answer) and carries its
 // trace, when it has one: obs.ContextWithTrace. BestMatch, BestKMatches,
 // RangeSearch, RangeSearchExact, Seasonal and SeasonalAll spell the paper's
-// classes as plain calls over Exec.
+// classes as plain calls over Exec. RangeSearchExact answers what a brute
+// force scan does — every window whose normalized DTW is within the radius,
+// one exactly at the radius included — which internal/query holds it to
+// (TestRangeAdmitsWindowsAtTheRadius, FuzzRangeMatchesBrute).
 //
 // # Parallel execution
 //
@@ -273,9 +276,10 @@ package onex
 //	                              and RangeSearch wholesale admission
 //	pivot walk (Sec. 5.3)         Scatter.mineGroup: pivot order over the
 //	                              LSI, stops after 32 non-improving members
-//	LB_Kim, LB_Keogh (Sec. 5.3)   dist.LBKim, dist.LBKeoghMinMax (the
-//	                              scan), dist.LBKeoghOrdered over a
-//	                              dist.Envelope
+//	LB_Kim, LB_Keogh (Sec. 5.3)   dist.LBKim, dist.LBKeoghMinMax (one
+//	                              representative test for the argmin,
+//	                              k-NN and range scans),
+//	                              dist.LBKeoghOrdered over a dist.Envelope
 //	early abandoning (Sec. 5.3)   dist.Workspace.DTWEarlyAbandon (column-
 //	                              window pruned DTW, exact whenever
 //	                              ≤ cutoff), dist.SquaredEDEarlyAbandon

@@ -58,15 +58,28 @@ func (e *engine) BestMatchObserved(ctx context.Context, q []float64, mode MatchM
 func (e *engine) BestMatchTraced(q []float64, mode MatchMode) (Match, Trace, error) {
 	rec := obs.NewTrace("")
 	m, err := e.BestMatchObserved(context.Background(), q, mode, rec)
+	return m, recordedWork(rec), err
+}
+
+// ExecTraced is Exec plus the request's work counters.
+func (e *engine) ExecTraced(req Request) (Result, Trace) {
+	rec := obs.NewTrace("")
+	r := e.Exec(obs.ContextWithTrace(context.Background(), rec), req)
+	return r, recordedWork(rec)
+}
+
+// recordedWork reads a request's work counters back from its trace
+// recorder's totals.
+func recordedWork(rec *obs.Trace) Trace {
 	w := rec.Snapshot().Work
-	return m, Trace{
+	return Trace{
 		RepsExamined:   int(w["repsExamined"]),
 		PrunedByKim:    int(w["prunedByKim"]),
 		PrunedByKeogh:  int(w["prunedByKeogh"]),
 		DTWComputed:    int(w["dtwComputed"]),
 		MembersTested:  int(w["membersTested"]),
 		LengthsVisited: int(w["lengthsVisited"]),
-	}, err
+	}
 }
 
 // BestMatchBatch is ExecBatch over best-match requests of one mode.

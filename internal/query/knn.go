@@ -3,39 +3,7 @@ package query
 import (
 	"math"
 	"sort"
-
-	"onex/internal/dist"
-	"onex/internal/rspace"
 )
-
-// scanRepFixed is the fixed-cutoff representative cascade of the k-NN rep
-// scan over representative k of e: LB_Kim → (same-length) LB_Keogh →
-// early-abandoning DTW, pruning non-strictly (≥) against a cutoff that
-// cannot tighten during the scan. It returns the representative's raw DTW
-// and whether it survived, ticking tr for the examined rep and for whichever
-// cascade stage resolved it — the fixed cutoff makes these counts identical
-// at every worker count and shard layout. A survivor is any finite DTW: the
-// kernel is exact at or below the cutoff, and a finite value above it lies
-// past every later group cut (kth only falls), so no walk reads it.
-func scanRepFixed(ws *dist.Workspace, q []float64, order []int,
-	e *rspace.LengthEntry, k int, sameLen bool, cutoff float64, tr *Trace) (float64, bool) {
-
-	tr.RepsExamined++
-	rep := e.Groups[k].Rep
-	if dist.LBKim(q, rep) >= cutoff {
-		tr.PrunedByKim++
-		return 0, false
-	}
-	if sameLen {
-		if lb := dist.LBKeoghMinMax(q, e.Max[k], e.Min[k], order, cutoff); lb >= cutoff {
-			tr.PrunedByKeogh++
-			return 0, false
-		}
-	}
-	tr.DTWComputed++
-	d := ws.DTWEarlyAbandon(q, rep, cutoff)
-	return d, !math.IsInf(d, 1)
-}
 
 // topK keeps the k best matches seen, worst at the root.
 type topK struct {

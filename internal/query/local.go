@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"onex/internal/dist"
 	"onex/internal/grouping"
@@ -263,16 +264,18 @@ func (p *Processor) innerExec(workers int) *Processor {
 }
 
 // ScanBest implements ShardTransport: the tightening-bound argmin scan
-// (LB_Kim → LB_Keogh → early-abandoning DTW) over the shard's owned units
-// of one length, in ascending global-group order; past one worker the
-// units stride across the pool under a shared atomic bound. The scan
-// computes the exact minimum either way, and ties on it resolve to the
-// smallest global id at every worker count. That is why pruning is strict
-// (> cutoff): a representative whose lower bound merely equals the bound
-// could still tie the minimum from a smaller id, and DTWEarlyAbandon is
-// exact whenever the distance is ≤ its cutoff, so every minimum-achieving
-// representative is computed exactly and the (distance, position) reduce
-// picks the same winner whatever the timing.
+// (scanRep: LB_Kim → LB_Keogh → early-abandoning DTW) over the shard's owned
+// units of one length, in ascending global-group order, striding across the
+// request's workers under a shared atomic bound. The scan computes the exact
+// minimum at every worker count, and ties on it resolve to the smallest
+// global id. That is why pruning is strict (lb > bound): a representative
+// whose lower bound merely equals the bound could still tie the minimum from
+// a smaller id. scanRep prunes on lb ≥ its cutoff, so the scan passes
+// math.Nextafter(bound, +Inf): for a finite lb, lb ≥ next(bound) exactly
+// when lb > bound. DTWEarlyAbandon is exact whenever the distance is ≤ its
+// cutoff, and a finite result is always exact, so every minimum-achieving
+// representative is computed exactly and the shared winner, which keeps the
+// smallest (distance, position), is the same whatever the timing.
 //
 // A same-length scan first seeds its bound with the paper's marriage of the
 // two distances: one pass of early-abandoning squared ED over the owned
@@ -297,7 +300,6 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 		return ScanBestResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
 	}
 	units := ls.units[req.Length]
-	var tr Trace
 	n := len(units)
 	if n == 0 {
 		return ScanBestResponse{BestBits: math.Float64bits(math.Inf(1))}, nil
@@ -316,92 +318,55 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 		seed = math.Sqrt(minSq)
 	}
 
-	type hit struct {
-		raw float64
-		pos int
-	}
-	scan := func(lws *dist.Workspace, start, stride int, shared *parallel.MinBound, local *hit, ltr *Trace) {
-		for k, pos := 0, start; pos < n; k, pos = k+1, pos+stride {
-			if k%rangePollEvery == 0 && ctx.Err() != nil {
-				return
-			}
-			u := units[pos]
-			ltr.RepsExamined++
-			cutoff := min(local.raw, seed)
-			if shared != nil {
-				cutoff = min(cutoff, shared.Load())
-			}
-			rep := e.Groups[u.local].Rep
-			if dist.LBKim(q, rep) > cutoff {
-				ltr.PrunedByKim++
-				continue
-			}
-			if sameLen {
-				if lb := dist.LBKeoghMinMax(q, e.Max[u.local], e.Min[u.local], order, cutoff); lb > cutoff {
-					ltr.PrunedByKeogh++
-					continue
-				}
-			}
-			ltr.DTWComputed++
-			d := lws.DTWEarlyAbandon(q, rep, cutoff)
-			if d < local.raw {
-				local.raw, local.pos = d, pos
-				if shared != nil {
-					shared.Relax(d)
-				}
-			}
-		}
-	}
-
 	workers := reqWorkers(req.Workers)
-	if workers > n {
-		workers = n
+	if n < scanParallelMin {
+		workers = 1
 	}
-	win := hit{raw: math.Inf(1), pos: -1}
-	if workers <= 1 || n < scanParallelMin {
-		lws := ls.proc.pool.Get()
-		scan(lws, 0, 1, nil, &win, &tr)
-		ls.proc.pool.Put(lws)
-	} else {
-		shared := parallel.NewMinBound(seed)
-		locals := make([]hit, workers)
-		traces := make([]Trace, workers)
-		parallel.ForEach(workers, workers, func(w int) {
-			lws := ls.proc.pool.Get()
-			defer ls.proc.pool.Put(lws)
-			locals[w] = hit{raw: math.Inf(1), pos: -1}
-			scan(lws, w, workers, shared, &locals[w], &traces[w])
-		})
-		for _, t := range traces {
-			tr.add(t)
+	// win is the scan's answer so far, shared by its workers under mu; bound
+	// is min(seed, raw), the cutoff every worker prunes against. The scan's
+	// Trace lives beside them, so the scan allocates one value for all three.
+	win := &struct {
+		bound parallel.MinBound
+		mu    sync.Mutex
+		raw   float64
+		pos   int
+		tr    Trace
+	}{raw: math.Inf(1), pos: -1}
+	win.bound.Relax(seed)
+	ls.proc.strided(ctx, workers, n, &win.tr, func(ws *dist.Workspace, pos int, tr *Trace) {
+		bound := win.bound.Load()
+		d := scanRep(ws, q, order, e, units[pos].local, sameLen, math.Nextafter(bound, math.Inf(1)), tr)
+		if d > bound {
+			return // not the minimum: a computed distance or the seed is below it
 		}
-		for _, l := range locals {
-			if l.pos < 0 {
-				continue
-			}
-			if l.raw < win.raw || (l.raw == win.raw && l.pos < win.pos) {
-				win = l
-			}
+		win.mu.Lock()
+		if d < win.raw || (d == win.raw && pos < win.pos) {
+			win.raw, win.pos = d, pos
+			win.bound.Relax(d)
 		}
-	}
+		win.mu.Unlock()
+	})
 	if err := ctx.Err(); err != nil {
 		return ScanBestResponse{}, err
 	}
 	if win.pos < 0 {
-		return ScanBestResponse{BestBits: math.Float64bits(math.Inf(1)), Trace: tr}, nil
+		return ScanBestResponse{BestBits: math.Float64bits(math.Inf(1)), Trace: win.tr}, nil
 	}
 	return ScanBestResponse{
 		Found:    true,
 		GroupID:  units[win.pos].global,
 		BestBits: math.Float64bits(win.raw),
-		Trace:    tr,
+		Trace:    win.tr,
 	}, nil
 }
 
-// ScanFixed implements ShardTransport: the fixed-cutoff k-NN cascade over
-// the owned units, survivors returned in ascending global-group order.
-// The cutoff cannot tighten during the scan, so the per-unit decisions —
-// and the work counters — are identical at every worker count. ctx is
+// ScanFixed implements ShardTransport: the fixed-cutoff k-NN cascade
+// (scanRep, pruning on lb ≥ cutoff) over the owned units, survivors returned
+// in ascending global-group order. A survivor is any finite DTW: the kernel
+// is exact at or below the cutoff, and a finite value above it lies past
+// every later group cut (kth only falls), so no walk reads it. The cutoff
+// cannot tighten during the scan, so the per-unit decisions — and the work
+// counters — are identical at every worker count and shard layout. ctx is
 // polled every rangePollEvery units per worker; a canceled scan returns
 // ctx's error, never a partial answer.
 func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (ScanFixedResponse, error) {
@@ -416,7 +381,6 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 		return ScanFixedResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
 	}
 	units := ls.units[req.Length]
-	var tr Trace
 	n := len(units)
 	if n == 0 {
 		return ScanFixedResponse{}, nil
@@ -425,56 +389,24 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 	cutoff := math.Float64frombits(req.CutoffBits)
 	order := dist.QueryOrder(q)
 	sameLen := req.Length == len(q)
-	scanOne := func(lws *dist.Workspace, u localUnit, ltr *Trace) (float64, bool) {
-		return scanRepFixed(lws, q, order, e, u.local, sameLen, cutoff, ltr)
-	}
-
 	workers := reqWorkers(req.Workers)
-	if workers > n {
-		workers = n
+	if n < scanParallelMin {
+		workers = 1
 	}
-	var hits []FixedHit
-	if workers <= 1 || n < scanParallelMin {
-		lws := ls.proc.pool.Get()
-		hits = make([]FixedHit, 0, n)
-		for i, u := range units {
-			if i%rangePollEvery == 0 && ctx.Err() != nil {
-				break
-			}
-			if d, ok := scanOne(lws, u, &tr); ok {
-				hits = append(hits, FixedHit{GroupID: u.global, Dist: d})
-			}
-		}
-		ls.proc.pool.Put(lws)
-	} else {
-		found := make([]FixedHit, n)
-		kept := make([]bool, n)
-		traces := make([]Trace, workers)
-		parallel.ForEach(workers, workers, func(w int) {
-			lws := ls.proc.pool.Get()
-			defer ls.proc.pool.Put(lws)
-			for k, i := 0, w; i < n; k, i = k+1, i+workers {
-				if k%rangePollEvery == 0 && ctx.Err() != nil {
-					return
-				}
-				if d, ok := scanOne(lws, units[i], &traces[w]); ok {
-					found[i] = FixedHit{GroupID: units[i].global, Dist: d}
-					kept[i] = true
-				}
-			}
-		})
-		for _, t := range traces {
-			tr.add(t)
-		}
-		hits = make([]FixedHit, 0, n)
-		for i, ok := range kept {
-			if ok {
-				hits = append(hits, found[i])
-			}
-		}
-	}
+	// found[i] is unit i's distance, +Inf when the cascade dropped it.
+	found := make([]FixedHit, n)
+	var tr Trace
+	ls.proc.strided(ctx, workers, n, &tr, func(ws *dist.Workspace, i int, tr *Trace) {
+		found[i] = FixedHit{GroupID: units[i].global, Dist: scanRep(ws, q, order, e, units[i].local, sameLen, cutoff, tr)}
+	})
 	if err := ctx.Err(); err != nil {
 		return ScanFixedResponse{}, err
+	}
+	hits := found[:0]
+	for _, h := range found {
+		if !math.IsInf(h.Dist, 1) {
+			hits = append(hits, h)
+		}
 	}
 	return ScanFixedResponse{Hits: hits, Trace: tr}, nil
 }

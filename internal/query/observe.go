@@ -11,7 +11,7 @@ import "onex/internal/obs"
 // the Trace folded into the lifetime Counters — the invariant that makes
 // "explain" output reconcile with /v1/stats deltas.
 
-// add accumulates o into t (merging per-worker or per-group traces).
+// add accumulates o into t (merging per-worker or per-shard traces).
 func (t *Trace) add(o Trace) {
 	t.RepsExamined += o.RepsExamined
 	t.PrunedByKim += o.PrunedByKim

@@ -18,7 +18,14 @@
 //     workload (the groups founded first tend to be the populous ones, so
 //     the best-so-far bound tightens early);
 //   - the cascading lower-bound chain LB_Kim → LB_Keogh (reordered, early
-//     abandoning) → early-abandoning DTW against the best-so-far;
+//     abandoning) → early-abandoning DTW against a bound — one
+//     representative test (scanRep) for all three representative scans:
+//     the argmin (LocalShard.ScanBest), the fixed-cutoff k-NN scan
+//     (LocalShard.ScanFixed) and range search, which differ only in the
+//     bound they pass and run the same strided worker loop
+//     (Processor.strided); group members take the member test (evalMember:
+//     LB_Kim, then early-abandoning DTW) in the pivot walk, k-NN
+//     verification and range search alike;
 //   - the paper's marriage of the two distances at scan time: ED ≥ DTW for
 //     equal lengths, so a same-length scan seeds its best-so-far with one
 //     early-abandoning ED pass over the representatives, and the pruned DTW
@@ -82,6 +89,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -169,9 +177,11 @@ type Match struct {
 // length set yields a zero Match with Found()==false).
 func (m Match) Found() bool { return m.Length > 0 }
 
-// Trace counts the work a query performed, for the ablation benchmarks.
-// The JSON tags are the shard-transport wire shape (per-call work folds
-// back into the coordinator's trace).
+// Trace counts the work a query performed. The coordinator folds it into
+// the lifetime Counters (/v1/stats) and the request's obs trace totals and
+// span attributes (explain); the benchmark's per-layer query counts read
+// those. The JSON tags are the shard-transport wire shape (per-call work
+// folds back into the coordinator's trace).
 type Trace struct {
 	RepsExamined   int `json:"repsExamined"`   // representatives considered
 	PrunedByKim    int `json:"prunedByKim"`    // skipped after LB_Kim
@@ -253,6 +263,34 @@ func evalMember(ws *dist.Workspace, q, v []float64, bound float64) (lb, d float6
 	return lb, ws.DTWEarlyAbandon(q, v, bound), true
 }
 
+// scanRep is the representative test of every scan: LB_Kim →
+// (same-length) LB_Keogh → early-abandoning DTW of q against representative
+// k of e, pruning a representative whose lower bound reaches cutoff (≥). It
+// returns the raw DTW — exact whenever finite, as the kernel is — or +Inf
+// when a bound pruned it or the kernel abandoned, ticking tr for the
+// examined representative and for whichever stage resolved it. The k-NN
+// scan prunes non-strictly against its cutoff as given; the argmin and
+// range scans need a strict prune (lb > c) and pass math.Nextafter(c, +Inf):
+// for a finite lb, lb ≥ next(c) holds exactly when lb > c.
+func scanRep(ws *dist.Workspace, q []float64, order []int,
+	e *rspace.LengthEntry, k int, sameLen bool, cutoff float64, tr *Trace) float64 {
+
+	tr.RepsExamined++
+	rep := e.Groups[k].Rep
+	if dist.LBKim(q, rep) >= cutoff {
+		tr.PrunedByKim++
+		return math.Inf(1)
+	}
+	if sameLen {
+		if lb := dist.LBKeoghMinMax(q, e.Max[k], e.Min[k], order, cutoff); lb >= cutoff {
+			tr.PrunedByKeogh++
+			return math.Inf(1)
+		}
+	}
+	tr.DTWComputed++
+	return ws.DTWEarlyAbandon(q, rep, cutoff)
+}
+
 // evalRound evaluates one round of candidate windows against a bound
 // snapshot into lbs and ds (evalMember per window), returning how many DTWs
 // ran. A one-window or one-worker round runs inline on the caller's ws; a
@@ -285,6 +323,42 @@ func (p *Processor) evalRound(ws *dist.Workspace, q []float64, windows [][]float
 		dtws.Add(int64(ran))
 	})
 	return int(dtws.Load())
+}
+
+// strided is the one worker loop of the three representative scans
+// (ScanBest, ScanFixed and range search's groups): worker w of workers
+// visits units w, w+workers, … of n on its own pooled workspace and its own
+// Trace, and polls ctx every rangePollEvery of its units, stopping at the
+// first canceled poll (the caller then answers ctx's error). The worker
+// traces fold into tr. One worker runs on the calling goroutine, and the
+// callers' rules for a scan too small to fan out only set workers to 1.
+func (p *Processor) strided(ctx context.Context, workers, n int, tr *Trace,
+	visit func(ws *dist.Workspace, i int, tr *Trace)) {
+
+	if workers = min(workers, n); workers <= 1 {
+		p.walk(ctx, 0, 1, n, tr, visit)
+		return
+	}
+	traces := make([]Trace, workers)
+	parallel.ForEach(workers, workers, func(w int) { p.walk(ctx, w, workers, n, &traces[w], visit) })
+	for _, t := range traces {
+		tr.add(t)
+	}
+}
+
+// walk is worker w's share of strided. It is a method, not a closure in
+// strided, so that a one-worker scan allocates nothing for it.
+func (p *Processor) walk(ctx context.Context, w, workers, n int, tr *Trace,
+	visit func(ws *dist.Workspace, i int, tr *Trace)) {
+
+	ws := p.pool.Get()
+	defer p.pool.Put(ws)
+	for k, i := 0, w; i < n; k, i = k+1, i+workers {
+		if k%rangePollEvery == 0 && ctx.Err() != nil {
+			return
+		}
+		visit(ws, i, tr)
+	}
 }
 
 // pivotWalk yields LSI member indices in the Sec. 5.3 pivot order: starting

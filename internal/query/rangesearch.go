@@ -6,10 +6,9 @@ import (
 	"math"
 
 	"onex/internal/dist"
-	"onex/internal/parallel"
 )
 
-// rangePollEvery is how many units — members of a range scan, or
+// rangePollEvery is how many units — groups or members of a range scan, or
 // representatives of a shard's scan — a loop processes between polls of its
 // context.
 const rangePollEvery = 64
@@ -42,28 +41,35 @@ type RangeResult struct {
 //     DTW(q, R) ≤ DTW(q, y′) + √m·ED(R, y′), m = len(q), since a path
 //     revisits any column at most m times. Therefore
 //     DTW(q, y′) ≥ DTW(q, R) − √m·ED(R, y′): a group whose representative
-//     is farther than rawRadius + √m·maxMemberED cannot contain a match and
-//     is skipped without touching its members.
+//     is farther than pruneCutoff = acceptCutoff + √m·maxMemberED cannot
+//     contain a match and is skipped without touching its members.
 //
-// A group is skipped explicitly when its representative's DTW exceeds that
-// cutoff: the kernel may return such a distance finite, or +Inf.
+// Both prunes derive from acceptCutoff, the largest d the acceptance test
+// d/divisor ≤ radius can admit. That test admits a d up to
+// fl(radius·divisor)·(1+u)² (u = 2⁻⁵³), possibly above fl(radius·divisor)
+// itself, so a prune starting from radius·divisor would drop windows whose
+// normalized distance is exactly the radius; radius·divisor times 1+1e-15,
+// which rounds to 1+10u, stays at or above every such d. Both prunes are
+// strict (> their cutoff): the representative runs the scans' cascade
+// (scanRep) at next(pruneCutoff) and each member the member test
+// (evalMember) at next(acceptCutoff), so every d the test can accept is one
+// the kernel computed exactly. A group is skipped explicitly when its
+// representative's distance exceeds pruneCutoff: the kernel may return such
+// a distance finite, or +Inf.
 //
-// Members of the remaining groups are verified individually with
-// early-abandoning DTW and carry exact distances: a member is accepted on
-// d/divisor ≤ radius, which admits a d up to fl(radius·divisor)·(1+u)²
-// (u = 2⁻⁵³), so the kernel's cutoff is radius·divisor times 1+1e-15, which
-// rounds to 1+10u and keeps the product ≥ fl(radius·divisor)·(1+u)²; every
-// d the test can accept is one the kernel computed exactly. Wholesale-admitted members
-// carry the ST upper bound in Dist (see RangeResult.Guaranteed) unless exact
-// is set, which computes their true DTW (the guarantee still saves the
-// admission decision) and filters them against the radius like every other
-// member — the result set is then exactly the subsequences within radius,
-// independent of how the base happens to be grouped, at the cost of one DTW
-// per guaranteed member. Results are unordered. Range work is per-group
-// against a fixed radius, so the counters accumulated into the caller-owned
-// tr are identical at every worker count. ctx is polled per group and every
-// rangePollEvery members, so a canceled request (or job) stops paying DTWs;
-// it then gets ctx's error, never a partial result set.
+// Wholesale-admitted members carry the ST upper bound in Dist (see
+// RangeResult.Guaranteed) unless exact is set, which computes their true
+// DTW (the guarantee still saves the admission decision) and filters them
+// against the radius like every other member — the result set is then
+// exactly the subsequences within radius, at the radius included,
+// independent of how the base happens to be grouped, at the cost of one
+// member test per guaranteed member. Results are unordered. Range work is
+// per-group against a fixed radius, so the counters accumulated into the
+// caller-owned tr are identical at every worker count. Groups stride across
+// the workers (Processor.strided, which polls ctx every rangePollEvery
+// groups), and each group polls every rangePollEvery members, so a canceled
+// request (or job) stops paying DTWs; it then gets ctx's error, never a
+// partial result set.
 func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, radius float64,
 	exact bool, tr *Trace) ([]RangeResult, error) {
 
@@ -82,121 +88,80 @@ func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, ra
 	sqrtL := math.Sqrt(float64(length))
 	wholesale := radius >= p.base.ST
 	acceptCutoff := radius * divisor * (1 + 1e-15)
+	memberBound := math.Nextafter(acceptCutoff, math.Inf(1))
+	order := dist.QueryOrder(q)
+	sameLen := length == len(q)
 
 	// Each group's admission/verification depends only on the query and the
-	// fixed radius — never on other groups — so the group loop shards across
-	// the worker pool verbatim; per-group result slices are concatenated in
-	// group order so the output is identical to the sequential scan (and so
-	// are the per-group work counters).
-	searchGroup := func(ws *dist.Workspace, k int, tr *Trace) []RangeResult {
+	// fixed radius — never on other groups — so the groups stride across the
+	// workers verbatim; per-group result slices are concatenated in group
+	// order so the output is identical at every worker count (and so are
+	// the work counters).
+	perGroup := make([][]RangeResult, len(e.Groups))
+	searchGroup := func(ws *dist.Workspace, k int, tr *Trace) {
 		g := e.Groups[k]
 		n := g.Count()
-		if n == 0 || ctx.Err() != nil {
-			return nil
+		if n == 0 {
+			return
 		}
-		var out []RangeResult
 		// Widest member deviation in raw-ED units (LSI is sorted ascending).
 		maxRawED := g.Members[n-1].EDToRep * sqrtL
-		pruneCutoff := radius*divisor + sqrtM*maxRawED
-		tr.RepsExamined++
-		tr.DTWComputed++
-		repRaw := ws.DTWEarlyAbandon(q, g.Rep, pruneCutoff)
+		pruneCutoff := acceptCutoff + sqrtM*maxRawED
+		repRaw := scanRep(ws, q, order, e, k, sameLen, math.Nextafter(pruneCutoff, math.Inf(1)), tr)
 		if repRaw > pruneCutoff {
-			return nil // no member can reach the radius
+			return // no member can reach the radius
 		}
 
-		verifyFrom := 0
+		// Lemma 2 requires ED̄(member, R) ≤ ST/2; representatives drift
+		// during construction, so admit exactly the sorted prefix that
+		// satisfies the premise and verify any stragglers individually.
+		admitted := 0
 		if wholesale && repRaw/divisor <= p.base.ST/2 {
-			// Lemma 2 requires ED̄(member, R) ≤ ST/2; representatives drift
-			// during construction, so admit exactly the sorted prefix that
-			// satisfies the premise and verify any stragglers individually.
-			for verifyFrom < n && g.Members[verifyFrom].EDToRep <= p.base.ST/2 {
-				m := g.Members[verifyFrom]
-				verifyFrom++
-				// Reported distance: the Lemma 2 upper bound (exactly ST —
-				// not round-tripped through the divisor), or in exact mode
-				// the true DTW (the guarantee proves DTW̄ ≤ ST
-				// mathematically, so no abandon can fire below the radius),
-				// filtered like any verified member so the result set
-				// matches a brute-force scan bit for bit.
-				nd, d := p.base.ST, p.base.ST*divisor
-				if exact {
-					if verifyFrom%rangePollEvery == 0 && ctx.Err() != nil {
-						return nil
-					}
-					v := p.base.MemberValues(g, m)
-					tr.MembersTested++
-					tr.DTWComputed++
-					d = ws.DTWEarlyAbandon(q, v, acceptCutoff)
-					nd = d / divisor
-					if nd > radius {
-						continue
-					}
-				}
-				out = append(out, RangeResult{
-					Match: Match{
-						SeriesID: m.SeriesIdx,
-						Start:    m.Start,
-						Length:   length,
-						Dist:     nd,
-						RawDTW:   d,
-						GroupID:  k,
-					},
-					Guaranteed: true,
-				})
+			for admitted < n && g.Members[admitted].EDToRep <= p.base.ST/2 {
+				admitted++
 			}
 		}
-
-		for i, m := range g.Members[verifyFrom:] {
-			if i%rangePollEvery == 0 && ctx.Err() != nil {
-				return nil
+		var out []RangeResult
+		for i, m := range g.Members {
+			r := RangeResult{
+				Match:      Match{SeriesID: m.SeriesIdx, Start: m.Start, Length: length, GroupID: k},
+				Guaranteed: i < admitted,
 			}
-			v := p.base.MemberValues(g, m)
+			if r.Guaranteed && !exact {
+				// Reported distance: the Lemma 2 upper bound, exactly ST —
+				// not round-tripped through the divisor.
+				r.Dist, r.RawDTW = p.base.ST, p.base.ST*divisor
+				out = append(out, r)
+				continue
+			}
+			if i%rangePollEvery == 0 && ctx.Err() != nil {
+				return
+			}
 			tr.MembersTested++
-			if dist.LBKim(q, v) > radius*divisor {
+			_, d, ran := evalMember(ws, q, p.base.MemberValues(g, m), memberBound)
+			if !ran {
 				tr.PrunedByKim++
 				continue
 			}
 			tr.DTWComputed++
-			d := ws.DTWEarlyAbandon(q, v, acceptCutoff)
-			if nd := d / divisor; nd <= radius {
-				out = append(out, RangeResult{
-					Match: Match{
-						SeriesID: m.SeriesIdx,
-						Start:    m.Start,
-						Length:   length,
-						Dist:     nd,
-						RawDTW:   d,
-						GroupID:  k,
-					},
-				})
+			if r.Dist, r.RawDTW = d/divisor, d; r.Dist <= radius {
+				out = append(out, r)
 			}
 		}
-		return out
+		perGroup[k] = out
 	}
 
-	var out []RangeResult
-	if p.workers <= 1 || len(e.Groups) < 4 {
-		ws := p.pool.Get()
-		for k := range e.Groups {
-			out = append(out, searchGroup(ws, k, tr)...)
-		}
-		p.pool.Put(ws)
-	} else {
-		perGroup := make([][]RangeResult, len(e.Groups))
-		trs := make([]Trace, len(e.Groups))
-		parallel.ForEach(p.workers, len(e.Groups), func(k int) {
-			ws := p.pool.Get()
-			defer p.pool.Put(ws)
-			perGroup[k] = searchGroup(ws, k, &trs[k])
-		})
-		for k, rs := range perGroup {
-			tr.add(trs[k])
-			out = append(out, rs...)
-		}
+	workers := p.workers
+	if len(e.Groups) < 4 {
+		workers = 1
 	}
+	p.strided(ctx, workers, len(e.Groups), tr, searchGroup)
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	var out []RangeResult
+	for _, rs := range perGroup {
+		out = append(out, rs...)
 	}
 	return out, nil
 }

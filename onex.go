@@ -270,8 +270,9 @@ func (b *Base) RangeSearch(q []float64, length int, radius float64) ([]RangeMatc
 // path: members admitted through the Lemma 2 guarantee get their true DTW
 // computed (instead of reporting the ST upper bound) and are filtered
 // against the radius like every other candidate. The result set is exactly
-// the subsequences within radius, independent of the base's grouping, so
-// Distance is always safe to sort or re-threshold on.
+// the subsequences within radius — one exactly at the radius included —
+// independent of the base's grouping, so Distance is always safe to sort or
+// re-threshold on.
 func (b *Base) RangeSearchExact(q []float64, length int, radius float64) ([]RangeMatch, error) {
 	r := b.Exec(context.Background(), Request{Family: FamilyRange, Query: q, Length: length, Radius: radius, Exact: true})
 	return r.Ranges, r.Err
