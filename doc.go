@@ -25,10 +25,12 @@
 // The distance kernel everything sits on lives in internal/dist: ED/DTW
 // with the paper's normalizations, LB_Kim/LB_Keogh lower bounds with
 // early abandoning, warping envelopes, and an allocation-reusing DTW
-// workspace whose one loop computes only the cells a cutoff leaves alive —
+// workspace whose one kernel computes only the cells a cutoff leaves alive,
+// testing only the dead margins of each row's window against it —
 // bit-identical to the full matrix whenever the distance is ≤ the cutoff
 // (locked by exact-equality tests and a fuzz target against the naive full
-// matrix). Run the package benchmarks with:
+// matrix and against the kernel's previous form). Run the package
+// benchmarks with:
 //
 //	go test -bench . -run '^$' ./internal/dist
 //

@@ -11,6 +11,20 @@ func benchPair(n int) (q, c []float64) {
 	return randSeries(r, n), randSeries(r, n)
 }
 
+// smoothPair draws a smooth random walk with a slow oscillation and a copy
+// of it with small noise added: a near-twin pair.
+func smoothPair(n int) (q, c []float64) {
+	r := rand.New(rand.NewSource(int64(n)))
+	q, c = make([]float64, n), make([]float64, n)
+	x := 0.0
+	for i := range q {
+		x += 0.1 * r.NormFloat64()
+		q[i] = math.Sin(float64(i)/8) + x
+		c[i] = q[i] + 0.05*r.NormFloat64()
+	}
+	return q, c
+}
+
 func BenchmarkED128(b *testing.B) {
 	q, c := benchPair(128)
 	for i := 0; i < b.N; i++ {
@@ -31,6 +45,31 @@ func BenchmarkDTWEarlyAbandon128(b *testing.B) {
 	q, c := benchPair(128)
 	var w Workspace
 	cutoff := w.DTW(q, c) * 0.5 // typical pruned verification
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.DTWEarlyAbandon(q, c, cutoff)
+	}
+}
+
+// BenchmarkDTWEarlyAbandonSmooth96 is the member refine's regime: a smooth
+// near-twin pair, as the members of one group are, at half its distance, so
+// the kernel abandons after a few narrow rows.
+func BenchmarkDTWEarlyAbandonSmooth96(b *testing.B) {
+	q, c := smoothPair(96)
+	var w Workspace
+	cutoff := w.DTW(q, c) * 0.5
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.DTWEarlyAbandon(q, c, cutoff)
+	}
+}
+
+// BenchmarkDTWEarlyAbandonExact128 is a k-NN survivor: the cutoff equals the
+// distance, so the kernel finishes a near-full matrix.
+func BenchmarkDTWEarlyAbandonExact128(b *testing.B) {
+	q, c := benchPair(128)
+	var w Workspace
+	cutoff := w.DTW(q, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.DTWEarlyAbandon(q, c, cutoff)

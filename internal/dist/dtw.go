@@ -68,6 +68,15 @@ func (w *Workspace) DTW(a, b []float64) float64 {
 // stops as soon as that neighbour is above T; cells outside the window read
 // as +Inf. A row with no cell at or below T abandons.
 //
+// The window is tracked without a test on every cell. A row computes its
+// cells from lo up to the first one ≤ T, testing each: they are the dead
+// left margin, and that cell is the next row's lo. It computes the rest of
+// [lo, hi+1] in one pass with no test, then scans back from hi+1 over the
+// dead right margin to the last cell ≤ T, the next row's hi. Only if that
+// is the window's last cell does the row extend past it. Every cell is
+// computed once, and only dead cells and the two that bound the window are
+// tested; the set of cells and their arithmetic are those of a test per cell.
+//
 // The contract is "exact whenever ≤ cutoff": every cell whose true value is
 // ≤ T reads its argmin neighbour exactly — the neighbour is ≤ T too, so it
 // was computed, and every other value read is at least its true value — and
@@ -106,7 +115,6 @@ func (w *Workspace) DTWEarlyAbandon(q, c []float64, cutoff float64) float64 {
 		start := lo
 		// The cell left of the window reads as +Inf (column 0 included).
 		curr[start-1] = inf
-		nlo, nhi := 0, 0
 		diag, left := prev[start-1], inf
 		// Columns the previous row's window reaches. prev[hi+1] was computed
 		// (above T) by that row, or is row 0's +Inf: a row stops only after
@@ -114,42 +122,52 @@ func (w *Workspace) DTWEarlyAbandon(q, c []float64, cutoff float64) float64 {
 		end := min(hi+1, m)
 		ps := prev[start : end+1 : end+1]
 		cs := curr[start : end+1 : end+1]
-		for k, cj := range c[start-1 : end] {
-			pj := ps[k]
-			// The two neighbours of the previous row are off the carried
-			// dependency, so their min is branch-free; only the left
-			// neighbour is compared on the chain.
-			best := min(pj, diag) // q advances alone, or both advance
-			if left < best {      // c advances alone
-				best = left
-			}
-			d := qi - cj
-			acc := best + d*d
-			cs[k] = acc
-			if acc <= thr {
-				if nlo == 0 {
-					nlo = start + k
-				}
-				nhi = start + k
-			}
-			diag = pj
-			left = acc
-		}
-		// Past the previous window only the left neighbour is alive.
-		j := end + 1
-		for ; j <= m && left <= thr; j++ {
-			d := qi - c[j-1]
-			left += d * d
-			curr[j] = left
+		cw := c[start-1 : end : end]
+		// The dead left margin: cells up to the first one ≤ T, which is
+		// the next row's lo. A row with none abandons.
+		k := 0
+		for ; k < len(cs); k++ {
+			left = cell(ps[k], diag, left, qi-cw[k])
+			cs[k] = left
+			diag = ps[k]
 			if left <= thr {
-				if nlo == 0 {
-					nlo = j
+				break
+			}
+		}
+		if k == len(cs) {
+			return inf
+		}
+		nlo := start + k
+		// The rest of the window, with no test per cell. The three slices
+		// share one length, so the loop runs without bounds checks.
+		rest := ps[k+1:]
+		rc, rw := cs[k+1:][:len(rest)], cw[k+1:][:len(rest)]
+		for j, up := range rest {
+			left = cell(up, diag, left, qi-rw[j])
+			rc[j] = left
+			diag = up
+		}
+		// The next row's hi: scan back over the dead right margin. A NaN
+		// cell is dead, as the left margin's test has it; the scan stops at
+		// nlo at the latest.
+		k = len(cs) - 1
+		for !(cs[k] <= thr) {
+			k--
+		}
+		nhi := start + k
+		// Past the previous window only the left neighbour is alive, and
+		// only while the cell at end is; the first cell above T is kept, as
+		// the next row reads it.
+		if nhi == end {
+			for j := end + 1; j <= m; j++ {
+				d := qi - c[j-1]
+				left += d * d
+				curr[j] = left
+				if !(left <= thr) {
+					break
 				}
 				nhi = j
 			}
-		}
-		if nlo == 0 {
-			return inf
 		}
 		lo, hi = nlo, nhi
 		prev, curr = curr, prev
@@ -159,4 +177,16 @@ func (w *Workspace) DTWEarlyAbandon(q, c []float64, cutoff float64) float64 {
 		return inf // the last cell is above T
 	}
 	return math.Sqrt(prev[m])
+}
+
+// cell is one cell of the dynamic program: the least of its three
+// neighbours plus the squared difference d². The two neighbours of the
+// previous row, up and diag, are off the carried dependency, so their min is
+// branch-free; only left, the cell just computed, is compared on the chain.
+func cell(up, diag, left, d float64) float64 {
+	best := min(up, diag) // q advances alone, or both advance
+	if left < best {      // c advances alone
+		best = left
+	}
+	return best + d*d
 }

@@ -39,6 +39,78 @@ func shapedSeries(r *rand.Rand, n, shape int) []float64 {
 	return v
 }
 
+// adversarialSeries draws a series of length n whose values mix signed
+// zeros, magnitudes near both ends of the float64 range, small integers and
+// scaled normals, so squares overflow, underflow and tie.
+func adversarialSeries(r *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		switch r.Intn(6) {
+		case 0:
+			v[i] = math.Copysign(0, -1)
+		case 1:
+			v[i] = 1e300 * r.NormFloat64()
+		case 2:
+			v[i] = 1e-300 * r.NormFloat64()
+		case 3:
+			v[i] = float64(r.Intn(3))
+		default:
+			v[i] = r.NormFloat64() * math.Pow(2, float64(r.Intn(60)-30))
+		}
+	}
+	return v
+}
+
+// checkParent requires the kernel to return the same bits as the frozen
+// parent kernel, +Inf included: the contract lets a result above the cutoff
+// be +Inf or exact, and which one the kernel picks decides what a caller
+// keeps, so it may not change silently either.
+func checkParent(t *testing.T, w, pw *Workspace, a, b []float64, cutoff float64) {
+	t.Helper()
+	got, want := w.DTWEarlyAbandon(a, b, cutoff), pw.parentDTWEarlyAbandon(a, b, cutoff)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("n=%d m=%d cutoff=%v: kernel %v, parent kernel %v", len(a), len(b), cutoff, got, want)
+	}
+}
+
+// TestKernelMatchesParent locks the kernel to the frozen parent kernel bit
+// for bit, over shaped, adversarial and near-twin pairs of equal and
+// unequal lengths, at cutoffs +Inf, the distance, one ulp either side of
+// it, 0, a random value and, for equal lengths, the scan's ED seed.
+func TestKernelMatchesParent(t *testing.T) {
+	r := rand.New(rand.NewSource(283))
+	var w, pw Workspace
+	for trial := 0; trial < 6000; trial++ {
+		n, m := 1+r.Intn(40), 1+r.Intn(40)
+		if trial%2 == 0 {
+			m = n
+		}
+		var a, b []float64
+		switch trial % 3 {
+		case 0:
+			a, b = shapedSeries(r, n, trial%7%3), shapedSeries(r, m, trial%5%3)
+		case 1:
+			a, b = adversarialSeries(r, n), adversarialSeries(r, m)
+		default:
+			a, b = randSeries(r, n), make([]float64, m)
+			for j := range b {
+				b[j] = a[j*n/m] + 0.05*r.NormFloat64()
+			}
+		}
+		d := naiveDTW(a, b, -1)
+		cutoffs := []float64{
+			math.Inf(1), d, math.Nextafter(d, 0), math.Nextafter(d, math.Inf(1)), 0,
+			d * (0.25 + 1.5*r.Float64()),
+		}
+		if n == m {
+			cutoffs = append(cutoffs, math.Sqrt(SquaredEDEarlyAbandon(a, b, math.Inf(1))))
+		}
+		for _, cutoff := range cutoffs {
+			checkParent(t, &w, &pw, a, b, cutoff)
+		}
+	}
+}
+
 // TestDTWPrunedBitIdentical locks the column-window kernel to the naive full
 // matrix with exact float equality, over equal and unequal lengths, length
 // 1, zero-variance and tied inputs, and cutoffs at +Inf, at the distance,
@@ -114,35 +186,16 @@ func TestDTWCutoffAtRoundedRoot(t *testing.T) {
 func TestEDSeedBoundsDTWBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(281))
 	var w Workspace
-	adversarial := func(n int) []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			switch r.Intn(6) {
-			case 0:
-				v[i] = math.Copysign(0, -1)
-			case 1:
-				v[i] = 1e300 * r.NormFloat64()
-			case 2:
-				v[i] = 1e-300 * r.NormFloat64()
-			case 3:
-				v[i] = float64(r.Intn(3))
-			default:
-				v[i] = r.NormFloat64() * math.Pow(2, float64(r.Intn(60)-30))
-			}
-		}
-		return v
-	}
 	for trial := 0; trial < 4000; trial++ {
 		n := 1 + r.Intn(40)
 		var a, b []float64
 		if trial%2 == 0 {
 			a, b = shapedSeries(r, n, trial%3), shapedSeries(r, n, (trial/2)%3)
 		} else {
-			a, b = adversarial(n), adversarial(n)
+			a, b = adversarialSeries(r, n), adversarialSeries(r, n)
 		}
 		sq := SquaredEDEarlyAbandon(a, b, math.Inf(1))
-		w.DTW(a, b)
-		if acc := w.prev[n]; acc > sq {
+		if acc := naiveDTWAcc(a, b, -1); acc > sq {
 			t.Fatalf("trial %d: DTW accumulator %v > squared ED %v", trial, acc, sq)
 		}
 		seed := math.Sqrt(sq)
@@ -153,10 +206,10 @@ func TestEDSeedBoundsDTWBitwise(t *testing.T) {
 	}
 }
 
-// FuzzDTWPruned checks the kernel's contract on fuzzed pairs: bytes map to
-// a few coarse levels (ties, zero variance and signed zeros come easily),
-// and mode picks the cutoff — +Inf, the distance, one ulp below it, 0, or
-// the fuzzed value.
+// FuzzDTWPruned checks the kernel's contract on fuzzed pairs, and its bits
+// against the frozen parent kernel: bytes map to a few coarse levels (ties,
+// zero variance and signed zeros come easily), and mode picks the cutoff —
+// +Inf, the distance, one ulp below it, 0, or the fuzzed value.
 func FuzzDTWPruned(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{1, 3}, uint8(0), 0.0)
 	f.Add([]byte{1, 2, 3}, []byte{1, 3}, uint8(1), 0.0)
@@ -180,7 +233,88 @@ func FuzzDTWPruned(f *testing.F) {
 		a, b := level(ab), level(bb)
 		d := naiveDTW(a, b, -1)
 		cutoff := [...]float64{math.Inf(1), d, math.Nextafter(d, 0), 0, cut}[mode%5]
-		var w Workspace
+		var w, pw Workspace
 		checkPruned(t, &w, a, b, cutoff)
+		checkParent(t, &w, &pw, a, b, cutoff)
 	})
+}
+
+// parentDTWEarlyAbandon is the kernel as it was before its rows were split
+// into a dead-prefix loop, a branch-free pass and a backward margin scan: one
+// loop that tests every cell against T. It is frozen here as the reference
+// the current kernel must equal bit for bit (TestKernelMatchesParent,
+// FuzzDTWPruned).
+func (w *Workspace) parentDTWEarlyAbandon(q, c []float64, cutoff float64) float64 {
+	n, m := len(q), len(c)
+	if n == 0 || m == 0 {
+		if n == m {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	thr := cutoff * cutoff * (1 + 1e-15) // +Inf cutoff stays +Inf
+
+	inf := math.Inf(1)
+	prev, curr := w.rows(m + 1)
+	// Row 0: only the origin is reachable.
+	prev[0], prev[1] = 0, inf
+	lo, hi := 1, 0
+	for i := 0; i < n; i++ {
+		qi := q[i]
+		start := lo
+		// The cell left of the window reads as +Inf (column 0 included).
+		curr[start-1] = inf
+		nlo, nhi := 0, 0
+		diag, left := prev[start-1], inf
+		// Columns the previous row's window reaches. prev[hi+1] was computed
+		// (above T) by that row, or is row 0's +Inf: a row stops only after
+		// a cell above T, or at m.
+		end := min(hi+1, m)
+		ps := prev[start : end+1 : end+1]
+		cs := curr[start : end+1 : end+1]
+		for k, cj := range c[start-1 : end] {
+			pj := ps[k]
+			// The two neighbours of the previous row are off the carried
+			// dependency, so their min is branch-free; only the left
+			// neighbour is compared on the chain.
+			best := min(pj, diag) // q advances alone, or both advance
+			if left < best {      // c advances alone
+				best = left
+			}
+			d := qi - cj
+			acc := best + d*d
+			cs[k] = acc
+			if acc <= thr {
+				if nlo == 0 {
+					nlo = start + k
+				}
+				nhi = start + k
+			}
+			diag = pj
+			left = acc
+		}
+		// Past the previous window only the left neighbour is alive.
+		j := end + 1
+		for ; j <= m && left <= thr; j++ {
+			d := qi - c[j-1]
+			left += d * d
+			curr[j] = left
+			if left <= thr {
+				if nlo == 0 {
+					nlo = j
+				}
+				nhi = j
+			}
+		}
+		if nlo == 0 {
+			return inf
+		}
+		lo, hi = nlo, nhi
+		prev, curr = curr, prev
+	}
+	w.prev, w.curr = prev[:cap(prev)], curr[:cap(curr)]
+	if hi < m {
+		return inf // the last cell is above T
+	}
+	return math.Sqrt(prev[m])
 }
