@@ -159,10 +159,11 @@
 // stated once: two representatives at bit-equal DTW from the query
 // (impossible on continuous data, possible with duplicated windows) resolve
 // to the smaller global group id at every layout and worker count.
-// WithThreshold adapts only the one-shard in-process layout — the merge
-// rule reads distances across the whole grouping, which only a shard
-// indexing all of it holds — and refuses when Shards > 1 or ShardWorkers
-// is set. Appends and extends route
+// WithThreshold adapts only the one-shard in-process layout and refuses
+// when Shards > 1 or ShardWorkers is set. That refusal is kept behaviour:
+// the adaptation (grouping.Adapt) reads only the global grouping, which
+// every layout holds, and lifting the refusal is a separate change.
+// Appends and extends route
 // deterministically — series → shard is a pure hash — and re-derive only
 // the shards whose series or groups the step touched; snapshots persist the
 // global payload plus the layout in one stream (format v7; v6 streams load
@@ -272,7 +273,7 @@ package onex
 //	(the query-class template)    ExecBatch
 //	Algorithm 2.A (Q1)            FamilyMatch: Base.BestMatch / BestKMatches
 //	Algorithm 2.B (Q2)            FamilySeasonal: Base.Seasonal / SeasonalAll
-//	Algorithm 2.C (vary ST′)      Base.WithThreshold
+//	Algorithm 2.C (vary ST′)      grouping.Adapt, behind Base.WithThreshold
 //	Lemma 1                       tested in grouping (pairwise ≤ ST)
 //	Lemma 2 (ED↔DTW triangle)     the MatchAny early-stop rule (always on)
 //	                              and RangeSearch wholesale admission

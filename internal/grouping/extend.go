@@ -3,11 +3,7 @@ package grouping
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
-	"sort"
 
-	"onex/internal/dist"
 	"onex/internal/parallel"
 	"onex/internal/ts"
 )
@@ -147,92 +143,31 @@ func maintain(d *ts.Dataset, prev *Result, cfg Config, newPositions func(length 
 	return next, delta, nil
 }
 
-// assignIncremental deep-copies one length's groups and streams the given
-// new positions through the Algorithm 1 assignment rule: shuffle, then each
-// subsequence joins the nearest group whose representative is within ST/2
-// (updating the running average) or founds a new group. It returns the
-// refreshed groups and the sorted list of pre-existing group indices whose
-// representative moved.
+// assignIncremental copies one length's groups (thaw) and streams the given
+// new positions, shuffled, through the Algorithm 1 loop. A pre-existing
+// group is touched when its member count grew: its representative drifted,
+// so it is refinalized, as is every new group. Untouched groups keep their
+// finalized members. It returns the refreshed groups and the ascending list
+// of touched pre-existing group indices.
 func assignIncremental(d *ts.Dataset, prevLG *LengthGroups, positions []position, st float64, seed int64) (*LengthGroups, []int) {
-	length := prevLG.Length
-	lg := &LengthGroups{Length: length, Groups: make([]*Group, len(prevLG.Groups))}
-	touched := make([]bool, len(prevLG.Groups))
+	lg := &LengthGroups{Length: prevLG.Length, Groups: make([]*Group, len(prevLG.Groups))}
 	for i, g := range prevLG.Groups {
-		sum := make([]float64, length)
-		for j, v := range g.Rep {
-			sum[j] = v * float64(g.Count())
-		}
-		lg.Groups[i] = &Group{
-			Length:  length,
-			ID:      i,
-			Rep:     append([]float64(nil), g.Rep...),
-			Members: append([]Member(nil), g.Members...),
-			sum:     sum,
-		}
+		lg.Groups[i] = thaw(g)
 	}
+	shuffle(positions, seed)
+	assign(d, lg, positions, radiusSq(lg.Length, st))
 
-	r := rand.New(rand.NewSource(seed))
-	r.Shuffle(len(positions), func(i, j int) {
-		positions[i], positions[j] = positions[j], positions[i]
-	})
-
-	radiusSq := float64(length) * st * st / 4 // (√L·ST/2)² in raw-ED² units
-	for _, pos := range positions {
-		values := d.Series[pos.seriesIdx].Values[pos.start : pos.start+length]
-		bestSq := math.Inf(1)
-		bestIdx := -1
-		for gi, g := range lg.Groups {
-			cutoff := radiusSq
-			if bestSq < cutoff {
-				cutoff = bestSq
-			}
-			sq := dist.SquaredEDEarlyAbandon(values, g.Rep, cutoff)
-			if sq < bestSq {
-				bestSq = sq
-				bestIdx = gi
-			}
-		}
-		if bestIdx >= 0 && bestSq <= radiusSq {
-			lg.Groups[bestIdx].add(pos.seriesIdx, pos.start, values)
-			if bestIdx < len(touched) {
-				touched[bestIdx] = true
-			}
-		} else {
-			g := &Group{
-				Length: length,
-				ID:     len(lg.Groups),
-				Rep:    append([]float64(nil), values...),
-				sum:    append([]float64(nil), values...),
-			}
-			g.Members = append(g.Members, Member{SeriesIdx: pos.seriesIdx, Start: pos.start})
-			lg.Groups = append(lg.Groups, g)
-		}
-	}
-
-	// Refinalize touched groups: their representative drifted, so member
-	// distances and the LSI sort order must be recomputed. Untouched groups
-	// keep their existing (already finalized) members. New groups (including
-	// multi-member ones that accreted further positions) get a full finalize.
-	invSqrtL := 1 / math.Sqrt(float64(length))
-	touchedIdx := make([]int, 0, 8)
+	touched := make([]int, 0, 8)
 	for gi, g := range lg.Groups {
-		isNew := gi >= len(prevLG.Groups)
-		if !isNew && !touched[gi] {
-			g.sum = nil
-			continue
+		g.ID = gi
+		if gi < len(prevLG.Groups) {
+			if g.Count() == prevLG.Groups[gi].Count() {
+				g.sum = nil
+				continue
+			}
+			touched = append(touched, gi)
 		}
-		if !isNew {
-			touchedIdx = append(touchedIdx, gi)
-		}
-		for mi := range g.Members {
-			m := &g.Members[mi]
-			v := d.Series[m.SeriesIdx].Values[m.Start : m.Start+length]
-			m.EDToRep = dist.ED(v, g.Rep) * invSqrtL
-		}
-		sort.Slice(g.Members, func(a, b int) bool {
-			return g.Members[a].EDToRep < g.Members[b].EDToRep
-		})
-		g.sum = nil
+		g.finalize(d)
 	}
-	return lg, touchedIdx
+	return lg, touched
 }

@@ -6,6 +6,12 @@
 // representative. Representatives are maintained as running point-wise
 // averages (Def. 7).
 //
+// One loop (assign, over one nearest-representative test, nearest) and one
+// freeze step (finalize) serve every caller: Build and its chunk merge,
+// the incremental maintenance of Extend and AppendPoints, and threshold
+// adaptation (Adapt, Algorithm 2.C), which splits groups by re-running the
+// loop inside each one and merges them by count-weighted averages.
+//
 // The three Def. 8 properties hold by construction for the radius test; note
 // that, exactly as in the paper, representatives drift as members join, so
 // property (2) is enforced against the representative at insertion time.
@@ -88,16 +94,49 @@ type Group struct {
 // Count returns the number of member subsequences.
 func (g *Group) Count() int { return len(g.Members) }
 
-// add inserts the subsequence and folds its values into the running average.
-func (g *Group) add(seriesIdx, start int, values []float64) {
-	g.Members = append(g.Members, Member{SeriesIdx: seriesIdx, Start: start})
-	for i, v := range values {
+// absorb adds members whose values sum point-wise to sum, keeping Rep the
+// exact point-wise average of the combined membership.
+func (g *Group) absorb(sum []float64, members ...Member) {
+	g.Members = append(g.Members, members...)
+	for i, v := range sum {
 		g.sum[i] += v
 	}
 	n := float64(len(g.Members))
 	for i := range g.Rep {
 		g.Rep[i] = g.sum[i] / n
 	}
+}
+
+// thaw returns a mutable copy of a finalized group: its own Rep and
+// Members, and the running sum rebuilt as Rep·count.
+func thaw(g *Group) *Group {
+	sum := make([]float64, len(g.Rep))
+	for j, v := range g.Rep {
+		sum[j] = v * float64(g.Count())
+	}
+	return &Group{
+		Length:  g.Length,
+		ID:      g.ID,
+		Rep:     append([]float64(nil), g.Rep...),
+		Members: append([]Member(nil), g.Members...),
+		sum:     sum,
+	}
+}
+
+// finalize freezes a group: each member's EDToRep is recomputed against
+// the final representative (the running average drifted as members
+// joined), members are sorted into the LSI order, and the running sum is
+// dropped.
+func (g *Group) finalize(d *ts.Dataset) {
+	invSqrtL := 1 / math.Sqrt(float64(g.Length))
+	for mi := range g.Members {
+		m := &g.Members[mi]
+		m.EDToRep = dist.ED(MemberValues(d, g, *m), g.Rep) * invSqrtL
+	}
+	sort.Slice(g.Members, func(a, b int) bool {
+		return g.Members[a].EDToRep < g.Members[b].EDToRep
+	})
+	g.sum = nil
 }
 
 // LengthGroups holds every group of one subsequence length.
@@ -155,8 +194,8 @@ func Build(d *ts.Dataset, cfg Config) (*Result, error) {
 	if d == nil || d.N() == 0 {
 		return nil, errors.New("grouping: empty dataset")
 	}
-	if cfg.ST <= 0 || math.IsNaN(cfg.ST) || math.IsInf(cfg.ST, 0) {
-		return nil, fmt.Errorf("grouping: similarity threshold must be positive, got %v", cfg.ST)
+	if err := checkST(cfg.ST); err != nil {
+		return nil, err
 	}
 	lengths, err := resolveLengths(d, cfg.Lengths)
 	if err != nil {
@@ -213,6 +252,14 @@ func Build(d *ts.Dataset, cfg Config) (*Result, error) {
 		res.TotalSubseq += counts[i]
 	}
 	return res, nil
+}
+
+// checkST rejects a similarity threshold that is not a positive number.
+func checkST(st float64) error {
+	if st <= 0 || math.IsNaN(st) || math.IsInf(st, 0) {
+		return fmt.Errorf("grouping: similarity threshold must be positive, got %v", st)
+	}
+	return nil
 }
 
 // isClosed polls a cancellation channel without blocking.
@@ -295,121 +342,93 @@ func chunkCount(n int) int {
 // are sharded: the shuffled position list is cut into chunkCount contiguous
 // chunks, each chunk is clustered independently (in parallel across up to
 // workers goroutines), and the partial group sets are folded left-to-right
-// by mergeChunks. Both the chunk layout and the merge order are independent
-// of the worker count, so the output is deterministic given the seed.
+// by the same nearest-representative rule at group granularity: a chunk
+// group within ST/2 of an accumulated representative is absorbed (sums and
+// members combined, so the merged representative remains the exact
+// point-wise member average), and otherwise appended. Both the chunk layout
+// and the merge order are independent of the worker count, so the output is
+// deterministic given the seed.
 func buildLength(d *ts.Dataset, length int, st float64, seed int64, workers int) (*LengthGroups, int64) {
 	positions := enumerate(d, length)
-	r := rand.New(rand.NewSource(seed))
-	// RANDOMIZE-IN-PLACE (Algorithm 1, line 3): Fisher–Yates.
-	r.Shuffle(len(positions), func(i, j int) {
-		positions[i], positions[j] = positions[j], positions[i]
-	})
-
+	shuffle(positions, seed)
+	rsq := radiusSq(length, st)
 	nc := chunkCount(len(positions))
-	if nc == 1 {
-		lg := buildChunk(d, length, st, positions)
-		finalize(d, lg)
-		return lg, int64(len(positions))
-	}
 	parts := make([]*LengthGroups, nc)
 	parallel.ForEach(workers, nc, func(ci int) {
 		lo, hi := ci*len(positions)/nc, (ci+1)*len(positions)/nc
-		parts[ci] = buildChunk(d, length, st, positions[lo:hi])
+		parts[ci] = &LengthGroups{Length: length}
+		assign(d, parts[ci], positions[lo:hi], rsq)
 	})
-	lg := mergeChunks(length, st, parts)
-	finalize(d, lg)
+	lg := parts[0]
+	for _, part := range parts[1:] {
+		for _, g := range part.Groups {
+			if gi := nearest(lg.Groups, g.Rep, rsq); gi >= 0 {
+				lg.Groups[gi].absorb(g.sum, g.Members...)
+			} else {
+				lg.Groups = append(lg.Groups, g)
+			}
+		}
+	}
+	for i, g := range lg.Groups {
+		g.ID = i
+		g.finalize(d)
+	}
 	return lg, int64(len(positions))
 }
 
-// buildChunk is the sequential Algorithm 1 loop over one slice of shuffled
-// positions: each subsequence joins the nearest group whose representative
-// is within ST/2 or founds a new one. Groups keep their running sums so a
-// later merge can recombine them exactly.
-func buildChunk(d *ts.Dataset, length int, st float64, positions []position) *LengthGroups {
-	lg := &LengthGroups{Length: length}
-	radiusSq := float64(length) * st * st / 4 // (√L·ST/2)² in raw-ED² units
+// radiusSq is the grouping radius ST/2 in squared raw-ED units, (√L·ST/2)².
+func radiusSq(length int, st float64) float64 {
+	return float64(length) * st * st / 4
+}
+
+// shuffle is RANDOMIZE-IN-PLACE (Algorithm 1, line 3): a Fisher–Yates
+// shuffle driven by seed.
+func shuffle(positions []position, seed int64) {
+	rand.New(rand.NewSource(seed)).Shuffle(len(positions), func(i, j int) {
+		positions[i], positions[j] = positions[j], positions[i]
+	})
+}
+
+// assign is the sequential Algorithm 1 loop over positions, in order: each
+// subsequence joins the nearest group of lg within the radius, folding into
+// its running average, or founds a new group with itself as representative.
+// Groups keep their running sums, so a later merge can recombine them
+// exactly; finalize drops them.
+func assign(d *ts.Dataset, lg *LengthGroups, positions []position, radiusSq float64) {
 	for _, pos := range positions {
-		values := d.Series[pos.seriesIdx].Values[pos.start : pos.start+length]
-		bestSq := math.Inf(1)
-		bestIdx := -1
-		for gi, g := range lg.Groups {
-			// Only representatives within the radius can win, and only a
-			// distance below the current best matters: abandon above both.
-			cutoff := radiusSq
-			if bestSq < cutoff {
-				cutoff = bestSq
-			}
-			sq := dist.SquaredEDEarlyAbandon(values, g.Rep, cutoff)
-			if sq < bestSq {
-				bestSq = sq
-				bestIdx = gi
-			}
+		values := d.Series[pos.seriesIdx].Values[pos.start : pos.start+lg.Length]
+		m := Member{SeriesIdx: pos.seriesIdx, Start: pos.start}
+		if gi := nearest(lg.Groups, values, radiusSq); gi >= 0 {
+			lg.Groups[gi].absorb(values, m)
+			continue
 		}
-		if bestIdx >= 0 && bestSq <= radiusSq {
-			lg.Groups[bestIdx].add(pos.seriesIdx, pos.start, values)
-		} else {
-			g := &Group{
-				Length: length,
-				ID:     len(lg.Groups),
-				Rep:    append([]float64(nil), values...),
-				sum:    append([]float64(nil), values...),
-			}
-			g.Members = append(g.Members, Member{SeriesIdx: pos.seriesIdx, Start: pos.start})
-			lg.Groups = append(lg.Groups, g)
-		}
+		lg.Groups = append(lg.Groups, &Group{
+			Length:  lg.Length,
+			ID:      len(lg.Groups),
+			Rep:     append([]float64(nil), values...),
+			Members: []Member{m},
+			sum:     append([]float64(nil), values...),
+		})
 	}
-	return lg
 }
 
-// mergeChunks folds the per-chunk group sets into one, applying the same
-// nearest-representative-within-ST/2 rule at group granularity: a chunk
-// group whose representative lies within ST/2 of an accumulated group's
-// representative is absorbed (sums and members combined, so the merged
-// representative remains the exact point-wise member average); otherwise it
-// is appended as a new group. The fold runs left-to-right over chunks in
-// index order — sequential and worker-count independent.
-func mergeChunks(length int, st float64, parts []*LengthGroups) *LengthGroups {
-	out := parts[0]
-	radiusSq := float64(length) * st * st / 4
-	for _, part := range parts[1:] {
-		for _, g := range part.Groups {
-			bestSq := math.Inf(1)
-			bestIdx := -1
-			for oi, og := range out.Groups {
-				cutoff := radiusSq
-				if bestSq < cutoff {
-					cutoff = bestSq
-				}
-				sq := dist.SquaredEDEarlyAbandon(g.Rep, og.Rep, cutoff)
-				if sq < bestSq {
-					bestSq = sq
-					bestIdx = oi
-				}
-			}
-			if bestIdx >= 0 && bestSq <= radiusSq {
-				out.Groups[bestIdx].absorb(g)
-			} else {
-				out.Groups = append(out.Groups, g)
-			}
+// nearest returns the index of the group whose representative is nearest to
+// values by squared ED, provided it is within radiusSq; the lowest index
+// wins a tie. It returns -1 when no representative is within the radius.
+func nearest(groups []*Group, values []float64, radiusSq float64) int {
+	bestSq := math.Inf(1)
+	bestIdx := -1
+	for gi, g := range groups {
+		// Only representatives within the radius can win, and only a
+		// distance below the current best matters: abandon above both.
+		if sq := dist.SquaredEDEarlyAbandon(values, g.Rep, min(radiusSq, bestSq)); sq < bestSq {
+			bestSq, bestIdx = sq, gi
 		}
 	}
-	for i, g := range out.Groups {
-		g.ID = i
+	if bestSq > radiusSq {
+		return -1
 	}
-	return out
-}
-
-// absorb merges another group of the same length into g, keeping Rep the
-// exact point-wise average of the combined membership.
-func (g *Group) absorb(o *Group) {
-	g.Members = append(g.Members, o.Members...)
-	for i, v := range o.sum {
-		g.sum[i] += v
-	}
-	n := float64(len(g.Members))
-	for i := range g.Rep {
-		g.Rep[i] = g.sum[i] / n
-	}
+	return bestIdx
 }
 
 // enumerate lists every subsequence position of the given length.
@@ -427,24 +446,6 @@ func enumerate(d *ts.Dataset, length int) []position {
 		}
 	}
 	return positions
-}
-
-// finalize freezes representatives, recomputes member distances against the
-// final representative (the running average drifted during insertion), and
-// sorts members into the LSI order.
-func finalize(d *ts.Dataset, lg *LengthGroups) {
-	invSqrtL := 1 / math.Sqrt(float64(lg.Length))
-	for _, g := range lg.Groups {
-		for mi := range g.Members {
-			m := &g.Members[mi]
-			v := d.Series[m.SeriesIdx].Values[m.Start : m.Start+lg.Length]
-			m.EDToRep = dist.ED(v, g.Rep) * invSqrtL
-		}
-		sort.Slice(g.Members, func(a, b int) bool {
-			return g.Members[a].EDToRep < g.Members[b].EDToRep
-		})
-		g.sum = nil // construction scratch; the rep is frozen now
-	}
 }
 
 // MemberValues returns the raw window of a member subsequence.

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 
+	"onex/internal/grouping"
 	"onex/internal/obs"
 	"onex/internal/rspace"
 )
@@ -119,16 +120,27 @@ func (e *engine) SeasonalAll(length int) ([]SeasonalGroup, error) {
 	return e.SeasonalSample(-1, length)
 }
 
-// AdaptThreshold adapts the shard's grouping and indexes the result as a
-// new one-shard engine, as shard.Engine.WithThreshold does.
+// AdaptThreshold adapts the shard's grouping with grouping.Adapt and
+// indexes the result as a new one-shard engine, as
+// shard.Engine.WithThreshold does.
 func (e *engine) AdaptThreshold(stPrime float64) (*engine, error) {
-	adapted, err := e.proc.AdaptThreshold(stPrime)
+	b := e.proc.base
+	gr := &grouping.Result{
+		ST:          b.ST,
+		Lengths:     b.Lengths,
+		ByLength:    make(map[int]*grouping.LengthGroups, len(b.Lengths)),
+		TotalSubseq: b.TotalSubseq,
+	}
+	for _, l := range b.Lengths {
+		gr.ByLength[l] = &grouping.LengthGroups{Length: l, Groups: b.Entry(l).Groups}
+	}
+	adapted, err := grouping.Adapt(b.Dataset, gr, stPrime)
 	if err != nil {
 		return nil, err
 	}
-	b, err := rspace.New(e.proc.base.Dataset, adapted, rspace.Options{})
+	ab, err := rspace.New(b.Dataset, adapted, rspace.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(b, e.proc.workers)
+	return newEngine(ab, e.proc.workers)
 }

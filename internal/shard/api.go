@@ -8,6 +8,7 @@ import (
 	"math"
 	"time"
 
+	"onex/internal/grouping"
 	"onex/internal/parallel"
 	"onex/internal/query"
 	"onex/internal/rspace"
@@ -111,21 +112,22 @@ func (e *Engine) cellValues(length int) (half, final float64) {
 }
 
 // WithThreshold adapts the engine to a new similarity threshold via the
-// Sec. 5.2 split/merge rules, returning a new engine over the adapted
-// grouping; the receiver is unchanged. Adapted engines answer every query
-// class (and adapt again) but cannot be extended, appended to or saved —
-// grow or persist the original base, then re-adapt.
+// Sec. 5.2 split/merge rules (grouping.Adapt over the global grouping),
+// returning a new engine over the adapted grouping; the receiver is
+// unchanged. Adapted engines answer every query class (and adapt again)
+// but cannot be extended, appended to or saved — grow or persist the
+// original base, then re-adapt.
 //
-// Only the one-shard in-process layout adapts: the merge rule reads
-// inter-representative distances across the whole grouping, which the
-// other layouts partition away. Those refuse — rebuild at the new
-// threshold (or adapt a one-shard base) instead.
+// Only the one-shard in-process layout adapts; the others refuse —
+// rebuild at the new threshold (or adapt a one-shard base) instead. The
+// refusal is kept behaviour, not a limit of Adapt, which reads only the
+// global grouping every layout holds.
 func (e *Engine) WithThreshold(stPrime float64) (*Engine, error) {
 	if !e.whole() {
 		return nil, errors.New("shard: sharded bases cannot adapt thresholds in place; rebuild with the new ST (or adapt an unsharded base)")
 	}
 	start := time.Now()
-	adapted, err := e.parts[0].proc.AdaptThreshold(stPrime)
+	adapted, err := grouping.Adapt(e.data, e.grouped, stPrime)
 	if err != nil {
 		return nil, err
 	}

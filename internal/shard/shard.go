@@ -47,9 +47,10 @@
 //     step touched; untouched shards are reused wholesale, and untouched
 //     lengths share their threshold cell with the previous engine.
 //
-// WithThreshold (Sec. 5.2) merges groups by inter-representative distance
-// across the whole grouping, which only a shard indexing all of it holds: it
-// adapts the one-shard in-process layout and refuses every other.
+// WithThreshold (Sec. 5.2) adapts the global grouping with grouping.Adapt
+// and indexes the result. It adapts the one-shard in-process layout and
+// refuses every other: kept behaviour, since the global grouping it reads
+// is held at every layout.
 //
 // # One request, two entry points
 //

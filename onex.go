@@ -418,11 +418,11 @@ func (b *Base) DegreeOf(st float64) Degree {
 
 // WithThreshold derives a base for a different similarity threshold using
 // the Sec. 5.2 split/merge adaptation — no reclustering of the raw data.
-// The receiver is unchanged. Merging reads distances between
-// representatives across the whole grouping, so only a one-shard in-process
-// base adapts; bases with Shards > 1 or ShardWorkers refuse (rebuild at the
-// new threshold instead). Adapted bases answer every query class but cannot
-// be extended, appended to or saved.
+// The receiver is unchanged. Only a one-shard in-process base adapts;
+// bases with Shards > 1 or ShardWorkers refuse (rebuild at the new
+// threshold instead), a kept behaviour rather than a limit of the
+// adaptation, which reads only the global grouping. Adapted bases answer
+// every query class but cannot be extended, appended to or saved.
 func (b *Base) WithThreshold(stPrime float64) (*Base, error) {
 	eng, err := b.eng.WithThreshold(stPrime)
 	if err != nil {

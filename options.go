@@ -46,8 +46,11 @@ type Options struct {
 	// SP-Space guidance surface — RecommendThreshold, DegreeOf — is likewise
 	// computed from the one global grouping (on first read, with on-demand
 	// inter-representative distances, so no O(g²) matrix is ever
-	// materialized) and is bit-identical at every shard count. The one exception, outside the query classes: threshold
-	// adaptation (WithThreshold) requires the one-shard in-process layout.
+	// materialized) and is bit-identical at every shard count. The one
+	// exception, outside the query classes: threshold adaptation
+	// (WithThreshold) is refused unless the layout is the one-shard
+	// in-process one — kept behaviour, not a limit of the adaptation, which
+	// reads only the global grouping every layout holds.
 	Shards int
 	// ShardWorkers lists remote worker base URLs (e.g. "http://host:9102")
 	// serving the shards instead of this process: shard s is shipped to and
