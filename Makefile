@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt fmt-check vet build test test-v3 bench bench-selftest serve-smoke obs-smoke dist-smoke fuzz-smoke lint coverage ci
+.PHONY: fmt fmt-check vet build test check-fma bench bench-selftest serve-smoke obs-smoke dist-smoke fuzz-smoke lint coverage ci
 
 fmt: ## Reformat all Go sources in place
 	gofmt -w .
@@ -25,8 +25,8 @@ build: ## Compile every package and binary
 test: ## Full test suite with the race detector, shuffled (CI's main job)
 	$(GO) test -race -shuffle=on ./...
 
-test-v3: ## The distance kernel and query tests built for x86-64-v3 (CI runs them at v1 and at v3)
-	GOAMD64=v3 $(GO) test ./internal/dist/ ./internal/query/
+check-fma: ## Cross-build for arm64/ppc64le/riscv64/s390x and fail on a fused multiply-add in the distance kernel (internal/dist)
+	GO=$(GO) sh scripts/check_fma.sh
 
 bench: ## Run every benchmark once (CI's bench-smoke job)
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
@@ -71,4 +71,4 @@ coverage: ## Enforce ≥ 70% statement coverage on query+grouping+parallel+shard
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t + 0 < min) ? 1 : 0 }' \
 		|| { echo "coverage $$total% is below $(COVER_MIN)%" >&2; exit 1; }
 
-ci: fmt-check vet lint build test test-v3 bench bench-selftest coverage serve-smoke obs-smoke dist-smoke fuzz-smoke ## The full local gate, same checks as CI
+ci: fmt-check vet lint build test check-fma bench bench-selftest coverage serve-smoke obs-smoke dist-smoke fuzz-smoke ## The full local gate, same checks as CI

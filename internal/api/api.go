@@ -23,7 +23,6 @@ import (
 	"log/slog"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"onex"
@@ -108,8 +107,7 @@ type Server struct {
 	pprof     bool
 	slow      *obs.SlowLog
 
-	reqMu     sync.Mutex
-	reqCounts map[reqKey]uint64
+	reqCounts metrics.CounterMap[reqKey] // route × status, behind /metrics
 
 	// stopProbes releases this server's hold on the shared shard-worker
 	// health-probe loop (see shardrpc.FleetHealth.StartProbes).

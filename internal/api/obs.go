@@ -1,13 +1,16 @@
 package api
 
 import (
+	"cmp"
 	"context"
 	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"onex/internal/hub"
@@ -58,35 +61,6 @@ type reqKey struct {
 	status int
 }
 
-// countRequest ticks the route×status counter behind /metrics.
-func (s *Server) countRequest(route string, status int) {
-	s.reqMu.Lock()
-	if s.reqCounts == nil {
-		s.reqCounts = make(map[reqKey]uint64)
-	}
-	s.reqCounts[reqKey{route, status}]++
-	s.reqMu.Unlock()
-}
-
-// requestCounts snapshots the route×status counters in deterministic order.
-func (s *Server) requestCounts() ([]reqKey, map[reqKey]uint64) {
-	s.reqMu.Lock()
-	counts := make(map[reqKey]uint64, len(s.reqCounts))
-	keys := make([]reqKey, 0, len(s.reqCounts))
-	for k, v := range s.reqCounts {
-		counts[k] = v
-		keys = append(keys, k)
-	}
-	s.reqMu.Unlock()
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].route != keys[b].route {
-			return keys[a].route < keys[b].route
-		}
-		return keys[a].status < keys[b].status
-	})
-	return keys, counts
-}
-
 // timed wraps every route: it mints (or honors) the request id, echoes it on
 // X-Request-Id, records the route latency histogram and route×status
 // counter, and emits one structured request log line — at warn level with a
@@ -106,7 +80,7 @@ func (s *Server) timed(pattern string, h http.HandlerFunc) http.HandlerFunc {
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
-		s.countRequest(pattern, rec.status)
+		s.reqCounts.Add(reqKey{pattern, rec.status})
 
 		attrs := []any{
 			"requestId", reqID,
@@ -231,7 +205,14 @@ func metricsWriter(w io.Writer, s *Server) *metrics.PromWriter {
 
 	// Route×status request counter.
 	pw.Header("onex_http_requests_total", "HTTP requests by route and status.", "counter")
-	keys, counts := s.requestCounts()
+	counts := s.reqCounts.Snapshot()
+	keys := make([]reqKey, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b reqKey) int {
+		return cmp.Or(strings.Compare(a.route, b.route), cmp.Compare(a.status, b.status))
+	})
 	for _, k := range keys {
 		pw.Sample("onex_http_requests_total",
 			[]metrics.Label{{Name: "route", Value: k.route}, {Name: "status", Value: strconv.Itoa(k.status)}},

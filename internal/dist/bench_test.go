@@ -18,9 +18,9 @@ func smoothPair(n int) (q, c []float64) {
 	q, c = make([]float64, n), make([]float64, n)
 	x := 0.0
 	for i := range q {
-		x += 0.1 * r.NormFloat64()
+		x += float64(0.1 * r.NormFloat64())
 		q[i] = math.Sin(float64(i)/8) + x
-		c[i] = q[i] + 0.05*r.NormFloat64()
+		c[i] = q[i] + float64(0.05*r.NormFloat64())
 	}
 	return q, c
 }

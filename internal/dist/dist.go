@@ -17,6 +17,12 @@
 //     running total proves the result cannot reach the cutoff, or the
 //     exact value; a finite return value is always the exact distance, so
 //     a caller's acceptance test against its cutoff reads exact values.
+//   - Every accumulation rounds each squared difference before adding it:
+//     float64(d*d), never a bare d*d. The Go spec lets a compiler fuse
+//     x*y + z into one fused multiply-add (one rounding instead of two),
+//     and arm64, ppc64le, riscv64 and s390x do; the explicit conversion
+//     forbids it, so every architecture computes the bits amd64 does.
+//     scripts/check_fma.sh fails the build where a fused op remains.
 //   - DTW is unconstrained (Def. 3). The Sakoe-Chiba band appears only as
 //     an envelope radius (Envelope); the banded DTW of the UCR-suite
 //     baseline lives beside it in internal/baseline.
@@ -48,7 +54,7 @@ func SquaredEDEarlyAbandon(a, b []float64, cutoff float64) float64 {
 	var sum float64
 	for i, v := range a {
 		d := v - b[i]
-		sum += d * d
+		sum += float64(d * d)
 		if sum > cutoff {
 			return math.Inf(1)
 		}
@@ -62,7 +68,7 @@ func sqED(a, b []float64) float64 {
 	var sum float64
 	for i, v := range a {
 		d := v - b[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum
 }

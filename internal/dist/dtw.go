@@ -36,8 +36,8 @@ func DTW(a, b []float64) float64 {
 // must complete before ownership may move. Callers that fan work across
 // goroutines must give each worker its own Workspace; the supported pattern
 // is parallel.WorkspacePool (a sync.Pool whose Get/Put hands out exclusive
-// ownership), which is how query.Processor keeps every query race-free by
-// construction. Sharing one live Workspace between goroutines is a data
+// ownership), which is how the query engine's coordinator and shards keep
+// every query race-free by construction. Sharing one live Workspace between goroutines is a data
 // race even if calls never overlap logically.
 type Workspace struct {
 	prev, curr []float64
@@ -161,7 +161,7 @@ func (w *Workspace) DTWEarlyAbandon(q, c []float64, cutoff float64) float64 {
 		if nhi == end {
 			for j := end + 1; j <= m; j++ {
 				d := qi - c[j-1]
-				left += d * d
+				left += float64(d * d)
 				curr[j] = left
 				if !(left <= thr) {
 					break
@@ -188,5 +188,5 @@ func cell(up, diag, left, d float64) float64 {
 	if left < best {      // c advances alone
 		best = left
 	}
-	return best + d*d
+	return best + float64(d*d)
 }

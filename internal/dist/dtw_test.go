@@ -46,7 +46,7 @@ func naiveDTWAcc(a, b []float64, window int) float64 {
 				continue
 			}
 			d := a[i] - b[j]
-			cost := d * d
+			cost := float64(d * d)
 			switch {
 			case i == 0 && j == 0:
 				acc[i][j] = cost
@@ -124,7 +124,7 @@ func TestDTWEarlyAbandonExactOrInf(t *testing.T) {
 		m := 2 + r.Intn(30)
 		a, b := randSeries(r, n), randSeries(r, m)
 		want := naiveDTW(a, b, -1)
-		cutoff := want * (0.25 + 1.5*r.Float64()) // straddle the true value
+		cutoff := float64(want * (0.25 + float64(1.5*r.Float64()))) // straddle the true value
 		got := w.DTWEarlyAbandon(a, b, cutoff)
 		if math.IsInf(got, 1) {
 			abandoned++

@@ -93,7 +93,7 @@ func LBKim(q, c []float64) float64 {
 		return math.Abs(head)
 	}
 	tail := q[n-1] - c[m-1]
-	return math.Sqrt(head*head + tail*tail)
+	return math.Sqrt(float64(head*head) + float64(tail*tail))
 }
 
 // LBKeoghMinMax is LBKeoghOrdered against the full-radius envelope of a
@@ -109,10 +109,10 @@ func LBKeoghMinMax(q []float64, hi, lo float64, order []int, cutoff float64) flo
 		v := q[i]
 		if v > hi {
 			d := v - hi
-			sum += d * d
+			sum += float64(d * d)
 		} else if v < lo {
 			d := lo - v
-			sum += d * d
+			sum += float64(d * d)
 		}
 		if sum > cutoffSq {
 			return math.Inf(1)
@@ -138,10 +138,10 @@ func LBKeoghOrdered(q, upper, lower []float64, order []int, cutoff float64) floa
 		v := q[i]
 		if v > upper[i] {
 			d := v - upper[i]
-			sum += d * d
+			sum += float64(d * d)
 		} else if v < lower[i] {
 			d := lower[i] - v
-			sum += d * d
+			sum += float64(d * d)
 		}
 		if sum > cutoffSq {
 			return math.Inf(1)

@@ -123,10 +123,10 @@ func lbKeoghUnordered(q, upper, lower []float64) float64 {
 	for i, v := range q {
 		if v > upper[i] {
 			d := v - upper[i]
-			sum += d * d
+			sum += float64(d * d)
 		} else if v < lower[i] {
 			d := lower[i] - v
-			sum += d * d
+			sum += float64(d * d)
 		}
 	}
 	return math.Sqrt(sum)
@@ -230,7 +230,7 @@ func TestPropertyLowerBoundSandwich(t *testing.T) {
 			// exercised away from the trivially-large regime too.
 			c = append([]float64(nil), q...)
 			for i := range c {
-				c[i] += 0.1 * r.NormFloat64()
+				c[i] += float64(0.1 * r.NormFloat64())
 			}
 		}
 		u, l := Envelope(c, n, nil, nil) // full radius: admissible for unconstrained DTW

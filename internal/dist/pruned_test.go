@@ -94,13 +94,13 @@ func TestKernelMatchesParent(t *testing.T) {
 		default:
 			a, b = randSeries(r, n), make([]float64, m)
 			for j := range b {
-				b[j] = a[j*n/m] + 0.05*r.NormFloat64()
+				b[j] = a[j*n/m] + float64(0.05*r.NormFloat64())
 			}
 		}
 		d := naiveDTW(a, b, -1)
 		cutoffs := []float64{
 			math.Inf(1), d, math.Nextafter(d, 0), math.Nextafter(d, math.Inf(1)), 0,
-			d * (0.25 + 1.5*r.Float64()),
+			d * (0.25 + float64(1.5*r.Float64())),
 		}
 		if n == m {
 			cutoffs = append(cutoffs, math.Sqrt(SquaredEDEarlyAbandon(a, b, math.Inf(1))))
@@ -129,7 +129,7 @@ func TestDTWPrunedBitIdentical(t *testing.T) {
 		d := naiveDTW(a, b, -1)
 		for _, cutoff := range []float64{
 			math.Inf(1), d, math.Nextafter(d, 0), math.Nextafter(d, math.Inf(1)), 0,
-			d * (0.25 + 1.5*r.Float64()),
+			d * (0.25 + float64(1.5*r.Float64())),
 		} {
 			if checkPruned(t, &w, a, b, cutoff) {
 				abandoned++
@@ -282,7 +282,7 @@ func (w *Workspace) parentDTWEarlyAbandon(q, c []float64, cutoff float64) float6
 				best = left
 			}
 			d := qi - cj
-			acc := best + d*d
+			acc := best + float64(d*d)
 			cs[k] = acc
 			if acc <= thr {
 				if nlo == 0 {
@@ -297,7 +297,7 @@ func (w *Workspace) parentDTWEarlyAbandon(q, c []float64, cutoff float64) float6
 		j := end + 1
 		for ; j <= m && left <= thr; j++ {
 			d := qi - c[j-1]
-			left += d * d
+			left += float64(d * d)
 			curr[j] = left
 			if left <= thr {
 				if nlo == 0 {

@@ -48,7 +48,7 @@ func TestZeroVarianceInputs(t *testing.T) {
 	checkFinite("LBKeogh(wave, flatEnv)", LBKeoghOrdered(wave, u, l, QueryOrder(wave), math.Inf(1)))
 
 	// The DTW of two constants is √n·|a−b| (every path step pays the same).
-	want := math.Sqrt(6) * 4
+	want := float64(math.Sqrt(6) * 4)
 	if d := ws.DTW(flat, flat2); math.Abs(d-want) > 1e-12 {
 		t.Errorf("DTW(flat, flat2) = %v, want %v", d, want)
 	}

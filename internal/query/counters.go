@@ -3,9 +3,9 @@ package query
 import "sync/atomic"
 
 // Counters accumulates lifetime work counters across every query an engine
-// answers. The coordinator's processor holds the one instance and shares it
+// answers. The coordinator (Scatter) holds the one instance and shares it
 // with every worker-budget view derived from it, so the serving layer reads
-// one coherent tally per dataset engine. All methods are safe for
+// one coherent tally per dataset engine; shards keep none. All methods are safe for
 // concurrent use.
 //
 // Queries counts every answered call of every family. The bound-pruning
@@ -88,4 +88,4 @@ func (c *Counters) Snapshot() CountersSnapshot {
 }
 
 // Counters returns the coordinator's tally.
-func (s *Scatter) Counters() *Counters { return s.global.counters }
+func (s *Scatter) Counters() *Counters { return s.counters }

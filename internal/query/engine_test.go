@@ -13,29 +13,37 @@ import (
 // call shapes this package's tests use.
 type engine struct {
 	*Scatter
-	// proc is the single shard's processor.
-	proc *Processor
+	// shard is the single in-process shard.
+	shard *LocalShard
 }
 
 func newEngine(b *rspace.Base, workers int) (*engine, error) {
-	proc, err := New(b, workers)
+	ls, err := NewWholeShard(b)
 	if err != nil {
 		return nil, err
 	}
-	ls, err := NewWholeShard(proc)
+	sc, err := NewScatter(b.Dataset, groupingOf(b), workers, []ShardTransport{ls})
 	if err != nil {
 		return nil, err
 	}
-	sc, err := NewScatter(b, workers, []ShardTransport{ls})
-	if err != nil {
-		return nil, err
-	}
-	return &engine{Scatter: sc, proc: proc}, nil
+	return &engine{Scatter: sc, shard: ls}, nil
 }
 
-func (e *engine) Base() *rspace.Base { return e.proc.base }
+// groupingOf is the grouping a base indexes.
+func groupingOf(b *rspace.Base) *grouping.Result {
+	gr := &grouping.Result{
+		ST:          b.ST,
+		Lengths:     b.Lengths,
+		ByLength:    make(map[int]*grouping.LengthGroups, len(b.Lengths)),
+		TotalSubseq: b.TotalSubseq,
+	}
+	for _, l := range b.Lengths {
+		gr.ByLength[l] = &grouping.LengthGroups{Length: l, Groups: b.Entry(l).Groups}
+	}
+	return gr
+}
 
-func (e *engine) lengthOrder(queryLen int) []int { return e.global.lengthOrder(queryLen) }
+func (e *engine) Base() *rspace.Base { return e.shard.base }
 
 // best unpacks a best-match Result.
 func best(r Result) (Match, error) {
@@ -124,23 +132,13 @@ func (e *engine) SeasonalAll(length int) ([]SeasonalGroup, error) {
 // indexes the result as a new one-shard engine, as
 // shard.Engine.WithThreshold does.
 func (e *engine) AdaptThreshold(stPrime float64) (*engine, error) {
-	b := e.proc.base
-	gr := &grouping.Result{
-		ST:          b.ST,
-		Lengths:     b.Lengths,
-		ByLength:    make(map[int]*grouping.LengthGroups, len(b.Lengths)),
-		TotalSubseq: b.TotalSubseq,
-	}
-	for _, l := range b.Lengths {
-		gr.ByLength[l] = &grouping.LengthGroups{Length: l, Groups: b.Entry(l).Groups}
-	}
-	adapted, err := grouping.Adapt(b.Dataset, gr, stPrime)
+	adapted, err := grouping.Adapt(e.data, e.grouped, stPrime)
 	if err != nil {
 		return nil, err
 	}
-	ab, err := rspace.New(b.Dataset, adapted, rspace.Options{})
+	ab, err := rspace.New(e.data, adapted, rspace.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(ab, e.proc.workers)
+	return newEngine(ab, e.workers)
 }

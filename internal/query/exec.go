@@ -68,7 +68,7 @@ type Result struct {
 // answers the same bits whichever entry point or batch position carries it.
 func (s *Scatter) Exec(ctx context.Context, req Request) Result {
 	rec := obs.TraceFromContext(ctx)
-	s.global.counters.tick()
+	s.counters.tick()
 	switch req.Family {
 	case FamilyMatch:
 		switch {
@@ -87,7 +87,7 @@ func (s *Scatter) Exec(ctx context.Context, req Request) Result {
 		rs, err := s.rangeSearch(ctx, req.Query, req.Length, req.Radius, req.Exact, rec)
 		return Result{Ranges: rs, Err: err}
 	case FamilySeasonal:
-		gs, err := s.global.seasonal(ctx, req.SeriesID, req.Length, rec)
+		gs, err := s.seasonal(ctx, req.SeriesID, req.Length, rec)
 		return Result{Groups: gs, Err: err}
 	default:
 		return Result{Err: fmt.Errorf("query: unknown family %d", req.Family)}
@@ -108,7 +108,7 @@ func (s *Scatter) ExecBatch(ctx context.Context, reqs []Request) []Result {
 	if len(reqs) == 0 {
 		return out
 	}
-	budget := s.global.workers
+	budget := s.workers
 	inner := s.withWorkers(max(1, budget/len(reqs)))
 	parallel.ForEach(budget, len(reqs), func(i int) {
 		out[i] = inner.Exec(ctx, reqs[i])

@@ -15,15 +15,21 @@ import (
 	"onex/internal/ts"
 )
 
-// LocalShard is the in-process ShardTransport: one shard's index (a
-// Processor over the shard's base) plus the local↔global translation
-// tables. A shard of a partitioned layout is built from its ShardSpec by
-// BuildLocalShard, in the engine (internal/shard) and in a worker process
-// alike, so every transport response is bit-identical across them — the
-// property the remote-equivalence suite enforces. The one-shard layout
-// wraps the whole base under identity tables instead (NewWholeShard).
+// LocalShard is the in-process ShardTransport: one shard's index (an
+// rspace.Base over the shard's series), the workspace pool its scans draw
+// from, and the local↔global translation tables. It holds no worker count:
+// every request carries its own (Workers). A shard of a partitioned layout
+// is built from its ShardSpec by BuildLocalShard, in the engine
+// (internal/shard) and in a worker process alike, so every transport
+// response is bit-identical across them — the property the
+// remote-equivalence suite enforces. The one-shard layout indexes the
+// global grouping itself under identity tables instead (NewWholeShard):
+// its base shares the global group objects and copies nothing.
 type LocalShard struct {
-	proc  *Processor
+	base *rspace.Base
+	// pool recycles DTW scratch across requests and across the workers of
+	// one request.
+	pool  *parallel.WorkspacePool
 	shard int
 	// series maps local series index → global series id (ascending).
 	series []int
@@ -44,29 +50,30 @@ type localUnit struct {
 // answers it when the spec is shipped, instead of failing every query after.
 var ErrBadSpec = errors.New("query: bad shard spec")
 
-// NewLocalShard wraps an existing shard processor as a transport. series,
-// globalIDs and owned are the part's translation tables: series maps local
-// series index → global id; per length, globalIDs maps local group index →
-// global group id, strictly ascending, and owned marks the local groups
-// whose representative this shard scans.
-func NewLocalShard(proc *Processor, shard int, series []int,
+// newLocalShard wraps a shard's base as a transport. series, globalIDs and
+// owned are the part's translation tables: series maps local series index →
+// global id; per length, globalIDs maps local group index → global group
+// id, strictly ascending, and owned marks the local groups whose
+// representative this shard scans.
+func newLocalShard(base *rspace.Base, shard int, series []int,
 	globalIDs map[int][]int, owned map[int][]bool) (*LocalShard, error) {
 
-	if proc == nil {
-		return nil, fmt.Errorf("query: nil shard processor")
+	if base == nil {
+		return nil, errors.New("query: nil shard base")
 	}
-	if n := proc.base.Dataset.N(); n != len(series) {
+	if n := base.Dataset.N(); n != len(series) {
 		return nil, fmt.Errorf("query: shard %d holds %d series but maps %d", shard, n, len(series))
 	}
 	ls := &LocalShard{
-		proc:      proc,
+		base:      base,
+		pool:      &parallel.WorkspacePool{},
 		shard:     shard,
 		series:    series,
 		globalIDs: globalIDs,
-		units:     make(map[int][]localUnit, len(proc.base.Lengths)),
+		units:     make(map[int][]localUnit, len(base.Lengths)),
 	}
-	for _, l := range proc.base.Lengths {
-		e := proc.base.Entry(l)
+	for _, l := range base.Lengths {
+		e := base.Entry(l)
 		gids, own := globalIDs[l], owned[l]
 		if len(gids) != len(e.Groups) || len(own) != len(e.Groups) {
 			return nil, fmt.Errorf("query: shard tables for length %d cover %d/%d of %d groups",
@@ -83,9 +90,6 @@ func NewLocalShard(proc *Processor, shard int, series []int,
 	return ls, nil
 }
 
-// Base returns the shard's base (read-only).
-func (ls *LocalShard) Base() *rspace.Base { return ls.proc.base }
-
 // localGroup resolves a global group id of one length to the shard's local
 // index; ok is false when the shard holds no member of that group.
 func (ls *LocalShard) localGroup(length, global int) (local int, ok bool) {
@@ -94,28 +98,28 @@ func (ls *LocalShard) localGroup(length, global int) (local int, ok bool) {
 	return i, i < len(gids) && gids[i] == global
 }
 
-// NewWholeShard wraps a processor over the complete base as the only shard
-// of a one-shard layout: local ids are the global ids and every group is
-// scanned here.
-func NewWholeShard(proc *Processor) (*LocalShard, error) {
-	if proc == nil {
-		return nil, fmt.Errorf("query: nil shard processor")
+// NewWholeShard wraps the base over the complete dataset and global
+// grouping as the only shard of a one-shard layout: local ids are the
+// global ids and every group is scanned here.
+func NewWholeShard(base *rspace.Base) (*LocalShard, error) {
+	if base == nil {
+		return nil, errors.New("query: nil shard base")
 	}
-	series := make([]int, proc.base.Dataset.N())
+	series := make([]int, base.Dataset.N())
 	for i := range series {
 		series[i] = i
 	}
-	globalIDs := make(map[int][]int, len(proc.base.Lengths))
-	owned := make(map[int][]bool, len(proc.base.Lengths))
-	for _, l := range proc.base.Lengths {
-		g := len(proc.base.Entry(l).Groups)
+	globalIDs := make(map[int][]int, len(base.Lengths))
+	owned := make(map[int][]bool, len(base.Lengths))
+	for _, l := range base.Lengths {
+		g := len(base.Entry(l).Groups)
 		gids, own := make([]int, g), make([]bool, g)
 		for k := range gids {
 			gids[k], own[k] = k, true
 		}
 		globalIDs[l], owned[l] = gids, own
 	}
-	return NewLocalShard(proc, 0, series, globalIDs, owned)
+	return newLocalShard(base, 0, series, globalIDs, owned)
 }
 
 // BuildLocalShard derives a shard's index from its spec: the sub-dataset,
@@ -205,13 +209,7 @@ func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every shard request carries its own worker budget (reqWorkers), which
-	// overrides the processor's count.
-	proc, err := New(base, 1)
-	if err != nil {
-		return nil, err
-	}
-	return NewLocalShard(proc, spec.Shard, series, globalIDs, owned)
+	return newLocalShard(base, spec.Shard, series, globalIDs, owned)
 }
 
 // Info implements ShardTransport.
@@ -235,9 +233,9 @@ func (ls *LocalShard) Info() ShardInfo {
 func (ls *LocalShard) Stats() ShardStats {
 	return ShardStats{
 		Series:       len(ls.series),
-		Groups:       ls.proc.base.TotalGroups(),
-		Subsequences: ls.proc.base.TotalSubseq,
-		IndexBytes:   ls.proc.base.SizeBytes(),
+		Groups:       ls.base.TotalGroups(),
+		Subsequences: ls.base.TotalSubseq,
+		IndexBytes:   ls.base.SizeBytes(),
 	}
 }
 
@@ -250,17 +248,6 @@ func reqWorkers(w int) int {
 		return 1
 	}
 	return w
-}
-
-// innerExec returns the view of p that answers one request with the given
-// worker budget (sharing p's pool and counters).
-func (p *Processor) innerExec(workers int) *Processor {
-	if workers == p.workers {
-		return p
-	}
-	cp := *p
-	cp.workers = workers
-	return &cp
 }
 
 // ScanBest implements ShardTransport: the tightening-bound argmin scan
@@ -295,7 +282,7 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 	if err := validateQuery(req.Query); err != nil {
 		return ScanBestResponse{}, err
 	}
-	e := ls.proc.base.Entry(req.Length)
+	e := ls.base.Entry(req.Length)
 	if e == nil {
 		return ScanBestResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
 	}
@@ -333,7 +320,7 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 		tr    Trace
 	}{raw: math.Inf(1), pos: -1}
 	win.bound.Relax(seed)
-	ls.proc.strided(ctx, workers, n, &win.tr, func(ws *dist.Workspace, pos int, tr *Trace) {
+	strided(ctx, ls.pool, workers, n, &win.tr, func(ws *dist.Workspace, pos int, tr *Trace) {
 		bound := win.bound.Load()
 		d := scanRep(ws, q, order, e, units[pos].local, sameLen, math.Nextafter(bound, math.Inf(1)), tr)
 		if d > bound {
@@ -376,7 +363,7 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 	if err := validateQuery(req.Query); err != nil {
 		return ScanFixedResponse{}, err
 	}
-	e := ls.proc.base.Entry(req.Length)
+	e := ls.base.Entry(req.Length)
 	if e == nil {
 		return ScanFixedResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
 	}
@@ -396,7 +383,7 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 	// found[i] is unit i's distance, +Inf when the cascade dropped it.
 	found := make([]FixedHit, n)
 	var tr Trace
-	ls.proc.strided(ctx, workers, n, &tr, func(ws *dist.Workspace, i int, tr *Trace) {
+	strided(ctx, ls.pool, workers, n, &tr, func(ws *dist.Workspace, i int, tr *Trace) {
 		found[i] = FixedHit{GroupID: units[i].global, Dist: scanRep(ws, q, order, e, units[i].local, sameLen, cutoff, tr)}
 	})
 	if err := ctx.Err(); err != nil {
@@ -409,29 +396,4 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 		}
 	}
 	return ScanFixedResponse{Hits: hits, Trace: tr}, nil
-}
-
-// Range implements ShardTransport: Processor.rangeSearch over the shard's
-// base, results remapped to global series/group ids in the shard's group
-// order.
-func (ls *LocalShard) Range(ctx context.Context, req RangeRequest) (RangeResponse, error) {
-	var tr Trace
-	exec := ls.proc.innerExec(reqWorkers(req.Workers))
-	rs, err := exec.rangeSearch(ctx, req.Query, req.Length, req.Radius, req.Exact, &tr)
-	if err != nil {
-		return RangeResponse{}, err
-	}
-	gids := ls.globalIDs[req.Length]
-	hits := make([]RangeHit, len(rs))
-	for i, r := range rs {
-		hits[i] = RangeHit{
-			Series:     ls.series[r.SeriesID],
-			Start:      r.Start,
-			Dist:       r.Dist,
-			RawDTW:     r.RawDTW,
-			GroupID:    gids[r.GroupID],
-			Guaranteed: r.Guaranteed,
-		}
-	}
-	return RangeResponse{Results: hits, Trace: tr}, nil
 }

@@ -1,7 +1,8 @@
 // Package query implements the ONEX online query processor (Algorithm 2,
 // Sec. 5): similarity queries over the representative space with time-warped
-// matching, seasonal-similarity queries, similarity-threshold
-// recommendations, and the varying-threshold group adaptation of Sec. 5.2.
+// matching, and seasonal-similarity queries. The Sec. 5.2 threshold surfaces
+// read the grouping without a query: recommendations come from
+// rspace.MergeThresholdsFor and threshold adaptation from grouping.Adapt.
 //
 // The Sec. 5.3 optimizations are implemented, but for one, and they always
 // run — the engine answers with the paper's one configuration, whose only
@@ -23,7 +24,7 @@
 //     the argmin (LocalShard.ScanBest), the fixed-cutoff k-NN scan
 //     (LocalShard.ScanFixed) and range search, which differ only in the
 //     bound they pass and run the same strided worker loop
-//     (Processor.strided); group members take the member test (evalMember:
+//     (strided); group members take the member test (evalMember:
 //     LB_Kim, then early-abandoning DTW) in the pivot walk, k-NN
 //     verification and range search alike;
 //   - the paper's marriage of the two distances at scan time: ED ≥ DTW for
@@ -37,17 +38,18 @@
 //
 // # One engine
 //
-// Scatter is the only coordinator: it walks the lengths, merges the
-// representative scans of its shards, mines each searched length's winning
-// group itself (the pivot walk, over member windows read from the global
-// dataset it holds, at every layout), and replays the k-NN heap against the
-// member distances its shards report: the shards walk the k-NN members at
-// every layout, the one-shard layout included (LocalShard.VerifyK). Both
-// member walks evaluate their rounds through Processor.evalRound. A
-// Processor holds the kernels one shard runs behind LocalShard (the
-// fixed-cutoff cascade, the k-NN verification phase, range search) plus the
-// grouping-only families (seasonal, threshold adaptation). An unsharded
-// base is the one-shard layout of the same engine.
+// Scatter is the only coordinator. It holds the global dataset and
+// grouping: it walks the lengths, merges the representative scans of its
+// shards, mines each searched length's winning group itself (the pivot
+// walk, over member windows read from the global dataset, at every layout),
+// replays the k-NN heap against the member distances its shards report, and
+// answers seasonal queries from the grouping. Each shard is a LocalShard
+// that owns its index (an rspace.Base over its series) and runs the
+// representative scans, the k-NN verification phase (LocalShard.VerifyK,
+// at every layout, the one-shard layout included) and range search. Both
+// member walks evaluate their rounds through evalRound. An unsharded base
+// is the one-shard layout of the same engine: its one shard indexes the
+// global grouping itself.
 //
 // # One request, two entry points
 //
@@ -63,15 +65,25 @@
 //
 // # Parallel execution
 //
-// The worker count given to New or NewScatter — the processor's one
-// setting — shards a single query across a bounded worker pool: the
+// The worker count given to NewScatter — the engine's one query setting —
+// shards a single query across a bounded worker pool: the
 // representative scan of each length fans out with a shared atomic
 // best-so-far bound (early abandoning keeps pruning across workers), group
 // mining and k-NN verification evaluate rounds of members concurrently (one
 // member at a time against the tightening bound at one worker or in a group
 // under two rounds: roundSize), and range search shards across groups.
 // Shard requests carry their own worker budget (the Workers field), so a
-// shard's fan-out follows its coordinator.
+// shard's fan-out follows its coordinator; a shard has no worker count of
+// its own.
+//
+// Scatter and LocalShard are safe for any number of concurrent calls. Race
+// freedom is by construction: the indexes are immutable, and every
+// dist.Workspace a call uses is drawn from its owner's pool with
+// single-goroutine ownership (each query goroutine, and each worker it fans
+// out to, gets its own workspace and returns it before the call completes;
+// workspaces never escape a call and are never shared between two live
+// goroutines).
+//
 // The parallel paths are constructed to be *answer-invariant*: every
 // pruning or patience decision is replayed against deterministic bounds,
 // concurrency only decides which DTWs are computed exactly versus proven
@@ -117,48 +129,6 @@ const (
 // groups of a loose threshold degenerates toward a linear scan, inverting
 // the paper's time-vs-ST trend.
 const patience = 32
-
-// Processor holds one base's query kernels: what a shard runs behind
-// LocalShard, and the grouping-only families Scatter answers from the
-// global grouping.
-//
-// Concurrency and workspace ownership: a Processor is safe for any number
-// of concurrent query calls. Race freedom is by construction — the base is
-// immutable, and every dist.Workspace used by a call is drawn from an
-// internal sync.Pool with single-goroutine ownership (each query goroutine,
-// and each worker a parallel query fans out to, gets its own workspace and
-// returns it before the call completes; workspaces never escape a call and
-// are never shared between two live goroutines).
-type Processor struct {
-	base *rspace.Base
-	// workers is the resolved worker fan-out (always ≥ 1).
-	workers int
-	// pool recycles DTW scratch across queries and across the workers of
-	// one query. See the ownership rule above and on dist.Workspace.
-	pool *parallel.WorkspacePool
-	// counters is the lifetime work tally, shared (by pointer) with every
-	// worker-budget view derived from this processor (innerExec).
-	counters *Counters
-}
-
-// New builds a processor over a base. parallelism bounds the worker fan-out
-// of a single query and of a batch: ≤ 0 selects runtime.GOMAXPROCS(0), 1
-// forces the sequential path, and values above NumCPU merely oversubscribe.
-// Answers are identical for every setting — see the package documentation.
-func New(b *rspace.Base, parallelism int) (*Processor, error) {
-	if b == nil {
-		return nil, errors.New("query: nil base")
-	}
-	return &Processor{
-		base:     b,
-		workers:  parallel.Resolve(parallelism),
-		pool:     &parallel.WorkspacePool{},
-		counters: &Counters{},
-	}, nil
-}
-
-// Base returns the underlying base (read-only).
-func (p *Processor) Base() *rspace.Base { return p.base }
 
 // Match is a similarity-query answer: the best-matching subsequence found.
 type Match struct {
@@ -206,10 +176,10 @@ func validateQuery(q []float64) error {
 // lengthOrder yields indexed lengths in the paper's search order: the
 // query's own length first (if indexed), then strictly smaller lengths in
 // decreasing order, then larger lengths in increasing order.
-func (p *Processor) lengthOrder(queryLen int) []int {
-	ls := p.base.Lengths // ascending
+func (s *Scatter) lengthOrder(queryLen int) []int {
+	ls := s.grouped.Lengths // ascending
 	out := make([]int, 0, len(ls))
-	if p.base.Entry(queryLen) != nil {
+	if s.grouped.ByLength[queryLen] != nil {
 		out = append(out, queryLen)
 	}
 	for i := len(ls) - 1; i >= 0; i-- {
@@ -294,11 +264,13 @@ func scanRep(ws *dist.Workspace, q []float64, order []int,
 // evalRound evaluates one round of candidate windows against a bound
 // snapshot into lbs and ds (evalMember per window), returning how many DTWs
 // ran. A one-window or one-worker round runs inline on the caller's ws; a
-// larger one strides across up to p.workers goroutines, each owning one
-// pooled workspace for the whole round.
-func (p *Processor) evalRound(ws *dist.Workspace, q []float64, windows [][]float64, bound float64, lbs, ds []float64) int {
+// larger one strides across up to workers goroutines, each owning one
+// workspace from pool for the whole round.
+func evalRound(pool *parallel.WorkspacePool, workers int, ws *dist.Workspace, q []float64,
+	windows [][]float64, bound float64, lbs, ds []float64) int {
+
 	n := len(windows)
-	workers := min(p.workers, n)
+	workers = min(workers, n)
 	if workers <= 1 {
 		dtws := 0
 		for i, v := range windows {
@@ -311,8 +283,8 @@ func (p *Processor) evalRound(ws *dist.Workspace, q []float64, windows [][]float
 	}
 	var dtws atomic.Int64
 	parallel.ForEach(workers, workers, func(w int) {
-		lws := p.pool.Get()
-		defer p.pool.Put(lws)
+		lws := pool.Get()
+		defer pool.Put(lws)
 		ran := 0
 		for i := w; i < n; i += workers {
 			var ok bool
@@ -327,32 +299,32 @@ func (p *Processor) evalRound(ws *dist.Workspace, q []float64, windows [][]float
 
 // strided is the one worker loop of the three representative scans
 // (ScanBest, ScanFixed and range search's groups): worker w of workers
-// visits units w, w+workers, … of n on its own pooled workspace and its own
-// Trace, and polls ctx every rangePollEvery of its units, stopping at the
-// first canceled poll (the caller then answers ctx's error). The worker
+// visits units w, w+workers, … of n on its own workspace from pool and its
+// own Trace, and polls ctx every rangePollEvery of its units, stopping at
+// the first canceled poll (the caller then answers ctx's error). The worker
 // traces fold into tr. One worker runs on the calling goroutine, and the
 // callers' rules for a scan too small to fan out only set workers to 1.
-func (p *Processor) strided(ctx context.Context, workers, n int, tr *Trace,
+func strided(ctx context.Context, pool *parallel.WorkspacePool, workers, n int, tr *Trace,
 	visit func(ws *dist.Workspace, i int, tr *Trace)) {
 
 	if workers = min(workers, n); workers <= 1 {
-		p.walk(ctx, 0, 1, n, tr, visit)
+		walk(ctx, pool, 0, 1, n, tr, visit)
 		return
 	}
 	traces := make([]Trace, workers)
-	parallel.ForEach(workers, workers, func(w int) { p.walk(ctx, w, workers, n, &traces[w], visit) })
+	parallel.ForEach(workers, workers, func(w int) { walk(ctx, pool, w, workers, n, &traces[w], visit) })
 	for _, t := range traces {
 		tr.add(t)
 	}
 }
 
-// walk is worker w's share of strided. It is a method, not a closure in
+// walk is worker w's share of strided. It is a function, not a closure in
 // strided, so that a one-worker scan allocates nothing for it.
-func (p *Processor) walk(ctx context.Context, w, workers, n int, tr *Trace,
+func walk(ctx context.Context, pool *parallel.WorkspacePool, w, workers, n int, tr *Trace,
 	visit func(ws *dist.Workspace, i int, tr *Trace)) {
 
-	ws := p.pool.Get()
-	defer p.pool.Put(ws)
+	ws := pool.Get()
+	defer pool.Put(ws)
 	for k, i := 0, w; i < n; k, i = k+1, i+workers {
 		if k%rangePollEvery == 0 && ctx.Err() != nil {
 			return

@@ -55,11 +55,11 @@ func bruteBest(d *ts.Dataset, q []float64, length int) (best float64) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, 0); err == nil {
+	if _, err := NewWholeShard(nil); err == nil {
 		t.Error("nil base: want error")
 	}
-	if _, err := NewScatter(nil, 0, nil); err == nil {
-		t.Error("nil global base: want error")
+	if _, err := NewScatter(nil, nil, 0, nil); err == nil {
+		t.Error("nil global dataset and grouping: want error")
 	}
 }
 
@@ -85,7 +85,7 @@ func TestNewScatterChecksPartition(t *testing.T) {
 	} {
 		forged := info
 		forged.Series = series
-		if _, err := NewScatter(p.Base(), 1, []ShardTransport{infoShard{whole, forged}}); err == nil {
+		if _, err := NewScatter(p.data, p.grouped, 1, []ShardTransport{infoShard{whole, forged}}); err == nil {
 			t.Errorf("%s: NewScatter accepted series that do not partition the dataset", name)
 		}
 	}

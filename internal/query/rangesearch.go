@@ -25,9 +25,10 @@ type RangeResult struct {
 	Guaranteed bool
 }
 
-// rangeSearch answers a range query over the processor's base (a target
-// class the paper's related work highlights, Sec. 7): every subsequence of
-// the given length whose normalized DTW (Def. 6) to q is within radius.
+// Range implements ShardTransport: the range query over the shard's base (a
+// target class the paper's related work highlights, Sec. 7) — every
+// subsequence of the requested length whose normalized DTW (Def. 6) to the
+// query is within the radius, with global series and group ids.
 // This is where the paper's ED↔DTW triangle inequality pays off directly,
 // in both directions:
 //
@@ -58,35 +59,35 @@ type RangeResult struct {
 // a distance finite, or +Inf.
 //
 // Wholesale-admitted members carry the ST upper bound in Dist (see
-// RangeResult.Guaranteed) unless exact is set, which computes their true
-// DTW (the guarantee still saves the admission decision) and filters them
-// against the radius like every other member — the result set is then
+// RangeResult.Guaranteed) unless the request is exact, which computes their
+// true DTW (the guarantee still saves the admission decision) and filters
+// them against the radius like every other member — the result set is then
 // exactly the subsequences within radius, at the radius included,
 // independent of how the base happens to be grouped, at the cost of one
-// member test per guaranteed member. Results are unordered. Range work is
-// per-group against a fixed radius, so the counters accumulated into the
-// caller-owned tr are identical at every worker count. Groups stride across
-// the workers (Processor.strided, which polls ctx every rangePollEvery
-// groups), and each group polls every rangePollEvery members, so a canceled
-// request (or job) stops paying DTWs; it then gets ctx's error, never a
-// partial result set.
-func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, radius float64,
-	exact bool, tr *Trace) ([]RangeResult, error) {
-
+// member test per guaranteed member. Results come in the shard's group
+// order; the coordinator treats them as unordered. Range work is per-group
+// against a fixed radius, so the response's Trace is identical at every
+// worker count. Groups stride across the request's workers (strided, which
+// polls ctx every rangePollEvery groups), and each group polls every
+// rangePollEvery members, so a canceled request (or job) stops paying DTWs;
+// it then gets ctx's error, never a partial result set.
+func (ls *LocalShard) Range(ctx context.Context, req RangeRequest) (RangeResponse, error) {
+	q, length, radius := req.Query, req.Length, req.Radius
 	if err := validateQuery(q); err != nil {
-		return nil, err
+		return RangeResponse{}, err
 	}
 	if radius < 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
-		return nil, fmt.Errorf("query: invalid range radius %v", radius)
+		return RangeResponse{}, fmt.Errorf("query: invalid range radius %v", radius)
 	}
-	e := p.base.Entry(length)
+	e := ls.base.Entry(length)
 	if e == nil {
-		return nil, fmt.Errorf("query: length %d not indexed", length)
+		return RangeResponse{}, fmt.Errorf("query: length %d not indexed", length)
 	}
+	st, gids := ls.base.ST, ls.globalIDs[length]
 	divisor := dist.NormalizedDTWDivisor(len(q), length)
 	sqrtM := math.Sqrt(float64(len(q)))
 	sqrtL := math.Sqrt(float64(length))
-	wholesale := radius >= p.base.ST
+	wholesale := radius >= st
 	acceptCutoff := radius * divisor * (1 + 1e-15)
 	memberBound := math.Nextafter(acceptCutoff, math.Inf(1))
 	order := dist.QueryOrder(q)
@@ -97,7 +98,7 @@ func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, ra
 	// workers verbatim; per-group result slices are concatenated in group
 	// order so the output is identical at every worker count (and so are
 	// the work counters).
-	perGroup := make([][]RangeResult, len(e.Groups))
+	perGroup := make([][]RangeHit, len(e.Groups))
 	searchGroup := func(ws *dist.Workspace, k int, tr *Trace) {
 		g := e.Groups[k]
 		n := g.Count()
@@ -116,21 +117,18 @@ func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, ra
 		// during construction, so admit exactly the sorted prefix that
 		// satisfies the premise and verify any stragglers individually.
 		admitted := 0
-		if wholesale && repRaw/divisor <= p.base.ST/2 {
-			for admitted < n && g.Members[admitted].EDToRep <= p.base.ST/2 {
+		if wholesale && repRaw/divisor <= st/2 {
+			for admitted < n && g.Members[admitted].EDToRep <= st/2 {
 				admitted++
 			}
 		}
-		var out []RangeResult
+		var out []RangeHit
 		for i, m := range g.Members {
-			r := RangeResult{
-				Match:      Match{SeriesID: m.SeriesIdx, Start: m.Start, Length: length, GroupID: k},
-				Guaranteed: i < admitted,
-			}
-			if r.Guaranteed && !exact {
+			r := RangeHit{Series: ls.series[m.SeriesIdx], Start: m.Start, GroupID: gids[k], Guaranteed: i < admitted}
+			if r.Guaranteed && !req.Exact {
 				// Reported distance: the Lemma 2 upper bound, exactly ST —
 				// not round-tripped through the divisor.
-				r.Dist, r.RawDTW = p.base.ST, p.base.ST*divisor
+				r.Dist, r.RawDTW = st, st*divisor
 				out = append(out, r)
 				continue
 			}
@@ -138,7 +136,7 @@ func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, ra
 				return
 			}
 			tr.MembersTested++
-			_, d, ran := evalMember(ws, q, p.base.MemberValues(g, m), memberBound)
+			_, d, ran := evalMember(ws, q, ls.base.MemberValues(g, m), memberBound)
 			if !ran {
 				tr.PrunedByKim++
 				continue
@@ -151,17 +149,22 @@ func (p *Processor) rangeSearch(ctx context.Context, q []float64, length int, ra
 		perGroup[k] = out
 	}
 
-	workers := p.workers
+	workers := reqWorkers(req.Workers)
 	if len(e.Groups) < 4 {
 		workers = 1
 	}
-	p.strided(ctx, workers, len(e.Groups), tr, searchGroup)
+	var tr Trace
+	strided(ctx, ls.pool, workers, len(e.Groups), &tr, searchGroup)
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return RangeResponse{}, err
 	}
-	var out []RangeResult
+	total := 0
 	for _, rs := range perGroup {
-		out = append(out, rs...)
+		total += len(rs)
 	}
-	return out, nil
+	hits := make([]RangeHit, 0, total) // never nil: the wire shape is [], not null
+	for _, rs := range perGroup {
+		hits = append(hits, rs...)
+	}
+	return RangeResponse{Results: hits, Trace: tr}, nil
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -11,16 +12,18 @@ import (
 	"onex/internal/dist"
 	"onex/internal/grouping"
 	"onex/internal/obs"
-	"onex/internal/rspace"
+	"onex/internal/parallel"
+	"onex/internal/ts"
 )
 
 // Scatter is the query coordinator of the engine (internal/shard): the
 // dataset's series are hash-partitioned across shards, each shard holds the
 // restriction of ONE deterministic global grouping to its series (same
 // representatives, same member ED order) with its own GTI/LSI index layers,
-// and Scatter runs the Algorithm 2 decision procedure over them. An
-// unsharded base is the one-shard layout: a single in-process shard whose
-// base IS the global one.
+// and Scatter runs the Algorithm 2 decision procedure over them, holding the
+// global dataset and grouping itself. An unsharded base is the one-shard
+// layout: a single in-process shard whose index is built over the global
+// grouping's own groups.
 //
 // Every shard interaction crosses the ShardTransport seam, so the same
 // coordinator drives in-process shards (LocalShard) and remote worker
@@ -51,11 +54,21 @@ import (
 // (bit-equal distances — impossible on continuous data, possible with
 // duplicated windows) the smaller global group id wins, everywhere.
 type Scatter struct {
-	// global answers mining/seasonal bookkeeping against the global
-	// grouping; its base carries the global dataset and per-length global
-	// group vectors. Only the one-shard layout, whose shard shares it, gives
-	// it scan indexes.
-	global     *Processor
+	// data is the global dataset: the pivot walk and the k-NN replay read
+	// member windows from it.
+	data *ts.Dataset
+	// grouped is the global grouping: per length the complete global group
+	// vector, which mining, the k-NN replay and seasonal queries read.
+	grouped *grouping.Result
+	// workers is the resolved worker fan-out (always ≥ 1); every shard
+	// request carries it.
+	workers int
+	// pool recycles DTW scratch across the coordinator's queries and the
+	// workers of one query.
+	pool *parallel.WorkspacePool
+	// counters is the lifetime work tally, shared (by pointer) with every
+	// worker-budget view derived from this coordinator (withWorkers).
+	counters   *Counters
 	transports []ShardTransport
 	// infos caches each transport's layout slice (validated at assembly).
 	infos []ShardInfo
@@ -64,22 +77,30 @@ type Scatter struct {
 	route []int
 }
 
-// NewScatter assembles the executor over the shard transports. global must
-// hold the full dataset and, per indexed length, the complete global group
-// vector (Groups[k].ID == k); the transports must partition the series and
-// cover every global group's scan exactly once (Info().Owned). parallelism
-// is the coordinator's worker count (see New); every shard request carries
-// it.
-func NewScatter(global *rspace.Base, parallelism int, transports []ShardTransport) (*Scatter, error) {
-	gp, err := New(global, parallelism)
-	if err != nil {
-		return nil, err
+// NewScatter assembles the executor over the shard transports. data is the
+// full dataset and grouped its global grouping, holding per indexed length
+// the complete global group vector (Groups[k].ID == k); the transports must
+// partition the series and cover every global group's scan exactly once
+// (Info().Owned). parallelism bounds the worker fan-out of a single query
+// and of a batch, and every shard request carries it: ≤ 0 selects
+// runtime.GOMAXPROCS(0), 1 forces the sequential path, and values above
+// NumCPU merely oversubscribe. Answers are identical for every setting —
+// see the package documentation.
+func NewScatter(data *ts.Dataset, grouped *grouping.Result, parallelism int,
+	transports []ShardTransport) (*Scatter, error) {
+
+	if data == nil || grouped == nil {
+		return nil, errors.New("query: nil dataset or grouping")
 	}
 	s := &Scatter{
-		global:     gp,
+		data:       data,
+		grouped:    grouped,
+		workers:    parallel.Resolve(parallelism),
+		pool:       &parallel.WorkspacePool{},
+		counters:   &Counters{},
 		transports: transports,
 		infos:      make([]ShardInfo, len(transports)),
-		route:      make([]int, global.Dataset.N()),
+		route:      make([]int, data.N()),
 	}
 	for sid := range s.route {
 		s.route[sid] = -1
@@ -103,8 +124,8 @@ func NewScatter(global *rspace.Base, parallelism int, transports []ShardTranspor
 	if held != len(s.route) {
 		return nil, fmt.Errorf("query: shards hold %d of %d series", held, len(s.route))
 	}
-	for _, l := range global.Lengths {
-		e := global.Entry(l)
+	for _, l := range grouped.Lengths {
+		e := grouped.ByLength[l]
 		if e == nil {
 			return nil, fmt.Errorf("query: scatter length %d has no global entry", l)
 		}
@@ -129,13 +150,14 @@ func NewScatter(global *rspace.Base, parallelism int, transports []ShardTranspor
 }
 
 // withWorkers returns a view of s whose executor fan-out is bounded to w
-// (ExecBatch parallelizes across requests instead of within them).
+// (ExecBatch parallelizes across requests instead of within them). The
+// view shares s's pool and counters.
 func (s *Scatter) withWorkers(w int) *Scatter {
-	if s.global.workers == w {
+	if s.workers == w {
 		return s
 	}
 	cp := *s
-	cp.global = s.global.innerExec(w)
+	cp.workers = w
 	return &cp
 }
 
@@ -201,12 +223,12 @@ type refine struct {
 // per-shard scan spans, per-length refine spans and the query's work totals.
 func (s *Scatter) bestMatch(ctx context.Context, q []float64, mode MatchMode, rec *obs.Trace) (Match, error) {
 	var tr Trace
-	defer func() { s.global.counters.fold(tr); observe(rec, tr) }()
+	defer func() { s.counters.fold(tr); observe(rec, tr) }()
 	if err := validateQuery(q); err != nil {
 		return Match{}, err
 	}
-	rf := &refine{ws: s.global.pool.Get()}
-	defer s.global.pool.Put(rf.ws)
+	rf := &refine{ws: s.pool.Get()}
+	defer s.pool.Put(rf.ws)
 
 	lengths, err := s.searchLengths(mode, len(q))
 	if err != nil {
@@ -220,14 +242,14 @@ func (s *Scatter) bestMatch(ctx context.Context, q []float64, mode MatchMode, re
 		if mode == MatchAny {
 			tr.LengthsVisited++
 		}
-		repNorm, err := s.searchLength(ctx, q, s.global.base.Entry(l), rf, &best, &tr, rec)
+		repNorm, err := s.searchLength(ctx, q, s.grouped.ByLength[l], rf, &best, &tr, rec)
 		if err != nil {
 			return Match{}, err
 		}
 		// Sec. 5.3 stop rule, on the globally best representative: one
 		// within ST/2 guarantees (Lemma 2) its group's members are
 		// within ST of the query.
-		if repNorm <= s.global.base.ST/2 {
+		if repNorm <= s.grouped.ST/2 {
 			break
 		}
 	}
@@ -243,12 +265,12 @@ func (s *Scatter) bestMatch(ctx context.Context, q []float64, mode MatchMode, re
 func (s *Scatter) searchLengths(mode MatchMode, n int) ([]int, error) {
 	switch mode {
 	case MatchExact:
-		if s.global.base.Entry(n) == nil {
+		if s.grouped.ByLength[n] == nil {
 			return nil, fmt.Errorf("query: length %d not indexed", n)
 		}
 		return []int{n}, nil
 	case MatchAny:
-		lengths := s.global.lengthOrder(n)
+		lengths := s.lengthOrder(n)
 		if len(lengths) == 0 {
 			return nil, fmt.Errorf("query: base has no indexed lengths")
 		}
@@ -270,7 +292,7 @@ func (s *Scatter) searchLengths(mode MatchMode, n int) ([]int, error) {
 // rule), so an external bound could prune the very representative the
 // search is after. Each shard still early-abandons against its own
 // tightening bound, and the (distance, global id) merge is the tie rule.
-func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.LengthEntry,
+func (s *Scatter) searchLength(ctx context.Context, q []float64, e *grouping.LengthGroups,
 	rf *refine, best *Match, tr *Trace, rec *obs.Trace) (float64, error) {
 
 	if e == nil || len(e.Groups) == 0 {
@@ -280,7 +302,7 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.Lengt
 	req := ScanBestRequest{
 		Length:  e.Length,
 		Query:   q,
-		Workers: s.global.workers,
+		Workers: s.workers,
 	}
 	resps, err := fanShards(ctx, s, rec, "shard-scan",
 		func(ctx context.Context, t ShardTransport) (ScanBestResponse, error) {
@@ -332,7 +354,7 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.Lengt
 //
 // The walk runs in rounds of roundSize members, read from the
 // coordinator's dataset on every layout: a round's members are evaluated
-// (Processor.evalRound) against the best-so-far snapshot taken at the round
+// (evalRound) against the best-so-far snapshot taken at the round
 // boundary, then the improvement/patience bookkeeping is replayed in walk
 // order. A member whose DTW was abandoned at the round bound is provably
 // non-improving at its replay position (the running best only tightens
@@ -340,15 +362,15 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.Lengt
 // one-member round — same match, same patience cut — for ANY round size
 // and batch partition; the worker count changes only which DTWs run to
 // completion. ctx is polled every mineBatchSize members.
-func (s *Scatter) mineGroup(ctx context.Context, q []float64, e *rspace.LengthEntry,
+func (s *Scatter) mineGroup(ctx context.Context, q []float64, e *grouping.LengthGroups,
 	k int, repNormDTW float64, rf *refine, best *Match, tr *Trace) error {
 
 	g := e.Groups[k]
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
 	walk := newPivotWalk(g.Members, repNormDTW)
 	bestRaw := best.Dist * divisor // +Inf-safe: Inf*x = Inf
-	round := roundSize(s.global.workers, g.Count())
-	series := s.global.base.Dataset.Series
+	round := roundSize(s.workers, g.Count())
+	series := s.data.Series
 
 	sinceImprove, walked := 0, 0
 	for sinceImprove < patience {
@@ -372,7 +394,7 @@ func (s *Scatter) mineGroup(ctx context.Context, q []float64, e *rspace.LengthEn
 			return nil
 		}
 		walked += n
-		tr.DTWComputed += s.global.evalRound(rf.ws, q, rf.windows[:n], bestRaw, rf.lbs[:n], rf.ds[:n])
+		tr.DTWComputed += evalRound(s.pool, s.workers, rf.ws, q, rf.windows[:n], bestRaw, rf.lbs[:n], rf.ds[:n])
 		// Replay the bookkeeping sequentially in walk order.
 		for i, m := range rf.members[:n] {
 			if sinceImprove >= patience {
@@ -413,7 +435,7 @@ func (s *Scatter) mineGroup(ctx context.Context, q []float64, e *rspace.LengthEn
 // identical at every worker count and shard layout.
 func (s *Scatter) bestKMatches(ctx context.Context, q []float64, mode MatchMode, k int, rec *obs.Trace) ([]Match, error) {
 	var tr Trace
-	defer func() { s.global.counters.fold(tr); observe(rec, tr) }()
+	defer func() { s.counters.fold(tr); observe(rec, tr) }()
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
@@ -429,7 +451,7 @@ func (s *Scatter) bestKMatches(ctx context.Context, q []float64, mode MatchMode,
 		if mode == MatchAny {
 			tr.LengthsVisited++
 		}
-		if err := s.searchLengthK(ctx, q, s.global.base.Entry(l), heap, &tr, rec); err != nil {
+		if err := s.searchLengthK(ctx, q, s.grouped.ByLength[l], heap, &tr, rec); err != nil {
 			return nil, err
 		}
 	}
@@ -451,19 +473,19 @@ func (s *Scatter) bestKMatches(ctx context.Context, q []float64, mode MatchMode,
 // shards and workers changes neither answers nor counters. The shards walk
 // the members of the surviving groups, at every layout, in one
 // verification phase (verifyPhaseK).
-func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.LengthEntry,
+func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *grouping.LengthGroups,
 	heap *topK, tr *Trace, rec *obs.Trace) error {
 
 	if e == nil || len(e.Groups) == 0 {
 		return nil
 	}
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
-	radiusRaw := s.global.base.ST / 2 * math.Sqrt(float64(e.Length)) // group radius in raw-ED units
+	radiusRaw := s.grouped.ST / 2 * math.Sqrt(float64(e.Length)) // group radius in raw-ED units
 	req := ScanFixedRequest{
 		Length:     e.Length,
 		Query:      q,
 		CutoffBits: math.Float64bits(heap.kth()*divisor + radiusRaw),
-		Workers:    s.global.workers,
+		Workers:    s.workers,
 	}
 	resps, err := fanShards(ctx, s, rec, "shard-scan",
 		func(ctx context.Context, t ShardTransport) (ScanFixedResponse, error) {
@@ -519,7 +541,7 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 // through the plain walk's states: answers, ties included, are the same at
 // every layout. It returns how many groups the real cut admitted;
 // MembersTested counts their sizes.
-func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.LengthEntry,
+func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *grouping.LengthGroups,
 	reps []FixedHit, divisor, radiusRaw float64, heap *topK, tr *Trace, rec *obs.Trace) (int, error) {
 
 	req := VerifyKRequest{
@@ -528,7 +550,7 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.Lengt
 		K:          heap.k,
 		CutoffBits: math.Float64bits(heap.kth() * divisor),
 		RadiusRaw:  radiusRaw,
-		Workers:    s.global.workers,
+		Workers:    s.workers,
 		Candidates: reps,
 	}
 	resps, err := fanShards(ctx, s, rec, "shard-verify",
@@ -569,7 +591,7 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.Lengt
 			// The plain walk's two tests, verbatim (LB_Kim is O(1); the
 			// coordinator holds every series).
 			cutoff := heap.kth() * divisor
-			if dist.LBKim(q, s.global.base.Dataset.Series[m.SeriesIdx].Values[m.Start:m.Start+e.Length]) >= cutoff {
+			if dist.LBKim(q, s.data.Series[m.SeriesIdx].Values[m.Start:m.Start+e.Length]) >= cutoff {
 				continue
 			}
 			if d := math.Float64frombits(h.DistBits); d < cutoff {
@@ -600,8 +622,8 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.Lengt
 }
 
 // rangeSearch answers a range query — every subsequence of the given length
-// within radius of q under normalized DTW (see Processor.rangeSearch for
-// the Lemma 2 admission and pruning rules): each shard answers it over its
+// within radius of q under normalized DTW (see LocalShard.Range for the
+// Lemma 2 admission and pruning rules): each shard answers it over its
 // restriction and the per-shard result slices concatenate in shard order,
 // remapped to global series/group ids. The result SET is layout-invariant
 // (admission and verification decide per member against the shared global
@@ -612,22 +634,21 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *rspace.Lengt
 // like every other member.
 //
 // The per-shard traces fold into one query trace and into the coordinator's
-// counters exactly once (the shard processors' own counters are not touched
-// — the coordinator owns the tally). With a non-nil rec each shard call gets
+// counters exactly once (shards keep no tally — the coordinator owns it). With a non-nil rec each shard call gets
 // a "shard-range" span. Shards run concurrently: remote shards spend their
 // worker budgets on separate hosts.
 func (s *Scatter) rangeSearch(ctx context.Context, q []float64, length int, radius float64,
 	exact bool, rec *obs.Trace) ([]RangeResult, error) {
 
 	var tr Trace
-	defer func() { s.global.counters.fold(tr); observe(rec, tr) }()
+	defer func() { s.counters.fold(tr); observe(rec, tr) }()
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
 	if radius < 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
 		return nil, fmt.Errorf("query: invalid range radius %v", radius)
 	}
-	if s.global.base.Entry(length) == nil {
+	if s.grouped.ByLength[length] == nil {
 		return nil, fmt.Errorf("query: length %d not indexed", length)
 	}
 	req := RangeRequest{
@@ -635,7 +656,7 @@ func (s *Scatter) rangeSearch(ctx context.Context, q []float64, length int, radi
 		Query:   q,
 		Radius:  radius,
 		Exact:   exact,
-		Workers: s.global.workers,
+		Workers: s.workers,
 	}
 	resps, err := fanShards(ctx, s, rec, "shard-range",
 		func(ctx context.Context, t ShardTransport) (RangeResponse, error) {

@@ -27,21 +27,21 @@ type SeasonalGroup struct {
 // every group holding at least two subsequences — the dataset's recurring
 // patterns at that scale.
 //
-// Seasonal queries read the grouping directly — no lower-bound cascade runs
+// Seasonal queries read the global grouping directly — no lower-bound cascade runs
 // — so a non-nil rec gets one "seasonal" span carrying enumeration sizes and
 // nothing folds into the work counters (the cascade trace is genuinely
 // empty). ctx is polled on entry and per group: a canceled or expired
 // request gets ctx's error, never a partial pattern list.
-func (p *Processor) seasonal(ctx context.Context, seriesID, length int, rec *obs.Trace) ([]SeasonalGroup, error) {
+func (s *Scatter) seasonal(ctx context.Context, seriesID, length int, rec *obs.Trace) ([]SeasonalGroup, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e := p.base.Entry(length)
+	e := s.grouped.ByLength[length]
 	if e == nil {
 		return nil, fmt.Errorf("query: length %d not indexed", length)
 	}
-	if seriesID >= p.base.Dataset.N() {
-		return nil, fmt.Errorf("query: series %d out of range [0,%d)", seriesID, p.base.Dataset.N())
+	if seriesID >= s.data.N() {
+		return nil, fmt.Errorf("query: series %d out of range [0,%d)", seriesID, s.data.N())
 	}
 	var sc obs.SpanScope
 	if rec != nil {

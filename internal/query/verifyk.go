@@ -14,7 +14,7 @@ import (
 // order and, within a group, its own members in the group's ED order (the
 // restriction of the global order), running the per-member cascade — LB_Kim,
 // then early-abandoning DTW — and reports every distance that ran to
-// completion, in the rounds roundSize picks (Processor.evalRound).
+// completion, in the rounds roundSize picks (evalRound).
 //
 // # Why the answer does not depend on the layout
 //
@@ -77,7 +77,7 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 	if req.RadiusRaw < 0 || math.IsNaN(req.RadiusRaw) || math.IsInf(req.RadiusRaw, 0) {
 		return VerifyKResponse{}, fmt.Errorf("query: invalid group radius %v", req.RadiusRaw)
 	}
-	e := ls.proc.base.Entry(req.Length)
+	e := ls.base.Entry(req.Length)
 	if e == nil {
 		return VerifyKResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
 	}
@@ -110,10 +110,10 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 		d := found.kth()
 		return math.Min(cutoff, math.Max(d, d/divisor*divisor))
 	}
-	exec := ls.proc.innerExec(reqWorkers(req.Workers))
+	workers := reqWorkers(req.Workers)
 	gids := ls.globalIDs[req.Length]
-	ws := ls.proc.pool.Get()
-	defer ls.proc.pool.Put(ws)
+	ws := ls.pool.Get()
+	defer ls.pool.Put(ws)
 	var (
 		resp    VerifyKResponse
 		windows [mineBatchSize][]float64
@@ -140,7 +140,7 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 			continue
 		}
 		members := e.Groups[local].Members
-		round := roundSize(exec.workers, len(members))
+		round := roundSize(workers, len(members))
 		for off := 0; off < len(members); off += round {
 			if off%mineBatchSize == 0 {
 				if err := ctx.Err(); err != nil {
@@ -149,9 +149,9 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 			}
 			batch := members[off:min(off+round, len(members))]
 			for j, m := range batch {
-				windows[j] = ls.proc.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+req.Length]
+				windows[j] = ls.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+req.Length]
 			}
-			dtws := exec.evalRound(ws, q, windows[:len(batch)], bound(), lbs[:], ds[:])
+			dtws := evalRound(ls.pool, workers, ws, q, windows[:len(batch)], bound(), lbs[:], ds[:])
 			for j, m := range batch {
 				report(gids[local], m, lbs[j], ds[j])
 			}

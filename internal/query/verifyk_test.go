@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"onex/internal/rspace"
 )
 
 // countdownCtx answers Err() == nil a fixed number of times, then
@@ -118,7 +120,7 @@ func TestVerifyKCancellation(t *testing.T) {
 	// answer, and a completed one is the answer of an uncanceled call.
 	_, tight := equivProcessors(t, equivDataset(4242, 24, 64), 0.05, []int{16})
 	for _, shards := range []int{1, 3} {
-		for _, ls := range splitShards(t, tight.proc, shards) {
+		for _, ls := range splitShards(t, tight.Base(), shards) {
 			n := len(ls.units[16])
 			for _, workers := range []int{1, 2} {
 				name := fmt.Sprintf("shards=%d shard=%d workers=%d", shards, ls.shard, workers)
@@ -213,12 +215,11 @@ func TestVerifyKCancellation(t *testing.T) {
 	}
 }
 
-// splitShards lays proc's base out as the given number of in-process shards
-// over the same processor, shard s scanning the groups whose id is s modulo
-// shards.
-func splitShards(t *testing.T, proc *Processor, shards int) []*LocalShard {
+// splitShards lays base out as the given number of in-process shards over
+// the same index, shard s scanning the groups whose id is s modulo shards.
+func splitShards(t *testing.T, base *rspace.Base, shards int) []*LocalShard {
 	t.Helper()
-	series := make([]int, proc.base.Dataset.N())
+	series := make([]int, base.Dataset.N())
 	for i := range series {
 		series[i] = i
 	}
@@ -226,15 +227,15 @@ func splitShards(t *testing.T, proc *Processor, shards int) []*LocalShard {
 	for s := range out {
 		globalIDs := make(map[int][]int)
 		owned := make(map[int][]bool)
-		for _, l := range proc.base.Lengths {
-			g := len(proc.base.Entry(l).Groups)
+		for _, l := range base.Lengths {
+			g := len(base.Entry(l).Groups)
 			gids, own := make([]int, g), make([]bool, g)
 			for k := range gids {
 				gids[k], own[k] = k, k%shards == s
 			}
 			globalIDs[l], owned[l] = gids, own
 		}
-		ls, err := NewLocalShard(proc, s, series, globalIDs, owned)
+		ls, err := newLocalShard(base, s, series, globalIDs, owned)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +349,7 @@ func TestVerifyPhaseRejectsForeignHits(t *testing.T) {
 		},
 	}
 	for name, tamper := range tampers {
-		sc, err := NewScatter(par.Base(), par.proc.workers, []ShardTransport{tamperShard{wholeShard(par), tamper}})
+		sc, err := NewScatter(par.data, par.grouped, par.workers, []ShardTransport{tamperShard{wholeShard(par), tamper}})
 		if err != nil {
 			t.Fatal(err)
 		}

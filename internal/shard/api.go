@@ -264,19 +264,23 @@ func (e *Engine) Close() error {
 // LayoutSignature fingerprints the serving layout — shard count plus each
 // shard's series and subsequence population. Serving caches fold it into
 // their keys so re-registering the same data under a different shard layout
-// can never alias a previous incarnation's entries. O(shards), cheap enough
-// to compute per query.
-func (e *Engine) LayoutSignature() uint64 {
+// can never alias a previous incarnation's entries. It is computed once, at
+// assembly, so reading it per query costs nothing.
+func (e *Engine) LayoutSignature() uint64 { return e.layoutSig }
+
+// layoutSignature fingerprints a layout's parts (see LayoutSignature).
+func layoutSignature(parts []*part) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	for _, p := range e.parts {
-		put(uint64(len(p.series)))
-		put(uint64(p.transport.Stats().Subsequences))
+	for _, p := range parts {
+		st := p.transport.Stats()
+		put(uint64(st.Series))
+		put(uint64(st.Subsequences))
 	}
-	put(uint64(e.shards))
+	put(uint64(len(parts)))
 	return h.Sum64()
 }

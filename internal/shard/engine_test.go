@@ -23,18 +23,6 @@ import (
 // build is Build for the one-shard layout.
 func build(d *ts.Dataset, cfg core.BuildConfig) (*Engine, error) { return Build(d, cfg, 0, nil) }
 
-// baseOf returns the index of a one-shard engine's only part.
-func baseOf(e *Engine) *rspace.Base { return e.parts[0].base }
-
-// partBase returns the base behind an in-process part: the whole part's own,
-// or the one its spec-built LocalShard holds.
-func partBase(p *part) *rspace.Base {
-	if p.base != nil {
-		return p.base
-	}
-	return p.transport.(*query.LocalShard).Base()
-}
-
 func fixture(t *testing.T) *ts.Dataset {
 	t.Helper()
 	return dataset.ItalyPower.Scaled(0.3).Generate(1)
@@ -83,7 +71,7 @@ func TestBuildNormalizeNoneIndexesRaw(t *testing.T) {
 	}
 	// Raw values survive: some representative has amplitude ~100.
 	maxVal := 0.0
-	for _, g := range baseOf(eng).Entry(3).Groups {
+	for _, g := range eng.grouped.ByLength[3].Groups {
 		for _, v := range g.Rep {
 			if v > maxVal {
 				maxVal = v
@@ -479,7 +467,7 @@ func TestEngineAppendDriftRebuildMatchesFromScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range []int{6, 10} {
-		ge, fe := baseOf(grown).Entry(l), baseOf(fresh).Entry(l)
+		ge, fe := grown.grouped.ByLength[l], fresh.grouped.ByLength[l]
 		if len(ge.Groups) != len(fe.Groups) {
 			t.Fatalf("length %d: %d groups vs fresh %d", l, len(ge.Groups), len(fe.Groups))
 		}
@@ -633,15 +621,32 @@ func TestOneShardIndexesGlobalGrouping(t *testing.T) {
 		if len(e.parts) != 1 {
 			t.Fatalf("%s: %d parts, want 1", step, len(e.parts))
 		}
+		// Shorten the largest global group of each length for one range
+		// search: a part over the group object itself answers one member
+		// of it, a copy all of them.
+		whole := e.parts[0]
 		for _, l := range e.grouped.Lengths {
-			got, want := baseOf(e).Entry(l).Groups, e.grouped.ByLength[l].Groups
-			if len(got) != len(want) {
-				t.Fatalf("%s length %d: part holds %d groups, grouping %d", step, l, len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("%s length %d group %d: part holds a copy, not the global group", step, l, k)
+			groups, k := e.grouped.ByLength[l].Groups, 0
+			for i, c := range groups {
+				if c.Count() > groups[k].Count() {
+					k = i
 				}
+			}
+			g := groups[k]
+			if g.Count() < 2 {
+				t.Fatalf("%s length %d: no group with two members; the check guards nothing", step, l)
+			}
+			members := g.Members
+			g.Members = members[:1]
+			held := 0
+			for _, h := range rangeAll(t, whole, e.data.Series[0].Values[:l], l) {
+				if h.GroupID == k {
+					held++
+				}
+			}
+			g.Members = members
+			if held != 1 {
+				t.Fatalf("%s length %d group %d: part holds %d members of a 1-member group: a copy, not the global group", step, l, k, held)
 			}
 		}
 		fresh, err := rspace.New(e.data, e.grouped, rspace.Options{})

@@ -91,7 +91,7 @@ func FuzzShardRouting(f *testing.F) {
 			// of (sid, shards).
 			home := ShardOf(sid, e.shards)
 			found := false
-			for _, gid := range e.parts[home].series {
+			for _, gid := range e.parts[home].transport.Info().Series {
 				if gid == sid {
 					found = true
 				}

@@ -11,7 +11,6 @@ import (
 	"onex/internal/core"
 	"onex/internal/obs"
 	"onex/internal/query"
-	"onex/internal/rspace"
 )
 
 // countingShard counts the calls that cross the transport seam and keeps the
@@ -49,23 +48,13 @@ func (c *countingShard) VerifyK(ctx context.Context, req query.VerifyKRequest) (
 // counts its calls; reset zeroes the counts.
 func countingScatter(t *testing.T, e *Engine) (sc *query.Scatter, counted []*countingShard, reset func()) {
 	t.Helper()
-	global := &rspace.Base{
-		Dataset:     e.data,
-		ST:          e.grouped.ST,
-		Lengths:     e.grouped.Lengths,
-		Entries:     make(map[int]*rspace.LengthEntry),
-		TotalSubseq: e.grouped.TotalSubseq,
-	}
-	for _, l := range e.grouped.Lengths {
-		global.Entries[l] = &rspace.LengthEntry{Length: l, Groups: e.grouped.ByLength[l].Groups}
-	}
 	counted = make([]*countingShard, len(e.parts))
 	transports := make([]query.ShardTransport, len(e.parts))
 	for i, p := range e.parts {
 		counted[i] = &countingShard{ShardTransport: p.transport}
 		transports[i] = counted[i]
 	}
-	sc, err := query.NewScatter(global, e.cfg.Parallelism, transports)
+	sc, err := query.NewScatter(e.data, e.grouped, e.cfg.Parallelism, transports)
 	if err != nil {
 		t.Fatal(err)
 	}

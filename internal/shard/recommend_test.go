@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"onex/internal/core"
+	"onex/internal/grouping"
 	"onex/internal/rspace"
 	"onex/internal/ts"
 )
@@ -51,8 +52,14 @@ func TestRecommendExactAcrossShards(t *testing.T) {
 			for _, l := range lengths {
 				var aggHalf float64
 				for _, p := range sharded.parts {
-					if entry := partBase(p).Entry(l); entry != nil {
-						half, _ := rspace.MergeThresholdsFor(entry.Groups, l, st)
+					// A shard's restricted groups share the global
+					// representatives, all the merge structure reads.
+					if gids, ok := p.globalIDs[l]; ok {
+						groups := make([]*grouping.Group, len(gids))
+						for i, gid := range gids {
+							groups[i] = sharded.grouped.ByLength[l].Groups[gid]
+						}
+						half, _ := rspace.MergeThresholdsFor(groups, l, st)
 						aggHalf = math.Max(aggHalf, half)
 					}
 				}

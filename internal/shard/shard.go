@@ -26,8 +26,9 @@
 //     query.ShardSpec a worker is shipped: an in-process shard is built from
 //     that spec by query.BuildLocalShard, the function a worker runs on it,
 //     so there is one shard recipe. With one shard the restriction is the
-//     grouping itself, so that shard's base is built over the global group
-//     objects and nothing is copied;
+//     grouping itself, so that shard's index (query.NewWholeShard) is built
+//     over the global group objects and nothing is copied; the coordinator
+//     reads the same dataset and grouping, never a shard's index;
 //   - the per-length index layers (rspace.New: each representative's
 //     extremes for the LB_Keogh stage) are built per shard over its group
 //     set, concurrently on the internal/parallel pool;
@@ -104,6 +105,9 @@ type Engine struct {
 	adapted bool
 	parts   []*part
 	scatter *query.Scatter
+	// layoutSig is LayoutSignature's value, fixed at assembly: the engine
+	// is immutable, and serving layers read it on every request.
+	layoutSig uint64
 
 	// sp holds, per length, the SP-Space critical thresholds of the ONE
 	// global grouping — never per-shard aggregates, so Recommend/DegreeOf
@@ -147,18 +151,12 @@ func (c *spCell) thresholds(groups []*grouping.Group, length int, st float64) (h
 	return c.half, c.final
 }
 
-// part is one shard: its series and local↔global translation tables, plus
-// the transport the coordinator drives it through. Every part but the
-// one-shard layout's is built from its ShardSpec, so the tables are the
-// spec's; only the whole part additionally holds the base and processor
-// behind its transport, and needs no group tables: local ids are the global
-// ids.
+// part is one shard: the transport the coordinator drives it through, plus
+// its group translation table, which maintenance reads to find the shards a
+// delta touches. Every part but the one-shard layout's is built from its
+// ShardSpec, so the table is the spec's; the whole part needs none: its
+// local ids are the global ids.
 type part struct {
-	// series maps local series index → global series id (ascending).
-	series []int
-	// base/proc back the one-shard layout's part; nil for every other.
-	base *rspace.Base
-	proc *query.Processor
 	// transport is how the scatter coordinator reaches the shard
 	// (query.LocalShard in-process, shardrpc.Client remote).
 	transport query.ShardTransport
@@ -280,27 +278,13 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 	for s, p := range parts {
 		transports[s] = p.transport
 	}
-	var globalBase *rspace.Base
-	if e.whole() {
-		globalBase = parts[0].base
-	} else {
-		globalBase = &rspace.Base{
-			Dataset:     e.data,
-			ST:          e.grouped.ST,
-			Lengths:     append([]int(nil), e.grouped.Lengths...),
-			Entries:     make(map[int]*rspace.LengthEntry, len(e.grouped.Lengths)),
-			TotalSubseq: e.grouped.TotalSubseq,
-		}
-		for _, l := range e.grouped.Lengths {
-			globalBase.Entries[l] = &rspace.LengthEntry{Length: l, Groups: e.grouped.ByLength[l].Groups}
-		}
-	}
-	sc, err := query.NewScatter(globalBase, e.cfg.Parallelism, transports)
+	sc, err := query.NewScatter(e.data, e.grouped, e.cfg.Parallelism, transports)
 	if err != nil {
 		return err
 	}
 	e.parts = parts
 	e.scatter = sc
+	e.layoutSig = layoutSignature(parts)
 	return nil
 }
 
@@ -312,18 +296,11 @@ func (e *Engine) wholePart() (*part, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &part{series: make([]int, e.data.N())}
-	for i := range p.series {
-		p.series[i] = i
-	}
-	if p.proc, err = query.New(base, e.cfg.Parallelism); err != nil {
+	ls, err := query.NewWholeShard(base)
+	if err != nil {
 		return nil, err
 	}
-	p.base = base
-	if p.transport, err = query.NewWholeShard(p.proc); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return &part{transport: ls}, nil
 }
 
 // specFor derives shard s's ShardSpec from the global dataset and grouping:
@@ -380,13 +357,7 @@ func (e *Engine) specFor(s int) query.ShardSpec {
 // empty local transport costs nothing).
 func (e *Engine) specPart(s int) (*part, error) {
 	spec := e.specFor(s)
-	p := &part{
-		series:    make([]int, len(spec.Series)),
-		globalIDs: make(map[int][]int, len(spec.Lengths)),
-	}
-	for i, sr := range spec.Series {
-		p.series[i] = sr.ID
-	}
+	p := &part{globalIDs: make(map[int][]int, len(spec.Lengths))}
 	for _, sl := range spec.Lengths {
 		gids := make([]int, len(sl.Groups))
 		for i, g := range sl.Groups {

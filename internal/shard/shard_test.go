@@ -2,12 +2,15 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"onex/internal/core"
+	"onex/internal/query"
 	"onex/internal/ts"
 )
 
@@ -77,16 +80,18 @@ func TestRestrictionIntegrity(t *testing.T) {
 	var resident int64
 	for s, p := range e.parts {
 		comparePartState(t, 0, s, p, specShard(t, e, s))
-		base := partBase(p)
-		resident += base.TotalSubseq
-		for _, l := range e.grouped.Lengths {
-			entry := base.Entry(l)
-			if entry == nil {
-				t.Fatalf("shard missing length %d", l)
-			}
-			for k, g := range entry.Groups {
-				gid := p.globalIDs[l][k]
-				global := e.grouped.ByLength[l].Groups[gid]
+		resident += p.transport.Stats().Subsequences
+		spec := e.specFor(s)
+		if len(spec.Lengths) != len(e.grouped.Lengths) {
+			t.Fatalf("shard %d ships %d lengths, want %d", s, len(spec.Lengths), len(e.grouped.Lengths))
+		}
+		for _, sl := range spec.Lengths {
+			l := sl.Length
+			for k, g := range sl.Groups {
+				if g.GlobalID != p.globalIDs[l][k] {
+					t.Fatalf("length %d local group %d: global id %d, part maps %d", l, k, g.GlobalID, p.globalIDs[l][k])
+				}
+				global := e.grouped.ByLength[l].Groups[g.GlobalID]
 				if &g.Rep[0] != &global.Rep[0] {
 					t.Fatalf("length %d local group %d does not share the global representative", l, k)
 				}
@@ -96,9 +101,8 @@ func TestRestrictionIntegrity(t *testing.T) {
 					}
 				}
 				for _, m := range g.Members {
-					globalSid := p.series[m.SeriesIdx]
-					if ShardOf(globalSid, e.shards) != p.shardIndex(e) {
-						t.Fatalf("length %d group %d holds foreign series %d", l, k, globalSid)
+					if ShardOf(m.Series, e.shards) != s {
+						t.Fatalf("length %d group %d holds foreign series %d", l, k, m.Series)
 					}
 				}
 			}
@@ -123,15 +127,6 @@ func TestRestrictionIntegrity(t *testing.T) {
 			}
 		}
 	}
-}
-
-func (p *part) shardIndex(e *Engine) int {
-	for i, q := range e.parts {
-		if q == p {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestEmptyShard forces a layout where some shard receives no series and
@@ -320,20 +315,48 @@ func specShard(t *testing.T, e *Engine, s int) *part {
 }
 
 // comparePartState checks two derivations of the same shard hold identical
-// tables and index state.
+// tables and index state, as their transports report and answer them.
 func comparePartState(t *testing.T, step, s int, got, want *part) {
 	t.Helper()
-	if !reflect.DeepEqual(got.series, want.series) || !reflect.DeepEqual(got.globalIDs, want.globalIDs) ||
-		!reflect.DeepEqual(got.transport.Info().Owned, want.transport.Info().Owned) {
+	if !reflect.DeepEqual(got.transport.Info(), want.transport.Info()) || !reflect.DeepEqual(got.globalIDs, want.globalIDs) {
 		t.Fatalf("step %d shard %d: translation tables diverged", step, s)
 	}
-	gb, wb := partBase(got), partBase(want)
-	if !reflect.DeepEqual(gb.Entries, wb.Entries) || gb.TotalSubseq != wb.TotalSubseq {
-		t.Fatalf("step %d shard %d: index state diverged", step, s)
+	if got.transport.Stats() != want.transport.Stats() {
+		t.Fatalf("step %d shard %d: index population diverged", step, s)
 	}
-	for i, sr := range gb.Dataset.Series {
-		if !reflect.DeepEqual(sr.Values, wb.Dataset.Series[i].Values) {
-			t.Fatalf("step %d shard %d: series %d diverged", step, s, i)
+	q := []float64{0.3, -1.2, 0.8, 1.5, -0.4, 0.1, 0.9}
+	for l := range got.globalIDs {
+		if !reflect.DeepEqual(partAnswers(t, got, q, l), partAnswers(t, want, q, l)) {
+			t.Fatalf("step %d shard %d length %d: index state diverged", step, s, l)
 		}
 	}
+}
+
+// partAnswers is what a part answers for q at length l: the distance of
+// every representative it owns (a fixed scan at an infinite cutoff) and of
+// every window it holds (an exact range search at a radius no window
+// exceeds), which pin its representatives, members and series values.
+func partAnswers(t *testing.T, p *part, q []float64, l int) []any {
+	t.Helper()
+	ctx := context.Background()
+	fixed, err := p.transport.ScanFixed(ctx, query.ScanFixedRequest{
+		Length: l, Query: q, CutoffBits: math.Float64bits(math.Inf(1)), Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []any{fixed.Hits, rangeAll(t, p, q, l)}
+}
+
+// rangeAll is part p's exact range answer for q at length l at a radius no
+// window exceeds: every window it holds, with its distance.
+func rangeAll(t *testing.T, p *part, q []float64, l int) []query.RangeHit {
+	t.Helper()
+	resp, err := p.transport.Range(context.Background(), query.RangeRequest{
+		Length: l, Query: q, Radius: 1e9, Exact: true, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Results
 }
