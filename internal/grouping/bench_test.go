@@ -8,7 +8,7 @@ import (
 	"onex/internal/ts"
 )
 
-// The benchmarks time the four callers of the Algorithm 1 loop on the two
+// The benchmarks time the callers of the Algorithm 1 loop on the two
 // shapes the repository's benchmark uses: noisy (TwoPattern, 80 × 128, many
 // small groups) and smooth (ECG, 400 × 96, few large groups), each indexed
 // at 8 lengths spread over [8, series length] at ST 0.2, on one worker.
@@ -73,12 +73,12 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendPoints appends 2 points to one series of the smooth base.
+// benchmarkAppendPoints appends 2 points to one series of a shape's base.
 // The grown dataset is a copy-on-write clone, so the shared fixture stays
 // as built; AppendPoints leaves its inputs untouched, so every iteration
 // does the same work.
-func BenchmarkAppendPoints(b *testing.B) {
-	s := smoothShape.get(b)
+func benchmarkAppendPoints(b *testing.B, s *benchShape) {
+	s = s.get(b)
 	d := s.d.CloneShared()
 	oldLens := make([]int, d.N())
 	for i, ser := range d.Series {
@@ -90,6 +90,36 @@ func BenchmarkAppendPoints(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, _, err := AppendPoints(d, s.base, oldLens, s.config())
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = r
+	}
+}
+
+// BenchmarkAppendPoints appends to the smooth base: few groups, each
+// touched one large.
+func BenchmarkAppendPoints(b *testing.B) { benchmarkAppendPoints(b, smoothShape) }
+
+// BenchmarkAppendPointsNoisy appends to the noisy base: many small groups.
+func BenchmarkAppendPointsNoisy(b *testing.B) { benchmarkAppendPoints(b, noisyShape) }
+
+// BenchmarkExtend adds 4 series to the smooth base, each the reverse of an
+// existing series, so they are new windows of the same shape.
+func BenchmarkExtend(b *testing.B) {
+	s := smoothShape.get(b)
+	d := s.d.CloneShared()
+	from := d.N()
+	for _, ser := range d.Series[:4] {
+		v := make([]float64, ser.Len())
+		for j, x := range ser.Values {
+			v[len(v)-1-j] = x
+		}
+		d.Append("", v)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, _, err := Extend(d, s.base, from, s.config())
 		if err != nil {
 			b.Fatal(err)
 		}

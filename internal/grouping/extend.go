@@ -16,8 +16,8 @@ type Delta struct {
 	// index ≥ PrevGroups[length] were founded by the step and are new.
 	PrevGroups map[int]int
 	// Touched[length] lists pre-existing group indices (< PrevGroups) whose
-	// representative moved because new members joined. Untouched groups are
-	// byte-identical to their previous incarnation.
+	// representative moved because new members joined. An untouched group
+	// is the previous Result's *Group itself, shared.
 	Touched map[int][]int
 }
 
@@ -32,8 +32,9 @@ type Delta struct {
 //
 // d must be the dataset already containing the new series appended after
 // index fromSeries; prev must have been built over d.Series[:fromSeries]
-// with the same ST. prev is not modified: groups are deep-copied, extended,
-// and returned as a fresh Result (existing bases stay valid). The returned
+// with the same ST. prev is not modified: a group that gains members is
+// copied first, every other group is shared with the returned Result (a
+// finalized group is immutable, so existing bases stay valid). The returned
 // Delta records the touched groups for incremental index refresh.
 func Extend(d *ts.Dataset, prev *Result, fromSeries int, cfg Config) (*Result, *Delta, error) {
 	if d == nil || prev == nil {
@@ -104,11 +105,11 @@ func AppendPoints(d *ts.Dataset, prev *Result, oldLens []int, cfg Config) (*Resu
 }
 
 // maintain is the shared incremental-maintenance driver: for every indexed
-// length it deep-copies the previous groups, streams the length's new
-// positions (shuffled, as Algorithm 1 requires) through the
-// nearest-representative assignment, and refinalizes the groups whose
-// representative drifted. Lengths run in parallel on cfg.Workers; the result
-// is deterministic for every worker count (each length is independent).
+// length it streams the length's new positions (shuffled, as Algorithm 1
+// requires) through the nearest-representative assignment against the
+// previous groups (assignIncremental). Lengths run in parallel on
+// cfg.Workers; the result is deterministic for every worker count (each
+// length is independent).
 func maintain(d *ts.Dataset, prev *Result, cfg Config, newPositions func(length int) []position) (*Result, *Delta, error) {
 	next := &Result{
 		ST:                 prev.ST,
@@ -143,30 +144,29 @@ func maintain(d *ts.Dataset, prev *Result, cfg Config, newPositions func(length 
 	return next, delta, nil
 }
 
-// assignIncremental copies one length's groups (thaw) and streams the given
-// new positions, shuffled, through the Algorithm 1 loop. A pre-existing
-// group is touched when its member count grew: its representative drifted,
-// so it is refinalized, as is every new group. Untouched groups keep their
-// finalized members. It returns the refreshed groups and the ascending list
-// of touched pre-existing group indices.
+// assignIncremental streams the given new positions, shuffled, through the
+// Algorithm 1 loop over a copy of one length's group slice. The groups are
+// shared: assign thaws a group into a copy when the first window joins it,
+// so a pre-existing group is touched exactly when its pointer changed. A
+// touched group's representative drifted; it is refinalized from its
+// previous LSI order, and every new group is finalized. Untouched groups
+// stay prev's own, which already carry ID = index. It returns the refreshed
+// groups and the ascending list of touched pre-existing group indices.
 func assignIncremental(d *ts.Dataset, prevLG *LengthGroups, positions []position, st float64, seed int64) (*LengthGroups, []int) {
-	lg := &LengthGroups{Length: prevLG.Length, Groups: make([]*Group, len(prevLG.Groups))}
-	for i, g := range prevLG.Groups {
-		lg.Groups[i] = thaw(g)
-	}
+	lg := &LengthGroups{Length: prevLG.Length, Groups: append([]*Group(nil), prevLG.Groups...)}
 	shuffle(positions, seed)
 	assign(d, lg, positions, radiusSq(lg.Length, st))
 
 	touched := make([]int, 0, 8)
-	for gi, g := range lg.Groups {
-		g.ID = gi
-		if gi < len(prevLG.Groups) {
-			if g.Count() == prevLG.Groups[gi].Count() {
-				g.sum = nil
-				continue
-			}
+	var scratch []Member
+	for gi, g := range lg.Groups[:len(prevLG.Groups)] {
+		if g != prevLG.Groups[gi] {
 			touched = append(touched, gi)
+			g.ID = gi
+			scratch = g.refinalize(d, prevLG.Groups[gi].Count(), scratch)
 		}
+	}
+	for _, g := range lg.Groups[len(prevLG.Groups):] {
 		g.finalize(d)
 	}
 	return lg, touched

@@ -156,20 +156,39 @@ func TestGoldenBuild(t *testing.T) {
 	}
 }
 
+// goldenGrow appends 5 points to series 0 and 2 to series 3 of the golden
+// dataset and returns the lengths they had before.
+func goldenGrow(d *ts.Dataset) []int {
+	oldLens := make([]int, d.N())
+	for i, s := range d.Series {
+		oldLens[i] = s.Len()
+	}
+	for _, grow := range [][2]int{{0, 5}, {3, 2}} {
+		i, src := grow[0], d.Series[grow[0]].Values
+		for j := 0; j < grow[1]; j++ {
+			d.Series[i].AppendPoints(src[(7*j+i)%len(src)])
+		}
+	}
+	return oldLens
+}
+
+// goldenExtendFrom is the first series TestGoldenExtend adds; goldenPartial
+// is the golden dataset before it.
+const goldenExtendFrom = 34
+
+func goldenPartial(full *ts.Dataset) *ts.Dataset {
+	partial := &ts.Dataset{Name: full.Name}
+	for _, s := range full.Series[:goldenExtendFrom] {
+		partial.Append(s.Label, s.Values)
+	}
+	return partial
+}
+
 func TestGoldenAppendPoints(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		d := goldenData()
 		prev := goldenBuildOf(t, d, 1)
-		oldLens := make([]int, d.N())
-		for i, s := range d.Series {
-			oldLens[i] = s.Len()
-		}
-		for _, grow := range [][2]int{{0, 5}, {3, 2}} {
-			i, src := grow[0], d.Series[grow[0]].Values
-			for j := 0; j < grow[1]; j++ {
-				d.Series[i].AppendPoints(src[(7*j+i)%len(src)])
-			}
-		}
+		oldLens := goldenGrow(d)
 		next, delta, err := AppendPoints(d, prev, oldLens, Config{ST: goldenST, Seed: goldenSeed, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -183,14 +202,9 @@ func TestGoldenAppendPoints(t *testing.T) {
 
 func TestGoldenExtend(t *testing.T) {
 	full := goldenData()
-	const from = 34
-	partial := &ts.Dataset{Name: full.Name}
-	for _, s := range full.Series[:from] {
-		partial.Append(s.Label, s.Values)
-	}
-	prev := goldenBuildOf(t, partial, 1)
+	prev := goldenBuildOf(t, goldenPartial(full), 1)
 	for _, workers := range []int{1, 4} {
-		next, delta, err := Extend(full, prev, from, Config{ST: goldenST, Seed: goldenSeed, Workers: workers})
+		next, delta, err := Extend(full, prev, goldenExtendFrom, Config{ST: goldenST, Seed: goldenSeed, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,10 +19,12 @@
 package grouping
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -76,7 +78,9 @@ type Member struct {
 }
 
 // Group is one ONEX similarity group G^i_k: same-length subsequences within
-// ST/2 of their point-wise-average representative.
+// ST/2 of their point-wise-average representative. A finalized group (every
+// group a Result holds) is immutable: incremental maintenance shares the
+// groups it did not change between the old Result and the new one.
 type Group struct {
 	// Length is the subsequence length i shared by every member.
 	Length int
@@ -108,7 +112,9 @@ func (g *Group) absorb(sum []float64, members ...Member) {
 }
 
 // thaw returns a mutable copy of a finalized group: its own Rep and
-// Members, and the running sum rebuilt as Rep·count.
+// Members, and the running sum rebuilt as Rep·count. A finalized group is
+// immutable and may be shared between Results, so the loop thaws one before
+// its first write (copy on write).
 func thaw(g *Group) *Group {
 	sum := make([]float64, len(g.Rep))
 	for j, v := range g.Rep {
@@ -123,20 +129,110 @@ func thaw(g *Group) *Group {
 	}
 }
 
-// finalize freezes a group: each member's EDToRep is recomputed against
-// the final representative (the running average drifted as members
-// joined), members are sorted into the LSI order, and the running sum is
-// dropped.
+// finalize freezes a group whose members are in join order: setEDs, then
+// the LSI sort, then the running sum is dropped. A finalized group is never
+// written again.
 func (g *Group) finalize(d *ts.Dataset) {
+	g.setEDs(d)
+	sortMembers(g.Members)
+	g.sum = nil
+}
+
+// refinalize freezes a thawed group whose first old members are still in
+// their previous LSI order, followed by the windows that joined since, in
+// join order: keys moved only as far as the representative did, so
+// resortMembers restores the order in about linear time. scratch is a
+// reusable buffer; the grown one is returned.
+func (g *Group) refinalize(d *ts.Dataset, old int, scratch []Member) []Member {
+	g.setEDs(d)
+	scratch = resortMembers(g.Members, old, scratch)
+	g.sum = nil
+	return scratch
+}
+
+// setEDs recomputes each member's EDToRep against the final representative:
+// the running average drifted as members joined.
+func (g *Group) setEDs(d *ts.Dataset) {
 	invSqrtL := 1 / math.Sqrt(float64(g.Length))
 	for mi := range g.Members {
 		m := &g.Members[mi]
 		m.EDToRep = dist.ED(MemberValues(d, g, *m), g.Rep) * invSqrtL
 	}
-	sort.Slice(g.Members, func(a, b int) bool {
-		return g.Members[a].EDToRep < g.Members[b].EDToRep
+}
+
+// sortMembers puts members into the LSI order, ascending by EDToRep. The
+// sort is not stable: the order of equal keys is the one sort.Slice gives
+// this input, and the golden digests pin it.
+func sortMembers(ms []Member) {
+	sort.Slice(ms, func(a, b int) bool {
+		return ms[a].EDToRep < ms[b].EDToRep
 	})
-	g.sum = nil
+}
+
+// resortMovesPerMember is insertionSort's move budget per old member in
+// resortMembers: it keeps the re-sort within a constant factor of a linear
+// pass. Over the benchmark's streaming write script (ingest), old members
+// moved 1.25 places on average, and no group spent its budget.
+const resortMovesPerMember = 16
+
+// resortMembers leaves ms exactly as sortMembers would, in time linear in
+// len(ms) when ms[:old] is nearly sorted and the rest, ms[old:], is short.
+// It insertion-sorts ms[:old] on a budget of resortMovesPerMember·old
+// moves, sorts a copy of ms[old:] and merges the two. When that ends with
+// keys strictly ascending, the sorted order is unique, so it is
+// sortMembers' too. Otherwise (a tie, a NaN, or the budget spent) ms gets
+// its input order back and sortMembers runs on it. scratch is a reusable
+// buffer; the grown one is returned.
+func resortMembers(ms []Member, old int, scratch []Member) []Member {
+	scratch = append(append(scratch[:0], ms...), ms[old:]...)
+	input, joined := scratch[:len(ms)], scratch[len(ms):]
+	if !insertionSort(ms[:old], resortMovesPerMember*old) || !mergeJoined(ms, old, joined) {
+		copy(ms, input)
+		sortMembers(ms)
+	}
+	return scratch
+}
+
+// insertionSort sorts ms ascending by EDToRep and reports whether it did
+// so within budget moves; it gives up, leaving ms permuted, once more have
+// moved.
+func insertionSort(ms []Member, budget int) bool {
+	moves := 0
+	for i := 1; i < len(ms); i++ {
+		m := ms[i]
+		j := i
+		for ; j > 0 && m.EDToRep < ms[j-1].EDToRep; j-- {
+			ms[j] = ms[j-1]
+		}
+		ms[j] = m
+		if moves += i - j; moves > budget {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeJoined sorts joined, a copy of ms[old:], and merges it from the back
+// with the ascending ms[:old] into ms. It reports whether every key of the
+// result is strictly above the one before it.
+func mergeJoined(ms []Member, old int, joined []Member) bool {
+	slices.SortFunc(joined, func(a, b Member) int { return cmp.Compare(a.EDToRep, b.EDToRep) })
+	i := old - 1
+	for w, j := len(ms)-1, len(joined)-1; j >= 0; w-- {
+		if i >= 0 && ms[i].EDToRep > joined[j].EDToRep {
+			ms[w] = ms[i]
+			i--
+		} else {
+			ms[w] = joined[j]
+			j--
+		}
+	}
+	for k := 1; k < len(ms); k++ {
+		if !(ms[k-1].EDToRep < ms[k].EDToRep) {
+			return false
+		}
+	}
+	return true
 }
 
 // LengthGroups holds every group of one subsequence length.
@@ -393,13 +489,20 @@ func shuffle(positions []position, seed int64) {
 // subsequence joins the nearest group of lg within the radius, folding into
 // its running average, or founds a new group with itself as representative.
 // Groups keep their running sums, so a later merge can recombine them
-// exactly; finalize drops them.
+// exactly; finalize drops them. A finalized group of lg (sum == nil) is
+// thawed into a copy the first time a window joins it, so a group shared
+// with another Result is never written.
 func assign(d *ts.Dataset, lg *LengthGroups, positions []position, radiusSq float64) {
 	for _, pos := range positions {
 		values := d.Series[pos.seriesIdx].Values[pos.start : pos.start+lg.Length]
 		m := Member{SeriesIdx: pos.seriesIdx, Start: pos.start}
 		if gi := nearest(lg.Groups, values, radiusSq); gi >= 0 {
-			lg.Groups[gi].absorb(values, m)
+			g := lg.Groups[gi]
+			if g.sum == nil { // finalized, and maybe shared: copy on write
+				g = thaw(g)
+				lg.Groups[gi] = g
+			}
+			g.absorb(values, m)
 			continue
 		}
 		lg.Groups = append(lg.Groups, &Group{

@@ -17,7 +17,7 @@ func chunkedDataset(seed int64) *ts.Dataset {
 		v := make([]float64, 120)
 		phase := r.Float64() * 6
 		for j := range v {
-			v[j] = 0.5 + 0.3*float64(j%17)/17 + 0.1*r.NormFloat64() + 0.2*phase
+			v[j] = 0.5 + 0.3*float64(j%17)/17 + float64(0.1*r.NormFloat64()) + float64(0.2*phase)
 		}
 		d.Append("", v)
 	}

@@ -116,7 +116,7 @@ func TestAdaptSplitRadiusRespected(t *testing.T) {
 		for _, g := range ap.Base().Entry(l).Groups {
 			for _, m := range g.Members {
 				total++
-				if m.EDToRep <= stPrime/2+1e-9 {
+				if m.EDToRep <= float64(stPrime/2)+1e-9 {
 					within++
 				}
 			}

@@ -108,7 +108,7 @@ func TestBestKMatchesNearBruteForce(t *testing.T) {
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[0].Values[2:10]...)
 	for i := range q {
-		q[i] += 0.02 * float64(i%3)
+		q[i] += float64(0.02 * float64(i%3))
 	}
 	const k = 5
 	got, err := p.BestKMatches(q, MatchExact, k)

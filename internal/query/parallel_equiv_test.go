@@ -21,7 +21,7 @@ func equivDataset(seed int64, n, length int) *ts.Dataset {
 		v := make([]float64, length)
 		x := r.Float64()
 		for j := range v {
-			x += r.NormFloat64() * 0.1
+			x += float64(r.NormFloat64() * 0.1)
 			v[j] = x
 		}
 		d.Append("", v)
@@ -63,14 +63,14 @@ func randomQuery(r *rand.Rand, d *ts.Dataset, length int) []float64 {
 		copy(q, s.Values[start:start+length])
 		if r.Intn(2) == 0 {
 			for i := range q {
-				q[i] += r.NormFloat64() * 0.02
+				q[i] += float64(r.NormFloat64() * 0.02)
 			}
 		}
 		return q
 	}
 	x := r.Float64()
 	for i := range q {
-		x += r.NormFloat64() * 0.1
+		x += float64(r.NormFloat64() * 0.1)
 		q[i] = x
 	}
 	return q
@@ -257,7 +257,7 @@ func TestParallelEquivalenceExactTies(t *testing.T) {
 		d.Append("lo", constant(0.5-off))
 	}
 	for i := 0; i < 14; i++ {
-		d.Append("decoy", constant(1.5+0.2*float64(i)))
+		d.Append("decoy", constant(1.5+float64(0.2*float64(i))))
 	}
 	seq, par := equivProcessors(t, d, 0.05, []int{L})
 	if got := len(seq.Base().Entry(L).Groups); got < scanParallelMin {

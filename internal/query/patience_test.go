@@ -21,7 +21,7 @@ func TestPatienceBoundsGroupMining(t *testing.T) {
 
 	q := append([]float64(nil), d.Series[1].Values[10:42]...)
 	for i := range q {
-		q[i] = q[i]*0.9 + 0.05 // out-of-dataset style query
+		q[i] = float64(q[i]*0.9) + 0.05 // out-of-dataset style query
 	}
 	m, tr, err := p.BestMatchTraced(q, MatchExact)
 	if err != nil {

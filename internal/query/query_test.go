@@ -151,7 +151,7 @@ func TestBestMatchExactCloseToBruteForce(t *testing.T) {
 	for qi, src := range [][2]int{{0, 3}, {3, 7}, {7, 0}} {
 		q := append([]float64(nil), d.Series[src[0]].Values[src[1]:src[1]+10]...)
 		for i := range q {
-			q[i] += 0.03 * math.Sin(float64(i+qi))
+			q[i] += float64(0.03 * math.Sin(float64(i+qi)))
 		}
 		m, err := p.BestMatch(q, MatchExact)
 		if err != nil {
@@ -292,7 +292,7 @@ func TestLowerBoundAblation(t *testing.T) {
 		q := append([]float64(nil), d.Series[src[0]].Values[src[1]:src[1]+L]...)
 		if qi%2 == 1 {
 			for i := range q {
-				q[i] = q[i]*0.9 + 0.03
+				q[i] = float64(q[i]*0.9) + 0.03
 			}
 		}
 		m, tr, err := p.BestMatchTraced(q, MatchExact)

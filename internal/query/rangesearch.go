@@ -107,7 +107,7 @@ func (ls *LocalShard) Range(ctx context.Context, req RangeRequest) (RangeRespons
 		}
 		// Widest member deviation in raw-ED units (LSI is sorted ascending).
 		maxRawED := g.Members[n-1].EDToRep * sqrtL
-		pruneCutoff := acceptCutoff + sqrtM*maxRawED
+		pruneCutoff := acceptCutoff + float64(sqrtM*maxRawED)
 		repRaw := scanRep(ws, q, order, e, k, sameLen, math.Nextafter(pruneCutoff, math.Inf(1)), tr)
 		if repRaw > pruneCutoff {
 			return // no member can reach the radius

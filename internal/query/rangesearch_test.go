@@ -79,7 +79,7 @@ func TestRangeSearchCompleteness(t *testing.T) {
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[0].Values[1:9]...)
 	for i := range q {
-		q[i] += 0.01 * float64(i%2)
+		q[i] += float64(0.01 * float64(i%2))
 	}
 	for _, radius := range []float64{0.001, 0.01, 0.05} {
 		want := bruteRange(p, q, 8, radius)
@@ -216,12 +216,12 @@ func radiusFixture(t testing.TB, seed int64, twin bool) (engines []*engine, q, v
 	if twin {
 		at := r.Intn(n - length + 1)
 		for j, x := range v {
-			d.Series[1].Values[at+j] = x + r.NormFloat64()*0.01
+			d.Series[1].Values[at+j] = x + float64(r.NormFloat64()*0.01)
 		}
 	}
 	q = append([]float64(nil), v...)
-	q[0] += r.NormFloat64() * 0.5
-	q[length-1] += r.NormFloat64() * 0.5
+	q[0] += float64(r.NormFloat64() * 0.5)
+	q[length-1] += float64(r.NormFloat64() * 0.5)
 
 	gr, err := grouping.Build(d, grouping.Config{ST: 0.5, Lengths: []int{length}, Seed: seed})
 	if err != nil {

@@ -480,11 +480,11 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *grouping.Le
 		return nil
 	}
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
-	radiusRaw := s.grouped.ST / 2 * math.Sqrt(float64(e.Length)) // group radius in raw-ED units
+	radiusRaw := float64(s.grouped.ST / 2 * math.Sqrt(float64(e.Length))) // group radius in raw-ED units
 	req := ScanFixedRequest{
 		Length:     e.Length,
 		Query:      q,
-		CutoffBits: math.Float64bits(heap.kth()*divisor + radiusRaw),
+		CutoffBits: math.Float64bits(float64(heap.kth()*divisor) + radiusRaw),
 		Workers:    s.workers,
 	}
 	resps, err := fanShards(ctx, s, rec, "shard-scan",
@@ -571,7 +571,7 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *grouping.Len
 	next := make([]int, len(resps)) // per shard: its first unconsumed hit
 	groups := 0
 	for _, rd := range reps {
-		if rd.Dist > heap.kth()*divisor+radiusRaw {
+		if rd.Dist > float64(heap.kth()*divisor)+radiusRaw {
 			break
 		}
 		groups++
