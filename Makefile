@@ -25,7 +25,7 @@ build: ## Compile every package and binary
 test: ## Full test suite with the race detector, shuffled (CI's main job)
 	$(GO) test -race -shuffle=on ./...
 
-check-fma: ## Cross-build for arm64/ppc64le/riscv64/s390x and fail on a fused multiply-add in internal/dist, internal/grouping or internal/query
+check-fma: ## Cross-build for arm64/ppc64le/riscv64/s390x and fail on a fused multiply-add in internal/baseline, internal/dist, internal/grouping or internal/query
 	GO=$(GO) sh scripts/check_fma.sh
 
 bench: ## Run every benchmark once (CI's bench-smoke job)
@@ -57,9 +57,10 @@ lint: ## staticcheck + govulncheck (downloads the tools on first use)
 # Coverage gate of the parallel/sharded execution engine: the packages the
 # concurrency and layout-equivalence test suites exercise must stay
 # ≥ $(COVER_MIN)% covered. -coverpkg merges cross-package coverage (the
-# shard suite drives most of query's scatter executor and rspace's index
-# and threshold paths; rspace's own suite checks the thresholds against a
-# literal merge simulation). dist is in the set because its DTW kernel is a
+# shard suite drives most of query's scatter executor and grouping's
+# threshold paths; grouping's own suite checks the thresholds against a
+# literal merge simulation). rspace is only the facade the benchmark module
+# compiles against. dist is in the set because its DTW kernel is a
 # pruning path every scan runs; its own suite pins it to the full matrix.
 COVER_MIN = 70
 COVER_PKGS = ./internal/query/ ./internal/grouping/ ./internal/parallel/ ./internal/shard/ ./internal/rspace/ ./internal/dist/

@@ -23,8 +23,9 @@
 //	go run ./examples/quickstart
 //
 // The distance kernel everything sits on lives in internal/dist: ED/DTW
-// with the paper's normalizations, LB_Kim/LB_Keogh lower bounds with
-// early abandoning, warping envelopes, and an allocation-reusing DTW
+// with the paper's normalizations, LB_Kim/LB_Keogh lower bounds (the
+// engine runs LB_Kim; LB_Keogh serves the Trillion baseline) with early
+// abandoning, warping envelopes, and an allocation-reusing DTW
 // workspace whose one kernel computes only the cells a cutoff leaves alive,
 // testing only the dead margins of each row's window against it —
 // bit-identical to the full matrix whenever the distance is ≤ the cutoff
@@ -176,12 +177,13 @@
 //
 // # Index memory
 //
-// The index keeps only what a query reads: per length the groups, per
-// group its ED-sorted members and its representative, and per
-// representative two floats, its maximum and minimum — at the full warping
-// radius unconstrained DTW needs, the LB_Keogh envelope is flat at exactly
-// those values. The paper's inter-representative distance matrix Dc
-// (Def. 10) is not stored: no query reads it, and the SP-Space thresholds
+// The index is the grouping itself (grouping.Result): per length the
+// groups, per group its ED-sorted members and its representative. No
+// LB_Keogh envelope is kept: at the full warping radius unconstrained DTW
+// needs, it is flat at each representative's maximum and minimum, and that
+// bound pruned too few representatives to pay for itself, so the scan runs
+// LB_Kim and then the DTW kernel. The paper's inter-representative distance
+// matrix Dc (Def. 10) is not stored: no query reads it, and the SP-Space thresholds
 // it defines are computed without it (see Sharded serving). The index is
 // therefore linear in the grouping; Stats().IndexBytes reports it per
 // dataset and per shard.
@@ -252,17 +254,20 @@ package onex
 //	similarity group G^i_k        grouping.Group (Def. 8: same length,
 //	                              ED̄ to rep ≤ ST/2, nearest rep)
 //	representative R^i_k (Def. 7) grouping.Group.Rep (point-wise average)
-//	R-Space (Def. 9)              rspace.Base
+//	R-Space (Def. 9)              grouping.Result, indexed per shard by
+//	                              query.LocalShard
 //	Dc (Def. 10)                  not stored: evaluated on demand by
-//	                              rspace.MergeThresholdsFor
-//	GTI (Sec. 4.3)                rspace.LengthEntry.Groups (the sum-sorted
-//	                              array and its median visit order are not
-//	                              kept — the scan visits groups in id order)
+//	                              grouping.MergeThresholdsFor
+//	GTI (Sec. 4.3)                grouping.LengthGroups.Groups (the
+//	                              sum-sorted array and its median visit
+//	                              order are not kept — the scan visits
+//	                              groups in id order)
 //	LSI (Sec. 4.3)                grouping.Group.Members (ED-sorted) + Rep
-//	LB_Keogh envelope of a rep    rspace.LengthEntry.Max/Min (flat at full
-//	                              radius), dist.LBKeoghMinMax
-//	SP-Space, SThalf/STfinal      rspace.MergeThresholdsFor per length, run
-//	(Sec. 4.2, Fig. 1)            on first read; Base.RecommendThreshold
+//	LB_Keogh envelope of a rep    not kept: the scan runs LB_Kim → DTW
+//	SP-Space, SThalf/STfinal      grouping.MergeThresholdsFor per length,
+//	(Sec. 4.2, Fig. 1)            run on first read by
+//	                              shard.Engine.CriticalValues;
+//	                              Base.RecommendThreshold
 //	                              (Medium's range is [SThalf, STfinal]),
 //	                              Base.DegreeOf
 //	S/M/L similarity degrees      onex.Strict / Medium / Loose
@@ -279,10 +284,10 @@ package onex
 //	                              and RangeSearch wholesale admission
 //	pivot walk (Sec. 5.3)         Scatter.mineGroup: pivot order over the
 //	                              LSI, stops after 32 non-improving members
-//	LB_Kim, LB_Keogh (Sec. 5.3)   dist.LBKim, dist.LBKeoghMinMax (one
-//	                              representative test for the argmin,
-//	                              k-NN and range scans),
+//	LB_Kim, LB_Keogh (Sec. 5.3)   dist.LBKim (one representative test
+//	                              for the argmin, k-NN and range scans);
 //	                              dist.LBKeoghOrdered over a dist.Envelope
+//	                              in the Trillion baseline only
 //	early abandoning (Sec. 5.3)   dist.Workspace.DTWEarlyAbandon (column-
 //	                              window pruned DTW, exact whenever
 //	                              ≤ cutoff), dist.SquaredEDEarlyAbandon

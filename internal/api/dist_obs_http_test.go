@@ -88,7 +88,7 @@ func TestDistributedExplain(t *testing.T) {
 	}
 
 	work := workOf(tr)
-	for _, k := range []string{"repsExamined", "prunedByKim", "prunedByKeogh", "dtwComputed"} {
+	for _, k := range []string{"repsExamined", "prunedByKim", "dtwComputed"} {
 		wv, _ := work[k].(float64)
 		if delta := after[k] - before[k]; wv != delta {
 			t.Errorf("work[%q] = %v, /v1/stats delta = %v", k, wv, delta)

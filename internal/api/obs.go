@@ -239,7 +239,6 @@ func metricsWriter(w io.Writer, s *Server) *metrics.PromWriter {
 		{"queries", hs.Query.Queries},
 		{"repsExamined", hs.Query.RepsExamined},
 		{"prunedByKim", hs.Query.PrunedByKim},
-		{"prunedByKeogh", hs.Query.PrunedByKeogh},
 		{"dtwComputed", hs.Query.DTWComputed},
 		{"membersTested", hs.Query.MembersTested},
 	} {

@@ -24,7 +24,7 @@ func naiveBandedDTW(a, b []float64, window int) float64 {
 	for i := 1; i <= n; i++ {
 		for j := max(1, i-window); j <= min(n, i+window); j++ {
 			d := a[i-1] - b[j-1]
-			acc[i][j] = min(acc[i-1][j-1], acc[i-1][j], acc[i][j-1]) + d*d
+			acc[i][j] = min(acc[i-1][j-1], acc[i-1][j], acc[i][j-1]) + float64(d*d)
 		}
 	}
 	return math.Sqrt(acc[n][n])
@@ -57,7 +57,7 @@ func TestDTWBandedMatchesNaiveReference(t *testing.T) {
 		if got, full := bandedDTW(a, b, n, math.Inf(1), prev, curr), dist.DTW(a, b); got != full {
 			t.Fatalf("trial %d: full-width band %v != unconstrained DTW %v", trial, got, full)
 		}
-		cutoff := want * (0.25 + 1.5*r.Float64())
+		cutoff := float64(want * (0.25 + float64(1.5*r.Float64())))
 		switch got := bandedDTW(a, b, window, cutoff, prev, curr); {
 		case math.IsInf(got, 1):
 			abandoned++

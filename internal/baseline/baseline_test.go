@@ -237,7 +237,7 @@ func TestTrillionExactInRawUnconstrainedMode(t *testing.T) {
 	bf, _ := NewBruteForce(d)
 	for qi := 0; qi < 5; qi++ {
 		q := append([]float64(nil), d.Series[qi*2].Values[qi:qi+10]...)
-		q[qi] += 0.05 * float64(qi+1)
+		q[qi] += float64(0.05 * float64(qi+1))
 		got, err := tr.BestMatch(q)
 		if err != nil {
 			t.Fatal(err)
@@ -292,7 +292,7 @@ func TestTrillionZNormChangesSpace(t *testing.T) {
 	base := []float64{0, 1, 0, 2, 0, 1, 0}
 	shifted := make([]float64, len(base))
 	for i, v := range base {
-		shifted[i] = 3*v + 10
+		shifted[i] = float64(3*v) + 10
 	}
 	d := ts.NewDataset("t", [][]float64{base, {9, 9, 9, 9, 9, 9, 9}})
 	tr, _ := NewTrillion(d, TrillionConfig{WindowFrac: 1})

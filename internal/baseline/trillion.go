@@ -92,7 +92,7 @@ func (t *Trillion) BestMatch(q []float64) (Match, error) {
 			sqSums = make([]float64, s.Len()+1)
 			for i, v := range s.Values {
 				sums[i+1] = sums[i] + v
-				sqSums[i+1] = sqSums[i] + v*v
+				sqSums[i+1] = sqSums[i] + float64(v*v)
 			}
 		}
 		// Data-side envelope (LB_Keogh EC): computed once per series on the
@@ -107,7 +107,7 @@ func (t *Trillion) BestMatch(q []float64) (Match, error) {
 			if !t.cfg.RawSpace {
 				n := float64(m)
 				mean = (sums[j+m] - sums[j]) / n
-				variance := (sqSums[j+m]-sqSums[j])/n - mean*mean
+				variance := (sqSums[j+m]-sqSums[j])/n - float64(mean*mean)
 				if variance <= 0 {
 					zero = true
 				} else {
@@ -127,7 +127,7 @@ func (t *Trillion) BestMatch(q []float64) (Match, error) {
 			// Cascade step 1: LB_KimFL on the first/last points.
 			dF := qn[0] - norm(win[0])
 			dL := qn[m-1] - norm(win[m-1])
-			if math.Sqrt(dF*dF+dL*dL) >= bsf {
+			if math.Sqrt(float64(dF*dF)+float64(dL*dL)) >= bsf {
 				continue
 			}
 			// Cascade step 2: LB_Keogh of the candidate against the query
@@ -206,7 +206,7 @@ func bandedDTW(q, c []float64, window int, cutoff float64, prev, curr []float64)
 				best = left
 			}
 			d := qi - c[j-1]
-			acc := best + d*d
+			acc := best + float64(d*d)
 			curr[j] = acc
 			if acc < rowMin {
 				rowMin = acc
@@ -233,10 +233,10 @@ func lbKeoghData(qn, rawU, rawL []float64, order []int, norm func(float64) float
 		v := qn[i]
 		if v > u {
 			d := v - u
-			sum += d * d
+			sum += float64(d * d)
 		} else if v < l {
 			d := l - v
-			sum += d * d
+			sum += float64(d * d)
 		}
 		if sum > cutoffSq {
 			return math.Inf(1)
@@ -256,10 +256,10 @@ func lbKeoghCandidate(win, envU, envL []float64, order []int, norm func(float64)
 		v := norm(win[i])
 		if v > envU[i] {
 			d := v - envU[i]
-			sum += d * d
+			sum += float64(d * d)
 		} else if v < envL[i] {
 			d := envL[i] - v
-			sum += d * d
+			sum += float64(d * d)
 		}
 		if sum > cutoffSq {
 			return math.Inf(1)

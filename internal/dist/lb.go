@@ -81,7 +81,7 @@ func QueryOrder(q []float64) []int {
 // √((q₀−c₀)² + (qₙ−cₘ)²). Every warping path aligns the two heads and the
 // two tails, so the bound is admissible for DTW at any band — including
 // between sequences of different lengths, which is why the query processor
-// applies it before the same-length-only LB_Keogh.
+// can apply it to every representative of every length.
 func LBKim(q, c []float64) float64 {
 	n, m := len(q), len(c)
 	if n == 0 || m == 0 {
@@ -94,31 +94,6 @@ func LBKim(q, c []float64) float64 {
 	}
 	tail := q[n-1] - c[m-1]
 	return math.Sqrt(float64(head*head) + float64(tail*tail))
-}
-
-// LBKeoghMinMax is LBKeoghOrdered against the full-radius envelope of a
-// candidate whose largest and smallest values are hi and lo. At radius
-// len−1 the envelope is flat (every upper entry is hi, every lower entry
-// lo), so the same terms in the same order give the same bits, and a
-// candidate costs two floats instead of two slices. len(q) must equal the
-// candidate's length for the bound to be admissible.
-func LBKeoghMinMax(q []float64, hi, lo float64, order []int, cutoff float64) float64 {
-	cutoffSq := cutoff * cutoff
-	var sum float64
-	for _, i := range order {
-		v := q[i]
-		if v > hi {
-			d := v - hi
-			sum += float64(d * d)
-		} else if v < lo {
-			d := lo - v
-			sum += float64(d * d)
-		}
-		if sum > cutoffSq {
-			return math.Inf(1)
-		}
-	}
-	return math.Sqrt(sum)
 }
 
 // LBKeoghOrdered is the Keogh lower bound of DTW between q and a candidate

@@ -147,52 +147,6 @@ func TestLBKeoghOrderedMatchesUnordered(t *testing.T) {
 	}
 }
 
-// TestLBKeoghMinMaxMatchesFullRadius: the two-float bound is bit for bit
-// LBKeoghOrdered over the full-radius envelope, whose rows are flat at the
-// candidate's extremes — across finite cutoffs, abandons to +Inf,
-// zero-variance candidates, signed zeros and length 1.
-func TestLBKeoghMinMaxMatchesFullRadius(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 400; trial++ {
-		n := 1 + r.Intn(40)
-		q, c := randSeries(r, n), randSeries(r, n)
-		switch trial % 4 {
-		case 1: // zero variance
-			for i := range c {
-				c[i] = c[0]
-			}
-		case 2: // signed zeros and exact ties
-			for i := range c {
-				c[i] = [...]float64{0, math.Copysign(0, -1), 1, -1}[r.Intn(4)]
-			}
-		}
-		up, low := Envelope(c, n-1, nil, nil)
-		hi, lo := c[0], c[0]
-		for _, v := range c[1:] {
-			if v >= hi {
-				hi = v
-			}
-			if v <= lo {
-				lo = v
-			}
-		}
-		for i := range c {
-			if math.Float64bits(up[i]) != math.Float64bits(hi) || math.Float64bits(low[i]) != math.Float64bits(lo) {
-				t.Fatalf("trial %d: full-radius envelope not flat at the extremes at %d", trial, i)
-			}
-		}
-		order := QueryOrder(q)
-		exact := LBKeoghOrdered(q, up, low, order, math.Inf(1))
-		for _, cutoff := range []float64{math.Inf(1), exact, exact * r.Float64(), exact * 2, 0} {
-			want := LBKeoghOrdered(q, up, low, order, cutoff)
-			got := LBKeoghMinMax(q, hi, lo, order, cutoff)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("trial %d (n=%d cutoff %v): LBKeoghMinMax %v, LBKeoghOrdered %v", trial, n, cutoff, got, want)
-			}
-		}
-	}
-}
-
 func TestLBKeoghEarlyAbandon(t *testing.T) {
 	q := []float64{10, 10, 10}
 	u := []float64{1, 1, 1}

@@ -9,8 +9,8 @@ import (
 )
 
 // Delta describes which groups one incremental-maintenance step (Extend or
-// AppendPoints) changed, so the index layers (rspace) can refresh only the
-// touched state instead of recomputing every length from scratch.
+// AppendPoints) changed, so the serving engine re-derives only the shards
+// and threshold cells the step touched.
 type Delta struct {
 	// PrevGroups[length] is the group count before the step; groups with
 	// index ≥ PrevGroups[length] were founded by the step and are new.

@@ -241,8 +241,9 @@ type LengthGroups struct {
 	Groups []*Group
 }
 
-// Result is the full panorama of groups for all requested lengths — the raw
-// material of the ONEX base (rspace wraps it with the GTI/LSI indexes).
+// Result is the full panorama of groups for all requested lengths — the ONEX
+// base itself: a length's groups in id order are its GTI entry (Sec. 4.3),
+// and each group's ED-sorted members its LSI. Query shards index it as is.
 type Result struct {
 	// ST echoes the build threshold.
 	ST float64
@@ -277,6 +278,22 @@ func (r *Result) TotalGroups() int {
 	total := 0
 	for _, lg := range r.ByLength {
 		total += len(lg.Groups)
+	}
+	return total
+}
+
+// SizeBytes estimates the resident size of the query index in the spirit of
+// the paper's Table 4: per group its identifier and representative (the
+// GTI), per member its identifiers and ED (the LSI).
+func (r *Result) SizeBytes() int64 {
+	const word = 8
+	var total int64
+	for _, lg := range r.ByLength {
+		total += int64(len(lg.Groups)) * word // group id
+		for _, grp := range lg.Groups {
+			total += int64(grp.Count()) * 3 * word // member ids + ED
+			total += int64(len(grp.Rep)) * word    // representative
+		}
 	}
 	return total
 }

@@ -176,7 +176,7 @@ func TestStatsJSONShape(t *testing.T) {
 			t.Errorf("%s keys = %v, want %v", what, got, want)
 		}
 	}
-	queryKeys := []string{"queries", "repsExamined", "prunedByKim", "prunedByKeogh", "dtwComputed", "membersTested"}
+	queryKeys := []string{"queries", "repsExamined", "prunedByKim", "dtwComputed", "membersTested"}
 
 	raw, err := json.Marshal(ds.Info())
 	if err != nil {

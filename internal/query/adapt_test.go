@@ -20,7 +20,7 @@ func adaptFixture(t *testing.T) *engine {
 // memberCount sums members across all groups of a length.
 func memberCount(p *engine, length int) int {
 	total := 0
-	for _, g := range p.Base().Entry(length).Groups {
+	for _, g := range p.grouped.ByLength[length].Groups {
 		total += g.Count()
 	}
 	return total
@@ -37,12 +37,12 @@ func TestAdaptValidation(t *testing.T) {
 
 func TestAdaptSameThresholdReusesGroups(t *testing.T) {
 	p := adaptFixture(t)
-	ap, err := p.AdaptThreshold(p.Base().ST)
+	ap, err := p.AdaptThreshold(p.grouped.ST)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range p.Base().Lengths {
-		if got, want := len(ap.Base().Entry(l).Groups), len(p.Base().Entry(l).Groups); got != want {
+	for _, l := range p.grouped.Lengths {
+		if got, want := len(ap.grouped.ByLength[l].Groups), len(p.grouped.ByLength[l].Groups); got != want {
 			t.Errorf("length %d: %d groups after identity adapt, want %d", l, got, want)
 		}
 	}
@@ -50,16 +50,16 @@ func TestAdaptSameThresholdReusesGroups(t *testing.T) {
 
 func TestAdaptSmallerThresholdSplits(t *testing.T) {
 	p := adaptFixture(t)
-	ap, err := p.AdaptThreshold(p.Base().ST / 2)
+	ap, err := p.AdaptThreshold(p.grouped.ST / 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap.Base().ST != p.Base().ST/2 {
-		t.Errorf("adapted ST = %v", ap.Base().ST)
+	if ap.grouped.ST != p.grouped.ST/2 {
+		t.Errorf("adapted ST = %v", ap.grouped.ST)
 	}
-	for _, l := range p.Base().Lengths {
-		before := len(p.Base().Entry(l).Groups)
-		after := len(ap.Base().Entry(l).Groups)
+	for _, l := range p.grouped.Lengths {
+		before := len(p.grouped.ByLength[l].Groups)
+		after := len(ap.grouped.ByLength[l].Groups)
 		if after < before {
 			t.Errorf("length %d: splitting reduced groups %d → %d", l, before, after)
 		}
@@ -72,13 +72,13 @@ func TestAdaptSmallerThresholdSplits(t *testing.T) {
 
 func TestAdaptLargerThresholdMerges(t *testing.T) {
 	p := adaptFixture(t)
-	ap, err := p.AdaptThreshold(p.Base().ST * 4)
+	ap, err := p.AdaptThreshold(p.grouped.ST * 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range p.Base().Lengths {
-		before := len(p.Base().Entry(l).Groups)
-		after := len(ap.Base().Entry(l).Groups)
+	for _, l := range p.grouped.Lengths {
+		before := len(p.grouped.ByLength[l].Groups)
+		after := len(ap.grouped.ByLength[l].Groups)
 		if after > before {
 			t.Errorf("length %d: merging increased groups %d → %d", l, before, after)
 		}
@@ -95,8 +95,8 @@ func TestAdaptHugeThresholdMergesToOneGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range ap.Base().Lengths {
-		if got := len(ap.Base().Entry(l).Groups); got != 1 {
+	for _, l := range ap.grouped.Lengths {
+		if got := len(ap.grouped.ByLength[l].Groups); got != 1 {
 			t.Errorf("length %d: %d groups after huge-ST adapt, want 1", l, got)
 		}
 	}
@@ -106,14 +106,14 @@ func TestAdaptSplitRadiusRespected(t *testing.T) {
 	// After splitting at ST′, member distances to the new representatives
 	// should cluster within ST′/2 (allowing centroid-drift stragglers).
 	p := adaptFixture(t)
-	stPrime := p.Base().ST / 2
+	stPrime := p.grouped.ST / 2
 	ap, err := p.AdaptThreshold(stPrime)
 	if err != nil {
 		t.Fatal(err)
 	}
 	within, total := 0, 0
-	for _, l := range ap.Base().Lengths {
-		for _, g := range ap.Base().Entry(l).Groups {
+	for _, l := range ap.grouped.Lengths {
+		for _, g := range ap.grouped.ByLength[l].Groups {
 			for _, m := range g.Members {
 				total++
 				if m.EDToRep <= float64(stPrime/2)+1e-9 {
@@ -132,7 +132,7 @@ func TestAdaptSplitRadiusRespected(t *testing.T) {
 
 func TestAdaptedProcessorAnswersQueries(t *testing.T) {
 	p := adaptFixture(t)
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[0].Values[1:10]...)
 	for _, stPrime := range []float64{0.1, 0.2, 0.5} {
 		ap, err := p.AdaptThreshold(stPrime)
@@ -161,8 +161,8 @@ func TestAdaptedMembersSorted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range ap.Base().Lengths {
-			for _, g := range ap.Base().Entry(l).Groups {
+		for _, l := range ap.grouped.Lengths {
+			for _, g := range ap.grouped.ByLength[l].Groups {
 				for i := 1; i < g.Count(); i++ {
 					if g.Members[i-1].EDToRep > g.Members[i].EDToRep {
 						t.Fatalf("ST'=%v length %d group %d: members unsorted", stPrime, l, g.ID)
@@ -179,9 +179,9 @@ func TestAdaptMergedRepIsWeightedAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.Base().Dataset
-	for _, l := range ap.Base().Lengths {
-		g := ap.Base().Entry(l).Groups[0]
+	d := p.data
+	for _, l := range ap.grouped.Lengths {
+		g := ap.grouped.ByLength[l].Groups[0]
 		avg := make([]float64, l)
 		for _, m := range g.Members {
 			for i, v := range d.Series[m.SeriesIdx].Values[m.Start : m.Start+l] {

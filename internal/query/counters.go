@@ -12,14 +12,13 @@ import "sync/atomic"
 // counters (RepsExamined .. MembersTested) fold in the per-query traces of
 // every cascade-running family — Q1 BestMatch, k-NN and range search alike;
 // seasonal queries read the grouping without running the cascade and tick
-// Queries only. Like Trace, the pruning split between Kim and Keogh depends
+// Queries only. Like Trace, the split between Kim prunes and DTWs depends
 // on bound-tightening timing in tightening-bound parallel scans; the totals
 // are what to alert on.
 type Counters struct {
 	queries       atomic.Uint64
 	repsExamined  atomic.Uint64
 	prunedByKim   atomic.Uint64
-	prunedByKeogh atomic.Uint64
 	dtwComputed   atomic.Uint64
 	membersTested atomic.Uint64
 }
@@ -31,7 +30,6 @@ func (c *Counters) fold(tr Trace) {
 	}
 	c.repsExamined.Add(uint64(tr.RepsExamined))
 	c.prunedByKim.Add(uint64(tr.PrunedByKim))
-	c.prunedByKeogh.Add(uint64(tr.PrunedByKeogh))
 	c.dtwComputed.Add(uint64(tr.DTWComputed))
 	c.membersTested.Add(uint64(tr.MembersTested))
 }
@@ -53,11 +51,10 @@ type CountersSnapshot struct {
 	Queries uint64 `json:"queries"`
 	// RepsExamined .. MembersTested are the cumulative cascade work counters
 	// of match, k-NN and range queries (see Trace for the per-field
-	// meaning). The split between PrunedByKim and PrunedByKeogh depends on
+	// meaning). The split between PrunedByKim and DTWComputed depends on
 	// bound-tightening timing in parallel scans; the totals are the signal.
 	RepsExamined  uint64 `json:"repsExamined"`
 	PrunedByKim   uint64 `json:"prunedByKim"`
-	PrunedByKeogh uint64 `json:"prunedByKeogh"`
 	DTWComputed   uint64 `json:"dtwComputed"`
 	MembersTested uint64 `json:"membersTested"`
 }
@@ -67,7 +64,6 @@ func (s *CountersSnapshot) Add(o CountersSnapshot) {
 	s.Queries += o.Queries
 	s.RepsExamined += o.RepsExamined
 	s.PrunedByKim += o.PrunedByKim
-	s.PrunedByKeogh += o.PrunedByKeogh
 	s.DTWComputed += o.DTWComputed
 	s.MembersTested += o.MembersTested
 }
@@ -81,7 +77,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		Queries:       c.queries.Load(),
 		RepsExamined:  c.repsExamined.Load(),
 		PrunedByKim:   c.prunedByKim.Load(),
-		PrunedByKeogh: c.prunedByKeogh.Load(),
 		DTWComputed:   c.dtwComputed.Load(),
 		MembersTested: c.membersTested.Load(),
 	}

@@ -5,10 +5,10 @@ import (
 
 	"onex/internal/grouping"
 	"onex/internal/obs"
-	"onex/internal/rspace"
+	"onex/internal/ts"
 )
 
-// engine is the one-shard in-process layout over a base — what
+// engine is the one-shard in-process layout over a grouping — what
 // internal/shard assembles for an unsharded base — under the context-free
 // call shapes this package's tests use.
 type engine struct {
@@ -17,33 +17,17 @@ type engine struct {
 	shard *LocalShard
 }
 
-func newEngine(b *rspace.Base, workers int) (*engine, error) {
-	ls, err := NewWholeShard(b)
+func newEngine(d *ts.Dataset, gr *grouping.Result, workers int) (*engine, error) {
+	ls, err := NewWholeShard(d, gr)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := NewScatter(b.Dataset, groupingOf(b), workers, []ShardTransport{ls})
+	sc, err := NewScatter(d, gr, workers, []ShardTransport{ls})
 	if err != nil {
 		return nil, err
 	}
 	return &engine{Scatter: sc, shard: ls}, nil
 }
-
-// groupingOf is the grouping a base indexes.
-func groupingOf(b *rspace.Base) *grouping.Result {
-	gr := &grouping.Result{
-		ST:          b.ST,
-		Lengths:     b.Lengths,
-		ByLength:    make(map[int]*grouping.LengthGroups, len(b.Lengths)),
-		TotalSubseq: b.TotalSubseq,
-	}
-	for _, l := range b.Lengths {
-		gr.ByLength[l] = &grouping.LengthGroups{Length: l, Groups: b.Entry(l).Groups}
-	}
-	return gr
-}
-
-func (e *engine) Base() *rspace.Base { return e.shard.base }
 
 // best unpacks a best-match Result.
 func best(r Result) (Match, error) {
@@ -84,7 +68,6 @@ func recordedWork(rec *obs.Trace) Trace {
 	return Trace{
 		RepsExamined:   int(w["repsExamined"]),
 		PrunedByKim:    int(w["prunedByKim"]),
-		PrunedByKeogh:  int(w["prunedByKeogh"]),
 		DTWComputed:    int(w["dtwComputed"]),
 		MembersTested:  int(w["membersTested"]),
 		LengthsVisited: int(w["lengthsVisited"]),
@@ -136,9 +119,5 @@ func (e *engine) AdaptThreshold(stPrime float64) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	ab, err := rspace.New(e.data, adapted, rspace.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return newEngine(ab, e.workers)
+	return newEngine(e.data, adapted, e.workers)
 }

@@ -1,11 +1,14 @@
 package query
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
 
 	"onex/internal/dist"
+	"onex/internal/grouping"
+	"onex/internal/ts"
 )
 
 // bruteKNN is the exhaustive reference: all subsequences of the given
@@ -13,7 +16,7 @@ import (
 func bruteKNN(p *engine, q []float64, lengths []int, k int) []Match {
 	var all []Match
 	var w dist.Workspace
-	d := p.Base().Dataset
+	d := p.data
 	for _, l := range lengths {
 		div := dist.NormalizedDTWDivisor(len(q), l)
 		for _, s := range d.Series {
@@ -48,7 +51,7 @@ func TestBestKMatchesValidation(t *testing.T) {
 
 func TestBestKMatchesOrderingAndUniqueness(t *testing.T) {
 	p := italyProcessor(t, []int{8})
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[1].Values[4:12]...)
 	ms, err := p.BestKMatches(q, MatchExact, 5)
 	if err != nil {
@@ -81,7 +84,7 @@ func TestBestKMatchesOrderingAndUniqueness(t *testing.T) {
 // or better.
 func TestBestKMatchesSmallK(t *testing.T) {
 	p := italyProcessor(t, []int{8})
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[2].Values[3:11]...)
 	q[0] += 0.05
 	single, err := p.BestMatch(q, MatchExact)
@@ -105,7 +108,7 @@ func TestBestKMatchesSmallK(t *testing.T) {
 
 func TestBestKMatchesNearBruteForce(t *testing.T) {
 	p := italyProcessor(t, []int{8})
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[0].Values[2:10]...)
 	for i := range q {
 		q[i] += float64(0.02 * float64(i%3))
@@ -130,7 +133,7 @@ func TestBestKMatchesNearBruteForce(t *testing.T) {
 
 func TestBestKMatchesAnyLength(t *testing.T) {
 	p := italyProcessor(t, []int{5, 8, 11})
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[3].Values[1:9]...)
 	ms, err := p.BestKMatches(q, MatchAny, 7)
 	if err != nil {
@@ -150,13 +153,13 @@ func TestBestKMatchesAnyLength(t *testing.T) {
 
 func TestBestKMatchesKLargerThanCandidates(t *testing.T) {
 	p := italyProcessor(t, []int{8})
-	q := append([]float64(nil), p.Base().Dataset.Series[0].Values[0:8]...)
+	q := append([]float64(nil), p.data.Series[0].Values[0:8]...)
 	ms, err := p.BestKMatches(q, MatchExact, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, g := range p.Base().Entry(8).Groups {
+	for _, g := range p.grouped.ByLength[8].Groups {
 		total += g.Count()
 	}
 	if len(ms) > total {
@@ -194,5 +197,39 @@ func TestTopKHeap(t *testing.T) {
 	out = h.sorted()
 	if len(out) != 3 || out[0].Dist != 0.1 {
 		t.Errorf("duplicate slipped in: %v", out)
+	}
+}
+
+// TestScanFixedKeepsRepAtCutoff: the k-NN scan prunes strictly, like the
+// plain walk's cut (distance > cutoff), so a representative whose LB_Kim
+// equals the cutoff is computed and kept. For q = (0,0) and rep = (1,1) the
+// diagonal path is optimal: LB_Kim = DTW = √2 bit for bit.
+func TestScanFixedKeepsRepAtCutoff(t *testing.T) {
+	d := ts.NewDataset("tie", [][]float64{{1, 1}})
+	gr := &grouping.Result{
+		ST:      1,
+		Lengths: []int{2},
+		ByLength: map[int]*grouping.LengthGroups{2: {Length: 2, Groups: []*grouping.Group{
+			{Length: 2, Rep: []float64{1, 1}, Members: []grouping.Member{{}}},
+		}}},
+		TotalSubseq: 1,
+	}
+	ls, err := NewWholeShard(d, gr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := []float64{0, 0}
+	cutoff := math.Sqrt2
+	if lb, raw := dist.LBKim(q, gr.ByLength[2].Groups[0].Rep), dist.DTW(q, gr.ByLength[2].Groups[0].Rep); lb != cutoff || raw != cutoff {
+		t.Fatalf("fixture: LB_Kim %v, DTW %v, want both √2", lb, raw)
+	}
+	resp, err := ls.ScanFixed(context.Background(), ScanFixedRequest{
+		Length: 2, Query: q, CutoffBits: math.Float64bits(cutoff), Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Hits) != 1 || resp.Hits[0].GroupID != 0 || resp.Hits[0].Dist != cutoff {
+		t.Errorf("ScanFixed at cutoff √2 = %+v, want group 0 at √2", resp.Hits)
 	}
 }

@@ -11,22 +11,23 @@ import (
 	"onex/internal/dist"
 	"onex/internal/grouping"
 	"onex/internal/parallel"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
-// LocalShard is the in-process ShardTransport: one shard's index (an
-// rspace.Base over the shard's series), the workspace pool its scans draw
-// from, and the local↔global translation tables. It holds no worker count:
-// every request carries its own (Workers). A shard of a partitioned layout
-// is built from its ShardSpec by BuildLocalShard, in the engine
-// (internal/shard) and in a worker process alike, so every transport
-// response is bit-identical across them — the property the
-// remote-equivalence suite enforces. The one-shard layout indexes the
-// global grouping itself under identity tables instead (NewWholeShard):
-// its base shares the global group objects and copies nothing.
+// LocalShard is the in-process ShardTransport: one shard's index — its
+// sub-dataset and the grouping restricted to it, whose groups in id order
+// are the GTI and whose ED-sorted members are the LSI (Sec. 4.3) — the
+// workspace pool its scans draw from, and the local↔global translation
+// tables. It holds no worker count: every request carries its own
+// (Workers). A shard of a partitioned layout is built from its ShardSpec by
+// BuildLocalShard, in the engine (internal/shard) and in a worker process
+// alike, so every transport response is bit-identical across them — the
+// property the remote-equivalence suite enforces. The one-shard layout
+// indexes the global dataset and grouping themselves under identity tables
+// instead (NewWholeShard), and copies nothing.
 type LocalShard struct {
-	base *rspace.Base
+	data    *ts.Dataset
+	grouped *grouping.Result
 	// pool recycles DTW scratch across requests and across the workers of
 	// one request.
 	pool  *parallel.WorkspacePool
@@ -50,36 +51,37 @@ type localUnit struct {
 // answers it when the spec is shipped, instead of failing every query after.
 var ErrBadSpec = errors.New("query: bad shard spec")
 
-// newLocalShard wraps a shard's base as a transport. series, globalIDs and
-// owned are the part's translation tables: series maps local series index →
-// global id; per length, globalIDs maps local group index → global group
-// id, strictly ascending, and owned marks the local groups whose
-// representative this shard scans.
-func newLocalShard(base *rspace.Base, shard int, series []int,
+// newLocalShard wraps a shard's dataset and grouping as a transport.
+// series, globalIDs and owned are the part's translation tables: series
+// maps local series index → global id; per length, globalIDs maps local
+// group index → global group id, strictly ascending, and owned marks the
+// local groups whose representative this shard scans.
+func newLocalShard(data *ts.Dataset, gr *grouping.Result, shard int, series []int,
 	globalIDs map[int][]int, owned map[int][]bool) (*LocalShard, error) {
 
-	if base == nil {
-		return nil, errors.New("query: nil shard base")
+	if data == nil || gr == nil {
+		return nil, errors.New("query: nil shard dataset or grouping")
 	}
-	if n := base.Dataset.N(); n != len(series) {
+	if n := data.N(); n != len(series) {
 		return nil, fmt.Errorf("query: shard %d holds %d series but maps %d", shard, n, len(series))
 	}
 	ls := &LocalShard{
-		base:      base,
+		data:      data,
+		grouped:   gr,
 		pool:      &parallel.WorkspacePool{},
 		shard:     shard,
 		series:    series,
 		globalIDs: globalIDs,
-		units:     make(map[int][]localUnit, len(base.Lengths)),
+		units:     make(map[int][]localUnit, len(gr.Lengths)),
 	}
-	for _, l := range base.Lengths {
-		e := base.Entry(l)
+	for _, l := range gr.Lengths {
+		groups := gr.ByLength[l].Groups
 		gids, own := globalIDs[l], owned[l]
-		if len(gids) != len(e.Groups) || len(own) != len(e.Groups) {
+		if len(gids) != len(groups) || len(own) != len(groups) {
 			return nil, fmt.Errorf("query: shard tables for length %d cover %d/%d of %d groups",
-				l, len(own), len(gids), len(e.Groups))
+				l, len(own), len(gids), len(groups))
 		}
-		units := make([]localUnit, 0, len(e.Groups))
+		units := make([]localUnit, 0, len(groups))
 		for local, o := range own {
 			if o {
 				units = append(units, localUnit{local: local, global: gids[local]})
@@ -98,35 +100,35 @@ func (ls *LocalShard) localGroup(length, global int) (local int, ok bool) {
 	return i, i < len(gids) && gids[i] == global
 }
 
-// NewWholeShard wraps the base over the complete dataset and global
-// grouping as the only shard of a one-shard layout: local ids are the
-// global ids and every group is scanned here.
-func NewWholeShard(base *rspace.Base) (*LocalShard, error) {
-	if base == nil {
-		return nil, errors.New("query: nil shard base")
+// NewWholeShard indexes the complete dataset and global grouping as the
+// only shard of a one-shard layout: local ids are the global ids and every
+// group is scanned here.
+func NewWholeShard(data *ts.Dataset, gr *grouping.Result) (*LocalShard, error) {
+	if data == nil || gr == nil {
+		return nil, errors.New("query: nil shard dataset or grouping")
 	}
-	series := make([]int, base.Dataset.N())
+	series := make([]int, data.N())
 	for i := range series {
 		series[i] = i
 	}
-	globalIDs := make(map[int][]int, len(base.Lengths))
-	owned := make(map[int][]bool, len(base.Lengths))
-	for _, l := range base.Lengths {
-		g := len(base.Entry(l).Groups)
+	globalIDs := make(map[int][]int, len(gr.Lengths))
+	owned := make(map[int][]bool, len(gr.Lengths))
+	for _, l := range gr.Lengths {
+		g := len(gr.ByLength[l].Groups)
 		gids, own := make([]int, g), make([]bool, g)
 		for k := range gids {
 			gids[k], own[k] = k, true
 		}
 		globalIDs[l], owned[l] = gids, own
 	}
-	return newLocalShard(base, 0, series, globalIDs, owned)
+	return newLocalShard(data, gr, 0, series, globalIDs, owned)
 }
 
-// BuildLocalShard derives a shard's index from its spec: the sub-dataset,
-// the restricted grouping (local ids assigned in spec order) and the full
-// GTI/LSI layers. It is the one recipe for a shard of a partitioned layout:
-// the engine (internal/shard) builds every in-process shard of one with it,
-// and a worker runs it on the spec it is shipped, so a remote transport
+// BuildLocalShard derives a shard's index from its spec: the sub-dataset
+// and the restricted grouping (local ids assigned in spec order). It is the
+// one recipe for a shard of a partitioned layout: the engine
+// (internal/shard) builds every in-process shard of one with it, and a
+// worker runs it on the spec it is shipped, so a remote transport
 // answers bit-identically to an in-process one. A spec no query could run
 // against — a bad length, representative, member window or id order — is
 // refused with ErrBadSpec; a spec with no series builds an empty shard.
@@ -205,11 +207,7 @@ func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 		owned[sl.Length] = own
 	}
 
-	base, err := rspace.New(data, res, rspace.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return newLocalShard(base, spec.Shard, series, globalIDs, owned)
+	return newLocalShard(data, res, spec.Shard, series, globalIDs, owned)
 }
 
 // Info implements ShardTransport.
@@ -233,9 +231,9 @@ func (ls *LocalShard) Info() ShardInfo {
 func (ls *LocalShard) Stats() ShardStats {
 	return ShardStats{
 		Series:       len(ls.series),
-		Groups:       ls.base.TotalGroups(),
-		Subsequences: ls.base.TotalSubseq,
-		IndexBytes:   ls.base.SizeBytes(),
+		Groups:       ls.grouped.TotalGroups(),
+		Subsequences: ls.grouped.TotalSubseq,
+		IndexBytes:   ls.grouped.SizeBytes(),
 	}
 }
 
@@ -251,18 +249,17 @@ func reqWorkers(w int) int {
 }
 
 // ScanBest implements ShardTransport: the tightening-bound argmin scan
-// (scanRep: LB_Kim → LB_Keogh → early-abandoning DTW) over the shard's owned
-// units of one length, in ascending global-group order, striding across the
+// (scanRep: LB_Kim → early-abandoning DTW) over the shard's owned units of
+// one length, in ascending global-group order, striding across the
 // request's workers under a shared atomic bound. The scan computes the exact
 // minimum at every worker count, and ties on it resolve to the smallest
-// global id. That is why pruning is strict (lb > bound): a representative
-// whose lower bound merely equals the bound could still tie the minimum from
-// a smaller id. scanRep prunes on lb ≥ its cutoff, so the scan passes
-// math.Nextafter(bound, +Inf): for a finite lb, lb ≥ next(bound) exactly
-// when lb > bound. DTWEarlyAbandon is exact whenever the distance is ≤ its
-// cutoff, and a finite result is always exact, so every minimum-achieving
-// representative is computed exactly and the shared winner, which keeps the
-// smallest (distance, position), is the same whatever the timing.
+// global id. That is why scanRep's pruning is strict (lb > bound): a
+// representative whose lower bound merely equals the bound could still tie
+// the minimum from a smaller id. DTWEarlyAbandon is exact whenever the
+// distance is ≤ its cutoff, and a finite result is always exact, so every
+// minimum-achieving representative is computed exactly and the shared
+// winner, which keeps the smallest (distance, position), is the same
+// whatever the timing.
 //
 // A same-length scan first seeds its bound with the paper's marriage of the
 // two distances: one pass of early-abandoning squared ED over the owned
@@ -282,8 +279,8 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 	if err := validateQuery(req.Query); err != nil {
 		return ScanBestResponse{}, err
 	}
-	e := ls.base.Entry(req.Length)
-	if e == nil {
+	lg := ls.grouped.ByLength[req.Length]
+	if lg == nil {
 		return ScanBestResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
 	}
 	units := ls.units[req.Length]
@@ -292,13 +289,11 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 		return ScanBestResponse{BestBits: math.Float64bits(math.Inf(1))}, nil
 	}
 	q := req.Query
-	order := dist.QueryOrder(q)
-	sameLen := req.Length == len(q)
 	seed := math.Inf(1)
-	if sameLen {
+	if req.Length == len(q) {
 		minSq := math.Inf(1)
 		for _, u := range units {
-			if sq := dist.SquaredEDEarlyAbandon(q, e.Groups[u.local].Rep, minSq); sq < minSq {
+			if sq := dist.SquaredEDEarlyAbandon(q, lg.Groups[u.local].Rep, minSq); sq < minSq {
 				minSq = sq
 			}
 		}
@@ -322,7 +317,7 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 	win.bound.Relax(seed)
 	strided(ctx, ls.pool, workers, n, &win.tr, func(ws *dist.Workspace, pos int, tr *Trace) {
 		bound := win.bound.Load()
-		d := scanRep(ws, q, order, e, units[pos].local, sameLen, math.Nextafter(bound, math.Inf(1)), tr)
+		d := scanRep(ws, q, lg.Groups[units[pos].local].Rep, bound, tr)
 		if d > bound {
 			return // not the minimum: a computed distance or the seed is below it
 		}
@@ -348,14 +343,16 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 }
 
 // ScanFixed implements ShardTransport: the fixed-cutoff k-NN cascade
-// (scanRep, pruning on lb ≥ cutoff) over the owned units, survivors returned
-// in ascending global-group order. A survivor is any finite DTW: the kernel
-// is exact at or below the cutoff, and a finite value above it lies past
-// every later group cut (kth only falls), so no walk reads it. The cutoff
-// cannot tighten during the scan, so the per-unit decisions — and the work
-// counters — are identical at every worker count and shard layout. ctx is
-// polled every rangePollEvery units per worker; a canceled scan returns
-// ctx's error, never a partial answer.
+// (scanRep, pruning on lb > cutoff) over the owned units, survivors
+// returned in ascending global-group order. A survivor is any finite DTW: a
+// representative exactly at the cutoff survives, as the plain walk's cut
+// (distance > cutoff) would visit it; the kernel is exact at or below the
+// cutoff, and a finite value above it lies past every later group cut (kth
+// only falls), so no walk reads it. The cutoff cannot tighten during the
+// scan, so the per-unit decisions — and the work counters — are identical
+// at every worker count and shard layout. ctx is polled every
+// rangePollEvery units per worker; a canceled scan returns ctx's error,
+// never a partial answer.
 func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (ScanFixedResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return ScanFixedResponse{}, err
@@ -363,8 +360,8 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 	if err := validateQuery(req.Query); err != nil {
 		return ScanFixedResponse{}, err
 	}
-	e := ls.base.Entry(req.Length)
-	if e == nil {
+	lg := ls.grouped.ByLength[req.Length]
+	if lg == nil {
 		return ScanFixedResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
 	}
 	units := ls.units[req.Length]
@@ -374,8 +371,6 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 	}
 	q := req.Query
 	cutoff := math.Float64frombits(req.CutoffBits)
-	order := dist.QueryOrder(q)
-	sameLen := req.Length == len(q)
 	workers := reqWorkers(req.Workers)
 	if n < scanParallelMin {
 		workers = 1
@@ -384,7 +379,7 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 	found := make([]FixedHit, n)
 	var tr Trace
 	strided(ctx, ls.pool, workers, n, &tr, func(ws *dist.Workspace, i int, tr *Trace) {
-		found[i] = FixedHit{GroupID: units[i].global, Dist: scanRep(ws, q, order, e, units[i].local, sameLen, cutoff, tr)}
+		found[i] = FixedHit{GroupID: units[i].global, Dist: scanRep(ws, q, lg.Groups[units[i].local].Rep, cutoff, tr)}
 	})
 	if err := ctx.Err(); err != nil {
 		return ScanFixedResponse{}, err

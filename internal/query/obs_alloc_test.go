@@ -6,7 +6,6 @@ import (
 
 	"onex/internal/grouping"
 	"onex/internal/obs"
-	"onex/internal/rspace"
 )
 
 // allocProbe builds a small single-length engine and a valid query for
@@ -18,11 +17,7 @@ func allocProbe(tb testing.TB) (*engine, []float64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b, err := rspace.New(d, gr, rspace.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	p, err := newEngine(b, 1)
+	p, err := newEngine(d, gr, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import "onex/internal/obs"
 func (t *Trace) add(o Trace) {
 	t.RepsExamined += o.RepsExamined
 	t.PrunedByKim += o.PrunedByKim
-	t.PrunedByKeogh += o.PrunedByKeogh
 	t.DTWComputed += o.DTWComputed
 	t.MembersTested += o.MembersTested
 	t.LengthsVisited += o.LengthsVisited
@@ -29,9 +28,6 @@ func spanWork(sc obs.SpanScope, pre, post Trace) obs.SpanScope {
 	}
 	if d := post.PrunedByKim - pre.PrunedByKim; d > 0 {
 		sc = sc.Attr("prunedByKim", int64(d))
-	}
-	if d := post.PrunedByKeogh - pre.PrunedByKeogh; d > 0 {
-		sc = sc.Attr("prunedByKeogh", int64(d))
 	}
 	if d := post.DTWComputed - pre.DTWComputed; d > 0 {
 		sc = sc.Attr("dtwComputed", int64(d))
@@ -48,15 +44,12 @@ func spanWork(sc obs.SpanScope, pre, post Trace) obs.SpanScope {
 // exactly the counters its response Trace contributes to the request's
 // "work" roll-up (the delta-agreement invariant extends across processes).
 func WorkAttrs(tr Trace) []obs.Attr {
-	attrs := make([]obs.Attr, 0, 5)
+	attrs := make([]obs.Attr, 0, 4)
 	if tr.RepsExamined > 0 {
 		attrs = append(attrs, obs.Attr{Key: "repsExamined", Value: int64(tr.RepsExamined)})
 	}
 	if tr.PrunedByKim > 0 {
 		attrs = append(attrs, obs.Attr{Key: "prunedByKim", Value: int64(tr.PrunedByKim)})
-	}
-	if tr.PrunedByKeogh > 0 {
-		attrs = append(attrs, obs.Attr{Key: "prunedByKeogh", Value: int64(tr.PrunedByKeogh)})
 	}
 	if tr.DTWComputed > 0 {
 		attrs = append(attrs, obs.Attr{Key: "dtwComputed", Value: int64(tr.DTWComputed)})
@@ -75,7 +68,6 @@ func observe(rec *obs.Trace, tr Trace) {
 	}
 	rec.Add("repsExamined", int64(tr.RepsExamined))
 	rec.Add("prunedByKim", int64(tr.PrunedByKim))
-	rec.Add("prunedByKeogh", int64(tr.PrunedByKeogh))
 	rec.Add("dtwComputed", int64(tr.DTWComputed))
 	rec.Add("membersTested", int64(tr.MembersTested))
 	rec.Add("lengthsVisited", int64(tr.LengthsVisited))

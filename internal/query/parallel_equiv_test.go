@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"onex/internal/grouping"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
@@ -40,14 +39,10 @@ func equivProcessors(t *testing.T, d *ts.Dataset, st float64, lengths []int) (se
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rspace.New(d, gr, rspace.Options{})
-	if err != nil {
+	if seq, err = newEngine(d, gr, 1); err != nil {
 		t.Fatal(err)
 	}
-	if seq, err = newEngine(b, 1); err != nil {
-		t.Fatal(err)
-	}
-	if par, err = newEngine(b, 8); err != nil {
+	if par, err = newEngine(d, gr, 8); err != nil {
 		t.Fatal(err)
 	}
 	return seq, par
@@ -209,7 +204,7 @@ func TestParallelEquivalenceRangeSearch(t *testing.T) {
 func TestParallelEquivalenceHugeGroup(t *testing.T) {
 	d := equivDataset(4242, 24, 64)
 	seq, par := equivProcessors(t, d, 2.0, []int{16})
-	if g := seq.Base().Entry(16).Groups; len(g) > 4 {
+	if g := seq.grouped.ByLength[16].Groups; len(g) > 4 {
 		t.Fatalf("threshold not loose enough: %d groups", len(g))
 	}
 	r := rand.New(rand.NewSource(99))
@@ -260,7 +255,7 @@ func TestParallelEquivalenceExactTies(t *testing.T) {
 		d.Append("decoy", constant(1.5+float64(0.2*float64(i))))
 	}
 	seq, par := equivProcessors(t, d, 0.05, []int{L})
-	if got := len(seq.Base().Entry(L).Groups); got < scanParallelMin {
+	if got := len(seq.grouped.ByLength[L].Groups); got < scanParallelMin {
 		t.Fatalf("only %d groups; parallel scan threshold not reached", got)
 	}
 	q := constant(0.5)

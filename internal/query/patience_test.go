@@ -5,6 +5,7 @@ import (
 
 	"onex/internal/dataset"
 	"onex/internal/dist"
+	"onex/internal/grouping"
 )
 
 // TestPatienceBoundsGroupMining: on a loose threshold's few huge groups the
@@ -27,10 +28,10 @@ func TestPatienceBoundsGroupMining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := p.Base().Entry(32).Groups[m.GroupID]
+	g := p.grouped.ByLength[32].Groups[m.GroupID]
 	exhaustive := m.Dist
 	for _, mem := range g.Members {
-		exhaustive = min(exhaustive, dist.NormalizedDTW(q, p.Base().MemberValues(g, mem)))
+		exhaustive = min(exhaustive, dist.NormalizedDTW(q, grouping.MemberValues(p.data, g, mem)))
 	}
 	if tr.MembersTested >= g.Count() {
 		t.Errorf("patience did not reduce work: tested %d of %d members", tr.MembersTested, g.Count())
@@ -55,7 +56,7 @@ func TestPatienceDefaultApplied(t *testing.T) {
 	// and verify the member walk stops.
 	p := buildProcessor(t, d, 5, []int{8})
 	total := 0
-	for _, g := range p.Base().Entry(8).Groups {
+	for _, g := range p.grouped.ByLength[8].Groups {
 		total += g.Count()
 	}
 	if total < patience*3 {

@@ -8,7 +8,6 @@ import (
 
 	"onex/internal/dist"
 	"onex/internal/grouping"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
@@ -27,11 +26,7 @@ func quickProcessor(seed int64, st float64, lengths []int) (*engine, *ts.Dataset
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := rspace.New(d, gr, rspace.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := newEngine(b, 0)
+	p, err := newEngine(d, gr, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -128,7 +123,7 @@ func TestPropertyAdaptMemberConservation(t *testing.T) {
 		}
 		count := func(pp *engine) int {
 			total := 0
-			for _, g := range pp.Base().Entry(5).Groups {
+			for _, g := range pp.grouped.ByLength[5].Groups {
 				total += g.Count()
 			}
 			return total

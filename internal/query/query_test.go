@@ -7,7 +7,6 @@ import (
 	"onex/internal/dataset"
 	"onex/internal/dist"
 	"onex/internal/grouping"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
@@ -17,11 +16,7 @@ func buildProcessor(t *testing.T, d *ts.Dataset, st float64, lengths []int) *eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rspace.New(d, gr, rspace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := newEngine(b, 0)
+	p, err := newEngine(d, gr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +50,8 @@ func bruteBest(d *ts.Dataset, q []float64, length int) (best float64) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := NewWholeShard(nil); err == nil {
-		t.Error("nil base: want error")
+	if _, err := NewWholeShard(nil, nil); err == nil {
+		t.Error("nil dataset and grouping: want error")
 	}
 	if _, err := NewScatter(nil, nil, 0, nil); err == nil {
 		t.Error("nil global dataset and grouping: want error")
@@ -113,7 +108,7 @@ func TestBestMatchExactUnindexedLength(t *testing.T) {
 
 func TestBestMatchExactFindsInDatasetQuery(t *testing.T) {
 	p := italyProcessor(t, []int{8})
-	d := p.Base().Dataset
+	d := p.data
 	// Promote an existing subsequence to query (the Sec. 6.2.1 "in the
 	// dataset" methodology): the true best distance is 0.
 	q := append([]float64(nil), d.Series[2].Values[5:13]...)
@@ -146,7 +141,7 @@ func TestBestMatchExactFindsInDatasetQuery(t *testing.T) {
 
 func TestBestMatchExactCloseToBruteForce(t *testing.T) {
 	p := italyProcessor(t, []int{6, 10})
-	d := p.Base().Dataset
+	d := p.data
 	// Out-of-dataset queries: perturbed subsequences.
 	for qi, src := range [][2]int{{0, 3}, {3, 7}, {7, 0}} {
 		q := append([]float64(nil), d.Series[src[0]].Values[src[1]:src[1]+10]...)
@@ -169,7 +164,7 @@ func TestBestMatchExactCloseToBruteForce(t *testing.T) {
 
 func TestBestMatchAny(t *testing.T) {
 	p := italyProcessor(t, []int{5, 8, 11})
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[1].Values[2:10]...) // length 8
 	m, tr, err := p.BestMatchTraced(q, MatchAny)
 	if err != nil {
@@ -214,7 +209,7 @@ func TestEarlyStopFires(t *testing.T) {
 	p := buildProcessor(t, d, 0.2, lengths)
 	q := append([]float64(nil), d.Series[0].Values[0:8]...)
 	nearest := math.Inf(1)
-	for _, g := range p.Base().Entry(8).Groups {
+	for _, g := range p.grouped.ByLength[8].Groups {
 		nearest = math.Min(nearest, dist.NormalizedDTW(q, g.Rep))
 	}
 	if nearest > 0.2/2 {
@@ -275,7 +270,7 @@ func plainWalk(d *ts.Dataset, q []float64, g *grouping.Group, repNorm float64) (
 	return best, bestRaw
 }
 
-// TestLowerBoundAblation: the LB_Kim → LB_Keogh cascade and the early
+// TestLowerBoundAblation: the LB_Kim → DTW cascade and the early
 // abandoning are admissible. The engine mines the representative that plain
 // DTW ranks first (ties to the smallest id) and returns the member an
 // unpruned walk from it finds.
@@ -299,7 +294,7 @@ func TestLowerBoundAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		groups := p.Base().Entry(L).Groups
+		groups := p.grouped.ByLength[L].Groups
 		argmin, minRaw := -1, math.Inf(1)
 		for k, g := range groups {
 			if raw := w.DTW(q, g.Rep); raw < minRaw {
@@ -314,7 +309,7 @@ func TestLowerBoundAblation(t *testing.T) {
 			t.Fatalf("query %d: engine matched (%d,%d) at %v, the unpruned walk (%d,%d) at %v",
 				qi, m.SeriesID, m.Start, m.RawDTW, want.SeriesIdx, want.Start, wantRaw)
 		}
-		if tr.PrunedByKim+tr.PrunedByKeogh == 0 {
+		if tr.PrunedByKim == 0 {
 			t.Logf("query %d: the cascade pruned nothing (allowed, but unusual)", qi)
 		}
 	}
@@ -322,12 +317,12 @@ func TestLowerBoundAblation(t *testing.T) {
 
 func TestTraceConsistency(t *testing.T) {
 	p := italyProcessor(t, []int{8})
-	q := append([]float64(nil), p.Base().Dataset.Series[0].Values[0:8]...)
+	q := append([]float64(nil), p.data.Series[0].Values[0:8]...)
 	_, tr, err := p.BestMatchTraced(q, MatchExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.PrunedByKim+tr.PrunedByKeogh > tr.RepsExamined {
+	if tr.PrunedByKim > tr.RepsExamined {
 		t.Errorf("pruned more reps than examined: %+v", tr)
 	}
 	if tr.MembersTested == 0 {

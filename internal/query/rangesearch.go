@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"onex/internal/dist"
+	"onex/internal/grouping"
 )
 
 // rangePollEvery is how many units — groups or members of a range scan, or
@@ -25,7 +26,7 @@ type RangeResult struct {
 	Guaranteed bool
 }
 
-// Range implements ShardTransport: the range query over the shard's base (a
+// Range implements ShardTransport: the range query over the shard's index (a
 // target class the paper's related work highlights, Sec. 7) — every
 // subsequence of the requested length whose normalized DTW (Def. 6) to the
 // query is within the radius, with global series and group ids.
@@ -52,7 +53,7 @@ type RangeResult struct {
 // normalized distance is exactly the radius; radius·divisor times 1+1e-15,
 // which rounds to 1+10u, stays at or above every such d. Both prunes are
 // strict (> their cutoff): the representative runs the scans' cascade
-// (scanRep) at next(pruneCutoff) and each member the member test
+// (scanRep, strict at pruneCutoff) and each member the member test
 // (evalMember) at next(acceptCutoff), so every d the test can accept is one
 // the kernel computed exactly. A group is skipped explicitly when its
 // representative's distance exceeds pruneCutoff: the kernel may return such
@@ -79,28 +80,26 @@ func (ls *LocalShard) Range(ctx context.Context, req RangeRequest) (RangeRespons
 	if radius < 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
 		return RangeResponse{}, fmt.Errorf("query: invalid range radius %v", radius)
 	}
-	e := ls.base.Entry(length)
-	if e == nil {
+	lg := ls.grouped.ByLength[length]
+	if lg == nil {
 		return RangeResponse{}, fmt.Errorf("query: length %d not indexed", length)
 	}
-	st, gids := ls.base.ST, ls.globalIDs[length]
+	groups, st, gids := lg.Groups, ls.grouped.ST, ls.globalIDs[length]
 	divisor := dist.NormalizedDTWDivisor(len(q), length)
 	sqrtM := math.Sqrt(float64(len(q)))
 	sqrtL := math.Sqrt(float64(length))
 	wholesale := radius >= st
 	acceptCutoff := radius * divisor * (1 + 1e-15)
 	memberBound := math.Nextafter(acceptCutoff, math.Inf(1))
-	order := dist.QueryOrder(q)
-	sameLen := length == len(q)
 
 	// Each group's admission/verification depends only on the query and the
 	// fixed radius — never on other groups — so the groups stride across the
 	// workers verbatim; per-group result slices are concatenated in group
 	// order so the output is identical at every worker count (and so are
 	// the work counters).
-	perGroup := make([][]RangeHit, len(e.Groups))
+	perGroup := make([][]RangeHit, len(groups))
 	searchGroup := func(ws *dist.Workspace, k int, tr *Trace) {
-		g := e.Groups[k]
+		g := groups[k]
 		n := g.Count()
 		if n == 0 {
 			return
@@ -108,7 +107,7 @@ func (ls *LocalShard) Range(ctx context.Context, req RangeRequest) (RangeRespons
 		// Widest member deviation in raw-ED units (LSI is sorted ascending).
 		maxRawED := g.Members[n-1].EDToRep * sqrtL
 		pruneCutoff := acceptCutoff + float64(sqrtM*maxRawED)
-		repRaw := scanRep(ws, q, order, e, k, sameLen, math.Nextafter(pruneCutoff, math.Inf(1)), tr)
+		repRaw := scanRep(ws, q, g.Rep, pruneCutoff, tr)
 		if repRaw > pruneCutoff {
 			return // no member can reach the radius
 		}
@@ -136,7 +135,7 @@ func (ls *LocalShard) Range(ctx context.Context, req RangeRequest) (RangeRespons
 				return
 			}
 			tr.MembersTested++
-			_, d, ran := evalMember(ws, q, ls.base.MemberValues(g, m), memberBound)
+			_, d, ran := evalMember(ws, q, grouping.MemberValues(ls.data, g, m), memberBound)
 			if !ran {
 				tr.PrunedByKim++
 				continue
@@ -150,11 +149,11 @@ func (ls *LocalShard) Range(ctx context.Context, req RangeRequest) (RangeRespons
 	}
 
 	workers := reqWorkers(req.Workers)
-	if len(e.Groups) < 4 {
+	if len(groups) < 4 {
 		workers = 1
 	}
 	var tr Trace
-	strided(ctx, ls.pool, workers, len(e.Groups), &tr, searchGroup)
+	strided(ctx, ls.pool, workers, len(groups), &tr, searchGroup)
 	if err := ctx.Err(); err != nil {
 		return RangeResponse{}, err
 	}

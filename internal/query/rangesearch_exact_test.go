@@ -13,12 +13,12 @@ func TestRangeSearchExactMatchesBruteForceOnGuaranteedPath(t *testing.T) {
 	// still return precisely the brute-force result set with true DTW
 	// distances — the Dist=ST upper-bound shortcut must not leak through.
 	p := italyProcessor(t, []int{8})
-	d := p.Base().Dataset
+	d := p.data
 	for qi, q := range [][]float64{
 		append([]float64(nil), d.Series[3].Values[2:10]...),
 		append([]float64(nil), d.Series[0].Values[0:8]...),
 	} {
-		radius := p.Base().ST
+		radius := p.grouped.ST
 		want := bruteRange(p, q, 8, radius)
 		res, err := p.RangeSearchExact(q, 8, radius)
 		if err != nil {
@@ -59,9 +59,9 @@ func TestRangeSearchExactEqualsPlainOutsideGuarantee(t *testing.T) {
 	// Below ST no wholesale admission happens, so both modes verify every
 	// candidate and must agree exactly.
 	p := italyProcessor(t, []int{8})
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[1].Values[4:12]...)
-	radius := p.Base().ST / 2
+	radius := p.grouped.ST / 2
 	plain, err := p.RangeSearch(q, 8, radius)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestConstantQuerySemantics(t *testing.T) {
 	if math.IsNaN(m.Dist) || math.IsInf(m.Dist, 0) {
 		t.Fatalf("constant query produced non-finite distance %v", m.Dist)
 	}
-	v := p.Base().Dataset.Series[m.SeriesID].Values[m.Start : m.Start+8]
+	v := p.data.Series[m.SeriesID].Values[m.Start : m.Start+8]
 	if want := dist.NormalizedDTW(flat, v); math.Abs(m.Dist-want) > 1e-12 {
 		t.Errorf("constant query Dist %v, want %v", m.Dist, want)
 	}

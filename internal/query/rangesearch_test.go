@@ -10,7 +10,6 @@ import (
 	"onex/internal/dataset"
 	"onex/internal/dist"
 	"onex/internal/grouping"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
@@ -19,7 +18,7 @@ func bruteRange(p *engine, q []float64, length int, radius float64) map[[2]int]f
 	out := map[[2]int]float64{}
 	var w dist.Workspace
 	div := dist.NormalizedDTWDivisor(len(q), length)
-	for _, s := range p.Base().Dataset.Series {
+	for _, s := range p.data.Series {
 		for j := 0; j+length <= s.Len(); j++ {
 			if d := w.DTW(q, s.Values[j:j+length]) / div; d <= radius {
 				out[[2]int{s.ID, j}] = d
@@ -50,7 +49,7 @@ func TestRangeSearchSoundness(t *testing.T) {
 	// Every verified (non-guaranteed) result must truly lie within the
 	// radius; every guaranteed result must lie within max(radius, ST).
 	p := italyProcessor(t, []int{8})
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[2].Values[4:12]...)
 	for _, radius := range []float64{0.005, 0.02, 0.3} {
 		res, err := p.RangeSearch(q, 8, radius)
@@ -62,7 +61,7 @@ func TestRangeSearchSoundness(t *testing.T) {
 			actual := dist.NormalizedDTW(q, v)
 			bound := radius
 			if r.Guaranteed {
-				bound = math.Max(radius, p.Base().ST)
+				bound = math.Max(radius, p.grouped.ST)
 			}
 			if actual > bound+1e-9 {
 				t.Fatalf("radius %v: result %v at actual distance %v exceeds bound %v (guaranteed=%v)",
@@ -76,7 +75,7 @@ func TestRangeSearchCompleteness(t *testing.T) {
 	// No subsequence within the radius may be missed (the pruning bound
 	// must be admissible). Guaranteed results count as found.
 	p := italyProcessor(t, []int{8})
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[0].Values[1:9]...)
 	for i := range q {
 		q[i] += float64(0.01 * float64(i%2))
@@ -104,9 +103,9 @@ func TestRangeSearchWholesaleAdmission(t *testing.T) {
 	// With radius ≥ ST and an in-dataset query, some group should be
 	// admitted via Lemma 2 without member verification.
 	p := italyProcessor(t, []int{8})
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[3].Values[2:10]...)
-	res, err := p.RangeSearch(q, 8, p.Base().ST)
+	res, err := p.RangeSearch(q, 8, p.grouped.ST)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +113,8 @@ func TestRangeSearchWholesaleAdmission(t *testing.T) {
 	for _, r := range res {
 		if r.Guaranteed {
 			guaranteed++
-			if r.Dist != p.Base().ST {
-				t.Errorf("guaranteed result carries Dist %v, want the ST bound %v", r.Dist, p.Base().ST)
+			if r.Dist != p.grouped.ST {
+				t.Errorf("guaranteed result carries Dist %v, want the ST bound %v", r.Dist, p.grouped.ST)
 			}
 		}
 	}
@@ -127,7 +126,7 @@ func TestRangeSearchWholesaleAdmission(t *testing.T) {
 func TestRangeSearchZeroRadius(t *testing.T) {
 	// Radius 0 returns exactly the identical subsequences.
 	p := italyProcessor(t, []int{8})
-	d := p.Base().Dataset
+	d := p.data
 	q := append([]float64(nil), d.Series[1].Values[5:13]...)
 	res, err := p.RangeSearch(q, 8, 0)
 	if err != nil {
@@ -162,9 +161,9 @@ func TestRangeSearchFarQueryEmpty(t *testing.T) {
 	if len(r.Ranges) != 0 {
 		t.Errorf("far query returned %d results", len(r.Ranges))
 	}
-	groups := len(p.Base().Entry(8).Groups)
-	if tr.DTWComputed != 0 || tr.PrunedByKim+tr.PrunedByKeogh != tr.RepsExamined || tr.RepsExamined != groups {
-		t.Errorf("far query work %+v over %d groups: want every representative examined and pruned by a bound, no DTW", tr, groups)
+	groups := len(p.grouped.ByLength[8].Groups)
+	if tr.DTWComputed != 0 || tr.PrunedByKim != tr.RepsExamined || tr.RepsExamined != groups {
+		t.Errorf("far query work %+v over %d groups: want every representative examined and pruned by LB_Kim, no DTW", tr, groups)
 	}
 }
 
@@ -182,7 +181,7 @@ func TestRangeSearchPruningSavesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, g := range p.Base().Entry(24).Groups {
+	for _, g := range p.grouped.ByLength[24].Groups {
 		total += g.Count()
 	}
 	if len(res) >= total {
@@ -227,12 +226,8 @@ func radiusFixture(t testing.TB, seed int64, twin bool) (engines []*engine, q, v
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rspace.New(d, gr, rspace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 4} {
-		e, err := newEngine(b, workers)
+		e, err := newEngine(d, gr, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,9 +299,9 @@ func TestRangeAdmitsWindowsAtTheRadius(t *testing.T) {
 				t.Fatalf("seed %d: fl(radius·%v) = %v is not below d = %v; pick a seed where it is", c.seed, divisor, radius*divisor, d)
 			}
 			members := 0 // in v's group; v is a window of series 0's values
-			for _, g := range engines[0].Base().Entry(len(v)).Groups {
+			for _, g := range engines[0].grouped.ByLength[len(v)].Groups {
 				for _, m := range g.Members {
-					if m.SeriesIdx == 0 && &engines[0].Base().MemberValues(g, m)[0] == &v[0] {
+					if m.SeriesIdx == 0 && &grouping.MemberValues(engines[0].data, g, m)[0] == &v[0] {
 						members = g.Count()
 					}
 				}
@@ -333,7 +328,7 @@ func FuzzRangeMatchesBrute(f *testing.F) {
 	f.Add(int64(2), true, false, 0.3)
 	f.Fuzz(func(t *testing.T, seed int64, twin, boundary bool, frac float64) {
 		engines, q, v := radiusFixture(t, seed, twin)
-		st := engines[0].Base().ST
+		st := engines[0].grouped.ST
 		var radius float64
 		if boundary {
 			var w dist.Workspace

@@ -77,14 +77,14 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 	if req.RadiusRaw < 0 || math.IsNaN(req.RadiusRaw) || math.IsInf(req.RadiusRaw, 0) {
 		return VerifyKResponse{}, fmt.Errorf("query: invalid group radius %v", req.RadiusRaw)
 	}
-	e := ls.base.Entry(req.Length)
-	if e == nil {
+	lg := ls.grouped.ByLength[req.Length]
+	if lg == nil {
 		return VerifyKResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
 	}
 	// Resolve the candidates up front: a malformed list fails before any
 	// work runs. locals[i] is -1 for a group with no member here.
 	locals := make([]int, len(req.Candidates))
-	seen := make([]bool, len(e.Groups))
+	seen := make([]bool, len(lg.Groups))
 	for i, c := range req.Candidates {
 		if c.GroupID < 0 || math.IsNaN(c.Dist) {
 			return VerifyKResponse{}, fmt.Errorf("query: invalid k-NN candidate %d (group %d, distance %v)", i, c.GroupID, c.Dist)
@@ -139,7 +139,7 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 		if local < 0 {
 			continue
 		}
-		members := e.Groups[local].Members
+		members := lg.Groups[local].Members
 		round := roundSize(workers, len(members))
 		for off := 0; off < len(members); off += round {
 			if off%mineBatchSize == 0 {
@@ -149,7 +149,7 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 			}
 			batch := members[off:min(off+round, len(members))]
 			for j, m := range batch {
-				windows[j] = ls.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+req.Length]
+				windows[j] = ls.data.Series[m.SeriesIdx].Values[m.Start : m.Start+req.Length]
 			}
 			dtws := evalRound(ls.pool, workers, ws, q, windows[:len(batch)], bound(), lbs[:], ds[:])
 			for j, m := range batch {

@@ -11,7 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"onex/internal/rspace"
+	"onex/internal/grouping"
+	"onex/internal/ts"
 )
 
 // countdownCtx answers Err() == nil a fixed number of times, then
@@ -52,7 +53,7 @@ func wholeShard(e *engine) *LocalShard { return e.transports[0].(*LocalShard) }
 // distance 0 (nothing is cut).
 func allCandidates(e *engine, length int) []FixedHit {
 	var c []FixedHit
-	for gid := range e.Base().Entry(length).Groups {
+	for gid := range e.grouped.ByLength[length].Groups {
 		c = append(c, FixedHit{GroupID: gid})
 	}
 	return c
@@ -120,7 +121,7 @@ func TestVerifyKCancellation(t *testing.T) {
 	// answer, and a completed one is the answer of an uncanceled call.
 	_, tight := equivProcessors(t, equivDataset(4242, 24, 64), 0.05, []int{16})
 	for _, shards := range []int{1, 3} {
-		for _, ls := range splitShards(t, tight.Base(), shards) {
+		for _, ls := range splitShards(t, tight.data, tight.grouped, shards) {
 			n := len(ls.units[16])
 			for _, workers := range []int{1, 2} {
 				name := fmt.Sprintf("shards=%d shard=%d workers=%d", shards, ls.shard, workers)
@@ -209,17 +210,18 @@ func TestVerifyKCancellation(t *testing.T) {
 				}
 			}
 		}
-		if groups := len(par.Base().Entry(16).Groups); canceled != groups+1 {
+		if groups := len(par.grouped.ByLength[16].Groups); canceled != groups+1 {
 			t.Fatalf("series=%d: seasonal saw %d cancellation points over %d groups, want one on entry and one per group", series, canceled, groups)
 		}
 	}
 }
 
-// splitShards lays base out as the given number of in-process shards over
-// the same index, shard s scanning the groups whose id is s modulo shards.
-func splitShards(t *testing.T, base *rspace.Base, shards int) []*LocalShard {
+// splitShards lays a grouping out as the given number of in-process shards
+// over the same index, shard s scanning the groups whose id is s modulo
+// shards.
+func splitShards(t *testing.T, d *ts.Dataset, gr *grouping.Result, shards int) []*LocalShard {
 	t.Helper()
-	series := make([]int, base.Dataset.N())
+	series := make([]int, d.N())
 	for i := range series {
 		series[i] = i
 	}
@@ -227,15 +229,15 @@ func splitShards(t *testing.T, base *rspace.Base, shards int) []*LocalShard {
 	for s := range out {
 		globalIDs := make(map[int][]int)
 		owned := make(map[int][]bool)
-		for _, l := range base.Lengths {
-			g := len(base.Entry(l).Groups)
+		for _, l := range gr.Lengths {
+			g := len(gr.ByLength[l].Groups)
 			gids, own := make([]int, g), make([]bool, g)
 			for k := range gids {
 				gids[k], own[k] = k, k%shards == s
 			}
 			globalIDs[l], owned[l] = gids, own
 		}
-		ls, err := newLocalShard(base, s, series, globalIDs, owned)
+		ls, err := newLocalShard(d, gr, s, series, globalIDs, owned)
 		if err != nil {
 			t.Fatal(err)
 		}

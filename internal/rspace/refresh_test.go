@@ -58,11 +58,8 @@ func TestRefreshMatchesNewBitForBit(t *testing.T) {
 	if !reflect.DeepEqual(refreshed, fresh) {
 		t.Error("refreshed base differs from New over the same grouping")
 	}
-	for _, l := range gr.Lengths {
-		e := refreshed.Entry(l)
-		if len(e.Max) != len(e.Groups) || len(e.Min) != len(e.Groups) {
-			t.Fatalf("length %d: %d/%d extremes for %d groups", l, len(e.Max), len(e.Min), len(e.Groups))
-		}
+	if got, want := refreshed.SizeBytes(), gr.SizeBytes(); got != want {
+		t.Errorf("refreshed SizeBytes = %d, grown grouping says %d", got, want)
 	}
 }
 

@@ -1,33 +1,11 @@
 package rspace
 
 import (
-	"math"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"onex/internal/dataset"
-	"onex/internal/dist"
 	"onex/internal/grouping"
-	"onex/internal/ts"
 )
-
-func buildBase(t *testing.T, st float64, lengths []int) *Base {
-	t.Helper()
-	d := dataset.ItalyPower.Scaled(0.5).Generate(4)
-	if err := d.NormalizeMinMax(); err != nil {
-		t.Fatal(err)
-	}
-	gr, err := grouping.Build(d, grouping.Config{ST: st, Lengths: lengths, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(d, gr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, nil, Options{}); err == nil {
@@ -35,319 +13,13 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestEntryLookup(t *testing.T) {
-	b := buildBase(t, 0.2, []int{5, 9})
-	if e := b.Entry(5); e == nil || e.Length != 5 {
-		t.Error("Entry(5) missing")
-	}
-	if e := b.Entry(6); e != nil {
-		t.Error("Entry(6) should be nil")
-	}
-}
-
-// denseRows computes the full Dc matrix (Def. 10) of an entry from its
-// groups, with the expression MergeThresholdsFor evaluates on demand.
-func denseRows(e *LengthEntry) [][]float64 {
-	g := len(e.Groups)
-	invSqrtL := 1 / math.Sqrt(float64(e.Length))
-	dc := make([][]float64, g)
-	for k := range dc {
-		dc[k] = make([]float64, g)
-	}
-	for k := 0; k < g; k++ {
-		for l := k + 1; l < g; l++ {
-			d := dist.ED(e.Groups[k].Rep, e.Groups[l].Rep) * invSqrtL
-			dc[k][l] = d
-			dc[l][k] = d
-		}
-	}
-	return dc
-}
-
-func TestDistinctRepsAreFartherThanST(t *testing.T) {
-	// Construction guarantee: a subsequence farther than ST/2 from every
-	// representative founds a new group, so by induction any two reps
-	// *started* at distance > ST/2; with drift they may move, but typical
-	// pairs remain separated — verify the median inter-rep distance exceeds
-	// the grouping radius (sanity of the Dc scale).
-	b := buildBase(t, 0.3, []int{8})
-	e := b.Entry(8)
-	if len(e.Groups) < 2 {
-		t.Skip("need ≥2 groups")
-	}
-	dc := denseRows(e)
-	var ds []float64
-	for k := 0; k < len(e.Groups); k++ {
-		for l := k + 1; l < len(e.Groups); l++ {
-			ds = append(ds, dc[k][l])
-		}
-	}
-	above := 0
-	for _, d := range ds {
-		if d > 0.15 { // ST/2
-			above++
-		}
-	}
-	if frac := float64(above) / float64(len(ds)); frac < 0.5 {
-		t.Errorf("only %.0f%% of inter-rep distances exceed ST/2", frac*100)
-	}
-}
-
-// TestExtremesBoundRep: Max[k] and Min[k] are values of representative k
-// that bound every other of its values.
-func TestExtremesBoundRep(t *testing.T) {
-	b := buildBase(t, 0.2, []int{1, 6})
-	for _, l := range b.Lengths {
-		e := b.Entry(l)
-		for k, grp := range e.Groups {
-			hiSeen, loSeen := false, false
-			for _, v := range grp.Rep {
-				if v > e.Max[k] || v < e.Min[k] {
-					t.Fatalf("length %d group %d: %v outside [%v, %v]", l, k, v, e.Min[k], e.Max[k])
-				}
-				hiSeen = hiSeen || v == e.Max[k]
-				loSeen = loSeen || v == e.Min[k]
-			}
-			if !hiSeen || !loSeen {
-				t.Fatalf("length %d group %d: extremes [%v, %v] are not values of the rep", l, k, e.Min[k], e.Max[k])
-			}
-		}
-	}
-}
-
-// TestMinMaxBoundAdmissibleForDTW: the scan's LB_Keogh stage over the stored
-// extremes lower-bounds the unconstrained DTW used online (Sec. 5.3 cascade
-// correctness).
-func TestMinMaxBoundAdmissibleForDTW(t *testing.T) {
-	b := buildBase(t, 0.2, []int{10})
-	e := b.Entry(10)
-	q := b.Dataset.Series[0].Values[:10]
-	order := dist.QueryOrder(q)
-	var w dist.Workspace
-	for k, grp := range e.Groups {
-		lb := dist.LBKeoghMinMax(q, e.Max[k], e.Min[k], order, math.Inf(1))
-		d := w.DTW(q, grp.Rep)
-		if lb > d+1e-9 {
-			t.Fatalf("group %d: LB_Keogh %v > DTW %v", k, lb, d)
-		}
-	}
-}
-
-func TestMergeThresholds(t *testing.T) {
-	// Hand-crafted Dc: 4 groups in a line at distances 1,2,4.
-	// Kruskal order: (0,1)=1, (1,2)=2, (2,3)=4.
-	// components: 4 →(1)→ 3 →(2)→ 2 →(4)→ 1.
-	// halfTarget = 2 → half = ST+2; final = ST+4.
-	dc := [][]float64{
-		{0, 1, 3, 7},
-		{1, 0, 2, 6},
-		{3, 2, 0, 4},
-		{7, 6, 4, 0},
-	}
-	half, final := mergeThresholds(len(dc), func(k, l int) float64 { return dc[k][l] }, 0.5)
-	if math.Abs(half-2.5) > 1e-12 {
-		t.Errorf("half = %v, want 2.5", half)
-	}
-	if math.Abs(final-4.5) > 1e-12 {
-		t.Errorf("final = %v, want 4.5", final)
-	}
-}
-
-func TestMergeThresholdsDegenerate(t *testing.T) {
-	never := func(k, l int) float64 { panic("oracle must not be called") }
-	if h, f := mergeThresholds(0, never, 0.3); h != 0.3 || f != 0.3 {
-		t.Errorf("empty: %v,%v want 0.3,0.3", h, f)
-	}
-	if h, f := mergeThresholds(1, never, 0.3); h != 0.3 || f != 0.3 {
-		t.Errorf("single group: %v,%v want 0.3,0.3", h, f)
-	}
-	// Two groups: half target is 1, reached by the single merge; both
-	// thresholds coincide.
-	dc := [][]float64{{0, 2}, {2, 0}}
-	h, f := mergeThresholds(len(dc), func(k, l int) float64 { return dc[k][l] }, 0.1)
-	if math.Abs(h-2.1) > 1e-12 || math.Abs(f-2.1) > 1e-12 {
-		t.Errorf("two groups: %v,%v want 2.1,2.1", h, f)
-	}
-}
-
-// mergeSimulation runs the Sec. 4.2 merge process literally: sort all
-// g(g−1)/2 pairs by Dc, merge them with union-find, and record ST + Dc where
-// the group count first reaches ⌈g/2⌉ and where it reaches 1.
-func mergeSimulation(dc [][]float64, st float64) (half, final float64) {
-	g := len(dc)
-	if g <= 1 {
-		return st, st
-	}
-	type edge struct {
-		k, l int
-		d    float64
-	}
-	var edges []edge
-	for k := 0; k < g; k++ {
-		for l := k + 1; l < g; l++ {
-			edges = append(edges, edge{k, l, dc[k][l]})
-		}
-	}
-	sort.Slice(edges, func(a, b int) bool { return edges[a].d < edges[b].d })
-	parent := make([]int, g)
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	components, halfTarget := g, (g+1)/2
-	half = st
-	haveHalf := false
-	for _, ed := range edges {
-		rk, rl := find(ed.k), find(ed.l)
-		if rk == rl {
-			continue
-		}
-		parent[rk] = rl
-		components--
-		if !haveHalf && components <= halfTarget {
-			half, haveHalf = st+ed.d, true
-		}
-		if components == 1 {
-			return half, st + ed.d
-		}
-	}
-	return half, st
-}
-
-// TestMergeThresholdsMatchKruskal pins the Prim/MST-multiset implementation
-// to the direct merge simulation over seeded random symmetric matrices,
-// including heavy ties.
-func TestMergeThresholdsMatchKruskal(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		g := 2 + rng.Intn(12)
-		dc := make([][]float64, g)
-		for k := range dc {
-			dc[k] = make([]float64, g)
-		}
-		for k := 0; k < g; k++ {
-			for l := k + 1; l < g; l++ {
-				var d float64
-				if rng.Intn(3) == 0 {
-					d = float64(1 + rng.Intn(3)) // force tied weights
-				} else {
-					d = rng.Float64() * 10
-				}
-				dc[k][l], dc[l][k] = d, d
-			}
-		}
-		wantH, wantF := mergeSimulation(dc, 0.2)
-		gotH, gotF := mergeThresholds(g, func(k, l int) float64 { return dc[k][l] }, 0.2)
-		if gotH != wantH || gotF != wantF {
-			t.Fatalf("trial %d (g=%d): got (%v,%v), kruskal (%v,%v)", trial, g, gotH, gotF, wantH, wantF)
-		}
-	}
-}
-
-// TestMergeThresholdsForMatchesMergeSimulation is the independent oracle for
-// the SP-Space thresholds every engine layout serves: over random group
-// sets — g ∈ {1, 2, 3} and larger, representatives on a coarse lattice so
-// distances tie exactly, duplicated representatives at distance 0 — the
-// on-demand Prim pass equals the literal merge simulation bit for bit.
-func TestMergeThresholdsForMatchesMergeSimulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 300; trial++ {
-		g := 1 + trial%3
-		if trial >= 30 {
-			g = 1 + rng.Intn(24)
-		}
-		length := 1 + rng.Intn(12)
-		groups := make([]*grouping.Group, g)
-		for k := range groups {
-			rep := make([]float64, length)
-			switch {
-			case k > 0 && rng.Intn(5) == 0: // duplicate an earlier rep
-				copy(rep, groups[rng.Intn(k)].Rep)
-			case trial%2 == 0: // lattice: many exactly tied distances
-				for i := range rep {
-					rep[i] = float64(rng.Intn(3)) / 2
-				}
-			default:
-				for i := range rep {
-					rep[i] = rng.Float64()
-				}
-			}
-			groups[k] = &grouping.Group{Length: length, ID: k, Rep: rep}
-		}
-		st := 0.05 + rng.Float64()/2
-		wantH, wantF := mergeSimulation(denseRows(&LengthEntry{Length: length, Groups: groups}), st)
-		gotH, gotF := MergeThresholdsFor(groups, length, st)
-		if math.Float64bits(gotH) != math.Float64bits(wantH) || math.Float64bits(gotF) != math.Float64bits(wantF) {
-			t.Fatalf("trial %d (g=%d L=%d): MergeThresholdsFor (%v,%v), simulation (%v,%v)",
-				trial, g, length, gotH, gotF, wantH, wantF)
-		}
-	}
-}
-
-// TestHalfThresholdNeverExceedsFinal: per length, ST ≤ half ≤ final.
-func TestHalfThresholdNeverExceedsFinal(t *testing.T) {
-	b := buildBase(t, 0.2, nil)
-	for _, l := range b.Lengths {
-		half, final := MergeThresholdsFor(b.Entry(l).Groups, l, b.ST)
-		if half > final {
-			t.Errorf("length %d: half %v > final %v", l, half, final)
-		}
-		if half < b.ST {
-			t.Errorf("length %d: half %v below build ST %v", l, half, b.ST)
-		}
-	}
-}
-
-func TestDegreeString(t *testing.T) {
-	if Strict.String() != "S" || Medium.String() != "M" || Loose.String() != "L" || Degree(9).String() != "?" {
-		t.Error("Degree.String mismatch")
-	}
-}
-
-func TestSizeBytesPositiveAndMonotone(t *testing.T) {
-	small := buildBase(t, 0.2, []int{5})
-	big := buildBase(t, 0.2, []int{5, 6, 7, 8})
-	if small.SizeBytes() <= 0 {
-		t.Error("SizeBytes <= 0")
-	}
-	if big.SizeBytes() <= small.SizeBytes() {
-		t.Errorf("more lengths should grow the index: %d vs %d", big.SizeBytes(), small.SizeBytes())
-	}
-}
-
-// TestSizeBytesTracksRepresentation walks the actual resident structures and
-// asserts the accounting matches them exactly.
-func TestSizeBytesTracksRepresentation(t *testing.T) {
-	b := buildBase(t, 0.2, []int{5, 8})
-	const word = 8
-	var want int64
-	for _, e := range b.Entries {
-		want += int64(len(e.Groups)+len(e.Max)+len(e.Min)) * word // ids, extremes
-		for _, grp := range e.Groups {
-			want += int64(grp.Count()) * 3 * word
-			want += int64(len(grp.Rep)) * word
-		}
-	}
-	if got := b.SizeBytes(); got != want {
-		t.Errorf("SizeBytes = %d, representation walk says %d", got, want)
-	}
-}
-
-// TestSizeBytesSubQuadratic pins the memory claim: beyond the LSI (members
-// and representatives) an entry costs three words per group, so no term
-// grows with g² — far below the dense Dc matrix once g is large.
-func TestSizeBytesSubQuadratic(t *testing.T) {
+// TestSizeBytesMatchesGrouping: the facade reports the grouping's index size.
+func TestSizeBytesMatchesGrouping(t *testing.T) {
 	d := dataset.ItalyPower.Scaled(0.5).Generate(4)
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	gr, err := grouping.Build(d, grouping.Config{ST: 0.05, Lengths: []int{6}, Seed: 3})
+	gr, err := grouping.Build(d, grouping.Config{ST: 0.2, Lengths: []int{5, 8}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,59 +27,7 @@ func TestSizeBytesSubQuadratic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := b.Entry(6)
-	g := int64(len(e.Groups))
-	if g < 8 {
-		t.Skipf("want many groups, got %d", g)
-	}
-	gti := b.SizeBytes()
-	for _, grp := range e.Groups {
-		gti -= int64(grp.Count())*24 + int64(len(grp.Rep))*8
-	}
-	if gti != 24*g {
-		t.Errorf("per-group index bytes %d, want %d (g=%d)", gti, 24*g, g)
-	}
-	if dense := g * g * 8; gti >= dense {
-		t.Errorf("index bytes %d not below dense Dc %d (g=%d)", gti, dense, g)
-	}
-}
-
-func TestTotalGroupsMatchesGrouping(t *testing.T) {
-	d := dataset.ItalyPower.Scaled(0.3).Generate(4)
-	if err := d.NormalizeMinMax(); err != nil {
-		t.Fatal(err)
-	}
-	gr, err := grouping.Build(d, grouping.Config{ST: 0.2, Lengths: []int{4, 6}, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(d, gr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.TotalGroups() != gr.TotalGroups() {
-		t.Errorf("TotalGroups %d != grouping %d", b.TotalGroups(), gr.TotalGroups())
-	}
-	if b.TotalSubseq != gr.TotalSubseq {
-		t.Errorf("TotalSubseq %d != grouping %d", b.TotalSubseq, gr.TotalSubseq)
-	}
-}
-
-func TestMemberValuesWindow(t *testing.T) {
-	d := ts.NewDataset("t", [][]float64{{0, 1, 2, 3, 4}})
-	gr, err := grouping.Build(d, grouping.Config{ST: 10, Lengths: []int{3}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(d, gr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := b.Entry(3).Groups[0]
-	for _, m := range g.Members {
-		v := b.MemberValues(g, m)
-		if len(v) != 3 || v[0] != float64(m.Start) {
-			t.Errorf("MemberValues(%+v) = %v", m, v)
-		}
+	if got, want := b.SizeBytes(), gr.SizeBytes(); got != want || got <= 0 {
+		t.Errorf("SizeBytes = %d, grouping says %d", got, want)
 	}
 }

@@ -5,13 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
-	"math"
 	"time"
 
 	"onex/internal/grouping"
 	"onex/internal/parallel"
 	"onex/internal/query"
-	"onex/internal/rspace"
 )
 
 // ---- queries -----------------------------------------------------------
@@ -40,51 +38,19 @@ func (e *Engine) QueryCounters() query.CountersSnapshot {
 	return e.scatter.Counters().Snapshot()
 }
 
-// Recommend answers the class III threshold recommendation. The critical
-// values come from the ONE global grouping every layout shares, never
-// aggregated from per-shard structures, so the recommendation is
-// bit-identical at every shard count. length < 0 selects the dataset-global
-// values, the maxima over lengths. The first read of a length pays its
-// minimum spanning tree; later reads, on this engine or on a maintenance
-// successor that left the length untouched, return the stored values.
-func (e *Engine) Recommend(d rspace.Degree, length int) (lo, hi float64, err error) {
-	half, final, err := e.criticalValues(length)
-	if err != nil {
-		return 0, 0, err
-	}
-	switch d {
-	case rspace.Strict:
-		return 0, half, nil
-	case rspace.Medium:
-		return half, final, nil
-	case rspace.Loose:
-		return final, math.Inf(1), nil
-	default:
-		return 0, 0, errors.New("rspace: unknown similarity degree")
-	}
-}
-
-// DegreeOf classifies a threshold on the engine's S/M/L scale against the
-// dataset-global critical values.
-func (e *Engine) DegreeOf(st float64) rspace.Degree {
-	half, final, _ := e.criticalValues(-1)
-	switch {
-	case st < half:
-		return rspace.Strict
-	case st < final:
-		return rspace.Medium
-	default:
-		return rspace.Loose
-	}
-}
-
-// criticalValues returns the global grouping's critical thresholds of one
-// length, computing its cell on first read; length < 0 selects the maxima
-// over lengths, filling every cell on cfg.Parallelism.
-func (e *Engine) criticalValues(length int) (half, final float64, err error) {
+// CriticalValues returns the SP-Space critical thresholds (Sec. 4.2) of one
+// length: the smallest ST′ at which half, respectively all, of its groups
+// have merged. They come from the ONE global grouping every layout shares,
+// never aggregated from per-shard structures, so they are bit-identical at
+// every shard count. length < 0 selects the dataset-global values, the
+// maxima over lengths, filling every cell on cfg.Parallelism. The first
+// read of a length pays its minimum spanning tree; later reads, on this
+// engine or on a maintenance successor that left the length untouched,
+// return the stored values.
+func (e *Engine) CriticalValues(length int) (half, final float64, err error) {
 	if length >= 0 {
 		if _, ok := e.sp[length]; !ok {
-			return 0, 0, errors.New("rspace: length not indexed")
+			return 0, 0, errors.New("shard: length not indexed")
 		}
 		half, final = e.cellValues(length)
 		return half, final, nil
@@ -205,9 +171,8 @@ func (e *Engine) TotalSubseq() int64 {
 }
 
 // SizeBytes estimates the resident index size: the sum over shards of each
-// one's GTI+LSI structures (rspace.Base.SizeBytes — group ids, member ids
-// and EDs, representatives and their extremes), linear in its restricted
-// group set. A group spanning k shards counts its representative k times.
+// one's GTI+LSI structures (grouping.Result.SizeBytes — group ids, member
+// ids and EDs, representatives), linear in its restricted group set. A group spanning k shards counts its representative k times.
 func (e *Engine) SizeBytes() int64 {
 	var total int64
 	for _, p := range e.parts {

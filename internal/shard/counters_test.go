@@ -57,7 +57,6 @@ func TestCountersMatchTraces(t *testing.T) {
 				traced.Add(query.CountersSnapshot{
 					RepsExamined:  uint64(w["repsExamined"]),
 					PrunedByKim:   uint64(w["prunedByKim"]),
-					PrunedByKeogh: uint64(w["prunedByKeogh"]),
 					DTWComputed:   uint64(w["dtwComputed"]),
 					MembersTested: uint64(w["membersTested"]),
 				})
@@ -86,7 +85,6 @@ func TestCountersMatchTraces(t *testing.T) {
 				Queries:       after.Queries - before.Queries,
 				RepsExamined:  after.RepsExamined - before.RepsExamined,
 				PrunedByKim:   after.PrunedByKim - before.PrunedByKim,
-				PrunedByKeogh: after.PrunedByKeogh - before.PrunedByKeogh,
 				DTWComputed:   after.DTWComputed - before.DTWComputed,
 				MembersTested: after.MembersTested - before.MembersTested,
 			}

@@ -12,7 +12,6 @@ import (
 	"onex/internal/core"
 	"onex/internal/dataset"
 	"onex/internal/query"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
@@ -612,7 +611,7 @@ func TestAppendPersistRoundTripKeepsDrift(t *testing.T) {
 // TestOneShardIndexesGlobalGrouping: the one-shard in-process layout builds
 // and re-derives its index over the global grouping itself — the same group
 // objects, not a restricted copy — so its resident size is exactly what
-// rspace.New over the global grouping reports, after every kind of step.
+// the global grouping reports, after every kind of step.
 func TestOneShardIndexesGlobalGrouping(t *testing.T) {
 	d := dataset.ItalyPower.Scaled(0.4).Generate(43)
 	cfg := core.BuildConfig{ST: 0.2, Lengths: []int{6, 10}, Seed: 4, RebuildDrift: 0.05}
@@ -649,12 +648,8 @@ func TestOneShardIndexesGlobalGrouping(t *testing.T) {
 				t.Fatalf("%s length %d group %d: part holds %d members of a 1-member group: a copy, not the global group", step, l, k, held)
 			}
 		}
-		fresh, err := rspace.New(e.data, e.grouped, rspace.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := e.SizeBytes(), fresh.SizeBytes(); got != want {
-			t.Fatalf("%s: IndexBytes %d, rspace.New over the global grouping reports %d", step, got, want)
+		if got, want := e.SizeBytes(), e.grouped.SizeBytes(); got != want {
+			t.Fatalf("%s: IndexBytes %d, the global grouping reports %d", step, got, want)
 		}
 	}
 

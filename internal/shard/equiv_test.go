@@ -10,7 +10,6 @@ import (
 
 	"onex/internal/core"
 	"onex/internal/query"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
@@ -222,22 +221,14 @@ func compareEngines(t *testing.T, ctx string, one, sharded *Engine, queries [][]
 	if sh, sf := globalThresholds(t, sharded); oh != sh || of != sf {
 		t.Fatalf("%s: critical values diverged: (%v,%v) vs (%v,%v)", ctx, oh, of, sh, sf)
 	}
-	for _, length := range append([]int{-1, lengths[0] + 1}, lengths...) {
-		for _, deg := range []rspace.Degree{rspace.Strict, rspace.Medium, rspace.Loose} {
-			alo, ahi, aerr := one.Recommend(deg, length)
-			blo, bhi, berr := sharded.Recommend(deg, length)
-			if (aerr == nil) != (berr == nil) {
-				t.Fatalf("%s: Recommend(%v,%d) error diverged: %v vs %v", ctx, deg, length, aerr, berr)
-			}
-			if aerr == nil && (alo != blo || ahi != bhi) {
-				t.Fatalf("%s: Recommend(%v,%d) diverged: [%v,%v] vs [%v,%v]",
-					ctx, deg, length, alo, ahi, blo, bhi)
-			}
+	for _, length := range append([]int{lengths[0] + 1}, lengths...) {
+		ah, af, aerr := one.CriticalValues(length)
+		bh, bf, berr := sharded.CriticalValues(length)
+		if (aerr == nil) != (berr == nil) {
+			t.Fatalf("%s: CriticalValues(%d) error diverged: %v vs %v", ctx, length, aerr, berr)
 		}
-	}
-	for _, probe := range []float64{0, st * 0.5, oh, of, st * 3} {
-		if a, b := one.DegreeOf(probe), sharded.DegreeOf(probe); a != b {
-			t.Fatalf("%s: DegreeOf(%v) diverged: %v vs %v", ctx, probe, a, b)
+		if aerr == nil && (ah != bh || af != bf) {
+			t.Fatalf("%s: CriticalValues(%d) diverged: (%v,%v) vs (%v,%v)", ctx, length, ah, af, bh, bf)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"onex/internal/core"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
@@ -143,16 +142,16 @@ func TestThresholdCellSharing(t *testing.T) {
 
 	// One read, one cell: 12 is shared by e and next, 8 is not.
 	p := ThresholdPasses()
-	if _, _, err := next.Recommend(rspace.Strict, 12); err != nil {
+	if _, _, err := next.CriticalValues(12); err != nil {
 		t.Fatal(err)
 	}
 	if got := ThresholdPasses() - p; got != 1 {
 		t.Fatalf("reading length 12 computed %d cells, want 1", got)
 	}
-	if _, _, err := e.Recommend(rspace.Medium, 12); err != nil {
+	if _, _, err := e.CriticalValues(12); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := next.Recommend(rspace.Loose, 12); err != nil {
+	if _, _, err := next.CriticalValues(12); err != nil {
 		t.Fatal(err)
 	}
 	if got := ThresholdPasses() - p; got != 1 {
@@ -160,21 +159,23 @@ func TestThresholdCellSharing(t *testing.T) {
 	}
 	// The global read fills next's remaining cells, 8 and 16; e then lacks
 	// only its own length-8 cell.
-	if _, _, err := next.Recommend(rspace.Strict, -1); err != nil {
+	if _, _, err := next.CriticalValues(-1); err != nil {
 		t.Fatal(err)
 	}
 	if got := ThresholdPasses() - p; got != 3 {
 		t.Fatalf("global read: %d cells in all, want 3", got)
 	}
-	e.DegreeOf(cfg.ST)
+	if _, _, err := e.CriticalValues(-1); err != nil {
+		t.Fatal(err)
+	}
 	if got := ThresholdPasses() - p; got != 4 {
-		t.Fatalf("DegreeOf on the parent: %d cells in all, want 4", got)
+		t.Fatalf("global read on the parent: %d cells in all, want 4", got)
 	}
 }
 
 // TestConcurrentFirstReadsShareCells (run it under -race): two maintenance
 // generations sharing cells, plus their parent, take their first
-// Recommend/DegreeOf reads from many goroutines at once; every answer is
+// CriticalValues reads from many goroutines at once; every answer is
 // bit-identical to a serial from-scratch derivation of its engine.
 func TestConcurrentFirstReadsShareCells(t *testing.T) {
 	lengths := []int{8, 12, 16}
@@ -209,8 +210,8 @@ func TestConcurrentFirstReadsShareCells(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					e.DegreeOf(cfg.ST)
-					half, final, err := e.Recommend(rspace.Medium, l)
+					e.CriticalValues(-1)
+					half, final, err := e.CriticalValues(l)
 					if err != nil {
 						t.Error(err)
 						return
@@ -233,7 +234,7 @@ func TestConcurrentFirstReadsShareCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, l := range reads {
-			half, final, err := fresh.Recommend(rspace.Medium, l)
+			half, final, err := fresh.CriticalValues(l)
 			if err != nil {
 				t.Fatal(err)
 			}

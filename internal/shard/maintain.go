@@ -18,7 +18,7 @@ import (
 // layout-invariant. Then only the shards holding a touched or new group —
 // plus the home shard, whose data grew — re-derive their index layers;
 // everything else is reused wholesale. The lengths the step touched get
-// fresh critical-threshold cells, which the next Recommend or DegreeOf
+// fresh critical-threshold cells, which the next CriticalValues read
 // fills (one O(g²·L) pass each); the step itself computes none.
 // Maintenance therefore costs O(new-subsequences × g × L) distance work,
 // instead of a rebuild. When the accumulated drift
@@ -185,7 +185,7 @@ func (e *Engine) maintainOrRebuild(work *ts.Dataset, newCount int64, homes []int
 // shards (their sub-dataset and restricted member lists grew — new groups'
 // members are exclusively new positions, so homes cover them) and every
 // shard holding a touched group (its representative moved, so the shard's
-// extremes and restricted member order for that group are stale). All
+// representative and restricted member order for that group are stale). All
 // other shards' state is value-identical to a fresh derivation and is
 // reused.
 func (e *Engine) affectedShards(delta *grouping.Delta, homes []int) []bool {

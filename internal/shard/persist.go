@@ -33,7 +33,7 @@ func (e *Engine) Save(w io.Writer) error {
 // Load reopens an engine written by Save under the stream's shard count,
 // re-deriving the per-shard index layers from the stored global payload; it
 // answers identically to the saved engine. The SP-Space thresholds are not
-// stored and not recomputed here: the first Recommend computes them.
+// stored and not recomputed here: the first CriticalValues read computes them.
 //
 // parallelism and workers are serving-time configuration, never persisted:
 // parallelism is the worker fan-out of the reload's assembly, of queries and

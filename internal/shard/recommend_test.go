@@ -9,17 +9,16 @@ import (
 
 	"onex/internal/core"
 	"onex/internal/grouping"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
 // TestRecommendExactAcrossShards is the regression test for the sharded
-// guidance surface. Before the fix, Recommend/DegreeOf on a
+// guidance surface. Before the fix, the critical values on a
 // sharded layout aggregated the per-shard SP-Spaces (maximum over shards of
 // each shard's restricted merge structure) — a different quantity than the
 // global grouping's critical values, so the guidance ranges changed with
 // the shard count. The fix computes them from the ONE global grouping
-// (rspace.MergeThresholdsFor).
+// (grouping.MergeThresholdsFor).
 //
 // The test (a) recomputes the old per-shard aggregation and demands it
 // actually differs from the global values on this fixture — proving the
@@ -59,11 +58,11 @@ func TestRecommendExactAcrossShards(t *testing.T) {
 						for i, gid := range gids {
 							groups[i] = sharded.grouped.ByLength[l].Groups[gid]
 						}
-						half, _ := rspace.MergeThresholdsFor(groups, l, st)
+						half, _ := grouping.MergeThresholdsFor(groups, l, st)
 						aggHalf = math.Max(aggHalf, half)
 					}
 				}
-				_, exactHalf, err := one.Recommend(rspace.Strict, l)
+				exactHalf, _, err := one.CriticalValues(l)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,25 +77,19 @@ func TestRecommendExactAcrossShards(t *testing.T) {
 			if sh != oh || sf != of {
 				t.Fatalf("critical values diverged: sharded (%v,%v) vs one (%v,%v)", sh, sf, oh, of)
 			}
-			for _, length := range append([]int{-1}, lengths...) {
-				for _, deg := range []rspace.Degree{rspace.Strict, rspace.Medium, rspace.Loose} {
-					alo, ahi, aerr := one.Recommend(deg, length)
-					blo, bhi, berr := sharded.Recommend(deg, length)
-					if aerr != nil || berr != nil {
-						t.Fatalf("Recommend(%v,%d) errored: %v / %v", deg, length, aerr, berr)
-					}
-					if alo != blo || ahi != bhi {
-						t.Fatalf("Recommend(%v,%d) diverged: [%v,%v] vs [%v,%v]",
-							deg, length, blo, bhi, alo, ahi)
-					}
+			for _, length := range lengths {
+				ah, af, aerr := one.CriticalValues(length)
+				bh, bf, berr := sharded.CriticalValues(length)
+				if aerr != nil || berr != nil {
+					t.Fatalf("CriticalValues(%d) errored: %v / %v", length, aerr, berr)
+				}
+				if ah != bh || af != bf {
+					t.Fatalf("CriticalValues(%d) diverged: (%v,%v) vs (%v,%v)", length, bh, bf, ah, af)
 				}
 			}
 			// Unindexed lengths error on both layouts.
-			if _, _, err := sharded.Recommend(rspace.Strict, lengths[0]+1); err == nil {
-				t.Fatal("Recommend on an unindexed length should error")
-			}
-			if _, _, err := sharded.Recommend(rspace.Degree(99), -1); err == nil {
-				t.Fatal("Recommend with an unknown degree should error")
+			if _, _, err := sharded.CriticalValues(lengths[0] + 1); err == nil {
+				t.Fatal("CriticalValues on an unindexed length should error")
 			}
 		})
 	}
@@ -106,12 +99,12 @@ func TestRecommendExactAcrossShards(t *testing.T) {
 }
 
 // TestDegreeOfPopulatedThresholds locks the structural fix for the old
-// error-swallowing DegreeOf: the classification now reads critical values
-// that every assembled engine holds by construction, so a sharded engine
-// must classify exactly like the unsharded one — in particular a tiny
-// threshold is Strict, which the old code silently turned into a
-// classification against zero thresholds (everything Loose) whenever the
-// discarded lookup failed.
+// error-swallowing DegreeOf: the classification (onex.Base.DegreeOf) reads
+// the dataset-global critical values, which every assembled engine holds by
+// construction, so a sharded engine must report the unsharded one's — in
+// particular non-zero ones: against zero thresholds, which the old code
+// silently used whenever the discarded lookup failed, every threshold
+// classified Loose.
 func TestDegreeOfPopulatedThresholds(t *testing.T) {
 	lengths := []int{8, 12}
 	const st = 0.35
@@ -131,20 +124,14 @@ func TestDegreeOfPopulatedThresholds(t *testing.T) {
 	if half <= 0 || final < half {
 		t.Fatalf("critical values not populated: half=%v final=%v", half, final)
 	}
-	if got := sharded.DegreeOf(1e-9); got != rspace.Strict {
-		t.Fatalf("DegreeOf(1e-9) = %v, want Strict — thresholds unpopulated?", got)
-	}
-	probes := []float64{0, 1e-9, st / 2, half, half * 1.000001, final, final * 2}
-	for _, p := range probes {
-		if a, b := one.DegreeOf(p), sharded.DegreeOf(p); a != b {
-			t.Fatalf("DegreeOf(%v) diverged: one %v vs sharded %v", p, a, b)
-		}
+	if oh, of := globalThresholds(t, one); oh != half || of != final {
+		t.Fatalf("global critical values diverged: one (%v,%v) vs sharded (%v,%v)", oh, of, half, final)
 	}
 }
 
 // TestRecommendExactAfterMaintenance: after Append and Extend steps, at one
-// shard and at three, every recommendation (each degree × every indexed
-// length and −1) is bit-identical to a from-scratch derivation over the
+// shard and at three, the critical values of every indexed length and −1
+// are bit-identical to a from-scratch derivation over the
 // final data and grouping (a Save/Load round trip re-runs assemble without
 // a predecessor). The steps include extensions too short to touch some or
 // all lengths, so the rule reusing the previous engine's thresholds for
@@ -191,16 +178,14 @@ func TestRecommendExactAfterMaintenance(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, length := range append([]int{-1}, lengths...) {
-				for _, deg := range []rspace.Degree{rspace.Strict, rspace.Medium, rspace.Loose} {
-					glo, ghi, gerr := e.Recommend(deg, length)
-					wlo, whi, werr := fresh.Recommend(deg, length)
-					if gerr != nil || werr != nil {
-						t.Fatalf("shards %d step %d: Recommend(%v,%d) errored: %v / %v", shards, step, deg, length, gerr, werr)
-					}
-					if math.Float64bits(glo) != math.Float64bits(wlo) || math.Float64bits(ghi) != math.Float64bits(whi) {
-						t.Fatalf("shards %d step %d: Recommend(%v,%d) = [%v,%v], from scratch [%v,%v]",
-							shards, step, deg, length, glo, ghi, wlo, whi)
-					}
+				gh, gf, gerr := e.CriticalValues(length)
+				wh, wf, werr := fresh.CriticalValues(length)
+				if gerr != nil || werr != nil {
+					t.Fatalf("shards %d step %d: CriticalValues(%d) errored: %v / %v", shards, step, length, gerr, werr)
+				}
+				if math.Float64bits(gh) != math.Float64bits(wh) || math.Float64bits(gf) != math.Float64bits(wf) {
+					t.Fatalf("shards %d step %d: CriticalValues(%d) = (%v,%v), from scratch (%v,%v)",
+						shards, step, length, gh, gf, wh, wf)
 				}
 			}
 		}
@@ -217,9 +202,9 @@ func TestGlobalThresholdsAreMaxima(t *testing.T) {
 	}
 	var wantHalf, wantFinal float64
 	for _, l := range e.Lengths() {
-		half, final := rspace.MergeThresholdsFor(e.grouped.ByLength[l].Groups, l, e.ST())
-		if h, f, err := e.Recommend(rspace.Medium, l); err != nil || h != half || f != final {
-			t.Errorf("length %d: Medium = [%v,%v] %v, want [%v,%v]", l, h, f, err, half, final)
+		half, final := grouping.MergeThresholdsFor(e.grouped.ByLength[l].Groups, l, e.ST())
+		if h, f, err := e.CriticalValues(l); err != nil || h != half || f != final {
+			t.Errorf("length %d: CriticalValues = (%v,%v) %v, want (%v,%v)", l, h, f, err, half, final)
 		}
 		wantHalf = math.Max(wantHalf, half)
 		wantFinal = math.Max(wantFinal, final)
@@ -229,44 +214,30 @@ func TestGlobalThresholdsAreMaxima(t *testing.T) {
 	}
 }
 
+// TestDegreeAndRecommend: the values the S/M/L scale reads
+// (onex.Base.RecommendThreshold, DegreeOf) — a length's own, the global
+// maxima for −1, and an error for an unindexed length.
 func TestDegreeAndRecommend(t *testing.T) {
 	e, err := build(fixture(t), core.BuildConfig{ST: 0.2, Lengths: []int{6}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := e.DegreeOf(0); d != rspace.Strict {
-		t.Errorf("DegreeOf(0) = %v, want S", d)
+	h6, f6 := grouping.MergeThresholdsFor(e.grouped.ByLength[6].Groups, 6, e.ST())
+	if half, final := globalThresholds(t, e); half != h6 || final != f6 || half <= 0 || final < half {
+		t.Errorf("CriticalValues(-1) = %v,%v, want the one length's %v,%v", half, final, h6, f6)
 	}
-	half, final := globalThresholds(t, e)
-	if d := e.DegreeOf(final + 1); d != rspace.Loose {
-		t.Errorf("DegreeOf(huge) = %v, want L", d)
+	if half, final, err := e.CriticalValues(6); err != nil || half != h6 || final != f6 {
+		t.Errorf("CriticalValues(6) = %v,%v,%v", half, final, err)
 	}
-	lo, hi, err := e.Recommend(rspace.Strict, -1)
-	if err != nil || lo != 0 || hi != half {
-		t.Errorf("Recommend(S) = %v,%v,%v", lo, hi, err)
-	}
-	h6, f6 := rspace.MergeThresholdsFor(e.grouped.ByLength[6].Groups, 6, e.ST())
-	lo, hi, err = e.Recommend(rspace.Medium, 6)
-	if err != nil || lo != h6 || hi != f6 {
-		t.Errorf("Recommend(M,6) = %v,%v,%v", lo, hi, err)
-	}
-	lo, hi, err = e.Recommend(rspace.Loose, -1)
-	if err != nil || lo != final || !math.IsInf(hi, 1) {
-		t.Errorf("Recommend(L) = %v,%v,%v", lo, hi, err)
-	}
-	if _, _, err := e.Recommend(rspace.Strict, 999); err == nil {
-		t.Error("Recommend on unindexed length should fail")
-	}
-	if _, _, err := e.Recommend(rspace.Degree(42), -1); err == nil {
-		t.Error("Recommend with bogus degree should fail")
+	if _, _, err := e.CriticalValues(999); err == nil {
+		t.Error("CriticalValues on unindexed length should fail")
 	}
 }
 
-// globalThresholds reads the dataset-global critical values: Medium's range
-// is [half, final].
+// globalThresholds reads the dataset-global critical values.
 func globalThresholds(t testing.TB, e *Engine) (half, final float64) {
 	t.Helper()
-	half, final, err := e.Recommend(rspace.Medium, -1)
+	half, final, err := e.CriticalValues(-1)
 	if err != nil {
 		t.Fatal(err)
 	}

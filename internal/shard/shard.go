@@ -1,7 +1,7 @@
 // Package shard implements the ONEX serving engine: one dataset's global
-// grouping plus a fixed layout of shards — each holding the GTI/LSI index
-// layers (group vectors, representative extremes, ED-sorted member lists)
-// over its series — queried by scatter-gather (query.Scatter). There is one
+// grouping plus a fixed layout of shards — each indexing the grouping
+// restricted to its series (group vectors and ED-sorted member lists, the
+// GTI and LSI) — queried by scatter-gather (query.Scatter). There is one
 // engine: an unsharded base (Shards 0 or 1, no workers) is the one-shard
 // layout, whose single in-process shard indexes the global grouping itself;
 // more shards hash-partition the series; a worker list places the shards in
@@ -29,15 +29,13 @@
 //     grouping itself, so that shard's index (query.NewWholeShard) is built
 //     over the global group objects and nothing is copied; the coordinator
 //     reads the same dataset and grouping, never a shard's index;
-//   - the per-length index layers (rspace.New: each representative's
-//     extremes for the LB_Keogh stage) are built per shard over its group
-//     set, concurrently on the internal/parallel pool;
+//   - the shards are built concurrently on the internal/parallel pool;
 //   - queries scatter across shards and gather one decision procedure (see
 //     query.Scatter for the per-query argument), so every shard count,
 //     transport and worker count answers identically; exact ties between
 //     representatives go to the smallest global group id;
-//   - the SP-Space guidance surface (Recommend, DegreeOf) comes from the
-//     global grouping, computed on first read by rspace.MergeThresholdsFor
+//   - the SP-Space critical thresholds (CriticalValues) come from the
+//     global grouping, computed on first read by grouping.MergeThresholdsFor
 //     (Prim's algorithm with on-demand inter-representative distances, O(g)
 //     working memory, one length per pool task) at every layout, so it is
 //     bit-identical at every shard count without a distance matrix ever
@@ -78,7 +76,6 @@ import (
 	"onex/internal/obs"
 	"onex/internal/parallel"
 	"onex/internal/query"
-	"onex/internal/rspace"
 	"onex/internal/shardrpc"
 	"onex/internal/ts"
 )
@@ -110,8 +107,8 @@ type Engine struct {
 	layoutSig uint64
 
 	// sp holds, per length, the SP-Space critical thresholds of the ONE
-	// global grouping — never per-shard aggregates, so Recommend/DegreeOf
-	// answer bit-identically at every shard count. A cell is computed on
+	// global grouping — never per-shard aggregates, so CriticalValues
+	// answers bit-identically at every shard count. A cell is computed on
 	// first read; maintenance shares the cells of untouched lengths with
 	// the previous engine (see assemble).
 	sp map[int]*spCell
@@ -137,7 +134,7 @@ var thresholdPasses atomic.Int64
 
 // ThresholdPasses reports how many per-length SP-Space threshold passes
 // (one minimum spanning tree each) this process has run. Write paths run
-// none; the first Recommend or DegreeOf after a write runs one per length
+// none; the first CriticalValues read after a write runs one per length
 // the write touched.
 func ThresholdPasses() int64 { return thresholdPasses.Load() }
 
@@ -146,7 +143,7 @@ func ThresholdPasses() int64 { return thresholdPasses.Load() }
 func (c *spCell) thresholds(groups []*grouping.Group, length int, st float64) (half, final float64) {
 	c.once.Do(func() {
 		thresholdPasses.Add(1)
-		c.half, c.final = rspace.MergeThresholdsFor(groups, length, st)
+		c.half, c.final = grouping.MergeThresholdsFor(groups, length, st)
 	})
 	return c.half, c.final
 }
@@ -288,15 +285,11 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 	return nil
 }
 
-// wholePart derives the part of the one-shard layout: the index layers over
-// the global dataset and grouping themselves — the same *grouping.Group
+// wholePart derives the part of the one-shard layout: an index over the
+// global dataset and grouping themselves — the same *grouping.Group
 // objects, no restricted copy.
 func (e *Engine) wholePart() (*part, error) {
-	base, err := rspace.New(e.data, e.grouped, rspace.Options{})
-	if err != nil {
-		return nil, err
-	}
-	ls, err := query.NewWholeShard(base)
+	ls, err := query.NewWholeShard(e.data, e.grouped)
 	if err != nil {
 		return nil, err
 	}

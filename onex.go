@@ -27,13 +27,13 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
 	"onex/internal/core"
 	"onex/internal/obs"
 	"onex/internal/query"
-	"onex/internal/rspace"
 	"onex/internal/shard"
 	"onex/internal/ts"
 )
@@ -402,18 +402,35 @@ func (b *Base) Extend(series []Series) (*Base, error) {
 // representatives) and kept; Build, Load, Append and Extend compute none,
 // and a maintenance step keeps the values of the lengths it left untouched.
 func (b *Base) RecommendThreshold(d Degree, length int) (Range, error) {
-	lo, hi, err := b.eng.Recommend(rspace.Degree(d), length)
+	half, final, err := b.eng.CriticalValues(length)
 	if err != nil {
 		return Range{}, err
 	}
-	return Range{Low: lo, High: hi}, nil
+	switch d {
+	case Strict:
+		return Range{Low: 0, High: half}, nil
+	case Medium:
+		return Range{Low: half, High: final}, nil
+	case Loose:
+		return Range{Low: final, High: math.Inf(1)}, nil
+	default:
+		return Range{}, errors.New("onex: unknown similarity degree")
+	}
 }
 
 // DegreeOf classifies a threshold on the base's Strict/Medium/Loose scale,
 // against the dataset-global critical values (computed on first read, as
 // for RecommendThreshold).
 func (b *Base) DegreeOf(st float64) Degree {
-	return Degree(b.eng.DegreeOf(st))
+	half, final, _ := b.eng.CriticalValues(-1)
+	switch {
+	case st < half:
+		return Strict
+	case st < final:
+		return Medium
+	default:
+		return Loose
+	}
 }
 
 // WithThreshold derives a base for a different similarity threshold using
