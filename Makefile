@@ -25,7 +25,7 @@ build: ## Compile every package and binary
 test: ## Full test suite with the race detector, shuffled (CI's main job)
 	$(GO) test -race -shuffle=on ./...
 
-check-fma: ## Cross-build for arm64/ppc64le/riscv64/s390x and fail on a fused multiply-add in internal/baseline, internal/dist, internal/grouping or internal/query
+check-fma: ## Cross-build for arm64/ppc64le/riscv64/s390x and fail on a fused multiply-add in internal/baseline, internal/dataset, internal/dist, internal/grouping or internal/query
 	GO=$(GO) sh scripts/check_fma.sh
 
 bench: ## Run every benchmark once (CI's bench-smoke job)

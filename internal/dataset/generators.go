@@ -5,19 +5,23 @@ import (
 	"math/rand"
 )
 
+// Every product that feeds an addition is rounded explicitly, float64(x*y),
+// so no architecture fuses the two into one rounding: a seed generates the
+// same bits on every CPU. scripts/check_fma.sh fails on a fused op here.
+
 // gaussianBump adds amplitude·exp(−(i−center)²/(2·width²)) to x.
 func gaussianBump(x []float64, center, width, amplitude float64) {
 	inv := 1 / (2 * width * width)
 	for i := range x {
 		d := float64(i) - center
-		x[i] += amplitude * math.Exp(-d*d*inv)
+		x[i] += float64(amplitude * math.Exp(-d*d*inv))
 	}
 }
 
 // addNoise adds iid Gaussian noise with the given standard deviation.
 func addNoise(r *rand.Rand, x []float64, sd float64) {
 	for i := range x {
-		x[i] += r.NormFloat64() * sd
+		x[i] += float64(r.NormFloat64() * sd)
 	}
 }
 
@@ -28,18 +32,18 @@ func addNoise(r *rand.Rand, x []float64, sd float64) {
 func genItalyPower(r *rand.Rand, class, length int) []float64 {
 	x := make([]float64, length)
 	scale := float64(length) / 24 // generator is phrased in "hours"
-	base := 0.8 + 0.1*r.NormFloat64()
+	base := 0.8 + float64(0.1*r.NormFloat64())
 	for i := range x {
 		x[i] = base
 	}
-	jitter := func(sd float64) float64 { return r.NormFloat64() * sd }
+	jitter := func(sd float64) float64 { return float64(r.NormFloat64() * sd) }
 	if class == 0 {
-		gaussianBump(x, (8+jitter(0.5))*scale, 1.5*scale, 0.9+0.1*jitter(1))
-		gaussianBump(x, (19+jitter(0.5))*scale, 2*scale, 1.4+0.1*jitter(1))
+		gaussianBump(x, float64((8+jitter(0.5))*scale), 1.5*scale, 0.9+float64(0.1*jitter(1)))
+		gaussianBump(x, float64((19+jitter(0.5))*scale), 2*scale, 1.4+float64(0.1*jitter(1)))
 	} else {
-		gaussianBump(x, (9+jitter(0.5))*scale, 2*scale, 0.7+0.1*jitter(1))
-		gaussianBump(x, (14+jitter(0.7))*scale, 2.5*scale, 0.9+0.1*jitter(1))
-		gaussianBump(x, (20+jitter(0.5))*scale, 2*scale, 0.8+0.1*jitter(1))
+		gaussianBump(x, float64((9+jitter(0.5))*scale), 2*scale, 0.7+float64(0.1*jitter(1)))
+		gaussianBump(x, float64((14+jitter(0.7))*scale), 2.5*scale, 0.9+float64(0.1*jitter(1)))
+		gaussianBump(x, float64((20+jitter(0.5))*scale), 2*scale, 0.8+float64(0.1*jitter(1)))
 	}
 	addNoise(r, x, 0.05)
 	return x
@@ -51,23 +55,23 @@ func genItalyPower(r *rand.Rand, class, length int) []float64 {
 func genECG(r *rand.Rand, class, length int) []float64 {
 	x := make([]float64, length)
 	n := float64(length)
-	shift := r.NormFloat64() * 0.01 * n
-	qrsCenter := 0.45*n + shift
+	shift := float64(float64(r.NormFloat64()*0.01) * n)
+	qrsCenter := float64(0.45*n) + shift
 	if class == 1 {
-		qrsCenter += 0.06 * n
+		qrsCenter += float64(0.06 * n)
 	}
 	// P wave.
-	gaussianBump(x, 0.25*n+shift, 0.03*n, 0.25+0.05*r.NormFloat64())
+	gaussianBump(x, float64(0.25*n)+shift, 0.03*n, 0.25+float64(0.05*r.NormFloat64()))
 	// QRS: Q dip, R spike, S dip.
-	gaussianBump(x, qrsCenter-0.04*n, 0.012*n, -0.3+0.05*r.NormFloat64())
-	gaussianBump(x, qrsCenter, 0.012*n, 2.2+0.2*r.NormFloat64())
-	gaussianBump(x, qrsCenter+0.04*n, 0.015*n, -0.55+0.05*r.NormFloat64())
+	gaussianBump(x, qrsCenter-float64(0.04*n), 0.012*n, -0.3+float64(0.05*r.NormFloat64()))
+	gaussianBump(x, qrsCenter, 0.012*n, 2.2+float64(0.2*r.NormFloat64()))
+	gaussianBump(x, qrsCenter+float64(0.04*n), 0.015*n, -0.55+float64(0.05*r.NormFloat64()))
 	// T wave, inverted for the abnormal class.
-	tAmp := 0.5 + 0.08*r.NormFloat64()
+	tAmp := 0.5 + float64(0.08*r.NormFloat64())
 	if class == 1 {
 		tAmp = -tAmp
 	}
-	gaussianBump(x, 0.72*n+shift, 0.05*n, tAmp)
+	gaussianBump(x, float64(0.72*n)+shift, 0.05*n, tAmp)
 	addNoise(r, x, 0.03)
 	return x
 }
@@ -82,21 +86,22 @@ func genFace(r *rand.Rand, class, length int) []float64 {
 	cls := rand.New(rand.NewSource(int64(class)*7919 + 13))
 	nFeatures := 3 + cls.Intn(3)
 	for f := 0; f < nFeatures; f++ {
-		center := (0.1 + 0.8*cls.Float64()) * n
-		width := (0.04 + 0.06*cls.Float64()) * n
-		amp := 0.5 + cls.Float64()
+		center := float64((0.1 + float64(0.8*cls.Float64())) * n)
+		width := (0.04 + float64(0.06*cls.Float64())) * n
+		// Float64 scales by 2⁻⁵³, a product: rounded so the add cannot fuse it.
+		amp := 0.5 + float64(cls.Float64())
 		if cls.Intn(2) == 0 {
 			amp = -amp
 		}
 		// Per-series perturbation.
-		center += r.NormFloat64() * 0.01 * n
-		amp *= 1 + 0.1*r.NormFloat64()
+		center += float64(float64(r.NormFloat64()*0.01) * n)
+		amp *= 1 + float64(0.1*r.NormFloat64())
 		gaussianBump(x, center, width, amp)
 	}
 	// Slow baseline drift common to face contours.
-	phase := 2 * math.Pi * cls.Float64()
+	phase := float64(2 * math.Pi * cls.Float64())
 	for i := range x {
-		x[i] += 0.3 * math.Sin(2*math.Pi*float64(i)/n+phase)
+		x[i] += float64(0.3 * math.Sin(2*math.Pi*float64(i)/n+phase))
 	}
 	addNoise(r, x, 0.04)
 	return x
@@ -131,10 +136,10 @@ func genWafer(r *rand.Rand, class, length int) []float64 {
 		}
 	}
 	// Startup spike.
-	gaussianBump(x, 0.05*n, 0.01*n, 0.8+0.1*r.NormFloat64())
+	gaussianBump(x, float64(0.05*n), 0.01*n, 0.8+float64(0.1*r.NormFloat64()))
 	if class == 1 {
 		// Fault excursion at a random mid-run position.
-		gaussianBump(x, (0.45+0.15*r.Float64())*n, 0.03*n, -0.9+0.1*r.NormFloat64())
+		gaussianBump(x, float64((0.45+float64(0.15*r.Float64()))*n), 0.03*n, -0.9+float64(0.1*r.NormFloat64()))
 	}
 	addNoise(r, x, 0.02)
 	return x
@@ -151,17 +156,17 @@ func genSymbols(r *rand.Rand, class, length int) []float64 {
 	phases := make([]float64, nHarm)
 	amps := make([]float64, nHarm)
 	for h := 0; h < nHarm; h++ {
-		freqs[h] = 1 + 3*cls.Float64()
-		phases[h] = 2 * math.Pi * cls.Float64()
+		freqs[h] = 1 + float64(3*cls.Float64())
+		phases[h] = float64(2 * math.Pi * cls.Float64())
 		amps[h] = 1 / float64(h+1)
 	}
-	pshift := r.NormFloat64() * 0.15
-	ascale := 1 + 0.1*r.NormFloat64()
+	pshift := float64(r.NormFloat64() * 0.15)
+	ascale := 1 + float64(0.1*r.NormFloat64())
 	for i := range x {
 		pos := float64(i) / n
 		var v float64
 		for h := 0; h < nHarm; h++ {
-			v += amps[h] * math.Sin(2*math.Pi*freqs[h]*pos+phases[h]+pshift)
+			v += float64(amps[h] * math.Sin(float64(2*math.Pi*freqs[h]*pos)+phases[h]+pshift))
 		}
 		x[i] = ascale * v
 	}
@@ -217,23 +222,23 @@ func genTwoPattern(r *rand.Rand, class, length int) []float64 {
 func genStarLight(r *rand.Rand, class, length int) []float64 {
 	x := make([]float64, length)
 	n := float64(length)
-	phase := r.Float64() * 0.05
+	phase := float64(r.Float64() * 0.05)
 	switch class {
 	case 0: // eclipsing binary: baseline with primary and secondary eclipses
 		for i := range x {
 			x[i] = 1
 		}
-		gaussianBump(x, (0.25+phase)*n, 0.03*n, -0.8+0.05*r.NormFloat64())
-		gaussianBump(x, (0.75+phase)*n, 0.03*n, -0.35+0.05*r.NormFloat64())
+		gaussianBump(x, float64((0.25+phase)*n), 0.03*n, -0.8+float64(0.05*r.NormFloat64()))
+		gaussianBump(x, float64((0.75+phase)*n), 0.03*n, -0.35+float64(0.05*r.NormFloat64()))
 	case 1: // Cepheid: fast rise, slow decline (sawtooth + harmonic)
 		for i := range x {
 			pos := math.Mod(float64(i)/n+phase, 1)
-			x[i] = 1 - pos + 0.2*math.Sin(4*math.Pi*pos)
+			x[i] = 1 - pos + float64(0.2*math.Sin(4*math.Pi*pos))
 		}
 	default: // RR Lyrae-like: asymmetric sinusoid mixture
 		for i := range x {
 			pos := float64(i)/n + phase
-			x[i] = math.Sin(2*math.Pi*pos) + 0.4*math.Sin(6*math.Pi*pos+1.3)
+			x[i] = math.Sin(2*math.Pi*pos) + float64(0.4*math.Sin(float64(6*math.Pi*pos)+1.3))
 		}
 	}
 	addNoise(r, x, 0.04)

@@ -8,17 +8,24 @@ import (
 	"onex/internal/ts"
 )
 
-// The benchmarks time the callers of the Algorithm 1 loop on the two
-// shapes the repository's benchmark uses: noisy (TwoPattern, 80 × 128, many
-// small groups) and smooth (ECG, 400 × 96, few large groups), each indexed
-// at 8 lengths spread over [8, series length] at ST 0.2, on one worker.
-// They are the A/B instrument for changes to that loop, e.g.:
+// The benchmarks time the callers of the Algorithm 1 loop, and the
+// SP-Space critical values over its groups, on the two shapes the
+// repository's benchmark uses: noisy (TwoPattern, 80 × 128, many small
+// groups) and smooth (ECG, 400 × 96, few large groups), each indexed at 8
+// lengths spread over [8, series length] at ST 0.2, on one worker. The
+// build runs on both shapes: noisy builds are dominated by the
+// representative loop, and smooth ones are what most of the repository's
+// workloads build. They are the A/B instrument for changes to that loop,
+// e.g.:
 //
 //	go test -run '^$' -bench . -count 6 ./internal/grouping
 const benchST = 0.2
 
-// benchSink keeps each timed call's result alive.
-var benchSink *Result
+// benchSink and benchFloat keep each timed call's result alive.
+var (
+	benchSink  *Result
+	benchFloat float64
+)
 
 // benchShape is one generated, min-max normalized dataset and its lengths.
 type benchShape struct {
@@ -61,8 +68,8 @@ func (s *benchShape) get(b *testing.B) *benchShape {
 	return s
 }
 
-func BenchmarkBuild(b *testing.B) {
-	s := noisyShape.get(b)
+func benchmarkBuild(b *testing.B, s *benchShape) {
+	s = s.get(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := Build(s.d, s.config())
@@ -72,6 +79,12 @@ func BenchmarkBuild(b *testing.B) {
 		benchSink = r
 	}
 }
+
+// BenchmarkBuild builds the noisy base: hundreds of groups per length.
+func BenchmarkBuild(b *testing.B) { benchmarkBuild(b, noisyShape) }
+
+// BenchmarkBuildSmooth builds the smooth base: few groups per length.
+func BenchmarkBuildSmooth(b *testing.B) { benchmarkBuild(b, smoothShape) }
 
 // benchmarkAppendPoints appends 2 points to one series of a shape's base.
 // The grown dataset is a copy-on-write clone, so the shared fixture stays
@@ -145,3 +158,17 @@ func BenchmarkAdaptSplit(b *testing.B) { benchmarkAdapt(b, noisyShape, benchST*0
 // BenchmarkAdaptMerge adapts the smooth base to ST × 2. (The noisy base
 // holds hundreds of groups per length, and its merge cascade takes minutes.)
 func BenchmarkAdaptMerge(b *testing.B) { benchmarkAdapt(b, smoothShape, benchST*2) }
+
+// BenchmarkMergeThresholdsNoisy computes the SP-Space critical values of
+// every length of the noisy base, as the first threshold recommendation
+// after a build or write does.
+func BenchmarkMergeThresholdsNoisy(b *testing.B) {
+	s := noisyShape.get(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range s.lengths {
+			half, final := MergeThresholdsFor(s.base.ByLength[l].Groups, l, s.base.ST)
+			benchFloat += half + final
+		}
+	}
+}

@@ -12,6 +12,17 @@
 // adaptation (Adapt, Algorithm 2.C), which splits groups by re-running the
 // loop inside each one and merges them by count-weighted averages.
 //
+// nearest puts a PAA lower bound in front of each representative's
+// early-abandoned ED (paa.go): eight scaled segment sums per window, whose
+// squared differences sum to at most the squared ED (Cauchy–Schwarz). A
+// representative is skipped only when its bound exceeds the running cutoff
+// by a rounding margin proven at every data magnitude, so it is one the ED
+// would have abandoned, and every grouping keeps its bits. The bounds live
+// in a table per assign call or chunk merge, with rows only for the groups
+// that call founds, recomputed from Rep on each absorb and dropped before
+// finalize; groups that existed before an append or extend keep the plain
+// loop. The SP-Space MST (MergeThresholdsFor) reuses the bound.
+//
 // The three Def. 8 properties hold by construction for the radius test; note
 // that, exactly as in the paper, representatives drift as members join, so
 // property (2) is enforced against the representative at insertion time.
@@ -473,12 +484,22 @@ func buildLength(d *ts.Dataset, length int, st float64, seed int64, workers int)
 		assign(d, parts[ci], positions[lo:hi], rsq)
 	})
 	lg := parts[0]
-	for _, part := range parts[1:] {
-		for _, g := range part.Groups {
-			if gi := nearest(lg.Groups, g.Rep, rsq); gi >= 0 {
-				lg.Groups[gi].absorb(g.sum, g.Members...)
-			} else {
-				lg.Groups = append(lg.Groups, g)
+	if nc > 1 {
+		// Every group of the length is this build's: the merge searches
+		// them all through one PAA table.
+		t := newPAATable(length, 0)
+		for gi, g := range lg.Groups {
+			t.set(gi, g.Rep)
+		}
+		for _, part := range parts[1:] {
+			for _, g := range part.Groups {
+				if gi, _ := nearest(lg.Groups, g.Rep, rsq, t); gi >= 0 {
+					lg.Groups[gi].absorb(g.sum, g.Members...)
+					t.set(gi, lg.Groups[gi].Rep)
+				} else {
+					lg.Groups = append(lg.Groups, g)
+					t.set(len(lg.Groups)-1, g.Rep)
+				}
 			}
 		}
 	}
@@ -508,18 +529,21 @@ func shuffle(positions []position, seed int64) {
 // Groups keep their running sums, so a later merge can recombine them
 // exactly; finalize drops them. A finalized group of lg (sum == nil) is
 // thawed into a copy the first time a window joins it, so a group shared
-// with another Result is never written.
+// with another Result is never written. The groups this call founds are
+// searched through a PAA table of their own, kept while the call runs.
 func assign(d *ts.Dataset, lg *LengthGroups, positions []position, radiusSq float64) {
+	t := newPAATable(lg.Length, len(lg.Groups))
 	for _, pos := range positions {
 		values := d.Series[pos.seriesIdx].Values[pos.start : pos.start+lg.Length]
 		m := Member{SeriesIdx: pos.seriesIdx, Start: pos.start}
-		if gi := nearest(lg.Groups, values, radiusSq); gi >= 0 {
+		if gi, _ := nearest(lg.Groups, values, radiusSq, t); gi >= 0 {
 			g := lg.Groups[gi]
 			if g.sum == nil { // finalized, and maybe shared: copy on write
 				g = thaw(g)
 				lg.Groups[gi] = g
 			}
 			g.absorb(values, m)
+			t.set(gi, g.Rep)
 			continue
 		}
 		lg.Groups = append(lg.Groups, &Group{
@@ -529,26 +553,49 @@ func assign(d *ts.Dataset, lg *LengthGroups, positions []position, radiusSq floa
 			Members: []Member{m},
 			sum:     append([]float64(nil), values...),
 		})
+		t.set(len(lg.Groups)-1, values)
 	}
 }
 
 // nearest returns the index of the group whose representative is nearest to
-// values by squared ED, provided it is within radiusSq; the lowest index
-// wins a tie. It returns -1 when no representative is within the radius.
-func nearest(groups []*Group, values []float64, radiusSq float64) int {
+// values by squared ED, with that squared ED, provided it is within
+// radiusSq; the lowest index wins a tie. It returns -1 when no
+// representative is within the radius.
+//
+// Groups are visited in id order, each under the running cutoff
+// min(radiusSq, bestSq). The groups t has rows for (groups[t.base:]; none
+// when t is nil) are first tested by their PAA bound (paa.go): a group
+// whose bound is above cutoff's threshold would be abandoned by
+// dist.SquaredEDEarlyAbandon, so skipping it leaves the winner and its
+// squared ED exactly as the plain loop finds them.
+func nearest(groups []*Group, values []float64, radiusSq float64, t *paaTable) (int, float64) {
 	bestSq := math.Inf(1)
 	bestIdx := -1
-	for gi, g := range groups {
+	plain := groups
+	if t != nil {
+		plain = groups[:t.base]
+	}
+	for gi, g := range plain {
 		// Only representatives within the radius can win, and only a
 		// distance below the current best matters: abandon above both.
 		if sq := dist.SquaredEDEarlyAbandon(values, g.Rep, min(radiusSq, bestSq)); sq < bestSq {
 			bestSq, bestIdx = sq, gi
 		}
 	}
-	if bestSq > radiusSq {
-		return -1
+	if rest := groups[len(plain):]; len(rest) > 0 {
+		mag := t.summarize(&t.q, values) + t.mag
+		thr := t.cutoff(math.Sqrt(min(radiusSq, bestSq)), mag)
+		for i := t.next(&t.q, 0, len(rest), thr); i < len(rest); i = t.next(&t.q, i+1, len(rest), thr) {
+			if sq := dist.SquaredEDEarlyAbandon(values, rest[i].Rep, min(radiusSq, bestSq)); sq < bestSq {
+				bestSq, bestIdx = sq, len(plain)+i
+				thr = t.cutoff(math.Sqrt(bestSq), mag)
+			}
+		}
 	}
-	return bestIdx
+	if bestSq > radiusSq {
+		return -1, bestSq
+	}
+	return bestIdx, bestSq
 }
 
 // enumerate lists every subsequence position of the given length.

@@ -22,7 +22,7 @@
 # packages adopt explicit rounding.
 set -eu
 
-PACKAGES="onex/internal/baseline onex/internal/dist onex/internal/grouping onex/internal/query"
+PACKAGES="onex/internal/baseline onex/internal/dataset onex/internal/dist onex/internal/grouping onex/internal/query"
 ARCHES="arm64 ppc64le riscv64 s390x"
 GO="${GO:-go}"
 
