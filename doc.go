@@ -218,7 +218,10 @@
 // endpoints, and the coordinator — given Options.ShardWorkers (or the
 // server's -shard-workers flag) — computes the global grouping once,
 // ships each shard's series and owned groups to a worker keyed by
-// (dataset, generation, shard), and fans queries out in phases: a
+// (dataset, generation, shard) as one binary stream on the snapshot's
+// block codec (core.EncodeShardSpec: fixed-width little-endian fields,
+// floats as their bits, a trailing CRC32), and fans queries out in
+// phases: a
 // best-match costs each shard one scan call per searched length, a k-NN
 // one scan and one member-verification call, a range query one call. The
 // best-match group walk never crosses the seam: the coordinator holds
@@ -228,7 +231,8 @@
 // answers the full query mix bit-identically to the in-process engine —
 // including through mid-query worker restarts: shipping is idempotent on
 // the (dataset, generation, shard) key, so a client that sees
-// 404/unknown_generation re-ships the spec and retries, with per-call
+// 404/unknown_generation re-PUTs the encoded spec it retains and
+// retries, with per-call
 // timeouts and bounded backoff throughout (a worker down past the retry
 // budget surfaces as shardrpc.ErrUnavailable → HTTP 503). The remote
 // equivalence property suite in internal/shard locks all of this in

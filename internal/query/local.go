@@ -130,11 +130,17 @@ func NewWholeShard(data *ts.Dataset, gr *grouping.Result) (*LocalShard, error) {
 // (internal/shard) builds every in-process shard of one with it, and a
 // worker runs it on the spec it is shipped, so a remote transport
 // answers bit-identically to an in-process one. A spec no query could run
-// against — a bad length, representative, member window or id order — is
-// refused with ErrBadSpec; a spec with no series builds an empty shard.
+// against — a bad ST, length, representative, member window, member
+// distance or id order — is refused with ErrBadSpec; a spec with no series
+// builds an empty shard. Members must come in LSI order (EDToRep finite,
+// non-negative and non-decreasing): the k-NN member walk and range's
+// wholesale prefix rely on it.
 func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 	bad := func(format string, args ...any) (*LocalShard, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadSpec, fmt.Sprintf(format, args...))
+	}
+	if !(spec.ST > 0) || math.IsInf(spec.ST, 1) {
+		return bad("ST %v is not positive and finite", spec.ST)
 	}
 	data := &ts.Dataset{Name: fmt.Sprintf("%s#%d", spec.Dataset, spec.Shard)}
 	series := make([]int, 0, len(spec.Series))
@@ -182,6 +188,12 @@ func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 				}
 				if !data.Series[li].CheckRange(m.Start, sl.Length) {
 					return bad("member window [%d,+%d) outside series %d", m.Start, sl.Length, m.Series)
+				}
+				if !(m.EDToRep >= 0) || math.IsInf(m.EDToRep, 1) {
+					return bad("member (%d,%d) of group %d has distance %v", m.Series, m.Start, sg.GlobalID, m.EDToRep)
+				}
+				if n := len(members); n > 0 && m.EDToRep < members[n-1].EDToRep {
+					return bad("members of group %d leave distance order at (%d,%d)", sg.GlobalID, m.Series, m.Start)
 				}
 				members = append(members, grouping.Member{
 					SeriesIdx: li,

@@ -236,48 +236,51 @@ type RangeResponse struct {
 // algorithm has one configuration, and each request brings its own worker
 // budget.
 //
+// A worker is shipped it as the binary stream core.EncodeShardSpec writes.
+//
 // Generation identifies one immutable incarnation of the shard's state:
 // every maintenance step that touches the shard ships a fresh generation,
 // and workers key their resident state by (Dataset, Generation, Shard) —
 // the idempotency key that makes shipping and re-shipping safe to retry.
 type ShardSpec struct {
-	Dataset    string       `json:"dataset"`
-	Generation string       `json:"generation"`
-	Shard      int          `json:"shard"`
-	Shards     int          `json:"shards"`
-	ST         float64      `json:"st"`
-	Series     []SpecSeries `json:"series"`
-	Lengths    []SpecLength `json:"lengths"`
+	Dataset    string
+	Generation string
+	Shard      int
+	Shards     int
+	ST         float64
+	Series     []SpecSeries
+	Lengths    []SpecLength
 }
 
 // SpecSeries is one shipped series: its global id and normalized values.
 type SpecSeries struct {
-	ID     int       `json:"id"`
-	Label  string    `json:"label"`
-	Values []float64 `json:"values"`
+	ID     int
+	Label  string
+	Values []float64
 }
 
 // SpecLength is the restriction of one indexed length to the shard, its
 // groups in strictly ascending GlobalID order.
 type SpecLength struct {
-	Length int         `json:"length"`
-	Groups []SpecGroup `json:"groups"`
+	Length int
+	Groups []SpecGroup
 }
 
 // SpecGroup is the restriction of one global group: the shared
 // representative, the shard-resident members (global series ids, ED order
 // preserved) and whether this shard owns the representative scan.
 type SpecGroup struct {
-	GlobalID int          `json:"globalId"`
-	Owned    bool         `json:"owned"`
-	Rep      []float64    `json:"rep"`
-	Members  []SpecMember `json:"members"`
+	GlobalID int
+	Owned    bool
+	Rep      []float64
+	Members  []SpecMember
 }
 
 // SpecMember is one shard-resident member with its global series id and
-// the (finite) ED to the group representative.
+// the ED to the group representative (finite, non-negative, and not below
+// the previous member's: members come in LSI order).
 type SpecMember struct {
-	Series  int     `json:"series"`
-	Start   int     `json:"start"`
-	EDToRep float64 `json:"edToRep"`
+	Series  int
+	Start   int
+	EDToRep float64
 }

@@ -66,8 +66,9 @@ func TestBuildValidation(t *testing.T) {
 
 // TestRestrictionIntegrity checks the derived per-shard state against the
 // global grouping — complete member coverage, preserved LSI order, and
-// exactly-once group ownership — and each part against the shard
-// BuildLocalShard derives from its spec.
+// exactly-once group ownership — each part against the shard
+// BuildLocalShard derives from its spec, and each spec against what its
+// stream decodes to.
 func TestRestrictionIntegrity(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	d := randomDataset(r, 16, 30)
@@ -82,6 +83,22 @@ func TestRestrictionIntegrity(t *testing.T) {
 		comparePartState(t, 0, s, p, specShard(t, e, s))
 		resident += p.transport.Stats().Subsequences
 		spec := e.specFor(s)
+		// The stream a worker is shipped carries the spec whole: it decodes
+		// to a deep-equal spec and re-encodes to the same bytes.
+		var stream, again bytes.Buffer
+		if err := core.EncodeShardSpec(&stream, spec); err != nil {
+			t.Fatal(err)
+		}
+		shipped, err := core.DecodeShardSpec(bytes.NewReader(stream.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.EncodeShardSpec(&again, shipped); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(shipped, spec) || !bytes.Equal(again.Bytes(), stream.Bytes()) {
+			t.Fatalf("shard %d: the spec stream does not round-trip", s)
+		}
 		if len(spec.Lengths) != len(e.grouped.Lengths) {
 			t.Fatalf("shard %d ships %d lengths, want %d", s, len(spec.Lengths), len(e.grouped.Lengths))
 		}

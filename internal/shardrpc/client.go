@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"onex/internal/core"
 	"onex/internal/obs"
 	"onex/internal/query"
 )
@@ -58,11 +59,13 @@ type ClientOptions struct {
 }
 
 // Client drives one shard resident on a remote worker, implementing
-// query.ShardTransport over the worker REST protocol. It retains the
-// shipped ShardSpec so it can re-ship after a worker restart: a query call
-// that answers 404/unknown_generation re-PUTs the spec (idempotent — the
-// key is the spec's (dataset, generation, shard)) and retries, which is
-// what makes mid-query worker restarts invisible to the coordinator.
+// query.ShardTransport over the worker REST protocol. It encodes the
+// shard's spec once, as the binary stream of core.EncodeShardSpec, and
+// retains the encoded body (not the spec) so it can re-ship after a worker
+// restart: a query call that answers 404/unknown_generation re-PUTs the
+// same bytes (idempotent — the key is the spec's (dataset, generation,
+// shard)) and retries, which is what makes mid-query worker restarts
+// invisible to the coordinator.
 //
 // Safe for concurrent use; re-shipping is serialized so a burst of
 // unknown_generation answers after a restart ships the state once.
@@ -74,7 +77,9 @@ type Client struct {
 	// respLimit bounds a response body (maxRequestBytes; tests lower it).
 	respLimit int64
 
-	spec  query.ShardSpec
+	// body is the encoded spec every ship PUTs.
+	body  []byte
+	gen   string
 	info  query.ShardInfo
 	paths struct {
 		ship, scan, scanFixed, verifyK, rng string
@@ -97,13 +102,18 @@ func NewClient(baseURL string, spec query.ShardSpec, opts ClientOptions) (*Clien
 	if spec.Dataset == "" || spec.Generation == "" {
 		return nil, fmt.Errorf("shardrpc: shard spec needs a dataset name and generation")
 	}
+	var body bytes.Buffer
+	if err := core.EncodeShardSpec(&body, spec); err != nil {
+		return nil, fmt.Errorf("shardrpc: encode spec: %w", err)
+	}
 	c := &Client{
 		base:      base,
 		http:      opts.HTTPClient,
 		timeout:   opts.Timeout,
 		retries:   opts.Retries,
 		respLimit: maxRequestBytes,
-		spec:      spec,
+		body:      bytes.Clone(body.Bytes()), // the buffer's doubling slack is not retained
+		gen:       spec.Generation,
 		info:      specInfo(spec),
 	}
 	if c.http == nil {
@@ -174,7 +184,7 @@ func (c *Client) Close() error {
 
 // Generation exposes the shipped state's generation nonce (tests,
 // observability).
-func (c *Client) Generation() string { return c.spec.Generation }
+func (c *Client) Generation() string { return c.gen }
 
 // httpError is a non-2xx worker answer.
 type httpError struct {
@@ -214,16 +224,13 @@ type callStats struct {
 	respBytes int64
 }
 
-// once runs one bounded HTTP attempt, propagating the request id and
-// feeding the attempt's outcome into the fleet-health registry. cs (may be
-// nil) accumulates the bytes moved.
-func (c *Client) once(ctx context.Context, method, path string, in, out any, cs *callStats) error {
+// once runs one bounded HTTP attempt sending body as contentType,
+// propagating the request id and feeding the attempt's outcome into the
+// fleet-health registry. The answer is JSON, decoded into out when non-nil.
+// cs (may be nil) accumulates the bytes moved.
+func (c *Client) once(ctx context.Context, method, path, contentType string, body []byte, out any, cs *callStats) error {
 	actx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("shardrpc: encode request: %w", err)
-	}
 	if cs != nil {
 		cs.reqBytes += int64(len(body))
 	}
@@ -231,7 +238,7 @@ func (c *Client) once(ctx context.Context, method, path string, in, out any, cs 
 	if err != nil {
 		return fmt.Errorf("shardrpc: build request: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	if id := obs.RequestIDFromContext(ctx); id != "" {
 		req.Header.Set("X-Request-Id", id)
 	}
@@ -284,12 +291,12 @@ func (c *Client) once(ctx context.Context, method, path string, in, out any, cs 
 	return nil
 }
 
-// shipOnce PUTs the retained spec and refreshes the cached stats.
+// shipOnce PUTs the encoded spec and refreshes the cached stats.
 func (c *Client) shipOnce(ctx context.Context) error {
 	var resp struct {
 		Stats query.ShardStats `json:"stats"`
 	}
-	if err := c.once(ctx, http.MethodPut, c.paths.ship, c.spec, &resp, nil); err != nil {
+	if err := c.once(ctx, http.MethodPut, c.paths.ship, "application/octet-stream", c.body, &resp, nil); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -323,10 +330,12 @@ func (c *Client) shipWithRetry(ctx context.Context) error {
 	return fmt.Errorf("%w: ship %s: %v", ErrUnavailable, c.paths.ship, lastErr)
 }
 
-// reship re-PUTs the spec after an unknown_generation answer (worker
-// restart or retention eviction), serialized so concurrent queries ship
-// once. The PUT is idempotent on (dataset, generation, shard), so losing
-// the serialization race costs one cheap cache-hit round trip.
+// reship re-PUTs the encoded spec after an unknown_generation answer
+// (worker restart or retention eviction), serialized so concurrent queries
+// ship once. The PUT is idempotent on (dataset, generation, shard), so
+// losing the serialization race costs one cheap cache-hit round trip: the
+// worker reads the key from the stream's header and answers a resident key
+// without decoding the rest.
 func (c *Client) reship(ctx context.Context) error {
 	c.shipMu.Lock()
 	defer c.shipMu.Unlock()
@@ -367,6 +376,10 @@ type obsCarrier interface{ ObsPayload() *query.WorkerObs }
 // strictly observational — the untraced path allocates nothing extra and
 // the bytes on the wire differ only by a request header.
 func (c *Client) call(ctx context.Context, op, path string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("shardrpc: encode request: %w", err)
+	}
 	rec := obs.TraceFromContext(ctx)
 	var sc obs.SpanScope
 	if rec != nil {
@@ -385,7 +398,7 @@ func (c *Client) call(ctx context.Context, op, path string, in, out any) error {
 			cs.backoff += d
 		}
 		cs.attempts++
-		err := c.once(ctx, http.MethodPost, path, in, out, &cs)
+		err := c.once(ctx, http.MethodPost, path, "application/json", body, out, &cs)
 		if err == nil {
 			c.finishCall(rec, sc, start, &cs, out)
 			return nil
@@ -450,7 +463,7 @@ func (c *Client) finishCall(rec *obs.Trace, sc obs.SpanScope, start time.Time, c
 	if wire < 0 {
 		wire = 0
 	}
-	sc.Attr("shard", int64(c.spec.Shard)).
+	sc.Attr("shard", int64(c.info.Shard)).
 		Attr("attempts", int64(cs.attempts)).
 		Attr("retries", int64(cs.attempts-1)).
 		Attr("reships", int64(cs.reships)).
@@ -471,7 +484,7 @@ func (c *Client) abortCall(sc obs.SpanScope, cs *callStats) {
 		retries = 0
 	}
 	Fleet().observeCallFailed(c.base, retries, cs.reships)
-	sc.Attr("shard", int64(c.spec.Shard)).
+	sc.Attr("shard", int64(c.info.Shard)).
 		Attr("attempts", int64(cs.attempts)).
 		Attr("reships", int64(cs.reships)).
 		Attr("backoffMs", cs.backoff.Milliseconds()).

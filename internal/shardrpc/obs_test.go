@@ -31,11 +31,11 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 
-	if resp, raw := doJSON(t, http.MethodPut, shipURL(srv.URL, "d", "g1"), testSpec("d", "g1")); resp.StatusCode != http.StatusOK {
+	if resp, raw := doShip(t, shipURL(srv.URL, "d", "g1"), testSpec("d", "g1")); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ship = %d %s", resp.StatusCode, raw)
 	}
 	// Duplicate ship exercises the "cached" outcome counter.
-	doJSON(t, http.MethodPut, shipURL(srv.URL, "d", "g1"), testSpec("d", "g1"))
+	doShip(t, shipURL(srv.URL, "d", "g1"), testSpec("d", "g1"))
 	if resp, raw := doJSON(t, http.MethodPost, shipURL(srv.URL, "d", "g1")+"/scan", scanReq()); resp.StatusCode != http.StatusOK {
 		t.Fatalf("scan = %d %s", resp.StatusCode, raw)
 	}

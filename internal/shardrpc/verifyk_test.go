@@ -163,12 +163,8 @@ func TestClientResponseTooLarge(t *testing.T) {
 func shippedWorker(tb testing.TB) http.Handler {
 	tb.Helper()
 	h := NewWorker(testLogger()).Handler()
-	body, err := json.Marshal(wideSpec("d", "g1"))
-	if err != nil {
-		tb.Fatal(err)
-	}
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/worker/v1/shards/d/g1/0", bytes.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/worker/v1/shards/d/g1/0", bytes.NewReader(specBody(tb, wideSpec("d", "g1")))))
 	if rec.Code != http.StatusOK {
 		tb.Fatalf("ship = %d %s", rec.Code, rec.Body)
 	}

@@ -15,11 +15,20 @@
 //
 //	GET  /worker/v1/healthz
 //	GET  /worker/v1/metrics                                   Prometheus text 0.0.4
-//	PUT  /worker/v1/shards/{dataset}/{gen}/{shard}            ship a ShardSpec
+//	PUT  /worker/v1/shards/{dataset}/{gen}/{shard}            ship a ShardSpec stream
 //	POST /worker/v1/shards/{dataset}/{gen}/{shard}/scan       ScanBestRequest
 //	POST /worker/v1/shards/{dataset}/{gen}/{shard}/scanfixed  ScanFixedRequest
 //	POST /worker/v1/shards/{dataset}/{gen}/{shard}/verifyk    VerifyKRequest
 //	POST /worker/v1/shards/{dataset}/{gen}/{shard}/range      RangeRequest
+//
+// The PUT body is the binary spec stream of core.EncodeShardSpec
+// (application/octet-stream: magic "ONEXSPEC", a version, the key, the
+// shard's series and grouping restriction, a CRC32), decoded straight from
+// the request body. The worker reads the key first: a key that disagrees
+// with the route is 400, and a resident key answers its stats without the
+// rest being read. A stream that does not decode is 400, one over the
+// size limit 413, and a spec BuildLocalShard refuses 422 build_failed.
+// Query bodies and every answer are JSON.
 //
 // Query calls against an unknown key answer 404 with code
 // "unknown_generation" — the signal that the worker restarted (or expired
@@ -53,13 +62,14 @@ import (
 	"sync"
 	"time"
 
+	"onex/internal/core"
 	"onex/internal/metrics"
 	"onex/internal/obs"
 	"onex/internal/query"
 )
 
-// maxSpecBytes bounds a shipped shard spec (1 GiB — specs carry the shard's
-// series values and grouping restriction).
+// maxSpecBytes bounds a shipped shard spec stream (1 GiB — specs carry the
+// shard's series values and grouping restriction).
 const maxSpecBytes = 1 << 30
 
 // maxRequestBytes bounds a query request body (64 MiB).
@@ -349,40 +359,45 @@ func pathKey(r *http.Request) (shardKey, error) {
 }
 
 // handleShip builds (or returns the already-built) shard index for the
-// shipped spec. Idempotent per (dataset, gen, shard): a concurrent or
-// repeated PUT of the same key waits on the single in-flight build and
-// answers with its stats; a failed build is forgotten so retrying re-ships.
+// shipped spec stream. Idempotent per (dataset, gen, shard): the stream's
+// key is read first, and a resident key answers with its stats without the
+// rest of the body being read; a concurrent PUT of the same key waits on the
+// single in-flight build; a failed build is forgotten so retrying
+// re-ships.
 func (w *Worker) handleShip(rw http.ResponseWriter, r *http.Request) {
 	key, err := pathKey(r)
 	if err != nil {
 		writeErr(rw, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		writeErr(rw, http.StatusBadRequest, "bad_request", "read spec: "+err.Error())
-		return
-	}
-	if len(body) > maxSpecBytes {
-		writeErr(rw, http.StatusRequestEntityTooLarge, "too_large", "shard spec exceeds size limit")
-		return
-	}
 
-	// Protocol errors (malformed JSON, spec key disagreeing with the route)
-	// are 400s and never create an entry — only a well-keyed spec reaches
-	// the singleflighted build, whose failures are 422 and retryable.
-	var spec query.ShardSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		writeErr(rw, http.StatusBadRequest, "bad_request", "shardrpc: decode spec: "+err.Error())
+	// Protocol errors (a stream that does not decode, a spec key
+	// disagreeing with the route) are 400s and never create an entry —
+	// only a well-keyed spec reaches the singleflighted build, whose
+	// failures are 422 and retryable.
+	body := &io.LimitedReader{R: r.Body, N: maxSpecBytes + 1}
+	sr, err := core.NewSpecReader(body)
+	if err != nil {
+		refuseStream(rw, body, err)
 		return
 	}
-	if spec.Dataset != key.dataset || spec.Generation != key.gen || spec.Shard != key.shard {
+	if k := sr.Key(); k.Dataset != key.dataset || k.Generation != key.gen || k.Shard != key.shard {
 		writeErr(rw, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("shardrpc: spec key %s/%s/%d does not match route %s/%s/%d",
-				spec.Dataset, spec.Generation, spec.Shard, key.dataset, key.gen, key.shard))
+				k.Dataset, k.Generation, k.Shard, key.dataset, key.gen, key.shard))
+		return
+	}
+	if w.answerResident(rw, r, key) {
+		return
+	}
+	spec, err := sr.Decode()
+	if err != nil {
+		refuseStream(rw, body, err)
 		return
 	}
 
+	// A concurrent PUT of the same key may have claimed it while this one
+	// decoded.
 	w.mu.Lock()
 	if e, ok := w.shards[key]; ok {
 		w.mu.Unlock()
@@ -427,6 +442,30 @@ func (w *Worker) handleShip(rw http.ResponseWriter, r *http.Request) {
 		"shard", key.shard, "series", e.stats.Series, "groups", e.stats.Groups,
 		"subsequences", e.stats.Subsequences)
 	writeJSON(rw, http.StatusOK, map[string]any{"stats": e.stats})
+}
+
+// answerResident answers a PUT of a key the worker holds (or is building)
+// like the first PUT of it was answered, and reports whether it did.
+func (w *Worker) answerResident(rw http.ResponseWriter, r *http.Request, key shardKey) bool {
+	w.mu.Lock()
+	e, ok := w.shards[key]
+	w.mu.Unlock()
+	if !ok {
+		return false
+	}
+	w.ships.Add("cached")
+	w.respondReady(rw, r, e)
+	return true
+}
+
+// refuseStream answers a spec stream that did not decode: 413 when it ran
+// past the size limit, 400 otherwise.
+func refuseStream(rw http.ResponseWriter, body *io.LimitedReader, err error) {
+	if body.N == 0 {
+		writeErr(rw, http.StatusRequestEntityTooLarge, "too_large", "shard spec exceeds size limit")
+		return
+	}
+	writeErr(rw, http.StatusBadRequest, "bad_request", "shardrpc: decode spec: "+err.Error())
 }
 
 // retain records key's generation and evicts generations beyond the

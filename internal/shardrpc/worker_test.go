@@ -2,17 +2,21 @@ package shardrpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
+	"onex/internal/core"
 	"onex/internal/obs"
 	"onex/internal/query"
 )
@@ -57,11 +61,32 @@ func doJSON(t *testing.T, method, url string, in any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return doBody(t, method, url, "application/json", body)
+}
+
+// specBody encodes spec as the ship route's stream.
+func specBody(tb testing.TB, spec query.ShardSpec) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := core.EncodeShardSpec(&buf, spec); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// doShip PUTs spec's stream to url.
+func doShip(t *testing.T, url string, spec query.ShardSpec) (*http.Response, []byte) {
+	t.Helper()
+	return doBody(t, http.MethodPut, url, "application/octet-stream", specBody(t, spec))
+}
+
+func doBody(t *testing.T, method, url, contentType string, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -100,17 +125,19 @@ func TestWorkerHealthz(t *testing.T) {
 
 // TestWorkerShipIdempotent: re-PUTting the same (dataset, generation,
 // shard) is a cheap cache hit answering the same stats — the property that
-// makes ship retries and the re-ship race safe.
+// makes ship retries and the re-ship race safe. The worker answers it from
+// the stream's key alone: a re-PUT of only the stream's first half, which
+// no decoder accepts, is still the cached answer.
 func TestWorkerShipIdempotent(t *testing.T) {
 	w := NewWorker(testLogger())
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
-	spec := testSpec("d", "g1")
+	body := specBody(t, testSpec("d", "g1"))
 	url := shipURL(srv.URL, "d", "g1")
 
-	var stats [2]query.ShardStats
-	for i := range stats {
-		resp, raw := doJSON(t, http.MethodPut, url, spec)
+	var stats [3]query.ShardStats
+	for i, b := range [][]byte{body, body, body[:len(body)/2]} {
+		resp, raw := doBody(t, http.MethodPut, url, "application/octet-stream", b)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("ship %d = %d: %s", i, resp.StatusCode, raw)
 		}
@@ -122,11 +149,36 @@ func TestWorkerShipIdempotent(t *testing.T) {
 		}
 		stats[i] = out.Stats
 	}
-	if stats[0] != stats[1] {
-		t.Fatalf("idempotent ship changed stats: %+v vs %+v", stats[0], stats[1])
+	if stats[0] != stats[1] || stats[0] != stats[2] {
+		t.Fatalf("idempotent ship changed stats: %+v vs %+v vs %+v", stats[0], stats[1], stats[2])
 	}
 	if got := w.ShardCount(); got != 1 {
 		t.Fatalf("ShardCount = %d after duplicate ship, want 1", got)
+	}
+	if ships := w.ships.Snapshot(); ships["built"] != 1 || ships["cached"] != 2 {
+		t.Fatalf("ship outcomes = %v, want 1 built and 2 cached", ships)
+	}
+	// A key the worker does not hold is decoded in full, so the same
+	// half stream under another generation is refused.
+	half := specBody(t, testSpec("d", "g2"))
+	resp, raw := doBody(t, http.MethodPut, shipURL(srv.URL, "d", "g2"), "application/octet-stream", half[:len(half)/2])
+	if resp.StatusCode != http.StatusBadRequest || errCode(t, raw) != "bad_request" {
+		t.Fatalf("truncated ship of an unknown key = %d %s", resp.StatusCode, raw)
+	}
+}
+
+// TestSpecStreamRoundTrip: the handcrafted specs decode from their stream
+// deep-equal and re-encode to the same bytes.
+func TestSpecStreamRoundTrip(t *testing.T) {
+	for _, spec := range []query.ShardSpec{testSpec("d", "g"), wideSpec("d", "g")} {
+		stream := specBody(t, spec)
+		got, err := core.DecodeShardSpec(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, spec) || !bytes.Equal(specBody(t, got), stream) {
+			t.Fatalf("spec of %d series does not round-trip", len(spec.Series))
+		}
 	}
 }
 
@@ -142,23 +194,36 @@ func TestWorkerUnknownGeneration(t *testing.T) {
 	}
 }
 
-// TestWorkerBadSpec: a spec whose key disagrees with the route is rejected
-// outright; a spec that fails to build answers 422 and is forgotten, so the
-// same key stays retryable with a good spec.
+// TestWorkerBadSpec: a stream that does not decode, or whose key disagrees
+// with the route, is rejected outright (400); a spec that fails to build
+// answers 422 and is forgotten, so the same key stays retryable with a good
+// spec.
 func TestWorkerBadSpec(t *testing.T) {
 	w := NewWorker(testLogger())
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 
-	mismatched := testSpec("other", "g1")
-	resp, raw := doJSON(t, http.MethodPut, shipURL(srv.URL, "d", "g1"), mismatched)
+	resp, raw := doShip(t, shipURL(srv.URL, "d", "g1"), testSpec("other", "g1"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("mismatched spec key = %d %s", resp.StatusCode, raw)
+	}
+	body := specBody(t, testSpec("d", "g1"))
+	corrupt := append([]byte(nil), body...)
+	corrupt[len(corrupt)-1] ^= 1
+	for name, b := range map[string][]byte{
+		"JSON":        []byte(`{"dataset":"d","generation":"g1","shard":0}`),
+		"flipped CRC": corrupt,
+		"trailing":    append(append([]byte(nil), body...), 0),
+	} {
+		resp, raw := doBody(t, http.MethodPut, shipURL(srv.URL, "d", "g1"), "application/octet-stream", b)
+		if resp.StatusCode != http.StatusBadRequest || errCode(t, raw) != "bad_request" {
+			t.Fatalf("%s = %d %s", name, resp.StatusCode, raw)
+		}
 	}
 
 	invalid := testSpec("d", "g1")
 	invalid.Series = nil // BuildLocalShard rejects empty shards
-	resp, raw = doJSON(t, http.MethodPut, shipURL(srv.URL, "d", "g1"), invalid)
+	resp, raw = doShip(t, shipURL(srv.URL, "d", "g1"), invalid)
 	if resp.StatusCode != http.StatusUnprocessableEntity || errCode(t, raw) != "build_failed" {
 		t.Fatalf("invalid spec = %d %s", resp.StatusCode, raw)
 	}
@@ -166,7 +231,7 @@ func TestWorkerBadSpec(t *testing.T) {
 		t.Fatalf("failed build left %d resident shards", got)
 	}
 
-	resp, raw = doJSON(t, http.MethodPut, shipURL(srv.URL, "d", "g1"), testSpec("d", "g1"))
+	resp, raw = doShip(t, shipURL(srv.URL, "d", "g1"), testSpec("d", "g1"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry after failed build = %d %s", resp.StatusCode, raw)
 	}
@@ -180,7 +245,7 @@ func TestWorkerGenerationRetention(t *testing.T) {
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 	for _, gen := range []string{"g1", "g2", "g3"} {
-		resp, raw := doJSON(t, http.MethodPut, shipURL(srv.URL, "d", gen), testSpec("d", gen))
+		resp, raw := doShip(t, shipURL(srv.URL, "d", gen), testSpec("d", gen))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("ship %s = %d %s", gen, resp.StatusCode, raw)
 		}
@@ -213,7 +278,7 @@ func TestWorkerConcurrentShip(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, raw := doJSON(t, http.MethodPut, shipURL(srv.URL, "d", "g1"), testSpec("d", "g1"))
+			resp, raw := doShip(t, shipURL(srv.URL, "d", "g1"), testSpec("d", "g1"))
 			if resp.StatusCode != http.StatusOK {
 				errs <- fmt.Errorf("concurrent ship = %d %s", resp.StatusCode, raw)
 				return
@@ -276,52 +341,68 @@ func TestClientRequestIDPropagation(t *testing.T) {
 }
 
 // badSpecs are shard specs no query could run against, each a mutation of
-// testSpec. Before BuildLocalShard validated them, the window and length
-// cases built and then panicked on every query (a 500 through the worker),
-// and the id-order cases built silently.
-var badSpecs = map[string]func(*query.ShardSpec){
-	"length zero":     func(s *query.ShardSpec) { s.Lengths[0].Length = 0 },
-	"length repeated": func(s *query.ShardSpec) { s.Lengths = append(s.Lengths, s.Lengths[0]) },
-	"short rep":       func(s *query.ShardSpec) { g := &s.Lengths[0].Groups[0]; g.Rep = g.Rep[:3] },
-	"NaN rep":         func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Rep[1] = math.NaN() },
-	"Inf series":      func(s *query.ShardSpec) { s.Series[0].Values[2] = math.Inf(1) },
-	"start past end":  func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[0].Start = 7 },
-	"start negative":  func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[0].Start = -3 },
-	"start overflows": func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[0].Start = math.MaxInt },
-	"series repeated": func(s *query.ShardSpec) { s.Series = append(s.Series, s.Series[0]) },
-	"ids repeated": func(s *query.ShardSpec) {
+// testSpec, with the status shipping it answers. Before BuildLocalShard
+// validated them, the window and length cases built and then panicked on
+// every query (a 500 through the worker), and the id-order cases built
+// silently. The spec stream carries any float's bits, so BuildLocalShard
+// alone refuses the non-finite and out-of-order values (422); a value no
+// u32 field of the stream holds is refused by core.EncodeShardSpec, so no
+// client ships it (status 0).
+var badSpecs = map[string]struct {
+	mutate func(*query.ShardSpec)
+	status int
+}{
+	"length zero":     {func(s *query.ShardSpec) { s.Lengths[0].Length = 0 }, 422},
+	"length repeated": {func(s *query.ShardSpec) { s.Lengths = append(s.Lengths, s.Lengths[0]) }, 422},
+	"short rep":       {func(s *query.ShardSpec) { g := &s.Lengths[0].Groups[0]; g.Rep = g.Rep[:3] }, 422},
+	"NaN rep":         {func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Rep[1] = math.NaN() }, 422},
+	"Inf series":      {func(s *query.ShardSpec) { s.Series[0].Values[2] = math.Inf(1) }, 422},
+	"start past end":  {func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[0].Start = 7 }, 422},
+	"start negative":  {func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[0].Start = -3 }, 0},
+	"start overflows": {func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[0].Start = math.MaxInt }, 0},
+	"series repeated": {func(s *query.ShardSpec) { s.Series = append(s.Series, s.Series[0]) }, 422},
+	"ids repeated": {func(s *query.ShardSpec) {
 		s.Lengths[0].Groups = append(s.Lengths[0].Groups, s.Lengths[0].Groups[0])
-	},
-	"ids descend": func(s *query.ShardSpec) {
+	}, 422},
+	"ids descend": {func(s *query.ShardSpec) {
 		g := s.Lengths[0].Groups[0]
 		g.GlobalID = 2
 		s.Lengths[0].Groups = []query.SpecGroup{g, s.Lengths[0].Groups[0]}
 		s.Lengths[0].Groups[1].GlobalID = 1
-	},
+	}, 422},
+	"NaN ST":            {func(s *query.ShardSpec) { s.ST = math.NaN() }, 422},
+	"zero ST":           {func(s *query.ShardSpec) { s.ST = 0 }, 422},
+	"NaN distance":      {func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[2].EDToRep = math.NaN() }, 422},
+	"Inf distance":      {func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[6].EDToRep = math.Inf(1) }, 422},
+	"-Inf distance":     {func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[0].EDToRep = math.Inf(-1) }, 422},
+	"negative distance": {func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[0].EDToRep = -0.01 }, 422},
+	"distances descend": {func(s *query.ShardSpec) { s.Lengths[0].Groups[0].Members[1].EDToRep = 0.5 }, 422},
 }
 
-// TestWorkerRejectsUnqueryableSpec: each bad spec is refused when shipped —
-// ErrBadSpec from BuildLocalShard, a 422 build_failed from the worker, no
-// resident state, and the generation answers queries with the re-ship 404.
-// Non-finite values cannot cross the JSON wire at all, so those cases stop
-// at BuildLocalShard.
+// TestWorkerRejectsUnqueryableSpec: each bad spec is refused —
+// ErrBadSpec from BuildLocalShard, and when shipped the status badSpecs
+// states, no resident state, and a generation that answers queries with
+// the re-ship 404.
 func TestWorkerRejectsUnqueryableSpec(t *testing.T) {
-	for name, mutate := range badSpecs {
+	for name, bad := range badSpecs {
 		t.Run(name, func(t *testing.T) {
 			spec := testSpec("d", "g1")
-			mutate(&spec)
+			bad.mutate(&spec)
 			if _, err := query.BuildLocalShard(spec); !errors.Is(err, query.ErrBadSpec) {
 				t.Fatalf("BuildLocalShard = %v, want ErrBadSpec", err)
 			}
-			if _, err := json.Marshal(spec); err != nil {
+			if err := core.EncodeShardSpec(io.Discard, spec); (err == nil) != (bad.status != 0) {
+				t.Fatalf("EncodeShardSpec = %v, want an error only for status 0", err)
+			}
+			if bad.status == 0 {
 				return
 			}
 			w := NewWorker(testLogger())
 			srv := httptest.NewServer(w.Handler())
 			defer srv.Close()
-			resp, raw := doJSON(t, http.MethodPut, shipURL(srv.URL, "d", "g1"), spec)
-			if resp.StatusCode != http.StatusUnprocessableEntity || errCode(t, raw) != "build_failed" {
-				t.Fatalf("ship = %d %s", resp.StatusCode, raw)
+			resp, raw := doShip(t, shipURL(srv.URL, "d", "g1"), spec)
+			if resp.StatusCode != bad.status || errCode(t, raw) != "build_failed" {
+				t.Fatalf("ship = %d %s, want %d build_failed", resp.StatusCode, raw, bad.status)
 			}
 			if got := w.ShardCount(); got != 0 {
 				t.Fatalf("rejected spec left %d resident shards", got)
@@ -335,38 +416,47 @@ func TestWorkerRejectsUnqueryableSpec(t *testing.T) {
 	}
 }
 
-// FuzzWorkerShip throws arbitrary spec bytes at the ship route. The worker
-// refuses a spec with a 4xx, or keeps it resident and answers scan,
-// scanfixed, verifyk and range for each of its lengths with 200 or
-// a typed 4xx — never a panic, which the route's recovery turns into a 500.
+// FuzzWorkerShip throws arbitrary spec streams at the ship route. The
+// worker refuses a stream with a 4xx, or keeps its spec resident and answers
+// scan, scanfixed, verifyk and range for each of its lengths with 200 or a
+// typed 4xx — never a panic, which the route's recovery turns into a 500.
+// Each input is shipped as is, then, when it decodes under a recomputed
+// checksum, once more with its key pinned to the route, so that mutations
+// reach the build and the queries behind the checksum.
 func FuzzWorkerShip(f *testing.F) {
-	add := func(s query.ShardSpec) {
-		body, err := json.Marshal(s)
-		if err == nil {
-			f.Add(body)
+	tiny := specBody(f, testSpec("d", "g"))
+	f.Add(tiny)
+	f.Add(specBody(f, wideSpec("d", "g")))
+	for _, bad := range badSpecs {
+		s := testSpec("d", "g")
+		bad.mutate(&s)
+		var buf bytes.Buffer
+		if core.EncodeShardSpec(&buf, s) == nil {
+			f.Add(buf.Bytes())
 		}
 	}
-	add(testSpec("d", "g"))
-	add(wideSpec("d", "g"))
-	for _, mutate := range badSpecs {
-		s := testSpec("d", "g")
-		mutate(&s)
-		add(s)
+	// A spec over two encoder blocks, cut at the block boundary and a byte
+	// either side of it.
+	long := testSpec("d", "g")
+	long.Series[0].Values = make([]float64, 1<<13)
+	big := specBody(f, long)
+	for _, cut := range []int{1<<16 - 1, 1 << 16, 1<<16 + 1} {
+		f.Add(big[:cut])
 	}
-	series := `"series":[{"id":0,"values":[0.1,0.3,0.2,0.5]}]`
-	f.Add([]byte(`{"dataset":"d","generation":"g",` + series + `,"lengths":[{"length":2,"groups":[]}]}`))
-	f.Add([]byte(`{"dataset":"d","generation":"g",` + series + `,"lengths":[{"length":2,"groups":[{"globalId":0,"owned":true,"rep":[0.1,0.3],"members":[]}]}]}`))
-	f.Add([]byte(`{"dataset":"d","generation":"g",` + series + `,"lengths":[{"length":1099511627776,"groups":[]}]}`))
-	f.Add([]byte(`{"dataset":"d","generation":"g",` + series + `,"lengths":[{"length":9223372036854775807,"groups":[{"globalId":0,"rep":[1],"members":[{"series":0,"start":1}]}]}]}`))
-	f.Add([]byte(`{"dataset":"d","generation":"g","series":[{"id":0,"values":[NaN,1]}],"lengths":[]}`))
-	f.Add([]byte(`{"dataset":"d","generation":"g","series":[{"id":0,"values":[1e999,-1e999]}],"lengths":[]}`))
-	f.Add([]byte(`{"dataset":"d","generation":"g",` + series + `,"lengths":[{"length":2,"groups":[{"globalId":-4,"rep":[Infinity,0],"members":[{"series":0,"start":0}]}]}]}`))
-	f.Add([]byte(`[]`))
+	flipped := append([]byte(nil), tiny...)
+	flipped[len(flipped)-2] ^= 0x80
+	f.Add(flipped)
+	// The series count (after the magic, the version and the key of
+	// dataset "d" and generation "g") claiming 2³²−1 series.
+	const seriesCount = 8 + 4 + (4 + 1) + (4 + 1) + 4 + 4 + 8
+	hostile := append([]byte(nil), tiny...)
+	binary.LittleEndian.PutUint32(hostile[seriesCount:], math.MaxUint32)
+	f.Add(hostile)
+	f.Add([]byte(`{"dataset":"d","generation":"g","series":[],"lengths":[]}`))
 	f.Add([]byte(``))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		h := NewWorker(testLogger()).Handler()
-		do := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		do := func(h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(method, "/worker/v1/shards/d/g/0"+path, bytes.NewReader(body)))
 			if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code >= 500) {
@@ -374,16 +464,22 @@ func FuzzWorkerShip(f *testing.F) {
 			}
 			return rec
 		}
-		// Pin the spec's key to the route so every decodable spec reaches the
-		// build; what fails to decode is shipped as is and must be a 4xx.
-		var spec query.ShardSpec
-		if err := json.Unmarshal(body, &spec); err == nil {
-			spec.Dataset, spec.Generation, spec.Shard = "d", "g", 0
-			if body, err = json.Marshal(spec); err != nil {
-				t.Fatal(err)
-			}
+		do(NewWorker(testLogger()).Handler(), http.MethodPut, "", body)
+		resealed := append([]byte(nil), body...)
+		if n := len(resealed) - 4; n >= 0 {
+			binary.LittleEndian.PutUint32(resealed[n:], crc32.ChecksumIEEE(resealed[:n]))
 		}
-		if do(http.MethodPut, "", body).Code != http.StatusOK {
+		spec, err := core.DecodeShardSpec(bytes.NewReader(resealed))
+		if err != nil {
+			return
+		}
+		spec.Dataset, spec.Generation, spec.Shard = "d", "g", 0
+		var buf bytes.Buffer
+		if err := core.EncodeShardSpec(&buf, spec); err != nil {
+			t.Fatal(err)
+		}
+		h := NewWorker(testLogger()).Handler()
+		if do(h, http.MethodPut, "", buf.Bytes()).Code != http.StatusOK {
 			return
 		}
 		for i, sl := range spec.Lengths {
@@ -410,7 +506,7 @@ func FuzzWorkerShip(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				do(http.MethodPost, path, reqBody)
+				do(h, http.MethodPost, path, reqBody)
 			}
 		}
 	})
