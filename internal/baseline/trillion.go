@@ -175,7 +175,11 @@ func (t *Trillion) BestMatch(q []float64) (Match, error) {
 // row is above cutoff² no path can finish below cutoff and +Inf is returned.
 // A finite result is the exact banded distance. prev and curr are scratch
 // rows of length ≥ len(q)+1. The serving kernel, dist.DTWEarlyAbandon, is
-// unconstrained; only the UCR-suite baseline runs a band.
+// unconstrained; only the UCR-suite baseline runs a band. The baseline keeps
+// the suite's plain per-row abandon on purpose: the serving kernel's column
+// window and its row thresholds charged for the end cell and its cheapest
+// predecessor are ONEX's engineering, not the UCR suite's, and the
+// comparison measures the suite as published.
 func bandedDTW(q, c []float64, window int, cutoff float64, prev, curr []float64) float64 {
 	n := len(q)
 	cutoffSq := cutoff * cutoff // +Inf cutoff stays +Inf

@@ -444,11 +444,11 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 					if int(sIdx) >= d.N() || !d.Series[sIdx].CheckRange(int(start), int(l)) {
 						return nil, fmt.Errorf("%w: member (%d,%d) out of range", ErrBadFormat, sIdx, start)
 					}
-					if math.IsNaN(ed) || math.IsInf(ed, 0) {
-						return nil, fmt.Errorf("%w: non-finite member distance", ErrBadFormat)
-					}
 					g.Members[mi] = grouping.Member{SeriesIdx: int(sIdx), Start: int(start), EDToRep: ed}
 				}
+			}
+			if mi := grouping.LSIOrderBreak(g.Members); mi >= 0 {
+				return nil, fmt.Errorf("%w: member distance %v out of LSI order", ErrBadFormat, g.Members[mi].EDToRep)
 			}
 			lg.Groups = append(lg.Groups, g)
 		}

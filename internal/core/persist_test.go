@@ -490,9 +490,11 @@ func TestDecodeBoundsHostileCounts(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesRepeatsAndNonFinite: a length stated twice, and a NaN or
-// infinite series value, representative or member distance, are ErrBadFormat
-// even under a valid checksum.
+// TestDecodeRefusesRepeatsAndNonFinite: a length stated twice, a NaN or
+// infinite series value, representative or member distance, and member
+// distances out of LSI order (a swapped pair, a negative distance) are
+// ErrBadFormat even under a valid checksum, as query.BuildLocalShard
+// refuses the same group shipped.
 func TestDecodeRefusesRepeatsAndNonFinite(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -502,6 +504,11 @@ func TestDecodeRefusesRepeatsAndNonFinite(t *testing.T) {
 		{"NaN value", func(s *Snapshot) { s.Dataset.Series[0].Values[2] = math.NaN() }},
 		{"infinite representative", func(s *Snapshot) { s.Grouped.ByLength[2].Groups[0].Rep[1] = math.Inf(1) }},
 		{"NaN member distance", func(s *Snapshot) { s.Grouped.ByLength[2].Groups[0].Members[1].EDToRep = math.NaN() }},
+		{"swapped member pair", func(s *Snapshot) {
+			ms := s.Grouped.ByLength[2].Groups[0].Members
+			ms[1].EDToRep, ms[2].EDToRep = ms[2].EDToRep, ms[1].EDToRep
+		}},
+		{"negative member distance", func(s *Snapshot) { s.Grouped.ByLength[2].Groups[0].Members[0].EDToRep = -0.05 }},
 		{"infinite ST", func(s *Snapshot) { s.Cfg.ST = math.Inf(1) }},
 		{"NaN normalization bound", func(s *Snapshot) { s.NormMax = math.NaN() }},
 	} {

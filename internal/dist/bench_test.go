@@ -64,6 +64,20 @@ func BenchmarkDTWEarlyAbandonSmooth96(b *testing.B) {
 	}
 }
 
+// BenchmarkDTWEarlyAbandonRange96 is a range query over the members of one
+// smooth group: a near-twin pair (distance ≈ 0.47) at the raw cutoff of a
+// normalized radius of 0.0015, 0.0015·2·96 ≈ 0.29, so the kernel runs most
+// rows before it abandons.
+func BenchmarkDTWEarlyAbandonRange96(b *testing.B) {
+	q, c := smoothPair(96)
+	var w Workspace
+	cutoff := 0.0015 * NormalizedDTWDivisor(96, 96)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.DTWEarlyAbandon(q, c, cutoff)
+	}
+}
+
 // BenchmarkDTWEarlyAbandonExact128 is a k-NN survivor: the cutoff equals the
 // distance, so the kernel finishes a near-full matrix.
 func BenchmarkDTWEarlyAbandonExact128(b *testing.B) {

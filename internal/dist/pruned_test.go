@@ -111,6 +111,118 @@ func TestKernelMatchesParent(t *testing.T) {
 	}
 }
 
+// tailHeavyPair returns a near-twin pair of lengths n and m whose last
+// points, and the last points but one, are far apart, so most of the
+// distance is the end cell's cost e and its predecessors' least cost p,
+// scaled by scale.
+func tailHeavyPair(r *rand.Rand, n, m int, scale float64) (a, b []float64) {
+	a, b = make([]float64, n), make([]float64, m)
+	for i := range a {
+		a[i] = math.Sin(float64(i) / 3)
+	}
+	for j := range b {
+		b[j] = a[j*n/m] + float64(0.05*r.NormFloat64())
+	}
+	a[n-1], b[m-1] = 3+float64(r.Float64()), -3-float64(r.Float64())
+	if n >= 2 {
+		a[n-2] = 2 + float64(r.Float64())
+	}
+	if m >= 2 {
+		b[m-2] = -2 - float64(r.Float64())
+	}
+	for i := range a {
+		a[i] = float64(a[i] * scale)
+	}
+	for j := range b {
+		b[j] = float64(b[j] * scale)
+	}
+	return a, b
+}
+
+// TestTailBoundAdmissible checks the row thresholds that charge a row for
+// what the path still owes. tailCut must bound every x with fl(x+y) ≤ T,
+// the largest such x included, at every magnitude; and on pairs whose
+// distance is mostly the end cell's cost and its predecessors' — at the
+// distance and one ulp either side, at n or m in {1, 2, 3}, at zero and
+// subnormal cutoffs, with end costs that overflow to +Inf, and with
+// non-finite inputs — the kernel must keep the full matrix's contract and
+// the frozen parent kernel's bits.
+func TestTailBoundAdmissible(t *testing.T) {
+	r := rand.New(rand.NewSource(293))
+	// The lemma, at its edge: xmax is the largest float with
+	// fl(xmax+y) ≤ T, found by stepping from fl(T−y).
+	edges := 0
+	for trial := 0; trial < 100000; trial++ {
+		tt := float64((1 + float64(r.Float64())) * math.Pow(2, float64(r.Intn(2100)-1090)))
+		y := float64(tt * float64(r.Float64()))
+		if trial%5 == 0 {
+			y = tt
+		}
+		x := tt - y
+		for k := 0; k < 64; k++ {
+			next := math.Nextafter(x, math.Inf(1))
+			if !(next+y <= tt) {
+				break
+			}
+			x = next
+		}
+		for x+y > tt {
+			x = math.Nextafter(x, 0)
+		}
+		if next := math.Nextafter(x, math.Inf(1)); next+y <= tt {
+			continue // too many steps above fl(T−y); xmax is unknown
+		}
+		if x > tt-y {
+			edges++
+		}
+		if cut := tailCut(tt, y); !(x <= cut) {
+			t.Fatalf("T=%v y=%v: fl(x+y) ≤ T at x=%v, above tailCut %v", tt, y, x, cut)
+		}
+	}
+	if edges == 0 {
+		t.Fatal("fl(T−y) was always the largest x; the margin went untested")
+	}
+
+	var w, pw Workspace
+	lens := []int{1, 2, 3, 4, 8, 17, 40}
+	scales := []float64{1, 1e-160, 0x1p-537, 1e150}
+	for trial := 0; trial < 3000; trial++ {
+		n, m := lens[r.Intn(len(lens))], lens[r.Intn(len(lens))]
+		if trial%3 == 0 {
+			n = 1 + r.Intn(3)
+		} else if trial%3 == 1 {
+			m = 1 + r.Intn(3)
+		}
+		a, b := tailHeavyPair(r, n, m, scales[trial%len(scales)])
+		d := naiveDTW(a, b, -1)
+		for _, cutoff := range []float64{
+			d, math.Nextafter(d, 0), math.Nextafter(d, math.Inf(1)), math.Inf(1),
+			0, 5e-324, 1e-160, float64(d * 0.9),
+		} {
+			checkPruned(t, &w, a, b, cutoff)
+			checkParent(t, &w, &pw, a, b, cutoff)
+		}
+	}
+	// End costs that overflow to +Inf, at finite cutoffs up to the one whose
+	// T is the largest float, and non-finite inputs at either end.
+	big := math.Sqrt(math.MaxFloat64)
+	for trial := 0; trial < 500; trial++ {
+		n, m := 1+r.Intn(6), 1+r.Intn(6)
+		a, b := tailHeavyPair(r, n, m, 1)
+		switch trial % 3 {
+		case 0:
+			a[n-1], b[m-1] = 1e300, -1e300
+		case 1:
+			a[n-1] = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)]
+		default:
+			b[r.Intn(m)] = math.NaN()
+		}
+		for _, cutoff := range []float64{0, 1, 1e150, big, math.Nextafter(big, 0), float64(big * 0.999999), math.Inf(1)} {
+			checkParent(t, &w, &pw, a, b, cutoff)
+		}
+	}
+}
+
 // TestDTWPrunedBitIdentical locks the column-window kernel to the naive full
 // matrix with exact float equality, over equal and unequal lengths, length
 // 1, zero-variance and tied inputs, and cutoffs at +Inf, at the distance,
@@ -208,8 +320,9 @@ func TestEDSeedBoundsDTWBitwise(t *testing.T) {
 
 // FuzzDTWPruned checks the kernel's contract on fuzzed pairs, and its bits
 // against the frozen parent kernel: bytes map to a few coarse levels (ties,
-// zero variance and signed zeros come easily), and mode picks the cutoff —
-// +Inf, the distance, one ulp below it, 0, or the fuzzed value.
+// zero variance and signed zeros come easily), mode%6 picks the cutoff —
+// +Inf, the distance, one ulp below it, 0, the fuzzed value, or one ulp
+// above the distance — and mode/6 the levels' scale: 1, 2⁻⁵⁴⁰ or 2⁵¹⁰.
 func FuzzDTWPruned(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{1, 3}, uint8(0), 0.0)
 	f.Add([]byte{1, 2, 3}, []byte{1, 3}, uint8(1), 0.0)
@@ -219,20 +332,37 @@ func FuzzDTWPruned(f *testing.F) {
 	f.Add([]byte{7, 7, 7, 7}, []byte{7, 7, 7, 7}, uint8(3), 0.0)
 	f.Add([]byte{7, 7, 7, 7}, []byte{3, 3}, uint8(4), 2.5)
 	f.Add([]byte{128, 127, 129}, []byte{127, 128}, uint8(4), 1e-300)
+	// Tail-heavy pairs: most of the distance is the end cell's cost and its
+	// predecessors', at n or m in {1, 2, 3}, at the distance and one ulp
+	// either side, at zero and subnormal cutoffs, and scaled so that the
+	// end cost underflows (mode 6–11) or overflows to +Inf (mode 12–17).
+	f.Add([]byte{128, 130, 160, 200}, []byte{128, 129, 96, 40}, uint8(1), 0.0)
+	f.Add([]byte{128, 130, 160, 200}, []byte{128, 129, 96, 40}, uint8(2), 0.0)
+	f.Add([]byte{128, 130, 160, 200}, []byte{128, 129, 96, 40}, uint8(5), 0.0)
+	f.Add([]byte{128, 200}, []byte{128, 129, 130, 40}, uint8(1), 0.0)
+	f.Add([]byte{200}, []byte{128, 40}, uint8(5), 0.0)
+	f.Add([]byte{128, 160, 200}, []byte{40}, uint8(2), 0.0)
+	f.Add([]byte{128, 160, 200}, []byte{127, 96, 40}, uint8(3), 0.0)
+	f.Add([]byte{128, 160, 200}, []byte{127, 96, 40}, uint8(4), 5e-324)
+	f.Add([]byte{128, 129, 160, 200}, []byte{127, 128, 96, 40}, uint8(7), 0.0)
+	f.Add([]byte{128, 129, 160, 200}, []byte{127, 128, 96, 40}, uint8(10), 0x1p-1060)
+	f.Add([]byte{128, 129, 160, 255}, []byte{127, 128, 96, 0}, uint8(13), 0.0)
+	f.Add([]byte{128, 129, 160, 255}, []byte{127, 128, 96, 0}, uint8(16), 1e300)
 	f.Fuzz(func(t *testing.T, ab, bb []byte, mode uint8, cut float64) {
 		if len(ab) == 0 || len(bb) == 0 || len(ab) > 64 || len(bb) > 64 {
 			return
 		}
+		scale := [...]float64{1, 0x1p-540, 0x1p510}[mode/6%3]
 		level := func(bs []byte) []float64 {
 			v := make([]float64, len(bs))
 			for i, x := range bs {
-				v[i] = float64(int(x)-128) / 16
+				v[i] = float64(int(x)-128) / 16 * scale
 			}
 			return v
 		}
 		a, b := level(ab), level(bb)
 		d := naiveDTW(a, b, -1)
-		cutoff := [...]float64{math.Inf(1), d, math.Nextafter(d, 0), 0, cut}[mode%5]
+		cutoff := [...]float64{math.Inf(1), d, math.Nextafter(d, 0), 0, cut, math.Nextafter(d, math.Inf(1))}[mode%6]
 		var w, pw Workspace
 		checkPruned(t, &w, a, b, cutoff)
 		checkParent(t, &w, &pw, a, b, cutoff)

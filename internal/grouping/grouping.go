@@ -171,6 +171,22 @@ func (g *Group) setEDs(d *ts.Dataset) {
 	}
 }
 
+// LSIOrderBreak returns the index of the first member of ms whose distance
+// to the representative is NaN, negative or infinite, or below the previous
+// member's, and −1 when ms is in the LSI order a finalized group keeps. A
+// decoded snapshot and a shipped shard are both checked by it, so a group
+// one of them refuses, the other refuses too.
+func LSIOrderBreak(ms []Member) int {
+	prev := 0.0
+	for i, m := range ms {
+		if !(prev <= m.EDToRep && m.EDToRep < math.Inf(1)) {
+			return i
+		}
+		prev = m.EDToRep
+	}
+	return -1
+}
+
 // sortMembers puts members into the LSI order, ascending by EDToRep. The
 // sort is not stable: the order of equal keys is the one sort.Slice gives
 // this input, and the golden digests pin it.

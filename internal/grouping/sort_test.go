@@ -216,3 +216,33 @@ func FuzzSortMembers(f *testing.F) {
 		checkResort(t, "fuzz", keys, int(old)%(len(keys)+1))
 	})
 }
+
+// TestLSIOrderBreak: the first member whose distance is NaN, negative,
+// infinite or below its predecessor's is reported, and a group in LSI order,
+// ties and zeros included, passes.
+func TestLSIOrderBreak(t *testing.T) {
+	eds := func(ds ...float64) []Member {
+		ms := make([]Member, len(ds))
+		for i, d := range ds {
+			ms[i].EDToRep = d
+		}
+		return ms
+	}
+	for _, c := range []struct {
+		ms   []Member
+		want int
+	}{
+		{nil, -1},
+		{eds(0, 0, 0.1, 0.1, 0.3), -1},
+		{eds(math.Copysign(0, -1), 0.2), -1},
+		{eds(0, 0.2, 0.1), 2},
+		{eds(-0.05, 0.1), 0},
+		{eds(0.1, math.NaN(), 0.2), 1},
+		{eds(0.1, math.Inf(1)), 1},
+		{eds(math.Inf(-1)), 0},
+	} {
+		if got := LSIOrderBreak(c.ms); got != c.want {
+			t.Errorf("LSIOrderBreak(%v) = %d, want %d", c.ms, got, c.want)
+		}
+	}
+}

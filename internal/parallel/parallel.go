@@ -77,18 +77,11 @@ func ForEach(workers, n int, fn func(i int)) {
 
 // MinBound is an atomic, monotonically tightening float64 minimum — the
 // shared best-so-far bound that lets early-abandoning prune across workers.
-// Construct with NewMinBound; the zero value reads as +Inf.
+// The zero value reads as +Inf.
 type MinBound struct {
 	// bits stores math.Float64bits(value)+1, so the zero value decodes to
 	// +Inf without a constructor having run.
 	bits atomic.Uint64
-}
-
-// NewMinBound returns a bound starting at v.
-func NewMinBound(v float64) *MinBound {
-	b := &MinBound{}
-	b.bits.Store(math.Float64bits(v) + 1)
-	return b
 }
 
 // Load returns the current bound.

@@ -76,7 +76,7 @@ func TestMinBoundZeroValueIsInf(t *testing.T) {
 }
 
 func TestMinBoundMonotone(t *testing.T) {
-	b := NewMinBound(math.Inf(1))
+	var b MinBound
 	if b.Relax(5) != true || b.Relax(7) != false || b.Relax(5) != false {
 		t.Fatal("Relax tightening logic wrong")
 	}
@@ -89,7 +89,7 @@ func TestMinBoundMonotone(t *testing.T) {
 }
 
 func TestMinBoundConvergesUnderContention(t *testing.T) {
-	b := NewMinBound(math.Inf(1))
+	var b MinBound
 	r := rand.New(rand.NewSource(1))
 	vals := make([]float64, 4096)
 	min := math.Inf(1)

@@ -132,9 +132,10 @@ func NewWholeShard(data *ts.Dataset, gr *grouping.Result) (*LocalShard, error) {
 // answers bit-identically to an in-process one. A spec no query could run
 // against — a bad ST, length, representative, member window, member
 // distance or id order — is refused with ErrBadSpec; a spec with no series
-// builds an empty shard. Members must come in LSI order (EDToRep finite,
-// non-negative and non-decreasing): the k-NN member walk and range's
-// wholesale prefix rely on it.
+// builds an empty shard. Members must come in LSI order
+// (grouping.LSIOrderBreak: EDToRep finite, non-negative and non-decreasing,
+// the check a snapshot's decode makes too): the k-NN member walk and
+// range's wholesale prefix rely on it.
 func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 	bad := func(format string, args ...any) (*LocalShard, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadSpec, fmt.Sprintf(format, args...))
@@ -189,12 +190,6 @@ func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 				if !data.Series[li].CheckRange(m.Start, sl.Length) {
 					return bad("member window [%d,+%d) outside series %d", m.Start, sl.Length, m.Series)
 				}
-				if !(m.EDToRep >= 0) || math.IsInf(m.EDToRep, 1) {
-					return bad("member (%d,%d) of group %d has distance %v", m.Series, m.Start, sg.GlobalID, m.EDToRep)
-				}
-				if n := len(members); n > 0 && m.EDToRep < members[n-1].EDToRep {
-					return bad("members of group %d leave distance order at (%d,%d)", sg.GlobalID, m.Series, m.Start)
-				}
 				members = append(members, grouping.Member{
 					SeriesIdx: li,
 					Start:     m.Start,
@@ -203,6 +198,10 @@ func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 			}
 			if len(members) == 0 {
 				return bad("group %d of length %d has no members", sg.GlobalID, sl.Length)
+			}
+			if mi := grouping.LSIOrderBreak(members); mi >= 0 {
+				m := sg.Members[mi]
+				return bad("member (%d,%d) of group %d has distance %v out of LSI order", m.Series, m.Start, sg.GlobalID, m.EDToRep)
 			}
 			lg.Groups = append(lg.Groups, &grouping.Group{
 				Length:  sl.Length,

@@ -170,20 +170,6 @@ func (d *Dataset) MaxLen() int {
 	return m
 }
 
-// MinLen returns the length of the shortest series (0 for an empty dataset).
-func (d *Dataset) MinLen() int {
-	if len(d.Series) == 0 {
-		return 0
-	}
-	m := d.Series[0].Len()
-	for _, s := range d.Series[1:] {
-		if s.Len() < m {
-			m = s.Len()
-		}
-	}
-	return m
-}
-
 // SubseqCount returns the total number of subsequences of the given lengths
 // across all series — the cardinality the paper's Table 4 reports. A nil
 // lengths slice counts every length from 2 to each series' length, matching

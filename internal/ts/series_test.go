@@ -87,12 +87,9 @@ func TestDatasetMinMaxLen(t *testing.T) {
 	if d.MaxLen() != 3 {
 		t.Errorf("MaxLen = %d, want 3", d.MaxLen())
 	}
-	if d.MinLen() != 1 {
-		t.Errorf("MinLen = %d, want 1", d.MinLen())
-	}
 	empty := &Dataset{}
-	if empty.MaxLen() != 0 || empty.MinLen() != 0 {
-		t.Errorf("empty dataset lens = %d,%d, want 0,0", empty.MaxLen(), empty.MinLen())
+	if empty.MaxLen() != 0 {
+		t.Errorf("empty dataset MaxLen = %d, want 0", empty.MaxLen())
 	}
 }
 
