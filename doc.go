@@ -137,8 +137,9 @@
 // queried by scatter-gather: the representative scan fans across
 // shard-owned groups with a shared atomic best-so-far bound (each global
 // group is scanned by exactly one shard), range search runs verbatim per
-// shard and concatenates, k-NN verification runs as one phase per shard at
-// every layout, and group mining replays the global pivot walk. The similarity grouping
+// shard and concatenates, k-NN verification runs in phases per shard at
+// every layout, each starting from the coordinator's heap, and group mining
+// replays the global pivot walk. The similarity grouping
 // itself stays global and deterministic — ONEX's query semantics are
 // grouping-dependent, so independent per-shard groupings would change
 // answers — which is what makes sharding a pure scale knob:
@@ -211,8 +212,8 @@
 // # Distributed serving
 //
 // Every shard interaction inside the engine goes through
-// one seam, query.ShardTransport (Info / ScanBest / ScanFixed / VerifyK /
-// Range / Stats / Close). The in-process engine is the
+// one seam, query.ShardTransport (Info / Scan / VerifyK / Range / Stats /
+// Close). The in-process engine is the
 // `local` transport (query.LocalShard); internal/shardrpc supplies the
 // `remote` one: `onex-server -role worker` serves per-shard REST
 // endpoints, and the coordinator — given Options.ShardWorkers (or the
@@ -222,8 +223,11 @@
 // block codec (core.EncodeShardSpec: fixed-width little-endian fields,
 // floats as their bits, a trailing CRC32), and fans queries out in
 // phases: a
-// best-match costs each shard one scan call per searched length, a k-NN
-// one scan and one member-verification call, a range query one call. The
+// best-match costs each shard one scan call per searched length (its
+// nearest representative), a k-NN one scan and one member-verification
+// call per length where its heap is full — at most two of each at the
+// length that fills it, the first scan asking for the k nearest
+// representatives — and a range query one call. The
 // best-match group walk never crosses the seam: the coordinator holds
 // every series and mines the winning group itself. Because the coordinator
 // runs one decision procedure over transport answers, and
@@ -295,8 +299,9 @@ package onex
 //	early abandoning (Sec. 5.3)   dist.Workspace.DTWEarlyAbandon (column-
 //	                              window pruned DTW, exact whenever
 //	                              ≤ cutoff), dist.SquaredEDEarlyAbandon
-//	ED ≥ DTW (the marriage)       LocalShard.ScanBest seeds its bound
-//	                              with the min ED over representatives
+//	ED ≥ DTW (the marriage)       LocalShard.Scan seeds a top-K bound
+//	                              with the K-th least ED over
+//	                              representatives
 //	Trillion [22]                 baseline.Trillion
 //	PAA / PDTW [19]               baseline.PAA
 //	Standard DTW                  baseline.BruteForce

@@ -30,45 +30,45 @@ func (t *topK) push(m Match) {
 			return
 		}
 	}
-	if len(t.matches) < t.k {
-		t.matches = append(t.matches, m)
-		t.up(len(t.matches) - 1)
-		return
-	}
-	if m.Dist >= t.matches[0].Dist {
-		return
-	}
-	t.matches[0] = m
-	t.down(0)
+	t.matches = keepK(t.matches, t.k, m, byDist)
 }
 
-func (t *topK) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if t.matches[parent].Dist >= t.matches[i].Dist {
-			break
-		}
-		t.matches[parent], t.matches[i] = t.matches[i], t.matches[parent]
-		i = parent
-	}
-}
+func byDist(a, b Match) bool { return a.Dist < b.Dist }
 
-func (t *topK) down(i int) {
-	n := len(t.matches)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && t.matches[l].Dist > t.matches[largest].Dist {
-			largest = l
+// keepK offers v to h, a max-heap under less holding the at most k least
+// values offered so far, and returns the heap: v is appended while h holds
+// fewer than k, replaces the root when less than it, and is dropped
+// otherwise — so of equal values the first offered stays.
+func keepK[T any](h []T, k int, v T, less func(a, b T) bool) []T {
+	if len(h) < k {
+		h = append(h, v)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !less(h[p], h[i]) {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
 		}
-		if r < n && t.matches[r].Dist > t.matches[largest].Dist {
-			largest = r
+		return h
+	}
+	if k == 0 || !less(v, h[0]) {
+		return h
+	}
+	h[0] = v
+	for i := 0; ; {
+		l, r, worst := 2*i+1, 2*i+2, i
+		if l < len(h) && less(h[worst], h[l]) {
+			worst = l
 		}
-		if largest == i {
-			return
+		if r < len(h) && less(h[worst], h[r]) {
+			worst = r
 		}
-		t.matches[i], t.matches[largest] = t.matches[largest], t.matches[i]
-		i = largest
+		if worst == i {
+			return h
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
 	}
 }
 

@@ -200,7 +200,8 @@ func TestTopKHeap(t *testing.T) {
 	}
 }
 
-// TestScanFixedKeepsRepAtCutoff: the k-NN scan prunes strictly, like the
+// TestScanFixedKeepsRepAtCutoff: the representative scan prunes strictly,
+// at K = 0 and K > 0 alike, like the
 // plain walk's cut (distance > cutoff), so a representative whose LB_Kim
 // equals the cutoff is computed and kept. For q = (0,0) and rep = (1,1) the
 // diagonal path is optimal: LB_Kim = DTW = √2 bit for bit.
@@ -223,13 +224,15 @@ func TestScanFixedKeepsRepAtCutoff(t *testing.T) {
 	if lb, raw := dist.LBKim(q, gr.ByLength[2].Groups[0].Rep), dist.DTW(q, gr.ByLength[2].Groups[0].Rep); lb != cutoff || raw != cutoff {
 		t.Fatalf("fixture: LB_Kim %v, DTW %v, want both √2", lb, raw)
 	}
-	resp, err := ls.ScanFixed(context.Background(), ScanFixedRequest{
-		Length: 2, Query: q, CutoffBits: math.Float64bits(cutoff), Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Hits) != 1 || resp.Hits[0].GroupID != 0 || resp.Hits[0].Dist != cutoff {
-		t.Errorf("ScanFixed at cutoff √2 = %+v, want group 0 at √2", resp.Hits)
+	for _, k := range []int{0, 1} {
+		resp, err := ls.Scan(context.Background(), ScanRequest{
+			Length: 2, Query: q, K: k, CutoffBits: math.Float64bits(cutoff), Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Hits) != 1 || resp.Hits[0].GroupID != 0 || resp.Hits[0].Dist != cutoff {
+			t.Errorf("Scan k=%d at cutoff √2 = %+v, want group 0 at √2", k, resp.Hits)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -50,6 +51,10 @@ type localUnit struct {
 // ErrBadSpec reports a shipped ShardSpec that cannot be indexed. A worker
 // answers it when the spec is shipped, instead of failing every query after.
 var ErrBadSpec = errors.New("query: bad shard spec")
+
+// ErrBadRequest reports a scan or verification request the coordinator never
+// sends: a negative k, a NaN cutoff, or seeds VerifyK cannot start from.
+var ErrBadRequest = errors.New("query: bad shard request")
 
 // newLocalShard wraps a shard's dataset and grouping as a transport.
 // series, globalIDs and owned are the part's translation tables: series
@@ -259,147 +264,128 @@ func reqWorkers(w int) int {
 	return w
 }
 
-// ScanBest implements ShardTransport: the tightening-bound argmin scan
-// (scanRep: LB_Kim → early-abandoning DTW) over the shard's owned units of
-// one length, in ascending global-group order, striding across the
-// request's workers under a shared atomic bound. The scan computes the exact
-// minimum at every worker count, and ties on it resolve to the smallest
-// global id. That is why scanRep's pruning is strict (lb > bound): a
-// representative whose lower bound merely equals the bound could still tie
-// the minimum from a smaller id. DTWEarlyAbandon is exact whenever the
-// distance is ≤ its cutoff, and a finite result is always exact, so every
-// minimum-achieving representative is computed exactly and the shared
-// winner, which keeps the smallest (distance, position), is the same
-// whatever the timing.
+// Scan implements ShardTransport: the representative scan (scanRep: LB_Kim
+// → early-abandoning DTW, pruning strictly, lb > bound) over the shard's
+// owned units of one length, in ascending global-group order, striding
+// across the request's workers. A hit is a representative whose DTW is at
+// or below the cutoff: one exactly at it survives, as the k-NN walk's cut
+// (distance > cut) would visit it, and the kernel is exact at or below its
+// cutoff. ctx is polled every rangePollEvery units per worker; a canceled
+// scan returns ctx's error, never a partial answer. A negative K or a NaN
+// cutoff is refused with ErrBadRequest.
 //
-// A same-length scan first seeds its bound with the paper's marriage of the
-// two distances: one pass of early-abandoning squared ED over the owned
-// representatives gives seed = √min ED², and seed ≥ DTW(q, r) bit for bit
-// for the representative r achieving it (the diagonal warping path adds the
-// same terms in the same order, and floating-point addition is monotone).
-// The minimum DTW is therefore ≤ seed, so every minimum-achieving
-// representative still passes the strict prune and is computed exactly
-// (the kernel is exact at or below its cutoff), while the first DTW already
-// abandons against a finite cutoff. The hit itself starts empty: only a DTW
-// the scan computed can win. ctx is polled every rangePollEvery units per
-// worker; a canceled scan returns ctx's error, never a partial answer.
-func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBestResponse, error) {
+// K = 0 returns every hit, in ascending global-group order. The cutoff
+// cannot tighten during the scan, so the per-unit decisions — and the work
+// counters — are identical at every worker count and shard layout.
+//
+// K > 0 returns the K nearest hits in (distance, global id) order: the
+// exact top K at every worker count. The workers prune against a shared
+// bound, min(cutoff, seed, the K-th distance found so far), which is never
+// below the true K-th distance, so every representative of the top K —
+// a tie at the K-th place from a smaller id included, which is why the
+// prune is strict — is computed exactly, and the hits found, exact whenever
+// finite, sort into the same top K whatever the timing. A same-length scan
+// seeds the bound with the paper's marriage of the two distances: one pass
+// of early-abandoning squared ED gives seed = √(K-th smallest ED²), and each
+// of the K representatives achieving it has DTW ≤ its ED bit for bit (the
+// diagonal warping path adds the same terms in the same order, and
+// floating-point addition and √ are monotone), so at least K
+// representatives lie at or below seed and the K-th distance does too. K = 1
+// at a +Inf cutoff is a best match's argmin scan.
+func (ls *LocalShard) Scan(ctx context.Context, req ScanRequest) (ScanResponse, error) {
 	if err := ctx.Err(); err != nil {
-		return ScanBestResponse{}, err
+		return ScanResponse{}, err
 	}
 	if err := validateQuery(req.Query); err != nil {
-		return ScanBestResponse{}, err
+		return ScanResponse{}, err
+	}
+	cutoff := math.Float64frombits(req.CutoffBits)
+	if req.K < 0 || math.IsNaN(cutoff) {
+		return ScanResponse{}, fmt.Errorf("%w: scan k %d, cutoff %v", ErrBadRequest, req.K, cutoff)
 	}
 	lg := ls.grouped.ByLength[req.Length]
 	if lg == nil {
-		return ScanBestResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
+		return ScanResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
 	}
 	units := ls.units[req.Length]
 	n := len(units)
 	if n == 0 {
-		return ScanBestResponse{BestBits: math.Float64bits(math.Inf(1))}, nil
+		return ScanResponse{}, nil
 	}
 	q := req.Query
-	seed := math.Inf(1)
-	if req.Length == len(q) {
-		minSq := math.Inf(1)
-		for _, u := range units {
-			if sq := dist.SquaredEDEarlyAbandon(q, lg.Groups[u.local].Rep, minSq); sq < minSq {
-				minSq = sq
-			}
-		}
-		seed = math.Sqrt(minSq)
-	}
-
 	workers := reqWorkers(req.Workers)
 	if n < scanParallelMin {
 		workers = 1
 	}
-	// win is the scan's answer so far, shared by its workers under mu; bound
-	// is min(seed, raw), the cutoff every worker prunes against. The scan's
-	// Trace lives beside them, so the scan allocates one value for all three.
-	win := &struct {
-		bound parallel.MinBound
-		mu    sync.Mutex
-		raw   float64
-		pos   int
-		tr    Trace
-	}{raw: math.Inf(1), pos: -1}
-	win.bound.Relax(seed)
-	strided(ctx, ls.pool, workers, n, &win.tr, func(ws *dist.Workspace, pos int, tr *Trace) {
-		bound := win.bound.Load()
-		d := scanRep(ws, q, lg.Groups[units[pos].local].Rep, bound, tr)
-		if d > bound {
-			return // not the minimum: a computed distance or the seed is below it
+	var resp ScanResponse
+	if req.K == 0 {
+		// found[i] is unit i's distance, +Inf when the cascade dropped it.
+		found := make([]ScanHit, n)
+		var tr Trace
+		strided(ctx, ls.pool, workers, n, &tr, func(ws *dist.Workspace, i int, tr *Trace) {
+			found[i] = ScanHit{GroupID: units[i].global, Dist: scanRep(ws, q, lg.Groups[units[i].local].Rep, cutoff, tr)}
+		})
+		resp = ScanResponse{Hits: slices.DeleteFunc(found, func(h ScanHit) bool { return math.IsInf(h.Dist, 1) }), Trace: tr}
+	} else {
+		k := min(req.K, n)
+		// top holds the k least (distance, position) pairs found, a max-heap
+		// shared by the workers under mu; bound is min(cutoff, seed, its root
+		// once full). GroupID carries the unit position until the answer is
+		// built: positions ascend with global ids. The scan's Trace lives
+		// beside them, so one allocation holds all the workers share.
+		top := &struct {
+			bound parallel.MinBound
+			mu    sync.Mutex
+			hits  []ScanHit
+			tr    Trace
+		}{hits: make([]ScanHit, 0, k)}
+		if req.Length == len(q) {
+			// The seed pass keeps the k least squared EDs in the same heap.
+			for _, u := range units {
+				bound := math.Inf(1)
+				if len(top.hits) == k {
+					bound = top.hits[0].Dist
+				}
+				top.hits = keepK(top.hits, k, ScanHit{Dist: dist.SquaredEDEarlyAbandon(q, lg.Groups[u.local].Rep, bound)}, hitLess)
+			}
+			cutoff = min(cutoff, math.Sqrt(top.hits[0].Dist))
+			top.hits = top.hits[:0]
 		}
-		win.mu.Lock()
-		if d < win.raw || (d == win.raw && pos < win.pos) {
-			win.raw, win.pos = d, pos
-			win.bound.Relax(d)
+		top.bound.Relax(cutoff)
+		strided(ctx, ls.pool, workers, n, &top.tr, func(ws *dist.Workspace, pos int, tr *Trace) {
+			bound := top.bound.Load()
+			d := scanRep(ws, q, lg.Groups[units[pos].local].Rep, bound, tr)
+			if d > bound || math.IsInf(d, 1) {
+				return // not in the top k: k computed distances, or the seed's k EDs, are below it
+			}
+			top.mu.Lock()
+			if top.hits = keepK(top.hits, k, ScanHit{GroupID: pos, Dist: d}, hitLess); len(top.hits) == k {
+				top.bound.Relax(top.hits[0].Dist)
+			}
+			top.mu.Unlock()
+		})
+		slices.SortFunc(top.hits, cmpHits)
+		for i := range top.hits {
+			top.hits[i].GroupID = units[top.hits[i].GroupID].global
 		}
-		win.mu.Unlock()
-	})
+		resp = ScanResponse{Hits: top.hits, Trace: top.tr}
+	}
 	if err := ctx.Err(); err != nil {
-		return ScanBestResponse{}, err
+		return ScanResponse{}, err
 	}
-	if win.pos < 0 {
-		return ScanBestResponse{BestBits: math.Float64bits(math.Inf(1)), Trace: win.tr}, nil
-	}
-	return ScanBestResponse{
-		Found:    true,
-		GroupID:  units[win.pos].global,
-		BestBits: math.Float64bits(win.raw),
-		Trace:    win.tr,
-	}, nil
+	return resp, nil
 }
 
-// ScanFixed implements ShardTransport: the fixed-cutoff k-NN cascade
-// (scanRep, pruning on lb > cutoff) over the owned units, survivors
-// returned in ascending global-group order. A survivor is any finite DTW: a
-// representative exactly at the cutoff survives, as the plain walk's cut
-// (distance > cutoff) would visit it; the kernel is exact at or below the
-// cutoff, and a finite value above it lies past every later group cut (kth
-// only falls), so no walk reads it. The cutoff cannot tighten during the
-// scan, so the per-unit decisions — and the work counters — are identical
-// at every worker count and shard layout. ctx is polled every
-// rangePollEvery units per worker; a canceled scan returns ctx's error,
-// never a partial answer.
-func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (ScanFixedResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return ScanFixedResponse{}, err
+// hitLess orders scan hits by distance, then group id — the tie rule of
+// every representative merge.
+func hitLess(a, b ScanHit) bool {
+	return a.Dist < b.Dist || (a.Dist == b.Dist && a.GroupID < b.GroupID)
+}
+
+// cmpHits is hitLess for slices.SortFunc (the ids of one scan are distinct).
+func cmpHits(a, b ScanHit) int {
+	if hitLess(a, b) {
+		return -1
 	}
-	if err := validateQuery(req.Query); err != nil {
-		return ScanFixedResponse{}, err
-	}
-	lg := ls.grouped.ByLength[req.Length]
-	if lg == nil {
-		return ScanFixedResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
-	}
-	units := ls.units[req.Length]
-	n := len(units)
-	if n == 0 {
-		return ScanFixedResponse{}, nil
-	}
-	q := req.Query
-	cutoff := math.Float64frombits(req.CutoffBits)
-	workers := reqWorkers(req.Workers)
-	if n < scanParallelMin {
-		workers = 1
-	}
-	// found[i] is unit i's distance, +Inf when the cascade dropped it.
-	found := make([]FixedHit, n)
-	var tr Trace
-	strided(ctx, ls.pool, workers, n, &tr, func(ws *dist.Workspace, i int, tr *Trace) {
-		found[i] = FixedHit{GroupID: units[i].global, Dist: scanRep(ws, q, lg.Groups[units[i].local].Rep, cutoff, tr)}
-	})
-	if err := ctx.Err(); err != nil {
-		return ScanFixedResponse{}, err
-	}
-	hits := found[:0]
-	for _, h := range found {
-		if !math.IsInf(h.Dist, 1) {
-			hits = append(hits, h)
-		}
-	}
-	return ScanFixedResponse{Hits: hits, Trace: tr}, nil
+	return 1
 }

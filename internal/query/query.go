@@ -20,10 +20,11 @@
 //     the best-so-far bound tightens early);
 //   - the cascading lower-bound chain LB_Kim → early-abandoning DTW
 //     against a bound — one representative test (scanRep), with one
-//     strict prune rule, for all three representative scans: the argmin
-//     (LocalShard.ScanBest), the fixed-cutoff k-NN scan
-//     (LocalShard.ScanFixed) and range search, which differ only in the
-//     bound they pass and run the same strided worker loop (strided).
+//     strict prune rule, for both representative scans: LocalShard.Scan —
+//     the top-K scan of a best match (K = 1) and of a k-NN's first groups,
+//     and the fixed-cutoff scan of a k-NN (K = 0) — and range search, which
+//     differ only in the bound they pass and run the same strided worker
+//     loop (strided).
 //     The UCR suite's LB_Keogh stage is not run: DTW here has no warping
 //     band, so a representative's envelope is just its maximum and
 //     minimum, and on the benchmark's workloads that bound pruned 0.3–4.1%
@@ -291,7 +292,7 @@ func evalRound(pool *parallel.WorkspacePool, workers int, ws *dist.Workspace, q 
 }
 
 // strided is the one worker loop of the three representative scans
-// (ScanBest, ScanFixed and range search's groups): worker w of workers
+// (Scan's two forms and range search's groups): worker w of workers
 // visits units w, w+workers, … of n on its own workspace from pool and its
 // own Trace, and polls ctx every rangePollEvery of its units, stopping at
 // the first canceled poll (the caller then answers ctx's error). The worker

@@ -29,19 +29,21 @@ import (
 // coordinator drives in-process shards (LocalShard) and remote worker
 // processes (internal/shardrpc.Client) interchangeably. The split of work:
 //
-//   - the representative scan of a length fans one ScanBest/ScanFixed call
-//     per shard (each global group is scanned by exactly one shard — the
-//     one holding its nearest member) and merges the per-shard results by
-//     smallest distance, then smallest global group id;
+//   - the representative scan of a length fans one Scan call per shard
+//     (each global group is scanned by exactly one shard — the one holding
+//     its nearest member) and merges the per-shard results by smallest
+//     distance, then smallest global group id;
 //   - best-match group mining replays the global pivot walk here, once per
 //     searched length, reading the member windows from the coordinator's
 //     own dataset (it holds every series): one member at a time against
 //     the tightening bound, or rounds of 32 across the worker pool when a
 //     round has concurrency to buy (roundSize);
-//   - k-NN member verification is one phase per shard and length at every
-//     layout: each shard walks its own members of the candidate groups
-//     (VerifyK) and the heap bookkeeping is replayed here over the
-//     distances they report (see verifyPhaseK);
+//   - k-NN member verification runs in phases, one VerifyK call per shard
+//     each, at every layout — one per length once the heap is full, at most
+//     two at the length that fills it (see searchLengthK): each shard walks
+//     its own members of the candidate groups from the heap's distances,
+//     and the heap bookkeeping is replayed here over the distances they
+//     report (see verifyPhaseK);
 //   - range search runs verbatim on every shard — its admission (Lemma 2
 //     premise per member) and per-member verification decisions depend only
 //     on the shared global representatives, so the union of shard result
@@ -281,17 +283,17 @@ func (s *Scatter) searchLengths(mode MatchMode, n int) ([]int, error) {
 }
 
 // searchLength finds the best-matching representative of one length (the
-// compareRep step of Algorithm 2.A) by scattering the scan across the
+// compareRep step of Algorithm 2.A) by scattering a Scan{K: 1} across the
 // shards, then mines the winning global group's member list (getKSim),
 // updating best in place. It returns the normalized DTW of the chosen
 // representative (+Inf if the entry is empty) for the early-stop rule. Work
 // accumulates into the caller-owned tr (folded once per query).
 //
-// The scan request pins its bound hint to +Inf: Q1 needs the exact argmin
-// representative (it seeds the pivot walk and the Sec. 5.3 early-stop
-// rule), so an external bound could prune the very representative the
-// search is after. Each shard still early-abandons against its own
-// tightening bound, and the (distance, global id) merge is the tie rule.
+// The scan's cutoff is +Inf: Q1 needs the exact argmin representative (it
+// seeds the pivot walk and the Sec. 5.3 early-stop rule), so an external
+// bound could prune the very representative the search is after. Each shard
+// still early-abandons against its own tightening bound, and the (distance,
+// global id) merge is the tie rule.
 func (s *Scatter) searchLength(ctx context.Context, q []float64, e *grouping.LengthGroups,
 	rf *refine, best *Match, tr *Trace, rec *obs.Trace) (float64, error) {
 
@@ -299,35 +301,11 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *grouping.Len
 		return math.Inf(1), nil
 	}
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
-	req := ScanBestRequest{
-		Length:  e.Length,
-		Query:   q,
-		Workers: s.workers,
+	hits, _, err := s.scan(ctx, q, e.Length, 1, math.Inf(1), tr, rec)
+	if err != nil || len(hits) == 0 {
+		return math.Inf(1), err
 	}
-	resps, err := fanShards(ctx, s, rec, "shard-scan",
-		func(ctx context.Context, t ShardTransport) (ScanBestResponse, error) {
-			return t.ScanBest(ctx, req)
-		},
-		func(sc obs.SpanScope, r ScanBestResponse) obs.SpanScope {
-			return spanWork(sc.Attr("length", int64(e.Length)), Trace{}, r.Trace)
-		})
-	if err != nil {
-		return 0, err
-	}
-	bestID, bestRaw := -1, math.Inf(1)
-	for _, resp := range resps {
-		tr.add(resp.Trace)
-		if !resp.Found {
-			continue
-		}
-		raw := math.Float64frombits(resp.BestBits)
-		if raw < bestRaw || (raw == bestRaw && resp.GroupID < bestID) {
-			bestID, bestRaw = resp.GroupID, raw
-		}
-	}
-	if bestID < 0 {
-		return math.Inf(1), nil
-	}
+	bestID, bestRaw := hits[0].GroupID, hits[0].Dist
 	var sc obs.SpanScope
 	var pre Trace
 	if rec != nil {
@@ -342,6 +320,43 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *grouping.Len
 		return 0, err
 	}
 	return bestRaw / divisor, nil
+}
+
+// scan fans one Scan per shard — k and the raw cutoff as in ScanRequest —
+// and merges the hits in (distance, global id) order, folding the shards'
+// work into tr. For k > 0 it keeps the first k: the global top k, since
+// each shard's top k holds its share of them; complete reports that every
+// shard returned fewer than k and the merge dropped none, so no
+// representative at or below the cutoff is missing.
+func (s *Scatter) scan(ctx context.Context, q []float64, length, k int, cutoff float64,
+	tr *Trace, rec *obs.Trace) (hits []ScanHit, complete bool, err error) {
+
+	req := ScanRequest{Length: length, Query: q, K: k, CutoffBits: math.Float64bits(cutoff), Workers: s.workers}
+	resps, err := fanShards(ctx, s, rec, "shard-scan",
+		func(ctx context.Context, t ShardTransport) (ScanResponse, error) {
+			return t.Scan(ctx, req)
+		},
+		func(sc obs.SpanScope, r ScanResponse) obs.SpanScope {
+			return spanWork(sc.Attr("length", int64(length)), Trace{}, r.Trace)
+		})
+	if err != nil {
+		return nil, false, err
+	}
+	complete = true
+	for _, resp := range resps {
+		tr.add(resp.Trace)
+		complete = complete && len(resp.Hits) < k
+		if len(resps) == 1 {
+			hits = resp.Hits // the one shard's answer is ours to sort
+		} else {
+			hits = append(hits, resp.Hits...)
+		}
+	}
+	slices.SortFunc(hits, cmpHits)
+	if k > 0 && len(hits) > k {
+		hits, complete = hits[:k], false
+	}
+	return hits, complete, nil
 }
 
 // mineGroup verifies members of global group k against the query in pivot
@@ -462,17 +477,28 @@ func (s *Scatter) bestKMatches(ctx context.Context, q []float64, mode MatchMode,
 	return out, nil
 }
 
-// searchLengthK mines every group of one length whose representative
-// survives the fixed-cutoff cascade. Unlike the 1-NN path it cannot stop at
-// the single best representative: a group whose rep is slightly farther can
-// still hold top-k members, so groups are visited in increasing rep-DTW
-// order (ties by global id) until the rep's own DTW exceeds the k-th
-// distance plus the group radius (in raw units) — a heuristic cut mirroring
-// the paper's ST/2-based guarantee. No heap pushes happen during the rep
-// scan, so its cutoff is fixed for the whole length and fanning it across
-// shards and workers changes neither answers nor counters. The shards walk
-// the members of the surviving groups, at every layout, in one
-// verification phase (verifyPhaseK).
+// searchLengthK mines every group of one length whose representative the
+// k-NN walk reaches. Unlike the 1-NN path it cannot stop at the single best
+// representative: a group whose rep is slightly farther can still hold top-k
+// members, so groups are visited in increasing rep-DTW order (ties by global
+// id) until the rep's own DTW exceeds the k-th distance plus the group
+// radius (in raw units) — a heuristic cut mirroring the paper's ST/2-based
+// guarantee. The shards walk the members of the visited groups, at every
+// layout, in verification phases (verifyPhaseK).
+//
+// With a full heap one Scan{K: 0} at the cut as it stands collects the
+// candidates: the cut only falls during the walk, so a representative past
+// it is one the walk would never reach, and no heap pushes happen during the
+// scan, so fanning it across shards and workers changes neither answers nor
+// counters. Until the heap is full the cut is +Inf, and a scan at it would
+// run every representative's DTW to its last cell; so the walk first
+// verifies the k nearest representatives, Scan{K: k} at +Inf, which are its
+// first k groups in order — the heap is not full before them, so the plain
+// walk visits them all unless its cut falls inside them. It ends there if it
+// does; otherwise the heap is full (every visited member is pushed while the
+// cut is +Inf), and one Scan{K: 0} at the cut that the first phase left
+// collects the rest, the first k groups dropped: they are exactly its
+// prefix up to the k-th in (distance, id) order.
 func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *grouping.LengthGroups,
 	heap *topK, tr *Trace, rec *obs.Trace) error {
 
@@ -481,69 +507,62 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *grouping.Le
 	}
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
 	radiusRaw := float64(s.grouped.ST / 2 * math.Sqrt(float64(e.Length))) // group radius in raw-ED units
-	req := ScanFixedRequest{
-		Length:     e.Length,
-		Query:      q,
-		CutoffBits: math.Float64bits(float64(heap.kth()*divisor) + radiusRaw),
-		Workers:    s.workers,
+	var first []ScanHit
+	if math.IsInf(heap.kth(), 1) {
+		top, complete, err := s.scan(ctx, q, e.Length, heap.k, math.Inf(1), tr, rec)
+		if err != nil {
+			return err
+		}
+		groups, err := s.verifyPhaseK(ctx, q, e, top, divisor, radiusRaw, heap, tr, rec)
+		if err != nil || complete || groups < len(top) {
+			return err
+		}
+		first = top
 	}
-	resps, err := fanShards(ctx, s, rec, "shard-scan",
-		func(ctx context.Context, t ShardTransport) (ScanFixedResponse, error) {
-			return t.ScanFixed(ctx, req)
-		},
-		func(sc obs.SpanScope, r ScanFixedResponse) obs.SpanScope {
-			return spanWork(sc.Attr("length", int64(e.Length)), Trace{}, r.Trace)
-		})
+	reps, _, err := s.scan(ctx, q, e.Length, 0, float64(heap.kth()*divisor)+radiusRaw, tr, rec)
 	if err != nil {
 		return err
 	}
-	var reps []FixedHit
-	for _, resp := range resps {
-		tr.add(resp.Trace)
-		reps = append(reps, resp.Hits...)
+	if len(first) > 0 {
+		last := first[len(first)-1]
+		reps = reps[sort.Search(len(reps), func(i int) bool { return hitLess(last, reps[i]) }):]
 	}
-	// Tie order: ascending global id (each shard's hits already are; the
-	// shards partition the ids), then stable by distance.
-	sort.Slice(reps, func(a, b int) bool { return reps[a].GroupID < reps[b].GroupID })
-	sort.SliceStable(reps, func(a, b int) bool { return reps[a].Dist < reps[b].Dist })
-
-	var sc obs.SpanScope
-	var pre Trace
-	if rec != nil {
-		pre = *tr
-		sc = rec.StartSpan("refine")
-	}
-	groups := 0
-	var verr error
-	if len(reps) > 0 {
-		groups, verr = s.verifyPhaseK(ctx, q, e, reps, divisor, radiusRaw, heap, tr, rec)
-	}
-	if rec != nil {
-		spanWork(sc.Attr("length", int64(e.Length)).Attr("groups", int64(groups)), pre, *tr).End()
-	}
-	return verr
+	_, err = s.verifyPhaseK(ctx, q, e, reps, divisor, radiusRaw, heap, tr, rec)
+	return err
 }
 
-// verifyPhaseK is k-NN member verification across the seam: one VerifyK
-// call per shard — inline for one shard, concurrent past one — each walking
-// its own members of the candidate groups, then the plain k-NN walk
-// replayed over the distances they report. The plain walk visits the
-// candidate groups in order until a representative's distance exceeds the
-// real cut kth·divisor + radius, and walks each group's members in ED
-// order, pushing a member iff its LB_Kim and its DTW are both below
-// kth·divisor, kth being the heap's k-th distance at that moment. The
-// replay re-checks the real cut before each group and pushes a group's
-// reported members in the global ED order (each shard reports its members
-// of a group in that order, so walking the global member list and consuming
-// each home shard's next hit interleaves them exactly); what the shards
-// reported past the real cut is dropped. A member no shard reported is one
-// the plain walk would not push (see LocalShard.VerifyK), so the heap passes
-// through the plain walk's states: answers, ties included, are the same at
-// every layout. It returns how many groups the real cut admitted;
-// MembersTested counts their sizes.
+// verifyPhaseK is one k-NN member-verification phase across the seam: one
+// VerifyK call per shard — inline for one shard, concurrent past one — each
+// walking its own members of the candidate groups from the heap's distances
+// (Seeds), then the plain k-NN walk replayed over the distances they
+// report. The plain walk visits the candidate groups in order until a
+// representative's distance exceeds the real cut kth·divisor + radius, and
+// walks each group's members in ED order, pushing a member iff its LB_Kim
+// and its DTW are both below kth·divisor, kth being the heap's k-th distance
+// at that moment. The replay re-checks the real cut before each group and
+// pushes a group's reported members in the global ED order (each shard
+// reports its members of a group in that order, so walking the global member
+// list and consuming each home shard's next hit interleaves them exactly);
+// what the shards reported past the real cut is dropped. A member no shard
+// reported is one the plain walk would not push (see LocalShard.VerifyK), so
+// the heap passes through the plain walk's states: answers, ties included,
+// are the same at every layout. It returns how many groups the real cut
+// admitted; MembersTested counts their sizes. A phase with candidates is
+// one "refine" span.
 func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *grouping.LengthGroups,
-	reps []FixedHit, divisor, radiusRaw float64, heap *topK, tr *Trace, rec *obs.Trace) (int, error) {
+	reps []ScanHit, divisor, radiusRaw float64, heap *topK, tr *Trace, rec *obs.Trace) (groups int, err error) {
 
+	if len(reps) == 0 {
+		return 0, nil
+	}
+	if rec != nil {
+		pre, sc := *tr, rec.StartSpan("refine")
+		defer func() { spanWork(sc.Attr("length", int64(e.Length)).Attr("groups", int64(groups)), pre, *tr).End() }()
+	}
+	seeds := make([]float64, len(heap.matches))
+	for i, m := range heap.matches {
+		seeds[i] = float64(m.Dist * divisor)
+	}
 	req := VerifyKRequest{
 		Length:     e.Length,
 		Query:      q,
@@ -552,6 +571,7 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *grouping.Len
 		RadiusRaw:  radiusRaw,
 		Workers:    s.workers,
 		Candidates: reps,
+		Seeds:      seeds,
 	}
 	resps, err := fanShards(ctx, s, rec, "shard-verify",
 		func(ctx context.Context, t ShardTransport) (VerifyKResponse, error) {
@@ -569,7 +589,6 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *grouping.Len
 		tr.DTWComputed += resp.DTWComputed
 	}
 	next := make([]int, len(resps)) // per shard: its first unconsumed hit
-	groups := 0
 	for _, rd := range reps {
 		if rd.Dist > float64(heap.kth()*divisor)+radiusRaw {
 			break
@@ -614,7 +633,7 @@ func (s *Scatter) verifyPhaseK(ctx context.Context, q []float64, e *grouping.Len
 			continue
 		}
 		h := resp.Hits[next[ti]]
-		if !slices.ContainsFunc(reps[groups:], func(c FixedHit) bool { return c.GroupID == h.GroupID }) {
+		if !slices.ContainsFunc(reps[groups:], func(c ScanHit) bool { return c.GroupID == h.GroupID }) {
 			return 0, fmt.Errorf("query: shard %d reported k-NN hit %+v outside its candidate walk", s.infos[ti].Shard, h)
 		}
 	}

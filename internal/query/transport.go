@@ -32,17 +32,14 @@ type ShardTransport interface {
 	// holds and which global groups it scans. The coordinator validates
 	// the partition against it at assembly.
 	Info() ShardInfo
-	// ScanBest runs the tightening-bound argmin representative scan over
-	// the shard's owned groups of one length (the compareRep step of
-	// Algorithm 2.A, restricted to this shard).
-	ScanBest(ctx context.Context, req ScanBestRequest) (ScanBestResponse, error)
-	// ScanFixed runs the fixed-cutoff representative cascade of the k-NN
-	// scan over the shard's owned groups of one length, returning the
-	// survivors in ascending global-group order.
-	ScanFixed(ctx context.Context, req ScanFixedRequest) (ScanFixedResponse, error)
-	// VerifyK runs the k-NN member verification of one length as a single
-	// phase: the shard walks its own members of the candidate groups, in
-	// the given order, and returns every finite distance it found (see
+	// Scan runs the representative scan of one length over the shard's
+	// owned groups (the compareRep step of Algorithm 2.A, restricted to
+	// this shard): every representative at or below the request's cutoff
+	// (K = 0), or the K nearest of them (K > 0; see LocalShard.Scan).
+	Scan(ctx context.Context, req ScanRequest) (ScanResponse, error)
+	// VerifyK runs one k-NN member-verification phase of one length: the
+	// shard walks its own members of the candidate groups, in the given
+	// order, and returns every finite distance it found (see
 	// LocalShard.VerifyK for the bound it early-abandons against).
 	VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKResponse, error)
 	// Range answers a range query over the shard's restriction with
@@ -108,74 +105,59 @@ type WorkerObs struct {
 // ObsPayload returns the response's worker observability payload (nil for
 // local transports). Each query response implements it so transport
 // clients can extract the payload generically.
-func (r *ScanBestResponse) ObsPayload() *WorkerObs  { return r.Obs }
-func (r *ScanFixedResponse) ObsPayload() *WorkerObs { return r.Obs }
-func (r *VerifyKResponse) ObsPayload() *WorkerObs   { return r.Obs }
-func (r *RangeResponse) ObsPayload() *WorkerObs     { return r.Obs }
+func (r *ScanResponse) ObsPayload() *WorkerObs    { return r.Obs }
+func (r *VerifyKResponse) ObsPayload() *WorkerObs { return r.Obs }
+func (r *RangeResponse) ObsPayload() *WorkerObs   { return r.Obs }
 
-// ScanBestRequest asks for the argmin representative over the shard's
-// owned groups of one length.
-type ScanBestRequest struct {
-	Length int       `json:"length"`
-	Query  []float64 `json:"query"`
-	// Workers bounds the shard-side fan-out of the scan (answer-invariant;
-	// see LocalShard.ScanBest).
-	Workers int `json:"workers"`
-}
-
-// ScanBestResponse is the shard-local argmin. BestBits is the raw
-// (unnormalized) DTW as Float64bits; ties on bit-equal distances resolve
-// to the smallest global group id.
-type ScanBestResponse struct {
-	Found    bool       `json:"found"`
-	GroupID  int        `json:"groupId"`
-	BestBits uint64     `json:"bestBits"`
-	Trace    Trace      `json:"trace"`
-	Obs      *WorkerObs `json:"obs,omitempty"`
-}
-
-// ScanFixedRequest asks for the fixed-cutoff k-NN representative cascade
-// over the shard's owned groups of one length. CutoffBits is the raw
-// cutoff (k-th distance × divisor + group radius) as Float64bits — +Inf
-// until the heap fills.
-type ScanFixedRequest struct {
+// ScanRequest asks for the representative scan of one length over the
+// shard's owned groups. CutoffBits is the raw cutoff as Float64bits: +Inf
+// for a best match and for a k-NN until its heap fills, k-th distance ×
+// divisor + group radius after. K = 0 asks for every representative whose
+// DTW is at or below the cutoff; K > 0 for the K nearest of them. Workers
+// bounds the shard-side fan-out (answer-invariant).
+type ScanRequest struct {
 	Length     int       `json:"length"`
 	Query      []float64 `json:"query"`
+	K          int       `json:"k"`
 	CutoffBits uint64    `json:"cutoffBits"`
 	Workers    int       `json:"workers"`
 }
 
-// FixedHit is one representative that survived the fixed-cutoff cascade.
-// Dist is finite (survivors are exactly the non-abandoned DTWs), so it
-// travels as a plain float64.
-type FixedHit struct {
+// ScanHit is one representative the scan computed at or below its cutoff:
+// global group id and raw (unnormalized) DTW. Dist is finite, so it travels
+// as a plain float64.
+type ScanHit struct {
 	GroupID int     `json:"groupId"`
 	Dist    float64 `json:"dist"`
 }
 
-// ScanFixedResponse lists the surviving representatives in ascending
-// global-group order.
-type ScanFixedResponse struct {
-	Hits  []FixedHit `json:"hits"`
+// ScanResponse lists the scan's representatives: in ascending global-group
+// order for K = 0, in (distance, global id) order for K > 0.
+type ScanResponse struct {
+	Hits  []ScanHit  `json:"hits"`
 	Trace Trace      `json:"trace"`
 	Obs   *WorkerObs `json:"obs,omitempty"`
 }
 
 // VerifyKRequest asks a shard to verify its members of one length's k-NN
-// candidate groups in a single call. Candidates are the merged ScanFixed
-// survivors — global group id and representative DTW — in the coordinator's
-// visit order (ascending distance, ties by id); a shard skips the ids it
-// holds no member of. CutoffBits is the heap's k-th distance × divisor when
-// the phase starts, as Float64bits (+Inf until the heap fills); RadiusRaw is
-// the group-radius term of the group cut (finite, raw-ED units).
+// candidate groups in a single call. Candidates are merged Scan hits —
+// global group id and representative DTW — in the coordinator's visit order
+// (ascending distance, ties by id); a shard skips the ids it holds no member
+// of. CutoffBits is the heap's k-th distance × divisor when the phase
+// starts, as Float64bits (+Inf until the heap fills); RadiusRaw is the
+// group-radius term of the group cut (finite, raw-ED units). Seeds are the
+// heap's distances when the phase starts, each Dist × divisor in raw units of
+// this length (at most K, none NaN or negative); the shard's own ranking
+// starts from them.
 type VerifyKRequest struct {
-	Length     int        `json:"length"`
-	Query      []float64  `json:"query"`
-	K          int        `json:"k"`
-	CutoffBits uint64     `json:"cutoffBits"`
-	RadiusRaw  float64    `json:"radiusRaw"`
-	Workers    int        `json:"workers"`
-	Candidates []FixedHit `json:"candidates"`
+	Length     int       `json:"length"`
+	Query      []float64 `json:"query"`
+	K          int       `json:"k"`
+	CutoffBits uint64    `json:"cutoffBits"`
+	RadiusRaw  float64   `json:"radiusRaw"`
+	Workers    int       `json:"workers"`
+	Candidates []ScanHit `json:"candidates"`
+	Seeds      []float64 `json:"seeds,omitempty"`
 }
 
 // VerifiedHit is one member whose DTW the shard computed to completion:

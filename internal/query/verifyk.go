@@ -4,13 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"onex/internal/dist"
 	"onex/internal/grouping"
 )
 
-// VerifyK implements ShardTransport: the k-NN member verification of one
-// length as one phase. The shard walks the candidate groups in the given
+// VerifyK implements ShardTransport: one k-NN member-verification phase of
+// one length. The shard walks the candidate groups in the given
 // order and, within a group, its own members in the group's ED order (the
 // restriction of the global order), running the per-member cascade — LB_Kim,
 // then early-abandoning DTW — and reports every distance that ran to
@@ -30,24 +31,35 @@ import (
 //
 //	B = min(request cutoff, max(D, D/divisor·divisor))
 //
-// where D is the k-th smallest value the shard has found so far, a found
-// member counting as the larger of its distance and its lower bound (the
-// distance, wherever LB_Kim ≤ DTW also holds after rounding). B is never
-// below the reference's cutoff at the same member:
+// where D is the k-th smallest value of the shard's ranking: the request's
+// seeds — the heap's distances when the phase starts, each Dist·divisor as
+// the coordinator computes it — plus every member the shard has found so
+// far, a found member counting as the larger of its distance and its lower
+// bound (the distance, wherever LB_Kim ≤ DTW also holds after rounding). B
+// is never below the reference's cutoff at the same member:
 //
 //   - the request cutoff is the real heap's cutoff when the phase starts,
 //     and that only falls;
-//   - take the k found members counted ≤ D before this one. The reference
-//     met each of them earlier in its own walk (same group order, member
-//     order restricted). One it did not push failed a test — lower bound or
-//     distance — against a cutoff that was already ≤ its count, or met a
-//     heap root already ≤ its normalized distance; if it pushed all k, the
-//     heap root is at most the largest of their normalized distances,
-//     ≤ D/divisor, whether or not some were evicted since (an eviction only
-//     lowers the root). Either way the reference's cutoff is now ≤ D or
-//     ≤ D/divisor·divisor — computed here with the coordinator's own
-//     operations, so the comparison holds in floating point, not just over
-//     the reals.
+//   - take the k entries counted ≤ D before this member. A seed is a member
+//     the reference pushed before the phase. A found member the reference
+//     met earlier in its own walk (same group order, member order
+//     restricted), after every seed; one it did not push failed a test —
+//     lower bound or distance — against a cutoff that was already ≤ its
+//     count, or met a heap root already ≤ its normalized distance. If it
+//     pushed all k — distinct members, since a phase's groups hold no seed —
+//     the heap root is at most the largest of their normalized distances,
+//     whether or not some were evicted since (an eviction only lowers the
+//     root), and x ↦ fl(x·divisor) is monotone: the reference's cutoff is at
+//     most the largest of the seeds and the D/divisor·divisor of the found
+//     ones. Either way it is now ≤ D or ≤ D/divisor·divisor — computed here
+//     with the coordinator's own operations, so the comparison holds in
+//     floating point, not just over the reals.
+//
+// Seeds only make D, and with it B, smaller than a ranking of the shard's
+// own finds: a second phase of a length, or a later length, abandons against
+// the heap it inherits rather than against the request cutoff until the
+// shard finds k members of its own. More than k seeds, or a NaN or negative
+// one, is refused with ErrBadRequest.
 //
 // The DTW kernel is exact at or below B and may return +Inf above it. A
 // member whose distance comes back +Inf is not counted, and fewer counted
@@ -77,6 +89,9 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 	if req.RadiusRaw < 0 || math.IsNaN(req.RadiusRaw) || math.IsInf(req.RadiusRaw, 0) {
 		return VerifyKResponse{}, fmt.Errorf("query: invalid group radius %v", req.RadiusRaw)
 	}
+	if len(req.Seeds) > req.K || slices.ContainsFunc(req.Seeds, func(s float64) bool { return !(s >= 0) }) {
+		return VerifyKResponse{}, fmt.Errorf("%w: %d k-NN seeds for k %d, or one NaN or negative", ErrBadRequest, len(req.Seeds), req.K)
+	}
 	lg := ls.grouped.ByLength[req.Length]
 	if lg == nil {
 		return VerifyKResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
@@ -103,9 +118,13 @@ func (ls *LocalShard) VerifyK(ctx context.Context, req VerifyKRequest) (VerifyKR
 
 	q := req.Query
 	divisor := dist.NormalizedDTWDivisor(len(q), req.Length)
-	// found ranks what the walk has found so far: topK over the members'
-	// counts (see above), in raw units.
+	// found ranks the seeds and what the walk has found so far: topK over
+	// the members' counts (see above), in raw units. Seeds carry no member,
+	// so they bypass push's duplicate check.
 	found := newTopK(req.K)
+	for _, s := range req.Seeds {
+		found.matches = keepK(found.matches, found.k, Match{Dist: s}, byDist)
+	}
 	bound := func() float64 {
 		d := found.kth()
 		return math.Min(cutoff, math.Max(d, d/divisor*divisor))

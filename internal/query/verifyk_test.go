@@ -51,10 +51,10 @@ func wholeShard(e *engine) *LocalShard { return e.transports[0].(*LocalShard) }
 
 // allCandidates lists every group of one length as a k-NN candidate at
 // distance 0 (nothing is cut).
-func allCandidates(e *engine, length int) []FixedHit {
-	var c []FixedHit
+func allCandidates(e *engine, length int) []ScanHit {
+	var c []ScanHit
 	for gid := range e.grouped.ByLength[length].Groups {
-		c = append(c, FixedHit{GroupID: gid})
+		c = append(c, ScanHit{GroupID: gid})
 	}
 	return c
 }
@@ -116,8 +116,8 @@ func TestVerifyKCancellation(t *testing.T) {
 		t.Fatalf("k-NN saw only %d cancellation points; the phase's are missing", canceled)
 	}
 
-	// Both representative scans poll per rangePollEvery units of each
-	// worker, at every layout: a canceled scan is an error with an empty
+	// The representative scan, in its K = 0 and top-K forms, polls per
+	// rangePollEvery units of each worker, at every layout: a canceled scan is an error with an empty
 	// answer, and a completed one is the answer of an uncanceled call.
 	_, tight := equivProcessors(t, equivDataset(4242, 24, 64), 0.05, []int{16})
 	for _, shards := range []int{1, 3} {
@@ -125,36 +125,23 @@ func TestVerifyKCancellation(t *testing.T) {
 			n := len(ls.units[16])
 			for _, workers := range []int{1, 2} {
 				name := fmt.Sprintf("shards=%d shard=%d workers=%d", shards, ls.shard, workers)
-				best := ScanBestRequest{Length: 16, Query: q, Workers: workers}
-				fixed := ScanFixedRequest{Length: 16, Query: q, CutoffBits: math.Float64bits(math.Inf(1)), Workers: workers}
-				wantBest, err := ls.ScanBest(context.Background(), best)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantFixed, err := ls.ScanFixed(context.Background(), fixed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				countCancels(t, name+" ScanBest", 1+n/rangePollEvery, func(ctx context.Context) (bool, error) {
-					r, err := ls.ScanBest(ctx, best)
+				for _, k := range []int{0, 1, 3} {
+					req := ScanRequest{Length: 16, Query: q, K: k, CutoffBits: math.Float64bits(math.Inf(1)), Workers: workers}
+					want, err := ls.Scan(context.Background(), req)
 					if err != nil {
-						return r.Found || r.BestBits != 0, err
+						t.Fatal(err)
 					}
-					if r.Found != wantBest.Found || r.GroupID != wantBest.GroupID || r.BestBits != wantBest.BestBits {
-						t.Fatalf("%s: completed ScanBest %+v, want %+v", name, r, wantBest)
-					}
-					return false, nil
-				})
-				countCancels(t, name+" ScanFixed", 1+n/rangePollEvery, func(ctx context.Context) (bool, error) {
-					r, err := ls.ScanFixed(ctx, fixed)
-					if err != nil {
-						return r.Hits != nil, err
-					}
-					if !reflect.DeepEqual(r, wantFixed) {
-						t.Fatalf("%s: completed ScanFixed differs from the uncanceled call", name)
-					}
-					return false, nil
-				})
+					countCancels(t, fmt.Sprintf("%s Scan k=%d", name, k), 1+n/rangePollEvery, func(ctx context.Context) (bool, error) {
+						r, err := ls.Scan(ctx, req)
+						if err != nil {
+							return r.Hits != nil, err
+						}
+						if !reflect.DeepEqual(r.Hits, want.Hits) || (k == 0 && r.Trace != want.Trace) {
+							t.Fatalf("%s: completed Scan k=%d differs from the uncanceled call", name, k)
+						}
+						return false, nil
+					})
+				}
 			}
 		}
 	}
@@ -286,7 +273,7 @@ func TestVerifyKRejectsMalformed(t *testing.T) {
 	}
 	mutate := func(f func(*VerifyKRequest)) VerifyKRequest {
 		r := good
-		r.Candidates = append([]FixedHit(nil), good.Candidates...)
+		r.Candidates = append([]ScanHit(nil), good.Candidates...)
 		f(&r)
 		return r
 	}
@@ -303,16 +290,21 @@ func TestVerifyKRejectsMalformed(t *testing.T) {
 		"negative id":     mutate(func(r *VerifyKRequest) { r.Candidates[0].GroupID = -1 }),
 		"NaN distance":    mutate(func(r *VerifyKRequest) { r.Candidates[0].Dist = math.NaN() }),
 		"duplicate id":    mutate(func(r *VerifyKRequest) { r.Candidates = append(r.Candidates, r.Candidates[0]) }),
+		"seeds over k":    mutate(func(r *VerifyKRequest) { r.Seeds = []float64{1, 2, 3, 4} }),
+		"NaN seed":        mutate(func(r *VerifyKRequest) { r.Seeds = []float64{1, math.NaN()} }),
+		"negative seed":   mutate(func(r *VerifyKRequest) { r.Seeds = []float64{-1} }),
 	}
 	for name, req := range bad {
 		if _, err := ls.VerifyK(context.Background(), req); err == nil {
 			t.Errorf("%s: want an error", name)
+		} else if strings.Contains(name, "seed") && !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
 		}
 	}
 	unknown := mutate(func(r *VerifyKRequest) {
 		r.Candidates = nil
 		for i := 0; i < 1000; i++ {
-			r.Candidates = append(r.Candidates, FixedHit{GroupID: 1 << 20, Dist: 1})
+			r.Candidates = append(r.Candidates, ScanHit{GroupID: 1 << 20, Dist: 1})
 		}
 	})
 	resp, err := ls.VerifyK(context.Background(), unknown)

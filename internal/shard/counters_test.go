@@ -17,8 +17,8 @@ import (
 // three in-process shards and three shards on loopback workers. The stream
 // mixes every family plus one batch: the batch runs on a worker-budget view
 // of the coordinator, which must share its tally, and seasonal requests
-// tick Queries only. Both sides are read within one run, so ScanBest's
-// timing-dependent Kim/DTW split cannot make them disagree.
+// tick Queries only. Both sides are read within one run, so the top-K
+// scan's timing-dependent Kim/DTW split cannot make them disagree.
 func TestCountersMatchTraces(t *testing.T) {
 	r := rand.New(rand.NewSource(6151))
 	d := randomDataset(r, 18, 40)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -81,11 +82,13 @@ func plainKNN(e *Engine, q []float64, mode query.MatchMode, k int) (found []quer
 				if d >= cutoff {
 					continue
 				}
-				found = append(found, query.Match{
+				// Insert after every equal distance, as a stable sort of
+				// found with the match appended would.
+				at := sort.Search(len(found), func(i int) bool { return found[i].Dist > d/divisor })
+				found = slices.Insert(found, at, query.Match{
 					SeriesID: m.SeriesIdx, Start: m.Start, Length: l,
 					Dist: d / divisor, RawDTW: d, GroupID: c.id,
 				})
-				sort.SliceStable(found, func(a, b int) bool { return found[a].Dist < found[b].Dist })
 				found = found[:min(len(found), k)]
 			}
 		}
@@ -100,14 +103,27 @@ func plainKNN(e *Engine, q []float64, mode query.MatchMode, k int) (found []quer
 // bit, and tests the members of exactly the groups the plain walk visits, at
 // one and three shards, one and eight workers, in both modes. The loose
 // threshold makes groups large enough for the verification phase to run
-// rounds of members at eight workers.
+// rounds of members at eight workers. The tight one makes hundreds of
+// groups per length, most of one member, so a k-NN's first k groups are
+// fewer than a length's: its walk ends inside them or goes on past them, and
+// at k = 300 over three shards every shard holds fewer than k of them while
+// their union holds more. The largest k exceeds every length's members, so
+// an exact-length heap never fills.
 func TestKNNMatchesPlainWalk(t *testing.T) {
 	lengths := []int{8, 12, 16}
-	for _, st := range []float64{0.35, 1.5} {
+	for _, st := range []float64{0.03, 0.35, 1.5} {
 		for seed := int64(1); seed <= 2; seed++ {
 			r := rand.New(rand.NewSource(seed * 5023))
 			d := randomDataset(r, 18, 40)
 			queries := randomQueries(r, d, lengths, 8)
+			never := 0 // a k no length's members fill
+			for _, l := range lengths {
+				n := 0
+				for _, s := range d.Series {
+					n += max(s.Len()-l+1, 0)
+				}
+				never = max(never, n+1)
+			}
 			for _, parallelism := range []int{1, 8} {
 				for _, shards := range []int{1, 3} {
 					name := fmt.Sprintf("st%.2f_seed%d_p%d_s%d", st, seed, parallelism, shards)
@@ -130,7 +146,7 @@ func TestKNNMatchesPlainWalk(t *testing.T) {
 					}
 					for qi, q := range queries {
 						for _, mode := range []query.MatchMode{query.MatchExact, query.MatchAny} {
-							for _, k := range []int{2, 5, 10} {
+							for _, k := range []int{2, 5, 10, 300, never} {
 								ctx := fmt.Sprintf("%s q%d mode%d k%d", name, qi, mode, k)
 								want, tested, werr := plainKNN(e, q, mode, k)
 								rec := obs.NewTrace("")

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -14,31 +15,23 @@ import (
 )
 
 // countingShard counts the calls that cross the transport seam and keeps the
-// k-NN phase requests.
+// scan and k-NN phase requests.
 type countingShard struct {
 	query.ShardTransport
-	mu                           sync.Mutex
-	scanBest, scanFixed, verifyK int
-	verifyReqs                   []query.VerifyKRequest
+	mu         sync.Mutex
+	scanReqs   []query.ScanRequest
+	verifyReqs []query.VerifyKRequest
 }
 
-func (c *countingShard) ScanBest(ctx context.Context, req query.ScanBestRequest) (query.ScanBestResponse, error) {
+func (c *countingShard) Scan(ctx context.Context, req query.ScanRequest) (query.ScanResponse, error) {
 	c.mu.Lock()
-	c.scanBest++
+	c.scanReqs = append(c.scanReqs, req)
 	c.mu.Unlock()
-	return c.ShardTransport.ScanBest(ctx, req)
-}
-
-func (c *countingShard) ScanFixed(ctx context.Context, req query.ScanFixedRequest) (query.ScanFixedResponse, error) {
-	c.mu.Lock()
-	c.scanFixed++
-	c.mu.Unlock()
-	return c.ShardTransport.ScanFixed(ctx, req)
+	return c.ShardTransport.Scan(ctx, req)
 }
 
 func (c *countingShard) VerifyK(ctx context.Context, req query.VerifyKRequest) (query.VerifyKResponse, error) {
 	c.mu.Lock()
-	c.verifyK++
 	c.verifyReqs = append(c.verifyReqs, req)
 	c.mu.Unlock()
 	return c.ShardTransport.VerifyK(ctx, req)
@@ -67,7 +60,8 @@ func countingScatter(t *testing.T, e *Engine) (sc *query.Scatter, counted []*cou
 }
 
 // TestMatchCallsPerShard pins the round structure of a best-match across
-// the seam: per searched length one ScanBest per shard and no other call —
+// the seam: per searched length one Scan{K: 1} at an infinite cutoff per
+// shard and no other call —
 // the coordinator mines the winning group from the series it holds — at
 // every worker count and match mode, in process and over loopback workers,
 // where the trace holds exactly one rpc span per shard and searched length.
@@ -110,9 +104,15 @@ func TestMatchCallsPerShard(t *testing.T) {
 					searched = int(rec.Snapshot().Work["lengthsVisited"])
 				}
 				for i, c := range counted {
-					if c.scanBest != searched || c.scanFixed != 0 || c.verifyK != 0 {
-						t.Fatalf("p%d q%d mode%d, shard %d: %d ScanBest, %d ScanFixed, %d VerifyK over %d searched lengths; want one ScanBest per length and nothing else",
-							parallelism, qi, mode, i, c.scanBest, c.scanFixed, c.verifyK, searched)
+					if len(c.scanReqs) != searched || len(c.verifyReqs) != 0 {
+						t.Fatalf("p%d q%d mode%d, shard %d: %d Scan, %d VerifyK over %d searched lengths; want one Scan per length and nothing else",
+							parallelism, qi, mode, i, len(c.scanReqs), len(c.verifyReqs), searched)
+					}
+					for _, req := range c.scanReqs {
+						if req.K != 1 || !math.IsInf(math.Float64frombits(req.CutoffBits), 1) {
+							t.Fatalf("p%d q%d mode%d, shard %d: Scan k=%d cutoff %v; want k=1 at +Inf",
+								parallelism, qi, mode, i, req.K, math.Float64frombits(req.CutoffBits))
+						}
 					}
 				}
 
@@ -138,12 +138,37 @@ func TestMatchCallsPerShard(t *testing.T) {
 	}
 }
 
-// TestKNNCallsPerShard pins the round structure of a k-NN across the seam:
-// per searched length one ScanFixed and at most one VerifyK per shard —
-// whatever the number of candidate groups and members (the per-round
-// protocol made hundreds of calls here). One
-// in-process shard at one worker walks the members too: its trace holds one
-// shard-verify call per searched length with candidates.
+// knnCalls checks one shard's k-NN calls against the round structure over
+// a search of the given number of lengths: while the heap is not full a
+// length scans its k nearest representatives at an infinite cutoff and
+// verifies them, then at most one Scan{K: 0} at the cut and one more
+// verification per length — so the length that fills the heap makes at most
+// two scans and two verifications, and every later length one of each.
+func knnCalls(c *countingShard, k, lengths int) error {
+	topK, fixed, filled := 0, 0, false
+	for _, req := range c.scanReqs {
+		switch cutoff := math.Float64frombits(req.CutoffBits); {
+		case req.K == k && math.IsInf(cutoff, 1) && !filled:
+			topK++
+		case req.K == 0:
+			fixed++
+			filled = filled || !math.IsInf(cutoff, 1)
+		default:
+			return fmt.Errorf("scan k=%d at cutoff %v after %d top-k and %d fixed scans", req.K, cutoff, topK, fixed)
+		}
+	}
+	if topK == 0 || topK > lengths || fixed > lengths || len(c.verifyReqs) > topK+fixed {
+		return fmt.Errorf("%d top-k scans, %d fixed scans, %d VerifyK over %d lengths", topK, fixed, len(c.verifyReqs), lengths)
+	}
+	return nil
+}
+
+// TestKNNCallsPerShard pins the round structure of a k-NN across the seam
+// (knnCalls) whatever the number of candidate groups and members — the
+// per-round protocol made hundreds of calls here — and that verification
+// starts from the heap: a phase after the first carries its distances as
+// seeds. One in-process shard at one worker walks the members too: its
+// trace holds one shard-verify call per verification phase ("refine" span).
 func TestKNNCallsPerShard(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	d := randomDataset(r, 24, 48)
@@ -174,11 +199,10 @@ func TestKNNCallsPerShard(t *testing.T) {
 		}
 		verified := 0
 		for i, c := range counted {
-			if c.scanFixed != 1 || c.verifyK > 1 || c.scanBest != 0 {
-				t.Fatalf("k=%d exact, shard %d: %d ScanFixed, %d VerifyK, %d ScanBest; want 1, ≤ 1, 0",
-					k, i, c.scanFixed, c.verifyK, c.scanBest)
+			if err := knnCalls(c, k, 1); err != nil || len(c.scanReqs) > 2 {
+				t.Fatalf("k=%d exact, shard %d: %v (%d scans); want ≤ 2 scans and ≤ 2 VerifyK", k, i, err, len(c.scanReqs))
 			}
-			verified += c.verifyK
+			verified += len(c.verifyReqs)
 		}
 		if verified == 0 {
 			t.Fatalf("k=%d exact: no shard verified a member", k)
@@ -188,21 +212,23 @@ func TestKNNCallsPerShard(t *testing.T) {
 		if _, err := bestK(sc, context.Background(), q, query.MatchAny, k); err != nil {
 			t.Fatal(err)
 		}
-		finite := false
+		finite, seeded := false, false
 		for i, c := range counted {
 			// k-NN visits every indexed length.
-			if c.scanFixed != len(lengths) || c.verifyK > len(lengths) || c.scanBest != 0 {
-				t.Fatalf("k=%d any, shard %d: %d ScanFixed, %d VerifyK, %d ScanBest over %d lengths; want one, ≤ one, 0 per length",
-					k, i, c.scanFixed, c.verifyK, c.scanBest, len(lengths))
+			if err := knnCalls(c, k, len(lengths)); err != nil {
+				t.Fatalf("k=%d any, shard %d: %v", k, i, err)
 			}
 			for _, req := range c.verifyReqs {
 				if !math.IsInf(math.Float64frombits(req.CutoffBits), 1) {
 					finite = true
 				}
+				if len(req.Seeds) > 0 {
+					seeded = true
+				}
 			}
 		}
-		if !finite {
-			t.Fatalf("k=%d any: no phase started from a finite cutoff; the later lengths must inherit the heap's", k)
+		if !finite || !seeded {
+			t.Fatalf("k=%d any: finite cutoff %v, seeds %v; the later phases must start from the heap", k, finite, seeded)
 		}
 	}
 
@@ -216,18 +242,18 @@ func TestKNNCallsPerShard(t *testing.T) {
 			if _, err := bestK(one, obs.ContextWithTrace(context.Background(), rec), q, mode, k); err != nil {
 				t.Fatal(err)
 			}
-			verifies, lengthsSearched := 0, 0
+			verifies, phases := 0, 0
 			for _, sp := range rec.Snapshot().Spans {
 				switch sp.Name {
 				case "shard-verify":
 					verifies++
 				case "refine":
-					lengthsSearched++
+					phases++
 				}
 			}
-			if verifies == 0 || verifies > lengthsSearched || (mode == query.MatchExact && verifies != 1) {
-				t.Fatalf("k=%d mode%d, one shard at one worker: %d shard-verify calls over %d searched lengths; want one per length with candidates",
-					k, mode, verifies, lengthsSearched)
+			if verifies == 0 || verifies != phases || (mode == query.MatchExact && verifies > 2) {
+				t.Fatalf("k=%d mode%d, one shard at one worker: %d shard-verify calls over %d verification phases; want one per phase, ≤ 2 at one length",
+					k, mode, verifies, phases)
 			}
 		}
 	}

@@ -356,7 +356,7 @@ func comparePartState(t *testing.T, step, s int, got, want *part) {
 func partAnswers(t *testing.T, p *part, q []float64, l int) []any {
 	t.Helper()
 	ctx := context.Background()
-	fixed, err := p.transport.ScanFixed(ctx, query.ScanFixedRequest{
+	fixed, err := p.transport.Scan(ctx, query.ScanRequest{
 		Length: l, Query: q, CutoffBits: math.Float64bits(math.Inf(1)), Workers: 1,
 	})
 	if err != nil {

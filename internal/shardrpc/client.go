@@ -82,7 +82,7 @@ type Client struct {
 	gen   string
 	info  query.ShardInfo
 	paths struct {
-		ship, scan, scanFixed, verifyK, rng string
+		ship, scan, verifyK, rng string
 	}
 
 	shipMu sync.Mutex // serializes re-ship after a worker restart
@@ -131,7 +131,6 @@ func NewClient(baseURL string, spec query.ShardSpec, opts ClientOptions) (*Clien
 		url.PathEscape(spec.Dataset), url.PathEscape(spec.Generation), spec.Shard)
 	c.paths.ship = root
 	c.paths.scan = root + "/scan"
-	c.paths.scanFixed = root + "/scanfixed"
 	c.paths.verifyK = root + "/verifyk"
 	c.paths.rng = root + "/range"
 
@@ -492,17 +491,10 @@ func (c *Client) abortCall(sc obs.SpanScope, cs *callStats) {
 		End()
 }
 
-// ScanBest implements query.ShardTransport.
-func (c *Client) ScanBest(ctx context.Context, req query.ScanBestRequest) (query.ScanBestResponse, error) {
-	var resp query.ScanBestResponse
+// Scan implements query.ShardTransport.
+func (c *Client) Scan(ctx context.Context, req query.ScanRequest) (query.ScanResponse, error) {
+	var resp query.ScanResponse
 	err := c.call(ctx, "scan", c.paths.scan, req, &resp)
-	return resp, err
-}
-
-// ScanFixed implements query.ShardTransport.
-func (c *Client) ScanFixed(ctx context.Context, req query.ScanFixedRequest) (query.ScanFixedResponse, error) {
-	var resp query.ScanFixedResponse
-	err := c.call(ctx, "scanfixed", c.paths.scanFixed, req, &resp)
 	return resp, err
 }
 

@@ -18,9 +18,9 @@ import (
 	"onex/internal/query"
 )
 
-func scanReq() query.ScanBestRequest {
-	return query.ScanBestRequest{
-		Length: 4, Query: []float64{1, 2, 3, 4},
+func scanReq() query.ScanRequest {
+	return query.ScanRequest{
+		Length: 4, Query: []float64{1, 2, 3, 4}, K: 1, CutoffBits: math.Float64bits(math.Inf(1)),
 	}
 }
 
@@ -168,7 +168,7 @@ func TestClientTraceSpans(t *testing.T) {
 	defer c.Close()
 
 	// Untraced: no header on the wire, nothing recorded.
-	if _, err := c.ScanBest(t.Context(), scanReq()); err != nil {
+	if _, err := c.Scan(t.Context(), scanReq()); err != nil {
 		t.Fatal(err)
 	}
 	if traceHeaders.Load() != 0 {
@@ -177,7 +177,7 @@ func TestClientTraceSpans(t *testing.T) {
 
 	tr := obs.NewTrace("r1")
 	ctx := obs.ContextWithTrace(t.Context(), tr)
-	if _, err := c.ScanBest(ctx, scanReq()); err != nil {
+	if _, err := c.Scan(ctx, scanReq()); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 || traceHeaders.Load() != 1 {
@@ -250,7 +250,7 @@ func TestClientRetryFeedsFleet(t *testing.T) {
 
 	before := Fleet().Totals()
 	tr := obs.NewTrace("r")
-	if _, err := c.ScanBest(obs.ContextWithTrace(t.Context(), tr), scanReq()); err != nil {
+	if _, err := c.Scan(obs.ContextWithTrace(t.Context(), tr), scanReq()); err != nil {
 		t.Fatal(err)
 	}
 	d := Fleet().Totals()

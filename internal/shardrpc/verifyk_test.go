@@ -66,7 +66,7 @@ func wideVerifyReq(k, workers int) query.VerifyKRequest {
 		CutoffBits: math.Float64bits(math.Inf(1)), Workers: workers,
 	}
 	for gid := 0; gid < 10; gid++ {
-		req.Candidates = append(req.Candidates, query.FixedHit{GroupID: gid, Dist: 0.01 * float64(gid)})
+		req.Candidates = append(req.Candidates, query.ScanHit{GroupID: gid, Dist: 0.01 * float64(gid)})
 	}
 	return req
 }
@@ -172,8 +172,13 @@ func shippedWorker(tb testing.TB) http.Handler {
 }
 
 func postVerifyK(h http.Handler, ctx context.Context, body []byte) *httptest.ResponseRecorder {
+	return post(h, ctx, "verifyk", body)
+}
+
+// post sends body to route op of the shard shippedWorker holds.
+func post(h http.Handler, ctx context.Context, op string, body []byte) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/worker/v1/shards/d/g1/0/verifyk", bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/worker/v1/shards/d/g1/0/"+op, bytes.NewReader(body))
 	h.ServeHTTP(rec, req.WithContext(ctx))
 	return rec
 }
@@ -198,6 +203,8 @@ func TestWorkerVerifyKMalformed(t *testing.T) {
 		"negative radius": `{"length":6,` + q + `,"k":3,"cutoffBits":` + inf + `,"radiusRaw":-1,"candidates":[{"groupId":0,"dist":1}]}`,
 		"negative id":     `{"length":6,` + q + `,"k":3,"cutoffBits":` + inf + `,"candidates":[{"groupId":-1,"dist":1}]}`,
 		"duplicate id":    `{"length":6,` + q + `,"k":3,"cutoffBits":` + inf + `,"candidates":[{"groupId":2,"dist":1},{"groupId":4,"dist":1},{"groupId":2,"dist":1}]}`,
+		"seeds over k":    `{"length":6,` + q + `,"k":3,"cutoffBits":` + inf + `,"candidates":[{"groupId":0,"dist":1}],"seeds":[1,2,3,4]}`,
+		"negative seed":   `{"length":6,` + q + `,"k":3,"cutoffBits":` + inf + `,"candidates":[{"groupId":0,"dist":1}],"seeds":[1,-2]}`,
 	}
 	for name, body := range bad {
 		rec := postVerifyK(h, context.Background(), []byte(body))
@@ -269,6 +276,11 @@ func FuzzWorkerVerifyK(f *testing.F) {
 	f.Add([]byte(`{"length":6,"query":[1,2,3],"k":9223372036854775807,"cutoffBits":1,"radiusRaw":1e308,"workers":-7,"candidates":[{"groupId":99999999,"dist":0},{"groupId":0,"dist":1e308},{"groupId":4,"dist":0},{"groupId":6,"dist":0},{"groupId":8,"dist":0},{"groupId":1,"dist":0},{"groupId":3,"dist":0}]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
+	// Seed lists: a valid one, one over k, a negative one, one JSON cannot carry.
+	f.Add([]byte(`{"length":6,"query":[0.2,0.3,0.1,0.4,0.5,0.3],"k":3,"cutoffBits":4607182418800017408,"radiusRaw":1,"candidates":[{"groupId":0,"dist":0}],"seeds":[0.5,1,1e308]}`))
+	f.Add([]byte(`{"length":6,"query":[0.2,0.3,0.1,0.4,0.5,0.3],"k":2,"cutoffBits":9218868437227405312,"candidates":[{"groupId":0,"dist":0}],"seeds":[1,2,3]}`))
+	f.Add([]byte(`{"length":6,"query":[0.2,0.3,0.1,0.4,0.5,0.3],"k":2,"cutoffBits":9218868437227405312,"candidates":[{"groupId":0,"dist":0}],"seeds":[-0.5]}`))
+	f.Add([]byte(`{"length":6,"query":[0.2,0.3,0.1,0.4,0.5,0.3],"k":2,"cutoffBits":9218868437227405312,"candidates":[{"groupId":0,"dist":0}],"seeds":[1e999]}`))
 
 	h := shippedWorker(f)
 	f.Fuzz(func(t *testing.T, body []byte) {

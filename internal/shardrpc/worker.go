@@ -16,8 +16,7 @@
 //	GET  /worker/v1/healthz
 //	GET  /worker/v1/metrics                                   Prometheus text 0.0.4
 //	PUT  /worker/v1/shards/{dataset}/{gen}/{shard}            ship a ShardSpec stream
-//	POST /worker/v1/shards/{dataset}/{gen}/{shard}/scan       ScanBestRequest
-//	POST /worker/v1/shards/{dataset}/{gen}/{shard}/scanfixed  ScanFixedRequest
+//	POST /worker/v1/shards/{dataset}/{gen}/{shard}/scan       ScanRequest
 //	POST /worker/v1/shards/{dataset}/{gen}/{shard}/verifyk    VerifyKRequest
 //	POST /worker/v1/shards/{dataset}/{gen}/{shard}/range      RangeRequest
 //
@@ -35,10 +34,12 @@
 // the generation) and the client must re-ship the spec and retry.
 //
 // Every call is a phase: scan is a best-match's one call per shard and
-// searched length, scanfixed and verifyk are a k-NN's two (the shard walks
-// its own members of every surviving group inside the one verifyk call,
-// early abandoning against the request's cutoff and its own k-th best —
-// see query.LocalShard.VerifyK), and range is a range query's one. The
+// searched length (k = 1), scan and verifyk are a k-NN's one each at a
+// length where its heap is full (k = 0 at the cut) and up to two each at
+// the length that fills it (k nearest first; the shard walks its own
+// members of the candidate groups inside each verifyk call, early
+// abandoning against the heap it is seeded with and its own finds — see
+// query.LocalShard.VerifyK), and range is a range query's one. The
 // best-match group walk stays on the coordinator, which holds every
 // series. Cutoffs and distances that can be ±Inf travel as
 // math.Float64bits (see query.ShardTransport for the bit-exactness
@@ -149,7 +150,6 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("GET /worker/v1/metrics", w.timed("metrics", w.handleMetrics))
 	mux.HandleFunc("PUT /worker/v1/shards/{dataset}/{gen}/{shard}", w.timed("put_shard", w.handleShip))
 	mux.HandleFunc("POST /worker/v1/shards/{dataset}/{gen}/{shard}/scan", w.timed("scan", w.handleScan))
-	mux.HandleFunc("POST /worker/v1/shards/{dataset}/{gen}/{shard}/scanfixed", w.timed("scanfixed", w.handleScanFixed))
 	mux.HandleFunc("POST /worker/v1/shards/{dataset}/{gen}/{shard}/verifyk", w.timed("verifyk", w.handleVerifyK))
 	mux.HandleFunc("POST /worker/v1/shards/{dataset}/{gen}/{shard}/range", w.timed("range", w.handleRange))
 	return mux
@@ -585,35 +585,16 @@ func (w *Worker) handleScan(rw http.ResponseWriter, r *http.Request) {
 	if ls == nil {
 		return
 	}
-	var req query.ScanBestRequest
+	var req query.ScanRequest
 	if !decodeReq(rw, r, &req) {
 		return
 	}
-	resp, err := ls.ScanBest(r.Context(), req)
+	resp, err := ls.Scan(r.Context(), req)
 	if err == nil {
 		resp.Obs = workerObs(r, start, "scan", func() []obs.Attr {
 			return append(query.WorkAttrs(resp.Trace),
-				obs.Attr{Key: "length", Value: int64(req.Length)})
-		})
-	}
-	answer(rw, r, resp, err)
-}
-
-func (w *Worker) handleScanFixed(rw http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	ls := w.lookup(rw, r)
-	if ls == nil {
-		return
-	}
-	var req query.ScanFixedRequest
-	if !decodeReq(rw, r, &req) {
-		return
-	}
-	resp, err := ls.ScanFixed(r.Context(), req)
-	if err == nil {
-		resp.Obs = workerObs(r, start, "scanfixed", func() []obs.Attr {
-			return append(query.WorkAttrs(resp.Trace),
 				obs.Attr{Key: "length", Value: int64(req.Length)},
+				obs.Attr{Key: "k", Value: int64(req.K)},
 				obs.Attr{Key: "hits", Value: int64(len(resp.Hits))})
 		})
 	}

@@ -188,7 +188,7 @@ func TestWorkerUnknownGeneration(t *testing.T) {
 	srv := httptest.NewServer(NewWorker(testLogger()).Handler())
 	defer srv.Close()
 	resp, raw := doJSON(t, http.MethodPost, shipURL(srv.URL, "d", "nope")+"/scan",
-		query.ScanBestRequest{Length: 4, Query: []float64{1, 2, 3, 4}})
+		query.ScanRequest{Length: 4, Query: []float64{1, 2, 3, 4}, K: 1})
 	if resp.StatusCode != http.StatusNotFound || errCode(t, raw) != "unknown_generation" {
 		t.Fatalf("scan of unshipped generation = %d %s", resp.StatusCode, raw)
 	}
@@ -250,7 +250,7 @@ func TestWorkerGenerationRetention(t *testing.T) {
 			t.Fatalf("ship %s = %d %s", gen, resp.StatusCode, raw)
 		}
 	}
-	scanReq := query.ScanBestRequest{Length: 4, Query: []float64{1, 2, 3, 4}}
+	scanReq := query.ScanRequest{Length: 4, Query: []float64{1, 2, 3, 4}, K: 1}
 	resp, raw := doJSON(t, http.MethodPost, shipURL(srv.URL, "d", "g1")+"/scan", scanReq)
 	if resp.StatusCode != http.StatusNotFound || errCode(t, raw) != "unknown_generation" {
 		t.Fatalf("evicted generation g1 = %d %s", resp.StatusCode, raw)
@@ -318,8 +318,8 @@ func TestClientRequestIDPropagation(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := obs.ContextWithRequestID(t.Context(), "req-test-42")
-	if _, err := c.ScanBest(ctx, query.ScanBestRequest{
-		Length: 4, Query: []float64{1, 2, 3, 4},
+	if _, err := c.Scan(ctx, query.ScanRequest{
+		Length: 4, Query: []float64{1, 2, 3, 4}, K: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestWorkerRejectsUnqueryableSpec(t *testing.T) {
 				t.Fatalf("rejected spec left %d resident shards", got)
 			}
 			resp, raw = doJSON(t, http.MethodPost, shipURL(srv.URL, "d", "g1")+"/scan",
-				query.ScanBestRequest{Length: 4, Query: []float64{1, 2, 3, 4}})
+				query.ScanRequest{Length: 4, Query: []float64{1, 2, 3, 4}, K: 1})
 			if resp.StatusCode != http.StatusNotFound || errCode(t, raw) != "unknown_generation" {
 				t.Fatalf("scan after rejected ship = %d %s", resp.StatusCode, raw)
 			}
@@ -418,7 +418,7 @@ func TestWorkerRejectsUnqueryableSpec(t *testing.T) {
 
 // FuzzWorkerShip throws arbitrary spec streams at the ship route. The
 // worker refuses a stream with a 4xx, or keeps its spec resident and answers
-// scan, scanfixed, verifyk and range for each of its lengths with 200 or a
+// scan (k = 1 and k = 0), verifyk and range for each of its lengths with 200 or a
 // typed 4xx — never a panic, which the route's recovery turns into a 500.
 // Each input is shipped as is, then, when it decodes under a recomputed
 // checksum, once more with its key pinned to the route, so that mutations
@@ -490,23 +490,26 @@ func FuzzWorkerShip(f *testing.F) {
 			for j := range q {
 				q[j] = float64(j%5) * 0.2
 			}
-			var cands []query.FixedHit
+			var cands []query.ScanHit
 			for _, g := range sl.Groups {
-				cands = append(cands, query.FixedHit{GroupID: g.GlobalID})
+				cands = append(cands, query.ScanHit{GroupID: g.GlobalID})
 			}
 			inf := math.Float64bits(math.Inf(1))
-			for path, req := range map[string]any{
-				"/scan":      query.ScanBestRequest{Length: sl.Length, Query: q, Workers: 2},
-				"/scanfixed": query.ScanFixedRequest{Length: sl.Length, Query: q, CutoffBits: inf, Workers: 2},
-				"/verifyk": query.VerifyKRequest{Length: sl.Length, Query: q, K: 3, CutoffBits: inf,
-					RadiusRaw: 1, Workers: 2, Candidates: cands},
-				"/range": query.RangeRequest{Length: sl.Length, Query: q, Radius: 0.5, Exact: true, Workers: 2},
+			for _, call := range []struct {
+				path string
+				req  any
+			}{
+				{"/scan", query.ScanRequest{Length: sl.Length, Query: q, K: 1, CutoffBits: inf, Workers: 2}},
+				{"/scan", query.ScanRequest{Length: sl.Length, Query: q, CutoffBits: inf, Workers: 2}},
+				{"/verifyk", query.VerifyKRequest{Length: sl.Length, Query: q, K: 3, CutoffBits: inf,
+					RadiusRaw: 1, Workers: 2, Candidates: cands}},
+				{"/range", query.RangeRequest{Length: sl.Length, Query: q, Radius: 0.5, Exact: true, Workers: 2}},
 			} {
-				reqBody, err := json.Marshal(req)
+				reqBody, err := json.Marshal(call.req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				do(h, http.MethodPost, path, reqBody)
+				do(h, http.MethodPost, call.path, reqBody)
 			}
 		}
 	})

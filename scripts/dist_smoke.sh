@@ -165,7 +165,12 @@ echo "$WMETRICS" | awk '
     }
     END { if (n == 0) { print "no scan buckets"; exit 1 } }' \
     || { echo "FAIL: worker scan histogram buckets not monotone" >&2; exit 1; }
-echo "ok: worker metrics families present, scan buckets monotone"
+# Every representative scan, best-match and k-NN alike, takes the one scan
+# route: the worker has no fixed-cutoff op of its own.
+if echo "$WMETRICS" | grep -q 'op="scanfixed"'; then
+    echo "FAIL: worker metrics show a scanfixed op; every scan must take /scan" >&2; exit 1
+fi
+echo "ok: worker metrics families present, scan buckets monotone, no scanfixed op"
 
 echo "== coordinator surfaces fleet health"
 curl -sf "http://$DIST_ADDR/metrics" | grep -q '^onex_worker_up{' \
